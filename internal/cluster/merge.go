@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"time"
 
 	"knlmlm/internal/psort"
@@ -14,15 +13,18 @@ import (
 	"knlmlm/internal/units"
 )
 
-// The result merge is the cluster restatement of the single node's
-// spill merge: partition downloads play the run files, the network plays
-// the disk, and the merged stream goes straight to the caller without
-// ever materializing. Partitions are range-disjoint and ordered, so the
-// k-way merge over a sliding window of streams degenerates to ordered
-// concatenation with prefetch — but the merge does not rely on that:
-// within the window it merges by value (psort.MergeK /
-// psort.ParallelMergeK over safe prefixes), so a partitioner bug would
-// cost balance, never correctness.
+// The result merge is psort.WindowMerge — the engine the single node's
+// spill merge runs — over a third kind of block source: partition
+// downloads play the run files, the network plays the disk, and the
+// merged stream goes straight to the caller without ever materializing.
+// Partitions are range-disjoint and ordered, so the k-way merge over a
+// sliding window of streams degenerates to ordered concatenation with
+// prefetch. Within the window it still merges by value, so partitions
+// that overlap their neighbours cost balance, not correctness; streams
+// beyond the window are not consulted, so an overlap wider than the
+// window (a partitioner bug) would come out of order — the merge checks
+// every emitted block against the previous one and fails the stream
+// instead.
 //
 // The window width — how many backend streams download concurrently —
 // is provisioned by the same Equation 1-5 solve the spill tier uses for
@@ -90,6 +92,27 @@ type partStream struct {
 	p   *part
 	ch  chan []int64
 	err error
+	// stall is the time the merge spent blocked on this stream with
+	// nothing mergeable — the tier's pipeline bubble.
+	stall time.Duration
+}
+
+// Next hands the merge the stream's next downloaded batch.
+func (s *partStream) Next(ctx context.Context) ([]int64, error) {
+	t0 := time.Now()
+	defer func() { s.stall += time.Since(t0) }()
+	select {
+	case batch, ok := <-s.ch:
+		if ok {
+			return batch, nil
+		}
+		if s.err != nil {
+			return nil, s.err
+		}
+		return nil, io.EOF
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // StreamResult merges the job's sorted partitions into emit, in order,
@@ -113,34 +136,57 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 	parts := j.parts
 	j.mu.Unlock()
 
-	live := make([]*part, 0, len(parts))
+	var streams []*partStream
 	for _, p := range parts {
 		if len(p.keys) > 0 {
-			live = append(live, p)
+			streams = append(streams, &partStream{p: p, ch: make(chan []int64, 1)})
 		}
 	}
-	if len(live) == 0 {
+	if len(streams) == 0 {
 		return 0, nil
 	}
 
+	c := j.coord
+	n, stall, err := mergeStreams(ctx, streams, c.readAheadWidth(len(streams), j.n), c.cfg.MergeThreads,
+		func(ctx context.Context, s *partStream) error { return c.fillPart(ctx, j, s) },
+		func(block []int64) error {
+			if err := emit(block); err != nil {
+				return err
+			}
+			c.m.mergeBytes.Add(int64(len(block)) * 8)
+			return nil
+		})
+	c.m.mergeStall.Add(stall.Seconds())
+	if err != nil {
+		return n, err
+	}
+	if want := totalLive(streams); n != int64(want) {
+		return n, fmt.Errorf("cluster: merge delivered %d of %d elements", n, want)
+	}
+	j.release()
+	return n, nil
+}
+
+// mergeStreams downloads the streams through an ordered sliding window —
+// fill delivers one stream's batches into its channel, and stream i
+// starts once stream i-width has fully delivered, so at most width
+// downloads are in flight and they are always the next ranges the merge
+// needs — and merges them into emit with the same window. It returns the
+// element count emitted and the time the merge stalled on downloads; on
+// failure every fill goroutine has exited by the time it returns.
+func mergeStreams(ctx context.Context, streams []*partStream, width, threads int, fill func(context.Context, *partStream) error, emit func([]int64) error) (int64, time.Duration, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	width := j.coord.readAheadWidth(len(live), j.n)
-	streams := make([]*partStream, len(live))
-	fillDone := make([]chan struct{}, len(live))
-	for i, p := range live {
-		streams[i] = &partStream{p: p, ch: make(chan []int64, 1)}
+	srcs := make([]psort.BlockSource, len(streams))
+	fillDone := make([]chan struct{}, len(streams))
+	for i, s := range streams {
+		srcs[i] = s
 		fillDone[i] = make(chan struct{})
 	}
-	for i := range streams {
-		go func(i int) {
+	for i, s := range streams {
+		go func() {
 			defer close(fillDone[i])
-			s := streams[i]
 			defer close(s.ch)
-			// Ordered sliding window: stream i starts once stream i-width
-			// has fully delivered, so at most `width` downloads are in
-			// flight and they are always the next ranges the merge needs.
 			if i >= width {
 				select {
 				case <-fillDone[i-width]:
@@ -149,127 +195,21 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 					return
 				}
 			}
-			s.err = j.coord.fillPart(sctx, j, s)
-		}(i)
+			s.err = fill(sctx, s)
+		}()
 	}
-
-	n, err := j.mergeStreams(sctx, streams, width, emit)
+	n, err := psort.WindowMerge(sctx, srcs, 1, width, threads, nil, emit)
 	if err != nil {
 		cancel()
-		// Drain fills so their goroutines exit before we return.
 		for _, ch := range fillDone {
 			<-ch
 		}
-		return n, err
 	}
-	j.release()
-	return n, nil
-}
-
-// mergeStreams runs the windowed merge over the partition streams.
-func (j *Job) mergeStreams(ctx context.Context, streams []*partStream, width int, emit func([]int64) error) (int64, error) {
-	m := j.coord.m
-	heads := make([][]int64, len(streams))
-	exhausted := make([]bool, len(streams))
-	var delivered int64
 	var stall time.Duration
-	defer func() { m.mergeStall.Add(stall.Seconds()) }()
-
-	base := 0
-	for base < len(streams) {
-		hi := base + width
-		if hi > len(streams) {
-			hi = len(streams)
-		}
-		// Fill the window: every live stream must have a buffered batch
-		// before a safe emission bound exists. Time blocked here with
-		// nothing mergeable is merge stall — the tier's pipeline bubble.
-		liveHeads := 0
-		for i := base; i < hi; i++ {
-			if exhausted[i] || len(heads[i]) > 0 {
-				if !exhausted[i] {
-					liveHeads++
-				}
-				continue
-			}
-			t0 := time.Now()
-			batch, ok := <-streams[i].ch
-			stall += time.Since(t0)
-			if !ok {
-				if err := streams[i].err; err != nil {
-					return delivered, err
-				}
-				exhausted[i] = true
-				continue
-			}
-			heads[i] = batch
-			liveHeads++
-		}
-		if liveHeads == 0 {
-			base = hi
-			continue
-		}
-		// Safe bound: the minimum over live window streams of the last
-		// buffered element. Every stream's future elements are >= its last
-		// buffered one, so everything <= bound is final.
-		var bound int64
-		first := true
-		for i := base; i < hi; i++ {
-			if len(heads[i]) == 0 {
-				continue
-			}
-			if last := heads[i][len(heads[i])-1]; first || last < bound {
-				bound, first = last, false
-			}
-		}
-		prefixes := make([][]int64, 0, hi-base)
-		total := 0
-		for i := base; i < hi; i++ {
-			h := heads[i]
-			if len(h) == 0 {
-				continue
-			}
-			cut := sort.Search(len(h), func(k int) bool { return h[k] > bound })
-			if cut == 0 {
-				continue
-			}
-			prefixes = append(prefixes, h[:cut])
-			heads[i] = h[cut:]
-			total += cut
-		}
-		if total == 0 {
-			// Cannot happen: the bound-defining stream always contributes
-			// its whole head. Guard against looping forever anyway.
-			return delivered, fmt.Errorf("cluster: merge made no progress at base %d", base)
-		}
-		var block []int64
-		if len(prefixes) == 1 {
-			block = prefixes[0]
-		} else {
-			block = make([]int64, total)
-			if total > 64<<10 && j.coord.cfg.MergeThreads > 1 {
-				psort.ParallelMergeK(block, prefixes, j.coord.cfg.MergeThreads)
-			} else {
-				psort.MergeK(block, prefixes...)
-			}
-		}
-		if err := emit(block); err != nil {
-			return delivered, err
-		}
-		delivered += int64(total)
-		m.mergeBytes.Add(int64(total) * 8)
-		// Advance past fully-drained exhausted streams at the window head.
-		for base < len(streams) && exhausted[base] && len(heads[base]) == 0 {
-			base++
-		}
-		if err := ctx.Err(); err != nil {
-			return delivered, err
-		}
+	for _, s := range streams {
+		stall += s.stall
 	}
-	if delivered != int64(totalLive(streams)) {
-		return delivered, fmt.Errorf("cluster: merge delivered %d of %d elements", delivered, totalLive(streams))
-	}
-	return delivered, nil
+	return n, stall, err
 }
 
 func totalLive(streams []*partStream) int {

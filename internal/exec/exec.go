@@ -212,33 +212,11 @@ type runner struct {
 
 // newBuffer supplies one staging buffer, pooled when the Stages carry a
 // pool and freshly allocated otherwise. A budgeted pool refusing the
-// request (Get == nil past its byte cap) degrades to an unpooled
-// allocation — the DDR analog of MCDRAM exhaustion — so the pipeline
-// keeps running; the refusal stays visible in the pool's stats.
+// request degrades to an unpooled allocation (mem.SlicePool.GetOrAlloc)
+// so the pipeline keeps running; the refusal stays visible in the pool's
+// stats.
 func (r *runner) newBuffer(n int) *Buffer {
-	if r.pool != nil {
-		if s := r.pool.Get(n); s != nil || n == 0 {
-			return &Buffer{full: s}
-		}
-		// The capacity is deliberately not a pool size class: when the run
-		// finishes and reclaim Puts this buffer, the pool must drop it
-		// rather than adopt into a freelist a slice its budget accounting
-		// never saw.
-		return &Buffer{full: make([]int64, n, unpooledCap(n))}
-	}
-	return &Buffer{full: make([]int64, n)}
-}
-
-// unpooledCap picks a capacity >= max(n, 2) that is not a power of two,
-// so the slice can never masquerade as pool-allocated.
-func unpooledCap(n int) int {
-	if n < 2 {
-		n = 2
-	}
-	if n&(n-1) == 0 {
-		n++
-	}
-	return n
+	return &Buffer{full: r.pool.GetOrAlloc(n)}
 }
 
 // reclaim returns a buffer's backing array to the pool. Callers must only

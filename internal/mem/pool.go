@@ -152,11 +152,31 @@ func (p *SlicePool) Get(n int) []int64 {
 	return make([]int64, n, 1<<c)
 }
 
+// GetOrAlloc is Get for callers that must keep running when a budgeted
+// pool refuses: the refusal (visible in the pool's stats) degrades to an
+// unpooled allocation — the DDR analog of MCDRAM exhaustion. Its capacity
+// is deliberately not a size class, so a later Put drops the slice rather
+// than adopt into a freelist memory the budget accounting never saw. A
+// nil pool always allocates.
+func (p *SlicePool) GetOrAlloc(n int) []int64 {
+	if p != nil {
+		if s := p.Get(n); s != nil || n <= 0 {
+			return s
+		}
+	}
+	c := max(n, 2)
+	if c&(c-1) == 0 {
+		c++
+	}
+	return make([]int64, n, c)
+}
+
 // Put recycles s into its size class. Slices whose capacity is not an
 // exact class size (i.e. that did not come from Get) are dropped rather
-// than mislabeled, as are puts into a full class. Put(nil) is a no-op.
+// than mislabeled, as are puts into a full class. Put(nil) is a no-op, as
+// is any Put on a nil pool.
 func (p *SlicePool) Put(s []int64) {
-	if cap(s) == 0 {
+	if p == nil || cap(s) == 0 {
 		return
 	}
 	c := bits.Len(uint(cap(s) - 1))

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/model"
+	"knlmlm/internal/mem"
 	"knlmlm/internal/psort"
 	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
@@ -55,9 +53,8 @@ type ExternalOptions struct {
 	// EWMA of autotuner measurements); used with DiskRate.
 	MergeRate units.BytesPerSec
 	// MergeThreads is the worker count each merge round's loser-tree pass
-	// may fan out to (psort.ParallelMergeK, multisequence selection).
-	// Rounds smaller than parallelMergeMin and values <= 1 keep the
-	// serial merge.
+	// may fan out to (psort.MergeRound: small rounds and values <= 1 keep
+	// the serial merge).
 	MergeThreads int
 
 	// Sink, when non-nil, receives the merged output as a stream of sorted
@@ -87,23 +84,19 @@ func (o ExternalOptions) mergeBlock() int {
 	return 64 << 10
 }
 
-// readAhead resolves the fill-worker width for a k-run merge under a
-// thread budget.
-func (o ExternalOptions) readAhead(k, threads int) int {
+// readAhead resolves the fill-worker width for a k-run merge. The Eq. 1-5
+// budget is the merge loop's own thread plus one copy thread each way;
+// rounds that fan out (MergeThreads) borrow their workers only for the
+// length of a round.
+func (o ExternalOptions) readAhead(k int) int {
 	w := o.ReadAhead
 	if w <= 0 {
-		w = tune.SpillReadAhead(o.DiskRate, o.MergeRate, threads+2, 0)
+		w = tune.SpillReadAhead(o.DiskRate, o.MergeRate, 3, 0)
 	}
 	if w <= 0 {
 		w = 2
 	}
-	if w > k {
-		w = k
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(w, k), 1)
 }
 
 // RunRealExternal sorts xs through all three memory levels: megachunks
@@ -161,7 +154,10 @@ func runRealExternal(ctx context.Context, a Algorithm, xs []int64, threads, mega
 			return nil
 		}
 	}
-	stats.ReadAhead = opts.readAhead(len(runs), threads)
+	// Resolved once, here: handed an explicit width, MergeSpilled runs
+	// exactly the width that is reported.
+	opts.ReadAhead = opts.readAhead(len(runs))
+	stats.ReadAhead = opts.ReadAhead
 	merged, err := MergeSpilled(ctx, opts.Store, runs, opts, sink)
 	stats.MergedElems = merged
 	return stats, err
@@ -184,184 +180,34 @@ func SpillSorted(ctx context.Context, a Algorithm, xs []int64, threads, megachun
 	if opts.Store == nil {
 		return nil, ExternalStats{}, fmt.Errorf("mlmsort: SpillSorted needs a run store")
 	}
-	n := len(xs)
-	if err := opts.Elem.validateBuffer(n); err != nil {
+	if err := opts.Elem.validateBuffer(len(xs)); err != nil {
 		return nil, ExternalStats{}, err
 	}
-	if n == 0 {
+	if len(xs) == 0 {
 		return nil, ExternalStats{}, ctx.Err()
 	}
-	if megachunkLen <= 0 {
-		megachunkLen = (n + 3) / 4 // same default as the staged in-memory path
-	}
 	// Record jobs spill fine under every algorithm here — the spill path
-	// is megachunk-structured for all of them — but megachunks (and
-	// therefore run files) must hold whole records.
-	megachunkLen = opts.Elem.alignChunk(megachunkLen)
-	bounds := megachunkBounds(n, megachunkLen)
-	runIDs := make([]int, len(bounds))
-	maxLen := 0
-	for i, b := range bounds {
-		runIDs[i] = i
-		if l := b[1] - b[0]; l > maxLen {
-			maxLen = l
-		}
-	}
-	stats := ExternalStats{RealStats: RealStats{Megachunks: len(bounds)}, Runs: len(bounds)}
-
-	// Scratch and width discipline are identical to runRealMLM: pooled
-	// scratch returned only on clean completion, copy/compute widths from
-	// the external control when present.
-	scratchPool := opts.pool()
-	scratch := scratchPool.Get(maxLen)
-	if scratch == nil && maxLen > 0 {
-		scratch = make([]int64, maxLen)
-		scratchPool = nil
-	}
-	sorter := newMegachunkSorter(threads, opts.Elem)
-	copyW := new(atomic.Int32)
-	copyW.Store(1)
-	if opts.Widths != nil {
-		copyW = &opts.Widths.copyIn
-		sorter.width = &opts.Widths.comp
-		if copyW.Load() <= 0 {
-			copyW.Store(1)
-		}
-		if sorter.width.Load() <= 0 {
-			sorter.width.Store(int32(threads))
-		}
-	}
-
-	writeRun := func(i int, src []int64) error {
+	// is megachunk-structured for all of them.
+	bounds, real, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts.RealOptions, func(i int, sorted []int64) error {
 		w, err := opts.Store.CreateRun(i)
 		if err != nil {
 			return err
 		}
-		if err := w.Append(src); err != nil {
+		if err := w.Append(sorted); err != nil {
 			_ = w.Close()
 			return err
 		}
 		return w.Close()
-	}
-
-	s := exec.Stages{
-		NumChunks: len(bounds),
-		ChunkLen:  func(i int) int { return bounds[i][1] - bounds[i][0] },
-	}
-	staged := a == MLMSort || a == MLMHybrid
-	var table *stagingTable
-	if staged {
-		table = newStagingTable(opts.Heap, len(bounds))
-		s.CopyIn = func(i int, dst []int64) error {
-			lo, hi := bounds[i][0], bounds[i][1]
-			if !table.stage(i, units.BytesForElements(int64(hi-lo)), opts.RealOptions) {
-				return nil // degraded: sort the megachunk in DDR
-			}
-			exec.CopyParallel(dst, xs[lo:hi], int(copyW.Load()))
-			return nil
-		}
-		s.Compute = func(i int, buf []int64) error {
-			if table.isDegraded(i) {
-				lo, hi := bounds[i][0], bounds[i][1]
-				sorter.sort(xs[lo:hi], scratch)
-				return nil
-			}
-			sorter.sort(buf, scratch)
-			return nil
-		}
-		s.CopyOut = func(i int, src []int64) error {
-			if table.isDegraded(i) {
-				lo, hi := bounds[i][0], bounds[i][1]
-				return writeRun(i, xs[lo:hi])
-			}
-			if err := writeRun(i, src); err != nil {
-				return err
-			}
-			table.release(i)
-			return nil
-		}
-	} else {
-		// In-place variants: the megachunk is sorted where it lives and the
-		// copy-out streams it to disk from there. The staging buffer is
-		// untouched, so CopyIn has nothing to move.
-		s.CopyIn = func(i int, _ []int64) error { return nil }
-		s.Compute = func(i int, _ []int64) error {
-			lo, hi := bounds[i][0], bounds[i][1]
-			sorter.sort(xs[lo:hi], scratch)
-			return nil
-		}
-		s.CopyOut = func(i int, _ []int64) error {
-			lo, hi := bounds[i][0], bounds[i][1]
-			return writeRun(i, xs[lo:hi])
+	})
+	stats := ExternalStats{RealStats: real, Runs: len(bounds)}
+	runIDs := make([]int, len(bounds))
+	for i := range runIDs {
+		runIDs[i] = i
+		if err == nil {
+			stats.SpilledBytes += opts.Store.RunElems(i) * 8
 		}
 	}
-	fs := opts.finish(s)
-	var tuner *tune.PipelineTuner
-	if at := opts.Autotune; at != nil && staged {
-		total := at.TotalThreads
-		if total <= 0 {
-			total = threads + 2
-		}
-		tuner = tune.NewPipelineTuner(tune.Config{
-			Initial:      model.Pools{In: int(copyW.Load()), Out: int(copyW.Load()), Comp: int(sorter.width.Load())},
-			TotalThreads: total,
-			MaxCopyIn:    at.MaxCopyIn,
-			WarmupChunks: at.WarmupChunks,
-			Bytes:        units.BytesForElements(int64(n)),
-			Registry:     at.Registry,
-			Next:         fs.Observer,
-			OnProvision: func(p model.Prediction) {
-				if opts.Widths != nil {
-					opts.Widths.SetPools(p.Pools)
-				} else {
-					if p.Pools.In > 0 {
-						copyW.Store(int32(p.Pools.In))
-					}
-					if p.Pools.Comp > 0 {
-						sorter.width.Store(int32(p.Pools.Comp))
-					}
-				}
-				if at.OnDecision != nil {
-					at.OnDecision(p)
-				}
-			},
-		})
-		fs.Observer = tuner
-	}
-	err := exec.RunContext(ctx, fs, opts.buffers())
-	if tuner != nil {
-		if dec, ok := tuner.Decision(); ok {
-			stats.Retunes = 1
-			stats.TunedPools = dec.Pools
-		}
-	}
-	if table != nil {
-		stats.Degraded, stats.AllocFailures = table.drain()
-		stats.Staged = stats.Megachunks - stats.Degraded
-	}
-	if err != nil {
-		return runIDs, stats, err
-	}
-	if scratchPool != nil {
-		scratchPool.Put(scratch)
-	}
-	for _, id := range runIDs {
-		stats.SpilledBytes += opts.Store.RunElems(id) * 8
-	}
-	return runIDs, stats, nil
-}
-
-// unpooledCap picks a capacity that is not a pool size class (the same
-// trick as exec's degraded buffer allocation), so the pool drops the
-// slice on Put instead of adopting memory its budget never accounted.
-func unpooledCap(n int) int {
-	if n < 2 {
-		n = 2
-	}
-	if n&(n-1) == 0 {
-		n++
-	}
-	return n
+	return runIDs, stats, err
 }
 
 // spillBlock is one filled read-ahead block (or a terminal read error)
@@ -369,6 +215,31 @@ func unpooledCap(n int) int {
 type spillBlock struct {
 	data []int64
 	err  error
+}
+
+// runSource is the merge's handle on one run file: the channel its fill
+// worker stages blocks into, and the block the merge currently holds.
+type runSource struct {
+	ch   chan spillBlock
+	cur  []int64
+	pool *mem.SlicePool
+}
+
+// Next recycles the block the merge just finished and hands over the
+// next staged one.
+func (rs *runSource) Next(ctx context.Context) ([]int64, error) {
+	rs.pool.Put(rs.cur)
+	rs.cur = nil
+	select {
+	case b, ok := <-rs.ch:
+		if !ok {
+			return nil, io.EOF
+		}
+		rs.cur = b.data
+		return b.data, b.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // MergeSpilled is phase 2: a k-way streaming merge over the given run
@@ -383,12 +254,8 @@ type spillBlock struct {
 // consumes them, so the merge's DDR footprint is O(runs x MergeBlock),
 // independent of the dataset.
 //
-// The merge emits "safe windows": with every live run's current block in
-// hand, every element no greater than the smallest block-final key is
-// globally placeable, so those prefixes are loser-tree merged
-// (psort.MergeK) and flushed. Each window fully consumes at least the
-// bounding run's block, guaranteeing progress.
-//
+// The merge itself is psort.WindowMerge over all runs at once, each run
+// file a block source; this function owns only what is specific to disk.
 // Injected read faults are retried under opts.Retry with the same capped
 // backoff internal/exec applies to stage attempts. On any exit — success,
 // read failure, sink error, cancellation — all fill goroutines are joined
@@ -397,9 +264,8 @@ type spillBlock struct {
 // Under opts.Elem == ElemKV the run files hold interleaved key/payload
 // cells: the read-ahead block is rounded to an even cell count so fills
 // never split a record (runs themselves are even by SpillSorted's
-// alignment), the safe bound is the smallest block-final *key* cell, the
-// prefix cuts land on record boundaries, and the window merge is the
-// record loser tree. Sink batches stay []int64 cells either way.
+// alignment) and the merge runs two cells wide. Sink batches stay
+// []int64 cells either way.
 func MergeSpilled(ctx context.Context, store *spill.Store, runs []int, opts ExternalOptions, sink func([]int64) error) (int64, error) {
 	if sink == nil {
 		return 0, fmt.Errorf("mlmsort: MergeSpilled needs a sink")
@@ -410,50 +276,36 @@ func MergeSpilled(ctx context.Context, store *spill.Store, runs []int, opts Exte
 	if len(runs) == 0 {
 		return 0, ctx.Err()
 	}
-	cells := opts.Elem.cells()
 	block := opts.Elem.alignChunk(opts.mergeBlock())
-	width := opts.readAhead(len(runs), 1)
 	pool := opts.pool()
 
 	mctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	getBlock := func(n int) []int64 {
-		if s := pool.Get(n); s != nil {
-			return s
-		}
-		// Non-class capacity: the pool drops it on Put instead of adopting
-		// a slice its budget never accounted (same trick as exec.newBuffer).
-		return make([]int64, n, unpooledCap(n))
-	}
-	putBlock := func(s []int64) {
-		if s != nil {
-			pool.Put(s)
-		}
-	}
-
-	// One fill worker per run, at most width concurrently on the disk.
-	fillSlots := make(chan struct{}, width)
-	chans := make([]chan spillBlock, len(runs))
+	// One fill worker per run, at most readAhead concurrently on the disk.
+	fillSlots := make(chan struct{}, opts.readAhead(len(runs)))
+	sources := make([]*runSource, 0, len(runs))
+	srcs := make([]psort.BlockSource, 0, len(runs))
 	var wg sync.WaitGroup
-	for si, id := range runs {
+	defer func() {
+		cancel()
+		wg.Wait()
+		for _, rs := range sources {
+			pool.Put(rs.cur)
+			for b := range rs.ch {
+				pool.Put(b.data)
+			}
+		}
+	}()
+	for _, id := range runs {
 		r, err := store.OpenRun(id)
 		if err != nil {
-			cancel()
-			wg.Wait()
-			for _, ch := range chans[:si] {
-				for b := range ch {
-					putBlock(b.data)
-				}
-			}
 			return 0, err
 		}
-		ch := make(chan spillBlock, 1) // current block downstream + one staged here
-		chans[si] = ch
+		rs := &runSource{pool: pool, ch: make(chan spillBlock, 1)} // current block downstream + one staged here
+		sources, srcs = append(sources, rs), append(srcs, rs)
 		wg.Add(1)
-		go func(id int, r *spill.RunReader, ch chan spillBlock) {
+		go func() {
 			defer wg.Done()
-			defer close(ch)
+			defer close(rs.ch)
 			defer r.Close()
 			for {
 				select {
@@ -461,208 +313,33 @@ func MergeSpilled(ctx context.Context, store *spill.Store, runs []int, opts Exte
 				case <-mctx.Done():
 					return
 				}
-				buf := getBlock(block)
+				buf := pool.GetOrAlloc(block)
 				n, err := fillWithRetry(mctx, r, buf, id, opts)
 				<-fillSlots
 				if n > 0 {
 					select {
-					case ch <- spillBlock{data: buf[:n]}:
+					case rs.ch <- spillBlock{data: buf[:n]}:
 					case <-mctx.Done():
-						putBlock(buf)
+						pool.Put(buf)
 						return
 					}
 				} else {
-					putBlock(buf)
+					pool.Put(buf)
 				}
 				if err == io.EOF {
 					return
 				}
 				if err != nil {
 					select {
-					case ch <- spillBlock{err: err}:
+					case rs.ch <- spillBlock{err: err}:
 					case <-mctx.Done():
 					}
 					return
 				}
 			}
-		}(id, r, ch)
+		}()
 	}
-
-	heads := make([][]int64, len(runs)) // unconsumed portion of current block
-	cur := make([][]int64, len(runs))   // current block's backing slice, for recycle
-	done := make([]bool, len(runs))
-	var out []int64
-	var total int64
-	cleanup := func() {
-		cancel()
-		wg.Wait()
-		for _, ch := range chans {
-			for b := range ch {
-				putBlock(b.data)
-			}
-		}
-		for si := range cur {
-			putBlock(cur[si])
-			cur[si] = nil
-		}
-		putBlock(out)
-	}
-	defer cleanup()
-
-	// advance refills run si's head block; afterwards heads[si] is
-	// non-empty or done[si] is set.
-	advance := func(si int) error {
-		if done[si] || len(heads[si]) > 0 {
-			return nil
-		}
-		if cur[si] != nil {
-			putBlock(cur[si])
-			cur[si] = nil
-		}
-		select {
-		case b, ok := <-chans[si]:
-			if !ok {
-				done[si] = true
-				return nil
-			}
-			if b.err != nil {
-				done[si] = true
-				return b.err
-			}
-			cur[si], heads[si] = b.data, b.data
-			return nil
-		case <-mctx.Done():
-			return mctx.Err()
-		}
-	}
-
-	prefixes := make([][]int64, 0, len(runs))
-	for {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		liveData := false
-		for si := range runs {
-			if err := advance(si); err != nil {
-				return total, err
-			}
-			if len(heads[si]) > 0 {
-				if len(heads[si])%cells != 0 {
-					// A record split across fills can only mean the run was
-					// written with a different element kind; merging it
-					// would interleave keys and payloads.
-					return total, fmt.Errorf("mlmsort: run %d block of %d cells is not whole %v elements", runs[si], len(heads[si]), opts.Elem)
-				}
-				liveData = true
-			}
-		}
-		if !liveData {
-			return total, ctx.Err()
-		}
-		// Safe bound: everything <= the smallest block-final key is in
-		// hand. For records the block-final key is the key cell of the
-		// last record, one cell before the block end.
-		first := true
-		var bound int64
-		for si := range runs {
-			h := heads[si]
-			if len(h) == 0 {
-				continue
-			}
-			if last := h[len(h)-cells]; first || last < bound {
-				bound, first = last, false
-			}
-		}
-		// Stability across windows (records only): a run whose whole head
-		// is <= bound may continue with more ==bound keys in its next
-		// block, and any later run emitting ==bound records this window
-		// would jump ahead of them. Runs after the first such open run
-		// therefore cut strictly below the bound and hold their ==bound
-		// records for a later window, where the loser tree restores run
-		// order. The open run itself emits its full head, which is what
-		// keeps every window making progress. Bare int64 ties are
-		// indistinguishable, so the int64 path keeps the inclusive cut.
-		openRun := len(runs)
-		if opts.Elem == ElemKV {
-			for si := range runs {
-				if h := heads[si]; len(h) > 0 && h[len(h)-cells] <= bound {
-					openRun = si
-					break
-				}
-			}
-		}
-		prefixes = prefixes[:0]
-		sum := 0
-		for si := range runs {
-			h := heads[si]
-			if len(h) == 0 {
-				continue
-			}
-			// The binary search walks elements (record keys live at even
-			// cell offsets); the cut converts back to cells so heads and
-			// prefixes stay record-aligned.
-			above := func(j int) bool { return h[j*cells] > bound }
-			if si > openRun {
-				above = func(j int) bool { return h[j*cells] >= bound }
-			}
-			p := sort.Search(len(h)/cells, above) * cells
-			if p > 0 {
-				prefixes = append(prefixes, h[:p])
-				heads[si] = h[p:]
-				sum += p
-			}
-		}
-		// One contributing run — the k=1 shape every safe window degenerates
-		// to when a single megachunk covered the job — needs no merge at
-		// all: the prefix is already the round's sorted output, so it goes
-		// to the sink in place instead of being copied through out.
-		if len(prefixes) == 1 {
-			total += int64(sum)
-			if err := sink(prefixes[0]); err != nil {
-				return total, err
-			}
-			continue
-		}
-		if cap(out) < sum {
-			putBlock(out)
-			out = getBlock(sum)
-		}
-		mergeRound(out[:sum], prefixes, opts.MergeThreads, opts.Elem)
-		total += int64(sum)
-		if err := sink(out[:sum]); err != nil {
-			return total, err
-		}
-	}
-}
-
-// parallelMergeMin is the smallest merge round worth fanning out: below
-// it the multisequence-selection splits and goroutine joins cost more
-// than the loser-tree pass they parallelize.
-const parallelMergeMin = 64 << 10
-
-// mergeRound merges one safe window's run prefixes into dst: serial
-// loser-tree for small rounds or a single worker, psort.ParallelMergeK
-// otherwise, with the fan-out capped so every worker keeps at least
-// parallelMergeMin/2 elements of real work. Record rounds always take
-// the serial record loser tree — multisequence selection is keyed on
-// bare cells and has no record variant.
-func mergeRound(dst []int64, prefixes [][]int64, threads int, elem ElemKind) {
-	if elem == ElemKV {
-		recPrefixes := make([][]psort.KV, len(prefixes))
-		for i, p := range prefixes {
-			recPrefixes[i] = psort.KVsFromInt64s(p)
-		}
-		psort.MergeRecordsK(psort.KVsFromInt64s(dst), recPrefixes...)
-		return
-	}
-	if threads > 1 && len(dst) >= parallelMergeMin && len(prefixes) > 1 {
-		if max := len(dst) / (parallelMergeMin / 2); threads > max {
-			threads = max
-		}
-		psort.ParallelMergeK(dst, prefixes, threads)
-		return
-	}
-	psort.MergeK(dst, prefixes...)
+	return psort.WindowMerge(mctx, srcs, opts.Elem.cells(), len(srcs), opts.MergeThreads, pool, sink)
 }
 
 // fillWithRetry drives one read-ahead fill with the exec retry semantics:

@@ -9,11 +9,11 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/psort"
 	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
 )
@@ -72,10 +72,47 @@ func adversarialInputs(n int, rng *rand.Rand) map[string][]int64 {
 	return in
 }
 
+// fillProbe is a spill.IOFaults that never fails anything: it watches how
+// many run-file fills are inside the store at once. MergeSpilled holds a
+// read-ahead slot across each Fill, so the peak is the width the merge
+// really ran with. The first reads of a merge linger briefly so that
+// fills the merge allows to overlap do overlap.
+type fillProbe struct {
+	mu                    sync.Mutex
+	reads, inflight, peak int
+}
+
+func (p *fillProbe) FailWrite(int) bool { return false }
+
+func (p *fillProbe) FailRead(int) bool {
+	p.mu.Lock()
+	p.reads++
+	p.inflight++
+	p.peak = max(p.peak, p.inflight)
+	linger := p.reads <= 16
+	p.mu.Unlock()
+	if linger {
+		time.Sleep(500 * time.Microsecond)
+	}
+	p.mu.Lock()
+	p.inflight--
+	p.mu.Unlock()
+	return false
+}
+
+func (p *fillProbe) reset() {
+	p.mu.Lock()
+	p.reads, p.peak = 0, 0
+	p.mu.Unlock()
+}
+
 // TestRunRealExternalDifferential is the three-way differential required
 // by the spill tier: the out-of-core path must agree byte-for-byte with
 // both the in-memory MLM path and the standard library on adversarial
-// inputs, at a megachunk size forcing well over three spill runs.
+// inputs, at a megachunk size forcing well over three spill runs. It
+// also holds ExternalStats.ReadAhead to the fill concurrency the merge
+// was observed to run with, for a width derived from measured rates
+// (MLM-sort cases) and an explicit one (MLM-ddr cases).
 func TestRunRealExternalDifferential(t *testing.T) {
 	seed := externalTestSeed(t)
 	defer func() {
@@ -84,9 +121,25 @@ func TestRunRealExternalDifferential(t *testing.T) {
 		}
 	}()
 	rng := rand.New(rand.NewSource(seed))
+	probe := &fillProbe{}
+	st, err := spill.NewStore(spill.Config{Dir: t.TempDir(), Faults: probe})
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	defer st.Close()
 	const n = 5000
 	const mc = 1024 // ceil(5000/1024) = 5 spill runs
 	for _, alg := range []Algorithm{MLMSort, MLMDDr} {
+		opts := ExternalOptions{
+			RealOptions: RealOptions{Buffers: 2},
+			Store:       st,
+			MergeBlock:  257, // non-power-of-two, smaller than a run
+		}
+		if alg == MLMSort {
+			opts.DiskRate, opts.MergeRate = 200<<20, 400<<20
+		} else {
+			opts.ReadAhead = 3
+		}
 		for name, input := range adversarialInputs(n, rng) {
 			want := append([]int64(nil), input...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -96,10 +149,8 @@ func TestRunRealExternalDifferential(t *testing.T) {
 				t.Fatalf("%v/%s: RunReal: %v", alg, name, err)
 			}
 			ext := append([]int64(nil), input...)
-			stats, err := RunRealExternal(context.Background(), alg, ext, 3, mc, ExternalOptions{
-				RealOptions: RealOptions{Buffers: 2},
-				MergeBlock:  257, // non-power-of-two, smaller than a run
-			})
+			probe.reset()
+			stats, err := RunRealExternal(context.Background(), alg, ext, 3, mc, opts)
 			if err != nil {
 				t.Fatalf("%v/%s: RunRealExternal: %v", alg, name, err)
 			}
@@ -108,6 +159,9 @@ func TestRunRealExternalDifferential(t *testing.T) {
 			}
 			if stats.MergedElems != n {
 				t.Fatalf("%v/%s: merged %d elems, want %d", alg, name, stats.MergedElems, n)
+			}
+			if stats.ReadAhead != probe.peak {
+				t.Fatalf("%v/%s: ReadAhead reports %d fill workers, the merge ran %d", alg, name, stats.ReadAhead, probe.peak)
 			}
 			for i := range want {
 				if inMem[i] != want[i] {
@@ -123,41 +177,9 @@ func TestRunRealExternalDifferential(t *testing.T) {
 	}
 }
 
-// TestMergeRoundParallelMatchesSerial is the differential for the merge
-// fan-out: above the parallelMergeMin threshold mergeRound must produce
-// exactly what the serial loser tree does, for several run counts and
-// ragged run lengths.
-func TestMergeRoundParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(externalTestSeed(t)))
-	for _, k := range []int{2, 3, 7} {
-		per := parallelMergeMin/k + 1
-		runs := make([][]int64, k)
-		sum := 0
-		for i := range runs {
-			n := per + rng.Intn(257) // ragged, total past the threshold
-			r := make([]int64, n)
-			for j := range r {
-				r[j] = rng.Int63() - rng.Int63()
-			}
-			sort.Slice(r, func(a, b int) bool { return r[a] < r[b] })
-			runs[i] = r
-			sum += n
-		}
-		want := make([]int64, sum)
-		psort.MergeK(want, runs...)
-		got := make([]int64, sum)
-		mergeRound(got, runs, 4, ElemInt64)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d: parallel round diverges at %d: %d != %d", k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestRunRealExternalParallelMerge runs the out-of-core path with merge
-// fan-out enabled at a size whose safe windows clear parallelMergeMin,
-// so the parallel rounds are exercised end to end.
+// fan-out enabled at a size whose safe windows clear psort.MergeRound's
+// fan-out threshold, so the parallel rounds are exercised end to end.
 func TestRunRealExternalParallelMerge(t *testing.T) {
 	seed := externalTestSeed(t)
 	rng := rand.New(rand.NewSource(seed))

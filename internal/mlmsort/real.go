@@ -124,17 +124,16 @@ func megachunkBounds(n, mcLen int) [][2]int {
 // worker width (the autotuner's compute-pool knob) and a reusable run
 // table, so the steady state of a multi-megachunk run performs no
 // per-megachunk allocation. Blocks are sorted with the adaptive kernel
-// (or its record twin under ElemKV): each worker's disjoint segment of
+// (or the record radix under ElemKV): each worker's disjoint segment of
 // scratch doubles as its radix scratch.
 type megachunkSorter struct {
-	width   *atomic.Int32
-	elem    ElemKind
-	runs    [][]int64
-	recRuns [][]psort.KV
+	width *atomic.Int32
+	cells int
+	runs  [][]int64
 }
 
 func newMegachunkSorter(threads int, elem ElemKind) *megachunkSorter {
-	ms := &megachunkSorter{width: new(atomic.Int32), elem: elem}
+	ms := &megachunkSorter{width: new(atomic.Int32), cells: elem.cells()}
 	ms.width.Store(int32(threads))
 	return ms
 }
@@ -142,82 +141,49 @@ func newMegachunkSorter(threads int, elem ElemKind) *megachunkSorter {
 // sort sorts one megachunk in place; scratch must be at least as long.
 // Only the pipeline's single compute goroutine calls it, so the run table
 // needs no lock (the same discipline the shared scratch relies on).
+// Worker splits are in element units, so no record ever straddles a
+// block. Record megachunks merge through the serial record loser tree
+// (psort.MergeRound), which record jobs absorb because the staged
+// pipeline overlaps it with the next megachunk's copy-in.
 func (ms *megachunkSorter) sort(mc, scratch []int64) {
-	if ms.elem == ElemKV {
-		ms.sortRecords(mc, scratch)
-		return
-	}
-	m := len(mc)
+	m := len(mc) / ms.cells
 	if m < 2 {
 		return
 	}
-	w := int(ms.width.Load())
-	if w > m {
-		w = m
-	}
+	scratch = scratch[:len(mc)]
+	w := min(int(ms.width.Load()), m)
 	if w <= 1 {
 		// Single-worker fast path: no goroutines, no merge, no run table.
-		psort.SortAdaptive(mc, scratch[:m])
+		ms.sortBlock(mc, scratch)
 		return
 	}
 	ms.runs = ms.runs[:0]
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
-		lo, hi := m*i/w, m*(i+1)/w
-		block := mc[lo:hi]
-		ms.runs = append(ms.runs, block)
+		lo, hi := m*i/w*ms.cells, m*(i+1)/w*ms.cells
+		ms.runs = append(ms.runs, mc[lo:hi])
 		wg.Add(1)
 		go func(block, blockScratch []int64) {
 			defer wg.Done()
-			psort.SortAdaptive(block, blockScratch)
-		}(block, scratch[lo:hi])
+			ms.sortBlock(block, blockScratch)
+		}(mc[lo:hi], scratch[lo:hi])
 	}
 	wg.Wait()
-	psort.ParallelMergeK(scratch[:m], ms.runs, w)
-	copy(mc, scratch[:m])
+	psort.MergeRound(scratch, ms.runs, w, ms.cells)
+	copy(mc, scratch)
 }
 
-// sortRecords is sort's ElemKV twin: the same block-then-merge shape
-// with worker splits in record units, so no record ever straddles a
-// block. The k-way merge is the serial record loser tree — multisequence
-// selection has no record variant — which record jobs absorb because the
-// staged pipeline overlaps it with the next megachunk's copy-in.
-func (ms *megachunkSorter) sortRecords(mc, scratch []int64) {
-	recs := psort.KVsFromInt64s(mc)
-	r := len(recs)
-	if r < 2 {
+func (ms *megachunkSorter) sortBlock(block, scratch []int64) {
+	if ms.cells == 2 {
+		psort.SortRecordsScratch(psort.KVsFromInt64s(block), psort.KVsFromInt64s(scratch))
 		return
 	}
-	recScratch := psort.KVsFromInt64s(scratch[:len(mc)])
-	w := int(ms.width.Load())
-	if w > r {
-		w = r
-	}
-	if w <= 1 {
-		psort.SortRecordsScratch(recs, recScratch)
-		return
-	}
-	ms.recRuns = ms.recRuns[:0]
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo, hi := r*i/w, r*(i+1)/w
-		block := recs[lo:hi]
-		ms.recRuns = append(ms.recRuns, block)
-		wg.Add(1)
-		go func(block, blockScratch []psort.KV) {
-			defer wg.Done()
-			psort.SortRecordsScratch(block, blockScratch)
-		}(block, recScratch[lo:hi])
-	}
-	wg.Wait()
-	psort.MergeRecordsK(recScratch[:r], ms.recRuns...)
-	copy(recs, recScratch[:r])
+	psort.SortAdaptive(block, scratch)
 }
 
 // finalMerge is phase 2 of the chunked algorithms: the multiway merge
 // across sorted megachunks, recorded as one whole-array compute span.
-// Under ElemKV the bounds are record-aligned by construction and the
-// merge is the serial record loser tree.
+// Under ElemKV the bounds are record-aligned by construction.
 func finalMerge(ctx context.Context, xs []int64, bounds [][2]int, threads int, rec *telemetry.Recorder, elem ElemKind) error {
 	if len(bounds) < 2 {
 		return ctx.Err()
@@ -230,19 +196,11 @@ func finalMerge(ctx context.Context, xs []int64, bounds [][2]int, threads int, r
 	// is idle again by the Put.
 	final := mem.Pool.Get(len(xs))
 	done := spanStart(rec)
-	if elem == ElemKV {
-		recRuns := make([][]psort.KV, len(bounds))
-		for i, b := range bounds {
-			recRuns[i] = psort.KVsFromInt64s(xs[b[0]:b[1]])
-		}
-		psort.MergeRecordsK(psort.KVsFromInt64s(final[:len(xs)]), recRuns...)
-	} else {
-		runs := make([][]int64, len(bounds))
-		for i, b := range bounds {
-			runs[i] = xs[b[0]:b[1]]
-		}
-		psort.ParallelMergeK(final, runs, threads)
+	runs := make([][]int64, len(bounds))
+	for i, b := range bounds {
+		runs[i] = xs[b[0]:b[1]]
 	}
+	psort.MergeRound(final, runs, threads, elem.cells())
 	copy(xs, final)
 	done(exec.StageCompute, wholeArray, touchedBytes(len(xs)))
 	mem.Pool.Put(final)
@@ -250,33 +208,51 @@ func finalMerge(ctx context.Context, xs []int64, bounds [][2]int, threads int, r
 }
 
 func runRealMLM(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts RealOptions) (RealStats, error) {
+	if megachunkLen <= 0 && a == MLMImplicit {
+		megachunkLen = len(xs) // the paper: megachunk size equal to problem size
+	}
+	bounds, stats, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts, nil)
+	if err != nil {
+		return stats, err
+	}
+	// Phase 2: final multiway merge across megachunks.
+	return stats, finalMerge(ctx, xs, bounds, threads, opts.Recorder, opts.Elem)
+}
+
+// sortMegachunks is phase 1 of every megachunked sort, in memory or
+// spilled: it cuts xs into megachunks (a non-positive megachunkLen
+// selects a quarter of the array, so the multi-megachunk path executes)
+// and sorts each one on the exec pipeline, so megachunks inherit its full
+// failure semantics (retries, panic recovery, deadlines, cancellation).
+// MLM-sort (and its hybrid twin) stages each megachunk through a buffer
+// (the flat-mode MCDRAM analog); when the staging allocation fails —
+// simulated heap exhaustion or an injected fault — that megachunk
+// degrades to the in-place DDR-direct flow. The other variants sort in
+// place throughout.
+//
+// Where a sorted megachunk goes is the only thing the callers vary. A nil
+// writeRun writes staged megachunks back to their place in xs, leaving xs
+// a sequence of sorted runs at the returned bounds. A non-nil writeRun is
+// the copy-out instead: it receives megachunk i sorted, wherever it was
+// sorted, and xs is left unspecified.
+func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts RealOptions, writeRun func(i int, sorted []int64) error) ([][2]int, RealStats, error) {
 	n := len(xs)
 	if megachunkLen <= 0 {
-		if a == MLMImplicit {
-			megachunkLen = n // the paper: megachunk size equal to problem size
-		} else {
-			megachunkLen = (n + 3) / 4 // exercise the multi-megachunk path
-		}
+		megachunkLen = (n + 3) / 4
 	}
-	megachunkLen = opts.Elem.alignChunk(megachunkLen)
-	bounds := megachunkBounds(n, megachunkLen)
+	// Megachunks (and therefore run files) must hold whole records.
+	bounds := megachunkBounds(n, opts.Elem.alignChunk(megachunkLen))
+	home := func(i int) []int64 { return xs[bounds[i][0]:bounds[i][1]] }
 	maxLen := 0
-	for _, b := range bounds {
-		if l := b[1] - b[0]; l > maxLen {
-			maxLen = l
-		}
+	for i := range bounds {
+		maxLen = max(maxLen, len(home(i)))
 	}
 	// Scratch comes from the run's pool; it is returned only on clean
 	// completion — an aborted run with a chunk deadline may have abandoned
 	// a compute attempt that still writes scratch, and a buffer a rogue
 	// goroutine can touch must never be recycled. A budget-capped pool
 	// refusing the request degrades to an unpooled (DDR) allocation.
-	scratchPool := opts.pool()
-	scratch := scratchPool.Get(maxLen)
-	if scratch == nil && maxLen > 0 {
-		scratch = make([]int64, maxLen)
-		scratchPool = nil
-	}
+	scratch := opts.pool().GetOrAlloc(maxLen)
 	stats := RealStats{Megachunks: len(bounds)}
 	sorter := newMegachunkSorter(threads, opts.Elem)
 	copyW := new(atomic.Int32)
@@ -295,53 +271,52 @@ func runRealMLM(ctx context.Context, a Algorithm, xs []int64, threads, megachunk
 		}
 	}
 
-	// Phase 1: sort each megachunk, on the exec pipeline so megachunks
-	// inherit its full failure semantics (retries, panic recovery,
-	// deadlines, cancellation). MLM-sort (and its hybrid twin) stages each
-	// megachunk through a buffer (the flat-mode MCDRAM analog); when the
-	// staging allocation fails — simulated heap exhaustion or an injected
-	// fault — that megachunk degrades to the in-place DDR-direct flow. The
-	// other variants sort in place throughout.
 	s := exec.Stages{
 		NumChunks: len(bounds),
-		ChunkLen:  func(i int) int { return bounds[i][1] - bounds[i][0] },
+		ChunkLen:  func(i int) int { return len(home(i)) },
 	}
 	staged := a == MLMSort || a == MLMHybrid
 	var table *stagingTable
+	inPlace := func(i int) bool { return table == nil || table.isDegraded(i) }
 	if staged {
 		table = newStagingTable(opts.Heap, len(bounds))
 		s.CopyIn = func(i int, dst []int64) error {
-			lo, hi := bounds[i][0], bounds[i][1]
-			if !table.stage(i, units.BytesForElements(int64(hi-lo)), opts) {
-				return nil // degraded: the megachunk stays in DDR
+			if table.stage(i, units.BytesForElements(int64(len(home(i)))), opts) {
+				// copy-in: DDR -> "MCDRAM", at the tunable copy-pool width
+				exec.CopyParallel(dst, home(i), int(copyW.Load()))
 			}
-			// copy-in: DDR -> "MCDRAM", at the tunable copy-pool width
-			exec.CopyParallel(dst, xs[lo:hi], int(copyW.Load()))
-			return nil
+			return nil // a failed staging leaves the megachunk in DDR
 		}
-		s.Compute = func(i int, buf []int64) error {
-			if table.isDegraded(i) {
-				lo, hi := bounds[i][0], bounds[i][1]
-				sorter.sort(xs[lo:hi], scratch)
-				return nil
-			}
-			sorter.sort(buf, scratch)
-			return nil
+	} else if writeRun != nil {
+		// The megachunk is sorted where it lives and the copy-out streams
+		// it from there; the staging buffer is untouched, so CopyIn (which
+		// exec requires of any pipeline with a CopyOut) has nothing to move.
+		s.CopyIn = func(int, []int64) error { return nil }
+	}
+	s.Compute = func(i int, buf []int64) error {
+		if inPlace(i) {
+			buf = home(i)
 		}
+		sorter.sort(buf, scratch)
+		return nil
+	}
+	if s.CopyIn != nil {
 		s.CopyOut = func(i int, src []int64) error {
-			if table.isDegraded(i) {
-				return nil
+			moved := !inPlace(i)
+			if !moved {
+				src = home(i)
 			}
-			lo, hi := bounds[i][0], bounds[i][1]
-			// megachunk merge writes back to DDR
-			exec.CopyParallel(xs[lo:hi], src, int(copyW.Load()))
-			table.release(i)
-			return nil
-		}
-	} else {
-		s.Compute = func(i int, _ []int64) error {
-			lo, hi := bounds[i][0], bounds[i][1]
-			sorter.sort(xs[lo:hi], scratch)
+			if writeRun != nil {
+				if err := writeRun(i, src); err != nil {
+					return err
+				}
+			} else if moved {
+				// megachunk merge writes back to DDR
+				exec.CopyParallel(home(i), src, int(copyW.Load()))
+			}
+			if staged {
+				table.release(i)
+			}
 			return nil
 		}
 	}
@@ -389,15 +364,10 @@ func runRealMLM(ctx context.Context, a Algorithm, xs []int64, threads, megachunk
 		stats.Degraded, stats.AllocFailures = table.drain()
 		stats.Staged = stats.Megachunks - stats.Degraded
 	}
-	if err != nil {
-		return stats, err
+	if err == nil {
+		opts.pool().Put(scratch) // clean completion: no abandoned attempt holds it
 	}
-	if scratchPool != nil {
-		scratchPool.Put(scratch) // clean completion: no abandoned attempt holds it
-	}
-
-	// Phase 2: final multiway merge across megachunks.
-	return stats, finalMerge(ctx, xs, bounds, threads, opts.Recorder, opts.Elem)
+	return bounds, stats, err
 }
 
 // runRealBasic is Bender et al.'s basic algorithm: each megachunk is sorted

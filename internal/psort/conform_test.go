@@ -13,6 +13,7 @@ package psort
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -381,6 +382,8 @@ func int64MergeKernels() []mergeKernel[int64] {
 		{name: "ParallelMergeK", covers: []string{"ParallelMergeK"}, run: func(dst []int64, runs [][]int64) { ParallelMergeK(dst, runs, 4) }},
 		{name: "LoserTree.MergeInto", covers: []string{"NewLoserTree"}, run: func(dst []int64, runs [][]int64) { NewLoserTree(runs).MergeInto(dst) }},
 		{name: "LoserTree.MergeIntoBatched", run: func(dst []int64, runs [][]int64) { NewLoserTree(runs).MergeIntoBatched(dst) }},
+		{name: "MergeRound", covers: []string{"MergeRound"}, run: func(dst []int64, runs [][]int64) { MergeRound(dst, runs, 4, 1) }},
+		{name: "WindowMerge", covers: []string{"WindowMerge"}, run: func(dst []int64, runs [][]int64) { windowMergeWhole(dst, runs, 1) }},
 	}
 }
 
@@ -419,6 +422,34 @@ func recordMergeKernels() []mergeKernel[KV] {
 			lt.Reset(runs)
 			lt.MergeInto(dst)
 		}},
+		{name: "MergeRound-records", run: func(dst []KV, runs [][]KV) { MergeRound(Int64sFromKVs(dst), cellRuns(runs), 4, 2) }},
+		{name: "WindowMerge-records", run: func(dst []KV, runs [][]KV) { windowMergeWhole(Int64sFromKVs(dst), cellRuns(runs), 2) }},
+	}
+}
+
+// cellRuns views record runs as the interleaved cells MergeRound and
+// WindowMerge take.
+func cellRuns(runs [][]KV) [][]int64 {
+	out := make([][]int64, len(runs))
+	for i, r := range runs {
+		out[i] = Int64sFromKVs(r)
+	}
+	return out
+}
+
+// windowMergeWhole runs WindowMerge as a plain k-way merge kernel: every
+// run one block, all runs in the window, output gathered into dst.
+func windowMergeWhole(dst []int64, runs [][]int64, cells int) {
+	srcs := make([]BlockSource, len(runs))
+	for i, r := range runs {
+		srcs[i] = &scriptedSource{blocks: [][]int64{slices.Clone(r)}}
+	}
+	pos := 0
+	if _, err := WindowMerge(context.Background(), srcs, cells, 0, 4, nil, func(block []int64) error {
+		pos += copy(dst[pos:], block)
+		return nil
+	}); err != nil {
+		panic(err)
 	}
 }
 

@@ -970,11 +970,7 @@ func (s *Scheduler) tryDispatchLocked() bool {
 	s.runningStaged++
 	s.refairLocked()
 	s.wg.Add(1)
-	if j.spill {
-		go s.runSpill(j, lease)
-	} else {
-		go s.runStaged(j, lease)
-	}
+	go s.runStaged(j, lease)
 	return true
 }
 
@@ -1238,12 +1234,20 @@ func (s *Scheduler) predictRun(j *Job, per int) {
 	}
 }
 
-// runStaged executes one large job on its own megachunked pipeline.
+// runStaged executes one large job on its own megachunked pipeline. An
+// in-memory job sorts spec.Data in place. A spill-class job runs the
+// same phase 1, but each sorted megachunk is written to a run file in a
+// per-job store instead of merging in DDR. The MCDRAM lease is released
+// the moment the pipeline finishes — spilling exists precisely so the
+// deferred merge holds no staging capacity — while a spill job's disk
+// lease and run files are held until the result is streamed
+// (Job.StreamResult on the consumer's goroutine), the retention window
+// evicts the job, or the scheduler closes.
 func (s *Scheduler) runStaged(j *Job, lease *Lease) {
 	defer s.wg.Done()
 	per := s.fairShareThreads()
 	s.predictRun(j, per)
-	opts := mlmsort.RealOptions{
+	opts := mlmsort.ExternalOptions{RealOptions: mlmsort.RealOptions{
 		Recorder:     j.recorder,
 		Heap:         s.cfg.Heap,
 		AllocFaults:  s.cfg.AllocFaults,
@@ -1255,17 +1259,50 @@ func (s *Scheduler) runStaged(j *Job, lease *Lease) {
 		Widths:       j.widths,
 		Pool:         s.pool,
 		Elem:         j.spec.KeyType.elem(),
-	}
+	}}
 	if s.cfg.Autotune {
 		opts.Autotune = &mlmsort.AutotuneOptions{
 			TotalThreads: per,
 			OnDecision:   s.rates.observe,
 		}
 	}
+	var runs []int
+	var err error
+	if j.spill {
+		opts.Store, err = spill.NewStore(spill.Config{
+			Dir:      s.spillRoot,
+			MaxBytes: int64(j.diskNeed),
+			Faults:   s.cfg.IOFaults,
+		})
+		if err == nil {
+			j.mu.Lock()
+			j.store = opts.Store
+			j.mu.Unlock()
+		}
+	}
 	runStart := time.Now()
-	_, err := mlmsort.RunRealResilient(j.runCtx, j.spec.Algorithm, j.spec.Data, per, j.megachunk, opts)
+	if err == nil && j.spill {
+		runs, _, err = mlmsort.SpillSorted(j.runCtx, j.spec.Algorithm, j.spec.Data, per, j.megachunk, opts)
+	} else if err == nil {
+		_, err = mlmsort.RunRealResilient(j.runCtx, j.spec.Algorithm, j.spec.Data, per, j.megachunk, opts.RealOptions)
+	}
 	lease.Release()
-	if err == nil {
+	if j.spill && s.cfg.Resilience != nil {
+		// RunRealResilient records its own outcome; phase 1 alone does not.
+		s.cfg.Resilience.RecordOutcome(err)
+	}
+
+	st := Done
+	switch {
+	case err == nil && j.spill:
+		// Float64 spill jobs keep the sortable image on disk; StreamResult
+		// inverts each merge batch on egress.
+		s.observeDrift(driftSpill, time.Since(runStart), j.predRaw)
+		j.mu.Lock()
+		j.runIDs = runs
+		j.mu.Unlock()
+		s.metrics.spillJobs.Add(1)
+	case err == nil:
 		s.observeDrift(driftStaged, time.Since(runStart), j.predRaw)
 		if j.spec.KeyType == KeyFloat64 {
 			// Float64 egress: the sorted buffer holds the bijection's
@@ -1273,13 +1310,6 @@ func (s *Scheduler) runStaged(j *Job, lease *Lease) {
 			// bits in float64 total order.
 			psort.Float64BitsFromSortable(j.spec.Data)
 		}
-	}
-
-	st := Done
-	switch {
-	case err == nil:
-		st = Done
-		err = nil
 	case j.canceled.Load():
 		st, err = Canceled, ErrCanceled
 	case s.rootCtx.Err() != nil:
@@ -1287,88 +1317,7 @@ func (s *Scheduler) runStaged(j *Job, lease *Lease) {
 	default:
 		st = Failed
 	}
-	s.mu.Lock()
-	s.pipelines--
-	s.runningStaged--
-	s.finishLocked(j, st, err)
-	s.refairLocked()
-	s.metrics.leased.Set(float64(s.budget.Leased()))
-	s.kickLocked()
-	s.mu.Unlock()
-}
-
-// runSpill executes one spill-class job's phase 1: the same staged
-// megachunk pipeline as runStaged, but each sorted megachunk is written
-// to a run file in a per-job store instead of merging in DDR. The MCDRAM
-// lease is released the moment phase 1 finishes — spilling exists
-// precisely so the deferred merge holds no staging capacity — while the
-// disk lease and run files are held until the result is streamed
-// (Job.StreamResult on the consumer's goroutine), the retention window
-// evicts the job, or the scheduler closes.
-func (s *Scheduler) runSpill(j *Job, lease *Lease) {
-	defer s.wg.Done()
-	per := s.fairShareThreads()
-	s.predictRun(j, per)
-	var runs []int
-	store, err := spill.NewStore(spill.Config{
-		Dir:      s.spillRoot,
-		MaxBytes: int64(j.diskNeed),
-		Faults:   s.cfg.IOFaults,
-	})
-	if err == nil {
-		j.mu.Lock()
-		j.store = store
-		j.mu.Unlock()
-		opts := mlmsort.ExternalOptions{
-			RealOptions: mlmsort.RealOptions{
-				Recorder:     j.recorder,
-				Heap:         s.cfg.Heap,
-				AllocFaults:  s.cfg.AllocFaults,
-				Resilience:   s.cfg.Resilience,
-				Wrap:         s.cfg.Wrap,
-				Retry:        s.cfg.Retry,
-				ChunkTimeout: s.cfg.ChunkTimeout,
-				Buffers:      s.cfg.Buffers,
-				Widths:       j.widths,
-				Pool:         s.pool,
-				// Float64 spill jobs keep the sortable image on disk;
-				// StreamResult inverts each merge batch on egress.
-				Elem: j.spec.KeyType.elem(),
-			},
-			Store: store,
-		}
-		if s.cfg.Autotune {
-			opts.Autotune = &mlmsort.AutotuneOptions{
-				TotalThreads: per,
-				OnDecision:   s.rates.observe,
-			}
-		}
-		runStart := time.Now()
-		runs, _, err = mlmsort.SpillSorted(j.runCtx, j.spec.Algorithm, j.spec.Data, per, j.megachunk, opts)
-		if err == nil {
-			s.observeDrift(driftSpill, time.Since(runStart), j.predRaw)
-		}
-	}
-	lease.Release()
-	if s.cfg.Resilience != nil {
-		s.cfg.Resilience.RecordOutcome(err)
-	}
-
-	st := Done
-	switch {
-	case err == nil:
-		j.mu.Lock()
-		j.runIDs = runs
-		j.mu.Unlock()
-		s.metrics.spillJobs.Add(1)
-	case j.canceled.Load():
-		st, err = Canceled, ErrCanceled
-	case s.rootCtx.Err() != nil:
-		st, err = Failed, ErrClosed
-	default:
-		st = Failed
-	}
-	if err != nil {
+	if err != nil && j.spill {
 		// Abort path: whatever runs phase 1 created die with the store,
 		// and the disk lease returns to the ledger immediately.
 		j.releaseSpill()
