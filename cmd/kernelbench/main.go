@@ -1,26 +1,25 @@
-// Command kernelbench measures the sort and merge kernel pairs — the
-// previous implementation against its replacement — and writes the
-// results as a JSON benchmark record. It is the programmatic twin of the
-// benchmarks in internal/psort and produced the committed BENCH_PR3.json
-// and BENCH_PR10.json.
+// Command kernelbench measures psort's public kernels against a
+// baseline reachable from outside the package and writes the results as
+// a JSON benchmark record. It produced the committed BENCH_PR3.json and
+// BENCH_PR10.json. The pairs whose baseline is a psort internal — the
+// per-element loser-tree drain against the gallop-batched one, the plain
+// radix scatter against the tiled one — are the in-package benchmarks in
+// internal/psort/kernel_bench_test.go (go test -bench 'Merge|Scatter').
 //
 // Pairs:
 //
-//   - serial introsort vs LSD radix sort (1e5 and 1e6 elements)
-//   - per-element loser-tree drain vs adaptive gallop-batched drain
-//     (k=8 and k=16 random runs, plus k=8 blocky runs)
+//   - serial introsort vs LSD radix sort (1e5 and 1e6 elements, and
+//     1<<23: the one size above the tiling threshold, where the radix
+//     side scatters through the write buffers)
 //   - linear two-way merge vs galloping Merge2 (random and disjoint)
-//   - untiled vs software-write-buffered radix scatter (1<<23 int64
-//     keys, above the tiling threshold where TLB/associativity misses
-//     on 256 scatter streams dominate)
-//   - stdlib slices.SortFunc vs the generic typed kernels: float64
-//     total order, key+payload records, and byte strings (1e6 keys)
+//   - stdlib slices.SortFunc vs the typed kernels: float64 total order,
+//     key+payload records, and byte strings (1e6 keys)
 //
 // Usage:
 //
 //	kernelbench                    # print the table, write BENCH_PR10.json
 //	kernelbench -out bench.json    # write elsewhere
-//	kernelbench -skip-tiled        # skip the 1<<23 tiling pair (CI)
+//	kernelbench -skip-tiled        # skip the 1<<23 pair (CI)
 package main
 
 import (
@@ -96,57 +95,6 @@ func benchSort(n int, sortFn func([]int64)) func(b *testing.B) {
 			copy(buf, src)
 			b.StartTimer()
 			sortFn(buf)
-		}
-	}
-}
-
-func randomRuns(k, runLen int) [][]int64 {
-	runs := make([][]int64, k)
-	for i := range runs {
-		r := workload.Generate(workload.Random, runLen, int64(i+1))
-		psort.Serial(r)
-		runs[i] = r
-	}
-	return runs
-}
-
-// blockyRuns deals contiguous key blocks round-robin across the runs —
-// the shape range-partitioned producers emit, where batch copies win big.
-func blockyRuns(k, runLen, blockLen int) [][]int64 {
-	runs := make([][]int64, k)
-	next := int64(0)
-	for len(runs[k-1]) < runLen {
-		for i := 0; i < k; i++ {
-			for j := 0; j < blockLen && len(runs[i]) < runLen; j++ {
-				runs[i] = append(runs[i], next)
-				next++
-			}
-		}
-	}
-	return runs
-}
-
-func benchMergeK(src [][]int64, batched bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		k := len(src)
-		total := 0
-		for _, r := range src {
-			total += len(r)
-		}
-		work := make([][]int64, k)
-		dst := make([]int64, total)
-		b.SetBytes(int64(total * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			copy(work, src) // headers only; the tree consumes headers, not data
-			lt := psort.NewLoserTree(work)
-			b.StartTimer()
-			if batched {
-				lt.MergeIntoBatched(dst)
-			} else {
-				lt.MergeInto(dst)
-			}
 		}
 	}
 }
@@ -254,7 +202,7 @@ func benchStringSort(n int, sortFn func([][]byte)) func(b *testing.B) {
 
 func main() {
 	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
-	skipTiled := flag.Bool("skip-tiled", false, "skip the 1<<23 write-buffer tiling pair (128 MiB of buffers; slow on small CI runners)")
+	skipTiled := flag.Bool("skip-tiled", false, "skip the 1<<23 pair, the size that scatters through the write buffers (128 MiB of buffers; slow on small CI runners)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -298,16 +246,6 @@ func main() {
 	add(compare("sort-1e6", "serial", benchSort(1_000_000, psort.Serial),
 		"radix", benchSort(1_000_000, radix(1_000_000))))
 
-	k8 := randomRuns(8, 100_000)
-	add(compare("mergek-8-random", "per-element", benchMergeK(k8, false),
-		"batched", benchMergeK(k8, true)))
-	k16 := randomRuns(16, 50_000)
-	add(compare("mergek-16-random", "per-element", benchMergeK(k16, false),
-		"batched", benchMergeK(k16, true)))
-	k8b := blockyRuns(8, 100_000, 512)
-	add(compare("mergek-8-blocky", "per-element", benchMergeK(k8b, false),
-		"batched", benchMergeK(k8b, true)))
-
 	a, b := sortedRandom(500_000, 7), sortedRandom(500_000, 8)
 	add(compare("merge2-random", "linear", benchMerge2(a, b, merge2Linear),
 		"gallop", benchMerge2(a, b, psort.Merge2)))
@@ -320,12 +258,8 @@ func main() {
 	// missing TLB and L2 on every store.
 	if !*skipTiled {
 		const nt = 1 << 23
-		untiled := func(n int) func([]int64) {
-			scratch := make([]int64, n)
-			return func(xs []int64) { psort.RadixSortScratchUntiled(xs, scratch) }
-		}
-		add(compare("radix-tiled-8e6", "untiled", benchSort(nt, untiled(nt)),
-			"tiled", benchSort(nt, radix(nt))))
+		add(compare("sort-8e6", "serial", benchSort(nt, psort.Serial),
+			"radix-tiled", benchSort(nt, radix(nt))))
 	}
 
 	// Generic key kernels vs the stdlib comparison sorts, 1e6 keys each.

@@ -37,8 +37,17 @@ func randomPipeline(seed int64) *Pipeline {
 // a small band, and both move identical payload traffic. Strict dominance
 // does NOT hold in general — async front-loads copy stages, and with
 // priority classes an early copy can steal bandwidth from the critical
-// compute — so the property asserts a 3% band rather than dominance.
+// compute — so the property asserts a band rather than dominance.
+//
+// The band is the one the simulator keeps, 4%: a sweep of every seed in
+// [-20000, 20000) puts 7 pipelines between 1.03 and 1.04 and none above,
+// the worst 1.0372 at seed 12478. That seed is pinned below, so a
+// scheduler change that widens the gap fails here whatever quick draws,
+// and quick draws from a fixed source, so the test is the same 61
+// pipelines on every run. (At 3% with time-seeded draws it failed about
+// one run in a hundred on an untouched tree.)
 func TestAsyncDominatesBarrierProperty(t *testing.T) {
+	const band, worstSeed = 1.04, 12478
 	f := func(seed int64) bool {
 		pb := randomPipeline(seed)
 		pa := randomPipeline(seed) // identical construction
@@ -46,7 +55,7 @@ func TestAsyncDominatesBarrierProperty(t *testing.T) {
 		pa.CopySpinPerThread = 0
 		bar := pb.SimulateBarrier(testSystem())
 		asy := pa.SimulateAsync(testSystem(), 3)
-		if float64(asy.TotalTime()) > float64(bar.TotalTime())*1.03 {
+		if float64(asy.TotalTime()) > float64(bar.TotalTime())*band {
 			return false
 		}
 		// Stage-flow traffic equality (the trace records only stage flows,
@@ -54,7 +63,12 @@ func TestAsyncDominatesBarrierProperty(t *testing.T) {
 		return units.AlmostEqual(float64(bar.DDRBytes()), float64(asy.DDRBytes()), 1e-6) &&
 			units.AlmostEqual(float64(bar.MCDRAMBytes()), float64(asy.MCDRAMBytes()), 1e-6)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	t.Run("worst-swept-seed", func(t *testing.T) {
+		if !f(worstSeed) {
+			t.Errorf("seed %d, the widest gap of the sweep (1.0372), left the %.2f band", worstSeed, band)
+		}
+	})
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -142,8 +142,8 @@ func newMegachunkSorter(threads int, elem ElemKind) *megachunkSorter {
 // Only the pipeline's single compute goroutine calls it, so the run table
 // needs no lock (the same discipline the shared scratch relies on).
 // Worker splits are in element units, so no record ever straddles a
-// block. Record megachunks merge through the serial record loser tree
-// (psort.MergeRound), which record jobs absorb because the staged
+// block. Record megachunks merge through the serial loser tree at cell
+// width 2 (psort.MergeRound), which record jobs absorb because the staged
 // pipeline overlaps it with the next megachunk's copy-in.
 func (ms *megachunkSorter) sort(mc, scratch []int64) {
 	m := len(mc) / ms.cells
@@ -154,7 +154,7 @@ func (ms *megachunkSorter) sort(mc, scratch []int64) {
 	w := min(int(ms.width.Load()), m)
 	if w <= 1 {
 		// Single-worker fast path: no goroutines, no merge, no run table.
-		ms.sortBlock(mc, scratch)
+		psort.SortBlock(mc, scratch, ms.cells)
 		return
 	}
 	ms.runs = ms.runs[:0]
@@ -165,20 +165,12 @@ func (ms *megachunkSorter) sort(mc, scratch []int64) {
 		wg.Add(1)
 		go func(block, blockScratch []int64) {
 			defer wg.Done()
-			ms.sortBlock(block, blockScratch)
+			psort.SortBlock(block, blockScratch, ms.cells)
 		}(mc[lo:hi], scratch[lo:hi])
 	}
 	wg.Wait()
 	psort.MergeRound(scratch, ms.runs, w, ms.cells)
 	copy(mc, scratch)
-}
-
-func (ms *megachunkSorter) sortBlock(block, scratch []int64) {
-	if ms.cells == 2 {
-		psort.SortRecordsScratch(psort.KVsFromInt64s(block), psort.KVsFromInt64s(scratch))
-		return
-	}
-	psort.SortAdaptive(block, scratch)
 }
 
 // finalMerge is phase 2 of the chunked algorithms: the multiway merge

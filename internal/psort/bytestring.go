@@ -7,7 +7,7 @@ package psort
 // a fixed digit count, so strings sort MSD — partition on byte 0, then
 // recursively on byte 1 within each bucket, and so on. Each level is a
 // counting scatter exactly like the LSD passes (histogram, prefix sum,
-// stable out-of-place scatter through the same tiled write buffers), but
+// stable out-of-place scatter through the same kind of tiled write buffers), but
 // recursion stops per bucket as soon as it is trivially small: below
 // msdCutoff elements the O(256)-bucket bookkeeping costs more than
 // comparisons, so small buckets finish with Bentley–Sedgewick multikey
@@ -142,8 +142,14 @@ func msdRadix(ss, scratch [][]byte, depth, tileMin int) {
 	}
 }
 
-// msdScatterTiled is the string twin of radixScatterTiled: per-bucket
-// staging of slice headers flushed in bursts, FIFO per bucket.
+// msdScatterTiled is radixScatterTiled's discipline for strings:
+// per-bucket staging of slice headers flushed in bursts, FIFO per bucket.
+// It is kept apart from the cell kernel on purpose. Its elements hold
+// pointers, so they cannot be viewed as int64 cells behind the garbage
+// collector's back; it has 257 buckets (exhausted strings take bucket
+// 0), not 256; and its digit indexes a byte string at a depth instead of
+// shifting a word. Sharing the stage-and-flush loop would mean passing
+// the digit in as a function, a call per element in both kernels.
 func msdScatterTiled(src, dst [][]byte, c *[257]int, depth int) {
 	var stage [257][strTileLine][]byte
 	var fill [257]uint8

@@ -1,10 +1,12 @@
 package psort
 
 // Kernel-conformance harness: one table-driven engine that runs every
-// sort and merge kernel in the package — old int64 paths and the generic
-// key kernels alike — against a reference sort.Slice/slices.SortFunc
-// path over a shared library of adversarial generators, asserting
-// stability where the kernel claims it. The generator library doubles as
+// sort and merge kernel in the package against a reference
+// slices.SortStableFunc path over a shared library of adversarial
+// generators, asserting stability where the kernel claims it. The
+// fixed-width kernels are one table run at both cell widths — bare int64
+// keys and KV records go through the same rows, each under the subtest
+// label it has always had. The generator library doubles as
 // the seed corpus for the differential fuzz targets (conformCorpus*),
 // and TestConformanceCoversExportedAPI walks the package's exported
 // functions with go/parser and fails if any kernel is not registered
@@ -24,6 +26,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // ---------------------------------------------------------------------
@@ -360,32 +363,157 @@ func eqBytes(a, b []byte) bool { return bytes.Equal(a, b) }
 // Kernel registries
 // ---------------------------------------------------------------------
 
-func int64SortKernels() []sortKernel[int64] {
-	return []sortKernel[int64]{
-		{name: "Serial", covers: []string{"Serial"}, run: Serial},
-		{name: "Parallel", covers: []string{"Parallel"}, run: func(xs []int64) { Parallel(xs, 4) }},
-		{name: "RadixSort", covers: []string{"RadixSort"}, run: RadixSort},
-		{name: "RadixSortScratch", covers: []string{"RadixSortScratch"}, run: func(xs []int64) { RadixSortScratch(xs, make([]int64, len(xs))) }},
-		{name: "RadixSortScratchUntiled", covers: []string{"RadixSortScratchUntiled"}, run: func(xs []int64) { RadixSortScratchUntiled(xs, make([]int64, len(xs))) }},
-		{name: "SortAdaptive", covers: []string{"SortAdaptive"}, run: func(xs []int64) { SortAdaptive(xs, make([]int64, len(xs))) }},
-		{name: "SortAdaptive-nil-scratch", run: func(xs []int64) { SortAdaptive(xs, nil) }},
-		// Forced tiled scatter at small sizes: the production dispatch only
-		// tiles above radixTileMinLen, far too big for a test matrix.
-		{name: "radix-forced-tiled", run: func(xs []int64) { radixSortScratch(xs, make([]int64, len(xs)), true, true) }},
+// cellSortKernel is one row of the fixed-width sort table: the same
+// kernel at cell width 1 (bare int64 keys) and width 2 (KV records),
+// taking its input as a cell buffer. name and run are indexed by
+// width-1; an empty name skips that width (the comparison sorts have no
+// stable record form, binary insertion no int64 one).
+type cellSortKernel struct {
+	name   [2]string
+	covers []string
+	run    [2]func(xs []int64)
+}
+
+// cellMergeKernel is the merge table's row, same indexing; arity as in
+// mergeKernel.
+type cellMergeKernel struct {
+	name   [2]string
+	covers []string
+	arity  int
+	run    [2]func(dst []int64, runs [][]int64)
+}
+
+func scratchFor(xs []int64) []int64 { return make([]int64, len(xs)) }
+
+// forcedRadix runs the LSD core with the scatter chosen by hand: the
+// production dispatch only tiles above radixTileMinLen, far too big for
+// a test matrix.
+func forcedRadix[C cell](tiled bool) func(xs []int64) {
+	return func(xs []int64) { radixSort(asCells[C](xs), asCells[C](scratchFor(xs)), tiled) }
+}
+
+func cellSortKernels() []cellSortKernel {
+	type fn = func(xs []int64)
+	sortBlock := func(cells int) fn { return func(xs []int64) { SortBlock(xs, scratchFor(xs), cells) } }
+	return []cellSortKernel{
+		{name: [2]string{"Serial"}, covers: []string{"Serial"}, run: [2]fn{Serial}},
+		{name: [2]string{"Parallel"}, covers: []string{"Parallel"}, run: [2]fn{func(xs []int64) { Parallel(xs, 4) }}},
+		{name: [2]string{"RadixSort", "SortRecords"}, covers: []string{"RadixSort", "SortRecords"},
+			run: [2]fn{RadixSort, func(xs []int64) { SortRecords(KVsFromInt64s(xs)) }}},
+		{name: [2]string{"RadixSortScratch", "SortRecordsScratch"}, covers: []string{"RadixSortScratch", "SortRecordsScratch"},
+			run: [2]fn{
+				func(xs []int64) { RadixSortScratch(xs, scratchFor(xs)) },
+				func(xs []int64) { SortRecordsScratch(KVsFromInt64s(xs), KVsFromInt64s(scratchFor(xs))) },
+			}},
+		{name: [2]string{"SortAdaptive"}, covers: []string{"SortAdaptive"}, run: [2]fn{func(xs []int64) { SortAdaptive(xs, scratchFor(xs)) }}},
+		{name: [2]string{"SortAdaptive-nil-scratch"}, run: [2]fn{func(xs []int64) { SortAdaptive(xs, nil) }}},
+		{name: [2]string{"SortBlock", "SortBlock-records"}, covers: []string{"SortBlock"}, run: [2]fn{sortBlock(1), sortBlock(2)}},
+		// The width-1 label dates from when the plain scatter was an export.
+		{name: [2]string{"RadixSortScratchUntiled", "record-radix-forced-plain"}, run: [2]fn{forcedRadix[[1]int64](false), forcedRadix[[2]int64](false)}},
+		{name: [2]string{"radix-forced-tiled", "record-radix-forced-tiled"}, run: [2]fn{forcedRadix[[1]int64](true), forcedRadix[[2]int64](true)}},
+		{name: [2]string{"", "record-binary-insertion"}, run: [2]fn{nil, func(xs []int64) { binaryInsertionRecords(KVsFromInt64s(xs)) }}},
 	}
 }
 
-func int64MergeKernels() []mergeKernel[int64] {
-	return []mergeKernel[int64]{
-		{name: "Merge2", covers: []string{"Merge2"}, arity: 2, run: func(dst []int64, runs [][]int64) { Merge2(dst, runs[0], runs[1]) }},
-		{name: "MergeK", covers: []string{"MergeK"}, run: func(dst []int64, runs [][]int64) { MergeK(dst, runs...) }},
-		{name: "ParallelMergeK", covers: []string{"ParallelMergeK"}, run: func(dst []int64, runs [][]int64) { ParallelMergeK(dst, runs, 4) }},
-		{name: "LoserTree.MergeInto", covers: []string{"NewLoserTree"}, run: func(dst []int64, runs [][]int64) { NewLoserTree(runs).MergeInto(dst) }},
-		{name: "LoserTree.MergeIntoBatched", run: func(dst []int64, runs [][]int64) { NewLoserTree(runs).MergeIntoBatched(dst) }},
-		{name: "MergeRound", covers: []string{"MergeRound"}, run: func(dst []int64, runs [][]int64) { MergeRound(dst, runs, 4, 1) }},
-		{name: "WindowMerge", covers: []string{"WindowMerge"}, run: func(dst []int64, runs [][]int64) { windowMergeWhole(dst, runs, 1) }},
+// popDrain is the reference drain: one Pop, and one uncached replay, per
+// element. Every other merge path at either width is differentially
+// tested against it.
+func popDrain[C cell](dst []int64, runs [][]int64) {
+	var lt loserTree[C]
+	lt.Reset(runs)
+	out := asCells[C](dst)
+	n := 0
+	for !lt.Empty() {
+		out[n] = lt.Pop()
+		n++
+	}
+	if n != len(out) {
+		panic(fmt.Sprintf("Pop drain wrote %d of %d elements", n, len(out)))
 	}
 }
+
+// batchedDrain is the production drain on a fresh tree.
+func batchedDrain[C cell](dst []int64, runs [][]int64) {
+	var lt loserTree[C]
+	lt.Reset(runs)
+	if out := asCells[C](dst); lt.MergeInto(out) != len(out) {
+		panic("batched drain did not fill dst")
+	}
+}
+
+// resetReuse drains a throwaway merge first, then Resets onto the real
+// runs — output must be identical to a fresh tree's.
+func resetReuse[C cell](dst []int64, runs [][]int64) {
+	var lt loserTree[C]
+	var c C
+	one, zero := make([]int64, len(c)), make([]int64, len(c))
+	one[0] = 1
+	lt.Reset([][]int64{one, zero})
+	lt.MergeInto(make([]C, 2))
+	lt.Reset(runs)
+	lt.MergeInto(asCells[C](dst))
+}
+
+func cellMergeKernels() []cellMergeKernel {
+	type fn = func(dst []int64, runs [][]int64)
+	round := func(cells int) fn { return func(dst []int64, runs [][]int64) { MergeRound(dst, runs, 4, cells) } }
+	window := func(cells int) fn { return func(dst []int64, runs [][]int64) { windowMergeWhole(dst, runs, cells) } }
+	return []cellMergeKernel{
+		{name: [2]string{"Merge2", "MergeRecords2"}, covers: []string{"Merge2", "MergeRecords2"}, arity: 2,
+			run: [2]fn{
+				func(dst []int64, runs [][]int64) { Merge2(dst, runs[0], runs[1]) },
+				func(dst []int64, runs [][]int64) {
+					MergeRecords2(KVsFromInt64s(dst), KVsFromInt64s(runs[0]), KVsFromInt64s(runs[1]))
+				},
+			}},
+		// The width-2 label dates from when the record k-way merge was an
+		// export of its own; mergeCells is what MergeRound calls now.
+		{name: [2]string{"MergeK", "MergeRecordsK"}, covers: []string{"MergeK"},
+			run: [2]fn{func(dst []int64, runs [][]int64) { MergeK(dst, runs...) }, mergeCells[[2]int64]}},
+		{name: [2]string{"ParallelMergeK"}, covers: []string{"ParallelMergeK"},
+			run: [2]fn{func(dst []int64, runs [][]int64) { ParallelMergeK(dst, runs, 4) }}},
+		// Labels from the two trees these rows used to build: MergeInto was
+		// the int64 tree's per-element drain and the record tree's batched one.
+		{name: [2]string{"LoserTree.MergeInto", "RecordLoserTree.Pop-drain"}, run: [2]fn{popDrain[[1]int64], popDrain[[2]int64]}},
+		{name: [2]string{"LoserTree.MergeIntoBatched", "RecordLoserTree.MergeInto"}, run: [2]fn{batchedDrain[[1]int64], batchedDrain[[2]int64]}},
+		{name: [2]string{"LoserTree.Reset-reuse", "RecordLoserTree.Reset-reuse"}, run: [2]fn{resetReuse[[1]int64], resetReuse[[2]int64]}},
+		{name: [2]string{"MergeRound", "MergeRound-records"}, covers: []string{"MergeRound"}, run: [2]fn{round(1), round(2)}},
+		{name: [2]string{"WindowMerge", "WindowMerge-records"}, covers: []string{"WindowMerge"}, run: [2]fn{window(1), window(2)}},
+	}
+}
+
+// sortKernelsAt instantiates the fixed-width sort table at one cell
+// width for element type E, whose slices cellsOf views as cell buffers.
+// Every row is asserted stable: at width 1 equal keys are identical, so
+// that is plain correctness; at width 2 it is the payload-order claim.
+func sortKernelsAt[E any](width int, cellsOf func([]E) []int64) []sortKernel[E] {
+	var out []sortKernel[E]
+	for _, k := range cellSortKernels() {
+		if run := k.run[width-1]; k.name[width-1] != "" {
+			out = append(out, sortKernel[E]{name: k.name[width-1], stable: true, run: func(xs []E) { run(cellsOf(xs)) }})
+		}
+	}
+	return out
+}
+
+// mergeKernelsAt is sortKernelsAt for the merge table.
+func mergeKernelsAt[E any](width int, cellsOf func([]E) []int64) []mergeKernel[E] {
+	var out []mergeKernel[E]
+	for _, k := range cellMergeKernels() {
+		if run := k.run[width-1]; k.name[width-1] != "" {
+			out = append(out, mergeKernel[E]{name: k.name[width-1], arity: k.arity, run: func(dst []E, runs [][]E) {
+				cells := make([][]int64, len(runs))
+				for i, r := range runs {
+					cells[i] = cellsOf(r)
+				}
+				run(cellsOf(dst), cells)
+			}})
+		}
+	}
+	return out
+}
+
+func int64sAsCells(xs []int64) []int64 { return xs }
 
 func float64SortKernels() []sortKernel[float64] {
 	return []sortKernel[float64]{
@@ -393,48 +521,6 @@ func float64SortKernels() []sortKernel[float64] {
 		{name: "SortFloat64sScratch", covers: []string{"SortFloat64sScratch"}, run: func(xs []float64) { SortFloat64sScratch(xs, make([]float64, len(xs))) }},
 		{name: "SortFloat64sScratch-nil", run: func(xs []float64) { SortFloat64sScratch(xs, nil) }},
 	}
-}
-
-func recordSortKernels() []sortKernel[KV] {
-	return []sortKernel[KV]{
-		{name: "SortRecords", covers: []string{"SortRecords"}, stable: true, run: SortRecords[int64]},
-		{name: "SortRecordsScratch", covers: []string{"SortRecordsScratch"}, stable: true, run: func(rs []KV) { SortRecordsScratch(rs, make([]KV, len(rs))) }},
-		{name: "record-radix-forced-tiled", stable: true, run: func(rs []KV) {
-			if len(rs) < 2 {
-				return
-			}
-			recordRadix(rs, make([]KV, len(rs)), true)
-		}},
-		{name: "record-binary-insertion", stable: true, run: binaryInsertionRecords[int64]},
-	}
-}
-
-func recordMergeKernels() []mergeKernel[KV] {
-	return []mergeKernel[KV]{
-		{name: "MergeRecords2", covers: []string{"MergeRecords2"}, arity: 2, run: func(dst []KV, runs [][]KV) { MergeRecords2(dst, runs[0], runs[1]) }},
-		{name: "MergeRecordsK", covers: []string{"MergeRecordsK"}, run: func(dst []KV, runs [][]KV) { MergeRecordsK(dst, runs...) }},
-		{name: "RecordLoserTree.MergeInto", covers: []string{"NewRecordLoserTree"}, run: func(dst []KV, runs [][]KV) { NewRecordLoserTree(runs).MergeInto(dst) }},
-		// Reset path: drain a throwaway merge first, then Reset onto the
-		// real runs — output must be identical to a fresh tree's.
-		{name: "RecordLoserTree.Reset-reuse", run: func(dst []KV, runs [][]KV) {
-			lt := NewRecordLoserTree([][]KV{{{Key: 1}}, {{Key: 0}}})
-			lt.MergeInto(make([]KV, 2))
-			lt.Reset(runs)
-			lt.MergeInto(dst)
-		}},
-		{name: "MergeRound-records", run: func(dst []KV, runs [][]KV) { MergeRound(Int64sFromKVs(dst), cellRuns(runs), 4, 2) }},
-		{name: "WindowMerge-records", run: func(dst []KV, runs [][]KV) { windowMergeWhole(Int64sFromKVs(dst), cellRuns(runs), 2) }},
-	}
-}
-
-// cellRuns views record runs as the interleaved cells MergeRound and
-// WindowMerge take.
-func cellRuns(runs [][]KV) [][]int64 {
-	out := make([][]int64, len(runs))
-	for i, r := range runs {
-		out[i] = Int64sFromKVs(r)
-	}
-	return out
 }
 
 // windowMergeWhole runs WindowMerge as a plain k-way merge kernel: every
@@ -473,11 +559,11 @@ func stringSortKernels() []sortKernel[[]byte] {
 // ---------------------------------------------------------------------
 
 func TestConformInt64Sorts(t *testing.T) {
-	runSortConformance(t, int64SortKernels(), int64Cases(), cmpInt64, eqInt64)
+	runSortConformance(t, sortKernelsAt(1, int64sAsCells), int64Cases(), cmpInt64, eqInt64)
 }
 
 func TestConformInt64Merges(t *testing.T) {
-	runMergeConformance(t, int64MergeKernels(), int64Cases(), cmpInt64, eqInt64)
+	runMergeConformance(t, mergeKernelsAt(1, int64sAsCells), int64Cases(), cmpInt64, eqInt64)
 }
 
 func TestConformFloat64Sorts(t *testing.T) {
@@ -485,11 +571,11 @@ func TestConformFloat64Sorts(t *testing.T) {
 }
 
 func TestConformRecordSorts(t *testing.T) {
-	runSortConformance(t, recordSortKernels(), kvCases(), cmpKV, eqKV)
+	runSortConformance(t, sortKernelsAt(2, Int64sFromKVs), kvCases(), cmpKV, eqKV)
 }
 
 func TestConformRecordMerges(t *testing.T) {
-	runMergeConformance(t, recordMergeKernels(), kvCases(), cmpKV, eqKV)
+	runMergeConformance(t, mergeKernelsAt(2, Int64sFromKVs), kvCases(), cmpKV, eqKV)
 }
 
 func TestConformStringSorts(t *testing.T) {
@@ -584,9 +670,45 @@ func TestConformFloat64KeyTransforms(t *testing.T) {
 	}
 }
 
-// TestConformKVViews certifies the record reinterpret views.
+// TestConformKVViews certifies the reinterpret views and the layouts
+// they stand on: a bare key, a [1]int64 and an int64 are one cell, a KV
+// and a [2]int64 two, all 8-aligned — which is all that makes handing
+// the same memory to the kernels as []C sound.
 func TestConformKVViews(t *testing.T) {
+	for _, l := range []struct {
+		name        string
+		size, align uintptr
+		want        uintptr
+	}{
+		{"[1]int64", unsafe.Sizeof([1]int64{}), unsafe.Alignof([1]int64{}), 8},
+		{"[2]int64", unsafe.Sizeof([2]int64{}), unsafe.Alignof([2]int64{}), 16},
+		{"KV", unsafe.Sizeof(KV{}), unsafe.Alignof(KV{}), 16},
+	} {
+		if l.size != l.want || l.align != unsafe.Alignof(int64(0)) {
+			t.Errorf("%s: size %d align %d, want size %d and int64's alignment", l.name, l.size, l.align, l.want)
+		}
+	}
+	if off := unsafe.Offsetof(KV{}.Payload); off != 8 {
+		t.Errorf("KV.Payload at offset %d, want 8 (the second cell)", off)
+	}
+
 	xs := []int64{1, 10, 2, 20, 3, 30}
+	keys, recs := asCells[[1]int64](xs), asCells[[2]int64](xs)
+	if len(keys) != 6 || len(recs) != 3 || &keys[0][0] != &xs[0] || &recs[2][1] != &xs[5] {
+		t.Fatalf("asCells does not alias its buffer: %v %v", keys, recs)
+	}
+	if asCells[[1]int64](nil) != nil || asCells[[2]int64](nil) != nil {
+		t.Fatal("empty cell views must be nil")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("asCells[[2]int64] on odd length must panic")
+			}
+		}()
+		asCells[[2]int64]([]int64{1, 2, 3})
+	}()
+
 	rs := KVsFromInt64s(xs)
 	want := []KV{{1, 10}, {2, 20}, {3, 30}}
 	if !slices.Equal(rs, want) {
@@ -629,27 +751,17 @@ func conformanceCovered() map[string]bool {
 		"KVsFromInt64s":           true, // TestConformKVViews
 		"Int64sFromKVs":           true,
 	}
-	for _, k := range int64SortKernels() {
+	for _, k := range cellSortKernels() {
 		for _, c := range k.covers {
 			covered[c] = true
 		}
 	}
-	for _, k := range int64MergeKernels() {
+	for _, k := range cellMergeKernels() {
 		for _, c := range k.covers {
 			covered[c] = true
 		}
 	}
 	for _, k := range float64SortKernels() {
-		for _, c := range k.covers {
-			covered[c] = true
-		}
-	}
-	for _, k := range recordSortKernels() {
-		for _, c := range k.covers {
-			covered[c] = true
-		}
-	}
-	for _, k := range recordMergeKernels() {
 		for _, c := range k.covers {
 			covered[c] = true
 		}

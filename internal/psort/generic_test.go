@@ -125,28 +125,50 @@ func FuzzStringSort(f *testing.F) {
 // Gallop boundary tests
 // ---------------------------------------------------------------------
 
-// TestGallopBoundaries pins gallopLE/gallopLT (and their record twins)
-// on the degenerate shapes the merge tests only hit by luck: empty runs,
+// refLE and refLT are the linear definitions of the two gallops.
+func refLE(run []int64, v int64) int {
+	n := 0
+	for _, x := range run {
+		if x <= v {
+			n++
+		}
+	}
+	return n
+}
+
+func refLT(run []int64, v int64) int {
+	n := 0
+	for _, x := range run {
+		if x < v {
+			n++
+		}
+	}
+	return n
+}
+
+// checkGallops runs both gallops over keys laid out as cells of width
+// len(C) and compares them with the linear references, so every gallop
+// table below covers both strides with one body.
+func checkGallops[C cell](t *testing.T, keys []int64, v int64) {
+	t.Helper()
+	var c C
+	run := make([]C, len(keys))
+	for i, x := range keys {
+		run[i][len(c)-1] = int64(i) // the payload cell; at width 1 the key overwrites it
+		run[i][0] = x
+	}
+	if got, want := gallopLE(run, v), refLE(keys, v); got != want {
+		t.Errorf("width %d: gallopLE(%v, %d) = %d, want %d", len(c), keys, v, got, want)
+	}
+	if got, want := gallopLT(run, v), refLT(keys, v); got != want {
+		t.Errorf("width %d: gallopLT(%v, %d) = %d, want %d", len(c), keys, v, got, want)
+	}
+}
+
+// TestGallopBoundaries pins gallopLE/gallopLT, at both cell widths, on
+// the degenerate shapes the merge tests only hit by luck: empty runs,
 // single elements, all-equal runs, and probe values outside the range.
 func TestGallopBoundaries(t *testing.T) {
-	refLE := func(run []int64, v int64) int {
-		n := 0
-		for _, x := range run {
-			if x <= v {
-				n++
-			}
-		}
-		return n
-	}
-	refLT := func(run []int64, v int64) int {
-		n := 0
-		for _, x := range run {
-			if x < v {
-				n++
-			}
-		}
-		return n
-	}
 	allEqual := repeatInt64(7, 9)
 	long := make([]int64, 100)
 	for i := range long {
@@ -174,22 +196,8 @@ func TestGallopBoundaries(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got, want := gallopLE(c.run, c.v), refLE(c.run, c.v); got != want {
-				t.Errorf("gallopLE(%v, %d) = %d, want %d", c.run, c.v, got, want)
-			}
-			if got, want := gallopLT(c.run, c.v), refLT(c.run, c.v); got != want {
-				t.Errorf("gallopLT(%v, %d) = %d, want %d", c.run, c.v, got, want)
-			}
-			recs := make([]KV, len(c.run))
-			for i, x := range c.run {
-				recs[i] = KV{Key: x, Payload: int64(i)}
-			}
-			if got, want := recordGallopLE(recs, c.v), refLE(c.run, c.v); got != want {
-				t.Errorf("recordGallopLE(%v, %d) = %d, want %d", c.run, c.v, got, want)
-			}
-			if got, want := recordGallopLT(recs, c.v), refLT(c.run, c.v); got != want {
-				t.Errorf("recordGallopLT(%v, %d) = %d, want %d", c.run, c.v, got, want)
-			}
+			checkGallops[[1]int64](t, c.run, c.v)
+			checkGallops[[2]int64](t, c.run, c.v)
 		})
 	}
 }
@@ -201,23 +209,9 @@ func TestGallopBoundaries(t *testing.T) {
 func TestGallopExhaustive(t *testing.T) {
 	base := []int64{0, 0, 1, 3, 3, 3, 4, 8, 8, 9, 12, 12, 12, 12, 15, 20, 20, 21}
 	for n := 0; n <= len(base); n++ {
-		run := base[:n]
 		for v := int64(-1); v <= 22; v++ {
-			wantLE, wantLT := 0, 0
-			for _, x := range run {
-				if x <= v {
-					wantLE++
-				}
-				if x < v {
-					wantLT++
-				}
-			}
-			if got := gallopLE(run, v); got != wantLE {
-				t.Fatalf("gallopLE(base[:%d], %d) = %d, want %d", n, v, got, wantLE)
-			}
-			if got := gallopLT(run, v); got != wantLT {
-				t.Fatalf("gallopLT(base[:%d], %d) = %d, want %d", n, v, got, wantLT)
-			}
+			checkGallops[[1]int64](t, base[:n], v)
+			checkGallops[[2]int64](t, base[:n], v)
 		}
 	}
 }
@@ -267,11 +261,24 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("SortRecordsScratch allocates %v per run, want 0", a)
 	}
-	if a := testing.AllocsPerRun(10, func() {
-		copy(rwork, recs)
-		recordRadix(rwork, rscratch, true) // forced tiled scatter
-	}); a != 0 {
-		t.Errorf("recordRadix(tiled) allocates %v per run, want 0", a)
+	// Both scatters at both widths: the tiled one's stage array lives on
+	// the stack.
+	ints := caseByName(t, int64Cases(), "random-large")[:n]
+	iwork := make([]int64, n)
+	iscratch := make([]int64, n)
+	for _, tiled := range []bool{false, true} {
+		if a := testing.AllocsPerRun(10, func() {
+			copy(rwork, recs)
+			radixSort(kvCells(rwork), kvCells(rscratch), tiled)
+		}); a != 0 {
+			t.Errorf("radixSort width 2 (tiled=%v) allocates %v per run, want 0", tiled, a)
+		}
+		if a := testing.AllocsPerRun(10, func() {
+			copy(iwork, ints)
+			radixSort(asCells[[1]int64](iwork), asCells[[1]int64](iscratch), tiled)
+		}); a != 0 {
+			t.Errorf("radixSort width 1 (tiled=%v) allocates %v per run, want 0", tiled, a)
+		}
 	}
 
 	strs := caseByName(t, stringCases(), "random-short")
@@ -284,8 +291,7 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("SortByteStringsScratch allocates %v per run, want 0", a)
 	}
 
-	// Record merges: two-way into a preallocated destination, and the
-	// loser tree reused via Reset — the shape of mlmsort's merge loops.
+	// The record two-way merge into a preallocated destination.
 	a1 := slices.Clone(recs[:n/2])
 	b1 := slices.Clone(recs[n/2:])
 	slices.SortStableFunc(a1, cmpKV)
@@ -297,29 +303,56 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("MergeRecords2 allocates %v per run, want 0", a)
 	}
 
-	runs := make([][]KV, 4)
-	for i := range runs {
-		runs[i] = slices.Clone(recs[i*n/4 : (i+1)*n/4])
-		slices.SortStableFunc(runs[i], cmpKV)
+	// The loser tree reused via Reset — the shape of a steady-state merge
+	// loop — at both widths.
+	rruns, iruns := make([][]int64, 4), make([][]int64, 4)
+	for i := range rruns {
+		r := slices.Clone(recs[i*n/4 : (i+1)*n/4])
+		slices.SortStableFunc(r, cmpKV)
+		rruns[i] = Int64sFromKVs(r)
+		iruns[i] = slices.Clone(ints[i*n/4 : (i+1)*n/4])
+		slices.Sort(iruns[i])
 	}
-	lt := NewRecordLoserTree(runs)
-	lt.MergeInto(dst)
-	if a := testing.AllocsPerRun(10, func() {
-		lt.Reset(runs)
-		lt.MergeInto(dst)
-	}); a != 0 {
-		t.Errorf("RecordLoserTree Reset+MergeInto allocates %v per run, want 0", a)
+	if a := resetDrainAllocs[[2]int64](rruns); a != 0 {
+		t.Errorf("width-2 loser tree Reset+MergeInto allocates %v per run, want 0", a)
+	}
+	if a := resetDrainAllocs[[1]int64](iruns); a != 0 {
+		t.Errorf("width-1 loser tree Reset+MergeInto allocates %v per run, want 0", a)
 	}
 
-	// The int64 tiled scatter inherits the radix path's zero-alloc
-	// guarantee: the stage array lives on the stack.
-	ints := caseByName(t, int64Cases(), "random-large")[:n]
-	iwork := make([]int64, n)
-	iscratch := make([]int64, n)
-	if a := testing.AllocsPerRun(10, func() {
-		copy(iwork, ints)
-		radixSortScratch(iwork, iscratch, true, true)
-	}); a != 0 {
-		t.Errorf("radixSortScratch(tiled) allocates %v per run, want 0", a)
+	// A k-way MergeRound allocates the tree's four tables and nothing
+	// else, at either width: a record round used to build a [][]KV view
+	// of its runs before the tree saw them, and a key round put the tree
+	// itself on the heap, five allocations each. iruns holds whole
+	// records as well (even lengths), sorted under either reading once
+	// both cells of each pair are equal.
+	for _, r := range iruns {
+		for j := range r {
+			r[j] = r[j&^1]
+		}
 	}
+	rdst := make([]int64, n)
+	roundAllocs := func(cells int) float64 {
+		return testing.AllocsPerRun(10, func() { MergeRound(rdst, iruns, 1, cells) })
+	}
+	if keys, records := roundAllocs(1), roundAllocs(2); records > keys || keys > 4 {
+		t.Errorf("MergeRound allocates %v per record round and %v per key round of the same %d runs, want equal and at most 4", records, keys, len(iruns))
+	}
+}
+
+// resetDrainAllocs reports the allocations of one Reset and batched
+// drain on a tree that has already merged runs once.
+func resetDrainAllocs[C cell](runs [][]int64) float64 {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	dst := asCells[C](make([]int64, total))
+	var lt loserTree[C]
+	lt.Reset(runs)
+	lt.MergeInto(dst)
+	return testing.AllocsPerRun(10, func() {
+		lt.Reset(runs)
+		lt.MergeInto(dst)
+	})
 }

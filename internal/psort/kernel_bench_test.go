@@ -6,8 +6,10 @@ import (
 	"knlmlm/internal/workload"
 )
 
-// Kernel benchmarks: old vs new sort and merge paths. cmd/kernelbench runs
-// these same shapes programmatically to produce the committed BENCH_PR3.json.
+// Kernel benchmarks: old vs new sort and merge paths. The pairs whose
+// baseline is an internal of this package — the Pop drain against the
+// batched one, the plain scatter against the tiled one — live only here;
+// cmd/kernelbench runs the pairs with a public baseline.
 
 func benchSort(b *testing.B, n int, sortFn func([]int64)) {
 	src := workload.Generate(workload.Random, n, 1)
@@ -46,25 +48,33 @@ func benchRuns(k, runLen int) [][]int64 {
 	return runs
 }
 
-func benchMergeK(b *testing.B, k, runLen int, batched bool) {
-	src := benchRuns(k, runLen)
-	work := make([][]int64, k)
-	dst := make([]int64, k*runLen)
-	b.SetBytes(int64(k * runLen * 8))
+// benchDrain times one drain of a freshly Reset tree over src: the
+// production batched drain, or the per-element Pop reference.
+func benchDrain[C cell](b *testing.B, src [][]int64, batched bool) {
+	total := 0
+	for _, r := range src {
+		total += len(r)
+	}
+	dst := asCells[C](make([]int64, total))
+	var lt loserTree[C]
+	b.SetBytes(int64(total * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for j, r := range src {
-			work[j] = r // slice headers reset; tree consumes headers, not data
-		}
-		lt := NewLoserTree(work)
+		lt.Reset(src)
 		b.StartTimer()
 		if batched {
-			lt.MergeIntoBatched(dst)
-		} else {
 			lt.MergeInto(dst)
+			continue
+		}
+		for n := 0; !lt.Empty(); n++ {
+			dst[n] = lt.Pop()
 		}
 	}
+}
+
+func benchMergeK(b *testing.B, k, runLen int, batched bool) {
+	benchDrain[[1]int64](b, benchRuns(k, runLen), batched)
 }
 
 func BenchmarkMergePerElementK8(b *testing.B)  { benchMergeK(b, 8, 100_000, false) }
@@ -90,26 +100,47 @@ func benchBlockyRuns(k, runLen, blockLen int) [][]int64 {
 }
 
 func benchMergeKBlocky(b *testing.B, k, runLen int, batched bool) {
-	src := benchBlockyRuns(k, runLen, 512)
-	work := make([][]int64, k)
-	dst := make([]int64, k*runLen)
-	b.SetBytes(int64(k * runLen * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		copy(work, src)
-		lt := NewLoserTree(work)
-		b.StartTimer()
-		if batched {
-			lt.MergeIntoBatched(dst)
-		} else {
-			lt.MergeInto(dst)
-		}
-	}
+	benchDrain[[1]int64](b, benchBlockyRuns(k, runLen, 512), batched)
 }
 
 func BenchmarkMergePerElementK8Blocky(b *testing.B) { benchMergeKBlocky(b, 8, 100_000, false) }
 func BenchmarkMergeBatchedK8Blocky(b *testing.B)    { benchMergeKBlocky(b, 8, 100_000, true) }
+
+// The same drains at width 2: the blocky runs read as records (key,
+// payload pairs of consecutive integers), still sorted by key.
+func BenchmarkMergePerElementK8BlockyRecords(b *testing.B) {
+	benchDrain[[2]int64](b, benchBlockyRuns(8, 100_000, 512), false)
+}
+func BenchmarkMergeBatchedK8BlockyRecords(b *testing.B) {
+	benchDrain[[2]int64](b, benchBlockyRuns(8, 100_000, 512), true)
+}
+
+// benchScatter times the LSD core with the scatter forced, on cells
+// cells of random keys viewed at width len(C). 1<<23 cells (64 MiB) is
+// past the tiling threshold, where the 256 naked scatter streams start
+// missing TLB and L2 on every store; skipped under -short for its
+// 128 MiB of buffers.
+func benchScatter[C cell](b *testing.B, tiled bool) {
+	if testing.Short() {
+		b.Skip("128 MiB working set")
+	}
+	const cells = 1 << 23
+	src := workload.Generate(workload.Random, cells, 1)
+	buf, scratch := make([]int64, cells), make([]int64, cells)
+	b.SetBytes(cells * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(buf, src)
+		b.StartTimer()
+		radixSort(asCells[C](buf), asCells[C](scratch), tiled)
+	}
+}
+
+func BenchmarkScatterPlain8Mi(b *testing.B)        { benchScatter[[1]int64](b, false) }
+func BenchmarkScatterTiled8Mi(b *testing.B)        { benchScatter[[1]int64](b, true) }
+func BenchmarkScatterPlainRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, false) }
+func BenchmarkScatterTiledRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, true) }
 
 func benchMerge2(b *testing.B, n int, fn func(dst, a, b []int64)) {
 	a := workload.Generate(workload.Random, n, 7)

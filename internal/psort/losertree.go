@@ -1,61 +1,78 @@
 package psort
 
-// LoserTree is a tournament tree for k-way merging: each leaf is the head
-// of one sorted run; internal nodes store the loser of the comparison
-// below, so replacing the overall winner costs exactly ceil(log2 k)
-// comparisons. This is the classic structure used by the GNU parallel-mode
-// multiway merge the paper builds on.
-type LoserTree struct {
-	runs  [][]int64 // remaining suffix of each run
-	tree  []int     // tree[i] = run index of the loser at internal node i
-	heads []int64   // heads[i] = runs[i][0] while run i is live (stale after)
-	k     int       // number of leaves (power-of-two padded)
-	live  int       // runs not yet exhausted
+// loserTree is a tournament tree for stable k-way merging: each leaf is
+// the head of one sorted run; internal nodes store the loser of the
+// comparison below, so replacing the overall winner costs exactly
+// ceil(log2 k) comparisons. This is the classic structure used by the GNU
+// parallel-mode multiway merge the paper builds on. It is written once
+// over the cell width: bare keys and key+payload records run the same
+// replay, runner-up scan and drains, each stencilled for its own stride.
+//
+// The zero value is ready for Reset, and Reset rebinds a used tree to a
+// fresh set of runs without allocating (when the padded width still
+// fits), so steady-state merge loops stay at zero allocations per
+// operation.
+type loserTree[C cell] struct {
+	runs  [][]C   // remaining suffix of each run
+	tree  []int   // tree[i] = run index of the loser at internal node i
+	heads []int64 // heads[i] = runs[i][0][0] while run i is live (stale after)
+	win   []int   // tournament scratch for build, kept across Resets
+	k     int     // number of leaves (power-of-two padded)
+	live  int     // runs not yet exhausted
 }
 
-// NewLoserTree builds a tree over the given sorted runs. Empty runs are
-// allowed and immediately count as exhausted. The runs are consumed in
-// place (the tree advances their slice headers).
-func NewLoserTree(runs [][]int64) *LoserTree {
+// Reset binds the tree to the given sorted runs of cells, viewing each
+// as whole elements; empty runs are allowed and immediately count as
+// exhausted. The runs are consumed through the tree's own headers (the
+// caller's slice table is not modified). Backing arrays are reused when
+// the padded leaf count still fits; after Reset the tree behaves exactly
+// like a freshly built one.
+func (lt *loserTree[C]) Reset(runs [][]int64) {
 	n := len(runs)
 	k := 1
 	for k < n {
 		k <<= 1
 	}
-	if k == 0 {
-		k = 1
+	if cap(lt.runs) < k {
+		lt.runs = make([][]C, k)
+		lt.tree = make([]int, k)
+		lt.heads = make([]int64, k)
+		lt.win = make([]int, 2*k)
 	}
-	lt := &LoserTree{
-		runs:  make([][]int64, k),
-		tree:  make([]int, k),
-		heads: make([]int64, k),
-		k:     k,
-	}
-	copy(lt.runs, runs)
-	for i, r := range lt.runs {
+	lt.runs = lt.runs[:k]
+	lt.tree = lt.tree[:k]
+	lt.heads = lt.heads[:k]
+	lt.win = lt.win[:2*k]
+	lt.k = k
+	lt.live = 0
+	for i := range lt.runs {
+		var r []C
+		if i < n {
+			r = asCells[C](runs[i])
+		}
+		lt.runs[i] = r
 		if len(r) > 0 {
-			lt.heads[i] = r[0]
+			lt.heads[i] = r[0][0]
 			lt.live++
 		}
 	}
 	lt.build()
-	return lt
 }
 
-// head reports the current first element of run i; exhausted runs compare
-// as +infinity so they always lose.
-func (lt *LoserTree) head(i int) (int64, bool) {
+// head reports the key of run i's current first element; exhausted runs
+// compare as +infinity so they always lose.
+func (lt *loserTree[C]) head(i int) (int64, bool) {
 	r := lt.runs[i]
 	if len(r) == 0 {
 		return 0, false
 	}
-	return r[0], true
+	return r[0][0], true
 }
 
 // less reports whether run a's head should win against run b's head.
 // Ties break toward the lower run index, making the merge stable across
 // run order.
-func (lt *LoserTree) less(a, b int) bool {
+func (lt *loserTree[C]) less(a, b int) bool {
 	va, oka := lt.head(a)
 	vb, okb := lt.head(b)
 	switch {
@@ -70,11 +87,13 @@ func (lt *LoserTree) less(a, b int) bool {
 	}
 }
 
-// build initialises the loser tree bottom-up by running the tournament.
-func (lt *LoserTree) build() {
+// build initialises the loser tree bottom-up by running the tournament,
+// using the struct-held winners scratch so Reset really is
+// allocation-free on reuse.
+func (lt *loserTree[C]) build() {
 	// winners[j] for internal node j computed bottom-up; node j's children
 	// are 2j and 2j+1 among internal nodes, leaves start at lt.k.
-	winners := make([]int, 2*lt.k)
+	winners := lt.win
 	for i := 0; i < lt.k; i++ {
 		winners[lt.k+i] = i
 	}
@@ -92,13 +111,15 @@ func (lt *LoserTree) build() {
 }
 
 // Empty reports whether every run is exhausted.
-func (lt *LoserTree) Empty() bool { return lt.live == 0 }
+func (lt *loserTree[C]) Empty() bool { return lt.live == 0 }
 
-// Pop removes and returns the smallest head element. Calling Pop on an
-// empty tree panics.
-func (lt *LoserTree) Pop() int64 {
+// Pop removes and returns the element with the smallest head key.
+// Calling Pop on an empty tree panics. Draining a tree with Pop alone is
+// the reference every width's batched drain is differentially tested
+// against: it takes the uncached replay, one element at a time.
+func (lt *loserTree[C]) Pop() C {
 	if lt.live == 0 {
-		panic("psort: Pop from empty LoserTree")
+		panic("psort: Pop from empty loser tree")
 	}
 	w := lt.tree[0]
 	r := lt.runs[w]
@@ -108,7 +129,7 @@ func (lt *LoserTree) Pop() int64 {
 	if len(r) == 0 {
 		lt.live--
 	} else {
-		lt.heads[w] = r[0]
+		lt.heads[w] = r[0][0]
 	}
 	lt.replay(w)
 	return v
@@ -117,7 +138,7 @@ func (lt *LoserTree) Pop() int64 {
 // replay re-runs the tournament along the path from leaf w to the root
 // after run w's head changed, restoring the tree invariant and parking
 // the new overall winner in tree[0].
-func (lt *LoserTree) replay(w int) {
+func (lt *loserTree[C]) replay(w int) {
 	cur := w
 	for j := (lt.k + w) / 2; j >= 1; j /= 2 {
 		if lt.less(lt.tree[j], cur) {
@@ -127,12 +148,12 @@ func (lt *LoserTree) replay(w int) {
 	lt.tree[0] = cur
 }
 
-// replayCached is replay with the head-value cache: comparisons read
+// replayCached is replay with the head-key cache: comparisons read
 // heads[i] (one int64 load) instead of chasing runs[i][0] through the
-// slice table, and the climbing contender's value and liveness stay in
+// slice table, and the climbing contender's key and liveness stay in
 // registers. It requires heads[] to be current, which every drain path
-// maintains; MergeInto/Pop keep the uncached replay as the reference.
-func (lt *LoserTree) replayCached(w int) {
+// maintains; Pop keeps the uncached replay as the reference.
+func (lt *loserTree[C]) replayCached(w int) {
 	cur := w
 	curV := lt.heads[cur]
 	curLive := len(lt.runs[cur]) > 0
@@ -150,13 +171,13 @@ func (lt *LoserTree) replayCached(w int) {
 	lt.tree[0] = cur
 }
 
-// runnerUp reports the head value and run index of the best non-winner,
+// runnerUp reports the head key and run index of the best non-winner,
 // given the current winner leaf w. Every run other than the winner lost
 // exactly one match, and the global runner-up can only have lost to the
 // winner itself, so it sits on w's leaf-to-root path; scanning that
 // path's losers finds it in ceil(log2 k) comparisons. ok is false when
 // every other run is exhausted.
-func (lt *LoserTree) runnerUp(w int) (v int64, idx int, ok bool) {
+func (lt *loserTree[C]) runnerUp(w int) (v int64, idx int, ok bool) {
 	idx = -1
 	for j := (lt.k + w) / 2; j >= 1; j /= 2 {
 		cand := lt.tree[j]
@@ -171,30 +192,21 @@ func (lt *LoserTree) runnerUp(w int) (v int64, idx int, ok bool) {
 	return v, idx, ok
 }
 
-// MergeInto drains the tree into dst one element at a time and reports
-// the number of elements written. dst must be large enough for all
-// remaining elements. It is the reference drain; MergeIntoBatched is the
-// fast path and produces identical output.
-func (lt *LoserTree) MergeInto(dst []int64) int {
-	n := 0
-	for !lt.Empty() {
-		dst[n] = lt.Pop()
-		n++
-	}
-	return n
-}
-
-// MergeIntoBatched drains the tree into dst in adaptive batches and
-// reports the number of elements written. It emits per element (one
-// replay each, same as MergeInto) until a single run wins gallopMin
-// times in a row, then switches to batch mode: find the prefix of the
-// winning run that beats the runner-up's head with a galloping search,
-// bulk-copy it, and replay the tree once for the whole streak. Short
-// batches drop back to per-element mode. On runs with any locality
-// (pre-sorted blocks, few-unique keys, skewed ranges) this collapses
-// most of the comparison work into memmove; on fully interleaved runs
-// it costs one streak counter over MergeInto.
-func (lt *LoserTree) MergeIntoBatched(dst []int64) int {
+// MergeInto drains the tree into dst in adaptive batches and reports the
+// number of elements written; dst must be large enough for all remaining
+// elements and must not alias the runs. It emits per element (one replay
+// each, same as a Pop drain) until a single run wins gallopMin times in
+// a row, then switches to batch mode: find the prefix of the winning run
+// that beats the runner-up's head with a galloping search, bulk-copy it,
+// and replay the tree once for the whole streak. Short batches drop back
+// to per-element mode. On runs with any locality (pre-sorted blocks,
+// few-unique keys, skewed ranges) this collapses most of the comparison
+// work into memmove; on fully interleaved runs it costs one streak
+// counter over the Pop drain. Batching matters even more for records
+// than for bare keys, because every per-element emission moves a full
+// record through the tournament bookkeeping while a batch moves them
+// with one copy.
+func (lt *loserTree[C]) MergeInto(dst []C) int {
 	n := 0
 	lastW, streak := -1, 0
 	galloping := false
@@ -215,7 +227,7 @@ func (lt *LoserTree) MergeIntoBatched(dst []int64) int {
 				if len(run) == 1 {
 					lt.live--
 				} else {
-					lt.heads[w] = run[1]
+					lt.heads[w] = run[1][0]
 				}
 				lt.replayCached(w)
 				continue
@@ -245,7 +257,7 @@ func (lt *LoserTree) MergeIntoBatched(dst []int64) int {
 		if len(rest) == 0 {
 			lt.live--
 		} else {
-			lt.heads[w] = rest[0]
+			lt.heads[w] = rest[0][0]
 		}
 		lt.replayCached(w)
 		if m < gallopMin {
@@ -264,16 +276,18 @@ func (lt *LoserTree) MergeIntoBatched(dst []int64) int {
 	return n
 }
 
-// MergeK merges the given sorted runs into dst using a loser tree; dst must
-// have exactly the combined length. For k==1 it degenerates to a copy and
-// for k==2 to the branch-predictable two-way merge.
-func MergeK(dst []int64, runs ...[]int64) {
+// mergeCells merges the sorted runs of len(C)-wide elements into dst
+// stably (ties go to the lower run index); dst must have exactly the
+// combined length and alias none of them. For k==1 it degenerates to a
+// copy and for k==2 to the adaptive two-way merge; larger fan-ins build
+// a tree, which allocates.
+func mergeCells[C cell](dst []int64, runs [][]int64) {
 	total := 0
 	for _, r := range runs {
 		total += len(r)
 	}
 	if len(dst) != total {
-		panic("psort: MergeK destination length mismatch")
+		panic("psort: k-way merge destination length mismatch")
 	}
 	switch len(runs) {
 	case 0:
@@ -282,9 +296,17 @@ func MergeK(dst []int64, runs ...[]int64) {
 		copy(dst, runs[0])
 		return
 	case 2:
-		Merge2(dst, runs[0], runs[1])
+		merge2(asCells[C](dst), asCells[C](runs[0]), asCells[C](runs[1]))
 		return
 	}
-	lt := NewLoserTree(runs)
-	lt.MergeIntoBatched(dst)
+	var lt loserTree[C]
+	lt.Reset(runs)
+	lt.MergeInto(asCells[C](dst))
+}
+
+// MergeK merges the given sorted runs into dst using a loser tree; dst must
+// have exactly the combined length. For k==1 it degenerates to a copy and
+// for k==2 to the branch-predictable two-way merge.
+func MergeK(dst []int64, runs ...[]int64) {
+	mergeCells[[1]int64](dst, runs)
 }

@@ -9,32 +9,36 @@ import (
 	"knlmlm/internal/race"
 )
 
-// drainBoth runs both loser-tree drains over identical runs and fails on
-// any output divergence.
+// drainBoth runs the batched loser-tree drain and the per-element Pop
+// reference over identical runs, at both cell widths, and fails on any
+// output divergence. At width 2 every key carries (run, position) as its
+// payload, so divergence includes any departure from the stable order.
 func drainBoth(t *testing.T, label string, runs [][]int64) {
 	t.Helper()
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	cloneRuns := func() [][]int64 {
-		out := make([][]int64, len(runs))
-		for i, r := range runs {
-			out[i] = append([]int64(nil), r...)
+	records := make([][]int64, len(runs))
+	for i, r := range runs {
+		records[i] = make([]int64, 0, 2*len(r))
+		for j, key := range r {
+			records[i] = append(records[i], key, int64(i)<<32|int64(j))
 		}
-		return out
 	}
-	want := make([]int64, total)
-	if n := NewLoserTree(cloneRuns()).MergeInto(want); n != total {
-		t.Fatalf("%s: MergeInto wrote %d of %d", label, n, total)
-	}
-	got := make([]int64, total)
-	if n := NewLoserTree(cloneRuns()).MergeIntoBatched(got); n != total {
-		t.Fatalf("%s: MergeIntoBatched wrote %d of %d", label, n, total)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: batched drain diverges at %d: %d != %d", label, i, got[i], want[i])
+	for width, in := range [][][]int64{runs, records} {
+		total := 0
+		for _, r := range in {
+			total += len(r)
+		}
+		want, got := make([]int64, total), make([]int64, total)
+		if width == 0 {
+			popDrain[[1]int64](want, in)
+			batchedDrain[[1]int64](got, in)
+		} else {
+			popDrain[[2]int64](want, in)
+			batchedDrain[[2]int64](got, in)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: width-%d batched drain diverges at cell %d: %d != %d", label, width+1, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -144,7 +148,7 @@ func TestMerge2GallopsLongStreaks(t *testing.T) {
 }
 
 func TestGallopBounds(t *testing.T) {
-	run := []int64{1, 1, 2, 2, 2, 3, 5, 5, 9}
+	run := asCells[[1]int64]([]int64{1, 1, 2, 2, 2, 3, 5, 5, 9})
 	cases := []struct {
 		v      int64
 		le, lt int
@@ -166,11 +170,11 @@ func TestGallopBounds(t *testing.T) {
 			t.Errorf("gallopLT(%d) = %d, want %d", c.v, got, c.lt)
 		}
 	}
-	if gallopLE(nil, 5) != 0 || gallopLT(nil, 5) != 0 {
+	if gallopLE[[1]int64](nil, 5) != 0 || gallopLT[[1]int64](nil, 5) != 0 {
 		t.Error("empty run should gallop to 0")
 	}
 	// Long uniform run: the exponential probe must clamp at len.
-	long := make([]int64, 1000)
+	long := make([][1]int64, 1000)
 	if got := gallopLE(long, 0); got != 1000 {
 		t.Errorf("gallopLE over uniform run = %d", got)
 	}
@@ -192,7 +196,7 @@ func TestMergeIntoBatchedAllocationFree(t *testing.T) {
 		t.Skip("allocation counting is unreliable under -race")
 	}
 	// The drain itself (tree already built) must not allocate.
-	mk := func() *LoserTree {
+	mk := func() *loserTree[[1]int64] {
 		runs := make([][]int64, 8)
 		for i := range runs {
 			r := make([]int64, 1000)
@@ -201,20 +205,22 @@ func TestMergeIntoBatchedAllocationFree(t *testing.T) {
 			}
 			runs[i] = r
 		}
-		return NewLoserTree(runs)
+		lt := new(loserTree[[1]int64])
+		lt.Reset(runs)
+		return lt
 	}
-	dst := make([]int64, 8000)
-	trees := make([]*LoserTree, 6)
+	dst := make([][1]int64, 8000)
+	trees := make([]*loserTree[[1]int64], 6)
 	for i := range trees {
 		trees[i] = mk()
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(5, func() {
-		trees[next].MergeIntoBatched(dst)
+		trees[next].MergeInto(dst)
 		next++
 	})
 	if allocs != 0 {
-		t.Errorf("MergeIntoBatched allocates %.1f times per drain", allocs)
+		t.Errorf("MergeInto allocates %.1f times per drain", allocs)
 	}
 }
 

@@ -186,10 +186,11 @@ func flatten(runs [][]int64) []int64 {
 
 func TestLoserTreeBasic(t *testing.T) {
 	runs := [][]int64{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}}
-	lt := NewLoserTree(runs)
+	var lt loserTree[[1]int64]
+	lt.Reset(runs)
 	var got []int64
 	for !lt.Empty() {
-		got = append(got, lt.Pop())
+		got = append(got, lt.Pop()[0])
 	}
 	for i := int64(1); i <= 9; i++ {
 		if got[i-1] != i {
@@ -199,7 +200,8 @@ func TestLoserTreeBasic(t *testing.T) {
 }
 
 func TestLoserTreePopEmptyPanics(t *testing.T) {
-	lt := NewLoserTree(nil)
+	var lt loserTree[[2]int64]
+	lt.Reset(nil)
 	if !lt.Empty() {
 		t.Fatal("tree over no runs should be empty")
 	}
@@ -213,11 +215,8 @@ func TestLoserTreePopEmptyPanics(t *testing.T) {
 
 func TestLoserTreeWithEmptyRuns(t *testing.T) {
 	runs := [][]int64{{}, {5}, {}, {1, 9}, {}}
-	lt := NewLoserTree(runs)
 	dst := make([]int64, 3)
-	if n := lt.MergeInto(dst); n != 3 {
-		t.Fatalf("merged %d elements", n)
-	}
+	popDrain[[1]int64](dst, runs)
 	want := []int64{1, 5, 9}
 	for i := range want {
 		if dst[i] != want[i] {

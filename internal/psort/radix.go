@@ -1,7 +1,7 @@
 package psort
 
 // LSD radix sort: the throughput kernel behind the adaptive dispatcher,
-// generic over 64-bit key patterns. An introsort moves every element
+// written once over the cell width. An introsort moves every element
 // O(log n) times; the radix sort moves it at most 8 times (once per byte
 // digit) with purely sequential reads and bucketed writes — the
 // streaming access pattern the paper's memory-system analysis wants its
@@ -27,15 +27,16 @@ package psort
 //     of a line that will be fully overwritten anyway. The staged scatter
 //     touches destination lines once, whole, in bursts the hardware
 //     write-combines into streaming stores; the same discipline the
-//     DGEMM-on-KNL kernels apply to their C-tile write-back. The
-//     pre-tiling scatter is kept (RadixSortScratchUntiled) as the
-//     benchmark baseline and the small-input path, where the destination
-//     is cache-resident and staging would be pure overhead.
+//     DGEMM-on-KNL kernels apply to their C-tile write-back. The plain
+//     scatter stays as the small-input path, where the destination is
+//     cache-resident and staging would be pure overhead, and as the
+//     baseline leg of the in-package tiling benchmark.
 //
 // Signedness is handled on the top digit alone: flipping its high bit
 // makes two's-complement order agree with unsigned bucket order.
-// float64 keys enter through the same kernel after the keys.go bit
-// flip, and fixed-width records run the record.go twin of the scatter.
+// float64 keys enter as biased int64 after the keys.go bit flip, and
+// key+payload records are the same kernel at cell width 2: the digit is
+// read from c[0] and the whole cell moves.
 
 // radixDigits is the number of 8-bit digits in a 64-bit key.
 const radixDigits = 8
@@ -47,31 +48,30 @@ const radixDigits = 8
 // near 1–2k elements; 2048 is conservative in introsort's favour.
 const radixMinLen = 2048
 
-// radixTileMinLen is the input size at which the scatter switches to the
-// tiled write buffers. Staging costs two writes per element (stage store
+// radixTileMinLen is the buffer size, in int64 cells, at which the
+// scatter switches to the tiled write buffers (so records, two cells
+// each, tile at half the element count of bare keys). Staging costs two writes per element (stage store
 // + burst copy) against the plain scatter's one, so while the
 // destination still fits in the last-level cache — where scattered
 // writes are already cheap — tiling is strictly extra work and measures
 // ~5% slower. Once source + destination outgrow LLC the read-for-
 // ownership traffic on scattered misses dominates and the burst flushes
 // win it back (1.4–1.6x at 2x the threshold on the tuning host, growing
-// with size). 4Mi elements (32 MiB per buffer) sits at the LLC boundary
+// with size). 4Mi cells (32 MiB per buffer) sits at the LLC boundary
 // of the server parts this targets; EXPERIMENTS.md records the sweep.
 const radixTileMinLen = 4 << 20
 
-// tileLine is the per-bucket staging capacity in elements: 64 int64s is
-// eight 64-byte cache lines per flush, making the stage array 128 KiB —
-// L2-resident rather than L1, which measures better than line-sized
-// buffers because each flush amortizes its bounds checks and memmove
-// call over 8x the payload while remaining far cheaper than the DRAM
-// scatter it replaces. Must stay a power of two (the scatter masks the
-// fill index with tileLine-1) and below 256 (fill counters are uint8).
-const tileLine = 64
-
-// radixKey constrains the key patterns the shared radix core sorts:
-// two's-complement int64 (sign-biased top digit) and plain uint64 (the
-// image of the float64 bit flip).
-type radixKey interface{ ~int64 | ~uint64 }
+// tileCells is the per-bucket staging capacity in int64 cells: 64 bare
+// keys or 32 KV records, eight 64-byte cache lines per flush either way,
+// making the stage array 128 KiB — L2-resident rather than L1, which
+// measures better than line-sized buffers because each flush amortizes
+// its bounds checks and memmove call over 8x the payload while remaining
+// far cheaper than the DRAM scatter it replaces. Halving it to four
+// lines per flush measured about a fifth slower at 8Mi keys. 128 KiB is
+// also the largest array the compiler keeps on the stack; a wider stage
+// is a heap allocation per pass. Must stay a multiple of every cell
+// width and at most 255 elements per bucket (fill counters are uint8).
+const tileCells = 64
 
 // RadixSort sorts xs ascending, allocating its own scratch buffer. Hot
 // paths should use RadixSortScratch (or SortAdaptive) with pooled scratch
@@ -89,21 +89,14 @@ func RadixSort(xs []int64) {
 // unspecified. Large inputs scatter through the tiled write buffers;
 // small ones use the plain scatter (see radixTileMinLen).
 func RadixSortScratch(xs, scratch []int64) {
-	radixSortScratch(xs, scratch, true, len(xs) >= radixTileMinLen)
+	radixSort(asCells[[1]int64](xs), asCells[[1]int64](scratch), len(xs) >= radixTileMinLen)
 }
 
-// RadixSortScratchUntiled is the pre-tiling kernel: identical digit
-// plan, plain per-element scatter at every size. It is the baseline leg
-// of the kernelbench tiling pair and a conformance reference; new code
-// should call RadixSortScratch.
-func RadixSortScratchUntiled(xs, scratch []int64) {
-	radixSortScratch(xs, scratch, true, false)
-}
-
-// radixSortScratch is the shared LSD core. signed selects the
-// sign-biased top digit (int64 order); without it keys bucket in plain
-// unsigned order (the float64 sort-key domain).
-func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
+// radixSort is the LSD core: it sorts xs ascending by key, stably, with
+// the tiling decision lifted out so the callers can make it on the
+// buffer's size in cells and the differential tests and benchmarks can
+// force either scatter at any size.
+func radixSort[C cell](xs, scratch []C, tiled bool) {
 	n := len(xs)
 	if n < 2 {
 		return
@@ -111,16 +104,12 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 	if len(scratch) < n {
 		panic("psort: radix scratch shorter than input")
 	}
-	topXor := uint8(0)
-	if signed {
-		topXor = 0x80
-	}
 
 	// One pass builds all eight histograms. The top digit is biased so
 	// negative keys land in the low buckets.
 	var counts [radixDigits][256]int
-	for _, v := range xs {
-		u := uint64(v)
+	for i := range xs {
+		u := uint64(xs[i][0])
 		counts[0][u&0xff]++
 		counts[1][(u>>8)&0xff]++
 		counts[2][(u>>16)&0xff]++
@@ -128,16 +117,16 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 		counts[4][(u>>32)&0xff]++
 		counts[5][(u>>40)&0xff]++
 		counts[6][(u>>48)&0xff]++
-		counts[7][uint8(u>>56)^topXor]++
+		counts[7][uint8(u>>56)^topBias]++
 	}
 
 	src, dst := xs, scratch[:n]
 	for d := 0; d < radixDigits; d++ {
 		c := &counts[d]
+		shift, bias := digitPlan(d)
 		// Skip digits every key agrees on: one bucket holds everything.
 		// Probing the bucket of the first key settles it in O(1).
-		probe := digitOf(src[0], d, topXor)
-		if c[probe] == n {
+		if c[digit(src[0][0], shift, bias)] == n {
 			continue
 		}
 		// Exclusive prefix sum: c[b] becomes the first write index for
@@ -149,9 +138,9 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 			sum += cnt
 		}
 		if tiled {
-			radixScatterTiled(src, dst, c, d, topXor)
+			radixScatterTiled(src, dst, c, shift, bias)
 		} else {
-			radixScatterPlain(src, dst, c, d, topXor)
+			radixScatterPlain(src, dst, c, shift, bias)
 		}
 		src, dst = dst, src
 	}
@@ -162,60 +151,67 @@ func radixSortScratch[K radixKey](xs, scratch []K, signed, tiled bool) {
 
 // radixScatterPlain is the pre-tiling scatter: one write per element,
 // straight to the destination bucket cursor.
-func radixScatterPlain[K radixKey](src, dst []K, c *[256]int, d int, topXor uint8) {
-	for _, v := range src {
-		b := digitOf(v, d, topXor)
-		dst[c[b]] = v
+func radixScatterPlain[C cell](src, dst []C, c *[256]int, shift uint, bias uint8) {
+	for i := range src {
+		b := digit(src[i][0], shift, bias)
+		dst[c[b]] = src[i]
 		c[b]++
 	}
 }
 
 // radixScatterTiled stages each bucket's elements in a cache-resident
 // buffer and flushes whole cache lines to the destination in bursts.
-// Flushes keep per-bucket FIFO order, so the scatter stays stable. The
-// tail flush drains partial buffers in bucket order. The fill index is
-// masked with tileLine-1 (provably in range) so the hot stage store
-// carries no bounds check.
-func radixScatterTiled[K radixKey](src, dst []K, c *[256]int, d int, topXor uint8) {
-	var stage [256][tileLine]K
+// Flushes keep per-bucket FIFO order, so the scatter — and therefore the
+// whole LSD sort — stays stable. The tail flush drains partial buffers
+// in bucket order. The stage is declared in cells, not elements, so it
+// is the same tileCells-per-bucket block of stack at either width, and
+// is viewed as elements once, outside the loop.
+func radixScatterTiled[C cell](src, dst []C, c *[256]int, shift uint, bias uint8) {
+	var cells [256 * tileCells]int64
 	var fill [256]uint8
-	for _, v := range src {
-		b := digitOf(v, d, topXor)
-		f := fill[b]
-		stage[b][f&(tileLine-1)] = v
+	stage := asCells[C](cells[:])
+	line := len(stage) / 256
+	for i := range src {
+		b := digit(src[i][0], shift, bias)
+		at := int(b) * line
+		f := int(fill[b])
+		stage[at+f] = src[i]
 		f++
-		if f == tileLine {
+		if f == line {
 			pos := c[b]
-			copy(dst[pos:pos+tileLine], stage[b][:])
-			c[b] = pos + tileLine
-			fill[b] = 0
-		} else {
-			fill[b] = f
+			copy(dst[pos:pos+line], stage[at:at+line])
+			c[b] = pos + line
+			f = 0
 		}
+		fill[b] = uint8(f)
 	}
 	for b := 0; b < 256; b++ {
 		if f := int(fill[b]); f > 0 {
 			pos := c[b]
-			copy(dst[pos:pos+f], stage[b][:f])
+			copy(dst[pos:pos+f], stage[b*line:b*line+f])
 			c[b] = pos + f
 		}
 	}
 }
 
-// digitOf extracts key v's d-th byte in bucket order; topXor biases the
-// top byte (0x80 for signed keys, 0 for unsigned).
-func digitOf[K radixKey](v K, d int, topXor uint8) uint8 {
-	u := uint8(uint64(v) >> (8 * d))
+// topBias flips the high bit of the top digit, which makes
+// two's-complement keys bucket in signed order.
+const topBias = 0x80
+
+// digitPlan gives digit d's shift and bias. Every pass takes them as
+// loop invariants, so the per-element digit is one shift and one xor
+// with no test for the top digit inside the loop.
+func digitPlan(d int) (shift uint, bias uint8) {
 	if d == radixDigits-1 {
-		u ^= topXor
+		bias = topBias
 	}
-	return u
+	return uint(8 * d), bias
 }
 
-// digit extracts key v's d-th byte in sign-biased bucket order; kept as
-// the int64 shorthand the record kernel shares.
-func digit(v int64, d int) uint8 {
-	return digitOf(v, d, 0x80)
+// digit extracts the byte of key v that digitPlan describes, in bucket
+// order.
+func digit(v int64, shift uint, bias uint8) uint8 {
+	return uint8(uint64(v)>>(shift&63)) ^ bias // &63: a bare shift, no oversize-count guard
 }
 
 // SortAdaptive is the kernel dispatcher used by the real execution paths:
@@ -248,4 +244,21 @@ func SortAdaptive(xs, scratch []int64) {
 		return
 	}
 	introsort(xs, 2*log2(n))
+}
+
+// SortBlock sorts one block of cells-wide elements ascending by key
+// using scratch as SortAdaptive and SortRecordsScratch do. Like
+// MergeRound it is where a caller holding cell buffers names the
+// element width: bare keys (cells 1) take the adaptive dispatcher,
+// key+payload records (cells 2) the stable record sort, which needs
+// scratch at least as long as the block.
+func SortBlock(block, scratch []int64, cells int) {
+	switch cells {
+	case 1:
+		SortAdaptive(block, scratch)
+	case 2:
+		SortRecordsScratch(KVsFromInt64s(block), KVsFromInt64s(scratch))
+	default:
+		panic("psort: SortBlock cell width must be 1 or 2")
+	}
 }

@@ -1,32 +1,25 @@
 package psort
 
-// Fixed-width key+payload record kernels. A Record is sorted by its
-// int64 key only; the payload rides along untouched, and equal-key
-// records keep their input order (all record kernels are stable, so the
-// payload permutation is deterministic). The kernels are the record
-// twins of the int64 suite: the same one-pass-histogram LSD radix with
-// the tiled scatter, the same galloping two-way merge, and the same
-// cached-replay loser tree with the gallop-batched drain — only the
-// element width changes. They are hand-specialized rather than unified
-// with the int64 code because the int64 paths are the service's hot
-// loops and must not grow a per-element width branch or interface call.
-//
-// KV (int64 payload) is the shape the service runs: 16 bytes, 8-aligned,
-// bit-identical to two adjacent int64s, which is what lets record jobs
-// flow through the existing []int64 buffer plumbing via the view.go
-// reinterpret casts.
+// Fixed-width key+payload records. A record is sorted by its int64 key
+// only; the payload rides along untouched, and equal-key records keep
+// their input order (every record path is stable, so the payload
+// permutation is deterministic). Records have no kernels of their own:
+// a KV is the kernel core's cell at width 2, so the entry points here
+// are views over the same one-pass-histogram LSD radix with the tiled
+// scatter, the same adaptive two-way merge and the same cached-replay
+// loser tree with the gallop-batched drain that the int64 suite runs.
+// What stays record-specific is the small-input sort: bare keys fall
+// back to introsort, which is not stable.
 
-// Record is a fixed-width record ordered by Key; Payload is carried,
-// never compared.
-type Record[P any] struct {
+// KV is the service's record shape: int64 key, int64 payload. It is 16
+// bytes, 8-aligned, bit-identical to [2]int64, which is what lets record
+// jobs flow through the existing []int64 buffer plumbing: KVsFromInt64s
+// / Int64sFromKVs view the service's pooled int64 buffers as records
+// without copying, and asCells hands the same memory to the kernels.
+type KV struct {
 	Key     int64
-	Payload P
+	Payload int64
 }
-
-// KV is the service's record shape: int64 key, int64 payload. Its memory
-// layout is exactly [2]int64, so KVsFromInt64s / Int64sFromKVs can view
-// the service's pooled int64 buffers as records without copying.
-type KV = Record[int64]
 
 // recRadixMinLen is the record-sort crossover from binary-insertion to
 // LSD radix. Records move 2x+ the bytes of a bare key per swap, which
@@ -34,22 +27,9 @@ type KV = Record[int64]
 // the histogram overhead amortizes by a few hundred records.
 const recRadixMinLen = 256
 
-// recTileMinLen is the record count at which the radix scatter switches
-// to the tiled write buffers; KV records are 2x the bytes of a bare key,
-// so the destination outgrows LLC at half the element count of the int64
-// kernel (see radixTileMinLen for the two-writes-per-element tradeoff).
-const recTileMinLen = 2 << 20
-
-// recTileLine is the per-bucket staging capacity in records. Sized for
-// KV (16 bytes): 32 records is eight cache lines per flush, mirroring
-// the int64 kernel's burst size at a 128 KiB stage array. Wider payloads
-// flush in proportionally larger bursts, which only helps. Must stay a
-// power of two (masked fill index) and below 256 (uint8 fill counters).
-const recTileLine = 32
-
 // SortRecords sorts rs ascending by key, stably, allocating its own
 // scratch. Hot paths should use SortRecordsScratch with pooled scratch.
-func SortRecords[P any](rs []Record[P]) {
+func SortRecords(rs []KV) {
 	if len(rs) < 2 {
 		return
 	}
@@ -57,14 +37,14 @@ func SortRecords[P any](rs []Record[P]) {
 		binaryInsertionRecords(rs)
 		return
 	}
-	SortRecordsScratch(rs, make([]Record[P], len(rs)))
+	SortRecordsScratch(rs, make([]KV, len(rs)))
 }
 
 // SortRecordsScratch sorts rs ascending by key, stably, using scratch as
 // the radix ping-pong buffer; scratch must be at least as long as rs and
 // must not alias it. The sort performs no allocation. Scratch contents
 // on return are unspecified.
-func SortRecordsScratch[P any](rs, scratch []Record[P]) {
+func SortRecordsScratch(rs, scratch []KV) {
 	n := len(rs)
 	if n < 2 {
 		return
@@ -73,93 +53,19 @@ func SortRecordsScratch[P any](rs, scratch []Record[P]) {
 		binaryInsertionRecords(rs)
 		return
 	}
-	if len(scratch) < n {
-		panic("psort: record radix scratch shorter than input")
-	}
-	recordRadix(rs, scratch, n >= recTileMinLen)
+	// A record is two cells, so the destination outgrows LLC — and the
+	// scatter tiles — at half the element count of the int64 kernel.
+	radixSort(kvCells(rs), kvCells(scratch), 2*n >= radixTileMinLen)
 }
 
-// recordRadix is the LSD core behind SortRecordsScratch with the tiling
-// decision lifted out, so the differential tests can force the tiled
-// scatter on small inputs.
-func recordRadix[P any](rs, scratch []Record[P], tiled bool) {
-	n := len(rs)
-	var counts [radixDigits][256]int
-	for i := range rs {
-		u := uint64(rs[i].Key)
-		counts[0][u&0xff]++
-		counts[1][(u>>8)&0xff]++
-		counts[2][(u>>16)&0xff]++
-		counts[3][(u>>24)&0xff]++
-		counts[4][(u>>32)&0xff]++
-		counts[5][(u>>40)&0xff]++
-		counts[6][(u>>48)&0xff]++
-		counts[7][uint8(u>>56)^0x80]++
-	}
-
-	src, dst := rs, scratch[:n]
-	for d := 0; d < radixDigits; d++ {
-		c := &counts[d]
-		probe := digit(src[0].Key, d)
-		if c[probe] == n {
-			continue
-		}
-		var sum int
-		for b := 0; b < 256; b++ {
-			cnt := c[b]
-			c[b] = sum
-			sum += cnt
-		}
-		if tiled {
-			recordScatterTiled(src, dst, c, d)
-		} else {
-			for i := range src {
-				b := digit(src[i].Key, d)
-				dst[c[b]] = src[i]
-				c[b]++
-			}
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &rs[0] {
-		copy(rs, src)
-	}
-}
-
-// recordScatterTiled is the record twin of radixScatterTiled: per-bucket
-// staging buffers flushed in bursts, FIFO order per bucket so the
-// scatter — and therefore the whole LSD sort — stays stable.
-func recordScatterTiled[P any](src, dst []Record[P], c *[256]int, d int) {
-	var stage [256][recTileLine]Record[P]
-	var fill [256]uint8
-	for i := range src {
-		b := digit(src[i].Key, d)
-		f := fill[b]
-		stage[b][f&(recTileLine-1)] = src[i]
-		f++
-		if f == recTileLine {
-			pos := c[b]
-			copy(dst[pos:pos+recTileLine], stage[b][:])
-			c[b] = pos + recTileLine
-			fill[b] = 0
-		} else {
-			fill[b] = f
-		}
-	}
-	for b := 0; b < 256; b++ {
-		if f := int(fill[b]); f > 0 {
-			pos := c[b]
-			copy(dst[pos:pos+f], stage[b][:f])
-			c[b] = pos + f
-		}
-	}
-}
+// kvCells hands records to the kernel core as width-2 cells.
+func kvCells(rs []KV) [][2]int64 { return asCells[[2]int64](Int64sFromKVs(rs)) }
 
 // binaryInsertionRecords is the stable small-input sort: binary search
 // for the insertion point (few key comparisons — records are wide, but
 // keys are one load), then a bulk move. Strictly-greater search keeps
 // equal keys in input order.
-func binaryInsertionRecords[P any](rs []Record[P]) {
+func binaryInsertionRecords(rs []KV) {
 	for i := 1; i < len(rs); i++ {
 		r := rs[i]
 		lo, hi := 0, i
@@ -178,319 +84,9 @@ func binaryInsertionRecords[P any](rs []Record[P]) {
 	}
 }
 
-// recordGallopLE reports the length of the prefix of run whose keys are
-// <= v; the record twin of gallopLE.
-func recordGallopLE[P any](run []Record[P], v int64) int {
-	n := len(run)
-	if n == 0 || run[0].Key > v {
-		return 0
-	}
-	lo, hi := 0, 1
-	for hi < n && run[hi].Key <= v {
-		lo = hi
-		hi = 2*hi + 1
-	}
-	if hi > n {
-		hi = n
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if run[mid].Key <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
-// recordGallopLT reports the length of the prefix of run whose keys are
-// strictly < v; the record twin of gallopLT.
-func recordGallopLT[P any](run []Record[P], v int64) int {
-	n := len(run)
-	if n == 0 || run[0].Key >= v {
-		return 0
-	}
-	lo, hi := 0, 1
-	for hi < n && run[hi].Key < v {
-		lo = hi
-		hi = 2*hi + 1
-	}
-	if hi > n {
-		hi = n
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if run[mid].Key < v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
 // MergeRecords2 merges sorted runs a and b into dst, stably (ties take
 // from a first). dst must have exactly len(a)+len(b) capacity used and
-// must not alias the runs. Like Merge2 it gallops: each iteration finds
-// the winning run's whole emittable prefix and bulk-copies it.
-func MergeRecords2[P any](dst, a, b []Record[P]) {
-	if len(dst) != len(a)+len(b) {
-		panic("psort: MergeRecords2 destination length mismatch")
-	}
-	n := 0
-	for len(a) > 0 && len(b) > 0 {
-		if a[0].Key <= b[0].Key {
-			m := recordGallopLE(a, b[0].Key)
-			copy(dst[n:], a[:m])
-			n += m
-			a = a[m:]
-		} else {
-			m := recordGallopLT(b, a[0].Key)
-			copy(dst[n:], b[:m])
-			n += m
-			b = b[m:]
-		}
-	}
-	if len(a) > 0 {
-		copy(dst[n:], a)
-	} else {
-		copy(dst[n:], b)
-	}
-}
-
-// RecordLoserTree is the record twin of LoserTree: a tournament tree for
-// stable k-way record merging with the same cached-head replay and
-// gallop-batched drain. Unlike LoserTree it is explicitly reusable —
-// Reset rebinds it to a fresh set of runs without allocating (when the
-// padded width still fits) so steady-state merge loops stay at zero
-// allocations per operation.
-type RecordLoserTree[P any] struct {
-	runs  [][]Record[P] // remaining suffix of each run
-	tree  []int         // tree[i] = run index of the loser at internal node i
-	heads []int64       // heads[i] = runs[i][0].Key while run i is live
-	win   []int         // tournament scratch for build, kept across Resets
-	k     int           // number of leaves (power-of-two padded)
-	live  int           // runs not yet exhausted
-}
-
-// NewRecordLoserTree builds a tree over the given sorted runs. Empty
-// runs are allowed and immediately count as exhausted. The runs are
-// consumed in place.
-func NewRecordLoserTree[P any](runs [][]Record[P]) *RecordLoserTree[P] {
-	lt := &RecordLoserTree[P]{}
-	lt.Reset(runs)
-	return lt
-}
-
-// Reset rebinds the tree to a new set of sorted runs, reusing the
-// existing backing arrays when the padded leaf count still fits. After
-// Reset the tree behaves exactly like a freshly built one.
-func (lt *RecordLoserTree[P]) Reset(runs [][]Record[P]) {
-	n := len(runs)
-	k := 1
-	for k < n {
-		k <<= 1
-	}
-	if cap(lt.runs) < k {
-		lt.runs = make([][]Record[P], k)
-		lt.tree = make([]int, k)
-		lt.heads = make([]int64, k)
-		lt.win = make([]int, 2*k)
-	}
-	lt.runs = lt.runs[:k]
-	lt.tree = lt.tree[:k]
-	lt.heads = lt.heads[:k]
-	lt.win = lt.win[:2*k]
-	lt.k = k
-	lt.live = 0
-	copy(lt.runs, runs)
-	for i := n; i < k; i++ {
-		lt.runs[i] = nil
-	}
-	for i, r := range lt.runs {
-		if len(r) > 0 {
-			lt.heads[i] = r[0].Key
-			lt.live++
-		}
-	}
-	lt.build()
-}
-
-// less reports whether run a's head should win against run b's head;
-// ties break toward the lower run index, keeping the merge stable.
-func (lt *RecordLoserTree[P]) less(a, b int) bool {
-	oka := len(lt.runs[a]) > 0
-	okb := len(lt.runs[b]) > 0
-	switch {
-	case !oka:
-		return false
-	case !okb:
-		return true
-	case lt.heads[a] != lt.heads[b]:
-		return lt.heads[a] < lt.heads[b]
-	default:
-		return a < b
-	}
-}
-
-// build initialises the loser tree bottom-up by running the tournament,
-// using the struct-held winners scratch so Reset really is
-// allocation-free on reuse.
-func (lt *RecordLoserTree[P]) build() {
-	winners := lt.win
-	for i := 0; i < lt.k; i++ {
-		winners[lt.k+i] = i
-	}
-	for j := lt.k - 1; j >= 1; j-- {
-		a, b := winners[2*j], winners[2*j+1]
-		if lt.less(a, b) {
-			winners[j] = a
-			lt.tree[j] = b
-		} else {
-			winners[j] = b
-			lt.tree[j] = a
-		}
-	}
-	lt.tree[0] = winners[1]
-}
-
-// Empty reports whether every run is exhausted.
-func (lt *RecordLoserTree[P]) Empty() bool { return lt.live == 0 }
-
-// replayCached re-runs the tournament along leaf w's path with the
-// key-cache comparisons; the record twin of LoserTree.replayCached.
-func (lt *RecordLoserTree[P]) replayCached(w int) {
-	cur := w
-	curV := lt.heads[cur]
-	curLive := len(lt.runs[cur]) > 0
-	for j := (lt.k + w) / 2; j >= 1; j /= 2 {
-		c := lt.tree[j]
-		if len(lt.runs[c]) == 0 {
-			continue
-		}
-		cv := lt.heads[c]
-		if !curLive || cv < curV || (cv == curV && c < cur) {
-			lt.tree[j] = cur
-			cur, curV, curLive = c, cv, true
-		}
-	}
-	lt.tree[0] = cur
-}
-
-// runnerUp reports the head key and run index of the best non-winner;
-// see LoserTree.runnerUp for why scanning leaf w's path suffices.
-func (lt *RecordLoserTree[P]) runnerUp(w int) (v int64, idx int, ok bool) {
-	idx = -1
-	for j := (lt.k + w) / 2; j >= 1; j /= 2 {
-		cand := lt.tree[j]
-		if len(lt.runs[cand]) == 0 {
-			continue
-		}
-		cv := lt.heads[cand]
-		if !ok || cv < v || (cv == v && cand < idx) {
-			v, idx, ok = cv, cand, true
-		}
-	}
-	return v, idx, ok
-}
-
-// MergeInto drains the tree into dst with the gallop-batched strategy of
-// LoserTree.MergeIntoBatched and reports the number of records written;
-// batching matters even more here than for bare keys, because every
-// per-element emission moves a full record through the tournament
-// bookkeeping while a batch moves them with one copy. dst must be large
-// enough for all remaining records and must not alias the runs.
-func (lt *RecordLoserTree[P]) MergeInto(dst []Record[P]) int {
-	n := 0
-	lastW, streak := -1, 0
-	galloping := false
-	for lt.live > 1 {
-		w := lt.tree[0]
-		if !galloping {
-			if w == lastW {
-				streak++
-			} else {
-				lastW, streak = w, 1
-			}
-			if streak < gallopMin {
-				run := lt.runs[w]
-				dst[n] = run[0]
-				n++
-				lt.runs[w] = run[1:]
-				if len(run) == 1 {
-					lt.live--
-				} else {
-					lt.heads[w] = run[1].Key
-				}
-				lt.replayCached(w)
-				continue
-			}
-			galloping = true
-		}
-		run := lt.runs[w]
-		ruVal, ruIdx, ok := lt.runnerUp(w)
-		if !ok {
-			break // no live rival: flush below
-		}
-		var m int
-		if w < ruIdx {
-			m = recordGallopLE(run, ruVal)
-		} else {
-			m = recordGallopLT(run, ruVal)
-		}
-		if m == 0 {
-			m = 1
-		}
-		copy(dst[n:], run[:m])
-		n += m
-		rest := run[m:]
-		lt.runs[w] = rest
-		if len(rest) == 0 {
-			lt.live--
-		} else {
-			lt.heads[w] = rest[0].Key
-		}
-		lt.replayCached(w)
-		if m < gallopMin {
-			galloping = false
-			lastW, streak = -1, 0
-		}
-	}
-	if lt.live == 1 {
-		w := lt.tree[0]
-		run := lt.runs[w]
-		copy(dst[n:], run)
-		n += len(run)
-		lt.runs[w] = run[:0]
-		lt.live--
-	}
-	return n
-}
-
-// MergeRecordsK merges the given sorted runs into dst stably; dst must
-// have exactly the combined length. For k==1 it degenerates to a copy
-// and for k==2 to the galloping two-way merge. Larger fan-ins build a
-// tree, which allocates; steady-state loops should hold a
-// RecordLoserTree and Reset it instead.
-func MergeRecordsK[P any](dst []Record[P], runs ...[]Record[P]) {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	if len(dst) != total {
-		panic("psort: MergeRecordsK destination length mismatch")
-	}
-	switch len(runs) {
-	case 0:
-		return
-	case 1:
-		copy(dst, runs[0])
-		return
-	case 2:
-		MergeRecords2(dst, runs[0], runs[1])
-		return
-	}
-	lt := NewRecordLoserTree(runs)
-	lt.MergeInto(dst)
+// must not alias the runs.
+func MergeRecords2(dst, a, b []KV) {
+	merge2(kvCells(dst), kvCells(a), kvCells(b))
 }

@@ -5,7 +5,10 @@
 // mergesort equivalent in structure to GNU libstdc++ parallel mode sort
 // (the paper's baseline).
 //
-// Everything operates on []int64, the paper's element type. The package is
+// Everything operates on []int64, the paper's element type; the
+// per-element kernels (loser tree, gallop, two-way merge, LSD radix) are
+// written once over a fixed-width cell (view.go) that a bare key fills at
+// width 1 and a key+payload record at width 2. The package is
 // pure algorithm code — no simulated timing — and is exercised both by the
 // execution layer (real runs on real data) and, for byte accounting, by the
 // simulation layer's cost models.
@@ -159,7 +162,7 @@ func siftDown(xs []int64, root, end int) {
 	}
 }
 
-// gallopMin is the consecutive-win streak at which Merge2 switches from
+// gallopMin is the consecutive-win streak at which merge2 switches from
 // element-wise merging to galloping bulk copies, and the gallop length
 // below which it switches back. Seven-ish matches timsort practice: long
 // enough that random interleavings never gallop, short enough that real
@@ -169,15 +172,20 @@ const gallopMin = 8
 // Merge2 merges the sorted runs a and b into dst, which must have length
 // len(a)+len(b) and not alias either input. It is the compute kernel of
 // the paper's streaming merge benchmark.
+func Merge2(dst, a, b []int64) {
+	merge2(asCells[[1]int64](dst), asCells[[1]int64](a), asCells[[1]int64](b))
+}
+
+// merge2 is the two-way merge at either cell width, stable: ties go to a.
 //
 // The merge is adaptive: it runs the branch-predictable element-wise loop
 // until one side wins gallopMin times in a row, then switches to gallop
 // mode — exponential-search the end of each side's winning streak and
 // memmove the whole prefix — dropping back to element-wise when streaks
-// shrink. Output is identical to the plain linear merge (ties go to a).
-func Merge2(dst, a, b []int64) {
+// shrink. Output is identical to the plain linear merge.
+func merge2[C cell](dst, a, b []C) {
 	if len(dst) != len(a)+len(b) {
-		panic("psort: Merge2 destination length mismatch")
+		panic("psort: two-way merge destination length mismatch")
 	}
 	k := 0
 	galloping := false
@@ -186,14 +194,14 @@ func Merge2(dst, a, b []int64) {
 			// Alternate bulk copies. Each round emits at least one
 			// element: if a's streak is empty then b[0] < a[0], so b's
 			// streak is not.
-			ma := gallopLE(a, b[0])
+			ma := gallopLE(a, b[0][0])
 			copy(dst[k:], a[:ma])
 			k += ma
 			a = a[ma:]
 			if len(a) == 0 {
 				break
 			}
-			mb := gallopLT(b, a[0])
+			mb := gallopLT(b, a[0][0])
 			copy(dst[k:], b[:mb])
 			k += mb
 			b = b[mb:]
@@ -204,7 +212,7 @@ func Merge2(dst, a, b []int64) {
 		}
 		streakA, streakB := 0, 0
 		for len(a) > 0 && len(b) > 0 {
-			if a[0] <= b[0] {
+			if a[0][0] <= b[0][0] {
 				dst[k] = a[0]
 				k++
 				a = a[1:]

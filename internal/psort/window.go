@@ -16,28 +16,25 @@ const parallelMergeMin = 64 << 10
 
 // MergeRound merges sorted runs of cells-wide elements into dst, which
 // must have their combined length and alias none of them. It is the one
-// place the serial/parallel/record choice is made — megachunk block
-// merges, the final in-memory merge and every WindowMerge round all come
-// here. Bare keys (cells 1) take the serial loser tree for small rounds
-// or a single worker and ParallelMergeK otherwise, with the fan-out
-// capped so every worker keeps at least parallelMergeMin/2 elements of
-// real work. Records (cells 2, interleaved key/payload) always take the
-// serial, stable record loser tree — multisequence selection is keyed on
-// bare cells and has no record variant.
+// place the serial/parallel choice is made and the cell width picked —
+// megachunk block merges, the final in-memory merge and every
+// WindowMerge round all come here. Bare keys (cells 1) take the serial
+// loser tree for small rounds or a single worker and ParallelMergeK
+// otherwise, with the fan-out capped so every worker keeps at least
+// parallelMergeMin/2 elements of real work. Records (cells 2,
+// interleaved key/payload) always take the serial loser tree, stable by
+// run order — multisequence selection is keyed on bare cells and has no
+// record variant.
 func MergeRound(dst []int64, runs [][]int64, threads, cells int) {
 	switch {
 	case cells == 2:
-		recRuns := make([][]KV, len(runs))
-		for i, r := range runs {
-			recRuns[i] = KVsFromInt64s(r)
-		}
-		MergeRecordsK(KVsFromInt64s(dst), recRuns...)
+		mergeCells[[2]int64](dst, runs)
 	case cells != 1:
 		panic("psort: MergeRound cell width must be 1 or 2")
 	case threads > 1 && len(dst) >= parallelMergeMin && len(runs) > 1:
 		ParallelMergeK(dst, runs, min(threads, len(dst)/(parallelMergeMin/2)))
 	default:
-		MergeK(dst, runs...)
+		mergeCells[[1]int64](dst, runs)
 	}
 }
 

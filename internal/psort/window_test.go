@@ -113,7 +113,7 @@ func blockSources(srcs []*scriptedSource) []BlockSource {
 // window apart are ordered. Keys come from a small domain so ties span
 // blocks, rounds and runs; under cells == 2 the payload numbers the
 // elements in (run, position) order, so any instability shows up as a
-// payload mismatch against MergeRecordsK.
+// payload mismatch against the serial record round.
 func windowedRuns(rng *rand.Rand, n, k, window, cells, domain int) [][]int64 {
 	keys := make([]int64, n)
 	for i := range keys {
@@ -141,22 +141,15 @@ func windowedRuns(rng *rand.Rand, n, k, window, cells, domain int) [][]int64 {
 }
 
 // referenceMerge is the in-memory kernel the windowed merge must agree
-// with cell for cell: MergeK, or the stable MergeRecordsK under cells 2.
+// with cell for cell: one serial MergeRound over whole runs, stable
+// under cells 2.
 func referenceMerge(runs [][]int64, cells int) []int64 {
 	total := 0
 	for _, r := range runs {
 		total += len(r)
 	}
 	want := make([]int64, total)
-	if cells == 2 {
-		recRuns := make([][]KV, len(runs))
-		for i, r := range runs {
-			recRuns[i] = KVsFromInt64s(r)
-		}
-		MergeRecordsK(KVsFromInt64s(want), recRuns...)
-	} else {
-		MergeK(want, runs...)
-	}
+	MergeRound(want, runs, 1, cells)
 	return want
 }
 
