@@ -1,9 +1,10 @@
 // Command kernelbench measures psort's public kernels against a
-// baseline reachable from outside the package and writes the results as
-// a JSON benchmark record. It produced the committed BENCH_PR3.json and
-// BENCH_PR10.json. The pairs whose baseline is a psort internal — the
-// per-element loser-tree drain against the gallop-batched one, the plain
-// radix scatter against the tiled one — are the in-package benchmarks in
+// baseline reachable from outside the package, prints the table and,
+// with -out, writes the results as a JSON benchmark record. It produced
+// the committed BENCH_PR3.json and BENCH_PR10.json. The pairs whose
+// baseline is a psort internal — the per-element loser-tree drain
+// against the gallop-batched one, the plain radix scatter against the
+// tiled one — are the in-package benchmarks in
 // internal/psort/kernel_bench_test.go (go test -bench 'Merge|Scatter').
 //
 // Pairs:
@@ -17,8 +18,8 @@
 //
 // Usage:
 //
-//	kernelbench                    # print the table, write BENCH_PR10.json
-//	kernelbench -out bench.json    # write elsewhere
+//	kernelbench                    # print the table
+//	kernelbench -out bench.json    # and write the JSON record
 //	kernelbench -skip-tiled        # skip the 1<<23 pair (CI)
 package main
 
@@ -201,7 +202,7 @@ func benchStringSort(n int, sortFn func([][]byte)) func(b *testing.B) {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
+	out := flag.String("out", "", "also write the JSON record to this path")
 	skipTiled := flag.Bool("skip-tiled", false, "skip the 1<<23 pair, the size that scatters through the write buffers (128 MiB of buffers; slow on small CI runners)")
 	flag.Parse()
 
@@ -307,6 +308,9 @@ func main() {
 			psort.SortByteStringsScratch(ss, strScratch)
 		})))
 
+	if *out == "" {
+		return
+	}
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		fail(err)

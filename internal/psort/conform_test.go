@@ -291,12 +291,88 @@ func chunkRuns[E any](data []E, k int, cmp func(a, b E) int) [][]E {
 	return runs
 }
 
+// runShape is one adversarial set of sorted runs, given by its keys:
+// the run counts, lengths and exhaustion orders the generator cases,
+// chunked evenly, cannot produce.
+type runShape struct {
+	name string
+	keys [][]int64
+}
+
+// runShapes are the inputs the all-live tournament's invariants rest
+// on: padding leaves beside real extreme keys, ties everywhere, runs
+// that leave the tree at awkward moments. They are run through every
+// merge kernel at both widths and seed the batched-drain fuzz target.
+func runShapes() []runShape {
+	seq := func(lo, n int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = lo + int64(i)
+		}
+		return out
+	}
+	const lo, hi = math.MinInt64, math.MaxInt64
+	shapes := []runShape{
+		// k = 3 and 5 leave padding leaves beside runs holding the extreme keys.
+		{"extremes-beside-padding-k3", [][]int64{{lo, hi, hi}, {hi}, {lo, lo, 0, hi}}},
+		{"extremes-beside-padding-k5", [][]int64{{hi}, {lo, hi}, {hi, hi}, {lo}, {lo, 0, hi}}},
+		{"all-max-k7", [][]int64{{hi, hi}, {hi}, {hi, hi, hi}, {hi}, {hi}, {hi, hi}, {hi}}},
+		// Ties across every run, short of and past the gallop threshold.
+		{"all-equal-k2", [][]int64{repeatInt64(4, 30), repeatInt64(4, 30)}},
+		{"all-equal-k5", [][]int64{repeatInt64(4, 3), repeatInt64(4, 40), repeatInt64(4, 1), repeatInt64(4, gallopMin), repeatInt64(4, 20)}},
+		{"tiny-between-long", [][]int64{seq(0, 120), {}, {60}, seq(30, 120), {10, 140}, {}, seq(-20, 120), {200}}},
+		// A one-element run that holds the largest key sits at one
+		// remaining for the whole merge.
+		{"single-is-global-max", [][]int64{seq(0, 100), {1000}, seq(50, 100), seq(-50, 100)}},
+		{"single-is-maxint64", [][]int64{seq(0, 100), {hi}, seq(50, 100)}},
+		// The runs' last elements are adjacent in the output, so
+		// consecutive emissions each exhaust a run, in and against run order.
+		{"consecutive-exhaustion", [][]int64{{0, 6, 100}, {1, 7, 101}, {2, 102}, {3, 8, 103}, {4, 104}, {5, 105}}},
+		{"consecutive-exhaustion-reversed", [][]int64{{0, 6, 105}, {1, 7, 104}, {2, 103}, {3, 8, 102}, {4, 101}, {5, 100}}},
+		{"consecutive-exhaustion-ties", [][]int64{{0, 9}, {1, 9}, {2, 9}, {3, 9}, {4, 9}}},
+	}
+	// A winning streak that ends exactly at its run's end: at, one short
+	// of and one past the gallop threshold, and a long one.
+	for _, n := range []int64{gallopMin - 1, gallopMin, gallopMin + 1, 50} {
+		shapes = append(shapes, runShape{fmt.Sprintf("streak-%d-ends-run", n), [][]int64{seq(100, 30), seq(0, n), seq(90, 30)}})
+	}
+	// Every fan-in up to 17, so every padding count up to a 32-leaf tree,
+	// with heavy ties and uneven lengths.
+	rng := rand.New(rand.NewSource(303))
+	for k := 1; k <= 17; k++ {
+		keys := make([][]int64, k)
+		for i := range keys {
+			keys[i] = make([]int64, rng.Intn(40))
+			for j := range keys[i] {
+				keys[i][j] = int64(rng.Intn(25))
+			}
+			slices.Sort(keys[i])
+		}
+		shapes = append(shapes, runShape{fmt.Sprintf("fan-in-%d", k), keys})
+	}
+	return shapes
+}
+
 // runMergeConformance checks every merge kernel against the stable
 // reference: the stable sort of the concatenated sorted runs, which for
 // equal keys is exactly run-index-then-position order — the stability
-// contract every merge in this package claims.
-func runMergeConformance[E any](t *testing.T, kernels []mergeKernel[E], cases []genCase[E], cmp func(a, b E) int, eq func(a, b E) bool) {
+// contract every merge in this package claims. Each kernel takes the
+// generator cases chunked into even runs, then the run shapes, whose
+// elements elem builds from (key, run, position).
+func runMergeConformance[E any](t *testing.T, kernels []mergeKernel[E], cases []genCase[E], elem func(key int64, run, pos int) E, cmp func(a, b E) int, eq func(a, b E) bool) {
 	t.Helper()
+	check := func(t *testing.T, k mergeKernel[E], runs [][]E) {
+		want := slices.Concat(runs...)
+		slices.SortStableFunc(want, cmp)
+		dst := make([]E, len(want))
+		k.run(dst, runs)
+		for i := range dst {
+			if !eq(dst[i], want[i]) {
+				t.Fatalf("index %d: got %v want %v", i, dst[i], want[i])
+			}
+		}
+	}
+	shapes := runShapes()
 	for _, k := range kernels {
 		fanIns := []int{1, 2, 3, 5, 8}
 		if k.arity == 2 {
@@ -305,18 +381,23 @@ func runMergeConformance[E any](t *testing.T, kernels []mergeKernel[E], cases []
 		for _, c := range cases {
 			for _, fan := range fanIns {
 				t.Run(fmt.Sprintf("%s/%s/k=%d", k.name, c.name, fan), func(t *testing.T) {
-					runs := chunkRuns(c.data, fan, cmp)
-					want := slices.Concat(runs...)
-					slices.SortStableFunc(want, cmp)
-					dst := make([]E, len(want))
-					k.run(dst, runs)
-					for i := range dst {
-						if !eq(dst[i], want[i]) {
-							t.Fatalf("index %d: got %v want %v", i, dst[i], want[i])
-						}
-					}
+					check(t, k, chunkRuns(c.data, fan, cmp))
 				})
 			}
+		}
+		for _, s := range shapes {
+			if k.arity != 0 && k.arity != len(s.keys) {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/runs/%s", k.name, s.name), func(t *testing.T) {
+				runs := make([][]E, len(s.keys))
+				for r, keys := range s.keys {
+					for p, key := range keys {
+						runs[r] = append(runs[r], elem(key, r, p))
+					}
+				}
+				check(t, k, runs)
+			})
 		}
 	}
 }
@@ -415,9 +496,8 @@ func cellSortKernels() []cellSortKernel {
 	}
 }
 
-// popDrain is the reference drain: one Pop, and one uncached replay, per
-// element. Every other merge path at either width is differentially
-// tested against it.
+// popDrain is the per-element drain: one Pop, and one replay, per
+// element, with no streak counting or galloping on top.
 func popDrain[C cell](dst []int64, runs [][]int64) {
 	var lt loserTree[C]
 	lt.Reset(runs)
@@ -563,7 +643,7 @@ func TestConformInt64Sorts(t *testing.T) {
 }
 
 func TestConformInt64Merges(t *testing.T) {
-	runMergeConformance(t, mergeKernelsAt(1, int64sAsCells), int64Cases(), cmpInt64, eqInt64)
+	runMergeConformance(t, mergeKernelsAt(1, int64sAsCells), int64Cases(), func(key int64, _, _ int) int64 { return key }, cmpInt64, eqInt64)
 }
 
 func TestConformFloat64Sorts(t *testing.T) {
@@ -575,7 +655,7 @@ func TestConformRecordSorts(t *testing.T) {
 }
 
 func TestConformRecordMerges(t *testing.T) {
-	runMergeConformance(t, mergeKernelsAt(2, Int64sFromKVs), kvCases(), cmpKV, eqKV)
+	runMergeConformance(t, mergeKernelsAt(2, Int64sFromKVs), kvCases(), func(key int64, run, pos int) KV { return KV{Key: key, Payload: int64(run)<<32 | int64(pos)} }, cmpKV, eqKV)
 }
 
 func TestConformStringSorts(t *testing.T) {

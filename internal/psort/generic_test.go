@@ -320,6 +320,20 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("width-1 loser tree Reset+MergeInto allocates %v per run, want 0", a)
 	}
 
+	// Every run exhausting at a different time: run i is i+1 times as
+	// long, so the tree compacts and rebuilds four times on its way down
+	// from five runs, out of the tables Reset left it. Pairs of equal
+	// cells read as sorted keys and as sorted records alike.
+	staggered := make([][]int64, 5)
+	for i := range staggered {
+		for j := 0; j < 40*(i+1); j++ {
+			staggered[i] = append(staggered[i], int64(j), int64(j))
+		}
+	}
+	if a, b := resetDrainAllocs[[1]int64](staggered), resetDrainAllocs[[2]int64](staggered); a != 0 || b != 0 {
+		t.Errorf("loser tree Reset+MergeInto over staggered runs allocates %v (width 1) and %v (width 2) per run, want 0", a, b)
+	}
+
 	// A k-way MergeRound allocates the tree's four tables and nothing
 	// else, at either width: a record round used to build a [][]KV view
 	// of its runs before the tree saw them, and a key round put the tree

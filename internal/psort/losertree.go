@@ -1,113 +1,118 @@
 package psort
 
+import (
+	"math"
+	"math/bits"
+)
+
+// node is one tournament entry: a run's head key beside the leaf it sits
+// at, held together so a match reads the tree and nothing else. The key
+// is stored biased, because replay decides a match by the borrow of an
+// unsigned subtraction.
+type node struct {
+	key  uint64
+	leaf int
+}
+
+// bias maps a key to the unsigned integer of the same rank by flipping
+// the sign bit; flipping it again maps back.
+func bias(k int64) uint64 { return uint64(k) ^ 1<<63 }
+
+// leaves is the width of a tree over n runs: the power of two at or
+// above n, and 1 for none, because an empty tree still has its root.
+func leaves(n int) int { return 1 << bits.Len(uint(max(n, 1)-1)) }
+
 // loserTree is a tournament tree for stable k-way merging: each leaf is
 // the head of one sorted run; internal nodes store the loser of the
-// comparison below, so replacing the overall winner costs exactly
-// ceil(log2 k) comparisons. This is the classic structure used by the GNU
+// match below, so replacing the overall winner costs exactly
+// ceil(log2 k) matches. This is the classic structure used by the GNU
 // parallel-mode multiway merge the paper builds on. It is written once
 // over the cell width: bare keys and key+payload records run the same
 // replay, runner-up scan and drains, each stencilled for its own stride.
 //
+// Every leaf in the tree is live. The live runs occupy leaves 0..live-1
+// in run order and the leaves that pad the width to a power of two hold
+// +inf; a run that exhausts is taken out and the tree rebuilt over the
+// rest, which happens at most once per run. That leaves a match one
+// rule: the smaller key wins, and on equal keys the left subtree does.
+// Left is the lower run, so the merge is stable by run order, and
+// padding sits right of every run, so a real math.MaxInt64 still beats
+// it. A match therefore never asks whether a run is exhausted or which
+// of two indices is lower, and replay decides it without a branch.
+//
 // The zero value is ready for Reset, and Reset rebinds a used tree to a
-// fresh set of runs without allocating (when the padded width still
-// fits), so steady-state merge loops stay at zero allocations per
-// operation.
+// fresh set of runs without allocating (when the run count still fits),
+// as do the rebuilds, so steady-state merge loops stay at zero
+// allocations per operation.
 type loserTree[C cell] struct {
-	runs  [][]C   // remaining suffix of each run
-	tree  []int   // tree[i] = run index of the loser at internal node i
-	heads []int64 // heads[i] = runs[i][0][0] while run i is live (stale after)
-	win   []int   // tournament scratch for build, kept across Resets
-	k     int     // number of leaves (power-of-two padded)
-	live  int     // runs not yet exhausted
+	runs [][]C  // live runs in run order: leaf i reads runs[i]
+	pos  []int  // pos[i] = cursor of leaf i's head in runs[i]
+	tree []node // tree[0] = overall winner, tree[j] = loser of the match at node j
+	win  []node // winners scratch for build, kept across Resets
+	live int    // runs not yet exhausted
 }
 
 // Reset binds the tree to the given sorted runs of cells, viewing each
-// as whole elements; empty runs are allowed and immediately count as
-// exhausted. The runs are consumed through the tree's own headers (the
-// caller's slice table is not modified). Backing arrays are reused when
-// the padded leaf count still fits; after Reset the tree behaves exactly
-// like a freshly built one.
+// as whole elements; empty runs are allowed and never enter the tree.
+// The runs are consumed through the tree's own cursors (the caller's
+// slice table is not modified). Backing arrays are reused when the run
+// count still fits; after Reset the tree behaves exactly like a freshly
+// built one.
 func (lt *loserTree[C]) Reset(runs [][]int64) {
-	n := len(runs)
-	k := 1
-	for k < n {
-		k <<= 1
-	}
-	if cap(lt.runs) < k {
+	if k := leaves(len(runs)); cap(lt.runs) < k {
 		lt.runs = make([][]C, k)
-		lt.tree = make([]int, k)
-		lt.heads = make([]int64, k)
-		lt.win = make([]int, 2*k)
+		lt.pos = make([]int, k)
+		lt.tree = make([]node, k)
+		lt.win = make([]node, 2*k)
 	}
-	lt.runs = lt.runs[:k]
-	lt.tree = lt.tree[:k]
-	lt.heads = lt.heads[:k]
-	lt.win = lt.win[:2*k]
-	lt.k = k
-	lt.live = 0
-	for i := range lt.runs {
-		var r []C
-		if i < n {
-			r = asCells[C](runs[i])
-		}
-		lt.runs[i] = r
+	clear(lt.runs[:cap(lt.runs)]) // a half-drained merge must not pin its runs
+	lt.runs = lt.runs[:0]
+	for _, r := range runs {
 		if len(r) > 0 {
-			lt.heads[i] = r[0][0]
-			lt.live++
+			lt.runs = append(lt.runs, asCells[C](r))
 		}
 	}
+	lt.live = len(lt.runs)
+	lt.pos = lt.pos[:lt.live]
+	clear(lt.pos)
 	lt.build()
 }
 
-// head reports the key of run i's current first element; exhausted runs
-// compare as +infinity so they always lose.
-func (lt *loserTree[C]) head(i int) (int64, bool) {
-	r := lt.runs[i]
-	if len(r) == 0 {
-		return 0, false
-	}
-	return r[0][0], true
-}
-
-// less reports whether run a's head should win against run b's head.
-// Ties break toward the lower run index, making the merge stable across
-// run order.
-func (lt *loserTree[C]) less(a, b int) bool {
-	va, oka := lt.head(a)
-	vb, okb := lt.head(b)
-	switch {
-	case !oka:
-		return false
-	case !okb:
-		return true
-	case va != vb:
-		return va < vb
-	default:
-		return a < b
-	}
-}
-
-// build initialises the loser tree bottom-up by running the tournament,
-// using the struct-held winners scratch so Reset really is
-// allocation-free on reuse.
+// build runs the tournament over the live runs' heads bottom-up, in the
+// struct-held winners scratch so neither Reset nor a rebuild allocates.
 func (lt *loserTree[C]) build() {
-	// winners[j] for internal node j computed bottom-up; node j's children
-	// are 2j and 2j+1 among internal nodes, leaves start at lt.k.
-	winners := lt.win
-	for i := 0; i < lt.k; i++ {
-		winners[lt.k+i] = i
-	}
-	for j := lt.k - 1; j >= 1; j-- {
-		a, b := winners[2*j], winners[2*j+1]
-		if lt.less(a, b) {
-			winners[j] = a
-			lt.tree[j] = b
-		} else {
-			winners[j] = b
-			lt.tree[j] = a
+	k := leaves(lt.live)
+	lt.tree = lt.tree[:k]
+	win := lt.win[:2*k]
+	for i := range win[k:] {
+		key := uint64(math.MaxUint64)
+		if i < lt.live {
+			key = bias(lt.runs[i][lt.pos[i]][0])
 		}
+		win[k+i] = node{key, i}
 	}
-	lt.tree[0] = winners[1] // overall winner parked at the root slot
+	// Node j's children are 2j (left) and 2j+1; the leaves start at k.
+	for j := k - 1; j >= 1; j-- {
+		a, b := win[2*j], win[2*j+1]
+		if b.key < a.key {
+			a, b = b, a
+		}
+		win[j], lt.tree[j] = a, b
+	}
+	lt.tree[0] = win[1]
+}
+
+// drop takes the exhausted run at leaf w out of the tree: the runs
+// after it move down one leaf, keeping run order, and the tournament is
+// rebuilt over the rest.
+func (lt *loserTree[C]) drop(w int) {
+	lt.live--
+	copy(lt.runs[w:], lt.runs[w+1:])
+	lt.runs[lt.live] = nil
+	lt.runs = lt.runs[:lt.live]
+	copy(lt.pos[w:], lt.pos[w+1:])
+	lt.pos = lt.pos[:lt.live]
+	lt.build()
 }
 
 // Empty reports whether every run is exhausted.
@@ -115,81 +120,75 @@ func (lt *loserTree[C]) Empty() bool { return lt.live == 0 }
 
 // Pop removes and returns the element with the smallest head key.
 // Calling Pop on an empty tree panics. Draining a tree with Pop alone is
-// the reference every width's batched drain is differentially tested
-// against: it takes the uncached replay, one element at a time.
+// the per-element drain the batched one is benchmarked against; the two
+// share replay and drop, so tests check both against a stable sort too.
 func (lt *loserTree[C]) Pop() C {
 	if lt.live == 0 {
 		panic("psort: Pop from empty loser tree")
 	}
-	w := lt.tree[0]
-	r := lt.runs[w]
-	v := r[0]
-	r = r[1:]
-	lt.runs[w] = r
-	if len(r) == 0 {
-		lt.live--
+	w := lt.tree[0].leaf
+	run, p := lt.runs[w], lt.pos[w]+1
+	if p == len(run) {
+		lt.drop(w)
 	} else {
-		lt.heads[w] = r[0][0]
+		lt.pos[w] = p
+		lt.replay(w, run[p][0])
 	}
-	lt.replay(w)
-	return v
+	return run[p-1]
+}
+
+// b2i is 1 for true and 0 for false. The compiler turns it into a flag
+// read (SETcc), which is what lets the merges count and select without
+// branching.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // replay re-runs the tournament along the path from leaf w to the root
-// after run w's head changed, restoring the tree invariant and parking
+// after its head key changed, restoring the tree invariant and parking
 // the new overall winner in tree[0].
-func (lt *loserTree[C]) replay(w int) {
-	cur := w
-	for j := (lt.k + w) / 2; j >= 1; j /= 2 {
-		if lt.less(lt.tree[j], cur) {
-			cur, lt.tree[j] = lt.tree[j], cur
-		}
+//
+// Which run wins a match between random keys is a coin flip, so the
+// match must not be a branch. The stored loser t beats the climbing
+// contender on a smaller key, or on an equal one when the contender came
+// up from the right child: t.key < cur.key + bit, bit 0 of the
+// contender's position, which is exactly the borrow out of
+// t.key - cur.key - bit. The borrow becomes an all-ones or all-zeros
+// mask, and both entries are exchanged under it and stored
+// unconditionally (SBB, AND, XOR: four dependent instructions a level).
+// Spelled as a condition with || the compiler emits a branch per clause.
+func (lt *loserTree[C]) replay(w int, key int64) {
+	tree := lt.tree
+	cur := node{bias(key), w}
+	for p := len(tree) + w; p > 1; p >>= 1 {
+		t := &tree[p>>1]
+		_, b := bits.Sub64(t.key, cur.key, uint64(p&1))
+		swap := -b
+		dk, dl := (t.key^cur.key)&swap, (t.leaf^cur.leaf)&int(swap)
+		t.key, t.leaf = t.key^dk, t.leaf^dl
+		cur.key, cur.leaf = cur.key^dk, cur.leaf^dl
 	}
-	lt.tree[0] = cur
+	tree[0] = cur
 }
 
-// replayCached is replay with the head-key cache: comparisons read
-// heads[i] (one int64 load) instead of chasing runs[i][0] through the
-// slice table, and the climbing contender's key and liveness stay in
-// registers. It requires heads[] to be current, which every drain path
-// maintains; Pop keeps the uncached replay as the reference.
-func (lt *loserTree[C]) replayCached(w int) {
-	cur := w
-	curV := lt.heads[cur]
-	curLive := len(lt.runs[cur]) > 0
-	for j := (lt.k + w) / 2; j >= 1; j /= 2 {
-		c := lt.tree[j]
-		if len(lt.runs[c]) == 0 {
-			continue
-		}
-		cv := lt.heads[c]
-		if !curLive || cv < curV || (cv == curV && c < cur) {
-			lt.tree[j] = cur
-			cur, curV, curLive = c, cv, true
-		}
-	}
-	lt.tree[0] = cur
-}
-
-// runnerUp reports the head key and run index of the best non-winner,
-// given the current winner leaf w. Every run other than the winner lost
+// runnerUp reports the best non-winner, given the current winner leaf w
+// and at least one other live run. Every run other than the winner lost
 // exactly one match, and the global runner-up can only have lost to the
 // winner itself, so it sits on w's leaf-to-root path; scanning that
-// path's losers finds it in ceil(log2 k) comparisons. ok is false when
-// every other run is exhausted.
-func (lt *loserTree[C]) runnerUp(w int) (v int64, idx int, ok bool) {
-	idx = -1
-	for j := (lt.k + w) / 2; j >= 1; j /= 2 {
-		cand := lt.tree[j]
-		if len(lt.runs[cand]) == 0 {
-			continue
-		}
-		cv := lt.heads[cand]
-		if !ok || cv < v || (cv == v && cand < idx) {
-			v, idx, ok = cv, cand, true
+// path's losers finds it in ceil(log2 k) comparisons. It is a real run:
+// padding loses to every run, on ties too.
+func (lt *loserTree[C]) runnerUp(w int) (key int64, leaf int) {
+	p := (len(lt.tree) + w) >> 1
+	best := lt.tree[p]
+	for p >>= 1; p >= 1; p >>= 1 {
+		if t := lt.tree[p]; t.key < best.key || (t.key == best.key && t.leaf < best.leaf) {
+			best = t
 		}
 	}
-	return v, idx, ok
+	return int64(best.key ^ 1<<63), best.leaf
 }
 
 // MergeInto drains the tree into dst in adaptive batches and reports the
@@ -202,76 +201,51 @@ func (lt *loserTree[C]) runnerUp(w int) (v int64, idx int, ok bool) {
 // to per-element mode. On runs with any locality (pre-sorted blocks,
 // few-unique keys, skewed ranges) this collapses most of the comparison
 // work into memmove; on fully interleaved runs it costs one streak
-// counter over the Pop drain. Batching matters even more for records
-// than for bare keys, because every per-element emission moves a full
-// record through the tournament bookkeeping while a batch moves them
-// with one copy.
+// counter, itself branch-free, over the Pop drain. Batching matters even
+// more for records than for bare keys, because every per-element
+// emission moves a full record through the tournament bookkeeping while
+// a batch moves them with one copy.
 func (lt *loserTree[C]) MergeInto(dst []C) int {
 	n := 0
 	lastW, streak := -1, 0
 	galloping := false
 	for lt.live > 1 {
-		w := lt.tree[0]
+		w := lt.tree[0].leaf
+		run, p := lt.runs[w], lt.pos[w]
+		m := 1
 		if !galloping {
-			if w == lastW {
-				streak++
+			streak = streak&-b2i(w == lastW) + 1
+			lastW = w
+			galloping = streak >= gallopMin
+		}
+		if !galloping {
+			dst[n] = run[p]
+		} else {
+			// The winner's emittable streak follows the tree's tie rule:
+			// equal heads go to the lower leaf. It holds at least the head.
+			if ruKey, ruLeaf := lt.runnerUp(w); w < ruLeaf {
+				m = gallopLE(run[p:], ruKey)
 			} else {
-				lastW, streak = w, 1
+				m = gallopLT(run[p:], ruKey)
 			}
-			if streak < gallopMin {
-				// Per-element emission: Pop, inlined, with the cached replay.
-				run := lt.runs[w]
-				dst[n] = run[0]
-				n++
-				lt.runs[w] = run[1:]
-				if len(run) == 1 {
-					lt.live--
-				} else {
-					lt.heads[w] = run[1][0]
-				}
-				lt.replayCached(w)
-				continue
+			copy(dst[n:], run[p:p+m])
+			if m < gallopMin {
+				galloping, lastW = false, -1 // count afresh
 			}
-			galloping = true
 		}
-		run := lt.runs[w]
-		ruVal, ruIdx, ok := lt.runnerUp(w)
-		if !ok {
-			break // no live rival: flush below
-		}
-		// The winner's emittable streak follows the tree's tie rule:
-		// equal heads go to the lower run index.
-		var m int
-		if w < ruIdx {
-			m = gallopLE(run, ruVal)
-		} else {
-			m = gallopLT(run, ruVal)
-		}
-		if m == 0 {
-			m = 1 // the winner always emits at least its head
-		}
-		copy(dst[n:], run[:m])
 		n += m
-		rest := run[m:]
-		lt.runs[w] = rest
-		if len(rest) == 0 {
-			lt.live--
-		} else {
-			lt.heads[w] = rest[0][0]
+		p += m
+		if p == len(run) {
+			lt.drop(w)
+			lastW = -1 // the drop renumbered the leaves
+			continue
 		}
-		lt.replayCached(w)
-		if m < gallopMin {
-			galloping = false
-			lastW, streak = -1, 0
-		}
+		lt.pos[w] = p
+		lt.replay(w, run[p][0])
 	}
 	if lt.live == 1 {
-		w := lt.tree[0]
-		run := lt.runs[w]
-		copy(dst[n:], run)
-		n += len(run)
-		lt.runs[w] = run[:0]
-		lt.live--
+		n += copy(dst[n:], lt.runs[0][lt.pos[0]:])
+		lt.drop(0)
 	}
 	return n
 }
@@ -306,7 +280,7 @@ func mergeCells[C cell](dst []int64, runs [][]int64) {
 
 // MergeK merges the given sorted runs into dst using a loser tree; dst must
 // have exactly the combined length. For k==1 it degenerates to a copy and
-// for k==2 to the branch-predictable two-way merge.
+// for k==2 to the adaptive two-way merge.
 func MergeK(dst []int64, runs ...[]int64) {
 	mergeCells[[1]int64](dst, runs)
 }

@@ -1,8 +1,10 @@
 package psort
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,9 +12,11 @@ import (
 )
 
 // drainBoth runs the batched loser-tree drain and the per-element Pop
-// reference over identical runs, at both cell widths, and fails on any
-// output divergence. At width 2 every key carries (run, position) as its
-// payload, so divergence includes any departure from the stable order.
+// drain over identical runs, at both cell widths, and fails on any
+// divergence between them or from the stable sort of the concatenation:
+// the two drains share the replay, so agreeing with each other is not
+// enough. At width 2 every key carries (run, position) as its payload,
+// so divergence includes any departure from the stable order.
 func drainBoth(t *testing.T, label string, runs [][]int64) {
 	t.Helper()
 	records := make([][]int64, len(runs))
@@ -22,22 +26,24 @@ func drainBoth(t *testing.T, label string, runs [][]int64) {
 			records[i] = append(records[i], key, int64(i)<<32|int64(j))
 		}
 	}
+	keys := slices.Concat(runs...)
+	slices.Sort(keys)
+	recs := slices.Clone(KVsFromInt64s(slices.Concat(records...)))
+	slices.SortStableFunc(recs, cmpKV)
+	wants := [][]int64{keys, Int64sFromKVs(recs)}
 	for width, in := range [][][]int64{runs, records} {
-		total := 0
-		for _, r := range in {
-			total += len(r)
-		}
-		want, got := make([]int64, total), make([]int64, total)
+		want := wants[width]
+		pop, got := make([]int64, len(want)), make([]int64, len(want))
 		if width == 0 {
-			popDrain[[1]int64](want, in)
+			popDrain[[1]int64](pop, in)
 			batchedDrain[[1]int64](got, in)
 		} else {
-			popDrain[[2]int64](want, in)
+			popDrain[[2]int64](pop, in)
 			batchedDrain[[2]int64](got, in)
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: width-%d batched drain diverges at cell %d: %d != %d", label, width+1, i, got[i], want[i])
+			if got[i] != want[i] || pop[i] != want[i] {
+				t.Fatalf("%s: width-%d drains diverge at cell %d: batched %d, Pop %d, stable sort %d", label, width+1, i, got[i], pop[i], want[i])
 			}
 		}
 	}
@@ -94,7 +100,7 @@ func TestMergeIntoBatchedAdversarial(t *testing.T) {
 }
 
 func TestMergeIntoBatchedKPowers(t *testing.T) {
-	// Non-power-of-two k exercises the padded leaves (always-empty runs).
+	// Non-power-of-two k exercises the +inf padding leaves.
 	rng := rand.New(rand.NewSource(23))
 	for _, k := range []int{1, 2, 3, 5, 7, 8, 9, 16, 17, 33} {
 		runs := makeRuns(rng, k, 64)
@@ -224,22 +230,49 @@ func TestMergeIntoBatchedAllocationFree(t *testing.T) {
 	}
 }
 
+// fuzzRuns decodes the batched-drain fuzz input: data is little-endian
+// keys, dealt to runs in order, lens[r] keys to run r and the rest to
+// one last run, so the fan-in is 1..17 and any mix of run lengths is one
+// mutation away. Each run is then sorted.
+func fuzzRuns(data, lens []byte) [][]int64 {
+	xs := bytesToInt64s(data)
+	lens = lens[:min(len(lens), 16)]
+	runs := make([][]int64, 0, len(lens)+1)
+	for _, l := range lens {
+		n := min(int(l), len(xs))
+		runs, xs = append(runs, xs[:n]), xs[n:]
+	}
+	runs = append(runs, xs)
+	for _, r := range runs {
+		slices.Sort(r)
+	}
+	return runs
+}
+
+// fuzzSeed encodes sorted runs as fuzzRuns input; every run but the last
+// must be shorter than 256.
+func fuzzSeed(runs [][]int64) (data, lens []byte) {
+	for i, r := range runs {
+		if i < len(runs)-1 {
+			lens = append(lens, byte(len(r)))
+		}
+		for _, v := range r {
+			data = binary.LittleEndian.AppendUint64(data, uint64(v))
+		}
+	}
+	return data, lens
+}
+
 func FuzzMergeBatchedMatchesPerElement(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1}, uint8(5))
-	f.Fuzz(func(t *testing.T, data []byte, kRaw uint8) {
-		xs := bytesToInt64s(data)
-		k := 1 + int(kRaw%16)
-		// Deal elements into k runs round-robin, then sort each run.
-		runs := make([][]int64, k)
-		for i, v := range xs {
-			runs[i%k] = append(runs[i%k], v)
-		}
-		for _, r := range runs {
-			sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-		}
-		drainBoth(t, "fuzz", runs)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 0})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1}, []byte{1, 0, 0, 0})
+	for _, s := range runShapes() {
+		data, lens := fuzzSeed(s.keys)
+		f.Add(data, lens)
+	}
+	f.Fuzz(func(t *testing.T, data, lens []byte) {
+		drainBoth(t, "fuzz", fuzzRuns(data, lens))
 	})
 }
 

@@ -6,7 +6,7 @@ package psort
 // permutation is deterministic). Records have no kernels of their own:
 // a KV is the kernel core's cell at width 2, so the entry points here
 // are views over the same one-pass-histogram LSD radix with the tiled
-// scatter, the same adaptive two-way merge and the same cached-replay
+// scatter, the same adaptive two-way merge and the same branch-free
 // loser tree with the gallop-batched drain that the int64 suite runs.
 // What stays record-specific is the small-input sort: bare keys fall
 // back to introsort, which is not stable.

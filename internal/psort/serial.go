@@ -178,11 +178,11 @@ func Merge2(dst, a, b []int64) {
 
 // merge2 is the two-way merge at either cell width, stable: ties go to a.
 //
-// The merge is adaptive: it runs the branch-predictable element-wise loop
-// until one side wins gallopMin times in a row, then switches to gallop
-// mode — exponential-search the end of each side's winning streak and
-// memmove the whole prefix — dropping back to element-wise when streaks
-// shrink. Output is identical to the plain linear merge.
+// The merge is adaptive: it runs the element-wise loop until one side
+// wins gallopMin times in a row, then switches to gallop mode —
+// exponential-search the end of each side's winning streak and memmove
+// the whole prefix — dropping back to element-wise when streaks shrink.
+// Output is identical to the plain linear merge.
 func merge2[C cell](dst, a, b []C) {
 	if len(dst) != len(a)+len(b) {
 		panic("psort: two-way merge destination length mismatch")
@@ -210,26 +210,26 @@ func merge2[C cell](dst, a, b []C) {
 			}
 			continue
 		}
-		streakA, streakB := 0, 0
-		for len(a) > 0 && len(b) > 0 {
-			if a[0][0] <= b[0][0] {
-				dst[k] = a[0]
-				k++
-				a = a[1:]
-				streakA++
-				streakB = 0
-			} else {
-				dst[k] = b[0]
-				k++
-				b = b[1:]
-				streakB++
-				streakA = 0
+		// Which side holds the smaller head is a coin flip on interleaved
+		// runs, so nothing here branches on it: the comparison is read as
+		// 0 or 1, which masks the element in cell by cell, advances one
+		// cursor and keeps the streak count.
+		i, j, last, streak := 0, 0, 0, 0
+		for i < len(a) && j < len(b) {
+			take := b2i(b[j][0] < a[i][0]) // 1 takes from b; ties go to a
+			for c := 0; c < len(dst[k]); c++ {
+				dst[k][c] = a[i][c] ^ (a[i][c]^b[j][c])&-int64(take)
 			}
-			if streakA >= gallopMin || streakB >= gallopMin {
+			k++
+			i, j = i+1-take, j+take
+			streak = streak&-b2i(take == last) + 1
+			last = take
+			if streak >= gallopMin {
 				galloping = true
 				break
 			}
 		}
+		a, b = a[i:], b[j:]
 	}
 	copy(dst[k:], a)
 	copy(dst[k+len(a):], b)
