@@ -82,7 +82,7 @@ func int64Cases() []genCase[int64] {
 	reversed := slices.Clone(sorted)
 	slices.Reverse(reversed)
 	extremes := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
-	return []genCase[int64]{
+	return append([]genCase[int64]{
 		{"empty", nil},
 		{"single", []int64{42}},
 		{"two-swapped", []int64{5, -5}},
@@ -96,6 +96,53 @@ func int64Cases() []genCase[int64] {
 		{"random-below-radix", random(radixMinLen - 1)},
 		{"random-at-radix", random(radixMinLen)},
 		{"random-large", random(20000)},
+	}, divertCases()...)
+}
+
+// divertCases are the shapes the diverting radix is decided on: in each
+// the digit plan stops above digit 0 (TestRadixPlanOnDivertCases holds
+// them to that), so the finishing sweep meets the runs the name
+// describes. They are part of int64Cases and, with index payloads, of
+// kvCases, and seed the radix and record fuzz targets.
+func divertCases() []genCase[int64] {
+	rng := rand.New(rand.NewSource(505))
+	low40 := func() int64 { return rng.Int63n(1 << 40) }
+	// One run past the insertion limit among random singles: 80 keys that
+	// agree in their top 24 bits, few enough beside 32Ki that each top
+	// digit still looks uniform and the plan scatters only those three.
+	shared := make([]int64, 1<<15)
+	for i := range shared {
+		shared[i] = int64(rng.Uint64())
+	}
+	for i := 0; i < 80; i++ {
+		shared[rng.Intn(len(shared))] = 0x5eed42<<40 | low40()
+	}
+	// Every digit spread over all 256 values, jointly one byte of entropy.
+	replicated := make([]int64, 8192)
+	for i := range replicated {
+		replicated[i] = int64(uint64(rng.Intn(256)) * 0x0101010101010101)
+	}
+	// Two prefixes of opposite sign over random low bits.
+	cluster := make([]int64, 8192)
+	for i := range cluster {
+		cluster[i] = []int64{0x123456 << 40, -(0x123456 << 40)}[rng.Intn(2)] + low40()
+	}
+	// 256 prefixes whose three digits are each a permutation of 0..255,
+	// so every top digit is exactly uniform, carrying runs of exactly the
+	// insertion limit and one more.
+	var atLimit []int64
+	for p := 0; p < 256; p++ {
+		prefix := int64(p)<<16 | int64((7*p+3)&0xff)<<8 | int64((13*p+5)&0xff)
+		for j := 0; j < radixInsertionMax+p%2; j++ {
+			atLimit = append(atLimit, prefix<<40|low40())
+		}
+	}
+	rng.Shuffle(len(atLimit), func(i, j int) { atLimit[i], atLimit[j] = atLimit[j], atLimit[i] })
+	return []genCase[int64]{
+		{"shared-prefix", shared},
+		{"byte-replicated", replicated},
+		{"two-cluster", cluster},
+		{"run-at-limit", atLimit},
 	}
 }
 
@@ -175,7 +222,7 @@ func kvCases() []genCase[KV] {
 	slices.Sort(sorted)
 	reversed := slices.Clone(sorted)
 	slices.Reverse(reversed)
-	return []genCase[KV]{
+	cases := []genCase[KV]{
 		{"empty", nil},
 		{"single", withIdx([]int64{9})},
 		{"all-equal", withIdx(make([]int64, 4000))},
@@ -186,6 +233,10 @@ func kvCases() []genCase[KV] {
 		{"reversed", withIdx(reversed)},
 		{"random", withIdx(random)},
 	}
+	for _, c := range divertCases() {
+		cases = append(cases, genCase[KV]{c.name, withIdx(c.data)})
+	}
+	return cases
 }
 
 func stringCases() []genCase[[]byte] {

@@ -5,7 +5,7 @@ package psort
 // both transforms are single streaming passes (branch-free bit math, no
 // compares), so the float sort runs within a few percent of the int64
 // sort at the same size and inherits every int64 kernel property —
-// one-pass histograms, trivial-digit skip, tiled scatter, run/reverse
+// the digit plan, trivial-digit skip, tiled scatter, run/reverse
 // detection on the mapped keys (monotone maps preserve runs).
 //
 // The order produced is the keys.go total order:

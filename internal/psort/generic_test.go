@@ -281,6 +281,21 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 		}
 	}
 
+	// The recursing path at both widths: the finishing sweep radix-sorts
+	// shared-prefix's long tied run out of the caller's scratch.
+	for cells, src := range map[int][]int64{
+		1: caseByName(t, int64Cases(), "shared-prefix"),
+		2: Int64sFromKVs(caseByName(t, kvCases(), "shared-prefix")),
+	} {
+		work, scratch := make([]int64, len(src)), make([]int64, len(src))
+		if a := testing.AllocsPerRun(10, func() {
+			copy(work, src)
+			SortBlock(work, scratch, cells)
+		}); a != 0 {
+			t.Errorf("SortBlock width %d on shared-prefix allocates %v per run, want 0", cells, a)
+		}
+	}
+
 	strs := caseByName(t, stringCases(), "random-short")
 	swork := make([][]byte, len(strs))
 	sscratch := make([][]byte, len(strs))

@@ -8,8 +8,9 @@ import (
 
 // Kernel benchmarks: old vs new sort and merge paths. The pairs whose
 // baseline is an internal of this package — the Pop drain against the
-// batched one, the plain scatter against the tiled one — live only here;
-// cmd/kernelbench runs the pairs with a public baseline.
+// batched one, the plain scatter against the tiled one, every digit
+// against the planned ones — live only here; cmd/kernelbench runs the
+// pairs with a public baseline.
 
 func benchSort(b *testing.B, n int, sortFn func([]int64)) {
 	src := workload.Generate(workload.Random, n, 1)
@@ -141,6 +142,33 @@ func BenchmarkScatterPlain8Mi(b *testing.B)        { benchScatter[[1]int64](b, f
 func BenchmarkScatterTiled8Mi(b *testing.B)        { benchScatter[[1]int64](b, true) }
 func BenchmarkScatterPlainRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, false) }
 func BenchmarkScatterTiledRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, true) }
+
+// benchPlan times the radix core on 96Ki random keys with the digit plan
+// the kernel makes for them, or with plan 0: whole histograms and every
+// digit scattered, the LSD sort before it diverted.
+func benchPlan(b *testing.B, planned bool) {
+	const n = 96 << 10
+	src := workload.Generate(workload.Random, n, 1)
+	buf, scratch := make([]int64, n), make([]int64, n)
+	xs, sc := asCells[[1]int64](buf), asCells[[1]int64](scratch)
+	b.SetBytes(n * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(buf, src)
+		b.StartTimer()
+		if planned {
+			radixSort(xs, sc, false)
+			continue
+		}
+		var counts [radixDigits][256]int
+		radixCount(xs, &counts, true, true)
+		radixPasses(xs, sc, &counts, 0, false)
+	}
+}
+
+func BenchmarkRadixPlanned96Ki(b *testing.B)   { benchPlan(b, true) }
+func BenchmarkRadixAllDigits96Ki(b *testing.B) { benchPlan(b, false) }
 
 func benchMerge2(b *testing.B, n int, fn func(dst, a, b []int64)) {
 	a := workload.Generate(workload.Random, n, 7)

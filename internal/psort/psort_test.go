@@ -100,7 +100,7 @@ func TestHeapsortDirect(t *testing.T) {
 func TestInsertionDirect(t *testing.T) {
 	xs := workload.Generate(workload.Random, 23, 11)
 	orig := append([]int64(nil), xs...)
-	insertion(xs)
+	insertion(asCells[[1]int64](xs))
 	checkSorted(t, "insertion", xs, orig)
 }
 

@@ -1,24 +1,50 @@
 package psort
 
-// LSD radix sort: the throughput kernel behind the adaptive dispatcher,
-// written once over the cell width. An introsort moves every element
-// O(log n) times; the radix sort moves it at most 8 times (once per byte
-// digit) with purely sequential reads and bucketed writes — the
-// streaming access pattern the paper's memory-system analysis wants its
-// compute kernels to have. On uniform-random 64-bit keys at 1e6+
-// elements it beats the comparison sort severalfold; the benchmark
-// panel tracks the two (psort.radix_i64_1Mi_mbps over
-// host.serial_sort_mbps).
+import "math/bits"
+
+// Diverting LSD radix sort: the throughput kernel behind the adaptive
+// dispatcher, written once over the cell width. An introsort moves every
+// element O(log n) times; a plain LSD radix sort moves it 8 times (once
+// per byte digit); this one moves it once per digit that is needed to
+// put n keys in order, three or four on high-entropy keys, with purely
+// sequential reads and bucketed writes — the streaming access pattern
+// the paper's memory-system analysis wants its compute kernels to have.
+// On uniform-random 64-bit keys at 1e6+ elements it beats the comparison
+// sort severalfold; the benchmark panel tracks the two
+// (psort.radix_i64_1Mi_mbps over host.serial_sort_mbps).
 //
 // The implementation is a classic stable counting sort per 8-bit digit,
-// with three adaptivity tricks:
+// with four adaptivity tricks:
 //
-//   - all eight digit histograms are built in ONE pass over the input, so
-//     the histogram cost does not scale with the number of passes;
+//   - the digit histograms are built in one pass over the input, or two
+//     half passes, so the histogram cost does not scale with the number
+//     of scatters. When 32 sampled keys all differ in their top halves
+//     the top four digits are counted first, and the low four only if
+//     those do not settle the plan: high-entropy keys never pay for
+//     them. Any other input gets all eight from a single pass;
 //   - digits on which every key agrees (a single occupied bucket) are
 //     skipped entirely. Narrow-range inputs (few-unique, sawtooth, small
 //     positive ints) therefore pay for only the digits that actually
 //     discriminate — e.g. a 17-valued sawtooth runs one pass, not eight;
+//   - the digit plan (radixPlan) scatters only the top digits whose
+//     histograms promise to tell log2(n) + radixSlackBits bits apart,
+//     least significant of them first, and a finishing sweep puts in
+//     order what they left tied: it walks the result once, finds each run
+//     of keys that agree above the lowest scattered digit, and sorts the
+//     run in place — by insertion up to radixInsertionMax keys, by this
+//     same radix sort (same scratch) beyond, and not at all when the run
+//     is one key repeated. On random keys nearly every run is one key
+//     long and the sweep is a comparison per element. When the top digits
+//     never reach the target the plan is digit 0: the full LSD sort, no
+//     sweep. The promise is per digit, so digits that are spread one by
+//     one and redundant together (0xABAB…AB keys) break it; the cost is
+//     then another level of the same sort on the runs, and is bounded by
+//     construction. A digit some level scattered is constant in the runs
+//     below it and skipped there, so no element is scattered more than 8
+//     times in all; and one digit is worth at most floor(log2 n) bits,
+//     less than any target, so every plan stops at least two digits
+//     below the level above or at digit 0: four levels at most, one
+//     histogram of the element each;
 //   - above radixTileMinLen the scatter runs through software-managed
 //     write buffers: each of the 256 buckets stages its elements in a
 //     cache-resident buffer that is flushed to the destination in
@@ -74,6 +100,32 @@ const radixTileMinLen = 4 << 20
 // width and at most 255 elements per bucket (fill counters are uint8).
 const tileCells = 64
 
+// radixSlackBits is how far past log2(n) the digit plan goes: the passes
+// scatter the top digits whose floored min-entropies add up to
+// ceil(log2 n) + radixSlackBits bits. The slack keeps tied runs rare — k
+// bits of real margin leave about 2^-k of the keys beside a neighbour
+// they tie with — and the flooring adds margin of its own: a uniform
+// digit is worth 8 bits and credited 7, so three digits planned at 21
+// bits are really 24. A tied pair costs an insertion and a mispredicted
+// branch, far less than its share of a scatter, so the slack measures
+// flat within a digit count and shows only where it adds a pass: on 96Ki
+// random keys 2–4 bits plan three digits and 6 plans four (9.3–11.6
+// against 11.8 ns/key), on 256Ki 2–3 plan three and 4–6 four (13.2
+// against 15.5–16.2). 4 gives that one up so that keys whose digits are
+// exactly as poor as credited still tie in only one case of 16;
+// EXPERIMENTS.md has the sweep.
+const radixSlackBits = 4
+
+// radixInsertionMax is the longest tied run the finishing sweep sorts by
+// insertion; a longer one is radix-sorted on its own, which costs a
+// histogram, a plan and prefix sums before a key moves (about 4 µs on the
+// tuning host). With every run of the input the same length and in
+// random order the two cost the same near 97 keys (runs of 65: 37–42
+// ns/key by insertion and 48–52 by radix; of 97: 43 either way). A run
+// in reverse order doubles insertion's moves and brings the crossover
+// down to about 68, so 64.
+const radixInsertionMax = 64
+
 // RadixSort sorts xs ascending, allocating its own scratch buffer. Hot
 // paths should use RadixSortScratch (or SortAdaptive) with pooled scratch
 // instead.
@@ -90,13 +142,20 @@ func RadixSort(xs []int64) {
 // unspecified. Large inputs scatter through the tiled write buffers;
 // small ones use the plain scatter (see radixTileMinLen).
 func RadixSortScratch(xs, scratch []int64) {
-	radixSort(asCells[[1]int64](xs), asCells[[1]int64](scratch), len(xs) >= radixTileMinLen)
+	radixSort(asCells[[1]int64](xs), asCells[[1]int64](scratch), tiles[[1]int64](len(xs)))
 }
 
-// radixSort is the LSD core: it sorts xs ascending by key, stably, with
-// the tiling decision lifted out so the callers can make it on the
-// buffer's size in cells and the differential tests and benchmarks can
-// force either scatter at any size.
+// tiles reports whether n elements of width len(C) fill a buffer the
+// scatter should tile.
+func tiles[C cell](n int) bool {
+	var c C
+	return n*len(c) >= radixTileMinLen
+}
+
+// radixSort is the diverting LSD core: it sorts xs ascending by key,
+// stably, with the tiling decision lifted out so the callers can make it
+// on the buffer's size in cells and the differential tests and benchmarks
+// can force either scatter at any size.
 func radixSort[C cell](xs, scratch []C, tiled bool) {
 	n := len(xs)
 	if n < 2 {
@@ -106,23 +165,101 @@ func radixSort[C cell](xs, scratch []C, tiled bool) {
 		panic("psort: radix scratch shorter than input")
 	}
 
-	// One pass builds all eight histograms. The top digit is biased so
-	// negative keys land in the low buckets.
+	// On high-entropy keys the top four digits settle the plan and the
+	// low four are never counted, so they are counted first when a sample
+	// says they may; if they then miss the target, or were not tried, one
+	// more pass counts what is still uncounted.
 	var counts [radixDigits][256]int
+	low, topFirst := 0, radixTopFirst(xs)
+	if topFirst {
+		radixCount(xs, &counts, false, true)
+		low = radixPlan(&counts, n, radixDigits/2)
+	}
+	if low == 0 {
+		radixCount(xs, &counts, true, !topFirst)
+		low = radixPlan(&counts, n, 1)
+	}
+	radixPasses(xs, scratch, &counts, low, tiled)
+}
+
+// radixTopFirst guesses whether the top half of the key can carry the
+// digit plan alone: it says so when 32 keys spread over xs all differ in
+// theirs. Few distinct values, small integers and a shared prefix fail
+// it within a few samples and get all eight histograms from one pass; a
+// wrong guess either way costs half a histogram pass, never the order.
+func radixTopFirst[C cell](xs []C) bool {
+	var tops [32]uint32
+	step := len(xs) / len(tops)
+	for i := range tops {
+		tops[i] = uint32(uint64(xs[i*step][0]) >> 32)
+		for _, t := range tops[:i] {
+			if t == tops[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// radixCount adds the histograms of the key's low four digits, its top
+// four, or all eight to counts in one pass over xs. The top digit is
+// biased so negative keys land in the low buckets.
+func radixCount[C cell](xs []C, counts *[radixDigits][256]int, lowHalf, topHalf bool) {
 	for i := range xs {
 		u := uint64(xs[i][0])
-		counts[0][u&0xff]++
-		counts[1][(u>>8)&0xff]++
-		counts[2][(u>>16)&0xff]++
-		counts[3][(u>>24)&0xff]++
-		counts[4][(u>>32)&0xff]++
-		counts[5][(u>>40)&0xff]++
-		counts[6][(u>>48)&0xff]++
-		counts[7][uint8(u>>56)^topBias]++
+		if lowHalf {
+			counts[0][u&0xff]++
+			counts[1][(u>>8)&0xff]++
+			counts[2][(u>>16)&0xff]++
+			counts[3][(u>>24)&0xff]++
+		}
+		if topHalf {
+			counts[4][(u>>32)&0xff]++
+			counts[5][(u>>40)&0xff]++
+			counts[6][(u>>48)&0xff]++
+			counts[7][uint8(u>>56)^topBias]++
+		}
 	}
+}
 
+// radixPlan is the digit plan, a pure function of the histograms and n:
+// the lowest digit the passes scatter. It walks down from digit 7 adding
+// up what each digit's histogram says the digit is sure to tell apart —
+// its min-entropy log2(n / largest bucket), floored to whole bits, so 0
+// for a constant digit and at most 8 — and stops at the digit where the
+// sum reaches ceil(log2 n) + radixSlackBits. A walk that passes digit
+// floor without getting there plans digit 0. With floor 1 that is the
+// full LSD sort, nothing to finish: small integers, few distinct values.
+// radixSort also asks with floor 4, when only the top half is counted.
+func radixPlan(counts *[radixDigits][256]int, n, floor int) (low int) {
+	need := bits.Len(uint(n-1)) + radixSlackBits
+	for d, sure := radixDigits-1, 0; d >= floor; d-- {
+		// Four running maxima: one would chain 256 dependent compares.
+		c := &counts[d]
+		var m0, m1, m2, m3 int
+		for b := 0; b < 256; b += 4 {
+			m0, m1, m2, m3 = max(m0, c[b]), max(m1, c[b+1]), max(m2, c[b+2]), max(m3, c[b+3])
+		}
+		largest := max(m0, m1, m2, m3)
+		// floor(log2(n/largest)) without the division.
+		b := bits.Len(uint(n)) - bits.Len(uint(largest))
+		if largest<<b > n {
+			b--
+		}
+		if sure += b; sure >= need {
+			return d
+		}
+	}
+	return 0
+}
+
+// radixPasses scatters xs by digits low..7, least significant first, and
+// then orders what those digits left tied. counts holds the histograms
+// of xs and is consumed.
+func radixPasses[C cell](xs, scratch []C, counts *[radixDigits][256]int, low int, tiled bool) {
+	n := len(xs)
 	src, dst := xs, scratch[:n]
-	for d := 0; d < radixDigits; d++ {
+	for d := low; d < radixDigits; d++ {
 		c := &counts[d]
 		shift, bias := digitPlan(d)
 		// Skip digits every key agrees on: one bucket holds everything.
@@ -147,6 +284,37 @@ func radixSort[C cell](xs, scratch []C, tiled bool) {
 	}
 	if &src[0] != &xs[0] {
 		copy(xs, src)
+	}
+	if low == 0 {
+		return
+	}
+
+	// The finishing sweep. xs is in order of the digits scattered and
+	// stable below them, so the keys still out of place sit in runs that
+	// agree above digit low-1. Neighbours the scattered digits told apart
+	// are the usual case and cost one comparison; inside a run, mixed
+	// gathers the low bits its neighbours differ in, so equal keys cost
+	// no more than that either.
+	shift := uint(8*low) & 63
+	for i := 1; i < n; i++ {
+		if uint64(xs[i][0]^xs[i-1][0])>>shift != 0 {
+			continue
+		}
+		start, mixed := i-1, uint64(0)
+		for ; i < n; i++ {
+			x := uint64(xs[i][0] ^ xs[i-1][0])
+			if x>>shift != 0 {
+				break
+			}
+			mixed |= x
+		}
+		switch run := xs[start:i]; {
+		case mixed == 0:
+		case len(run) <= radixInsertionMax:
+			insertion(run)
+		default:
+			radixSort(run, scratch, tiles[C](len(run)))
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package psort
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -146,10 +148,206 @@ func TestSortAdaptiveDispatch(t *testing.T) {
 	checkSorted(t, "short-scratch fallback", big2, orig2)
 }
 
+// planOf is the digit plan radixSort makes for keys, from their whole
+// histograms, with the digits its pass loop would then scatter: those at
+// or above the plan's lowest that are not constant.
+func planOf(keys []int64) (low int, scattered []int) {
+	var counts [radixDigits][256]int
+	radixCount(asCells[[1]int64](keys), &counts, true, true)
+	low = radixPlan(&counts, len(keys), 1)
+	// The kernel decides on the top half alone when that reaches the
+	// target; it must be the same decision.
+	fromTop := 0
+	if low >= radixDigits/2 {
+		fromTop = low
+	}
+	if radixPlan(&counts, len(keys), radixDigits/2) != fromTop {
+		panic("the plan from the top four digits disagrees with the plan from all eight")
+	}
+	for d := low; d < radixDigits; d++ {
+		if shift, bias := digitPlan(d); counts[d][digit(keys[0], shift, bias)] != len(keys) {
+			scattered = append(scattered, d)
+		}
+	}
+	return low, scattered
+}
+
+// TestRadixPlan pins the digit plan, a pure function of the histograms
+// and n, on the input classes it has to tell apart.
+func TestRadixPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	gen := func(n int, f func() int64) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = f()
+		}
+		return xs
+	}
+	uniform := func() int64 { return int64(rng.Uint64()) }
+	var sixteen [16]int64 // the bench's few-unique order
+	for i := range sixteen {
+		sixteen[i] = uniform()
+	}
+	var sixteenVary []int
+	for d := 0; d < radixDigits; d++ {
+		if slices.ContainsFunc(sixteen[1:], func(v int64) bool { return uint8(v>>(8*d)) != uint8(sixteen[0]>>(8*d)) }) {
+			sixteenVary = append(sixteenVary, d)
+		}
+	}
+	i := 0
+	cases := []struct {
+		name string
+		keys []int64
+		// Exactly these digits are scattered; or, when nil, at most
+		// maxDigits of them and none below minLow.
+		digits            []int
+		maxDigits, minLow int
+	}{
+		{name: "uniform-96Ki", keys: gen(96<<10, uniform), maxDigits: 4, minLow: 3},
+		{name: "uniform-1Mi", keys: gen(1<<20, uniform), maxDigits: 4, minLow: 3},
+		{name: "uniform-8Mi", keys: gen(8<<20, uniform), maxDigits: 5, minLow: 3},
+		{name: "below-2^20", keys: gen(96<<10, func() int64 { return rng.Int63n(1 << 20) }), digits: []int{0, 1, 2}},
+		{name: "sawtooth-17", keys: gen(96<<10, func() int64 { i++; return int64(i % 17) }), digits: []int{0}},
+		{name: "sixteen-values-96Ki", keys: gen(96<<10, func() int64 { return sixteen[rng.Intn(16)] }), digits: sixteenVary},
+		{name: "sixteen-values-1Mi", keys: gen(1<<20, func() int64 { return sixteen[rng.Intn(16)] }), digits: sixteenVary},
+		{name: "three-valued-high-digits", keys: gen(96<<10, func() int64 {
+			return int64(rng.Intn(3))<<56 | int64(rng.Intn(3))<<48 | int64(rng.Intn(3))<<40 | rng.Int63n(1<<24)
+		}), digits: []int{0, 1, 2, 5, 6, 7}},
+		{name: "all-equal", keys: gen(96<<10, func() int64 { return -77 }), digits: []int{}},
+	}
+	for _, c := range cases {
+		if testing.Short() && len(c.keys) > 1<<20 {
+			continue
+		}
+		low, scattered := planOf(c.keys)
+		switch {
+		case c.digits != nil:
+			// Every digit that varies and nothing to finish: the full LSD sort.
+			if low != 0 || !slices.Equal(scattered, c.digits) {
+				t.Errorf("%s: plan %d scatters %v, want plan 0 scattering %v", c.name, low, scattered, c.digits)
+			}
+		case len(scattered) > c.maxDigits || low < c.minLow:
+			t.Errorf("%s: plan %d scatters %v, want at most %d digits and none below %d", c.name, low, scattered, c.maxDigits, c.minLow)
+		}
+	}
+}
+
+// TestRadixPlanOnDivertCases holds the conformance library's diverting
+// shapes to what their names say: the plan stops above digit 0 and the
+// finishing sweep meets runs of the stated lengths.
+func TestRadixPlanOnDivertCases(t *testing.T) {
+	// Lengths of the tied runs that hold more than one distinct key, the
+	// stray pairs and triples of random keys aside.
+	wantRuns := map[string][]int{
+		"byte-replicated": {},
+		"two-cluster":     {},
+		"run-at-limit":    {radixInsertionMax, radixInsertionMax + 1},
+	}
+	for _, c := range divertCases() {
+		low, _ := planOf(c.data)
+		if low == 0 {
+			t.Errorf("%s: the plan scatters every digit, so nothing is left to finish", c.name)
+			continue
+		}
+		lengths := []int{}
+		for _, run := range tiedRuns(c.data, low) {
+			if len(run) > 3 && run[0] != run[len(run)-1] {
+				lengths = append(lengths, len(run))
+			}
+		}
+		slices.Sort(lengths)
+		lengths = slices.Compact(lengths)
+		if c.name == "shared-prefix" {
+			if len(lengths) != 1 || lengths[0] <= radixInsertionMax {
+				t.Errorf("shared-prefix: tied runs of lengths %v, want one past the insertion limit %d", lengths, radixInsertionMax)
+			}
+		} else if want, ok := wantRuns[c.name]; !ok || !slices.Equal(lengths, want) {
+			t.Errorf("%s: tied runs of lengths %v, want %v", c.name, lengths, want)
+		}
+	}
+}
+
+// tiedRuns sorts keys and splits them where neighbours differ at or
+// above digit low: the runs radixSort's finishing sweep is left with
+// after scattering digits low..7.
+func tiedRuns(keys []int64, low int) [][]int64 {
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	var runs [][]int64
+	start := 0
+	for i := 1; i <= len(sorted); i++ {
+		if i == len(sorted) || uint64(sorted[i]^sorted[i-1])>>(8*low) != 0 {
+			runs = append(runs, sorted[start:i])
+			start = i
+		}
+	}
+	return runs
+}
+
+// planDepth is how many levels of radixSort the keys take: one, plus the
+// deepest level under any run the finishing sweep would sort again.
+func planDepth(keys []int64) int {
+	low, _ := planOf(keys)
+	depth := 1
+	if low == 0 {
+		return depth
+	}
+	for _, run := range tiedRuns(keys, low) {
+		if len(run) > radixInsertionMax && run[0] != run[len(run)-1] {
+			depth = max(depth, 1+planDepth(run))
+		}
+	}
+	return depth
+}
+
+// TestRadixPlanDepthBounded runs the plan over inputs built to fool a
+// per-digit estimate: digits that each look uniform and jointly carry
+// far fewer bits than their sum. The plan diverts early on them and the
+// finishing sweep pays with another level, which the construction bounds
+// at four (every level takes at least two more digits).
+func TestRadixPlanDepthBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rep := func(b uint64, digits ...int) (u uint64) {
+		for _, d := range digits {
+			u |= b << (8 * d)
+		}
+		return u
+	}
+	byteOf := func() uint64 { return uint64(rng.Intn(256)) }
+	const n = 96 << 10
+	inputs := map[string]func() int64{
+		"byte-replicated":       func() int64 { return int64(rep(byteOf(), 0, 1, 2, 3, 4, 5, 6, 7)) },
+		"replicated-digits-5-7": func() int64 { return int64(rep(byteOf(), 5, 6, 7) | uint64(rng.Int63n(1<<40))) },
+		"replicated-pairs": func() int64 {
+			return int64(rep(byteOf(), 6, 7) | rep(byteOf(), 4, 5) | rep(byteOf(), 2, 3) | rep(byteOf(), 0, 1))
+		},
+		"replicated-5-7-and-2-4": func() int64 {
+			return int64(rep(byteOf(), 5, 6, 7) | rep(byteOf(), 2, 3, 4) | uint64(rng.Intn(1<<16)))
+		},
+	}
+	for name, f := range inputs {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = f()
+		}
+		if d := planDepth(keys); d > 4 {
+			t.Errorf("%s: %d levels of radixSort, want at most 4", name, d)
+		}
+		diffAgainstSerial(t, name, keys)
+	}
+}
+
 func FuzzRadixMatchesSerial(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 255, 0, 128, 7})
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
+	for _, c := range divertCases() {
+		seed := make([]byte, 0, 8*len(c.data))
+		for _, k := range c.data {
+			seed = binary.LittleEndian.AppendUint64(seed, uint64(k))
+		}
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		xs := bytesToInt64s(data)
 		want := append([]int64(nil), xs...)

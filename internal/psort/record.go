@@ -5,7 +5,7 @@ package psort
 // their input order (every record path is stable, so the payload
 // permutation is deterministic). Records have no kernels of their own:
 // a KV is the kernel core's cell at width 2, so the entry points here
-// are views over the same one-pass-histogram LSD radix with the tiled
+// are views over the same diverting LSD radix with the tiled
 // scatter, the same adaptive two-way merge and the same branch-free
 // loser tree with the gallop-batched drain that the int64 suite runs.
 // What stays record-specific is the small-input sort: bare keys fall
@@ -55,7 +55,7 @@ func SortRecordsScratch(rs, scratch []KV) {
 	}
 	// A record is two cells, so the destination outgrows LLC — and the
 	// scatter tiles — at half the element count of the int64 kernel.
-	radixSort(kvCells(rs), kvCells(scratch), 2*n >= radixTileMinLen)
+	radixSort(kvCells(rs), kvCells(scratch), tiles[[2]int64](n))
 }
 
 // kvCells hands records to the kernel core as width-2 cells.

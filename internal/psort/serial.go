@@ -87,7 +87,7 @@ func introsort(xs []int64, depth int) {
 			xs = xs[:p]
 		}
 	}
-	insertion(xs)
+	insertion(asCells[[1]int64](xs))
 }
 
 // partition performs a Hoare-style partition around a median-of-three
@@ -122,11 +122,13 @@ func medianOfThree(xs []int64, a, b, c int) {
 	}
 }
 
-func insertion(xs []int64) {
+// insertion sorts xs by key, stably: introsort's leaf at width 1 and the
+// radix finishing sweep's small-run sort at either width.
+func insertion[C cell](xs []C) {
 	for i := 1; i < len(xs); i++ {
 		v := xs[i]
 		j := i - 1
-		for j >= 0 && xs[j] > v {
+		for j >= 0 && xs[j][0] > v[0] {
 			xs[j+1] = xs[j]
 			j--
 		}

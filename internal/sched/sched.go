@@ -1044,7 +1044,6 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 	j.finished = now
 	j.mu.Unlock()
 	j.state.Store(int32(st))
-	close(j.done)
 	delete(s.running, j)
 	s.metrics.queueDepth.Set(float64(len(s.queue)))
 	s.metrics.running.Set(float64(len(s.running)))
@@ -1056,6 +1055,8 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 	}
 	j.trace.MarkFinished(st.String(), errmsg)
 	j.trace.FoldSpans()
+	// Only now may a waiter run: it reads the trace as terminal.
+	close(j.done)
 	s.phases.ObserveTrace(j.trace)
 	if s.logger.Enabled(context.Background(), slog.LevelInfo) {
 		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "job terminal",
