@@ -5,7 +5,7 @@
 // Examples:
 //
 //	mlmcoord -addr :9090 -backends http://127.0.0.1:8080,http://127.0.0.1:8081
-//	mlmcoord -addr 127.0.0.1:0 -backends "$B0,$B1" -sample-rate 0.02 -merge-threads 4
+//	mlmcoord -addr 127.0.0.1:0 -backends "$B0,$B1" -parts-per-backend 4 -poll-interval 250ms
 //
 // Jobs are range-partitioned with sampled splitters sized to each
 // backend's polled capacity (Eq. 1-5 model on the node's own EWMA
@@ -22,33 +22,22 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"knlmlm/internal/cluster"
+	"knlmlm/internal/edge"
 )
 
 type options struct {
 	addr         string
 	backends     string
-	sampleRate   float64
 	partsPerNode int
-	mergeThreads int
-	blockElems   int
-	retries      int
 	pollInterval time.Duration
 	retain       int
-	skewLimit    float64
 	seed         int64
 	drainTimeout time.Duration
 	logLevel     string
@@ -59,14 +48,9 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":9090", "listen address (host:port; port 0 picks a free port)")
 	flag.StringVar(&o.backends, "backends", "", "comma-separated mlmserve base URLs (required)")
-	flag.Float64Var(&o.sampleRate, "sample-rate", 0, "fraction of keys sampled for splitter selection (0 = 0.01)")
 	flag.IntVar(&o.partsPerNode, "parts-per-backend", 0, "range partitions per backend per job (0 = 2)")
-	flag.IntVar(&o.mergeThreads, "merge-threads", 0, "thread budget for the result merge's read-ahead provisioning (0 = GOMAXPROCS)")
-	flag.IntVar(&o.blockElems, "merge-block-elems", 0, "merge emission granularity, elements per block (0 = 32768)")
-	flag.IntVar(&o.retries, "retries", 0, "failure-driven re-runs allowed per partition (0 = 4)")
 	flag.DurationVar(&o.pollInterval, "poll-interval", 0, "backend capacity poll cadence (0 = 500ms)")
 	flag.IntVar(&o.retain, "retain", 0, "terminal jobs retained for status lookup (0 = 64)")
-	flag.Float64Var(&o.skewLimit, "skew-limit", 0, "partition skew triggering a splitter resample (0 = 2.5)")
 	flag.Int64Var(&o.seed, "seed", 1, "splitter sampling seed")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error, or off")
@@ -79,29 +63,6 @@ func main() {
 	}
 }
 
-func buildLogger(level string, asJSON bool) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "", "info":
-		lv = slog.LevelInfo
-	case "warn", "warning":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	case "off", "none":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("-log-level %q: want debug, info, warn, error, or off", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	if asJSON {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-}
-
 func run(o options) error {
 	var backends []string
 	for _, b := range strings.Split(o.backends, ",") {
@@ -112,21 +73,16 @@ func run(o options) error {
 	if len(backends) == 0 {
 		return fmt.Errorf("-backends is required (comma-separated mlmserve URLs)")
 	}
-	logger, err := buildLogger(o.logLevel, o.logJSON)
+	logger, err := edge.BuildLogger(o.logLevel, o.logJSON)
 	if err != nil {
 		return err
 	}
 
 	coord, err := cluster.New(cluster.Config{
 		Backends:        backends,
-		SampleRate:      o.sampleRate,
 		PartsPerBackend: o.partsPerNode,
-		MergeThreads:    o.mergeThreads,
-		MergeBlockElems: o.blockElems,
-		MaxRetries:      o.retries,
 		PollInterval:    o.pollInterval,
 		RetainJobs:      o.retain,
-		SkewLimit:       o.skewLimit,
 		Seed:            o.seed,
 		Logger:          logger,
 	})
@@ -140,31 +96,11 @@ func run(o options) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
+	err = edge.Daemon{
+		Name: "mlmcoord", Addr: o.addr, Detail: fmt.Sprintf("%d backends", len(backends)),
+		Handler: srv, Drain: srv.Drain, DrainTimeout: o.drainTimeout,
+	}.Run()
 	if err != nil {
-		return err
-	}
-	fmt.Printf("mlmcoord listening on %s (%d backends)\n", ln.Addr(), len(backends))
-
-	hs := &http.Server{Handler: srv}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		fmt.Printf("mlmcoord: %v — draining\n", s)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "mlmcoord: drain:", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	fmt.Println("mlmcoord: drained")

@@ -1,17 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/wire"
 )
@@ -31,50 +29,15 @@ type backend struct {
 	mu       sync.Mutex
 	up       bool
 	lastPoll time.Time
-	cap      capacity
+	cap      edge.Capacity
 
 	bytesRouted *telemetry.Counter
 	upGauge     *telemetry.Gauge
 }
 
-// capacity mirrors the serve /healthz capacity block — everything the
-// router needs to weight this node.
-type capacity struct {
-	HeadroomBytes    int64   `json:"headroom_bytes"`
-	QueueDepth       int     `json:"queue_depth"`
-	BrownoutLevel    int     `json:"brownout_level"`
-	EWMACopyBps      float64 `json:"ewma_copy_bps"`
-	EWMACompBps      float64 `json:"ewma_comp_bps"`
-	Threads          int     `json:"threads"`
-	PredictedStartMS float64 `json:"predicted_start_ms"`
-}
-
-// healthResp is the subset of the backend /healthz body the poller reads.
-type healthResp struct {
-	Status   string   `json:"status"`
-	Draining bool     `json:"draining"`
-	Capacity capacity `json:"capacity"`
-}
-
-// remoteStatus is the subset of the backend job-status body the
-// coordinator consumes.
-type remoteStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	N     int    `json:"n"`
-	Shed  bool   `json:"shed,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// remoteError is a backend's non-2xx error body.
-type remoteError struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// backpressureError marks a 429: the backend is alive but refusing work,
-// so the right response is a bounded wait, not a failover.
+// backpressureError marks a 429 or a job the backend admitted and then
+// shed: the backend is alive but refusing work, so the right response is
+// a bounded wait, not a failover.
 type backpressureError struct {
 	backend    int
 	retryAfter time.Duration
@@ -83,6 +46,15 @@ type backpressureError struct {
 
 func (e *backpressureError) Error() string {
 	return fmt.Sprintf("cluster: backend %d backpressure (%s, retry in %v)", e.backend, e.code, e.retryAfter)
+}
+
+// backpressure builds the error for a refusal with the backend's retry
+// hint, or a quarter second when it gave none.
+func (b *backend) backpressure(code string, retryAfter time.Duration) error {
+	if retryAfter <= 0 {
+		retryAfter = 250 * time.Millisecond
+	}
+	return &backpressureError{backend: b.idx, retryAfter: retryAfter, code: code}
 }
 
 // dialError marks a connection-level failure (refused dial, severed
@@ -103,19 +75,19 @@ func (e *dialError) Unwrap() error { return e.err }
 // draining or unreachable node is marked down; the router then routes
 // around it until a later poll succeeds.
 func (b *backend) poll(client *http.Client) {
-	ok, cap := func() (bool, capacity) {
+	ok, cap := func() (bool, edge.Capacity) {
 		req, err := http.NewRequest(http.MethodGet, b.base+"/healthz", nil)
 		if err != nil {
-			return false, capacity{}
+			return false, edge.Capacity{}
 		}
 		resp, err := client.Do(req)
 		if err != nil {
-			return false, capacity{}
+			return false, edge.Capacity{}
 		}
 		defer resp.Body.Close()
-		var h healthResp
+		var h edge.Health
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-			return false, capacity{}
+			return false, edge.Capacity{}
 		}
 		// A draining node answers 503 with a well-formed body: down for
 		// routing purposes even though the poll succeeded.
@@ -152,7 +124,7 @@ func (b *backend) markDown() {
 	}
 }
 
-func (b *backend) snapshot() (bool, capacity) {
+func (b *backend) snapshot() (bool, edge.Capacity) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.up, b.cap
@@ -172,34 +144,19 @@ const expectContinueBytes = 4 << 20
 // submitSorted uploads keys as one binary sort job and blocks (wait=1)
 // until the backend reports it terminal, returning the remote job ID.
 // Large bodies ride Expect: 100-continue with the deadline in
-// X-Deadline-Ms, so the backend can refuse them pre-upload.
-func (b *backend) submitSorted(ctx context.Context, keys []int64, opts jobOptions) (string, error) {
+// edge.DeadlineHeader, so the backend can refuse them pre-upload.
+func (b *backend) submitSorted(ctx context.Context, keys []int64, opts edge.SortRequest) (string, error) {
 	if b.faults != nil && b.faults.FailDial(b.idx) {
 		b.markDown()
 		return "", &dialError{backend: b.idx, err: errInjectedDial}
 	}
-	q := url.Values{}
-	q.Set("wait", "1")
-	if opts.Priority != 0 {
-		q.Set("priority", strconv.Itoa(opts.Priority))
-	}
-	if opts.Algorithm != "" {
-		q.Set("algorithm", opts.Algorithm)
-	}
-	if opts.MegachunkLen > 0 {
-		q.Set("megachunk_len", strconv.Itoa(opts.MegachunkLen))
-	}
-	body := wire.Encode(nil, keys, 0)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/sort?"+q.Encode(), bytes.NewReader(body))
+	opts.Keys, opts.Wait = keys, true
+	req, size, err := edge.NewWireSubmit(ctx, b.base, opts)
 	if err != nil {
 		return "", err
 	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	if len(body) >= expectContinueBytes || opts.DeadlineMS > 0 {
+	if size >= expectContinueBytes || opts.DeadlineMS > 0 {
 		req.Header.Set("Expect", "100-continue")
-	}
-	if opts.DeadlineMS > 0 {
-		req.Header.Set("X-Deadline-Ms", strconv.FormatInt(opts.DeadlineMS, 10))
 	}
 	resp, err := b.client.Do(req)
 	if err != nil {
@@ -212,31 +169,24 @@ func (b *backend) submitSorted(ctx context.Context, keys []int64, opts jobOption
 		b.markDown()
 		return "", &dialError{backend: b.idx, err: err}
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		var re remoteError
-		_ = json.Unmarshal(raw, &re)
-		ra := time.Duration(re.RetryAfterMS) * time.Millisecond
-		if ra <= 0 {
-			ra = 250 * time.Millisecond
-		}
-		return "", &backpressureError{backend: b.idx, retryAfter: ra, code: re.Code}
-	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		var re remoteError
+		var re edge.ErrorBody
 		_ = json.Unmarshal(raw, &re)
+		if resp.StatusCode == http.StatusTooManyRequests {
+			return "", b.backpressure(re.Code, time.Duration(re.RetryAfterMS)*time.Millisecond)
+		}
 		return "", fmt.Errorf("cluster: backend %d submit: HTTP %d %s %s", b.idx, resp.StatusCode, re.Code, re.Error)
 	}
-	var st remoteStatus
+	var st edge.JobStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return "", fmt.Errorf("cluster: backend %d submit: bad status body: %w", b.idx, err)
 	}
-	switch st.State {
-	case "done":
-	case "shed":
+	if st.Shed {
 		// The backend admitted the job, then its overload controller
 		// evicted it — retryable by the same rules as a 429.
-		return "", &backpressureError{backend: b.idx, retryAfter: 250 * time.Millisecond, code: "shed"}
-	default:
+		return "", b.backpressure("shed", 0)
+	}
+	if st.State != edge.StateDone {
 		return "", fmt.Errorf("cluster: backend %d job %s ended %s: %s", b.idx, st.ID, st.State, st.Error)
 	}
 	if b.bytesRouted != nil {
@@ -270,7 +220,7 @@ func (b *backend) openStream(ctx context.Context, remoteID string) (*wire.Reader
 		b.markDown()
 		return nil, nil, &dialError{backend: b.idx, err: errInjectedDial}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/jobs/"+remoteID+"/result", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+edge.ResultPath(remoteID), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -302,7 +252,7 @@ func (b *backend) openStream(ctx context.Context, remoteID string) (*wire.Reader
 // coordinator's cancel path); errors are ignored — the backend's own
 // retention will reap it.
 func (b *backend) cancelRemote(remoteID string) {
-	req, err := http.NewRequest(http.MethodDelete, b.base+"/v1/jobs/"+remoteID, nil)
+	req, err := http.NewRequest(http.MethodDelete, b.base+edge.JobPath(remoteID), nil)
 	if err != nil {
 		return
 	}

@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/telemetry"
 )
 
@@ -188,7 +189,7 @@ func New(cfg Config) (*Coordinator, error) {
 		stop:       make(chan struct{}),
 	}
 	if c.logger == nil {
-		c.logger = slog.New(discardHandler{})
+		c.logger = telemetry.NopLogger()
 	}
 	for i, base := range cfg.Backends {
 		c.backends = append(c.backends, &backend{
@@ -229,19 +230,10 @@ func (c *Coordinator) Close() {
 // Registry exposes the coordinator's metric registry (for /metrics).
 func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
 
-// jobOptions are the per-job knobs forwarded to every partition submit.
-type jobOptions struct {
-	Priority     int
-	DeadlineMS   int64
-	Algorithm    string
-	MegachunkLen int
-}
-
-// Job state names mirror the single-node wire form so clients see one
-// vocabulary across tiers.
+// Job states, in the node's vocabulary.
 const (
 	stateRunning = "running"
-	stateDone    = "done"
+	stateDone    = edge.StateDone
 	stateFailed  = "failed"
 )
 
@@ -297,7 +289,7 @@ type Job struct {
 	id    string
 	coord *Coordinator
 	n     int
-	opts  jobOptions
+	opts  edge.SortRequest // the options every partition submit carries; Keys is nil
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -389,8 +381,11 @@ func (j *Job) Cancel() {
 
 // Submit accepts a cluster sort job and starts its partition/scatter
 // pipeline asynchronously; the returned Job tracks it. The coordinator
-// owns keys until the job is evicted from retention.
-func (c *Coordinator) Submit(keys []int64, opts jobOptions) (*Job, error) {
+// owns req.Keys until the job is evicted from retention.
+func (c *Coordinator) Submit(req edge.SortRequest) (*Job, error) {
+	// The partitions hold the keys; the job holds only the options.
+	keys := req.Keys
+	req.Keys = nil
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("cluster: keys must be non-empty")
 	}
@@ -403,7 +398,7 @@ func (c *Coordinator) Submit(keys []int64, opts jobOptions) (*Job, error) {
 		id:     fmt.Sprintf("c%08d", seq),
 		coord:  c,
 		n:      len(keys),
-		opts:   opts,
+		opts:   req,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
@@ -623,11 +618,11 @@ func (c *Coordinator) Draining() bool { return c.draining.Load() }
 // backendViews snapshots per-backend health for /healthz, in index
 // order.
 type backendView struct {
-	Index    int      `json:"index"`
-	Addr     string   `json:"addr"`
-	Up       bool     `json:"up"`
-	Weight   float64  `json:"weight"`
-	Capacity capacity `json:"capacity"`
+	Index    int           `json:"index"`
+	Addr     string        `json:"addr"`
+	Up       bool          `json:"up"`
+	Weight   float64       `json:"weight"`
+	Capacity edge.Capacity `json:"capacity"`
 }
 
 func (c *Coordinator) backendViews() []backendView {
@@ -648,12 +643,3 @@ func (c *Coordinator) backendViews() []backendView {
 	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
 	return out
 }
-
-// discardHandler is a no-op slog handler (slog.DiscardHandler arrives in
-// Go 1.24's stdlib as slog.DiscardHandler; this keeps the floor lower).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }

@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/exec"
 	"knlmlm/internal/fault"
 	"knlmlm/internal/sched"
@@ -25,6 +27,15 @@ import (
 // on an ephemeral port — the same thing mlmserve serves, in-process.
 func bootBackend(t *testing.T) *httptest.Server {
 	t.Helper()
+	hs := httptest.NewServer(newNode(t, serve.Config{}))
+	t.Cleanup(hs.Close)
+	return hs
+}
+
+// newNode builds the node stack's handler; cfg's Scheduler and Registry
+// are filled in.
+func newNode(t *testing.T, cfg serve.Config) *serve.Server {
+	t.Helper()
 	reg := telemetry.NewRegistry()
 	sc, err := sched.New(sched.Config{
 		MCDRAMBudget: units.Bytes(8 << 20),
@@ -37,13 +48,12 @@ func bootBackend(t *testing.T) *httptest.Server {
 		t.Fatalf("sched.New: %v", err)
 	}
 	t.Cleanup(sc.Close)
-	srv, err := serve.New(serve.Config{Scheduler: sc, Registry: reg})
+	cfg.Scheduler, cfg.Registry = sc, reg
+	srv, err := serve.New(cfg)
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	hs := httptest.NewServer(srv)
-	t.Cleanup(hs.Close)
-	return hs
+	return srv
 }
 
 type testCluster struct {
@@ -54,11 +64,18 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, mutate func(*Config)) *testCluster {
 	t.Helper()
-	var urls []string
 	var servers []*httptest.Server
 	for i := 0; i < n; i++ {
-		hs := bootBackend(t)
-		servers = append(servers, hs)
+		servers = append(servers, bootBackend(t))
+	}
+	return newClusterOver(t, servers, ServerConfig{}, mutate)
+}
+
+// newClusterOver fronts already-running backends with a coordinator.
+func newClusterOver(t *testing.T, servers []*httptest.Server, scfg ServerConfig, mutate func(*Config)) *testCluster {
+	t.Helper()
+	var urls []string
+	for _, hs := range servers {
 		urls = append(urls, hs.URL)
 	}
 	cfg := Config{
@@ -74,7 +91,8 @@ func newTestCluster(t *testing.T, n int, mutate func(*Config)) *testCluster {
 		t.Fatalf("cluster.New: %v", err)
 	}
 	t.Cleanup(coord.Close)
-	srv, err := NewServer(ServerConfig{Coordinator: coord})
+	scfg.Coordinator = coord
+	srv, err := NewServer(scfg)
 	if err != nil {
 		t.Fatalf("cluster.NewServer: %v", err)
 	}
@@ -112,7 +130,7 @@ func checkResult(t *testing.T, got, want []int64) {
 
 func submitWaitJSON(t *testing.T, tc *testCluster, keys []int64) jobStatus {
 	t.Helper()
-	raw, _ := json.Marshal(sortRequest{Keys: keys, Wait: true})
+	raw, _ := json.Marshal(edge.SortRequest{Keys: keys, Wait: true})
 	resp, err := http.Post(tc.http.URL+"/v1/sort", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("POST /v1/sort: %v", err)
@@ -200,7 +218,7 @@ func TestClusterBinaryRoundTrip(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("wire download: HTTP %d", dresp.StatusCode)
 	}
-	if ct := dresp.Header.Get("Content-Type"); !isWireContentType(ct) {
+	if ct := dresp.Header.Get("Content-Type"); !edge.IsWireContentType(ct) {
 		t.Fatalf("wire download Content-Type %q", ct)
 	}
 	got, err := wire.Decode(dresp.Body, int64(len(keys)), nil)
@@ -327,7 +345,7 @@ func TestClusterDrainRefusesSubmissions(t *testing.T) {
 	if err := tc.coord.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	raw, _ := json.Marshal(sortRequest{Keys: []int64{3, 1, 2}})
+	raw, _ := json.Marshal(edge.SortRequest{Keys: []int64{3, 1, 2}})
 	resp, err := http.Post(tc.http.URL+"/v1/sort", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("POST after drain: %v", err)
@@ -344,4 +362,48 @@ func TestClusterDrainRefusesSubmissions(t *testing.T) {
 	if hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: HTTP %d, want 503", hresp.StatusCode)
 	}
+}
+
+// TestClusterShedBacksOffOnSameBackend: a backend that admits a
+// partition and then sheds it answers 200 with state "failed" and
+// "shed": true. That is backpressure — the node is alive — so the
+// partition waits and re-submits to the same backend; it must not spend
+// the failover budget.
+func TestClusterShedBacksOffOnSameBackend(t *testing.T) {
+	node := newNode(t, serve.Config{})
+	var shed atomic.Bool
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && shed.CompareAndSwap(false, true) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			edge.WriteJSON(w, http.StatusOK, edge.JobStatus{
+				ID: "job-shed", State: "failed", N: 1, Shed: true, Error: "sched: job shed by overload control",
+			})
+			return
+		}
+		node.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	tc := newClusterOver(t, []*httptest.Server{hs, bootBackend(t)}, ServerConfig{}, nil)
+
+	keys := testKeys(40000, 23)
+	st := submitWaitJSON(t, tc, keys)
+	if st.State != "done" {
+		t.Fatalf("job ended %s after one shed partition: %s", st.State, st.Error)
+	}
+	if !shed.Load() {
+		t.Fatal("no partition reached the shedding backend")
+	}
+	if got := tc.coord.m.retries.Value(); got != 0 {
+		t.Fatalf("cluster_partition_retries_total = %d, want 0: a shed is not a failover", got)
+	}
+	if got := tc.coord.m.backoffs.Value(); got != 1 {
+		t.Fatalf("cluster_partition_backoffs_total = %d, want 1", got)
+	}
+	j, _ := tc.coord.Lookup(st.ID)
+	for _, p := range j.parts {
+		if want := p.idx % len(tc.backends); p.backend.idx != want {
+			t.Fatalf("partition %d ended on backend %d, want %d", p.idx, p.backend.idx, want)
+		}
+	}
+	checkResult(t, downloadJSON(t, tc, st.ID), wantSorted(keys))
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"knlmlm/internal/edge"
 	"knlmlm/internal/model"
 	"knlmlm/internal/units"
 )
@@ -21,7 +22,7 @@ import (
 // symmetric pool split over the node's thread budget prices the
 // pipeline. Dataset size cancels out of a rate, so a nominal 1 GiB is
 // used.
-func nodeRate(c capacity) float64 {
+func nodeRate(c edge.Capacity) float64 {
 	threads := c.Threads
 	if threads < 3 {
 		threads = 3
@@ -58,7 +59,7 @@ func nodeRate(c capacity) float64 {
 //     overwhelmingly go where staging capacity is free.
 //
 // A down backend weighs zero.
-func backendWeight(up bool, c capacity) float64 {
+func backendWeight(up bool, c edge.Capacity) float64 {
 	if !up {
 		return 0
 	}

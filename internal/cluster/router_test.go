@@ -1,9 +1,13 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
 
-func healthyCap() capacity {
-	return capacity{
+	"knlmlm/internal/edge"
+)
+
+func healthyCap() edge.Capacity {
+	return edge.Capacity{
 		HeadroomBytes: 4 << 20,
 		QueueDepth:    0,
 		BrownoutLevel: 0,
@@ -71,7 +75,7 @@ func TestBackendWeightDownAndHeadroom(t *testing.T) {
 }
 
 func TestNodeRateZeroWithoutRates(t *testing.T) {
-	if r := nodeRate(capacity{Threads: 8}); r != 0 {
+	if r := nodeRate(edge.Capacity{Threads: 8}); r != 0 {
 		t.Fatalf("nodeRate with no measured rates = %.3g, want 0", r)
 	}
 }

@@ -40,7 +40,7 @@ func newMetrics(reg *telemetry.Registry, backends int) *metrics {
 		retries: reg.Counter("cluster_partition_retries_total",
 			"Partition re-runs after a backend failure (dial, stream, or remote error).", nil),
 		backoffs: reg.Counter("cluster_partition_backoffs_total",
-			"Partition submits delayed by backend backpressure (429).", nil),
+			"Partition submits delayed by backend backpressure (429 or shed).", nil),
 		resamples: reg.Counter("cluster_partition_resamples_total",
 			"Jobs whose splitter sample was retaken after exceeding the skew limit.", nil),
 		skew: reg.Histogram("cluster_partition_skew",

@@ -29,7 +29,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/bits"
 	"os"
@@ -141,11 +140,6 @@ type Config struct {
 	// Autotune enables per-job rate measurement on staged jobs; measured
 	// rates feed back into the fair-share solver.
 	Autotune bool
-	// JobSpans is retained for compatibility; per-job span recorders are
-	// now always attached (each job's trace carries one), so the field has
-	// no effect.
-	JobSpans bool
-
 	// FlightRecorderCap bounds the always-on ring of recent job traces
 	// (admission order, oldest evicted first). Zero selects
 	// telemetry.DefFlightRecorderCap.
@@ -314,9 +308,7 @@ func New(cfg Config) (*Scheduler, error) {
 		logger:     cfg.Logger,
 	}
 	if s.logger == nil {
-		// A handler that is never enabled keeps every log site branch-cheap
-		// without nil checks.
-		s.logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
+		s.logger = telemetry.NopLogger()
 	}
 	s.brown = newBrownout(cfg.Brownout, cfg.AgingSlack, s.metrics.reg)
 	s.metrics.budgetBytes.Set(float64(cfg.MCDRAMBudget))

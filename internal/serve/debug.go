@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/telemetry"
 )
 
@@ -24,7 +25,7 @@ import (
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.sched.FlightRecorder().Get(r.PathValue("id"))
 	if tr == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{
+		edge.WriteJSON(w, http.StatusNotFound, edge.ErrorBody{
 			Error: "no trace: job unknown or evicted from the flight recorder",
 			Code:  "trace-not-found",
 		})
@@ -36,7 +37,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		_ = tr.Chrome().Write(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, tr.Snapshot())
+	edge.WriteJSON(w, http.StatusOK, tr.Snapshot())
 }
 
 // flightJob is the compact per-job row of /debug/flightrecorder.
@@ -83,7 +84,7 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
 			TraceURL:  "/debug/jobs/" + snap.ID + "/trace",
 		})
 	}
-	writeJSON(w, http.StatusOK, body)
+	edge.WriteJSON(w, http.StatusOK, body)
 }
 
 // overloadBody pairs the phase decomposition with the scheduler's
@@ -130,5 +131,5 @@ func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
 	body.Brownout.QueueDelayEWMAMS = float64(snap.QueueDelayEWMA.Nanoseconds()) / 1e6
 	body.Brownout.PredictedStartMS = float64(snap.PredictedStart.Nanoseconds()) / 1e6
 	body.Brownout.Shed = s.sched.ShedTotals()
-	writeJSON(w, http.StatusOK, body)
+	edge.WriteJSON(w, http.StatusOK, body)
 }

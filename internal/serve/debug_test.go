@@ -6,15 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/workload"
 )
 
 // submitDone posts one job with Wait and returns its terminal status.
-func submitDone(t *testing.T, ts *testServer, n int, seed int64) jobStatus {
+func submitDone(t *testing.T, ts *testServer, n int, seed int64) edge.JobStatus {
 	t.Helper()
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, n, seed), Wait: true})
+	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, n, seed), Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/sort: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -95,7 +96,7 @@ func TestDebugJobTrace404(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("trace %s: HTTP %d, want 404: %s", id, resp.StatusCode, raw)
 		}
-		var eb errorBody
+		var eb edge.ErrorBody
 		if err := json.Unmarshal(raw, &eb); err != nil {
 			t.Fatalf("decode error body: %v", err)
 		}
@@ -193,7 +194,7 @@ func TestDebugSpillTraceOverHTTP(t *testing.T) {
 		cfg.DiskBudget = 4 << 20
 		cfg.SpillDir = t.TempDir()
 	})
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 100000, 30), Wait: true})
+	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 100000, 30), Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST: HTTP %d: %s", resp.StatusCode, raw)
 	}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/psort"
 	"knlmlm/internal/wire"
 )
@@ -238,25 +239,25 @@ func TestTypedKeySubmitRejections(t *testing.T) {
 	ts := newTestServer(t, nil)
 
 	t.Run("json-key-type-f64", func(t *testing.T) {
-		resp, raw := ts.post(t, sortRequest{Keys: []int64{3, 1, 2}, KeyType: "f64"})
+		resp, raw := ts.post(t, edge.SortRequest{Keys: []int64{3, 1, 2}, KeyType: "f64"})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
 		}
 	})
 	t.Run("json-key-type-rec", func(t *testing.T) {
-		resp, raw := ts.post(t, sortRequest{Keys: []int64{3, 1, 2, 4}, KeyType: "rec"})
+		resp, raw := ts.post(t, edge.SortRequest{Keys: []int64{3, 1, 2, 4}, KeyType: "rec"})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
 		}
 	})
 	t.Run("json-key-type-unknown", func(t *testing.T) {
-		resp, raw := ts.post(t, sortRequest{Keys: []int64{1}, KeyType: "utf8"})
+		resp, raw := ts.post(t, edge.SortRequest{Keys: []int64{1}, KeyType: "utf8"})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
 		}
 	})
 	t.Run("json-key-type-i64-allowed", func(t *testing.T) {
-		resp, raw := ts.post(t, sortRequest{Keys: []int64{3, 1, 2}, KeyType: "i64", Wait: true})
+		resp, raw := ts.post(t, edge.SortRequest{Keys: []int64{3, 1, 2}, KeyType: "i64", Wait: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
 		}

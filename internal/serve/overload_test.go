@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/model"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/workload"
@@ -39,7 +40,7 @@ func TestRetryAfterHeaderRoundsUp(t *testing.T) {
 		if got := rec.Header().Get("Retry-After"); got != tc.header {
 			t.Fatalf("%v: Retry-After = %q, want %q", tc.retryAfter, got, tc.header)
 		}
-		var eb errorBody
+		var eb edge.ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 			t.Fatalf("%v: decode body: %v", tc.retryAfter, err)
 		}
@@ -53,7 +54,7 @@ func TestRetryAfterHeaderRoundsUp(t *testing.T) {
 	writeSchedError(rec, &sched.OverloadError{
 		Reason: "predicted-late", RetryAfter: 700 * time.Millisecond, PredictedWait: 4200 * time.Millisecond,
 	})
-	var eb errorBody
+	var eb edge.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 		t.Fatalf("decode predicted-late body: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestHealthzReportsBrownout(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz: HTTP %d: %s", resp.StatusCode, raw)
 	}
-	var hb healthBody
+	var hb edge.Health
 	if err := json.Unmarshal(raw, &hb); err != nil {
 		t.Fatalf("decode healthz: %v", err)
 	}
@@ -120,14 +121,14 @@ func TestShedJobOnTheWire(t *testing.T) {
 	})
 	defer g.open()
 
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
+	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker: HTTP %d: %s", resp.StatusCode, raw)
 	}
 	blocker := decodeStatus(t, raw)
 	waitState(t, ts, blocker.ID, "running")
 
-	resp, raw = ts.post(t, sortRequest{
+	resp, raw = ts.post(t, edge.SortRequest{
 		Keys:       workload.Generate(workload.Random, 40000, 2),
 		DeadlineMS: 300,
 	})
@@ -182,13 +183,13 @@ func TestPreDecodeDeadlineShed(t *testing.T) {
 	})
 	defer g.open()
 
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
+	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker: HTTP %d: %s", resp.StatusCode, raw)
 	}
 	blocker := decodeStatus(t, raw)
 	waitState(t, ts, blocker.ID, "running")
-	resp, raw = ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, 40000, 2)})
+	resp, raw = ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 40000, 2)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("backlog job: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -209,7 +210,7 @@ func TestPreDecodeDeadlineShed(t *testing.T) {
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("pre-decode shed: HTTP %d: %s, want 429", resp2.StatusCode, body)
 	}
-	var eb errorBody
+	var eb edge.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
@@ -249,7 +250,7 @@ func TestIngestGateBusy(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("gate timeout: HTTP %d, want 429", rec.Code)
 	}
-	var eb errorBody
+	var eb edge.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}

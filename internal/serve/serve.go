@@ -4,7 +4,11 @@
 // Retry-After for overload, 413 for jobs that can never fit any tier's
 // budget), streams large sorted results with chunked transfer encoding,
 // and exposes the scheduler's sched_* families plus its own serve_*
-// counters on /metrics in Prometheus text format.
+// counters on /metrics in Prometheus text format. The /v1 protocol
+// itself (bodies, submit decoding, negotiation, result encoders) is
+// internal/edge's, shared with the coordinator; this package is what a
+// node does behind it: the decode gate, the key pool, the job trace,
+// typed keys, /debug/* and the scheduler's error mapping.
 //
 // Spill-class results are special: their sorted output exists only as
 // disk run files, and GET /v1/jobs/{id}/result runs the deferred k-way
@@ -26,18 +30,16 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/sched"
@@ -56,9 +58,10 @@ type Config struct {
 	// MaxBodyBytes bounds POST /v1/sort request bodies. Zero selects
 	// 64 MiB.
 	MaxBodyBytes int64
-	// ResultChunkElems is the streaming granularity of result downloads
-	// (elements per write/flush). Zero selects 8192.
-	ResultChunkElems int
+	// ResultChunkElems and WireFrameElems are the streaming granularities
+	// of JSON and binary result downloads (edge.ResultWriter's ChunkElems
+	// and FrameElems; zero selects its defaults).
+	ResultChunkElems, WireFrameElems int
 	// KeyPool supplies the destination buffers for binary submit bodies.
 	// Defaults to the scheduler's pool (Scheduler.KeyPool), closing the
 	// recycle loop: upload decodes into a pooled buffer, the sort runs in
@@ -66,11 +69,6 @@ type Config struct {
 	// upload. When the scheduler has no pool either, a private pool keeps
 	// the decode path uniform (its buffers are simply never recycled).
 	KeyPool *mem.SlicePool
-	// WireFrameElems is the frame granularity of binary result downloads
-	// (elements per wire frame). Zero selects wire.DefaultFrameElems;
-	// it is deliberately independent of ResultChunkElems, whose smaller
-	// default suits the JSON encoder's per-chunk buffer.
-	WireFrameElems int
 	// DecodeConcurrency bounds how many submit bodies decode at once.
 	// Parsing a large key array costs about as much CPU as sorting it, so
 	// unbounded concurrent decodes are an unmodeled second queue in front
@@ -88,7 +86,6 @@ type Config struct {
 type Server struct {
 	cfg         Config
 	sched       *sched.Scheduler
-	reg         *telemetry.Registry
 	mux         *http.ServeMux
 	draining    atomic.Bool
 	logger      *slog.Logger
@@ -107,12 +104,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
-	}
-	if cfg.ResultChunkElems <= 0 {
-		cfg.ResultChunkElems = 8192
-	}
-	if cfg.WireFrameElems <= 0 {
-		cfg.WireFrameElems = wire.DefaultFrameElems
 	}
 	if cfg.KeyPool == nil {
 		cfg.KeyPool = cfg.Scheduler.KeyPool()
@@ -133,7 +124,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		sched: cfg.Scheduler,
-		reg:   reg,
 		mux:   http.NewServeMux(),
 		gate:  make(chan struct{}, cfg.DecodeConcurrency),
 		requests: reg.Counter("serve_requests_total",
@@ -145,14 +135,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.logger = cfg.Logger
 	if s.logger == nil {
-		s.logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
+		s.logger = telemetry.NopLogger()
 	}
 	s.mux.HandleFunc("POST /v1/sort", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", edge.MetricsHandler(reg))
 	s.mux.HandleFunc("GET /debug/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
 	s.mux.HandleFunc("GET /debug/overload", s.handleOverload)
@@ -180,71 +170,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.sched.Drain(ctx)
 }
 
-// sortRequest is the POST /v1/sort body.
-type sortRequest struct {
-	// Keys are the int64 keys to sort.
-	Keys []int64 `json:"keys"`
-	// KeyType names the key representation ("i64" default). The typed
-	// kinds ("f64" raw IEEE-754 bit cells, "rec" interleaved key/payload
-	// cell pairs) are binary-wire-only: JSON has no lossless carrier for
-	// 64-bit float payloads or record pairs, so a JSON submit naming one
-	// is a 400. On binary submits the field is implied by the
-	// Content-Type kind parameter.
-	KeyType string `json:"key_type,omitempty"`
-	// Priority orders admission (higher sooner; default 0).
-	Priority int `json:"priority,omitempty"`
-	// DeadlineMS, when positive, is a start deadline relative to arrival.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Algorithm names the sort variant ("MLM-sort" default, "MLM-hybrid"
-	// the hybrid-mode twin).
-	Algorithm string `json:"algorithm,omitempty"`
-	// MegachunkLen overrides automatic budget-aware megachunk sizing.
-	MegachunkLen int `json:"megachunk_len,omitempty"`
-	// Wait holds the response until the job is terminal (long poll).
-	Wait bool `json:"wait,omitempty"`
-}
-
-// jobStatus is the wire form of a job.
-type jobStatus struct {
-	ID         string `json:"id"`
-	State      string `json:"state"`
-	N          int    `json:"n"`
-	QueueWait  string `json:"queue_wait,omitempty"`
-	LeaseBytes int64  `json:"lease_bytes,omitempty"`
-	// KeyType is the job's key representation ("f64", "rec"); omitted
-	// for plain int64 jobs.
-	KeyType string `json:"key_type,omitempty"`
-	// Spilled marks a spill-class job: its result is produced by a
-	// consume-once streaming merge at ResultURL.
-	Spilled        bool  `json:"spilled,omitempty"`
-	DiskLeaseBytes int64 `json:"disk_lease_bytes,omitempty"`
-	// Shed marks a job the scheduler itself evicted under overload
-	// control (deadline infeasible, brownout) — distinct from a client
-	// cancel and safe to retry later.
-	Shed      bool   `json:"shed,omitempty"`
-	Error     string `json:"error,omitempty"`
-	ResultURL string `json:"result_url,omitempty"`
-	Enqueued  string `json:"enqueued,omitempty"`
-	Started   string `json:"started,omitempty"`
-	Finished  string `json:"finished,omitempty"`
-}
-
-// errorBody is the wire form of every non-2xx response.
-type errorBody struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	// PredictedWaitMS, on predicted-late overload rejections, is the
-	// model-predicted start delay that sank the deadline.
-	PredictedWaitMS int64 `json:"predicted_wait_ms,omitempty"`
-}
-
-func statusOf(j *sched.Job) jobStatus {
-	st := jobStatus{
-		ID:    j.ID(),
-		State: j.State().String(),
-		N:     j.N(),
-	}
+func statusOf(j *sched.Job) edge.JobStatus {
+	enq, sta, fin := j.Times()
+	st := edge.NewJobStatus(j.ID(), j.State().String(), j.N(), j.Err(), enq, sta, fin)
 	if kt := j.KeyType(); kt != sched.KeyInt64 {
 		st.KeyType = kt.String()
 	}
@@ -258,30 +186,8 @@ func statusOf(j *sched.Job) jobStatus {
 		st.Spilled = true
 		st.DiskLeaseBytes = j.DiskLeaseBytes()
 	}
-	if err := j.Err(); err != nil {
-		st.Error = err.Error()
-		st.Shed = errors.Is(err, sched.ErrShed)
-	}
-	if j.State() == sched.Done {
-		st.ResultURL = "/v1/jobs/" + j.ID() + "/result"
-	}
-	enq, sta, fin := j.Times()
-	if !enq.IsZero() {
-		st.Enqueued = enq.UTC().Format(time.RFC3339Nano)
-	}
-	if !sta.IsZero() {
-		st.Started = sta.UTC().Format(time.RFC3339Nano)
-	}
-	if !fin.IsZero() {
-		st.Finished = fin.UTC().Format(time.RFC3339Nano)
-	}
+	st.Shed = errors.Is(j.Err(), sched.ErrShed)
 	return st
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeSchedError maps the scheduler's typed errors to HTTP statuses:
@@ -300,32 +206,32 @@ func writeSchedError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{
+		edge.WriteJSON(w, http.StatusTooManyRequests, edge.ErrorBody{
 			Error:           err.Error(),
 			Code:            "overloaded-" + oe.Reason,
 			RetryAfterMS:    oe.RetryAfter.Milliseconds(),
 			PredictedWaitMS: oe.PredictedWait.Milliseconds(),
 		})
 	case errors.Is(err, sched.ErrTooLarge):
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+		edge.WriteJSON(w, http.StatusRequestEntityTooLarge, edge.ErrorBody{
 			Error: err.Error(), Code: "too-large",
 		})
 	case errors.Is(err, sched.ErrDeadlineExpired):
 		// Retrying an already-expired deadline can never succeed; this is
 		// a client error, not backpressure.
-		writeJSON(w, http.StatusBadRequest, errorBody{
+		edge.WriteJSON(w, http.StatusBadRequest, edge.ErrorBody{
 			Error: err.Error(), Code: "deadline-expired",
 		})
 	case errors.Is(err, sched.ErrBadSpec):
-		writeJSON(w, http.StatusBadRequest, errorBody{
+		edge.WriteJSON(w, http.StatusBadRequest, edge.ErrorBody{
 			Error: err.Error(), Code: "bad-request",
 		})
 	case errors.Is(err, sched.ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{
+		edge.WriteJSON(w, http.StatusServiceUnavailable, edge.ErrorBody{
 			Error: err.Error(), Code: "closed",
 		})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{
+		edge.WriteJSON(w, http.StatusInternalServerError, edge.ErrorBody{
 			Error: err.Error(), Code: "internal",
 		})
 	}
@@ -348,38 +254,6 @@ func classifySubmitErr(err error, deadlineMS int64) error {
 		}
 	}
 	return err
-}
-
-func parseAlgorithm(name string) (mlmsort.Algorithm, error) {
-	switch name {
-	case "", "MLM-sort":
-		return mlmsort.MLMSort, nil
-	case "MLM-hybrid":
-		return mlmsort.MLMHybrid, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want MLM-sort or MLM-hybrid)", name)
-	}
-}
-
-// isWireContentType matches a Content-Type header against the binary
-// key-stream media type, ignoring parameters (charset etc.).
-func isWireContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.EqualFold(strings.TrimSpace(ct), wire.ContentType)
-}
-
-// acceptsWire reports whether the request's Accept list names the
-// binary key stream. Anything else — absent header, */*, JSON — keeps
-// the JSON default, so only clients that ask for frames get frames.
-func acceptsWire(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if isWireContentType(part) {
-			return true
-		}
-	}
-	return false
 }
 
 // wireKindOf maps a job's key type to its wire stream kind.
@@ -423,94 +297,6 @@ func parseKeyType(name string, binary bool) (sched.KeyType, error) {
 		return sched.KeyRecord, nil
 	}
 	return 0, fmt.Errorf("unknown key_type %q", name)
-}
-
-// decodeBinarySubmit decodes an application/x-mlm-keys submit body into
-// a pooled key buffer. The stream header carries the exact element
-// count, so the buffer is sized once — bounds-checked against
-// MaxBodyBytes — before the first payload byte lands, and on the
-// zero-copy path the socket bytes are read directly into []int64
-// memory. With no JSON envelope, the envelope options ride query
-// parameters (priority, deadline_ms, algorithm, megachunk_len, wait);
-// an X-Deadline-Ms header doubles as deadline_ms when the query omits
-// it. Reports ok=false after writing the error response; on success the
-// caller owns req.Keys (and must return it to the pool if the job is
-// never handed to the scheduler).
-func (s *Server) decodeBinarySubmit(w http.ResponseWriter, r *http.Request, body io.Reader) (req sortRequest, ok bool) {
-	bad := func(msg string) (sortRequest, bool) {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: msg, Code: "bad-request"})
-		return req, false
-	}
-	q := r.URL.Query()
-	if v := q.Get("priority"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			return bad("bad priority: " + v)
-		}
-		req.Priority = p
-	}
-	if v := q.Get("deadline_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return bad("bad deadline_ms: " + v)
-		}
-		req.DeadlineMS = ms
-	}
-	if v := q.Get("megachunk_len"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return bad("bad megachunk_len: " + v)
-		}
-		req.MegachunkLen = n
-	}
-	req.Algorithm = q.Get("algorithm")
-	req.Wait = q.Get("wait") == "1" || strings.EqualFold(q.Get("wait"), "true")
-	if req.DeadlineMS == 0 {
-		if ms, err := strconv.ParseInt(r.Header.Get("X-Deadline-Ms"), 10, 64); err == nil && ms > 0 {
-			req.DeadlineMS = ms
-		}
-	}
-	kind, ok := wire.KindFromContentType(r.Header.Get("Content-Type"))
-	if !ok {
-		return bad("unknown key kind in Content-Type " + r.Header.Get("Content-Type"))
-	}
-	fr, err := wire.NewReaderAnyKind(body)
-	if err != nil {
-		return bad("bad binary body: " + err.Error())
-	}
-	if fr.Kind() != kind {
-		// The stream magic is authoritative; a mismatched Content-Type
-		// means a proxy rewrote headers or the client lied — either way
-		// the bytes cannot be interpreted as declared.
-		return bad(fmt.Sprintf("stream kind %v does not match Content-Type kind %v", fr.Kind(), kind))
-	}
-	req.KeyType = kind.String()
-	total := fr.Total()
-	if total <= 0 {
-		return bad("keys must be non-empty")
-	}
-	if total > s.cfg.MaxBodyBytes/8 {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-			Error: fmt.Sprintf("declared %d keys exceeds body limit", total), Code: "too-large",
-		})
-		return req, false
-	}
-	keys := s.cfg.KeyPool.Get(int(total))
-	if keys == nil {
-		keys = make([]int64, total)
-	}
-	if err := fr.ReadInto(keys); err != nil {
-		s.cfg.KeyPool.Put(keys)
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, errorBody{Error: "bad binary body: " + err.Error(), Code: "bad-request"})
-		return req, false
-	}
-	req.Keys = keys
-	return req, true
 }
 
 // acquireGate takes a decode slot for a submit. A request carrying a
@@ -567,9 +353,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// before rejecting spends its capacity on requests it then refuses —
 	// goodput collapses exactly when backpressure matters most. The body's
 	// deadline_ms (checked after decode) stays authoritative.
-	var hdrDeadline time.Duration
-	if ms, err := strconv.ParseInt(r.Header.Get("X-Deadline-Ms"), 10, 64); err == nil && ms > 0 {
-		hdrDeadline = time.Duration(ms) * time.Millisecond
+	hdrDeadline := time.Duration(edge.HeaderDeadlineMS(r)) * time.Millisecond
+	if hdrDeadline > 0 {
 		if err := s.sched.PreAdmit(hdrDeadline); err != nil {
 			writeSchedError(w, err)
 			return
@@ -597,36 +382,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req sortRequest
-	pooled := false // req.Keys came from the key pool; return it on any pre-handoff failure
-	binary := isWireContentType(r.Header.Get("Content-Type"))
-	if binary {
-		var ok bool
-		req, ok = s.decodeBinarySubmit(w, r, body)
-		if !ok {
-			return
+	// A binary body decodes straight into a pooled key buffer sized from
+	// the stream header, with no intermediate allocation; the buffer goes
+	// back to the pool on any failure before the scheduler takes it.
+	req, fr, err := edge.DecodeSubmit(w, r, s.cfg.MaxBodyBytes)
+	pooled := false
+	if err == nil && fr != nil {
+		if req.Keys = s.cfg.KeyPool.Get(int(fr.Total())); req.Keys == nil {
+			req.Keys = make([]int64, fr.Total())
 		}
 		pooled = true
-	} else {
-		dec := json.NewDecoder(body)
-		if err := dec.Decode(&req); err != nil {
-			code := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			writeJSON(w, code, errorBody{Error: "bad request body: " + err.Error(), Code: "bad-request"})
-			return
-		}
-		// One JSON value is the whole body: trailing non-whitespace (a
-		// second object, smuggled garbage) is a malformed request, not
-		// something to silently ignore.
-		if _, err := dec.Token(); err != io.EOF {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error: "trailing data after JSON body", Code: "bad-request",
-			})
-			return
+		if e := fr.ReadInto(req.Keys); e != nil {
+			err = fmt.Errorf("bad binary body: %w", e)
 		}
 	}
 	recycle := func() {
@@ -635,21 +402,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cfg.KeyPool.Put(req.Keys)
 		}
 	}
-	if len(req.Keys) == 0 {
-		recycle()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "keys must be non-empty", Code: "bad-request"})
-		return
+	var alg mlmsort.Algorithm
+	if err == nil {
+		alg, err = req.Check()
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
+	var keyType sched.KeyType
+	if err == nil {
+		keyType, err = parseKeyType(req.KeyType, fr != nil)
+	}
 	if err != nil {
 		recycle()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad-request"})
-		return
-	}
-	keyType, err := parseKeyType(req.KeyType, binary)
-	if err != nil {
-		recycle()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad-request"})
+		edge.RefuseSubmit(w, err)
 		return
 	}
 	tr.EventDetail("decoded", strconv.Itoa(len(req.Keys))+" keys")
@@ -685,17 +448,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Client went away; the job keeps running server-side.
 			return
 		}
-		writeJSON(w, http.StatusOK, statusOf(j))
-		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	writeJSON(w, http.StatusAccepted, statusOf(j))
+	edge.WriteAccepted(w, j.ID(), req.Wait, statusOf(j))
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*sched.Job, bool) {
 	j, ok := s.sched.Lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job", Code: "not-found"})
+		edge.WriteNotFound(w)
 		return nil, false
 	}
 	return j, true
@@ -703,7 +463,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*sched.Job, boo
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.lookup(w, r); ok {
-		writeJSON(w, http.StatusOK, statusOf(j))
+		edge.WriteJSON(w, http.StatusOK, statusOf(j))
 	}
 }
 
@@ -713,128 +473,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	writeJSON(w, http.StatusOK, statusOf(j))
-}
-
-// resultEncoder renders sorted-key batches from Job.StreamResult onto
-// the response. Implementations write response headers lazily with the
-// first batch (a consume-once refusal must stay free to answer 410) and
-// seal the stream in finish — the JSON closing bracket, the wire
-// end-of-stream marker.
-type resultEncoder interface {
-	writeBatch(batch []int64) error
-	finish() error
-	// started reports whether any response bytes went out: past that
-	// point a failure can only be signaled by truncating the body.
-	started() bool
-}
-
-// resultHeaders sends the common result headers ahead of the first body
-// byte.
-func resultHeaders(w http.ResponseWriter, contentType string, n int, spilled bool) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Sort-Elements", strconv.Itoa(n))
-	if spilled {
-		w.Header().Set("X-Sort-Spilled", "true")
-	}
-}
-
-// jsonResultEncoder streams a JSON array in fixed-size element chunks,
-// flushing between chunks, so a multi-gigabyte result never
-// materializes as one response buffer.
-type jsonResultEncoder struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	chunk   int
-	n       int
-	spilled bool
-	buf     []byte
-	wrote   bool
-	first   bool
-}
-
-func (e *jsonResultEncoder) started() bool { return e.wrote }
-
-func (e *jsonResultEncoder) writeBatch(batch []int64) error {
-	if !e.wrote {
-		resultHeaders(e.w, "application/json", e.n, e.spilled)
-		if _, err := e.w.Write([]byte("[")); err != nil {
-			return err
-		}
-		e.wrote = true
-		e.first = true
-	}
-	for lo := 0; lo < len(batch); lo += e.chunk {
-		hi := lo + e.chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		e.buf = e.buf[:0]
-		for _, v := range batch[lo:hi] {
-			if !e.first {
-				e.buf = append(e.buf, ',')
-			}
-			e.first = false
-			e.buf = strconv.AppendInt(e.buf, v, 10)
-		}
-		if _, err := e.w.Write(e.buf); err != nil {
-			return err
-		}
-		if e.flusher != nil {
-			e.flusher.Flush()
-		}
-	}
-	return nil
-}
-
-func (e *jsonResultEncoder) finish() error {
-	if !e.wrote {
-		resultHeaders(e.w, "application/json", e.n, e.spilled)
-		if _, err := e.w.Write([]byte("[")); err != nil {
-			return err
-		}
-		e.wrote = true
-	}
-	_, err := e.w.Write([]byte("]\n"))
-	return err
-}
-
-// wireResultEncoder streams the binary frame format. Each merge batch
-// goes out as count-prefixed frames whose payload, on the zero-copy
-// path, is the batch's own memory — the result moves merge -> socket
-// with no per-element work and no whole-result buffer.
-type wireResultEncoder struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	fw      *wire.Writer
-	ct      string // Content-Type with the stream's kind parameter
-	n       int
-	spilled bool
-	wrote   bool
-}
-
-func (e *wireResultEncoder) started() bool { return e.wrote }
-
-func (e *wireResultEncoder) writeBatch(batch []int64) error {
-	if !e.wrote {
-		resultHeaders(e.w, e.ct, e.n, e.spilled)
-		e.wrote = true
-	}
-	if err := e.fw.Write(batch); err != nil {
-		return err
-	}
-	if e.flusher != nil {
-		e.flusher.Flush()
-	}
-	return nil
-}
-
-func (e *wireResultEncoder) finish() error {
-	if !e.wrote {
-		resultHeaders(e.w, e.ct, e.n, e.spilled)
-		e.wrote = true
-	}
-	return e.fw.Close()
+	edge.WriteJSON(w, http.StatusOK, statusOf(j))
 }
 
 // handleResult streams the sorted keys — as a chunked JSON array by
@@ -852,41 +491,32 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !j.State().Terminal() {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "job still " + j.State().String(), Code: "not-ready"})
+		edge.WriteJSON(w, http.StatusConflict, edge.ErrorBody{Error: "job still " + j.State().String(), Code: "not-ready"})
 		return
 	}
 	if !j.Spilled() {
 		if err := j.Err(); err != nil {
-			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "job-" + j.State().String()})
+			edge.WriteJSON(w, http.StatusConflict, edge.ErrorBody{Error: err.Error(), Code: "job-" + j.State().String()})
 			return
 		}
 	}
-	flusher, _ := w.(http.Flusher)
-	var enc resultEncoder
-	if acceptsWire(r) {
-		kind := wireKindOf(j.KeyType())
-		enc = &wireResultEncoder{
-			w: w, flusher: flusher, n: j.N(), spilled: j.Spilled(),
-			ct: wire.ContentTypeFor(kind),
-			fw: wire.NewWriterKind(w, kind, j.N(), s.cfg.WireFrameElems),
-		}
-	} else if kt := j.KeyType(); kt != sched.KeyInt64 {
+	kt := j.KeyType()
+	enc := &edge.ResultWriter{
+		W: w, Wire: edge.AcceptsWire(r), Kind: wireKindOf(kt), N: j.N(), Spilled: j.Spilled(),
+		ChunkElems: s.cfg.ResultChunkElems, FrameElems: s.cfg.WireFrameElems,
+	}
+	if !enc.Wire && kt != sched.KeyInt64 {
 		// Same asymmetry as submit: float bits and key/payload pairs have
 		// no JSON representation here, so a typed result is wire-only.
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error: fmt.Sprintf("job has %s keys; download with Accept: %s", kt, wire.ContentTypeFor(wireKindOf(kt))),
+		edge.WriteJSON(w, http.StatusBadRequest, edge.ErrorBody{
+			Error: fmt.Sprintf("job has %s keys; download with Accept: %s", kt, wire.ContentTypeFor(enc.Kind)),
 			Code:  "bad-request",
 		})
 		return
-	} else {
-		enc = &jsonResultEncoder{
-			w: w, flusher: flusher, chunk: s.cfg.ResultChunkElems,
-			n: j.N(), spilled: j.Spilled(),
-		}
 	}
 	var werr error
 	_, err := j.StreamResult(r.Context(), func(batch []int64) error {
-		if e := enc.writeBatch(batch); e != nil {
+		if e := enc.WriteBatch(batch); e != nil {
 			werr = e
 			return e
 		}
@@ -894,71 +524,24 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case err == nil:
-		_ = enc.finish()
+		_ = enc.Finish()
 	case werr != nil || r.Context().Err() != nil:
 		// The client went away mid-stream; the response is unfinishable
 		// and the stream already released the job's resources.
 	case errors.Is(err, sched.ErrResultConsumed):
-		writeJSON(w, http.StatusGone, errorBody{Error: err.Error(), Code: "result-consumed"})
-	case enc.started():
+		edge.WriteJSON(w, http.StatusGone, edge.ErrorBody{Error: err.Error(), Code: "result-consumed"})
+	case enc.Started():
 		// Failure after bytes hit the wire: the truncated body (no closing
 		// bracket, no end-of-stream marker) is the only signal left.
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Code: "spill-merge"})
+		edge.WriteJSON(w, http.StatusInternalServerError, edge.ErrorBody{Error: err.Error(), Code: "spill-merge"})
 	}
-}
-
-// healthBody is the /healthz payload.
-type healthBody struct {
-	Status      string `json:"status"`
-	Draining    bool   `json:"draining"`
-	Queued      int    `json:"queued"`
-	Running     int    `json:"running"`
-	LeasedBytes int64  `json:"leased_bytes"`
-	BudgetBytes int64  `json:"budget_bytes"`
-	// Disk-tier ledger state; zero when the spill class is disabled.
-	DiskLeasedBytes int64 `json:"disk_leased_bytes,omitempty"`
-	DiskBudgetBytes int64 `json:"disk_budget_bytes,omitempty"`
-	// Brownout is the scheduler's overload degradation state: the level
-	// name ("normal", "shed-spill", "shrink-batch", "critical-only"),
-	// its numeric value, and the smoothed queue-delay signal driving it.
-	// The endpoint stays 200 while browned out — the service is degraded
-	// on purpose, not unhealthy, and load balancers must keep routing.
-	Brownout         string  `json:"brownout"`
-	BrownoutLevel    int     `json:"brownout_level"`
-	QueueDelayEWMAMS float64 `json:"queue_delay_ewma_ms,omitempty"`
-	// Capacity is the compact routing block a cluster coordinator polls:
-	// everything a bandwidth-aware router needs to weight this node, in
-	// one cheap GET instead of a /metrics scrape.
-	Capacity capacityBody `json:"capacity"`
-}
-
-// capacityBody summarizes this node's headroom for an upstream router.
-// The EWMA rates are the scheduler's blended Eq. 1-5 parameters (seed
-// constants folded with autotuner measurements), per thread, so the
-// poller can re-solve the model with this node's thread budget and
-// derive a comparable predicted service rate per node.
-type capacityBody struct {
-	// HeadroomBytes is the unleased remainder of the MCDRAM staging
-	// budget — how much working set a new job could lease right now.
-	HeadroomBytes int64 `json:"headroom_bytes"`
-	QueueDepth    int   `json:"queue_depth"`
-	BrownoutLevel int   `json:"brownout_level"`
-	// EWMACopyBps/EWMACompBps are the per-thread copy and compute rates
-	// (bytes/sec) the admission model currently runs on.
-	EWMACopyBps float64 `json:"ewma_copy_bps"`
-	EWMACompBps float64 `json:"ewma_comp_bps"`
-	// Threads is the node's fair-shared thread budget.
-	Threads int `json:"threads"`
-	// PredictedStartMS is the model-predicted start delay a job admitted
-	// now would see — the same figure PreAdmit sheds against.
-	PredictedStartMS float64 `json:"predicted_start_ms"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	snap := s.sched.Snapshot()
 	rates := s.sched.Rates()
-	body := healthBody{
+	body := edge.Health{
 		Status:           "ok",
 		Draining:         s.draining.Load() || snap.Draining,
 		Queued:           snap.Queued,
@@ -970,7 +553,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Brownout:         snap.Brownout.String(),
 		BrownoutLevel:    int(snap.Brownout),
 		QueueDelayEWMAMS: float64(snap.QueueDelayEWMA.Nanoseconds()) / 1e6,
-		Capacity: capacityBody{
+		Capacity: edge.Capacity{
 			HeadroomBytes:    int64(snap.BudgetBytes) - int64(snap.LeasedBytes),
 			QueueDepth:       snap.Queued,
 			BrownoutLevel:    int(snap.Brownout),
@@ -985,12 +568,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		body.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	// A write error here means the scraper disconnected mid-response;
-	// there is nothing left to signal it to.
-	_ = s.reg.WritePrometheus(w)
+	edge.WriteJSON(w, code, body)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/spill"
 	"knlmlm/internal/units"
@@ -63,7 +64,7 @@ func TestSpilledResultDownload(t *testing.T) {
 	want := append([]int64(nil), keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
-	resp, raw := ts.post(t, sortRequest{Keys: keys, Wait: true})
+	resp, raw := ts.post(t, edge.SortRequest{Keys: keys, Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -107,7 +108,7 @@ func TestSpilledResultDownload(t *testing.T) {
 		t.Fatal("run files survive a completed download")
 	}
 	hresp, hraw := ts.get(t, "/healthz")
-	var h healthBody
+	var h edge.Health
 	if err := json.Unmarshal(hraw, &h); err != nil {
 		t.Fatalf("decode healthz (HTTP %d): %v", hresp.StatusCode, err)
 	}
@@ -135,7 +136,7 @@ func TestSpilledDownloadDisconnect(t *testing.T) {
 	// Large enough that the response cannot hide in socket buffers: the
 	// handler must still be writing when the client hangs up.
 	const n = 300000
-	resp, raw := ts.post(t, sortRequest{Keys: workload.Generate(workload.Random, n, 7), Wait: true})
+	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, n, 7), Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, raw)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/wire"
@@ -114,14 +115,14 @@ func TestWireNegotiationMatrix(t *testing.T) {
 	keys := workload.Generate(workload.Random, 5000, 7)
 	want := sorted(keys)
 
-	submit := func(t *testing.T, binary bool) jobStatus {
+	submit := func(t *testing.T, binary bool) edge.JobStatus {
 		t.Helper()
 		var resp *http.Response
 		var raw []byte
 		if binary {
 			resp, raw = ts.postWire(t, keys, "?wait=1")
 		} else {
-			resp, raw = ts.post(t, sortRequest{Keys: keys, Wait: true})
+			resp, raw = ts.post(t, edge.SortRequest{Keys: keys, Wait: true})
 		}
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit(binary=%v): HTTP %d: %s", binary, resp.StatusCode, raw)
