@@ -11,7 +11,6 @@ package knlmlm
 // custom metrics (simulated seconds, speedups, optima).
 
 import (
-	"os"
 	"testing"
 
 	"knlmlm/internal/cachesim"
@@ -20,7 +19,6 @@ import (
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/model"
 	"knlmlm/internal/noc"
-	"knlmlm/internal/telemetry"
 	"knlmlm/internal/twolevel"
 	"knlmlm/internal/workload"
 )
@@ -266,93 +264,5 @@ func BenchmarkAblationMeshCeiling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ceiling := m.Ceiling(400.0 / 490.0)
 		b.ReportMetric(float64(ceiling)/490e9, "mesh-headroom")
-	}
-}
-
-// --- Raw substrate benchmarks (real code, real data) ---------------------
-
-// BenchmarkRealSerialSort measures the host throughput of the serial
-// adaptive introsort (the psort substrate).
-func BenchmarkRealSerialSort(b *testing.B) {
-	xs := workload.Generate(workload.Random, 1<<20, 1)
-	buf := make([]int64, len(xs))
-	b.SetBytes(int64(len(xs) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, xs)
-		mustSort(b, mlmsort.GNUFlat, buf, 1)
-	}
-}
-
-// BenchmarkRealMLMSort measures the host throughput of the full MLM-sort
-// data flow.
-func BenchmarkRealMLMSort(b *testing.B) {
-	xs := workload.Generate(workload.Random, 1<<20, 1)
-	buf := make([]int64, len(xs))
-	b.SetBytes(int64(len(xs) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, xs)
-		mustSort(b, mlmsort.MLMSort, buf, 4)
-	}
-}
-
-func mustSort(b *testing.B, a mlmsort.Algorithm, xs []int64, threads int) {
-	b.Helper()
-	if err := mlmsort.RunReal(a, xs, threads, 0); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkRealMergeOverlap runs the real triple-buffered merge pipeline
-// under telemetry and reports its copy↔compute overlap efficiency and
-// pipeline efficiency (how close T_total comes to Eq. 1's
-// max(T_copy, T_comp)) as custom metrics — the perf-trajectory numbers
-// this repository tracks from this PR onward. With BENCH_JSON=<path> in
-// the environment, the last iteration's record is written as a
-// BENCH_*.json file.
-func BenchmarkRealMergeOverlap(b *testing.B) {
-	const n, chunkLen, repeats, buffers = 1 << 20, 1 << 14, 4, 3
-	src := workload.Generate(workload.Random, n, 1)
-	b.SetBytes(int64(n * 8))
-	b.ResetTimer()
-	var last telemetry.Analysis
-	for i := 0; i < b.N; i++ {
-		rec := telemetry.NewRecorder()
-		if _, err := mergebench.RunRealObserved(src, chunkLen, repeats, buffers, rec); err != nil {
-			b.Fatal(err)
-		}
-		last = telemetry.Analyze(rec.Spans())
-	}
-	b.ReportMetric(last.OverlapEfficiency, "overlap-eff")
-	b.ReportMetric(last.PipelineEfficiency, "pipeline-eff")
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		rec := telemetry.NewBenchRecord("BenchmarkRealMergeOverlap")
-		rec.Config["n"] = n
-		rec.Config["chunk_len"] = chunkLen
-		rec.Config["repeats"] = repeats
-		rec.Config["buffers"] = buffers
-		rec.FromAnalysis(last)
-		if err := rec.WriteFile(path); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote bench record to %s", path)
-	}
-}
-
-// BenchmarkTelemetryOverheadPerChunk prices one observed chunk against an
-// unobserved one through the exec pipeline (companion to the exec-level
-// BenchmarkRunNoTelemetry/BenchmarkRunWithTelemetry pair; here with the
-// merge kernel, so the overhead is shown relative to real work).
-func BenchmarkTelemetryOverheadPerChunk(b *testing.B) {
-	const n, chunkLen = 1 << 18, 1 << 13
-	src := workload.Generate(workload.Random, n, 1)
-	b.SetBytes(int64(n * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := telemetry.NewRecorder()
-		if _, err := mergebench.RunRealObserved(src, chunkLen, 1, 3, rec); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

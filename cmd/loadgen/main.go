@@ -53,13 +53,13 @@
 // gains a "cluster" block with the coordinator's routing and retry
 // telemetry (cluster_* families) plus per-backend routed bytes.
 //
-// The sweep is written as JSON (default BENCH_PR8.json), the committed
-// artifact EXPERIMENTS.md documents.
+// The sweep is printed as it runs; -out also writes it as one JSON
+// document, the one the CI smoke jobs read.
 //
 // Examples:
 //
 //	loadgen -url http://127.0.0.1:8080 -rates 25,50,100,200 -duration 3s
-//	loadgen -url http://127.0.0.1:8080 -quick -out /dev/stdout
+//	loadgen -url http://127.0.0.1:8080 -quick -out /tmp/sweep.json
 //	loadgen -url http://127.0.0.1:8080 -rates 25,50 -spill-n 200000 -spill-jobs 5
 //	loadgen -url http://127.0.0.1:8080 -rates 50,100,200 -deadline-ms 2000 -retries 3
 //	loadgen -url http://127.0.0.1:8080 -rates 50 -spill-n 200000 -wire both
@@ -67,6 +67,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -81,6 +82,7 @@ import (
 	"sync"
 	"time"
 
+	"knlmlm/internal/edge"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/wire"
 )
@@ -121,34 +123,6 @@ type config struct {
 	// be a coordinator (its /healthz carries a "backends" fleet view). It
 	// relaxes single-node-only checks; no flag sets it.
 	cluster bool
-}
-
-// sortRequest mirrors internal/serve's POST /v1/sort body.
-type sortRequest struct {
-	Keys       []int64 `json:"keys"`
-	Priority   int     `json:"priority,omitempty"`
-	DeadlineMS int64   `json:"deadline_ms,omitempty"`
-	Wait       bool    `json:"wait,omitempty"`
-}
-
-type jobStatus struct {
-	ID             string `json:"id"`
-	State          string `json:"state"`
-	Error          string `json:"error,omitempty"`
-	ResultURL      string `json:"result_url,omitempty"`
-	Spilled        bool   `json:"spilled,omitempty"`
-	Shed           bool   `json:"shed,omitempty"`
-	DiskLeaseBytes int64  `json:"disk_lease_bytes,omitempty"`
-	// QueueWait is the server-reported enqueue-to-start delay — the
-	// quantity a start deadline bounds.
-	QueueWait string `json:"queue_wait,omitempty"`
-}
-
-// errorBody mirrors internal/serve's rejection body: the typed reason
-// and the server's millisecond-precision retry hint.
-type errorBody struct {
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
 // levelResult is one offered-load point of the sweep.
@@ -245,7 +219,7 @@ type modeSweep struct {
 	Spill  *spillResult  `json:"spill,omitempty"`
 }
 
-// benchFile is the BENCH_PR8.json document.
+// benchFile is the document -out writes.
 type benchFile struct {
 	Bench     string `json:"bench"`
 	Target    string `json:"target"`
@@ -306,7 +280,7 @@ func main() {
 	flag.IntVar(&cfg.nMin, "n-min", 1000, "minimum keys per job")
 	flag.IntVar(&cfg.nMax, "n-max", 50000, "maximum keys per job")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
-	flag.StringVar(&cfg.out, "out", "BENCH_PR8.json", "output JSON path")
+	flag.StringVar(&cfg.out, "out", "", "also write the sweep as JSON to this path")
 	flag.BoolVar(&cfg.verify, "verify", true, "download and verify completed results are sorted")
 	flag.IntVar(&cfg.verifySample, "verify-sample", 1, "verify every k-th completed job (1 = all; larger keeps the driver off the server's CPUs at deep overload)")
 	flag.IntVar(&cfg.spillN, "spill-n", 0, "keys per spill-phase job; must exceed the server's DDR budget (0 disables the spill phase)")
@@ -449,6 +423,9 @@ func run(cfg config) error {
 		}
 	}
 
+	if cfg.out == "" {
+		return nil
+	}
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
@@ -467,7 +444,10 @@ func runSweep(client *http.Client, cfg config, binary bool) (*modeSweep, error) 
 	sweep := &modeSweep{}
 	for _, rate := range cfg.rates {
 		before, _ := scrapeOverload(client, cfg.url)
-		lvl := runLevel(client, cfg, rate, binary)
+		lvl, err := runLevel(client, cfg, rate, binary)
+		if err != nil {
+			return nil, err
+		}
 		if after, err := scrapeOverload(client, cfg.url); err == nil {
 			lvl.Overload = after.delta(before)
 		}
@@ -489,19 +469,55 @@ func runSweep(client *http.Client, cfg config, binary bool) (*modeSweep, error) 
 	return sweep, nil
 }
 
-// submitBody renders one job's submit request for the chosen encoding:
-// a JSON envelope, or the binary frame stream with the envelope options
-// (wait, deadline_ms) carried on the query string.
-func submitBody(keys []int64, deadlineMS int64, binary bool, kind wire.Kind) (body []byte, contentType, query string) {
-	if !binary {
-		raw, _ := json.Marshal(sortRequest{Keys: keys, Wait: true, DeadlineMS: deadlineMS})
-		return raw, "application/json", ""
+// newSubmit prepares one job's wait-mode submit in the chosen encoding:
+// the JSON edge.SortRequest, or the binary frame stream as
+// edge.NewWireSubmit builds it. That constructor carries int64 keys, so
+// the typed kinds put their own stream and Content-Type on the same
+// path. A deadline also rides in edge.DeadlineHeader, where the server
+// can shed the request before decoding it, and asks for 100-continue,
+// which keeps the body off the wire entirely on that path. The request
+// is a template: send issues each attempt from it.
+func newSubmit(base string, keys []int64, deadlineMS int64, binary bool, kind wire.Kind) (*http.Request, error) {
+	req := edge.SortRequest{Keys: keys, Wait: true, DeadlineMS: deadlineMS}
+	var hr *http.Request
+	var err error
+	switch {
+	case !binary:
+		raw, _ := json.Marshal(req)
+		if hr, err = http.NewRequest(http.MethodPost, base+edge.SubmitPath, bytes.NewReader(raw)); err == nil {
+			hr.Header.Set("Content-Type", "application/json")
+		}
+	case kind == wire.KindInt64:
+		hr, _, err = edge.NewWireSubmit(context.Background(), base, req)
+	default:
+		body := wire.EncodeKind(nil, kind, keys, 0)
+		if hr, err = http.NewRequest(http.MethodPost, base+edge.SubmitPath+"?wait=1", bytes.NewReader(body)); err == nil {
+			hr.Header.Set("Content-Type", wire.ContentTypeFor(kind))
+		}
 	}
-	query = "?wait=1"
+	if err != nil {
+		return nil, err
+	}
 	if deadlineMS > 0 {
-		query += "&deadline_ms=" + strconv.FormatInt(deadlineMS, 10)
+		hr.Header.Set(edge.DeadlineHeader, strconv.FormatInt(deadlineMS, 10))
+		hr.Header.Set("Expect", "100-continue")
 	}
-	return wire.EncodeKind(nil, kind, keys, 0), wire.ContentTypeFor(kind), query
+	return hr, nil
+}
+
+// send issues one attempt of a prepared submit and reads the answer. The
+// template's body is a bytes.Reader, so GetBody hands every attempt its
+// own.
+func send(client *http.Client, tmpl *http.Request) (*http.Response, []byte, error) {
+	hr := tmpl.Clone(tmpl.Context())
+	hr.Body, _ = tmpl.GetBody()
+	resp, err := client.Do(hr)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, raw, nil
 }
 
 // genCells fills one job's payload cells for the configured key type:
@@ -573,17 +589,18 @@ func runSpillPhase(client *http.Client, cfg config, binary bool) (*spillResult, 
 	var dlMBps, sortMBps []float64
 	for i := 0; i < cfg.spillJobs; i++ {
 		keys := genCells(rng, cfg.spillN, cfg.kind)
-		body, ct, query := submitBody(keys, 0, binary, cfg.kind)
+		req, err := newSubmit(cfg.url, keys, 0, binary, cfg.kind)
+		if err != nil {
+			return nil, err
+		}
 		start := time.Now()
-		resp, err := client.Post(cfg.url+"/v1/sort"+query, ct, bytes.NewReader(body))
+		resp, raw, err := send(client, req)
 		if err != nil {
 			sp.Failed++
 			continue
 		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var st jobStatus
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &st) != nil || st.State != "done" {
+		var st edge.JobStatus
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &st) != nil || st.State != edge.StateDone {
 			sp.Failed++
 			continue
 		}
@@ -945,7 +962,7 @@ func waitHealthy(client *http.Client, url string, timeout time.Duration) error {
 // (open-loop arrivals), then the level waits for its stragglers. Each
 // arrival is serviced by the closed-loop retry client, sharing one
 // retry budget and one circuit breaker across the level.
-func runLevel(client *http.Client, cfg config, rate float64, binary bool) levelResult {
+func runLevel(client *http.Client, cfg config, rate float64, binary bool) (levelResult, error) {
 	interval := time.Duration(float64(time.Second) / rate)
 	rng := rand.New(rand.NewSource(cfg.seed))
 	pol := retryPolicy{
@@ -989,11 +1006,11 @@ func runLevel(client *http.Client, cfg config, rate float64, binary bool) levelR
 		}
 		krng := rand.New(rand.NewSource(rng.Int63()))
 		keys := genCells(krng, n, cfg.kind)
-		body, ct, query := submitBody(keys, cfg.deadlineMS, binary, cfg.kind)
-		jobs = append(jobs, prejob{
-			n: n, body: body, ct: ct, query: query, binary: binary,
-			verify: cfg.verify && i%sample == 0,
-		})
+		req, err := newSubmit(cfg.url, keys, cfg.deadlineMS, binary, cfg.kind)
+		if err != nil {
+			return levelResult{}, err
+		}
+		jobs = append(jobs, prejob{n: n, req: req, binary: binary, verify: cfg.verify && i%sample == 0})
 	}
 
 	start := time.Now()
@@ -1054,17 +1071,15 @@ func runLevel(client *http.Client, cfg config, rate float64, binary bool) levelR
 		Latency:           summarize(latencies),
 		StartDelay:        summarize(startDelays),
 		BreakerTrips:      brk.tripCount(),
-	}
+	}, nil
 }
 
-// prejob is one pre-generated request: the body is encoded before the
-// level's timed window opens so the driver's in-window CPU cost is just
-// the wire work.
+// prejob is one pre-generated request (newSubmit's template): the body is
+// encoded before the level's timed window opens so the driver's in-window
+// CPU cost is just the wire work.
 type prejob struct {
 	n      int
-	body   []byte
-	ct     string
-	query  string
+	req    *http.Request
 	binary bool
 	verify bool
 }
@@ -1079,7 +1094,6 @@ type prejob struct {
 // the server-reported queue wait, the quantity a start deadline bounds.
 func oneJob(client *http.Client, cfg config, pol retryPolicy, bud *retryBudget, brk *breaker, pj prejob, seed int64) (ms, startMS float64, tries int, outcome string) {
 	rng := rand.New(rand.NewSource(seed))
-	body := pj.body
 
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
@@ -1098,35 +1112,20 @@ func oneJob(client *http.Client, cfg config, pol retryPolicy, bud *retryBudget, 
 			time.Sleep(pol.jitteredBackoff(rng, attempt, cfg.cbCooldown))
 			continue
 		}
-		req, err := http.NewRequest(http.MethodPost, cfg.url+"/v1/sort"+pj.query, bytes.NewReader(body))
-		if err != nil {
-			return 0, 0, attempt, "failed"
-		}
-		req.Header.Set("Content-Type", pj.ct)
-		if cfg.deadlineMS > 0 {
-			// Carrying the deadline in a header lets the server shed this
-			// request before decoding the body when the model already knows
-			// it cannot start in time; expect-continue keeps the body off
-			// the wire entirely on that path.
-			req.Header.Set("X-Deadline-Ms", strconv.FormatInt(cfg.deadlineMS, 10))
-			req.Header.Set("Expect", "100-continue")
-		}
-		resp, err := client.Do(req)
+		resp, raw, err := send(client, pj.req)
 		if err != nil {
 			brk.record(time.Now(), false)
 			return 0, 0, attempt, "failed"
 		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
 
 		switch resp.StatusCode {
 		case http.StatusOK:
 			brk.record(time.Now(), false)
-			var st jobStatus
+			var st edge.JobStatus
 			if err := json.Unmarshal(raw, &st); err != nil {
 				return 0, 0, attempt, "failed"
 			}
-			if st.State != "done" {
+			if st.State != edge.StateDone {
 				if st.Shed {
 					// The server admitted the job and its overload control
 					// evicted it — an explicit verdict, not a failure.
@@ -1161,7 +1160,7 @@ func oneJob(client *http.Client, cfg config, pol retryPolicy, bud *retryBudget, 
 // when present, else the whole-seconds Retry-After header, else zero
 // (the client falls back to exponential backoff).
 func retryHint(resp *http.Response, raw []byte) time.Duration {
-	var eb errorBody
+	var eb edge.ErrorBody
 	if json.Unmarshal(raw, &eb) == nil && eb.RetryAfterMS > 0 {
 		return time.Duration(eb.RetryAfterMS) * time.Millisecond
 	}

@@ -10,14 +10,11 @@
 //	mergebench -real -n 1000000          # execute the real data flow
 //	mergebench -real -n 4000000 -repeats 4 -trace out.json -metrics
 //	mergebench -chaos -chaos-seed 7 -n 400000 -metrics
-//	mergebench -repeats 8 -copy 4 -bench-json BENCH_merge.json
 //
 // With -trace / -metrics the run is captured by the telemetry subsystem
 // (Chrome trace-event JSON and Prometheus text format); real runs also
 // print the occupancy/stall report and the Eq. 1–5 model-drift table.
-// -bench-json appends a perf-trajectory record (config, makespan, overlap
-// efficiency). -cpuprofile/-memprofile write standard pprof profiles of
-// the whole run.
+// -cpuprofile/-memprofile write standard pprof profiles of the whole run.
 //
 // With -chaos (implies -real), the pipeline runs under a randomized,
 // seeded fault plan — stage errors/panics/latency, staging-buffer
@@ -56,7 +53,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print the phase trace")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 	metrics := flag.Bool("metrics", false, "print Prometheus-format metrics for the run")
-	benchJSON := flag.String("bench-json", "", "write a BENCH-style JSON record (config, makespan, overlap efficiency) to this file")
 	chaos := flag.Bool("chaos", false, "run the real pipeline under a randomized fault-injection plan (implies -real)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos plan seed (with -chaos)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -82,7 +78,7 @@ func main() {
 	}()
 
 	if *real {
-		runReal(*n, max(1, *repeats), *buffers, *chaos, *chaosSeed, *tracePath, *metrics, *benchJSON, fail)
+		runReal(*n, max(1, *repeats), *buffers, *chaos, *chaosSeed, *tracePath, *metrics, fail)
 		return
 	}
 
@@ -100,11 +96,11 @@ func main() {
 		if *verbose {
 			fmt.Print(res.Trace.String())
 		}
-		emitSimTelemetry(m, cfg, res, *async, *buffers, *tracePath, *metrics, *benchJSON, fail)
+		emitSimTelemetry(m, cfg, res, *tracePath, *metrics, fail)
 		return
 	}
-	if *tracePath != "" || *metrics || *benchJSON != "" {
-		fmt.Fprintln(os.Stderr, "mergebench: -trace/-metrics/-bench-json need a single configuration (-repeats and -copy) or -real; ignoring for the sweep")
+	if *tracePath != "" || *metrics {
+		fmt.Fprintln(os.Stderr, "mergebench: -trace/-metrics need a single configuration (-repeats and -copy) or -real; ignoring for the sweep")
 	}
 
 	repeatsGrid := []int{1, 2, 4, 8, 16, 32, 64}
@@ -132,10 +128,10 @@ func main() {
 // and/or perturbed by a chaos plan. Every metric family the run emits —
 // span-derived, faults_*, pipeline_* — shares one registry, so -chaos
 // and -metrics compose.
-func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath string, metrics bool, benchJSON string, fail func(error)) {
+func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath string, metrics bool, fail func(error)) {
 	const chunkLen = 1 << 16
 	xs := workload.Generate(workload.Random, n, 1)
-	telemetryOn := tracePath != "" || metrics || benchJSON != ""
+	telemetryOn := tracePath != "" || metrics
 	var rec *telemetry.Recorder
 	if telemetryOn {
 		rec = telemetry.NewRecorder()
@@ -191,18 +187,6 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 			fail(err)
 		}
 	}
-	if benchJSON != "" {
-		recd := telemetry.NewBenchRecord("mergebench-real")
-		recd.Config["n"] = n
-		recd.Config["chunk_len"] = chunkLen
-		recd.Config["repeats"] = repeats
-		recd.Config["buffers"] = buffers
-		recd.FromAnalysis(a)
-		recd.MakespanSeconds = wall.Seconds() // full run incl. setup
-		if err := recd.WriteFile(benchJSON); err != nil {
-			fail(err)
-		}
-	}
 
 	fmt.Println()
 	fmt.Print(a.StallReport().ASCII())
@@ -216,9 +200,6 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 	if tracePath != "" {
 		fmt.Printf("\nwrote Chrome trace (%d spans) to %s\n", len(spans), tracePath)
 	}
-	if benchJSON != "" {
-		fmt.Printf("wrote bench record to %s\n", benchJSON)
-	}
 	if metrics {
 		fmt.Println()
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
@@ -228,10 +209,10 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 }
 
 // emitSimTelemetry exports a single simulated configuration: bridged
-// Chrome trace, metrics over the simulation clock, bench record, and the
-// simulated-vs-model drift table (Table 3's comparison for one cell).
-func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Result, async bool, buffers int, tracePath string, metrics bool, benchJSON string, fail func(error)) {
-	if tracePath == "" && !metrics && benchJSON == "" {
+// Chrome trace, metrics over the simulation clock, and the simulated-vs-model
+// drift table (Table 3's comparison for one cell).
+func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Result, tracePath string, metrics bool, fail func(error)) {
+	if tracePath == "" && !metrics {
 		return
 	}
 	spans := telemetry.SimSpans(res.Trace)
@@ -247,22 +228,6 @@ func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Resu
 			fail(err)
 		}
 	}
-	if benchJSON != "" {
-		recd := telemetry.NewBenchRecord("mergebench-sim")
-		recd.Config["repeats"] = cfg.Repeats
-		recd.Config["copy_threads"] = cfg.CopyThreads
-		recd.Config["total_threads"] = cfg.TotalThreads
-		recd.Config["async"] = async
-		if async {
-			recd.Config["buffers"] = buffers
-		}
-		recd.Simulated = true
-		recd.FromAnalysis(a)
-		recd.MakespanSeconds = res.Time.Seconds() // simulated seconds
-		if err := recd.WriteFile(benchJSON); err != nil {
-			fail(err)
-		}
-	}
 
 	pred := cfg.ModelParams(m).Evaluate(
 		model.SymmetricPools(cfg.CopyThreads, cfg.TotalThreads), float64(cfg.Repeats))
@@ -270,9 +235,6 @@ func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Resu
 	fmt.Print(a.ModelDriftReport(pred).ASCII())
 	if tracePath != "" {
 		fmt.Printf("\nwrote simulated Chrome trace to %s\n", tracePath)
-	}
-	if benchJSON != "" {
-		fmt.Printf("wrote bench record to %s\n", benchJSON)
 	}
 	if metrics {
 		fmt.Println()

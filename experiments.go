@@ -3,7 +3,6 @@ package knlmlm
 import (
 	"fmt"
 
-	"knlmlm/internal/knl"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/mergebench"
 	"knlmlm/internal/mlmsort"
@@ -300,6 +299,3 @@ func Bender() BenderResult {
 		BeatsCacheMode:  basic < cache,
 	}
 }
-
-// MachineInMode is a convenience re-export used by examples and benches.
-func MachineInMode(mode mem.Mode) *knl.Machine { return NewPaperMachine(mode) }

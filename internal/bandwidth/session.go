@@ -61,7 +61,7 @@ func (s *Session) Add(f *Flow) {
 }
 
 // AddBackground introduces a background (spin) flow that consumes
-// bandwidth until removed; see Flow.Background.
+// bandwidth for the rest of the session; see Flow.Background.
 func (s *Session) AddBackground(f *Flow) {
 	if err := f.validate(s.sys); err != nil {
 		panic(err)
@@ -69,17 +69,6 @@ func (s *Session) AddBackground(f *Flow) {
 	f.Background = true
 	s.background = append(s.background, f)
 	s.reallocate()
-}
-
-// RemoveBackground retires a background flow.
-func (s *Session) RemoveBackground(f *Flow) {
-	for i, b := range s.background {
-		if b == f {
-			s.background = append(s.background[:i], s.background[i+1:]...)
-			s.reallocate()
-			return
-		}
-	}
 }
 
 func (s *Session) reallocate() {

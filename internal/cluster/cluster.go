@@ -57,6 +57,25 @@ type ConnFaults interface {
 	FailStream(backend int) bool
 }
 
+const (
+	// sampleRate is the fraction of a job's keys sampled for splitter
+	// selection; the sample is floored at 8 keys per partition regardless.
+	sampleRate = 0.01
+	// skewLimit triggers a one-shot splitter resample when the worst
+	// partition exceeds this multiple of its weighted target.
+	skewLimit = 2.5
+	// mergeBlockElems is the merge emission granularity: 256 KiB blocks,
+	// matching the wire frame default.
+	mergeBlockElems = 32768
+	// maxRetries bounds failure-driven re-runs per partition (backend
+	// death, severed streams).
+	maxRetries = 4
+	// maxBackoffs bounds backpressure waits per partition submit (429,
+	// shed). Backpressure resolves with time, so the budget is generous
+	// where the failure budget is tight.
+	maxBackoffs = 32
+)
+
 // Config describes a Coordinator.
 type Config struct {
 	// Backends are the mlmserve base URLs (http://host:port). Required.
@@ -64,10 +83,6 @@ type Config struct {
 	// Registry receives the cluster_* metric families; nil selects a
 	// private registry.
 	Registry *telemetry.Registry
-	// SampleRate is the fraction of a job's keys sampled for splitter
-	// selection. Zero selects 0.01; the sample is floored at 8 keys per
-	// partition regardless.
-	SampleRate float64
 	// PartsPerBackend is how many range partitions each backend receives
 	// per job. More partitions smooth the retry granularity (a dead
 	// backend loses smaller pieces) at the cost of per-partition HTTP
@@ -77,32 +92,15 @@ type Config struct {
 	// read-ahead and merge parallelism from. Zero selects GOMAXPROCS
 	// (floor 3, like the scheduler).
 	MergeThreads int
-	// MergeBlockElems is the merge emission granularity. Zero selects
-	// 32768 (256 KiB blocks, matching the wire frame default).
-	MergeBlockElems int
-	// MaxRetries bounds failure-driven re-runs per partition (backend
-	// death, severed streams). Zero selects 4.
-	MaxRetries int
-	// MaxBackoffs bounds backpressure waits per partition submit (429,
-	// shed). Zero selects 32 — backpressure resolves with time, so the
-	// budget is generous where the failure budget is tight.
-	MaxBackoffs int
 	// PollInterval is the capacity poll cadence. Zero selects 500ms.
 	PollInterval time.Duration
 	// RetainJobs bounds terminal jobs kept for status lookup. Zero
 	// selects 64.
 	RetainJobs int
-	// SkewLimit triggers a one-shot splitter resample when the worst
-	// partition exceeds this multiple of its weighted target. Zero
-	// selects 2.5.
-	SkewLimit float64
 	// ConnFaults, when non-nil, injects dial/stream failures (chaos).
 	ConnFaults ConnFaults
 	// Logger, when non-nil, receives job lifecycle events.
 	Logger *slog.Logger
-	// Client overrides the HTTP client used for backend traffic (tests).
-	// Nil builds one with Expect-Continue support and no overall timeout.
-	Client *http.Client
 	// Seed makes splitter sampling deterministic across runs. Zero is a
 	// valid seed.
 	Seed int64
@@ -137,9 +135,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: at least one backend is required")
 	}
-	if cfg.SampleRate <= 0 {
-		cfg.SampleRate = 0.01
-	}
 	if cfg.PartsPerBackend <= 0 {
 		cfg.PartsPerBackend = 2
 	}
@@ -149,41 +144,27 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MergeThreads < 3 {
 		cfg.MergeThreads = 3
 	}
-	if cfg.MergeBlockElems <= 0 {
-		cfg.MergeBlockElems = 32768
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 4
-	}
-	if cfg.MaxBackoffs <= 0 {
-		cfg.MaxBackoffs = 32
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
 	}
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 64
 	}
-	if cfg.SkewLimit <= 0 {
-		cfg.SkewLimit = 2.5
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	client := cfg.Client
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.ExpectContinueTimeout = time.Second
-		tr.MaxIdleConnsPerHost = 16
-		client = &http.Client{Transport: tr}
-	}
+	// Backend traffic: Expect-Continue support and no overall timeout.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.ExpectContinueTimeout = time.Second
+	tr.MaxIdleConnsPerHost = 16
+	client := &http.Client{Transport: tr}
 	c := &Coordinator{
 		cfg:        cfg,
 		reg:        reg,
 		m:          newMetrics(reg, len(cfg.Backends)),
 		client:     client,
-		pollClient: &http.Client{Transport: client.Transport, Timeout: 2 * time.Second},
+		pollClient: &http.Client{Transport: tr, Timeout: 2 * time.Second},
 		logger:     cfg.Logger,
 		jobs:       map[string]*Job{},
 		stop:       make(chan struct{}),
@@ -434,7 +415,7 @@ func (c *Coordinator) run(j *Job, keys []int64, seq int64) {
 		pw[p] = weights[p%len(c.backends)]
 	}
 	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(uint64(seq)*0x9e3779b97f4a7c15)))
-	pl := partition(keys, pw, c.cfg.SampleRate, c.cfg.SkewLimit, rng)
+	pl := partition(keys, pw, sampleRate, skewLimit, rng)
 	c.m.skew.Observe(pl.skew)
 	if pl.resampled {
 		c.m.resamples.Add(1)
@@ -518,7 +499,7 @@ func (c *Coordinator) submitPart(ctx context.Context, j *Job, p *part) error {
 		if errors.As(err, &bp) {
 			backoffs++
 			c.m.backoffs.Add(1)
-			if backoffs > c.cfg.MaxBackoffs {
+			if backoffs > maxBackoffs {
 				return fmt.Errorf("cluster: partition %d exhausted backpressure budget: %w", p.idx, err)
 			}
 			select {
@@ -530,7 +511,7 @@ func (c *Coordinator) submitPart(ctx context.Context, j *Job, p *part) error {
 		}
 		p.mu.Lock()
 		p.retries++
-		exhausted := p.retries > c.cfg.MaxRetries
+		exhausted := p.retries > maxRetries
 		p.mu.Unlock()
 		if exhausted {
 			p.setState(partFailed)

@@ -251,7 +251,7 @@ func (c *Coordinator) fillPart(ctx context.Context, j *Job, s *partStream) error
 		p.mu.Lock()
 		p.retries++
 		from := p.backend.idx
-		exhausted := p.retries > c.cfg.MaxRetries
+		exhausted := p.retries > maxRetries
 		p.mu.Unlock()
 		if exhausted {
 			p.setState(partFailed)
@@ -296,11 +296,10 @@ func (c *Coordinator) streamOnce(ctx context.Context, s *partStream) error {
 	if fr.Total() != want {
 		return fmt.Errorf("cluster: backend %d returned %d elements for a %d-element partition", b.idx, fr.Total(), want)
 	}
-	block := c.cfg.MergeBlockElems
 	var scratch []int64
 	for skip > 0 {
 		if scratch == nil {
-			scratch = make([]int64, block)
+			scratch = make([]int64, mergeBlockElems)
 		}
 		n := int64(len(scratch))
 		if n > skip {
@@ -314,7 +313,7 @@ func (c *Coordinator) streamOnce(ctx context.Context, s *partStream) error {
 		skip -= int64(got)
 	}
 	for {
-		buf := make([]int64, block)
+		buf := make([]int64, mergeBlockElems)
 		n, err := fr.ReadBatch(buf)
 		if n > 0 {
 			select {

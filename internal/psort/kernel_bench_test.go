@@ -1,21 +1,26 @@
 package psort
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"knlmlm/internal/workload"
 )
 
-// Kernel benchmarks: old vs new sort and merge paths. The pairs whose
-// baseline is an internal of this package — the Pop drain against the
-// batched one, the plain scatter against the tiled one, every digit
-// against the planned ones — live only here; cmd/kernelbench runs the
-// pairs with a public baseline.
+// Kernel benchmarks: old vs new sort and merge paths, both legs of every
+// pair in this file so one `go test -bench` run on one host reads a
+// ratio. The baselines are internals of this package (the Pop drain
+// against the batched one, the plain scatter against the tiled one,
+// every digit against the planned ones) or the stdlib sort a caller
+// would otherwise reach for (the typed 1e6 pairs CI floors at 1.5x).
 
-func benchSort(b *testing.B, n int, sortFn func([]int64)) {
-	src := workload.Generate(workload.Random, n, 1)
-	buf := make([]int64, n)
-	b.SetBytes(int64(n * 8))
+// benchSortOf times sortFn on a fresh copy of src per iteration; the
+// copy-back is outside the timed region.
+func benchSortOf[T any](b *testing.B, src []T, bytes int, sortFn func([]T)) {
+	buf := make([]T, len(src))
+	b.SetBytes(int64(bytes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -23,6 +28,10 @@ func benchSort(b *testing.B, n int, sortFn func([]int64)) {
 		b.StartTimer()
 		sortFn(buf)
 	}
+}
+
+func benchSort(b *testing.B, n int, sortFn func([]int64)) {
+	benchSortOf(b, workload.Generate(workload.Random, n, 1), n*8, sortFn)
 }
 
 func BenchmarkSerial1e6(b *testing.B) { benchSort(b, 1_000_000, Serial) }
@@ -37,6 +46,73 @@ func BenchmarkSerial1e5(b *testing.B) { benchSort(b, 100_000, Serial) }
 func BenchmarkRadix1e5(b *testing.B) {
 	scratch := make([]int64, 100_000)
 	benchSort(b, 100_000, func(xs []int64) { RadixSortScratch(xs, scratch) })
+}
+
+// The typed kernels against the stdlib comparison sort over the same
+// order (the conformance harness's reference comparators), 1e6 keys each: float64 in the bit-exact total order, key+payload
+// records, and short byte strings (8..24 bytes, half of them behind a
+// shared 4-byte prefix, the shape URL and key workloads take; only the
+// headers are copied back, the kernels never write the bytes).
+
+func benchFloat64Sort(b *testing.B, sortFn func([]float64)) {
+	rng := rand.New(rand.NewSource(1))
+	src := make([]float64, 1_000_000)
+	for i := range src {
+		src[i] = rng.NormFloat64() * 1e6
+	}
+	benchSortOf(b, src, len(src)*8, sortFn)
+}
+
+func BenchmarkF64Stdlib1e6(b *testing.B) {
+	benchFloat64Sort(b, func(xs []float64) { slices.SortFunc(xs, cmpFloat64Total) })
+}
+
+func BenchmarkF64Kernel1e6(b *testing.B) {
+	scratch := make([]float64, 1_000_000)
+	benchFloat64Sort(b, func(xs []float64) { SortFloat64sScratch(xs, scratch) })
+}
+
+func benchRecordSort(b *testing.B, sortFn func([]KV)) {
+	rng := rand.New(rand.NewSource(2))
+	src := make([]KV, 1_000_000)
+	for i := range src {
+		src[i] = KV{Key: rng.Int63(), Payload: int64(i)}
+	}
+	benchSortOf(b, src, len(src)*16, sortFn)
+}
+
+func BenchmarkRecStdlib1e6(b *testing.B) {
+	benchRecordSort(b, func(rs []KV) { slices.SortFunc(rs, cmpKV) })
+}
+
+func BenchmarkRecKernel1e6(b *testing.B) {
+	scratch := make([]KV, 1_000_000)
+	benchRecordSort(b, func(rs []KV) { SortRecordsScratch(rs, scratch) })
+}
+
+func benchStringSort(b *testing.B, sortFn func([][]byte)) {
+	rng := rand.New(rand.NewSource(3))
+	src := make([][]byte, 1_000_000)
+	total := 0
+	for i := range src {
+		s := make([]byte, 8+rng.Intn(17))
+		rng.Read(s)
+		if i%2 == 0 {
+			copy(s, "key/")
+		}
+		src[i] = s
+		total += len(s)
+	}
+	benchSortOf(b, src, total, sortFn)
+}
+
+func BenchmarkStrStdlib1e6(b *testing.B) {
+	benchStringSort(b, func(ss [][]byte) { slices.SortFunc(ss, bytes.Compare) })
+}
+
+func BenchmarkStrKernel1e6(b *testing.B) {
+	scratch := make([][]byte, 1_000_000)
+	benchStringSort(b, func(ss [][]byte) { SortByteStringsScratch(ss, scratch) })
 }
 
 func benchRuns(k, runLen int) [][]int64 {

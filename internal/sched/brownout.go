@@ -58,36 +58,29 @@ type BrownoutConfig struct {
 	// scheduler's AgingSlack — if jobs wait longer than the aging
 	// horizon, the queue is past its design point.
 	RaiseQueueDelay time.Duration
-	// LowerQueueDelay is the signal below which the queue counts as calm.
-	// Zero selects RaiseQueueDelay/4 (hysteresis: raise fast, lower slow).
-	LowerQueueDelay time.Duration
 	// StepInterval is the minimum time between level changes, bounding
 	// how fast the controller ramps. Zero selects 250ms.
 	StepInterval time.Duration
-	// CalmInterval is how long the signal must stay below LowerQueueDelay
-	// before a level is stepped back down. Zero selects 1s.
+	// CalmInterval is how long the signal must stay below a quarter of
+	// RaiseQueueDelay (hysteresis: raise fast, lower slow) before a level
+	// is stepped back down. Zero selects 1s.
 	CalmInterval time.Duration
-	// CriticalPriority is the minimum job priority admitted at
-	// BrownoutCritical. Zero selects 1 (the default priority class 0 is
-	// shed at the highest level).
-	CriticalPriority int
 }
+
+// criticalPriority is the minimum job priority admitted at
+// BrownoutCritical: the default priority class 0 is shed at the highest
+// level.
+const criticalPriority = 1
 
 func (c BrownoutConfig) norm(agingSlack time.Duration) BrownoutConfig {
 	if c.RaiseQueueDelay <= 0 {
 		c.RaiseQueueDelay = agingSlack
-	}
-	if c.LowerQueueDelay <= 0 {
-		c.LowerQueueDelay = c.RaiseQueueDelay / 4
 	}
 	if c.StepInterval <= 0 {
 		c.StepInterval = 250 * time.Millisecond
 	}
 	if c.CalmInterval <= 0 {
 		c.CalmInterval = time.Second
-	}
-	if c.CriticalPriority == 0 {
-		c.CriticalPriority = 1
 	}
 	return c
 }
@@ -177,7 +170,7 @@ func (b *brownout) eval(now time.Time, headAge time.Duration, queueEmpty bool) {
 			b.lastStep = now
 			raised = true
 		}
-	case sig > b.cfg.LowerQueueDelay.Seconds():
+	case sig > b.cfg.RaiseQueueDelay.Seconds()/4:
 		// Between the thresholds: neither raise nor count toward calm.
 		b.lastHigh = now
 	default:

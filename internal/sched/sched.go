@@ -583,7 +583,7 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 	// accepting the classes it is actively shedding — admitting them only
 	// to evict them later wastes queue slots and client patience.
 	switch lvl := s.brown.Level(); {
-	case lvl >= BrownoutCritical && spec.Priority < s.brown.cfg.CriticalPriority:
+	case lvl >= BrownoutCritical && spec.Priority < criticalPriority:
 		s.metrics.reject("brownout-critical")
 		return nil, &OverloadError{Reason: "brownout-critical", QueueDepth: len(s.queue), RetryAfter: s.retryAfterLocked()}
 	case lvl >= BrownoutShedSpill && p.spill:

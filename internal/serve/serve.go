@@ -58,10 +58,10 @@ type Config struct {
 	// MaxBodyBytes bounds POST /v1/sort request bodies. Zero selects
 	// 64 MiB.
 	MaxBodyBytes int64
-	// ResultChunkElems and WireFrameElems are the streaming granularities
-	// of JSON and binary result downloads (edge.ResultWriter's ChunkElems
-	// and FrameElems; zero selects its defaults).
-	ResultChunkElems, WireFrameElems int
+	// ResultChunkElems is the streaming granularity of JSON result
+	// downloads (edge.ResultWriter's ChunkElems; zero selects its
+	// default). Binary downloads use the wire frame default.
+	ResultChunkElems int
 	// KeyPool supplies the destination buffers for binary submit bodies.
 	// Defaults to the scheduler's pool (Scheduler.KeyPool), closing the
 	// recycle loop: upload decodes into a pooled buffer, the sort runs in
@@ -265,17 +265,6 @@ func wireKindOf(k sched.KeyType) wire.Kind {
 		return wire.KindRecord
 	}
 	return wire.KindInt64
-}
-
-// keyTypeOf maps a wire stream kind to the scheduler's key type.
-func keyTypeOf(k wire.Kind) sched.KeyType {
-	switch k {
-	case wire.KindFloat64:
-		return sched.KeyFloat64
-	case wire.KindRecord:
-		return sched.KeyRecord
-	}
-	return sched.KeyInt64
 }
 
 // parseKeyType validates the request's key_type. Typed keys (f64, rec)
@@ -503,7 +492,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	kt := j.KeyType()
 	enc := &edge.ResultWriter{
 		W: w, Wire: edge.AcceptsWire(r), Kind: wireKindOf(kt), N: j.N(), Spilled: j.Spilled(),
-		ChunkElems: s.cfg.ResultChunkElems, FrameElems: s.cfg.WireFrameElems,
+		ChunkElems: s.cfg.ResultChunkElems,
 	}
 	if !enc.Wire && kt != sched.KeyInt64 {
 		// Same asymmetry as submit: float bits and key/payload pairs have

@@ -147,14 +147,6 @@ func (t *JobTrace) Recorder() *Recorder {
 	return t.rec
 }
 
-// Born reports the trace's birth time (zero on a nil trace).
-func (t *JobTrace) Born() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.born
-}
-
 // since reports the offset of now from birth, floored at 1ns so a stamp
 // can never be confused with the zero "not reached" sentinel.
 func (t *JobTrace) since() time.Duration {

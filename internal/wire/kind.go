@@ -67,15 +67,6 @@ func (k Kind) String() string {
 	return kindParams[k]
 }
 
-// CellsPerElem reports how many 8-byte payload cells one logical element
-// of kind k occupies: 2 for records, 1 otherwise.
-func (k Kind) CellsPerElem() int {
-	if k == KindRecord {
-		return 2
-	}
-	return 1
-}
-
 // ContentTypeFor reports the HTTP media type announcing a stream of kind
 // k: the bare ContentType for int64 (wire-compatible with pre-typed
 // peers), with a kind parameter otherwise.

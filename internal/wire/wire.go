@@ -1,13 +1,13 @@
 // Package wire is the binary wire format of the sort service: a
 // little-endian, length-prefixed frame stream carrying an []int64 key
 // sequence. It exists because JSON framing was the service's slowest
-// "memory tier" — BENCH_PR5 measured streamed downloads at ~58 MB/s on a
-// box that reads spill runs at multiple GB/s; every byte of a key was
-// costing ~2.5 bytes of decimal text plus a strconv round trip. On
-// little-endian platforms (every target the service runs on) the frame
-// payload is the exact in-memory representation of the keys, so encoding
-// is a memmove and decoding lands socket bytes directly into the final
-// []int64 — no intermediate allocation, no per-element work.
+// "memory tier" — PR 5's spill sweep measured streamed downloads at
+// ~58 MB/s on a box that reads spill runs at multiple GB/s; every byte
+// of a key was costing ~2.5 bytes of decimal text plus a strconv round
+// trip. On little-endian platforms (every target the service runs on)
+// the frame payload is the exact in-memory representation of the keys,
+// so encoding is a memmove and decoding lands socket bytes directly into
+// the final []int64 — no intermediate allocation, no per-element work.
 //
 // Stream layout (all integers little-endian):
 //
@@ -52,10 +52,10 @@ const (
 	frameHeaderLen = 4
 	// DefaultFrameElems is the default frame granularity (256 KiB of
 	// payload): large enough to amortize the 4-byte prefix, the write
-	// syscall, and the reader's per-frame bookkeeping — measured on the
-	// BENCH_PR8 loopback path, 64 KiB frames roughly halve download
-	// throughput — while staying small enough to keep streaming latency
-	// and flush granularity low.
+	// syscall, and the reader's per-frame bookkeeping — measured on PR 8's
+	// loopback sweep, 64 KiB frames roughly halve download throughput —
+	// while staying small enough to keep streaming latency and flush
+	// granularity low.
 	DefaultFrameElems = 32768
 	// MaxFrameElems bounds a single frame (32 MiB of payload) so a
 	// hostile count can never force a pathological single read.
