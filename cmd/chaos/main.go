@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"knlmlm/internal/fault"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/mergebench"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
@@ -99,38 +98,26 @@ func plural(n int64, one, many string) string {
 	return many
 }
 
-// rig binds one run's plan to a fresh injector, heap, and metric sink.
+// rig binds one run's plan to a fresh metric sink and fault rig.
 type rig struct {
+	fault.Rig
 	plan fault.Plan
-	inj  *fault.Injector
-	heap *memkind.Heap
-	reg  *telemetry.Registry
 	res  *telemetry.Resilience
 }
 
 func newRig(plan fault.Plan) *rig {
-	reg := telemetry.NewRegistry()
-	res := telemetry.NewResilience(reg)
-	inj := plan.Injector()
-	inj.Metrics = res
-	return &rig{
-		plan: plan,
-		inj:  inj,
-		// DDR effectively unbounded: only MCDRAM pressure is under test.
-		heap: memkind.NewHeap(plan.HBWCapacity, 1<<42),
-		reg:  reg,
-		res:  res,
-	}
+	res := telemetry.NewResilience(telemetry.NewRegistry())
+	return &rig{Rig: plan.Rig(res), plan: plan, res: res}
 }
 
 // account folds the run's tallies into the totals and reports them.
 func (g *rig) account(label string, faults, retries, degradations *int64, verbose bool) {
-	*faults += g.inj.Total()
+	*faults += g.Injector.Total()
 	*retries += g.res.Retries()
 	*degradations += g.res.Degradations()
 	if verbose {
 		fmt.Printf("  %s %v: %v retries=%d degradations=%d\n",
-			label, g.plan, g.inj, g.res.Retries(), g.res.Degradations())
+			label, g.plan, g.Injector, g.res.Retries(), g.res.Degradations())
 	}
 }
 
@@ -140,28 +127,20 @@ func chaosSort(plan fault.Plan, n, threads, megachunk, buffers int, verbose bool
 	xs := workload.Generate(workload.Random, n, plan.Seed)
 	fp := workload.Fingerprint(xs)
 	stats, err := mlmsort.RunRealResilient(context.Background(), mlmsort.MLMSort, xs, threads, megachunk,
-		mlmsort.RealOptions{
-			Heap:         g.heap,
-			AllocFaults:  g.inj,
-			Resilience:   g.res,
-			Wrap:         g.inj.Wrap,
-			Retry:        plan.Retry,
-			ChunkTimeout: plan.ChunkTimeout,
-			Buffers:      buffers,
-		})
+		mlmsort.RealOptions{Staging: g.Staging, Resilience: g.res, Policy: g.Policy, Buffers: buffers})
 	g.account(fmt.Sprintf("sort  seed=%d stats=%+v", plan.Seed, stats), faults, retries, degradations, verbose)
-	*lastReg = g.reg
+	*lastReg = g.res.Registry()
 	if err != nil {
-		return fmt.Errorf("survivable plan aborted: %w (%v)", err, g.inj)
+		return fmt.Errorf("survivable plan aborted: %w (%v)", err, g.Injector)
 	}
 	if !workload.IsSorted(xs) {
-		return fmt.Errorf("output not sorted (%v)", g.inj)
+		return fmt.Errorf("output not sorted (%v)", g.Injector)
 	}
 	if workload.Fingerprint(xs) != fp {
-		return fmt.Errorf("output is not a permutation of the input (%v)", g.inj)
+		return fmt.Errorf("output is not a permutation of the input (%v)", g.Injector)
 	}
-	if g.heap.HBWInUse() != 0 {
-		return fmt.Errorf("staging heap leaked %v", g.heap.HBWInUse())
+	if g.Heap.HBWInUse() != 0 {
+		return fmt.Errorf("staging heap leaked %v", g.Heap.HBWInUse())
 	}
 	return nil
 }
@@ -171,18 +150,11 @@ func chaosMerge(plan fault.Plan, n, chunkLen, repeats, buffers int, verbose bool
 	g := newRig(plan)
 	src := workload.Generate(workload.Random, n, plan.Seed+1)
 	out, stats, err := mergebench.RunRealResilient(context.Background(), src, chunkLen, repeats, buffers,
-		mergebench.RealOptions{
-			Heap:         g.heap,
-			AllocFaults:  g.inj,
-			Resilience:   g.res,
-			Wrap:         g.inj.Wrap,
-			Retry:        plan.Retry,
-			ChunkTimeout: plan.ChunkTimeout,
-		})
+		mergebench.RealOptions{Staging: g.Staging, Resilience: g.res, Policy: g.Policy})
 	g.account(fmt.Sprintf("merge seed=%d stats=%+v", plan.Seed, stats), faults, retries, degradations, verbose)
-	*lastReg = g.reg
+	*lastReg = g.res.Registry()
 	if err != nil {
-		return fmt.Errorf("survivable plan aborted: %w (%v)", err, g.inj)
+		return fmt.Errorf("survivable plan aborted: %w (%v)", err, g.Injector)
 	}
 	// Contract: every chunk of the output is its input chunk, sorted.
 	for lo := 0; lo < n; lo += chunkLen {
@@ -191,14 +163,14 @@ func chaosMerge(plan fault.Plan, n, chunkLen, repeats, buffers int, verbose bool
 			hi = n
 		}
 		if !workload.IsSorted(out[lo:hi]) {
-			return fmt.Errorf("chunk at %d not sorted (%v)", lo, g.inj)
+			return fmt.Errorf("chunk at %d not sorted (%v)", lo, g.Injector)
 		}
 		if workload.Fingerprint(out[lo:hi]) != workload.Fingerprint(src[lo:hi]) {
-			return fmt.Errorf("chunk at %d is not a permutation of its input (%v)", lo, g.inj)
+			return fmt.Errorf("chunk at %d is not a permutation of its input (%v)", lo, g.Injector)
 		}
 	}
-	if g.heap.HBWInUse() != 0 || g.heap.DDRInUse() != 0 {
-		return fmt.Errorf("buffer placements leaked: hbw=%v ddr=%v", g.heap.HBWInUse(), g.heap.DDRInUse())
+	if g.Heap.HBWInUse() != 0 || g.Heap.DDRInUse() != 0 {
+		return fmt.Errorf("buffer placements leaked: hbw=%v ddr=%v", g.Heap.HBWInUse(), g.Heap.DDRInUse())
 	}
 	return nil
 }

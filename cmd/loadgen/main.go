@@ -300,14 +300,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: bad -wire %q (want json, binary, or both)\n", cfg.wireMode)
 		os.Exit(1)
 	}
-	switch cfg.keyType {
-	case "i64":
-		cfg.kind = wire.KindInt64
-	case "f64":
-		cfg.kind = wire.KindFloat64
-	case "rec":
-		cfg.kind = wire.KindRecord
-	default:
+	var known bool
+	if cfg.kind, known = wire.ParseKind(cfg.keyType); !known {
 		fmt.Fprintf(os.Stderr, "loadgen: bad -key-type %q (want i64, f64, or rec)\n", cfg.keyType)
 		os.Exit(1)
 	}

@@ -34,7 +34,6 @@ import (
 	"knlmlm/internal/fault"
 	"knlmlm/internal/knl"
 	"knlmlm/internal/mem"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/mergebench"
 	"knlmlm/internal/model"
 	"knlmlm/internal/prof"
@@ -142,18 +141,11 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 		opts.Observer = rec
 	}
 	var inj *fault.Injector
-	var res *telemetry.Resilience
 	if chaos {
 		plan := fault.NewPlan(chaosSeed, units.BytesForElements(int64(n)))
-		inj = plan.Injector()
-		res = telemetry.NewResilience(reg)
-		inj.Metrics = res
-		opts.Heap = memkind.NewHeap(plan.HBWCapacity, 1<<42)
-		opts.AllocFaults = inj
-		opts.Resilience = res
-		opts.Wrap = inj.Wrap
-		opts.Retry = plan.Retry
-		opts.ChunkTimeout = plan.ChunkTimeout
+		opts.Resilience = telemetry.NewResilience(reg)
+		rig := plan.Rig(opts.Resilience)
+		inj, opts.Staging, opts.Policy = rig.Injector, rig.Staging, rig.Policy
 		fmt.Println(plan)
 	}
 	start := time.Now()
@@ -166,7 +158,7 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 		len(out), stats.Buffers, wall)
 	if chaos {
 		fmt.Printf("chaos: %v; retries=%d degradations=%d (%d hbw, %d degraded, %d dropped buffers)\n",
-			inj, res.Retries(), res.Degradations(),
+			inj, opts.Resilience.Retries(), opts.Resilience.Degradations(),
 			stats.HBWBuffers, stats.DegradedBuffers, stats.DroppedBuffers)
 	}
 	if !telemetryOn {

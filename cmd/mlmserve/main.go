@@ -37,7 +37,6 @@ import (
 	"knlmlm/internal/exec"
 	"knlmlm/internal/fault"
 	"knlmlm/internal/mem"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/serve"
 	"knlmlm/internal/telemetry"
@@ -65,7 +64,6 @@ type options struct {
 	logLevel     string
 	logJSON      bool
 	flightCap    int
-	brownout     bool
 }
 
 func main() {
@@ -89,7 +87,6 @@ func main() {
 	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error, or off")
 	flag.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON (default logfmt-style text)")
 	flag.IntVar(&o.flightCap, "flight-recorder", 0, "job traces retained in the flight recorder ring (0 = default)")
-	flag.BoolVar(&o.brownout, "brownout", true, "enable the overload brownout controller (shed spill class, shrink batches, critical-only admission)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -127,21 +124,16 @@ func run(o options) error {
 		Autotune:          o.autotune,
 		FlightRecorderCap: o.flightCap,
 		Logger:            logger,
-		Brownout:          sched.BrownoutConfig{Disable: !o.brownout},
 		// One pool closes the upload loop: serve decodes binary submits
 		// into it, the scheduler recycles buffers at retention eviction.
 		KeyPool: mem.NewSlicePool(),
 	}
 	if o.chaos {
 		plan := fault.NewPlan(o.chaosSeed, budget)
-		inj := plan.Injector()
-		cfg.Heap = memkind.NewHeap(plan.HBWCapacity, units.GiB)
-		cfg.AllocFaults = inj
-		cfg.Wrap = inj.Wrap
-		cfg.Retry = plan.Retry
-		cfg.ChunkTimeout = plan.ChunkTimeout
+		rig := plan.Rig(cfg.Resilience)
+		cfg.Staging, cfg.Policy = rig.Staging, rig.Policy
 		// Spill-class jobs run their run-file IO under the same plan.
-		cfg.IOFaults = inj
+		cfg.IOFaults = rig.Injector
 		fmt.Printf("mlmserve chaos plan seed=%d: %s\n", o.chaosSeed, plan)
 	}
 	if o.simChunkMS > 0 {

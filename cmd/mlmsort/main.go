@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"knlmlm/internal/fault"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/model"
 	"knlmlm/internal/prof"
@@ -136,7 +135,10 @@ func main() {
 		if telemetryOn {
 			rec = telemetry.NewRecorder()
 		}
-		opts := mlmsort.RealOptions{Recorder: rec}
+		var opts mlmsort.RealOptions
+		if rec != nil {
+			opts.Observer = rec
+		}
 		// One registry for every family the run emits — autotune_*,
 		// faults_*/pipeline_*, and the span-derived metrics — so the
 		// -autotune, -chaos, and -metrics flags compose: a single scrape
@@ -277,15 +279,10 @@ func wireReal(opts *mlmsort.RealOptions, reg *telemetry.Registry,
 	}
 	if chaos {
 		plan = fault.NewPlan(chaosSeed, units.BytesForElements(n))
-		inj = plan.Injector()
 		res = telemetry.NewResilience(reg)
-		inj.Metrics = res
-		opts.Heap = memkind.NewHeap(plan.HBWCapacity, 1<<42)
-		opts.AllocFaults = inj
+		rig := plan.Rig(res)
+		inj, opts.Staging, opts.Policy = rig.Injector, rig.Staging, rig.Policy
 		opts.Resilience = res
-		opts.Wrap = inj.Wrap
-		opts.Retry = plan.Retry
-		opts.ChunkTimeout = plan.ChunkTimeout
 		opts.Buffers = 3
 	}
 	return inj, res, plan

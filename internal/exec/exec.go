@@ -102,8 +102,8 @@ type Buffer struct {
 //
 // Stage functions report failure by returning an error; a panicking stage
 // is recovered and treated as an error. A failed attempt is retried under
-// Retry; compute retries on a staged pipeline re-run CopyIn first, so the
-// retried compute starts from freshly staged (uncorrupted) data.
+// Policy.Retry; compute retries on a staged pipeline re-run CopyIn first,
+// so the retried compute starts from freshly staged (uncorrupted) data.
 type Stages struct {
 	// NumChunks is the chunk count; chunks are processed in order.
 	NumChunks int
@@ -125,20 +125,11 @@ type Stages struct {
 	// stage's telemetry events, matching Instrument's accounting. Zero
 	// selects the read+write sweep default (2*8 bytes).
 	TouchedPerElem int64
-	// Retry bounds per-chunk stage attempts. The zero value runs each
-	// stage once: any failure aborts the pipeline immediately.
-	Retry RetryPolicy
-	// ChunkTimeout bounds each stage attempt on one chunk; zero means
-	// unbounded. A timed-out attempt cannot be interrupted — it is
-	// abandoned (its buffer is withdrawn and replaced) and reported as
-	// ErrDeadline. Deadline overruns are retried only for copy-in, whose
-	// re-execution is always safe; an abandoned compute or copy-out may
-	// still be mutating shared state, so its deadline is terminal.
-	ChunkTimeout time.Duration
-	// OnRetry, when non-nil, receives one event per failed stage attempt
-	// (Final marks the failure that aborts the pipeline). Called
-	// concurrently from the stage goroutines.
-	OnRetry func(RetryEvent)
+	// Policy is the run's failure policy: retries, the per-attempt
+	// deadline, the failed-attempt hook and the stage-set rewrite. It is
+	// embedded, so s.Retry, s.ChunkTimeout, s.OnRetry and s.Wrap read and
+	// assign as before; a composite literal names it (Policy: ...).
+	Policy
 	// Pool, when non-nil, supplies the staging buffers' backing arrays and
 	// receives them back when the run finishes, so repeated runs (the
 	// megachunk loop) reach a steady state with no per-run buffer
@@ -230,18 +221,6 @@ func (r *runner) reclaim(b *Buffer) {
 	b.full, b.Data = nil, nil
 }
 
-// forget writes an abandoned buffer off the pool's footprint without
-// recycling it: the timed-out attempt's goroutine may still be writing the
-// backing array, so it must never re-enter a freelist, but a budgeted pool
-// must stop charging it or accumulated abandonments ratchet the footprint
-// toward permanent Get refusal.
-func (r *runner) forget(b *Buffer) {
-	if r.pool == nil || b == nil || b.full == nil {
-		return
-	}
-	r.pool.Forget(b.full)
-}
-
 // fail records the pipeline's first error and cancels the run.
 func (r *runner) fail(err error) {
 	r.mu.Lock()
@@ -266,6 +245,12 @@ func (r *runner) firstErr() error {
 // leaks goroutines (stage attempts abandoned by ChunkTimeout excepted:
 // those drain as soon as the stage function returns).
 func RunContext(ctx context.Context, s Stages, buffers int) error {
+	if wrap := s.Wrap; wrap != nil {
+		// Once per run, here, so no caller has to remember to: retries and
+		// compute re-staging below all go through the rewritten stages.
+		s.Wrap = nil
+		s = wrap(s)
+	}
 	if err := s.Validate(); err != nil {
 		return err
 	}
@@ -507,8 +492,9 @@ func (r *runner) runStage(ctx context.Context, stage Stage, i, worker int, b *Bu
 			// The timed-out attempt may still be writing the old backing
 			// array; withdraw it and continue with a fresh one. The old
 			// buffer is deliberately leaked, never pooled — only written
-			// off the pool's footprint accounting.
-			r.forget(b)
+			// off the pool's footprint, so a budgeted pool does not ratchet
+			// toward permanent Get refusal as abandonments accumulate.
+			r.pool.Forget(b.full)
 			nb := r.newBuffer(len(b.full))
 			nb.Data = nb.full[:len(b.Data)]
 			b = nb

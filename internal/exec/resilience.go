@@ -16,7 +16,7 @@ import (
 // exhausted does the whole pipeline abort — cleanly, with every stage
 // goroutine joined.
 
-// ErrDeadline marks a stage attempt that overran Stages.ChunkTimeout. The
+// ErrDeadline marks a stage attempt that overran Policy.ChunkTimeout. The
 // attempt's goroutine may still be running when the error is reported (the
 // pipeline cannot interrupt a stage function), so the buffer it was handed
 // is withdrawn from circulation and replaced with a fresh one.
@@ -124,6 +124,49 @@ type RetryEvent struct {
 	Err     error
 	Backoff time.Duration
 	Final   bool
+}
+
+// Policy is how a pipeline run treats failure. It is declared once, here:
+// Stages embeds it, and every option struct above exec (mlmsort, mergebench,
+// sched) embeds the same type and hands it down whole, so a run's retries,
+// deadline and wrap cannot differ by the entry point that started it.
+type Policy struct {
+	// Retry bounds per-chunk stage attempts. The zero value runs each
+	// stage once: any failure aborts the pipeline immediately.
+	Retry RetryPolicy
+	// ChunkTimeout bounds each stage attempt on one chunk; zero means
+	// unbounded. A timed-out attempt cannot be interrupted — it is
+	// abandoned (its buffer is withdrawn and replaced) and reported as
+	// ErrDeadline. Deadline overruns are retried only for copy-in, whose
+	// re-execution is always safe; an abandoned compute or copy-out may
+	// still be mutating shared state, so its deadline is terminal.
+	ChunkTimeout time.Duration
+	// OnRetry, when non-nil, receives one event per failed stage attempt
+	// (Final marks the failure that aborts the pipeline). Called
+	// concurrently from the stage goroutines.
+	OnRetry func(RetryEvent)
+	// Wrap, when non-nil, rewrites the stage set before it runs — the hook
+	// the fault injector's Wrap plugs into. RunContext applies it, exactly
+	// once per run.
+	Wrap func(Stages) Stages
+}
+
+// SettleScratch disposes of compute scratch the caller drew from s.Pool
+// for a run of s that returned runErr. Only a clean run proves no stage
+// attempt still holds the scratch: under a chunk deadline an aborted run
+// may have abandoned a compute attempt whose goroutine is still writing
+// it, and recycling it would hand live memory to the pool's next
+// consumer. So the scratch goes back to the pool after a clean run — or
+// after any run without a deadline, which never abandons an attempt —
+// and is otherwise written off the pool's footprint, exactly as RunContext
+// writes off an abandoned staging buffer, so a budgeted pool does not
+// ratchet toward refusing every Get as aborted runs accumulate.
+func (s *Stages) SettleScratch(scratch []int64, runErr error) {
+	if runErr == nil || s.ChunkTimeout <= 0 {
+		s.Pool.Put(scratch)
+	} else {
+		s.Pool.Forget(scratch)
+	}
 }
 
 // sleepCtx sleeps d unless ctx is cancelled first.

@@ -375,7 +375,7 @@ func TestUnstagedComputeRetries(t *testing.T) {
 			}
 			return nil
 		},
-		Retry: RetryPolicy{MaxAttempts: 2},
+		Policy: Policy{Retry: RetryPolicy{MaxAttempts: 2}},
 	}
 	if err := Run(s, 1); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
+	"knlmlm/internal/memkind"
+	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 )
 
@@ -79,9 +81,34 @@ func NewPlan(seed int64, dataBytes units.Bytes) Plan {
 	}
 }
 
-// Injector builds the plan's injector.
-func (p Plan) Injector() *Injector {
-	return MustNewInjector(p.Seed, p.Specs...)
+// Rig is a plan made runnable, the same way for every surface that runs
+// under chaos (cmd/chaos, mlmsort -chaos, mergebench -chaos, mlmserve
+// -chaos and the in-test soaks): one injector, counted by one metrics
+// sink, behind the two plug values the real pipelines take.
+type Rig struct {
+	// Injector makes every fault decision of the run. It is also the
+	// spill tier's IO fault source (spill.IOFaults) and prints the tally.
+	Injector *Injector
+	// Policy is the plan's retry budget and chunk deadline with the
+	// injector's Wrap: hand it to a RealOptions or sched.Config whole.
+	exec.Policy
+	// Staging is a fresh heap with the plan's MCDRAM capacity (DDR
+	// effectively unbounded: only MCDRAM pressure is under test) under the
+	// injector's allocation faults.
+	memkind.Staging
+}
+
+// Rig builds the plan's rig. Injections are counted into res
+// (faults_injected_total), which the caller also gives its run as the
+// Resilience sink so retries and degradations land beside them.
+func (p Plan) Rig(res *telemetry.Resilience) Rig {
+	inj := MustNewInjector(p.Seed, p.Specs...)
+	inj.Metrics = res
+	return Rig{
+		Injector: inj,
+		Policy:   exec.Policy{Retry: p.Retry, ChunkTimeout: p.ChunkTimeout, Wrap: inj.Wrap},
+		Staging:  memkind.Staging{Heap: memkind.NewHeap(p.HBWCapacity, 1<<42), Faults: inj},
+	}
 }
 
 // String summarizes the plan.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/mergebench"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
@@ -20,18 +19,13 @@ func TestChaosSortSoak(t *testing.T) {
 	const n, mc = 40_000, 5_000
 	for seed := int64(1); seed <= 3; seed++ {
 		plan := NewPlan(seed, units.BytesForElements(n))
-		reg := telemetry.NewRegistry()
-		res := telemetry.NewResilience(reg)
-		inj := plan.Injector()
-		inj.Metrics = res
-		heap := memkind.NewHeap(plan.HBWCapacity, 1<<40)
+		res := telemetry.NewResilience(telemetry.NewRegistry())
+		rig := plan.Rig(res)
+		inj, heap := rig.Injector, rig.Heap
 		xs := workload.Generate(workload.Random, n, seed)
 		fp := workload.Fingerprint(xs)
 		stats, err := mlmsort.RunRealResilient(context.Background(), mlmsort.MLMSort, xs, 4, mc,
-			mlmsort.RealOptions{
-				Heap: heap, AllocFaults: inj, Resilience: res, Wrap: inj.Wrap,
-				Retry: plan.Retry, ChunkTimeout: plan.ChunkTimeout, Buffers: 3,
-			})
+			mlmsort.RealOptions{Staging: rig.Staging, Resilience: res, Policy: rig.Policy, Buffers: 3})
 		if err != nil {
 			t.Fatalf("seed %d: survivable plan aborted: %v (%v)", seed, err, inj)
 		}
@@ -53,17 +47,12 @@ func TestChaosMergeSoak(t *testing.T) {
 	const n, chunkLen = 24_000, 2_000
 	for seed := int64(1); seed <= 3; seed++ {
 		plan := NewPlan(seed, units.BytesForElements(n))
-		reg := telemetry.NewRegistry()
-		res := telemetry.NewResilience(reg)
-		inj := plan.Injector()
-		inj.Metrics = res
-		heap := memkind.NewHeap(plan.HBWCapacity, 1<<40)
+		res := telemetry.NewResilience(telemetry.NewRegistry())
+		rig := plan.Rig(res)
+		inj, heap := rig.Injector, rig.Heap
 		src := workload.Generate(workload.Random, n, seed+100)
 		out, stats, err := mergebench.RunRealResilient(context.Background(), src, chunkLen, 2, 3,
-			mergebench.RealOptions{
-				Heap: heap, AllocFaults: inj, Resilience: res, Wrap: inj.Wrap,
-				Retry: plan.Retry, ChunkTimeout: plan.ChunkTimeout,
-			})
+			mergebench.RealOptions{Staging: rig.Staging, Resilience: res, Policy: rig.Policy})
 		if err != nil {
 			t.Fatalf("seed %d: survivable plan aborted: %v (%v)", seed, err, inj)
 		}

@@ -212,9 +212,9 @@ func (p *SlicePool) Put(s []int64) {
 // from the footprint (so a budgeted pool does not ratchet toward
 // permanent refusal as abandonments accumulate) without ever touching the
 // slice itself. Slices that are not pool-shaped (did not come from Get)
-// are ignored; Forget(nil) is a no-op.
+// are ignored; Forget(nil) is a no-op, as is any Forget on a nil pool.
 func (p *SlicePool) Forget(s []int64) {
-	if cap(s) == 0 {
+	if p == nil || cap(s) == 0 {
 		return
 	}
 	c := bits.Len(uint(cap(s) - 1))
@@ -247,6 +247,19 @@ func (p *SlicePool) FreeSlices() int {
 	n := 0
 	for _, c := range p.classes {
 		n += len(c)
+	}
+	return n
+}
+
+// FreeBytes reports the bytes held on the freelists. At quiescence it
+// equals FootprintBytes: every slice handed out was either Put or written
+// off with Forget.
+func (p *SlicePool) FreeBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for c, free := range p.classes {
+		n += int64(len(free)) * classBytes(c)
 	}
 	return n
 }

@@ -232,6 +232,42 @@ func (h *Heap) HBWAvailable() units.Bytes {
 	return h.hbw.Available()
 }
 
+// AllocFaults injects MCDRAM allocation failures on top of genuine heap
+// exhaustion; fault.Injector satisfies it.
+type AllocFaults interface {
+	FailAlloc(slot int) bool
+}
+
+// Staging is where a real pipeline's staging memory is placed: the
+// simulated two-level heap and the injected allocation faults, together
+// because every placement consults both. The zero value places nothing
+// and never fails, which is a host run with no MCDRAM model.
+type Staging struct {
+	// Heap, when non-nil, is the simulated two-level heap staged
+	// megachunks and staging buffers are placed on.
+	Heap *Heap
+	// Faults, when non-nil, fails placements the heap would have served.
+	Faults AllocFaults
+}
+
+// Place is the paper's per-allocation flat-mode decision for slot i (a
+// megachunk or buffer index, which keys the injected faults): try an
+// HBW_POLICY_BIND allocation of size bytes and report whether the slot is
+// in MCDRAM. Not ok — an injected fault fired or MCDRAM is exhausted —
+// means the caller degrades that slot to DDR. With no heap the placement
+// is notional (a nil allocation, ok unless a fault fired). The caller
+// frees a non-nil allocation through s.Heap.
+func (s Staging) Place(i int, size units.Bytes) (a *Allocation, ok bool) {
+	if s.Faults != nil && s.Faults.FailAlloc(i) {
+		return nil, false
+	}
+	if s.Heap == nil {
+		return nil, true
+	}
+	a, err := s.Heap.Alloc(PolicyHBWBind, size, 0)
+	return a, err == nil
+}
+
 // BlendedDemand derives bandwidth-demand coefficients for a streaming
 // kernel over an allocation: the MCDRAM-resident fraction streams from
 // MCDRAM, the rest from DDR. This is how the timing layer prices a Li-et-

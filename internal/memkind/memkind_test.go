@@ -139,3 +139,36 @@ func TestAllocErrors(t *testing.T) {
 func TestFreeNil(t *testing.T) {
 	testHeap().Free(nil) // must not panic
 }
+
+type failSlots map[int]bool
+
+func (f failSlots) FailAlloc(slot int) bool { return f[slot] }
+
+// TestStagingPlace: the one flat-mode placement decision — an injected
+// fault or an exhausted heap degrades the slot, no heap places notionally.
+func TestStagingPlace(t *testing.T) {
+	heap := NewHeap(100, units.GiB)
+	cases := []struct {
+		name      string
+		s         Staging
+		slot      int
+		size      units.Bytes
+		ok, alloc bool
+	}{
+		{"zero value places notionally", Staging{}, 0, 64, true, false},
+		{"fault without a heap", Staging{Faults: failSlots{1: true}}, 1, 64, false, false},
+		{"other slot unaffected", Staging{Faults: failSlots{1: true}}, 2, 64, true, false},
+		{"heap serves", Staging{Heap: heap}, 0, 64, true, true},
+		{"heap exhausted", Staging{Heap: heap}, 0, 64, false, false},
+		{"fault beats a heap with room", Staging{Heap: NewHeap(100, 100), Faults: failSlots{0: true}}, 0, 64, false, false},
+	}
+	for _, c := range cases {
+		a, ok := c.s.Place(c.slot, c.size)
+		if ok != c.ok || (a != nil) != c.alloc {
+			t.Errorf("%s: Place = (%v, %v), want alloc %v ok %v", c.name, a, ok, c.alloc, c.ok)
+		}
+	}
+	if heap.HBWInUse() != 64 {
+		t.Errorf("heap holds %v, want the one 64-byte placement", heap.HBWInUse())
+	}
+}

@@ -44,11 +44,11 @@ func TestMergeComputeLoopAllocationFree(t *testing.T) {
 // staging buffers from the shared pool instead of reallocating.
 func TestRunRealReusesPool(t *testing.T) {
 	src := workload.Generate(workload.Random, 40_000, 9)
-	if _, err := RunReal(src, 8_192, 2, 3); err != nil {
+	if _, err := runReal(src, 8_192, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	before := mem.Pool.Stats()
-	out, err := RunReal(src, 8_192, 2, 3)
+	out, err := runReal(src, 8_192, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,17 +11,15 @@
 //     reports the paper's "empirical" quantity (Figure 8b) — empirical here
 //     meaning measured on the simulated machine rather than predicted by
 //     the closed-form model;
-//   - RunReal executes the same pipeline with goroutines on real data,
-//     proving the benchmark's data flow correct.
+//   - RunRealResilient executes the same pipeline with goroutines on real
+//     data, proving the benchmark's data flow correct.
 package mergebench
 
 import (
-	"context"
 	"fmt"
 
 	"knlmlm/internal/chunk"
 	"knlmlm/internal/core"
-	"knlmlm/internal/exec"
 	"knlmlm/internal/knl"
 	"knlmlm/internal/model"
 	"knlmlm/internal/trace"
@@ -209,27 +207,4 @@ func (c Config) ModelParams(m *knl.Machine) model.Params {
 		SCopy:     c.SCopy,
 		SComp:     c.SComp,
 	}
-}
-
-// RunReal executes the benchmark's data flow for real: the source array is
-// staged chunk-by-chunk through buffers by exec.Run; the compute stage
-// splits each chunk in half and merges the sorted halves `repeats` times.
-// It returns the processed output array for verification.
-//
-// n is the element count (kept small in tests; the data flow, not the
-// scale, is what executes here).
-func RunReal(src []int64, chunkLen, repeats, buffers int) ([]int64, error) {
-	return RunRealObserved(src, chunkLen, repeats, buffers, nil)
-}
-
-// RunRealObserved is RunReal with an observability hook: obs (typically a
-// telemetry.Recorder) receives per-chunk stage spans — including
-// buffer-wait starvation — from the executing pipeline. Compute spans are
-// charged 2*repeats read+write sweeps per byte, matching both
-// exec.Instrument's convention and the simulated pipeline's
-// WorkPerChunkByte, so telemetry totals line up across all three layers.
-// A nil obs adds zero overhead.
-func RunRealObserved(src []int64, chunkLen, repeats, buffers int, obs exec.Observer) ([]int64, error) {
-	out, _, err := RunRealResilient(context.Background(), src, chunkLen, repeats, buffers, RealOptions{Observer: obs})
-	return out, err
 }

@@ -1,6 +1,7 @@
 package mergebench
 
 import (
+	"context"
 	"testing"
 
 	"knlmlm/internal/exec"
@@ -170,12 +171,18 @@ func TestSimulateInvalidPanics(t *testing.T) {
 	Simulate(machine(), Config{})
 }
 
+// runReal is the plain benchmark: the one real run, with no options.
+func runReal(src []int64, chunkLen, repeats, buffers int) ([]int64, error) {
+	out, _, err := RunRealResilient(context.Background(), src, chunkLen, repeats, buffers, RealOptions{})
+	return out, err
+}
+
 func TestRunRealCorrectness(t *testing.T) {
 	for _, repeats := range []int{1, 3} {
 		for _, o := range []workload.Order{workload.Random, workload.Reverse} {
 			src := workload.Generate(o, 10_000, 5)
 			orig := append([]int64(nil), src...)
-			out, err := RunReal(src, 1000, repeats, 3)
+			out, err := runReal(src, 1000, repeats, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +202,7 @@ func TestRunRealCorrectness(t *testing.T) {
 
 func TestRunRealShortTail(t *testing.T) {
 	src := workload.Generate(workload.Random, 1037, 5)
-	out, err := RunReal(src, 100, 1, 3)
+	out, err := runReal(src, 100, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +213,10 @@ func TestRunRealShortTail(t *testing.T) {
 
 func TestRunRealErrors(t *testing.T) {
 	src := []int64{1, 2, 3}
-	if _, err := RunReal(src, 1, 1, 3); err == nil {
+	if _, err := runReal(src, 1, 1, 3); err == nil {
 		t.Error("chunkLen < 2 should error")
 	}
-	if _, err := RunReal(src, 2, 0, 3); err == nil {
+	if _, err := runReal(src, 2, 0, 3); err == nil {
 		t.Error("repeats < 1 should error")
 	}
 }
@@ -222,7 +229,7 @@ func TestRunRealObservedTelemetry(t *testing.T) {
 	const n, chunkLen, repeats = 40_000, 4_096, 2
 	src := workload.Generate(workload.Random, n, 11)
 	rec := telemetry.NewRecorder()
-	out, err := RunRealObserved(src, chunkLen, repeats, 3, rec)
+	out, _, err := RunRealResilient(context.Background(), src, chunkLen, repeats, 3, RealOptions{Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package mergebench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/mem"
@@ -13,37 +12,26 @@ import (
 	"knlmlm/internal/units"
 )
 
-// AllocFaults injects staging-buffer allocation failures; fault.Injector
-// satisfies it. A nil AllocFaults never fails.
-type AllocFaults interface {
-	FailAlloc(chunk int) bool
-}
-
-// RealOptions configures RunRealResilient. The zero value reproduces
-// RunReal exactly: no telemetry, no simulated heap, no faults, no
-// retries.
+// RealOptions configures RunRealResilient. The zero value is the plain
+// benchmark: no telemetry, no simulated heap, no faults, no retries.
 type RealOptions struct {
-	// Observer, when non-nil, receives per-chunk stage spans from the
-	// pipeline (typically a telemetry.Recorder).
+	// Observer, when non-nil, receives per-chunk stage spans — including
+	// buffer-wait starvation — from the pipeline (typically a
+	// telemetry.Recorder). Compute spans are charged 2*repeats read+write
+	// sweeps per byte, matching both exec.Instrument's convention and the
+	// simulated pipeline's WorkPerChunkByte, so telemetry totals line up
+	// across all three layers.
 	Observer exec.Observer
-	// Heap, when non-nil, is the simulated two-level heap the staging
-	// buffers are placed on: each buffer tries HBW_POLICY_BIND first and
-	// degrades to DDR when MCDRAM is exhausted.
-	Heap *memkind.Heap
-	// AllocFaults, when non-nil, injects additional buffer-allocation
-	// failures on top of genuine heap exhaustion (keyed by buffer index).
-	AllocFaults AllocFaults
+	// Staging places the staging buffers: each tries HBW_POLICY_BIND on
+	// its simulated heap first (injected faults, keyed by buffer index,
+	// can fail that too) and degrades to DDR when MCDRAM is exhausted.
+	memkind.Staging
 	// Resilience, when non-nil, receives retry, degradation, and run
 	// outcome counters.
 	Resilience *telemetry.Resilience
-	// Wrap, when non-nil, rewrites the stage set before it runs — the
-	// fault injector's Wrap plugs in here.
-	Wrap func(exec.Stages) exec.Stages
-	// Retry bounds per-chunk stage attempts.
-	Retry exec.RetryPolicy
-	// ChunkTimeout bounds each stage attempt per chunk; zero means
-	// unbounded.
-	ChunkTimeout time.Duration
+	// Policy bounds per-chunk stage attempts (retries, deadline) and
+	// carries the stage-set rewrite the fault injector plugs into.
+	exec.Policy
 }
 
 // RealStats summarizes one resilient run's buffer placement.
@@ -62,11 +50,14 @@ type RealStats struct {
 	AllocFailures int
 }
 
-// RunRealResilient is RunRealObserved with full failure semantics: the
-// run is cancellable through ctx, per-chunk stage failures are retried
-// under opts.Retry, and staging buffers that cannot be placed in
-// simulated MCDRAM degrade to DDR (or are dropped, narrowing the
-// pipeline) instead of failing the benchmark.
+// RunRealResilient executes the benchmark's data flow for real: the source
+// array is staged chunk-by-chunk through buffers by exec.RunContext; the
+// compute stage splits each chunk in half and merges the sorted halves
+// `repeats` times. It returns the processed output array for verification.
+// The run is cancellable through ctx, per-chunk stage failures are retried
+// under opts.Retry, and staging buffers that cannot be placed in simulated
+// MCDRAM degrade to DDR (or are dropped, narrowing the pipeline) instead
+// of failing the benchmark.
 func RunRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffers int, opts RealOptions) ([]int64, RealStats, error) {
 	out, stats, err := runRealResilient(ctx, src, chunkLen, repeats, buffers, opts)
 	if opts.Resilience != nil {
@@ -81,42 +72,30 @@ func RunRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffe
 func placeBuffers(buffers int, chunkBytes units.Bytes, o RealOptions) (RealStats, []*memkind.Allocation, error) {
 	var stats RealStats
 	var allocs []*memkind.Allocation
-	degrade := func() {
-		stats.DegradedBuffers++
-		stats.Buffers++
-		if o.Resilience != nil {
-			o.Resilience.RecordDegradation("mergebench-buffer")
-		}
-	}
 	for bi := 0; bi < buffers; bi++ {
-		injected := o.AllocFaults != nil && o.AllocFaults.FailAlloc(bi)
-		if o.Heap == nil {
-			// No simulated heap: an injected failure still exercises the
-			// degradation bookkeeping; placement itself is notional.
-			if injected {
-				stats.AllocFailures++
-				degrade()
-			} else {
-				stats.HBWBuffers++
-				stats.Buffers++
+		a, ok := o.Place(bi, chunkBytes)
+		if ok {
+			stats.HBWBuffers++
+		} else {
+			stats.AllocFailures++
+			if o.Heap != nil {
+				// Without a simulated heap the DDR placement is notional and
+				// an injected failure exercises only the bookkeeping.
+				var err error
+				if a, err = o.Heap.Alloc(memkind.PolicyDDR, chunkBytes, 0); err != nil {
+					stats.DroppedBuffers++
+					continue
+				}
 			}
-			continue
-		}
-		if !injected {
-			if a, err := o.Heap.Alloc(memkind.PolicyHBWBind, chunkBytes, 0); err == nil {
-				allocs = append(allocs, a)
-				stats.HBWBuffers++
-				stats.Buffers++
-				continue
+			stats.DegradedBuffers++
+			if o.Resilience != nil {
+				o.Resilience.RecordDegradation("mergebench-buffer")
 			}
 		}
-		stats.AllocFailures++
-		if a, err := o.Heap.Alloc(memkind.PolicyDDR, chunkBytes, 0); err == nil {
+		stats.Buffers++
+		if a != nil {
 			allocs = append(allocs, a)
-			degrade()
-			continue
 		}
-		stats.DroppedBuffers++
 	}
 	if stats.Buffers == 0 {
 		return stats, allocs, fmt.Errorf("mergebench: no staging buffer placeable on either memory level")
@@ -155,9 +134,6 @@ func runRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffe
 		}
 		return lo, hi
 	}
-	// Compute scratch comes from the shared pool. It is returned only on
-	// clean completion: an aborted run with a chunk deadline may have
-	// abandoned a compute attempt that still writes it.
 	scratch := mem.Pool.Get(chunkLen)
 	stages := exec.Stages{
 		NumChunks: numChunks,
@@ -194,21 +170,13 @@ func runRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffe
 			copy(out[lo:hi], buf)
 			return nil
 		},
-		Observer:       opts.Observer,
 		TouchedPerElem: int64(2 * repeats * 8),
-		Retry:          opts.Retry,
-		ChunkTimeout:   opts.ChunkTimeout,
-		Pool:           mem.Pool,
 	}
-	if opts.Resilience != nil {
-		stages.OnRetry = opts.Resilience.ObserveRetry
-	}
-	if opts.Wrap != nil {
-		stages = opts.Wrap(stages)
-	}
-	if err := exec.RunContext(ctx, stages, stats.Buffers); err != nil {
+	stages = telemetry.FinishStages(stages, opts.Policy, opts.Resilience, opts.Observer, mem.Pool)
+	err = exec.RunContext(ctx, stages, stats.Buffers)
+	stages.SettleScratch(scratch, err)
+	if err != nil {
 		return nil, stats, err
 	}
-	mem.Pool.Put(scratch) // clean completion: no abandoned attempt holds it
 	return out, stats, nil
 }

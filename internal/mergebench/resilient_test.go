@@ -48,7 +48,7 @@ func TestResilientBufferDegradation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	res := telemetry.NewResilience(reg)
 	out, stats, err := RunRealResilient(context.Background(), src, chunkLen, 2, 3, RealOptions{
-		Heap: heap, Resilience: res,
+		Staging: memkind.Staging{Heap: heap}, Resilience: res,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestResilientBufferDrop(t *testing.T) {
 	chunkBytes := units.BytesForElements(chunkLen)
 	// Room for one buffer in HBW, one in DDR; the third fits nowhere.
 	heap := memkind.NewHeap(chunkBytes, chunkBytes)
-	out, stats, err := RunRealResilient(context.Background(), src, chunkLen, 1, 3, RealOptions{Heap: heap})
+	out, stats, err := RunRealResilient(context.Background(), src, chunkLen, 1, 3, RealOptions{Staging: memkind.Staging{Heap: heap}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestResilientBufferDrop(t *testing.T) {
 
 	// Nothing fits anywhere: that is a hard error.
 	empty := memkind.NewHeap(0, 0)
-	_, _, err = RunRealResilient(context.Background(), src, chunkLen, 1, 3, RealOptions{Heap: empty})
+	_, _, err = RunRealResilient(context.Background(), src, chunkLen, 1, 3, RealOptions{Staging: memkind.Staging{Heap: empty}})
 	if err == nil {
 		t.Fatal("zero placeable buffers must fail")
 	}
@@ -99,7 +99,7 @@ func TestResilientInjectedBufferFaults(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	res := telemetry.NewResilience(reg)
 	out, stats, err := RunRealResilient(context.Background(), src, chunkLen, 1, 3, RealOptions{
-		AllocFaults: failBuffers{0: true, 2: true}, Resilience: res,
+		Staging: memkind.Staging{Faults: failBuffers{0: true, 2: true}}, Resilience: res,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +123,7 @@ func TestResilientRetryAndOutcome(t *testing.T) {
 	fails := 0
 	out, stats, err := RunRealResilient(context.Background(), src, chunkLen, 1, 3, RealOptions{
 		Resilience: res,
-		Retry:      exec.DefaultRetry,
-		Wrap: func(s exec.Stages) exec.Stages {
+		Policy: exec.Policy{Retry: exec.DefaultRetry, Wrap: func(s exec.Stages) exec.Stages {
 			inner := s.Compute
 			s.Compute = func(i int, buf []int64) error {
 				if i == 2 && fails < 2 {
@@ -134,7 +133,7 @@ func TestResilientRetryAndOutcome(t *testing.T) {
 				return inner(i, buf)
 			}
 			return s
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,10 +149,10 @@ func TestResilientRetryAndOutcome(t *testing.T) {
 	// Exhaust the budget: the same fault with no retries aborts.
 	_, _, err = RunRealResilient(context.Background(), src, chunkLen, 1, 3, RealOptions{
 		Resilience: res,
-		Wrap: func(s exec.Stages) exec.Stages {
+		Policy: exec.Policy{Wrap: func(s exec.Stages) exec.Stages {
 			s.Compute = func(i int, buf []int64) error { return errors.New("hard") }
 			return s
-		},
+		}},
 	})
 	var ce *exec.ChunkError
 	if !errors.As(err, &ce) {
@@ -173,8 +172,8 @@ func TestResilientCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, _, err := RunRealResilient(ctx, src, chunkLen, 1, 3, RealOptions{
-		Heap: heap,
-		Wrap: func(s exec.Stages) exec.Stages {
+		Staging: memkind.Staging{Heap: heap},
+		Policy: exec.Policy{Wrap: func(s exec.Stages) exec.Stages {
 			inner := s.Compute
 			s.Compute = func(i int, buf []int64) error {
 				if i == 4 {
@@ -183,7 +182,7 @@ func TestResilientCancellation(t *testing.T) {
 				return inner(i, buf)
 			}
 			return s
-		},
+		}},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"knlmlm/internal/fault"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -99,19 +98,12 @@ func TestAutotuneUnderChaos(t *testing.T) {
 		xs := workload.Generate(workload.Random, n, seed)
 		want := workload.Fingerprint(xs)
 		plan := fault.NewPlan(seed, units.BytesForElements(n))
-		inj := plan.Injector()
 		reg := telemetry.NewRegistry()
 		res := telemetry.NewResilience(reg)
-		inj.Metrics = res
+		rig := plan.Rig(res)
 		stats, err := RunRealResilient(context.Background(), MLMSort, xs, 2, mc, RealOptions{
-			Heap:         memkind.NewHeap(plan.HBWCapacity, 1<<42),
-			AllocFaults:  inj,
-			Resilience:   res,
-			Wrap:         inj.Wrap,
-			Retry:        plan.Retry,
-			ChunkTimeout: plan.ChunkTimeout,
-			Buffers:      3,
-			Autotune:     &AutotuneOptions{WarmupChunks: 1, Registry: reg},
+			Staging: rig.Staging, Resilience: res, Policy: rig.Policy, Buffers: 3,
+			Autotune: &AutotuneOptions{WarmupChunks: 1, Registry: reg},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

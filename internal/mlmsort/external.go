@@ -188,7 +188,7 @@ func SpillSorted(ctx context.Context, a Algorithm, xs []int64, threads, megachun
 	}
 	// Record jobs spill fine under every algorithm here — the spill path
 	// is megachunk-structured for all of them.
-	bounds, real, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts.RealOptions, func(i int, sorted []int64) error {
+	homes, real, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts.RealOptions, func(i int, sorted []int64) error {
 		w, err := opts.Store.CreateRun(i)
 		if err != nil {
 			return err
@@ -199,8 +199,8 @@ func SpillSorted(ctx context.Context, a Algorithm, xs []int64, threads, megachun
 		}
 		return w.Close()
 	})
-	stats := ExternalStats{RealStats: real, Runs: len(bounds)}
-	runIDs := make([]int, len(bounds))
+	stats := ExternalStats{RealStats: real, Runs: len(homes)}
+	runIDs := make([]int, len(homes))
 	for i := range runIDs {
 		runIDs[i] = i
 		if err == nil {

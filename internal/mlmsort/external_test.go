@@ -406,7 +406,7 @@ func TestRunRealExternalRetriesIOFaults(t *testing.T) {
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	_, err = RunRealExternal(context.Background(), MLMSort, xs, 2, 500, ExternalOptions{
 		RealOptions: RealOptions{
-			Retry:      exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+			Policy:     exec.Policy{Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}},
 			Resilience: res,
 		},
 		Store:      st,
@@ -440,7 +440,7 @@ func TestRunRealExternalExhaustedRetriesAbort(t *testing.T) {
 		xs[i] = int64(i ^ 0x55)
 	}
 	_, err = RunRealExternal(context.Background(), MLMSort, xs, 2, 300, ExternalOptions{
-		RealOptions: RealOptions{Retry: exec.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}},
+		RealOptions: RealOptions{Policy: exec.Policy{Retry: exec.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}}},
 		Store:       st,
 	})
 	var ce *exec.ChunkError

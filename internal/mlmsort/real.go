@@ -38,7 +38,11 @@ func RunReal(a Algorithm, xs []int64, threads, megachunkLen int) error {
 // trace and analyzed for copy↔compute overlap. A nil rec records nothing
 // and adds no timestamps.
 func RunRealObserved(a Algorithm, xs []int64, threads, megachunkLen int, rec *telemetry.Recorder) error {
-	_, err := RunRealResilient(context.Background(), a, xs, threads, megachunkLen, RealOptions{Recorder: rec})
+	var opts RealOptions
+	if rec != nil {
+		opts.Observer = rec // never a nil *Recorder inside a non-nil interface
+	}
+	_, err := RunRealResilient(context.Background(), a, xs, threads, megachunkLen, opts)
 	return err
 }
 
@@ -70,7 +74,7 @@ func runRealResilient(ctx context.Context, a Algorithm, xs []int64, threads, meg
 		if err := ctx.Err(); err != nil {
 			return RealStats{}, err
 		}
-		done := spanStart(opts.Recorder)
+		done := spanStart(opts.Observer)
 		psort.Parallel(xs, threads)
 		done(exec.StageCompute, wholeArray, touchedBytes(n))
 		return RealStats{}, ctx.Err()
@@ -91,30 +95,27 @@ const wholeArray = -1
 func touchedBytes(elems int) int64 { return int64(elems) * 16 }
 
 // spanStart begins a telemetry span and returns its closer. With a nil
-// recorder it returns a no-op and takes no timestamp, so unobserved runs
+// observer it returns a no-op and takes no timestamp, so unobserved runs
 // pay nothing.
-func spanStart(rec *telemetry.Recorder) func(stage exec.Stage, chunk int, bytes int64) {
-	if rec == nil {
+func spanStart(obs exec.Observer) func(stage exec.Stage, chunk int, bytes int64) {
+	if obs == nil {
 		return func(exec.Stage, int, int64) {}
 	}
 	t0 := time.Now()
 	return func(stage exec.Stage, chunk int, bytes int64) {
-		rec.Record(stage, chunk, 0, t0, time.Now(), bytes)
+		obs.StageEvent(exec.StageEvent{Stage: stage, Chunk: chunk, Start: t0, End: time.Now(), Bytes: bytes})
 	}
 }
 
-// megachunkBounds splits n elements into megachunks of the given length.
-func megachunkBounds(n, mcLen int) [][2]int {
+// megachunks cuts xs into megachunks of the given length.
+func megachunks(xs []int64, mcLen int) [][]int64 {
+	n := len(xs)
 	if mcLen <= 0 || mcLen > n {
 		mcLen = n
 	}
-	var out [][2]int
+	var out [][]int64
 	for lo := 0; lo < n; lo += mcLen {
-		hi := lo + mcLen
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
+		out = append(out, xs[lo:min(lo+mcLen, n)])
 	}
 	return out
 }
@@ -174,10 +175,10 @@ func (ms *megachunkSorter) sort(mc, scratch []int64) {
 }
 
 // finalMerge is phase 2 of the chunked algorithms: the multiway merge
-// across sorted megachunks, recorded as one whole-array compute span.
-// Under ElemKV the bounds are record-aligned by construction.
-func finalMerge(ctx context.Context, xs []int64, bounds [][2]int, threads int, rec *telemetry.Recorder, elem ElemKind) error {
-	if len(bounds) < 2 {
+// across xs's sorted megachunks (runs), recorded as one whole-array
+// compute span. Under ElemKV the runs are record-aligned by construction.
+func finalMerge(ctx context.Context, xs []int64, runs [][]int64, threads int, obs exec.Observer, elem ElemKind) error {
+	if len(runs) < 2 {
 		return ctx.Err()
 	}
 	if err := ctx.Err(); err != nil {
@@ -187,11 +188,7 @@ func finalMerge(ctx context.Context, xs []int64, bounds [][2]int, threads int, r
 	// make: the merge joins its workers before returning, so the buffer
 	// is idle again by the Put.
 	final := mem.Pool.Get(len(xs))
-	done := spanStart(rec)
-	runs := make([][]int64, len(bounds))
-	for i, b := range bounds {
-		runs[i] = xs[b[0]:b[1]]
-	}
+	done := spanStart(obs)
 	psort.MergeRound(final, runs, threads, elem.cells())
 	copy(xs, final)
 	done(exec.StageCompute, wholeArray, touchedBytes(len(xs)))
@@ -203,49 +200,55 @@ func runRealMLM(ctx context.Context, a Algorithm, xs []int64, threads, megachunk
 	if megachunkLen <= 0 && a == MLMImplicit {
 		megachunkLen = len(xs) // the paper: megachunk size equal to problem size
 	}
-	bounds, stats, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts, nil)
+	runs, stats, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts, nil)
 	if err != nil {
 		return stats, err
 	}
 	// Phase 2: final multiway merge across megachunks.
-	return stats, finalMerge(ctx, xs, bounds, threads, opts.Recorder, opts.Elem)
+	return stats, finalMerge(ctx, xs, runs, threads, opts.Observer, opts.Elem)
 }
 
-// sortMegachunks is phase 1 of every megachunked sort, in memory or
-// spilled: it cuts xs into megachunks (a non-positive megachunkLen
-// selects a quarter of the array, so the multi-megachunk path executes)
-// and sorts each one on the exec pipeline, so megachunks inherit its full
-// failure semantics (retries, panic recovery, deadlines, cancellation).
-// MLM-sort (and its hybrid twin) stages each megachunk through a buffer
-// (the flat-mode MCDRAM analog); when the staging allocation fails —
-// simulated heap exhaustion or an injected fault — that megachunk
-// degrades to the in-place DDR-direct flow. The other variants sort in
-// place throughout.
-//
-// Where a sorted megachunk goes is the only thing the callers vary. A nil
-// writeRun writes staged megachunks back to their place in xs, leaving xs
-// a sequence of sorted runs at the returned bounds. A non-nil writeRun is
-// the copy-out instead: it receives megachunk i sorted, wherever it was
-// sorted, and xs is left unspecified.
-func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts RealOptions, writeRun func(i int, sorted []int64) error) ([][2]int, RealStats, error) {
-	n := len(xs)
+// sortMegachunks is phase 1 over one array: it cuts xs into megachunks (a
+// non-positive megachunkLen selects a quarter of the array, so the
+// multi-megachunk path executes), sorts them with SortHomes and returns
+// them. With a nil writeRun xs is left a sequence of sorted runs, the
+// returned megachunks; with a writeRun xs is left unspecified.
+func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts RealOptions, writeRun func(i int, sorted []int64) error) ([][]int64, RealStats, error) {
 	if megachunkLen <= 0 {
-		megachunkLen = (n + 3) / 4
+		megachunkLen = (len(xs) + 3) / 4
 	}
 	// Megachunks (and therefore run files) must hold whole records.
-	bounds := megachunkBounds(n, opts.Elem.alignChunk(megachunkLen))
-	home := func(i int) []int64 { return xs[bounds[i][0]:bounds[i][1]] }
-	maxLen := 0
-	for i := range bounds {
-		maxLen = max(maxLen, len(home(i)))
+	homes := megachunks(xs, opts.Elem.alignChunk(megachunkLen))
+	stats, err := SortHomes(ctx, a, homes, threads, opts, writeRun)
+	return homes, stats, err
+}
+
+// SortHomes is phase 1 of every megachunked sort — in memory, spilled, or
+// the scheduler's batch pass, whose megachunks are its riders' separate
+// buffers: it sorts each home on the exec pipeline, so megachunks inherit
+// its full failure semantics (retries, panic recovery, deadlines,
+// cancellation). MLM-sort (and its hybrid twin) stages each megachunk
+// through a buffer (the flat-mode MCDRAM analog); when the staging
+// allocation fails — simulated heap exhaustion or an injected fault —
+// that megachunk degrades to the in-place DDR-direct flow. The other
+// variants sort in place throughout. threads must be positive and every
+// home hold whole elements of opts.Elem.
+//
+// Where a sorted megachunk goes is the only thing the callers vary. A nil
+// writeRun writes staged megachunks back to their homes. A non-nil
+// writeRun is the copy-out instead: it receives megachunk i sorted,
+// wherever it was sorted, and the homes are left unspecified.
+func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, opts RealOptions, writeRun func(i int, sorted []int64) error) (RealStats, error) {
+	maxLen, cells := 0, 0
+	for _, h := range homes {
+		maxLen = max(maxLen, len(h))
+		cells += len(h)
 	}
-	// Scratch comes from the run's pool; it is returned only on clean
-	// completion — an aborted run with a chunk deadline may have abandoned
-	// a compute attempt that still writes scratch, and a buffer a rogue
-	// goroutine can touch must never be recycled. A budget-capped pool
-	// refusing the request degrades to an unpooled (DDR) allocation.
-	scratch := opts.pool().GetOrAlloc(maxLen)
-	stats := RealStats{Megachunks: len(bounds)}
+	// A budget-capped pool refusing the scratch degrades to an unpooled
+	// (DDR) allocation.
+	pool := opts.pool()
+	scratch := pool.GetOrAlloc(maxLen)
+	stats := RealStats{Megachunks: len(homes)}
 	sorter := newMegachunkSorter(threads, opts.Elem)
 	copyW := new(atomic.Int32)
 	copyW.Store(1) // the paper's baseline: one copy thread each way
@@ -264,18 +267,18 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 	}
 
 	s := exec.Stages{
-		NumChunks: len(bounds),
-		ChunkLen:  func(i int) int { return len(home(i)) },
+		NumChunks: len(homes),
+		ChunkLen:  func(i int) int { return len(homes[i]) },
 	}
 	staged := a == MLMSort || a == MLMHybrid
 	var table *stagingTable
 	inPlace := func(i int) bool { return table == nil || table.isDegraded(i) }
 	if staged {
-		table = newStagingTable(opts.Heap, len(bounds))
+		table = newStagingTable(opts.Staging, len(homes))
 		s.CopyIn = func(i int, dst []int64) error {
-			if table.stage(i, units.BytesForElements(int64(len(home(i)))), opts) {
+			if table.stage(i, units.BytesForElements(int64(len(homes[i]))), opts.Resilience) {
 				// copy-in: DDR -> "MCDRAM", at the tunable copy-pool width
-				exec.CopyParallel(dst, home(i), int(copyW.Load()))
+				exec.CopyParallel(dst, homes[i], int(copyW.Load()))
 			}
 			return nil // a failed staging leaves the megachunk in DDR
 		}
@@ -287,7 +290,7 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 	}
 	s.Compute = func(i int, buf []int64) error {
 		if inPlace(i) {
-			buf = home(i)
+			buf = homes[i]
 		}
 		sorter.sort(buf, scratch)
 		return nil
@@ -296,7 +299,7 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 		s.CopyOut = func(i int, src []int64) error {
 			moved := !inPlace(i)
 			if !moved {
-				src = home(i)
+				src = homes[i]
 			}
 			if writeRun != nil {
 				if err := writeRun(i, src); err != nil {
@@ -304,7 +307,7 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 				}
 			} else if moved {
 				// megachunk merge writes back to DDR
-				exec.CopyParallel(home(i), src, int(copyW.Load()))
+				exec.CopyParallel(homes[i], src, int(copyW.Load()))
 			}
 			if staged {
 				table.release(i)
@@ -312,7 +315,7 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 			return nil
 		}
 	}
-	fs := opts.finish(s)
+	fs := telemetry.FinishStages(s, opts.Policy, opts.Resilience, opts.Observer, pool)
 	var tuner *tune.PipelineTuner
 	if at := opts.Autotune; at != nil && staged {
 		total := at.TotalThreads
@@ -324,7 +327,7 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 			TotalThreads: total,
 			MaxCopyIn:    at.MaxCopyIn,
 			WarmupChunks: at.WarmupChunks,
-			Bytes:        units.BytesForElements(int64(n)),
+			Bytes:        units.BytesForElements(int64(cells)),
 			Registry:     at.Registry,
 			Next:         fs.Observer,
 			OnProvision: func(p model.Prediction) {
@@ -356,32 +359,29 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 		stats.Degraded, stats.AllocFailures = table.drain()
 		stats.Staged = stats.Megachunks - stats.Degraded
 	}
-	if err == nil {
-		opts.pool().Put(scratch) // clean completion: no abandoned attempt holds it
-	}
-	return bounds, stats, err
+	fs.SettleScratch(scratch, err)
+	return stats, err
 }
 
 // runRealBasic is Bender et al.'s basic algorithm: each megachunk is sorted
 // with the *parallel* sort, then the megachunks are multiway merged.
 func runRealBasic(ctx context.Context, xs []int64, threads, megachunkLen int, opts RealOptions) (RealStats, error) {
-	n := len(xs)
 	if megachunkLen <= 0 {
-		megachunkLen = (n + 3) / 4
+		megachunkLen = (len(xs) + 3) / 4
 	}
-	bounds := megachunkBounds(n, megachunkLen)
-	stats := RealStats{Megachunks: len(bounds)}
+	runs := megachunks(xs, megachunkLen)
+	stats := RealStats{Megachunks: len(runs)}
 	s := exec.Stages{
-		NumChunks: len(bounds),
-		ChunkLen:  func(i int) int { return bounds[i][1] - bounds[i][0] },
+		NumChunks: len(runs),
+		ChunkLen:  func(i int) int { return len(runs[i]) },
 		Compute: func(i int, _ []int64) error {
-			lo, hi := bounds[i][0], bounds[i][1]
-			psort.Parallel(xs[lo:hi], threads)
+			psort.Parallel(runs[i], threads)
 			return nil
 		},
 	}
-	if err := exec.RunContext(ctx, opts.finish(s), opts.buffers()); err != nil {
+	s = telemetry.FinishStages(s, opts.Policy, opts.Resilience, opts.Observer, opts.pool())
+	if err := exec.RunContext(ctx, s, opts.buffers()); err != nil {
 		return stats, err
 	}
-	return stats, finalMerge(ctx, xs, bounds, threads, opts.Recorder, ElemInt64)
+	return stats, finalMerge(ctx, xs, runs, threads, opts.Observer, ElemInt64)
 }

@@ -3,7 +3,6 @@ package mlmsort
 import (
 	"context"
 	"sync"
-	"time"
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/mem"
@@ -13,38 +12,25 @@ import (
 	"knlmlm/internal/units"
 )
 
-// AllocFaults injects scratchpad allocation failures into the real path;
-// fault.Injector satisfies it. A nil AllocFaults never fails.
-type AllocFaults interface {
-	FailAlloc(chunk int) bool
-}
-
 // RealOptions configures RunRealResilient. The zero value reproduces
 // RunReal exactly: no telemetry, no simulated heap, no faults, no retries.
 type RealOptions struct {
-	// Recorder, when non-nil, receives per-megachunk stage spans (work and
-	// buffer-wait) from the staging pipeline plus the final-merge span.
-	Recorder *telemetry.Recorder
-	// Heap, when non-nil, is the simulated two-level heap that staging
-	// buffers are placed on. Each staged megachunk performs an
-	// HBW_POLICY_BIND allocation for its residency; when MCDRAM is
-	// exhausted the megachunk degrades to the DDR-direct (MLM-ddr) data
-	// flow instead of failing the sort.
-	Heap *memkind.Heap
-	// AllocFaults, when non-nil, injects additional allocation failures on
-	// top of genuine heap exhaustion.
-	AllocFaults AllocFaults
+	// Observer, when non-nil, receives per-megachunk stage spans (work and
+	// buffer-wait) from the staging pipeline plus the final-merge span;
+	// typically a telemetry.Recorder.
+	Observer exec.Observer
+	// Staging places each staged megachunk's residency: an
+	// HBW_POLICY_BIND allocation on its simulated heap, which injected
+	// faults can also fail. When MCDRAM is exhausted the megachunk
+	// degrades to the DDR-direct (MLM-ddr) data flow instead of failing
+	// the sort.
+	memkind.Staging
 	// Resilience, when non-nil, receives retry, degradation, and run
 	// outcome counters.
 	Resilience *telemetry.Resilience
-	// Wrap, when non-nil, rewrites the staging pipeline's stage set before
-	// it runs — the hook the fault injector's Wrap plugs into.
-	Wrap func(exec.Stages) exec.Stages
-	// Retry bounds per-megachunk stage attempts (see exec.RetryPolicy).
-	Retry exec.RetryPolicy
-	// ChunkTimeout bounds each stage attempt per megachunk; zero means
-	// unbounded.
-	ChunkTimeout time.Duration
+	// Policy bounds per-megachunk stage attempts (retries, deadline) and
+	// carries the stage-set rewrite the fault injector plugs into.
+	exec.Policy
 	// Buffers is the staging-buffer count for the megachunk pipeline.
 	// Zero selects 1, which serializes the stages exactly like the
 	// original driver loop; 3 is the paper's triple buffering.
@@ -106,32 +92,14 @@ func (o RealOptions) buffers() int {
 	return 1
 }
 
-// pool resolves the slice pool the run draws from.
+// pool resolves the slice pool the run draws from. All real pipelines draw
+// staging buffers from a slice pool, so repeated runs reuse backing arrays
+// instead of re-allocating them.
 func (o RealOptions) pool() *mem.SlicePool {
 	if o.Pool != nil {
 		return o.Pool
 	}
 	return mem.Pool
-}
-
-// finish applies the resilience and observability knobs to a stage set.
-func (o RealOptions) finish(s exec.Stages) exec.Stages {
-	if o.Recorder != nil {
-		s.Observer = o.Recorder
-	}
-	s.Retry = o.Retry
-	s.ChunkTimeout = o.ChunkTimeout
-	if o.Resilience != nil {
-		s.OnRetry = o.Resilience.ObserveRetry
-	}
-	// All real pipelines draw staging buffers from a slice pool, so
-	// repeated runs reuse backing arrays instead of re-allocating them;
-	// o.Pool lets a scheduler substitute its budget-capped pool.
-	s.Pool = o.pool()
-	if o.Wrap != nil {
-		s = o.Wrap(s)
-	}
-	return s
 }
 
 // RealStats summarizes one resilient run's megachunk placement.
@@ -179,7 +147,7 @@ func RunRealResilient(ctx context.Context, a Algorithm, xs []int64, threads, meg
 // table's lock. The table keeps at most one live allocation per
 // megachunk and frees stragglers on drain.
 type stagingTable struct {
-	heap *memkind.Heap
+	staging memkind.Staging
 
 	mu       sync.Mutex
 	live     []*memkind.Allocation
@@ -187,9 +155,9 @@ type stagingTable struct {
 	failures int
 }
 
-func newStagingTable(heap *memkind.Heap, n int) *stagingTable {
+func newStagingTable(staging memkind.Staging, n int) *stagingTable {
 	return &stagingTable{
-		heap:     heap,
+		staging:  staging,
 		live:     make([]*memkind.Allocation, n),
 		degraded: make([]bool, n),
 	}
@@ -198,33 +166,24 @@ func newStagingTable(heap *memkind.Heap, n int) *stagingTable {
 // stage decides megachunk i's placement for one copy-in attempt:
 // true means the megachunk is MCDRAM-staged (allocation held until
 // release), false means it degrades to the DDR-direct path.
-func (t *stagingTable) stage(i int, size units.Bytes, o RealOptions) bool {
-	failed := o.AllocFaults != nil && o.AllocFaults.FailAlloc(i)
+func (t *stagingTable) stage(i int, size units.Bytes, res *telemetry.Resilience) bool {
 	t.mu.Lock()
-	var alloc *memkind.Allocation
-	if !failed && t.heap != nil {
-		a, err := t.heap.Alloc(memkind.PolicyHBWBind, size, 0)
-		if err != nil {
-			failed = true
-		} else {
-			alloc = a
-		}
-	}
+	alloc, ok := t.staging.Place(i, size)
 	if old := t.live[i]; old != nil {
 		// A previous attempt's allocation (e.g. before a compute retry
 		// re-staged the chunk) is superseded.
-		t.heap.Free(old)
+		t.staging.Heap.Free(old)
 	}
 	t.live[i] = alloc
-	t.degraded[i] = failed
-	if failed {
+	t.degraded[i] = !ok
+	if !ok {
 		t.failures++
 	}
 	t.mu.Unlock()
-	if failed && o.Resilience != nil {
-		o.Resilience.RecordDegradation("mlmsort-megachunk")
+	if !ok && res != nil {
+		res.RecordDegradation("mlmsort-megachunk")
 	}
-	return !failed
+	return ok
 }
 
 // isDegraded reports megachunk i's current placement decision.
@@ -238,7 +197,7 @@ func (t *stagingTable) isDegraded(i int) bool {
 func (t *stagingTable) release(i int) {
 	t.mu.Lock()
 	if a := t.live[i]; a != nil {
-		t.heap.Free(a)
+		t.staging.Heap.Free(a)
 		t.live[i] = nil
 	}
 	t.mu.Unlock()
@@ -252,7 +211,7 @@ func (t *stagingTable) drain() (degraded, failures int) {
 	defer t.mu.Unlock()
 	for i, a := range t.live {
 		if a != nil {
-			t.heap.Free(a)
+			t.staging.Heap.Free(a)
 			t.live[i] = nil
 		}
 	}

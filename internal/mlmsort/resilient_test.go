@@ -33,7 +33,7 @@ func TestResilientGenuineExhaustion(t *testing.T) {
 	heap := memkind.NewHeap(units.BytesForElements(mc)-1, units.GiB)
 	_, res := resilienceSink()
 	stats, err := RunRealResilient(context.Background(), MLMSort, xs, 4, mc, RealOptions{
-		Heap: heap, Resilience: res,
+		Staging: memkind.Staging{Heap: heap}, Resilience: res,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestResilientAmpleHeap(t *testing.T) {
 	xs := workload.Generate(workload.Reverse, n, 1)
 	heap := memkind.NewHeap(units.GiB, units.GiB)
 	stats, err := RunRealResilient(context.Background(), MLMHybrid, xs, 4, mc, RealOptions{
-		Heap: heap, Buffers: 3,
+		Staging: memkind.Staging{Heap: heap}, Buffers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestResilientInjectedAllocFaults(t *testing.T) {
 	heap := memkind.NewHeap(units.GiB, units.GiB)
 	_, res := resilienceSink()
 	stats, err := RunRealResilient(context.Background(), MLMSort, xs, 4, mc, RealOptions{
-		Heap: heap, AllocFaults: failChunks{1: true, 3: true}, Resilience: res,
+		Staging: memkind.Staging{Heap: heap, Faults: failChunks{1: true, 3: true}}, Resilience: res,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,7 @@ func TestResilientRetry(t *testing.T) {
 	failed := false
 	stats, err := RunRealResilient(context.Background(), MLMSort, xs, 4, mc, RealOptions{
 		Resilience: res,
-		Retry:      exec.DefaultRetry,
-		Wrap: func(s exec.Stages) exec.Stages {
+		Policy: exec.Policy{Retry: exec.DefaultRetry, Wrap: func(s exec.Stages) exec.Stages {
 			inner := s.Compute
 			s.Compute = func(i int, buf []int64) error {
 				if i == 1 && !failed {
@@ -126,7 +125,7 @@ func TestResilientRetry(t *testing.T) {
 				return inner(i, buf)
 			}
 			return s
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +154,8 @@ func TestResilientCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, err := RunRealResilient(ctx, MLMSort, xs, 4, mc, RealOptions{
-		Heap: heap, Resilience: res, Buffers: 3,
-		Wrap: func(s exec.Stages) exec.Stages {
+		Staging: memkind.Staging{Heap: heap}, Resilience: res, Buffers: 3,
+		Policy: exec.Policy{Wrap: func(s exec.Stages) exec.Stages {
 			inner := s.Compute
 			s.Compute = func(i int, buf []int64) error {
 				if i == 2 {
@@ -165,7 +164,7 @@ func TestResilientCancellation(t *testing.T) {
 				return inner(i, buf)
 			}
 			return s
-		},
+		}},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -187,7 +186,7 @@ func TestResilientAbortSurfacesChunkError(t *testing.T) {
 	boom := errors.New("boom")
 	_, err := RunRealResilient(context.Background(), MLMSort, xs, 4, mc, RealOptions{
 		Resilience: res,
-		Wrap: func(s exec.Stages) exec.Stages {
+		Policy: exec.Policy{Wrap: func(s exec.Stages) exec.Stages {
 			inner := s.CopyOut
 			s.CopyOut = func(i int, buf []int64) error {
 				if i == 1 {
@@ -196,7 +195,7 @@ func TestResilientAbortSurfacesChunkError(t *testing.T) {
 				return inner(i, buf)
 			}
 			return s
-		},
+		}},
 	})
 	var ce *exec.ChunkError
 	if !errors.As(err, &ce) || !errors.Is(err, boom) {

@@ -46,12 +46,9 @@ func (l BrownoutLevel) String() string {
 	return "unknown"
 }
 
-// BrownoutConfig tunes the brownout controller. The zero value enables
-// the controller with defaults derived from the scheduler's AgingSlack.
+// BrownoutConfig tunes the brownout controller. The zero value selects
+// defaults derived from the scheduler's AgingSlack.
 type BrownoutConfig struct {
-	// Disable turns the controller off: the level is pinned at
-	// BrownoutNormal and no brownout gates apply.
-	Disable bool
 	// RaiseQueueDelay is the queue-delay signal (EWMA of observed
 	// dispatch waits, or current head-of-queue age, whichever is larger)
 	// at which the controller steps one level up. Zero selects the
@@ -119,21 +116,12 @@ func newBrownout(cfg BrownoutConfig, agingSlack time.Duration, reg *telemetry.Re
 	return b
 }
 
-// Level reports the current degradation level (lock-free; BrownoutNormal
-// when the controller is disabled).
-func (b *brownout) Level() BrownoutLevel {
-	if b.cfg.Disable {
-		return BrownoutNormal
-	}
-	return BrownoutLevel(b.level.Load())
-}
+// Level reports the current degradation level (lock-free).
+func (b *brownout) Level() BrownoutLevel { return BrownoutLevel(b.level.Load()) }
 
 // observeDelay feeds one observed queue delay (a job's submit-to-start
 // wait) into the EWMA signal.
 func (b *brownout) observeDelay(d time.Duration) {
-	if b.cfg.Disable {
-		return
-	}
 	b.mu.Lock()
 	if !b.haveEWMA {
 		b.ewma, b.haveEWMA = d.Seconds(), true
@@ -148,9 +136,6 @@ func (b *brownout) observeDelay(d time.Duration) {
 // once the storm has passed — an EWMA only fed by dispatches would
 // otherwise stay high forever after the last overloaded dispatch.
 func (b *brownout) eval(now time.Time, headAge time.Duration, queueEmpty bool) {
-	if b.cfg.Disable {
-		return
-	}
 	b.mu.Lock()
 	if queueEmpty && b.haveEWMA {
 		b.ewma *= 0.5

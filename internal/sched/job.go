@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
+	"knlmlm/internal/wire"
 )
 
 // State is a job's lifecycle position.
@@ -45,50 +45,11 @@ func (s State) String() string {
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == Done || s == Failed || s == Canceled }
 
-// KeyType identifies how a job's Data cells are interpreted at the
-// service edge. The physical buffer is []int64 for every type — what
-// varies is the meaning of the cells and which pipeline legs the job
-// may ride.
-type KeyType uint8
-
-const (
-	// KeyInt64 is the original key stream: one int64 key per cell.
-	KeyInt64 KeyType = iota
-	// KeyFloat64 carries float64 keys as raw IEEE-754 bit cells. At
-	// admission the scheduler maps them through psort's order-preserving
-	// bijection and the whole pipeline — batch, staged, spill — sorts
-	// them as plain int64; the inverse map is applied before any result
-	// leaves (completion for in-memory jobs, per-batch for streamed
-	// spill merges), so results are again bit cells in float64 total
-	// order (NaN sign split, -0.0 < +0.0).
-	KeyFloat64
-	// KeyRecord carries fixed-width key+payload records as interleaved
-	// cell pairs (psort.KV layout). Data must have even length; record
-	// jobs are never batchable (the batch pass sorts bare cells) and run
-	// only the MLM staged algorithms.
-	KeyRecord
-)
-
-// Valid reports whether k is a known key type.
-func (k KeyType) Valid() bool { return k <= KeyRecord }
-
-func (k KeyType) String() string {
-	switch k {
-	case KeyInt64:
-		return "i64"
-	case KeyFloat64:
-		return "f64"
-	case KeyRecord:
-		return "rec"
-	}
-	return fmt.Sprintf("sched.KeyType(%d)", uint8(k))
-}
-
-// elem maps the key type to the pipeline's element kind. Only records
-// change the kernels; float64 jobs are int64 to every layer below the
-// admission/egress bijection.
-func (k KeyType) elem() mlmsort.ElemKind {
-	if k == KeyRecord {
+// elemOf maps a job's key kind to the pipeline's element kind. Only
+// records change the kernels; float64 jobs are int64 to every layer below
+// the admission/egress bijection.
+func elemOf(k wire.Kind) mlmsort.ElemKind {
+	if k == wire.KindRecord {
 		return mlmsort.ElemKV
 	}
 	return mlmsort.ElemInt64
@@ -100,8 +61,18 @@ type JobSpec struct {
 	// The scheduler takes ownership: the slice is sorted in place and
 	// must not be touched until the job is terminal.
 	Data []int64
-	// KeyType selects the cell interpretation; zero is KeyInt64.
-	KeyType KeyType
+	// KeyType selects how the cells are interpreted at the service edge;
+	// zero is wire.KindInt64. The physical buffer is []int64 for every
+	// kind. Float64 keys arrive as raw IEEE-754 bit cells: admission maps
+	// them through psort's order-preserving bijection, the whole pipeline
+	// — batch, staged, spill — sorts them as plain int64, and the inverse
+	// is applied before any result leaves (completion for in-memory jobs,
+	// per batch for streamed spill merges), so results are again bit cells
+	// in float64 total order (NaN sign split, -0.0 < +0.0). Records are
+	// interleaved key/payload cell pairs (psort.KV layout): Data must have
+	// even length, and record jobs never batch and run only the MLM
+	// staged algorithms.
+	KeyType wire.Kind
 	// Priority orders admission: higher runs sooner. Zero is the default
 	// class; negative deprioritizes. Values outside [-8, 8] are clamped
 	// at submission.
@@ -201,7 +172,7 @@ func (j *Job) ID() string { return j.id }
 func (j *Job) N() int { return j.n }
 
 // KeyType reports the job's key representation.
-func (j *Job) KeyType() KeyType { return j.spec.KeyType }
+func (j *Job) KeyType() wire.Kind { return j.spec.KeyType }
 
 // State reports the current lifecycle state.
 func (j *Job) State() State { return State(j.state.Load()) }
@@ -306,14 +277,9 @@ func (j *Job) StreamResult(ctx context.Context, sink func([]int64) error) (int64
 	defer j.releaseSpill()
 	s := j.sched
 	opts := mlmsort.ExternalOptions{
-		RealOptions: mlmsort.RealOptions{
-			Resilience: s.cfg.Resilience,
-			Retry:      s.cfg.Retry,
-			Pool:       s.pool,
-			Elem:       j.spec.KeyType.elem(),
-		},
-		DiskRate:  s.diskRate.Read,
-		MergeRate: s.rates.params().SComp,
+		RealOptions: s.real,
+		DiskRate:    s.diskRate.Read,
+		MergeRate:   s.rates.params().SComp,
 		// The download merge runs post-terminal, outside the fair-share
 		// budget; cap its fan-out at what the host can actually run.
 		MergeThreads: min(s.cfg.TotalThreads, runtime.GOMAXPROCS(0)),
@@ -321,9 +287,10 @@ func (j *Job) StreamResult(ctx context.Context, sink func([]int64) error) (int64
 	// Split the download's wall time into its two post-terminal phases:
 	// sink-callback time is delivery (stream), the rest is the k-way merge
 	// itself (run reads + heap work).
+	opts.Elem = elemOf(j.spec.KeyType)
 	start := time.Now()
 	var sinkTime time.Duration
-	f64 := j.spec.KeyType == KeyFloat64
+	f64 := j.spec.KeyType == wire.KindFloat64
 	n, err := mlmsort.MergeSpilled(ctx, store, runs, opts, func(batch []int64) error {
 		if f64 {
 			// Run files hold the sortable int64 images; flip each merge

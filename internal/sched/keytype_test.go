@@ -10,6 +10,7 @@ import (
 
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/psort"
+	"knlmlm/internal/wire"
 )
 
 // f64TestValues is an adversarial float64 palette: both NaN sign bits,
@@ -88,7 +89,7 @@ func TestFloat64JobClasses(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
 		s := newTestScheduler(t, testConfig())
 		input := f64Job(rng, 500)
-		j, err := s.Submit(JobSpec{Data: append([]int64(nil), input...), KeyType: KeyFloat64})
+		j, err := s.Submit(JobSpec{Data: append([]int64(nil), input...), KeyType: wire.KindFloat64})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
@@ -108,7 +109,7 @@ func TestFloat64JobClasses(t *testing.T) {
 		input := f64Job(rng, 40000)
 		j, err := s.Submit(JobSpec{
 			Data:      append([]int64(nil), input...),
-			KeyType:   KeyFloat64,
+			KeyType:   wire.KindFloat64,
 			Algorithm: mlmsort.MLMSort,
 		})
 		if err != nil {
@@ -125,7 +126,7 @@ func TestFloat64JobClasses(t *testing.T) {
 	t.Run("spill", func(t *testing.T) {
 		s := newTestScheduler(t, spillTestConfig(t))
 		input := f64Job(rng, 60000)
-		j, err := s.Submit(JobSpec{Data: append([]int64(nil), input...), KeyType: KeyFloat64})
+		j, err := s.Submit(JobSpec{Data: append([]int64(nil), input...), KeyType: wire.KindFloat64})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
@@ -194,7 +195,7 @@ func TestRecordJobClasses(t *testing.T) {
 		input := recordCells(rng, 3000)
 		j, err := s.Submit(JobSpec{
 			Data:      append([]int64(nil), input...),
-			KeyType:   KeyRecord,
+			KeyType:   wire.KindRecord,
 			Algorithm: mlmsort.MLMDDr,
 		})
 		if err != nil {
@@ -218,7 +219,7 @@ func TestRecordJobClasses(t *testing.T) {
 		input := recordCells(rng, 200)
 		j, err := s.Submit(JobSpec{
 			Data:      append([]int64(nil), input...),
-			KeyType:   KeyRecord,
+			KeyType:   wire.KindRecord,
 			Algorithm: mlmsort.MLMSort,
 		})
 		if err != nil {
@@ -237,7 +238,7 @@ func TestRecordJobClasses(t *testing.T) {
 		input := recordCells(rng, 30000) // 60000 cells, over the DDR squeeze
 		j, err := s.Submit(JobSpec{
 			Data:      append([]int64(nil), input...),
-			KeyType:   KeyRecord,
+			KeyType:   wire.KindRecord,
 			Algorithm: mlmsort.MLMSort,
 		})
 		if err != nil {
@@ -272,15 +273,15 @@ func TestRecordJobClasses(t *testing.T) {
 func TestKeyTypeValidation(t *testing.T) {
 	s := newTestScheduler(t, testConfig())
 
-	if _, err := s.Submit(JobSpec{Data: []int64{1, 2}, KeyType: KeyType(9)}); !errors.Is(err, ErrBadSpec) {
+	if _, err := s.Submit(JobSpec{Data: []int64{1, 2}, KeyType: wire.Kind(9)}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("unknown key type: err = %v, want ErrBadSpec", err)
 	}
-	if _, err := s.Submit(JobSpec{Data: []int64{1, 2, 3}, KeyType: KeyRecord, Algorithm: mlmsort.MLMSort}); !errors.Is(err, ErrBadSpec) {
+	if _, err := s.Submit(JobSpec{Data: []int64{1, 2, 3}, KeyType: wire.KindRecord, Algorithm: mlmsort.MLMSort}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("odd record cells: err = %v, want ErrBadSpec", err)
 	}
 	// GNUFlat is the zero Algorithm and is rewritten to the staged default
 	// at submit, so GNUCache is the addressable no-record-flow algorithm.
-	if _, err := s.Submit(JobSpec{Data: []int64{1, 2, 3, 4}, KeyType: KeyRecord, Algorithm: mlmsort.GNUCache}); !errors.Is(err, ErrBadSpec) {
+	if _, err := s.Submit(JobSpec{Data: []int64{1, 2, 3, 4}, KeyType: wire.KindRecord, Algorithm: mlmsort.GNUCache}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("record job on GNUCache: err = %v, want ErrBadSpec", err)
 	}
 }
@@ -295,7 +296,7 @@ func TestFloat64RejectionRestoresBits(t *testing.T) {
 
 	input := f64Job(rand.New(rand.NewSource(3)), 64)
 	data := append([]int64(nil), input...)
-	if _, err := s.Submit(JobSpec{Data: data, KeyType: KeyFloat64}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Submit(JobSpec{Data: data, KeyType: wire.KindFloat64}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: err = %v, want ErrClosed", err)
 	}
 	for i := range input {

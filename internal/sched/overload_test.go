@@ -25,6 +25,13 @@ func slowRates() model.Params {
 	}
 }
 
+// slowModel re-seeds a fresh scheduler's rate estimator with slowRates.
+func slowModel(s *Scheduler) {
+	s.rates.mu.Lock()
+	s.rates.base = slowRates()
+	s.rates.mu.Unlock()
+}
+
 // TestDriftEstimatorTracksAndClamps pins the machine-correction EWMA: it
 // starts neutral, converges toward the observed measured/predicted
 // ratio, keeps classes independent, ignores degenerate samples, and
@@ -121,9 +128,9 @@ func TestPredictedLateAdmission(t *testing.T) {
 	g := newGate()
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.Rates = slowRates()
 	cfg.Wrap = g.wrap()
 	s := newTestScheduler(t, cfg)
+	slowModel(s)
 	defer g.open()
 
 	blocker, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 40000, 1)})
@@ -359,15 +366,6 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 }
 
-func TestBrownoutDisablePinsNormal(t *testing.T) {
-	b := newBrownout(BrownoutConfig{Disable: true}, time.Second, telemetry.NewRegistry())
-	b.observeDelay(time.Hour)
-	b.eval(time.Now(), time.Hour, false)
-	if b.Level() != BrownoutNormal {
-		t.Fatalf("disabled controller left normal: %v", b.Level())
-	}
-}
-
 // pinnedBrownout makes manually-stored levels stick: raising needs an
 // hour of queue delay and lowering an hour of calm, so the only writer
 // is the test.
@@ -449,13 +447,12 @@ func TestBrownoutGatesAdmissionAndShedsQueue(t *testing.T) {
 }
 
 // TestBrownoutShrinksBatches checks the shrink-batch level: small-job
-// batches are capped at a quarter of BatchMaxJobs, so 8 batchable jobs
+// batches are capped at a quarter of batchMaxJobs, so 8 batchable jobs
 // need at least 4 passes instead of 1.
 func TestBrownoutShrinksBatches(t *testing.T) {
 	g := newGate()
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.BatchMaxJobs = 8
 	cfg.Brownout = pinnedBrownout()
 	cfg.Wrap = g.wrap()
 	s := newTestScheduler(t, cfg)
@@ -553,9 +550,9 @@ func TestPreAdmit(t *testing.T) {
 	g := newGate()
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.Rates = slowRates()
 	cfg.Wrap = g.wrap()
 	s := newTestScheduler(t, cfg)
+	slowModel(s)
 	defer g.open()
 
 	if err := s.PreAdmit(0); err != nil {

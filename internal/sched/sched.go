@@ -46,6 +46,7 @@ import (
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/tune"
 	"knlmlm/internal/units"
+	"knlmlm/internal/wire"
 )
 
 // Config describes a Scheduler. MCDRAMBudget is required; every other
@@ -65,30 +66,20 @@ type Config struct {
 	// jobs. Zero selects GOMAXPROCS (floor 3: the model needs all three
 	// pools populated).
 	TotalThreads int
-	// Buffers is the staging-buffer count per pipeline (the paper's
-	// triple buffering). Zero selects 3.
-	Buffers int
 	// BatchMaxElems is the batchable-job threshold: jobs of at most this
 	// many elements share one pipeline pass instead of running their own
 	// megachunked pipeline. Zero selects a budget-derived power of two
 	// (1/4 of the largest admissible megachunk, capped at 64 Ki).
 	BatchMaxElems int
-	// BatchMaxJobs bounds jobs per batch. Zero selects 8.
-	BatchMaxJobs int
 	// AgingSlack is the base virtual-deadline slack (see virtualDeadline):
 	// smaller means priorities decay faster into plain FIFO. Zero selects
 	// 2 s.
 	AgingSlack time.Duration
 	// RetainJobs bounds terminal jobs kept for Lookup. Zero selects 256.
 	RetainJobs int
-	// Rates seeds the fair-share solver's model parameters. The zero
-	// value selects the paper's Table 2 constants; measured autotuner
-	// rates refine SCopy/SComp either way.
-	Rates model.Params
 	// Brownout tunes the overload brownout controller (see BrownoutConfig
-	// and BrownoutLevel). The zero value enables the controller with
-	// AgingSlack-derived thresholds; set Disable to pin the level at
-	// BrownoutNormal.
+	// and BrownoutLevel). The zero value selects AgingSlack-derived
+	// thresholds.
 	Brownout BrownoutConfig
 
 	// DDRBudget caps the DDR working set of an in-memory staged job: its
@@ -128,15 +119,12 @@ type Config struct {
 	// Resilience, when non-nil, receives retry/degradation/outcome
 	// counters from job pipelines.
 	Resilience *telemetry.Resilience
-	// Heap, when non-nil, is the simulated two-level heap staged jobs
-	// place megachunk residency on.
-	Heap *memkind.Heap
-	// AllocFaults/Wrap plug the fault injector into every job pipeline.
-	AllocFaults mlmsort.AllocFaults
-	Wrap        func(exec.Stages) exec.Stages
-	// Retry/ChunkTimeout are passed through to job pipelines.
-	Retry        exec.RetryPolicy
-	ChunkTimeout time.Duration
+	// Staging and Policy are the fault plug of every job pipeline, staged
+	// or batched, handed to mlmsort whole: the simulated two-level heap
+	// (and injected allocation faults) megachunk residency is placed on,
+	// and the retry budget, chunk deadline and stage-set wrap.
+	memkind.Staging
+	exec.Policy
 	// Autotune enables per-job rate measurement on staged jobs; measured
 	// rates feed back into the fair-share solver.
 	Autotune bool
@@ -166,16 +154,10 @@ func (c Config) norm() (Config, error) {
 	if c.TotalThreads < 3 {
 		c.TotalThreads = 3
 	}
-	if c.Buffers <= 0 {
-		c.Buffers = 3
-	}
-	if c.BatchMaxJobs <= 0 {
-		c.BatchMaxJobs = 8
-	}
-	maxMc := floorPow2(int(int64(c.MCDRAMBudget) / (8 * int64(c.Buffers+1))))
+	maxMc := maxMegachunk(c.MCDRAMBudget)
 	if maxMc < 2 {
 		return c, fmt.Errorf("sched: MCDRAMBudget %v cannot stage even one 2-element megachunk under %d buffers",
-			c.MCDRAMBudget, c.Buffers)
+			c.MCDRAMBudget, stagingBuffers)
 	}
 	if c.BatchMaxElems <= 0 {
 		c.BatchMaxElems = maxMc / 4
@@ -186,7 +168,7 @@ func (c Config) norm() (Config, error) {
 			c.BatchMaxElems = 2
 		}
 	}
-	batchLease := units.Bytes(int64(c.Buffers+1) * int64(ceilPow2(c.BatchMaxElems)) * 8)
+	batchLease := leaseFor(c.BatchMaxElems)
 	if batchLease > c.MCDRAMBudget {
 		return c, fmt.Errorf("sched: BatchMaxElems %d needs a %v batch lease, budget is %v",
 			c.BatchMaxElems, batchLease, c.MCDRAMBudget)
@@ -197,13 +179,30 @@ func (c Config) norm() (Config, error) {
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 256
 	}
-	if c.Rates.BCopy == 0 {
-		c.Rates = model.PaperTable2()
-	}
 	if c.DDRBudget < 0 || c.DiskBudget < 0 {
 		return c, fmt.Errorf("sched: negative DDR (%v) or disk (%v) budget", c.DDRBudget, c.DiskBudget)
 	}
 	return c, nil
+}
+
+const (
+	// stagingBuffers is the staging-buffer count per pipeline: the paper's
+	// triple buffering.
+	stagingBuffers = 3
+	// batchMaxJobs bounds the riders of one batch pass.
+	batchMaxJobs = 8
+)
+
+// leaseFor is what one pipeline leases to run megachunks (or batch riders)
+// of up to mc elements: its staging buffers plus one sort scratch, each at
+// mc's power-of-two size class, so pool size classes match the lease.
+func leaseFor(mc int) units.Bytes {
+	return units.Bytes(int64(stagingBuffers+1) * int64(ceilPow2(mc)) * 8)
+}
+
+// maxMegachunk is the largest power-of-two megachunk the budget can lease.
+func maxMegachunk(budget units.Bytes) int {
+	return floorPow2(int(int64(budget) / (8 * int64(stagingBuffers+1))))
 }
 
 func floorPow2(n int) int {
@@ -241,6 +240,10 @@ type Scheduler struct {
 	// instead of failing the job, mirroring the paper's graceful
 	// flat-mode degradation.
 	pool *mem.SlicePool
+	// real is what every pipeline the scheduler starts shares: the
+	// configured fault plug and sink, triple buffering, and pool. Each run
+	// copies it and adds only its own observer, widths and element kind.
+	real mlmsort.RealOptions
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -300,7 +303,7 @@ func New(cfg Config) (*Scheduler, error) {
 		jobs:       make(map[string]*Job),
 		kick:       make(chan struct{}, 1),
 		dispDone:   make(chan struct{}),
-		rates:      newRateEstimator(cfg.Rates),
+		rates:      newRateEstimator(model.PaperTable2()),
 		drift:      newDriftEstimator(),
 		metrics:    newSchedMetrics(cfg.Registry),
 		flight:     telemetry.NewFlightRecorder(cfg.FlightRecorderCap),
@@ -309,6 +312,10 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if s.logger == nil {
 		s.logger = telemetry.NopLogger()
+	}
+	s.real = mlmsort.RealOptions{
+		Staging: cfg.Staging, Resilience: cfg.Resilience, Policy: cfg.Policy,
+		Buffers: stagingBuffers, Pool: s.pool,
 	}
 	s.brown = newBrownout(cfg.Brownout, cfg.AgingSlack, s.metrics.reg)
 	s.metrics.budgetBytes.Set(float64(cfg.MCDRAMBudget))
@@ -430,20 +437,19 @@ type plan struct {
 // one more staged job at the cost of one extra merge way.
 func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 	n := len(spec.Data)
-	perBuf := int64(s.cfg.Buffers + 1) // Buffers staging buffers + 1 sort scratch
 	// Record jobs never batch: the shared pass sorts bare cells with the
 	// adaptive kernel, which would interleave keys and payloads. They get
 	// a staged pipeline (whose megachunk alignment mlmsort enforces) at
 	// any size instead.
-	if spec.MegachunkLen <= 0 && n <= s.cfg.BatchMaxElems && spec.KeyType != KeyRecord {
-		return plan{batchable: true, lease: s.batchLease()}, nil
+	if spec.MegachunkLen <= 0 && n <= s.cfg.BatchMaxElems && spec.KeyType != wire.KindRecord {
+		return plan{batchable: true, lease: leaseFor(s.cfg.BatchMaxElems)}, nil
 	}
 	dataBytes := units.Bytes(int64(n) * 8)
 	workSet := 2 * dataBytes
 	spill := s.cfg.DDRBudget > 0 && workSet > s.cfg.DDRBudget
 	mc := spec.MegachunkLen
 	if mc <= 0 {
-		maxMc := floorPow2(int(int64(s.cfg.MCDRAMBudget) / (8 * perBuf)))
+		maxMc := maxMegachunk(s.cfg.MCDRAMBudget)
 		if spill {
 			mc = ceilPow2(n)
 			if half := maxMc / 2; mc > half {
@@ -459,7 +465,7 @@ func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 			mc = maxMc
 		}
 	}
-	lease := units.Bytes(perBuf * int64(ceilPow2(mc)) * 8)
+	lease := leaseFor(mc)
 	if lease > s.cfg.MCDRAMBudget {
 		return plan{}, &TooLargeError{Lease: lease, Budget: s.cfg.MCDRAMBudget}
 	}
@@ -475,13 +481,6 @@ func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 		p.diskLease = dataBytes
 	}
 	return p, nil
-}
-
-// batchLease is the fixed worst-case lease for one batch pass: Buffers
-// staging buffers plus one scratch, each sized to the largest batchable
-// job's power-of-two size class.
-func (s *Scheduler) batchLease() units.Bytes {
-	return units.Bytes(int64(s.cfg.Buffers+1) * int64(ceilPow2(s.cfg.BatchMaxElems)) * 8)
 }
 
 // Submit admits a job or rejects it with a typed error: ErrClosed after
@@ -544,7 +543,7 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 	// submission inverts the map on the way out — the caller gets its
 	// buffer back bit-identical.
 	admitted := false
-	if spec.KeyType == KeyFloat64 {
+	if spec.KeyType == wire.KindFloat64 {
 		psort.SortableFromFloat64Bits(spec.Data)
 		defer func() {
 			if !admitted {
@@ -653,7 +652,7 @@ func validateKeyType(spec JobSpec) error {
 	if !spec.KeyType.Valid() {
 		return fmt.Errorf("%w: unknown key type %v", ErrBadSpec, spec.KeyType)
 	}
-	if spec.KeyType == KeyRecord {
+	if spec.KeyType == wire.KindRecord {
 		if len(spec.Data)%2 != 0 {
 			return fmt.Errorf("%w: record job has odd cell count %d", ErrBadSpec, len(spec.Data))
 		}
@@ -912,7 +911,8 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		return false
 	}
 	if head.batchable {
-		lease, ok := s.budget.TryLease(s.batchLease())
+		// One fixed worst-case lease per pass: sized to the largest batchable job.
+		lease, ok := s.budget.TryLease(leaseFor(s.cfg.BatchMaxElems))
 		if !ok {
 			head.trace.MarkHeadBlocked()
 			return false
@@ -929,7 +929,7 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		go s.runBatch(batch, lease)
 		return true
 	}
-	lease, ok := s.budget.TryLease(head.stagedLease())
+	lease, ok := s.budget.TryLease(leaseFor(head.megachunk))
 	if !ok {
 		head.trace.MarkHeadBlocked()
 		return false
@@ -966,25 +966,17 @@ func (s *Scheduler) tryDispatchLocked() bool {
 	return true
 }
 
-// stagedLease computes the staged job's lease size (pipeline buffers +
-// sort scratch, each at the job's megachunk size class).
-func (j *Job) stagedLease() units.Bytes {
-	return units.Bytes(int64(j.sched.cfg.Buffers+1) * int64(ceilPow2(j.megachunk)) * 8)
-}
-
 // gatherBatchLocked pops the head plus any immediately-following batchable
 // jobs, preserving EDF order (it stops at the first non-batchable head
 // rather than searching past it).
 func (s *Scheduler) gatherBatchLocked() []*Job {
-	maxJobs := s.cfg.BatchMaxJobs
+	maxJobs := batchMaxJobs
 	if s.brown.Level() >= BrownoutShrinkBatch {
-		// Brownout: shrink batches to a quarter of their configured size.
-		// Each pass holds its lease for less time and a slow or faulted
-		// pass delays fewer co-riding jobs — tail latency bought with peak
-		// throughput, which is the brownout trade.
-		if maxJobs = s.cfg.BatchMaxJobs / 4; maxJobs < 1 {
-			maxJobs = 1
-		}
+		// Brownout: shrink batches to a quarter of their size. Each pass
+		// holds its lease for less time and a slow or faulted pass delays
+		// fewer co-riding jobs — tail latency bought with peak throughput,
+		// which is the brownout trade.
+		maxJobs = batchMaxJobs / 4
 	}
 	batch := []*Job{s.popQueuedLocked()}
 	for len(batch) < maxJobs {
@@ -1015,8 +1007,8 @@ func (s *Scheduler) startLocked(j *Job, lease *Lease) {
 		j.runCtx, j.cancel = context.WithCancel(s.rootCtx)
 	}
 	// Batched jobs keep nil runCtx/cancel: one job cannot cancel the
-	// shared pipeline; cancellation is observed per chunk by the batch's
-	// stage functions.
+	// shared pipeline; the pass observes the rider's flag when its chunk
+	// drains.
 	s.running[j] = struct{}{}
 	s.metrics.queueDepth.Set(float64(len(s.queue)))
 	s.metrics.running.Set(float64(len(s.running)))
@@ -1047,9 +1039,9 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 	}
 	j.trace.MarkFinished(st.String(), errmsg)
 	j.trace.FoldSpans()
-	// Only now may a waiter run: it reads the trace as terminal.
-	close(j.done)
 	s.phases.ObserveTrace(j.trace)
+	// Only now may a waiter run: it reads trace and histograms as terminal.
+	close(j.done)
 	if s.logger.Enabled(context.Background(), slog.LevelInfo) {
 		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "job terminal",
 			slog.String("job", j.id),
@@ -1240,19 +1232,8 @@ func (s *Scheduler) runStaged(j *Job, lease *Lease) {
 	defer s.wg.Done()
 	per := s.fairShareThreads()
 	s.predictRun(j, per)
-	opts := mlmsort.ExternalOptions{RealOptions: mlmsort.RealOptions{
-		Recorder:     j.recorder,
-		Heap:         s.cfg.Heap,
-		AllocFaults:  s.cfg.AllocFaults,
-		Resilience:   s.cfg.Resilience,
-		Wrap:         s.cfg.Wrap,
-		Retry:        s.cfg.Retry,
-		ChunkTimeout: s.cfg.ChunkTimeout,
-		Buffers:      s.cfg.Buffers,
-		Widths:       j.widths,
-		Pool:         s.pool,
-		Elem:         j.spec.KeyType.elem(),
-	}}
+	opts := mlmsort.ExternalOptions{RealOptions: s.real}
+	opts.Observer, opts.Widths, opts.Elem = j.recorder, j.widths, elemOf(j.spec.KeyType)
 	if s.cfg.Autotune {
 		opts.Autotune = &mlmsort.AutotuneOptions{
 			TotalThreads: per,
@@ -1297,7 +1278,7 @@ func (s *Scheduler) runStaged(j *Job, lease *Lease) {
 		s.metrics.spillJobs.Add(1)
 	case err == nil:
 		s.observeDrift(driftStaged, time.Since(runStart), j.predRaw)
-		if j.spec.KeyType == KeyFloat64 {
+		if j.spec.KeyType == wire.KindFloat64 {
 			// Float64 egress: the sorted buffer holds the bijection's
 			// int64 images; flip it back so the retained result is IEEE
 			// bits in float64 total order.
@@ -1349,71 +1330,38 @@ func (s *Scheduler) fairShareThreads() int {
 	return per
 }
 
-// runBatch executes a set of small jobs as the chunks of one pipeline
-// pass: chunk i copy-in stages job i into MCDRAM, compute sorts it with
-// the adaptive kernel, copy-out drains it back and completes the job —
+// runBatch executes a set of small jobs as one pass of phase 1, the same
+// mlmsort.SortHomes every staged and spilled job runs: rider i is
+// megachunk i, its home the rider's own buffer, staged through MCDRAM,
+// sorted and drained at width one, and its copy-out completes the rider —
 // so batched jobs finish one by one as the pipeline streams, not all at
-// the end.
+// the end. What is written here is only what the scheduler alone knows:
+// who rides, who cancelled, and whose spans are whose.
 func (s *Scheduler) runBatch(batch []*Job, lease *Lease) {
 	defer s.wg.Done()
-	maxN := 0
-	for _, j := range batch {
-		if j.n > maxN {
-			maxN = j.n
-		}
+	homes := make([][]int64, len(batch))
+	for i, j := range batch {
+		homes[i] = j.spec.Data
 	}
-	scratch := s.pool.Get(maxN)
-	pooledScratch := scratch != nil
-	if scratch == nil && maxN > 0 {
-		scratch = make([]int64, maxN)
-	}
-
-	stages := exec.Stages{
-		NumChunks: len(batch),
-		ChunkLen:  func(i int) int { return batch[i].n },
-		CopyIn: func(i int, dst []int64) error {
-			if batch[i].canceled.Load() {
-				return nil
-			}
-			copy(dst, batch[i].spec.Data)
-			return nil
-		},
-		Compute: func(i int, buf []int64) error {
-			if batch[i].canceled.Load() {
-				return nil
-			}
-			psort.SortAdaptive(buf, scratch[:len(buf)])
-			return nil
-		},
-		CopyOut: func(i int, src []int64) error {
-			j := batch[i]
-			if !j.canceled.Load() {
-				copy(j.spec.Data, src)
-				if j.spec.KeyType == KeyFloat64 {
-					// Batched float64 riders invert the ingress bijection
-					// the moment their sorted cells land back.
-					psort.Float64BitsFromSortable(j.spec.Data)
-				}
-			}
-			s.completeBatched(j)
-			return nil
-		},
-		Retry:        s.cfg.Retry,
-		ChunkTimeout: s.cfg.ChunkTimeout,
-		Pool:         s.pool,
-	}
+	opts := s.real
 	// Chunk i of the batch pass IS job i, so the observer can attribute
 	// each span to its owning job's trace recorder — per-job attribution
 	// even though one pipeline sorts the whole batch.
-	stages.Observer = batchObserver(batch)
-	if s.cfg.Resilience != nil {
-		stages.OnRetry = s.cfg.Resilience.ObserveRetry
-	}
-	if s.cfg.Wrap != nil {
-		stages = s.cfg.Wrap(stages)
-	}
+	opts.Observer = batchObserver(batch)
 	passStart := time.Now()
-	err := exec.RunContext(s.rootCtx, stages, s.cfg.Buffers)
+	_, err := mlmsort.SortHomes(s.rootCtx, mlmsort.MLMSort, homes, 1, opts, func(i int, sorted []int64) error {
+		j := batch[i]
+		if !j.canceled.Load() {
+			copy(j.spec.Data, sorted)
+			if j.spec.KeyType == wire.KindFloat64 {
+				// Batched float64 riders invert the ingress bijection
+				// the moment their sorted cells land back.
+				psort.Float64BitsFromSortable(j.spec.Data)
+			}
+		}
+		s.completeBatched(j)
+		return nil
+	})
 	if err == nil {
 		// One pass served the whole batch; each rider's share of the pass
 		// is its effective service time — summed over the batch that keeps
@@ -1421,21 +1369,6 @@ func (s *Scheduler) runBatch(batch []*Job, lease *Lease) {
 		share := time.Since(passStart) / time.Duration(len(batch))
 		for _, j := range batch {
 			s.observeDrift(driftBatch, share, j.predRaw)
-		}
-	}
-	if pooledScratch {
-		// With a chunk timeout, a failed run may have abandoned a compute
-		// attempt whose goroutine is still inside SortAdaptive writing this
-		// scratch; pooling it would hand live memory to another tenant's
-		// pipeline. A compute/copy-out abandonment is always terminal (exec
-		// never retries their deadline overruns) and a cancellation
-		// abandonment also fails the run, so err == nil proves no attempt
-		// that touches scratch was abandoned. Otherwise leak it exactly as
-		// exec leaks abandoned staging buffers, writing off its footprint.
-		if err == nil || s.cfg.ChunkTimeout <= 0 {
-			s.pool.Put(scratch)
-		} else {
-			s.pool.Forget(scratch)
 		}
 	}
 	lease.Release()
@@ -1508,7 +1441,7 @@ func (s *Scheduler) completeBatched(j *Job) {
 // cancelJob implements Job.Cancel: a queued job resolves immediately
 // (it holds no lease, so there is nothing to leak); a running staged job
 // has its context canceled and unwinds through the pipeline; a running
-// batched job is flagged and its remaining stages become no-ops.
+// batched job is flagged and its chunk drains without writing it back.
 func (s *Scheduler) cancelJob(j *Job) {
 	s.mu.Lock()
 	if State(j.state.Load()).Terminal() {

@@ -3,15 +3,19 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"knlmlm/internal/exec"
+	"knlmlm/internal/memkind"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
+	"knlmlm/internal/wire"
 	"knlmlm/internal/workload"
 )
 
@@ -248,7 +252,7 @@ func TestAutoMegachunkAlwaysFits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if units.Bytes(8*(s.cfg.Buffers+1)*ceilPow2(j.megachunk)) > testBudget {
+	if leaseFor(j.megachunk) > testBudget {
 		t.Fatalf("megachunk %d overshoots budget", j.megachunk)
 	}
 	waitDone(t, j)
@@ -711,5 +715,130 @@ func TestLeaseBytesConcurrentWithDispatch(t *testing.T) {
 		waitDone(t, j)
 		mustSorted(t, j)
 		<-stop
+	}
+}
+
+// TestStagedScratchSettlesOnEveryExit pins the staging pool's ledger
+// across the exits of a staged job that are not a clean run: a cancelled
+// or failed job's sort scratch must go back to the budget-capped pool (or
+// be written off it), not stay charged to it for the life of the process.
+// Before phase 1's scratch rule was written once, with Forget, each such
+// job left one megachunk-sized class on the footprint until every staging
+// Get was refused.
+func TestStagedScratchSettlesOnEveryExit(t *testing.T) {
+	var cur atomic.Pointer[gate]
+	var failing atomic.Bool
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.Wrap = func(st exec.Stages) exec.Stages {
+		if failing.Load() {
+			st.Compute = func(int, []int64) error { return errors.New("boom") }
+			return st
+		}
+		if g := cur.Load(); g != nil {
+			return g.wrap()(st)
+		}
+		return st
+	}
+	s := newTestScheduler(t, cfg)
+	staged := func(seed int64) *Job {
+		t.Helper()
+		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 65536, seed), MegachunkLen: 16384})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		return j
+	}
+	settled := func(when string, want int64) {
+		t.Helper()
+		if fp, free := s.pool.FootprintBytes(), s.pool.FreeBytes(); fp != want || free != want {
+			t.Fatalf("%s: pool footprint %d (freelists %d), want %d as before the jobs; stats %+v",
+				when, fp, free, want, s.PoolStats())
+		}
+	}
+
+	warm := staged(1)
+	waitDone(t, warm)
+	mustSorted(t, warm)
+	pre := s.pool.FootprintBytes() // three staging buffers and one scratch
+	settled("after a clean job", pre)
+
+	const cancels = 12
+	for i := 0; i < cancels; i++ {
+		g := newGate()
+		cur.Store(g)
+		j := staged(int64(2 + i))
+		eventually(t, "running", func() bool { return j.State() == Running })
+		j.Cancel()
+		g.open()
+		waitDone(t, j)
+		if j.State() != Canceled {
+			t.Fatalf("cancel %d: state %v, want Canceled", i, j.State())
+		}
+	}
+	cur.Store(nil)
+	settled(fmt.Sprintf("after %d cancelled staged jobs", cancels), pre)
+
+	failing.Store(true)
+	j := staged(100)
+	waitDone(t, j)
+	if j.State() != Failed {
+		t.Fatalf("state %v, want Failed", j.State())
+	}
+	failing.Store(false)
+	settled("after a failed staged job", pre)
+
+	next := staged(101)
+	waitDone(t, next)
+	mustSorted(t, next)
+	if st := s.PoolStats(); st.Refusals != 0 {
+		t.Fatalf("a staged job after the aborted ones was refused %d staging Gets: %+v", st.Refusals, st)
+	}
+	settled("after the following job", pre)
+}
+
+// TestBatchRidersDegradeUnderTinyHeap: the batch pass is phase 1, so its
+// riders are placed on the staging heap like megachunks. Under a heap too
+// small for any rider every one degrades to the in-place DDR flow and
+// still completes sorted, the degradations are counted, and nothing stays
+// allocated.
+func TestBatchRidersDegradeUnderTinyHeap(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	res := telemetry.NewResilience(reg)
+	heap := memkind.NewHeap(units.KiB, units.GiB) // a rider here is at least 4000 bytes
+	cfg := testConfig()
+	cfg.Registry, cfg.Resilience, cfg.Heap = reg, res, heap
+	s := newTestScheduler(t, cfg)
+
+	var js []*Job
+	for i := 0; i < 6; i++ {
+		spec := JobSpec{Data: workload.Generate(workload.Random, 500+i*37, int64(i))}
+		if i == 3 {
+			spec.KeyType = wire.KindFloat64 // a float64 rider takes the same path
+		}
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if !j.batchable {
+			t.Fatalf("job %d (n=%d) should be batchable", i, j.N())
+		}
+		js = append(js, j)
+	}
+	for i, j := range js {
+		waitDone(t, j)
+		if j.State() != Done {
+			t.Fatalf("rider %s: state %v (%v), want Done", j.ID(), j.State(), j.Err())
+		}
+		if i != 3 {
+			mustSorted(t, j)
+		}
+	}
+	eventually(t, "batch leases released", func() bool { return s.Budget().Leased() == 0 })
+	if got := res.Degradations(); got < int64(len(js)) {
+		t.Errorf("pipeline_degradations_total = %d, want one per rider (%d)", got, len(js))
+	}
+	if hbw := heap.HBWInUse(); hbw != 0 {
+		t.Errorf("staging heap holds %v after the batch, want 0", hbw)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"knlmlm/internal/fault"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -78,8 +77,10 @@ func TestSchedulerSoak(t *testing.T) {
 	seed := soakSeed(t)
 	perClient := 30 * soakScale(t)
 	plan := fault.NewPlan(seed, units.Bytes(512<<10))
-	inj := plan.Injector()
 	reg := telemetry.NewRegistry()
+	res := telemetry.NewResilience(reg)
+	rig := plan.Rig(res)
+	inj := rig.Injector
 	s, err := New(Config{
 		MCDRAMBudget: budget,
 		Workers:      3,
@@ -87,12 +88,9 @@ func TestSchedulerSoak(t *testing.T) {
 		TotalThreads: 8,
 		AgingSlack:   25 * time.Millisecond,
 		Registry:     reg,
-		Resilience:   telemetry.NewResilience(reg),
-		Heap:         memkind.NewHeap(plan.HBWCapacity, units.GiB),
-		AllocFaults:  inj,
-		Wrap:         inj.Wrap,
-		Retry:        plan.Retry,
-		ChunkTimeout: plan.ChunkTimeout,
+		Resilience:   res,
+		Staging:      rig.Staging,
+		Policy:       rig.Policy,
 		Autotune:     true,
 		// A ring far smaller than the job count, so the soak exercises
 		// eviction under concurrent submission.
@@ -273,6 +271,19 @@ func TestSchedulerSoak(t *testing.T) {
 	}
 	if got := s.DiskBudget().Leased(); got != 0 {
 		t.Fatalf("disk leased %v after all results streamed, want 0", got)
+	}
+	// The staging pool's ledger closes too: every buffer a pipeline drew
+	// (cancelled, failed and abandoned ones included) was returned or
+	// written off, so what the pool still charges is what it holds.
+	if fp, free := s.pool.FootprintBytes(), s.pool.FreeBytes(); fp != free {
+		t.Fatalf("pool footprint %d at quiescence, freelists hold %d: %d bytes leaked", fp, free, fp-free)
+	}
+	if hbw := rig.Heap.HBWInUse(); hbw != 0 {
+		t.Fatalf("staging heap holds %v after drain, want 0", hbw)
+	}
+	// A chaos node counts what it injects, beside the retries it caused.
+	if got := res.FaultsInjected(); got == 0 || got != inj.Total() {
+		t.Fatalf("faults_injected_total = %d, injector tally %d: want equal and > 0", got, inj.Total())
 	}
 
 	// Flight-recorder invariants after the full concurrent soak: the ring

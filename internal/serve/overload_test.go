@@ -7,11 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"knlmlm/internal/edge"
-	"knlmlm/internal/model"
+	"knlmlm/internal/exec"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/workload"
 )
@@ -174,16 +175,39 @@ func TestShedJobOnTheWire(t *testing.T) {
 // JSON still gets the model's 429 predicted-late — a decode would have
 // answered 400. The body-level deadline checks stay authoritative for
 // requests the pre-check admits.
+//
+// The model is made pessimistic the way a slow host makes it so: one
+// staged job whose four megachunks each take 15 ms of compute measures
+// some 1,800 times its Table 2 estimate (33 µs for 320 KB), which puts
+// the staged drift correction at its clamp, 256. From then on a 40,000-key
+// job prices at 8.5 ms, so one queued job alone overshoots a 2 ms deadline.
 func TestPreDecodeDeadlineShed(t *testing.T) {
 	g := newGate()
+	var slow atomic.Bool
+	slow.Store(true)
 	ts := newTestServer(t, func(c *sched.Config) {
 		c.Workers = 1
-		c.Rates = slowServeRates()
-		c.Wrap = g.wrap
+		c.Wrap = func(s exec.Stages) exec.Stages {
+			if !slow.Load() {
+				return g.wrap(s)
+			}
+			inner := s.Compute
+			s.Compute = func(i int, buf []int64) error {
+				time.Sleep(15 * time.Millisecond)
+				return inner(i, buf)
+			}
+			return s
+		}
 	})
 	defer g.open()
 
-	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
+	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 40000, 3), Wait: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("slow job: HTTP %d: %s", resp.StatusCode, raw)
+	}
+	slow.Store(false)
+
+	resp, raw = ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 40000, 1)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker: HTTP %d: %s", resp.StatusCode, raw)
 	}
@@ -200,7 +224,7 @@ func TestPreDecodeDeadlineShed(t *testing.T) {
 		t.Fatalf("build request: %v", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Deadline-Ms", "2000")
+	req.Header.Set("X-Deadline-Ms", "2")
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("deadlined POST: %v", err)
@@ -281,18 +305,5 @@ func TestIngestGateBusy(t *testing.T) {
 	<-srv.gate
 	for i := 1; i < cap(srv.gate); i++ {
 		<-srv.gate
-	}
-}
-
-// slowServeRates mirrors the sched package's pessimistic rate fixture:
-// staged jobs price at tens of seconds, making model rejections
-// deterministic without real load.
-func slowServeRates() model.Params {
-	return model.Params{
-		BCopy:     1 << 20,
-		DDRMax:    1 << 30,
-		MCDRAMMax: 1 << 30,
-		SCopy:     4 << 10,
-		SComp:     4 << 10,
 	}
 }

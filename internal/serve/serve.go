@@ -173,7 +173,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func statusOf(j *sched.Job) edge.JobStatus {
 	enq, sta, fin := j.Times()
 	st := edge.NewJobStatus(j.ID(), j.State().String(), j.N(), j.Err(), enq, sta, fin)
-	if kt := j.KeyType(); kt != sched.KeyInt64 {
+	if kt := j.KeyType(); kt != wire.KindInt64 {
 		st.KeyType = kt.String()
 	}
 	if w := j.QueueWait(); w > 0 {
@@ -256,36 +256,23 @@ func classifySubmitErr(err error, deadlineMS int64) error {
 	return err
 }
 
-// wireKindOf maps a job's key type to its wire stream kind.
-func wireKindOf(k sched.KeyType) wire.Kind {
-	switch k {
-	case sched.KeyFloat64:
-		return wire.KindFloat64
-	case sched.KeyRecord:
-		return wire.KindRecord
-	}
-	return wire.KindInt64
-}
-
 // parseKeyType validates the request's key_type. Typed keys (f64, rec)
 // exist only on the binary wire path: a JSON array of integers cannot
 // carry float bits or key/payload pairing without inventing a second
 // in-band encoding, so a JSON submit naming a typed key is a client
 // error, not something to coerce.
-func parseKeyType(name string, binary bool) (sched.KeyType, error) {
-	switch name {
-	case "", "i64":
-		return sched.KeyInt64, nil
-	case "f64", "rec":
-		if !binary {
-			return 0, fmt.Errorf("key_type %q requires a binary submit (Content-Type %s; kind=%s)", name, wire.ContentType, name)
-		}
-		if name == "f64" {
-			return sched.KeyFloat64, nil
-		}
-		return sched.KeyRecord, nil
+func parseKeyType(name string, binary bool) (wire.Kind, error) {
+	if name == "" {
+		return wire.KindInt64, nil
 	}
-	return 0, fmt.Errorf("unknown key_type %q", name)
+	k, ok := wire.ParseKind(name)
+	if !ok {
+		return 0, fmt.Errorf("unknown key_type %q", name)
+	}
+	if k != wire.KindInt64 && !binary {
+		return 0, fmt.Errorf("key_type %q requires a binary submit (Content-Type %s; kind=%s)", name, wire.ContentType, name)
+	}
+	return k, nil
 }
 
 // acquireGate takes a decode slot for a submit. A request carrying a
@@ -395,7 +382,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		alg, err = req.Check()
 	}
-	var keyType sched.KeyType
+	var keyType wire.Kind
 	if err == nil {
 		keyType, err = parseKeyType(req.KeyType, fr != nil)
 	}
@@ -491,14 +478,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	kt := j.KeyType()
 	enc := &edge.ResultWriter{
-		W: w, Wire: edge.AcceptsWire(r), Kind: wireKindOf(kt), N: j.N(), Spilled: j.Spilled(),
+		W: w, Wire: edge.AcceptsWire(r), Kind: kt, N: j.N(), Spilled: j.Spilled(),
 		ChunkElems: s.cfg.ResultChunkElems,
 	}
-	if !enc.Wire && kt != sched.KeyInt64 {
+	if !enc.Wire && kt != wire.KindInt64 {
 		// Same asymmetry as submit: float bits and key/payload pairs have
 		// no JSON representation here, so a typed result is wire-only.
 		edge.WriteJSON(w, http.StatusBadRequest, edge.ErrorBody{
-			Error: fmt.Sprintf("job has %s keys; download with Accept: %s", kt, wire.ContentTypeFor(enc.Kind)),
+			Error: fmt.Sprintf("job has %s keys; download with Accept: %s", kt, wire.ContentTypeFor(kt)),
 			Code:  "bad-request",
 		})
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"knlmlm/internal/exec"
+	"knlmlm/internal/mem"
 )
 
 // Resilience bundles the failure-path metrics of the real execution
@@ -59,6 +60,20 @@ func (r *Resilience) ObserveRetry(e exec.RetryEvent) {
 		return
 	}
 	r.retries[e.Stage].Add(1)
+}
+
+// FinishStages is the one step that readies a stage set to run under a
+// caller's plug: the failure policy, with failed attempts counted by r
+// when r is non-nil, the observer, and the pool staging buffers come from.
+// Every real pipeline (the megachunk phase 1 that the in-memory, spilled
+// and batched runs share, and the merge benchmark) passes through here.
+// The policy's Wrap rides along and is applied by exec.RunContext.
+func FinishStages(s exec.Stages, p exec.Policy, r *Resilience, obs exec.Observer, pool *mem.SlicePool) exec.Stages {
+	s.Policy, s.Observer, s.Pool = p, obs, pool
+	if r != nil {
+		s.OnRetry = r.ObserveRetry
+	}
+	return s
 }
 
 // RecordDegradation counts one MCDRAM->DDR fallback for the named

@@ -90,8 +90,14 @@ func KindFromContentType(ct string) (Kind, bool) {
 	if !present {
 		return KindInt64, true
 	}
-	for k, name := range kindParams {
-		if v == name {
+	return ParseKind(v)
+}
+
+// ParseKind resolves a key kind's name ("i64", "f64", "rec"), the form it
+// takes as the media-type parameter and as a request's key_type.
+func ParseKind(name string) (Kind, bool) {
+	for k, n := range kindParams {
+		if name == n {
 			return Kind(k), true
 		}
 	}

@@ -15,6 +15,12 @@ func TestKindContentTypeRoundTrip(t *testing.T) {
 		if !ok || got != k {
 			t.Errorf("KindFromContentType(ContentTypeFor(%v) = %q) = %v, %v", k, ct, got, ok)
 		}
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	if _, ok := ParseKind(""); ok {
+		t.Error("ParseKind accepted the empty name")
 	}
 	cases := []struct {
 		ct   string
