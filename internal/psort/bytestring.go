@@ -32,9 +32,9 @@ const msdCutoff = 48
 const strInsertionMax = 12
 
 // strTileMinLen is the bucket size at which the MSD scatter switches to
-// the tiled write buffers. Slice headers are 3 words (24 bytes), so the
-// destination outgrows LLC around a third of the int64 kernel's element
-// count (see radixTileMinLen for the tradeoff).
+// the tiled write buffers (see radixTileMinLen for the tradeoff). Slice
+// headers are 3 words (24 bytes), so this is a 24 MiB destination; unlike
+// radixTileMinLen the value has not been swept on the tuning host.
 const strTileMinLen = 1 << 20
 
 // strTileLine is the per-bucket staging capacity in slice headers:

@@ -518,8 +518,8 @@ type cellMergeKernel struct {
 func scratchFor(xs []int64) []int64 { return make([]int64, len(xs)) }
 
 // forcedRadix runs the LSD core with the scatter chosen by hand: the
-// production dispatch only tiles above radixTileMinLen, far too big for
-// a test matrix.
+// production dispatch only tiles from radixTileMinLen cells, past the
+// sizes of this matrix (TestPublicEntriesAcrossTileThreshold crosses it).
 func forcedRadix[C cell](tiled bool) func(xs []int64) {
 	return func(xs []int64) { radixSort(asCells[C](xs), asCells[C](scratchFor(xs)), tiled) }
 }

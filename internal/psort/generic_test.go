@@ -10,6 +10,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"knlmlm/internal/workload"
 )
 
 // ---------------------------------------------------------------------
@@ -293,6 +295,19 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 			SortBlock(work, scratch, cells)
 		}); a != 0 {
 			t.Errorf("SortBlock width %d on shared-prefix allocates %v per run, want 0", cells, a)
+		}
+	}
+
+	// The public dispatch at the first size that tiles at both widths:
+	// the 128 KiB stage must stay on the sorting goroutine's stack.
+	tsrc := workload.Generate(workload.Random, max(radixTileMinLen, radixTileMinLenRec), 9)
+	twork, tscratch := make([]int64, len(tsrc)), make([]int64, len(tsrc))
+	for _, cells := range []int{1, 2} {
+		if a := testing.AllocsPerRun(5, func() {
+			copy(twork, tsrc)
+			SortBlock(twork, tscratch, cells)
+		}); a != 0 {
+			t.Errorf("SortBlock width %d at a tiling size allocates %v per run, want 0", cells, a)
 		}
 	}
 

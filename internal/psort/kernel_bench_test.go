@@ -193,18 +193,18 @@ func BenchmarkMergeBatchedK8BlockyRecords(b *testing.B) {
 }
 
 // benchScatter times the LSD core with the scatter forced, on cells
-// cells of random keys viewed at width len(C). 1<<23 cells (64 MiB) is
-// past the tiling threshold, where the 256 naked scatter streams start
-// missing TLB and L2 on every store; skipped under -short for its
-// 128 MiB of buffers.
-func benchScatter[C cell](b *testing.B, tiled bool) {
-	if testing.Short() {
+// cells of random keys viewed at width len(C). 256Ki cells is the
+// service's block (a 1Mi-key job's megachunk) and the pair CI floors:
+// block plus scratch are 4 MiB, twice L2, and production tiles there.
+// 1<<23 cells (64 MiB) is where the 256 naked scatter streams miss TLB
+// and L2 on every store; skipped under -short for its 128 MiB of buffers.
+func benchScatter[C cell](b *testing.B, cells int, tiled bool) {
+	if testing.Short() && cells >= 1<<23 {
 		b.Skip("128 MiB working set")
 	}
-	const cells = 1 << 23
 	src := workload.Generate(workload.Random, cells, 1)
 	buf, scratch := make([]int64, cells), make([]int64, cells)
-	b.SetBytes(cells * 8)
+	b.SetBytes(int64(cells) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -214,10 +214,12 @@ func benchScatter[C cell](b *testing.B, tiled bool) {
 	}
 }
 
-func BenchmarkScatterPlain8Mi(b *testing.B)        { benchScatter[[1]int64](b, false) }
-func BenchmarkScatterTiled8Mi(b *testing.B)        { benchScatter[[1]int64](b, true) }
-func BenchmarkScatterPlainRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, false) }
-func BenchmarkScatterTiledRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, true) }
+func BenchmarkRadixPlain256Ki(b *testing.B)        { benchScatter[[1]int64](b, 256<<10, false) }
+func BenchmarkRadixTiled256Ki(b *testing.B)        { benchScatter[[1]int64](b, 256<<10, true) }
+func BenchmarkScatterPlain8Mi(b *testing.B)        { benchScatter[[1]int64](b, 1<<23, false) }
+func BenchmarkScatterTiled8Mi(b *testing.B)        { benchScatter[[1]int64](b, 1<<23, true) }
+func BenchmarkScatterPlainRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, 1<<23, false) }
+func BenchmarkScatterTiledRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, 1<<23, true) }
 
 // benchPlan times the radix core on 96Ki random keys with the digit plan
 // the kernel makes for them, or with plan 0: whole histograms and every

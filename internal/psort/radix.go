@@ -1,6 +1,9 @@
 package psort
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Diverting LSD radix sort: the throughput kernel behind the adaptive
 // dispatcher, written once over the cell width. An introsort moves every
@@ -41,23 +44,22 @@ import "math/bits"
 //     then another level of the same sort on the runs, and is bounded by
 //     construction. A digit some level scattered is constant in the runs
 //     below it and skipped there, so no element is scattered more than 8
-//     times in all; and one digit is worth at most floor(log2 n) bits,
-//     less than any target, so every plan stops at least two digits
-//     below the level above or at digit 0: four levels at most, one
-//     histogram of the element each;
-//   - above radixTileMinLen the scatter runs through software-managed
+//     times in all; and one digit is worth at most log2 n bits, less
+//     than any target, so every plan stops at least two digits below
+//     the level above or at digit 0: four levels at most, one histogram
+//     of the element each;
+//   - from radixTileMinLen cells the scatter runs through software-managed
 //     write buffers: each of the 256 buckets stages its elements in a
 //     cache-resident buffer that is flushed to the destination in
-//     multi-cache-line bursts. The naive scatter keeps 256 random write
-//     streams live across a destination that, past LLC capacity, spans
-//     tens of megabytes — every write is a miss plus a read-for-ownership
-//     of a line that will be fully overwritten anyway. The staged scatter
-//     touches destination lines once, whole, in bursts the hardware
-//     write-combines into streaming stores; the same discipline the
-//     DGEMM-on-KNL kernels apply to their C-tile write-back. The plain
-//     scatter stays as the small-input path, where the destination is
-//     cache-resident and staging would be pure overhead, and as the
-//     baseline leg of the in-package tiling benchmark.
+//     multi-cache-line bursts. The naive scatter keeps 256 write streams
+//     live across the destination; once block and scratch have left the
+//     core's L2 every store is a miss plus a read-for-ownership of a line
+//     that will be fully overwritten anyway. The staged scatter touches
+//     destination lines once, whole, in bursts the hardware
+//     write-combines; the same discipline the DGEMM-on-KNL kernels apply
+//     to their C-tile write-back. The plain scatter stays as the path of
+//     blocks that fit, where staging is a second store per element for
+//     nothing, and as the baseline leg of the in-package tiling benchmark.
 //
 // Signedness is handled on the top digit alone: flipping its high bit
 // makes two's-complement order agree with unsigned bucket order.
@@ -75,45 +77,56 @@ const radixDigits = 8
 // near 1–2k elements; 2048 is conservative in introsort's favour.
 const radixMinLen = 2048
 
-// radixTileMinLen is the buffer size, in int64 cells, at which the
-// scatter switches to the tiled write buffers (so records, two cells
-// each, tile at half the element count of bare keys). Staging costs two writes per element (stage store
-// + burst copy) against the plain scatter's one, so while the
-// destination still fits in the last-level cache — where scattered
-// writes are already cheap — tiling is strictly extra work and measures
-// ~5% slower. Once source + destination outgrow LLC the read-for-
-// ownership traffic on scattered misses dominates and the burst flushes
-// win it back (1.4–1.6x at 2x the threshold on the tuning host, growing
-// with size). 4Mi cells (32 MiB per buffer) sits at the LLC boundary
-// of the server parts this targets; EXPERIMENTS.md records the sweep.
-const radixTileMinLen = 4 << 20
+// radixTileMinLen and radixTileMinLenRec are the buffer sizes, in int64
+// cells, from which bare keys and records scatter through the tiled
+// write buffers. Staging costs two stores per element (stage, then burst
+// copy) against the plain scatter's one: a loss while block and scratch
+// sit in the core's L2, a gain once they have left it. Both are measured,
+// not derived. Host cpu="Intel(R) Xeon(R) Processor @ 2.10GHz"
+// caches[L1d=48K L2=2048K L3=266240K]; radixSort with each scatter
+// forced, the legs alternated, minimum ns per cell plain / tiled on
+// random keys: 64Ki 7.8 / 8.2, 96Ki 8.1 / 8.2, 128Ki 9.1 / 8.7, 192Ki
+// 10.8 / 8.9, 256Ki 11.8 / 9.3, 1Mi 15.0 / 11.0, 8Mi 36.6 / 19.5; on
+// random records 128Ki 5.6 / 6.0, 160Ki 6.2 / 6.2, 192Ki 6.7 / 6.2,
+// 256Ki 7.4 / 6.4, 1Mi 7.6 / 6.7, 8Mi 20.6 / 14.1. Each constant is the
+// lowest size at which tiled is level with plain on random and on 20-bit
+// keys of its width; a single one would cost keys 5-16% or records 6-13%
+// between the two. Inputs that fill few buckets do not miss and pay for
+// the second store at any size (17-valued records 0.85-0.89x tiled, up to
+// 8Mi cells). EXPERIMENTS.md, "Scatter crossover and digit credit", has
+// every class and size; CI's "Scatter crossover floor" re-measures
+// 256Ki keys on its runner.
+const (
+	radixTileMinLen    = 128 << 10
+	radixTileMinLenRec = 192 << 10
+)
 
 // tileCells is the per-bucket staging capacity in int64 cells: 64 bare
 // keys or 32 KV records, eight 64-byte cache lines per flush either way,
 // making the stage array 128 KiB — L2-resident rather than L1, which
 // measures better than line-sized buffers because each flush amortizes
-// its bounds checks and memmove call over 8x the payload while remaining
-// far cheaper than the DRAM scatter it replaces. Halving it to four
-// lines per flush measured about a fifth slower at 8Mi keys. 128 KiB is
-// also the largest array the compiler keeps on the stack; a wider stage
-// is a heap allocation per pass. Must stay a multiple of every cell
-// width and at most 255 elements per bucket (fill counters are uint8).
+// its bounds checks and memmove call over 8x the payload. Re-checked
+// where tiling now starts (host and method as above, random and 20-bit
+// input, 256Ki and 1Mi cells, both widths): 32 reads 5-10% slower than
+// 64 and 16 16-22% slower. 128 KiB is also the largest array the
+// compiler keeps on the stack; a wider stage is a heap allocation per
+// pass. Must stay a multiple of every cell width and at most 255
+// elements per bucket (fill counters are uint8).
 const tileCells = 64
 
 // radixSlackBits is how far past log2(n) the digit plan goes: the passes
-// scatter the top digits whose floored min-entropies add up to
+// scatter the top digits whose min-entropies add up to
 // ceil(log2 n) + radixSlackBits bits. The slack keeps tied runs rare — k
 // bits of real margin leave about 2^-k of the keys beside a neighbour
-// they tie with — and the flooring adds margin of its own: a uniform
-// digit is worth 8 bits and credited 7, so three digits planned at 21
-// bits are really 24. A tied pair costs an insertion and a mispredicted
-// branch, far less than its share of a scatter, so the slack measures
-// flat within a digit count and shows only where it adds a pass: on 96Ki
-// random keys 2–4 bits plan three digits and 6 plans four (9.3–11.6
-// against 11.8 ns/key), on 256Ki 2–3 plan three and 4–6 four (13.2
-// against 15.5–16.2). 4 gives that one up so that keys whose digits are
-// exactly as poor as credited still tie in only one case of 16;
-// EXPERIMENTS.md has the sweep.
+// they tie with — and it is all the margin there is: a digit is credited
+// what its histogram shows, so three uniform digits (23.7 bits credited,
+// 24 real) carry 512Ki keys with 5 bits to spare, one key in 32 tied. A
+// tied pair costs an insertion and a mispredicted branch, far less than
+// its share of a scatter, so the slack measures flat within a digit
+// count and shows only where it adds a pass: random keys take three
+// digits up to 512Ki and four from 1Mi (4 x 7.9 reaches any target to
+// 2^27 keys). 4 keeps keys whose digits are exactly as poor as credited
+// to one tie in 16; EXPERIMENTS.md has the sweeps.
 const radixSlackBits = 4
 
 // radixInsertionMax is the longest tied run the finishing sweep sorts by
@@ -149,7 +162,10 @@ func RadixSortScratch(xs, scratch []int64) {
 // scatter should tile.
 func tiles[C cell](n int) bool {
 	var c C
-	return n*len(c) >= radixTileMinLen
+	if len(c) == 2 {
+		return 2*n >= radixTileMinLenRec
+	}
+	return n >= radixTileMinLen
 }
 
 // radixSort is the diverting LSD core: it sorts xs ascending by key,
@@ -225,15 +241,15 @@ func radixCount[C cell](xs []C, counts *[radixDigits][256]int, lowHalf, topHalf 
 // radixPlan is the digit plan, a pure function of the histograms and n:
 // the lowest digit the passes scatter. It walks down from digit 7 adding
 // up what each digit's histogram says the digit is sure to tell apart —
-// its min-entropy log2(n / largest bucket), floored to whole bits, so 0
-// for a constant digit and at most 8 — and stops at the digit where the
+// its min-entropy log2(n / largest bucket), to the fraction of a bit, so
+// 0 for a constant digit and at most 8 — and stops at the digit where the
 // sum reaches ceil(log2 n) + radixSlackBits. A walk that passes digit
 // floor without getting there plans digit 0. With floor 1 that is the
 // full LSD sort, nothing to finish: small integers, few distinct values.
 // radixSort also asks with floor 4, when only the top half is counted.
 func radixPlan(counts *[radixDigits][256]int, n, floor int) (low int) {
-	need := bits.Len(uint(n-1)) + radixSlackBits
-	for d, sure := radixDigits-1, 0; d >= floor; d-- {
+	need := float64(bits.Len(uint(n-1)) + radixSlackBits)
+	for d, sure := radixDigits-1, 0.0; d >= floor; d-- {
 		// Four running maxima: one would chain 256 dependent compares.
 		c := &counts[d]
 		var m0, m1, m2, m3 int
@@ -241,12 +257,7 @@ func radixPlan(counts *[radixDigits][256]int, n, floor int) (low int) {
 			m0, m1, m2, m3 = max(m0, c[b]), max(m1, c[b+1]), max(m2, c[b+2]), max(m3, c[b+3])
 		}
 		largest := max(m0, m1, m2, m3)
-		// floor(log2(n/largest)) without the division.
-		b := bits.Len(uint(n)) - bits.Len(uint(largest))
-		if largest<<b > n {
-			b--
-		}
-		if sure += b; sure >= need {
+		if sure += math.Log2(float64(n) / float64(largest)); sure >= need {
 			return d
 		}
 	}
@@ -392,7 +403,7 @@ func digit(v int64, shift uint, bias uint8) uint8 {
 //     the paper's reverse-ordered results.
 //  2. LSD radix sort when the input is large (>= radixMinLen) and scratch
 //     can hold it: O(n) per discriminating digit, allocation-free, tiled
-//     scatter above radixTileMinLen.
+//     scatter from radixTileMinLen.
 //  3. Introsort otherwise (small inputs, or no scratch available).
 //
 // scratch may be nil; the dispatcher never allocates. Scratch contents on

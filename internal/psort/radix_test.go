@@ -148,6 +148,59 @@ func TestSortAdaptiveDispatch(t *testing.T) {
 	checkSorted(t, "short-scratch fallback", big2, orig2)
 }
 
+// TestPublicEntriesAcrossTileThreshold drives the public sorts over the
+// three sizes where their dispatch changes scatter: the last buffer that
+// takes the plain one, the first that tiles, and one element more. The
+// conformance matrix forces both scatters at small sizes; this is the
+// dispatch itself, on inputs long enough to reach it.
+func TestPublicEntriesAcrossTileThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, d := range []int{-1, 0, 1} {
+		n := radixTileMinLen + d
+		if got, want := tiles[[1]int64](n), d >= 0; got != want {
+			t.Errorf("tiles(%d keys) = %v, want %v", n, got, want)
+		}
+		keys := make([]int64, n)
+		floats := make([]float64, n)
+		for i := range keys {
+			keys[i] = int64(rng.Uint64())
+			floats[i] = math.Float64frombits(rng.Uint64()) // NaNs of both signs among them
+		}
+		wantKeys := slices.Clone(keys)
+		slices.Sort(wantKeys)
+		SortAdaptive(keys, make([]int64, n))
+		if !slices.Equal(keys, wantKeys) {
+			t.Errorf("SortAdaptive on %d keys diverges from slices.Sort", n)
+		}
+		wantFloats := slices.Clone(floats)
+		slices.SortFunc(wantFloats, cmpFloat64Total)
+		SortFloat64sScratch(floats, make([]float64, n))
+		if !slices.Equal(f64AsI64(floats), f64AsI64(wantFloats)) {
+			t.Errorf("SortFloat64sScratch on %d keys diverges from the total order", n)
+		}
+
+		// Records have their own threshold, in cells too. Every other key is
+		// drawn from 1000 values, so stability shows in the index payloads.
+		n = radixTileMinLenRec/2 + d
+		if got, want := tiles[[2]int64](n), d >= 0; got != want {
+			t.Errorf("tiles(%d records) = %v, want %v", n, got, want)
+		}
+		recs := make([]KV, n)
+		for i := range recs {
+			recs[i] = KV{Key: int64(rng.Uint64()), Payload: int64(i)}
+			if i%2 == 0 {
+				recs[i].Key = rng.Int63n(1000) << 40
+			}
+		}
+		wantRecs := slices.Clone(recs)
+		slices.SortStableFunc(wantRecs, cmpKV)
+		SortRecordsScratch(recs, make([]KV, n))
+		if !slices.Equal(recs, wantRecs) {
+			t.Errorf("SortRecordsScratch on %d records diverges from the stable reference", n)
+		}
+	}
+}
+
 // planOf is the digit plan radixSort makes for keys, from their whole
 // histograms, with the digits its pass loop would then scatter: those at
 // or above the plan's lowest that are not constant.
@@ -198,18 +251,38 @@ func TestRadixPlan(t *testing.T) {
 	cases := []struct {
 		name string
 		keys []int64
-		// Exactly these digits are scattered; or, when nil, at most
-		// maxDigits of them and none below minLow.
+		// Plan low scatters exactly these digits; or, when digits is nil,
+		// at most maxDigits of them and none below minLow.
+		low               int
 		digits            []int
 		maxDigits, minLow int
 	}{
+		// A uniform digit's largest bucket sits about three standard
+		// deviations over n/256, so it is credited 7.8 bits at 96Ki keys
+		// and 7.9 from 256Ki up. Three of them make 23.4 against a target
+		// of 17+4 at 96Ki, 23.6 against 18+4 at 256Ki and 23.7 against
+		// 19+4 at 512Ki: digits 5-7. They cannot make the 20+4 of 1Mi
+		// (under 8 each) nor the 23+4 of 8Mi: digits 4-7.
 		{name: "uniform-96Ki", keys: gen(96<<10, uniform), maxDigits: 4, minLow: 3},
+		{name: "uniform-256Ki", keys: gen(256<<10, uniform), maxDigits: 3, minLow: 5},
+		{name: "uniform-512Ki", keys: gen(512<<10, uniform), maxDigits: 3, minLow: 5},
 		{name: "uniform-1Mi", keys: gen(1<<20, uniform), maxDigits: 4, minLow: 3},
 		{name: "uniform-8Mi", keys: gen(8<<20, uniform), maxDigits: 5, minLow: 3},
+		// Digits 3-7 are constant (0 bits) and the low three cannot make 21.
 		{name: "below-2^20", keys: gen(96<<10, func() int64 { return rng.Int63n(1 << 20) }), digits: []int{0, 1, 2}},
 		{name: "sawtooth-17", keys: gen(96<<10, func() int64 { i++; return int64(i % 17) }), digits: []int{0}},
-		{name: "sixteen-values-96Ki", keys: gen(96<<10, func() int64 { return sixteen[rng.Intn(16)] }), digits: sixteenVary},
-		{name: "sixteen-values-1Mi", keys: gen(1<<20, func() int64 { return sixteen[rng.Intn(16)] }), digits: sixteenVary},
+		// Seed 17's sixteen values take 16 distinct bytes in digits 7, 6, 5
+		// and 2 (largest bucket n/16 and its noise: just under 4 bits) and
+		// 15 or 14 in digits 4, 3, 1 and 0, where two values share a byte
+		// (largest bucket n/8: just under 3). Walking down, the sum reads
+		// 4, 8, 12, 15, 18, 22, 25, 28 less a few hundredths a digit:
+		// 17+4 is passed at digit 2 and 20+4 at digit 1. Keys that agree in
+		// six bytes are one value repeated, so the sweep has nothing to sort.
+		{name: "sixteen-values-96Ki", keys: gen(96<<10, func() int64 { return sixteen[rng.Intn(16)] }), low: 2, digits: sixteenVary[2:]},
+		{name: "sixteen-values-1Mi", keys: gen(1<<20, func() int64 { return sixteen[rng.Intn(16)] }), low: 1, digits: sixteenVary[1:]},
+		// log2 3 = 1.58 bits for each of digits 5-7, nothing for 3 and 4,
+		// 7.8 for each of the low three: 4.7, 12.5, 20.3 and only digit 0
+		// passes 17+4.
 		{name: "three-valued-high-digits", keys: gen(96<<10, func() int64 {
 			return int64(rng.Intn(3))<<56 | int64(rng.Intn(3))<<48 | int64(rng.Intn(3))<<40 | rng.Int63n(1<<24)
 		}), digits: []int{0, 1, 2, 5, 6, 7}},
@@ -222,9 +295,8 @@ func TestRadixPlan(t *testing.T) {
 		low, scattered := planOf(c.keys)
 		switch {
 		case c.digits != nil:
-			// Every digit that varies and nothing to finish: the full LSD sort.
-			if low != 0 || !slices.Equal(scattered, c.digits) {
-				t.Errorf("%s: plan %d scatters %v, want plan 0 scattering %v", c.name, low, scattered, c.digits)
+			if low != c.low || !slices.Equal(scattered, c.digits) {
+				t.Errorf("%s: plan %d scatters %v, want plan %d scattering %v", c.name, low, scattered, c.low, c.digits)
 			}
 		case len(scattered) > c.maxDigits || low < c.minLow:
 			t.Errorf("%s: plan %d scatters %v, want at most %d digits and none below %d", c.name, low, scattered, c.maxDigits, c.minLow)

@@ -53,8 +53,6 @@ func SortRecordsScratch(rs, scratch []KV) {
 		binaryInsertionRecords(rs)
 		return
 	}
-	// A record is two cells, so the destination outgrows LLC — and the
-	// scatter tiles — at half the element count of the int64 kernel.
 	radixSort(kvCells(rs), kvCells(scratch), tiles[[2]int64](n))
 }
 
