@@ -125,6 +125,10 @@ func TestTiersConform(t *testing.T) {
 		{"truncated stream", wireBody("", enc[:len(enc)-6]), 400, "bad-request"},
 		{"unknown algorithm, JSON", jsonBody(`{"keys":[3,1,2],"algorithm":"bogosort"}`), 400, "bad-request"},
 		{"unknown algorithm, binary", wireBody("?algorithm=quicksort", enc), 400, "bad-request"},
+		// One name per data flow: on the real path the hybrid-mode twin is
+		// MLM-sort's flow under a second name, and /v1 takes one.
+		{"MLM-hybrid, JSON", jsonBody(`{"keys":[3,1,2],"algorithm":"MLM-hybrid"}`), 400, "bad-request"},
+		{"MLM-hybrid, binary", wireBody("?algorithm=MLM-hybrid", enc), 400, "bad-request"},
 		{"over-limit body, JSON", jsonBody(`{"keys":[` + strings.Repeat("1,", conformLimit) + `1]}`), 413, "too-large"},
 		{"over-limit declared total", wireBody("", []byte{'M', 'L', 'K', '1', 0, 0, 0, 0, 0, 1, 0, 0}), 413, "too-large"},
 		{"over-limit body, binary", wireBody("", cut), 413, "too-large"},

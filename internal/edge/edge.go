@@ -60,8 +60,9 @@ type SortRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS, when positive, is a start deadline relative to arrival.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Algorithm names the sort variant ("MLM-sort" default, "MLM-hybrid"
-	// the hybrid-mode twin).
+	// Algorithm names the sort variant. Empty leaves the data flow to the
+	// node's scheduler; "MLM-sort", the one name accepted, asks for
+	// megachunks staged through triple buffers.
 	Algorithm string `json:"algorithm,omitempty"`
 	// MegachunkLen overrides automatic budget-aware megachunk sizing.
 	MegachunkLen int `json:"megachunk_len,omitempty"`
@@ -227,15 +228,17 @@ func AcceptsWire(r *http.Request) bool {
 	return false
 }
 
-// ParseAlgorithm maps a request's algorithm name to the sort variant.
+// ParseAlgorithm maps a request's algorithm name to the sort variant: one
+// name per data flow. No name is the zero Algorithm, which the scheduler
+// alone resolves to its default.
 func ParseAlgorithm(name string) (mlmsort.Algorithm, error) {
 	switch name {
-	case "", "MLM-sort":
+	case "":
+		return 0, nil
+	case "MLM-sort":
 		return mlmsort.MLMSort, nil
-	case "MLM-hybrid":
-		return mlmsort.MLMHybrid, nil
 	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want MLM-sort or MLM-hybrid)", name)
+		return 0, fmt.Errorf("unknown algorithm %q (want MLM-sort, or none for the node's default)", name)
 	}
 }
 

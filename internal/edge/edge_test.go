@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	"knlmlm/internal/mlmsort"
 )
 
 // TestWireSubmitRoundTrip: what NewWireSubmit builds, DecodeSubmit reads
@@ -13,7 +15,7 @@ import (
 func TestWireSubmitRoundTrip(t *testing.T) {
 	want := SortRequest{
 		Keys: []int64{9, -3, 4}, KeyType: "i64", Priority: 2, DeadlineMS: 1500,
-		Algorithm: "MLM-hybrid", MegachunkLen: 4096, Wait: true,
+		Algorithm: "MLM-sort", MegachunkLen: 4096, Wait: true,
 	}
 	req, size, err := NewWireSubmit(context.Background(), "http://node", want)
 	if err != nil {
@@ -36,5 +38,21 @@ func TestWireSubmitRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+}
+
+// TestParseAlgorithm: one name per data flow, and no default of the
+// edge's own. No name is the zero Algorithm, which sched.submit resolves.
+func TestParseAlgorithm(t *testing.T) {
+	if a, err := ParseAlgorithm(""); err != nil || a != 0 {
+		t.Errorf(`ParseAlgorithm("") = %v, %v; want the zero Algorithm`, a, err)
+	}
+	if a, err := ParseAlgorithm("MLM-sort"); err != nil || a != mlmsort.MLMSort {
+		t.Errorf(`ParseAlgorithm("MLM-sort") = %v, %v`, a, err)
+	}
+	for _, name := range []string{"MLM-hybrid", "MLM-implicit", "mlm-sort", "GNU-flat"} {
+		if a, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) = %v, want an error", name, a)
+		}
 	}
 }

@@ -42,7 +42,8 @@ func Instrument(s Stages, touchedPerElem int64) (Stages, *Counters) {
 	}
 	innerCompute := s.Compute
 	out.Compute = func(i int, buf []int64) error {
-		c.compute.Add(int64(len(buf)) * touchedPerElem)
+		// By chunk length, not len(buf): a compute-only run has no buffer.
+		c.compute.Add(int64(s.ChunkLen(i)) * touchedPerElem)
 		return innerCompute(i, buf)
 	}
 	if s.CopyOut != nil {

@@ -96,9 +96,9 @@ type Buffer struct {
 }
 
 // Stages supplies the per-chunk work of a pipeline. CopyIn and CopyOut may
-// be nil, in which case Compute receives a buffer it must fill itself (the
-// in-place variants: MLM-ddr and implicit cache mode operate directly on
-// the source array and use only Compute).
+// be nil, in which case no staging buffer exists and Compute receives an
+// empty one (the in-place variants: MLM-ddr and implicit cache mode operate
+// directly on the source array and use only Compute).
 //
 // Stage functions report failure by returning an error; a panicking stage
 // is recovered and treated as an error. A failed attempt is retried under
@@ -113,7 +113,7 @@ type Stages struct {
 	// CopyIn loads chunk i into dst (len == ChunkLen(i)).
 	CopyIn func(i int, dst []int64) error
 	// Compute transforms chunk i in buf in place (or, with nil CopyIn,
-	// operates on whatever storage the caller closed over).
+	// operates on whatever storage the caller closed over; buf is empty).
 	Compute func(i int, buf []int64) error
 	// CopyOut drains chunk i from src to its destination.
 	CopyOut func(i int, src []int64) error
@@ -280,14 +280,14 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 	r := &runner{s: &s, obs: s.Observer, touched: s.touchedPerElem(), pool: s.Pool, cancel: cancel}
 
 	if s.CopyIn == nil {
-		// No staging: compute runs chunk by chunk over caller storage.
-		b := r.newBuffer(maxLen)
-		defer func() { r.reclaim(b) }()
+		// No staging: compute runs chunk by chunk over caller storage, so
+		// nothing is drawn from the pool. The stage is handed an empty
+		// buffer; a replacement after an abandoned attempt is as empty.
+		b := &Buffer{}
 		for i := 0; i < s.NumChunks; i++ {
 			if err := runCtx.Err(); err != nil {
 				return err
 			}
-			b.Data = b.full[:s.ChunkLen(i)]
 			var err error
 			b, err = r.runStage(runCtx, StageCompute, i, 1, b, nil, s.Compute)
 			if err != nil {
@@ -482,7 +482,7 @@ func (r *runner) runStage(ctx context.Context, stage Stage, i, worker int, b *Bu
 		if r.obs != nil {
 			r.obs.StageEvent(StageEvent{
 				Stage: stage, Chunk: i, Worker: worker,
-				Start: t0, End: time.Now(), Bytes: r.stageBytes(stage, len(b.Data)),
+				Start: t0, End: time.Now(), Bytes: r.stageBytes(stage, r.s.ChunkLen(i)),
 			})
 		}
 		if err == nil {

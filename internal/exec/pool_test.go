@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -39,25 +40,74 @@ func TestPooledRunRecyclesBuffers(t *testing.T) {
 	}
 }
 
+// TestPooledRunNoStagingPath: a compute-only run has no staging buffer, so
+// it draws nothing from the pool, which under a budget is lease a staged
+// neighbour needs. Its stage gets an empty buffer on a clean run, a
+// cancelled one, a failed one and one whose attempt was abandoned to the
+// chunk deadline, and the pool's footprint never leaves its baseline.
 func TestPooledRunNoStagingPath(t *testing.T) {
-	pool := mem.NewSlicePool()
-	s := Stages{
-		NumChunks: 4,
-		ChunkLen:  func(int) int { return 256 },
-		Compute:   func(int, []int64) error { return nil },
-		Pool:      pool,
+	pool := mem.NewSlicePoolBudget(1 << 20)
+	pool.Warm(256) // a baseline that is not zero
+	base, baseStats := pool.FootprintBytes(), pool.Stats()
+	boom := errors.New("boom")
+	ctx, cancel := context.WithCancel(context.Background())
+	var slow atomic.Bool
+	release := make(chan struct{})
+	defer close(release)
+	stages := func(compute func(i int) error) Stages {
+		return Stages{
+			NumChunks: 4,
+			ChunkLen:  func(int) int { return 256 },
+			Compute: func(i int, buf []int64) error {
+				if len(buf) != 0 {
+					t.Errorf("chunk %d: compute-only stage got a %d-element buffer, want none", i, len(buf))
+				}
+				return compute(i)
+			},
+			Pool: pool,
+		}
 	}
-	if err := Run(s, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := pool.Stats(); st.Puts != 1 {
-		t.Errorf("no-staging run returned %d buffers, want 1", st.Puts)
-	}
-	if err := Run(s, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := pool.Stats(); st.Hits != 1 {
-		t.Errorf("second no-staging run hit the pool %d times, want 1", st.Hits)
+	abandoned := stages(func(i int) error {
+		if i == 1 && slow.CompareAndSwap(false, true) {
+			<-release // overruns the deadline, which ends a compute stage's chunk
+		}
+		return nil
+	})
+	abandoned.ChunkTimeout = 20 * time.Millisecond
+	abandoned.Retry = RetryPolicy{MaxAttempts: 1}
+	for _, tc := range []struct {
+		name string
+		s    Stages
+		want error
+	}{
+		{"clean", stages(func(int) error { return nil }), nil},
+		{"cancelled", stages(func(i int) error {
+			if i == 1 {
+				cancel()
+			}
+			return nil
+		}), context.Canceled},
+		{"failed", stages(func(i int) error {
+			if i == 2 {
+				return boom
+			}
+			return nil
+		}), boom},
+		{"abandoned", abandoned, ErrDeadline},
+	} {
+		runCtx := context.Background()
+		if tc.want == context.Canceled {
+			runCtx = ctx
+		}
+		if err := RunContext(runCtx, tc.s, 1); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if st := pool.Stats(); st != baseStats {
+			t.Errorf("%s: compute-only run touched the pool: %+v, was %+v", tc.name, st, baseStats)
+		}
+		if fp := pool.FootprintBytes(); fp != base {
+			t.Errorf("%s: pool footprint %d, want the baseline %d", tc.name, fp, base)
+		}
 	}
 }
 

@@ -223,6 +223,12 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 	return homes, stats, err
 }
 
+// Staged reports whether the algorithm's real data flow copies each
+// megachunk through a staging buffer and back (MLM-sort and its hybrid-mode
+// twin, one flow on a host without MCDRAM); every other variant sorts
+// megachunks where they lie.
+func (a Algorithm) Staged() bool { return a == MLMSort || a == MLMHybrid }
+
 // SortHomes is phase 1 of every megachunked sort — in memory, spilled, or
 // the scheduler's batch pass, whose megachunks are its riders' separate
 // buffers: it sorts each home on the exec pipeline, so megachunks inherit
@@ -270,7 +276,7 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		NumChunks: len(homes),
 		ChunkLen:  func(i int) int { return len(homes[i]) },
 	}
-	staged := a == MLMSort || a == MLMHybrid
+	staged := a.Staged()
 	var table *stagingTable
 	inPlace := func(i int) bool { return table == nil || table.isDegraded(i) }
 	if staged {

@@ -81,8 +81,11 @@ type JobSpec struct {
 	// that cannot start by it are rejected at submission (when the
 	// estimated queue wait already overshoots) or failed at dispatch.
 	Deadline time.Time
-	// Algorithm is the sort variant for non-batched jobs; zero value
-	// selects MLM-sort, the paper's staged flat-mode algorithm.
+	// Algorithm is the sort variant for non-batched jobs. The zero value
+	// leaves the choice to the scheduler: MLM-implicit (megachunks sorted
+	// in place, one megachunk when the job fits the budget) for in-memory
+	// jobs, MLM-sort (megachunks staged through triple buffers) for
+	// spill-class ones. MLM-sort by name gets the staged flow at any size.
 	Algorithm mlmsort.Algorithm
 	// MegachunkLen overrides the scheduler's budget-aware megachunk
 	// sizing (elements; 0 = automatic).
@@ -133,9 +136,12 @@ type Job struct {
 	predRaw time.Duration
 
 	// batchable jobs ride a shared pipeline pass; staged jobs get their
-	// own megachunked pipeline and a fair-share width control.
+	// own megachunked pipeline and a fair-share width control. megachunk
+	// and leaseNeed are the admission-time plan: the cut in cells and the
+	// MCDRAM lease dispatch takes for it.
 	batchable bool
 	megachunk int
+	leaseNeed units.Bytes
 	widths    *mlmsort.WidthControl
 
 	// spill-class jobs sort through the three-level pipeline: phase 1

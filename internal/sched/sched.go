@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math/bits"
 	"os"
 	"runtime"
 	"sync"
@@ -154,10 +153,10 @@ func (c Config) norm() (Config, error) {
 	if c.TotalThreads < 3 {
 		c.TotalThreads = 3
 	}
-	maxMc := maxMegachunk(c.MCDRAMBudget)
+	maxMc := tune.Staged.MaxMegachunk(c.MCDRAMBudget)
 	if maxMc < 2 {
 		return c, fmt.Errorf("sched: MCDRAMBudget %v cannot stage even one 2-element megachunk under %d buffers",
-			c.MCDRAMBudget, stagingBuffers)
+			c.MCDRAMBudget, tune.StagingBuffers)
 	}
 	if c.BatchMaxElems <= 0 {
 		c.BatchMaxElems = maxMc / 4
@@ -168,7 +167,7 @@ func (c Config) norm() (Config, error) {
 			c.BatchMaxElems = 2
 		}
 	}
-	batchLease := leaseFor(c.BatchMaxElems)
+	batchLease := tune.Staged.Footprint(c.BatchMaxElems)
 	if batchLease > c.MCDRAMBudget {
 		return c, fmt.Errorf("sched: BatchMaxElems %d needs a %v batch lease, budget is %v",
 			c.BatchMaxElems, batchLease, c.MCDRAMBudget)
@@ -185,39 +184,8 @@ func (c Config) norm() (Config, error) {
 	return c, nil
 }
 
-const (
-	// stagingBuffers is the staging-buffer count per pipeline: the paper's
-	// triple buffering.
-	stagingBuffers = 3
-	// batchMaxJobs bounds the riders of one batch pass.
-	batchMaxJobs = 8
-)
-
-// leaseFor is what one pipeline leases to run megachunks (or batch riders)
-// of up to mc elements: its staging buffers plus one sort scratch, each at
-// mc's power-of-two size class, so pool size classes match the lease.
-func leaseFor(mc int) units.Bytes {
-	return units.Bytes(int64(stagingBuffers+1) * int64(ceilPow2(mc)) * 8)
-}
-
-// maxMegachunk is the largest power-of-two megachunk the budget can lease.
-func maxMegachunk(budget units.Bytes) int {
-	return floorPow2(int(int64(budget) / (8 * int64(stagingBuffers+1))))
-}
-
-func floorPow2(n int) int {
-	if n < 1 {
-		return 0
-	}
-	return 1 << (bits.Len(uint(n)) - 1)
-}
-
-func ceilPow2(n int) int {
-	if n < 2 {
-		return 2
-	}
-	return 1 << bits.Len(uint(n-1))
-}
+// batchMaxJobs bounds the riders of one batch pass.
+const batchMaxJobs = 8
 
 // Scheduler is the service core: admission control, queueing, dispatch,
 // and fair-share provisioning over one MCDRAM budget.
@@ -315,7 +283,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.real = mlmsort.RealOptions{
 		Staging: cfg.Staging, Resilience: cfg.Resilience, Policy: cfg.Policy,
-		Buffers: stagingBuffers, Pool: s.pool,
+		Buffers: tune.StagingBuffers, Pool: s.pool,
 	}
 	s.brown = newBrownout(cfg.Brownout, cfg.AgingSlack, s.metrics.reg)
 	s.metrics.budgetBytes.Set(float64(cfg.MCDRAMBudget))
@@ -403,9 +371,14 @@ func (s *Scheduler) Rates() model.Params { return s.rates.params() }
 // staged jobs — the pool size Rates() should be solved against.
 func (s *Scheduler) TotalThreads() int { return s.cfg.TotalThreads }
 
-// plan is the admission-time sizing decision for one job.
+// plan is the admission-time sizing decision for one job: its class, how
+// it is cut, and what it leases. Nothing downstream re-derives any of it.
 type plan struct {
 	batchable bool
+	// flow is the data flow the job's algorithm runs (batch passes stage
+	// their riders); megachunk the cut, in cells; lease the flow's
+	// near-memory footprint at that cut.
+	flow      tune.Flow
 	megachunk int
 	lease     units.Bytes
 	// spill-class jobs additionally lease diskLease bytes from the disk
@@ -414,70 +387,56 @@ type plan struct {
 	diskLease units.Bytes
 }
 
-// planFor sizes a job: batchable jobs ride the shared pass; staged jobs
-// get a power-of-two megachunk (so pool size classes match the lease
-// exactly) clamped to what the budget can stage. Staged jobs whose DDR
-// working set — input plus materialized final merge — exceeds DDRBudget
-// are classed as spill jobs: phase 1 stages through MCDRAM exactly as
-// usual but runs land on disk, and the merge streams, so the job's DDR
-// footprint stays at its input plus O(read-ahead) regardless of size.
-//
-// The two classes size megachunks differently. In-memory staged jobs
-// split four deep so copy-in/sort/copy-out overlap across the staging
-// buffers. For spill jobs each megachunk becomes one on-disk run and the
-// result download pays a k = ceil(n/mc)-way merge, so the megachunk is
-// instead the largest run MCDRAM can stage — the external-sort rule:
-// maximum run length minimizes merge fan-in. The pipeline overlap a
-// deeper split would buy during phase 1 is already hidden behind the
-// run-file writes. Spill runs are capped at half the budget-derived
-// maximum, though: a full-budget lease can only dispatch when the
-// ledger is completely idle, so spill jobs would starve at the queue
-// head under mixed traffic and drive the brownout controller into
-// shedding the whole class. Half the budget keeps room for at least
-// one more staged job at the cost of one extra merge way.
+// spills reports whether a job of n cells is spill class: its DDR working
+// set, input plus materialized final merge, exceeds DDRBudget. Phase 1 of
+// such a job stages through MCDRAM as usual but its runs land on disk and
+// the merge streams, so its DDR footprint stays at its input plus
+// O(read-ahead) whatever its size.
+func (s *Scheduler) spills(n int) bool {
+	return s.cfg.DDRBudget > 0 && units.Bytes(int64(n)*16) > s.cfg.DDRBudget
+}
+
+// planFor sizes a job whose algorithm submit has resolved. Batchable jobs
+// ride the shared pass under one worst-case lease. Every other job gets its
+// own pipeline, cut by tune.Megachunk for the flow its algorithm runs
+// (unless the caller fixed the cut) and leasing that flow's footprint:
+// three staging buffers and the sort scratch when megachunks are staged,
+// the scratch alone when they are sorted where they lie.
 func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 	n := len(spec.Data)
 	// Record jobs never batch: the shared pass sorts bare cells with the
 	// adaptive kernel, which would interleave keys and payloads. They get
-	// a staged pipeline (whose megachunk alignment mlmsort enforces) at
-	// any size instead.
+	// a pipeline of their own (whose megachunk alignment mlmsort enforces)
+	// at any size instead.
 	if spec.MegachunkLen <= 0 && n <= s.cfg.BatchMaxElems && spec.KeyType != wire.KindRecord {
-		return plan{batchable: true, lease: leaseFor(s.cfg.BatchMaxElems)}, nil
+		return plan{batchable: true, flow: tune.Staged, lease: tune.Staged.Footprint(s.cfg.BatchMaxElems)}, nil
 	}
-	dataBytes := units.Bytes(int64(n) * 8)
-	workSet := 2 * dataBytes
-	spill := s.cfg.DDRBudget > 0 && workSet > s.cfg.DDRBudget
-	mc := spec.MegachunkLen
-	if mc <= 0 {
-		maxMc := maxMegachunk(s.cfg.MCDRAMBudget)
-		if spill {
-			mc = ceilPow2(n)
-			if half := maxMc / 2; mc > half {
-				mc = half
-			}
-		} else {
-			mc = floorPow2(n / 4)
-		}
-		if mc < 4096 {
-			mc = 4096
-		}
-		if mc > maxMc {
-			mc = maxMc
-		}
+	p := plan{flow: tune.InPlace, megachunk: spec.MegachunkLen, spill: s.spills(n)}
+	switch {
+	case p.spill:
+		p.flow = tune.Spill
+	case spec.Algorithm.Staged():
+		p.flow = tune.Staged
 	}
-	lease := leaseFor(mc)
-	if lease > s.cfg.MCDRAMBudget {
-		return plan{}, &TooLargeError{Lease: lease, Budget: s.cfg.MCDRAMBudget}
+	if p.megachunk <= 0 {
+		width := 1
+		if spec.KeyType == wire.KindRecord {
+			width = 2 // key and payload cells
+		}
+		p.megachunk = tune.Megachunk(n, width, s.cfg.MCDRAMBudget, p.flow)
 	}
-	p := plan{megachunk: mc, lease: lease}
-	if spill {
+	p.lease = p.flow.Footprint(p.megachunk)
+	if p.lease > s.cfg.MCDRAMBudget {
+		return plan{}, &TooLargeError{Lease: p.lease, Budget: s.cfg.MCDRAMBudget}
+	}
+	if p.spill {
+		dataBytes := units.Bytes(int64(n) * 8)
 		if s.disk == nil {
-			return plan{}, &TooLargeError{Lease: workSet, Budget: s.cfg.DDRBudget, Resource: "DDR"}
+			return plan{}, &TooLargeError{Lease: 2 * dataBytes, Budget: s.cfg.DDRBudget, Resource: "DDR"}
 		}
 		if dataBytes > s.cfg.DiskBudget {
 			return plan{}, &TooLargeError{Lease: dataBytes, Budget: s.cfg.DiskBudget, Resource: "disk"}
 		}
-		p.spill = true
 		p.diskLease = dataBytes
 	}
 	return p, nil
@@ -522,9 +481,15 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 
 func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 	if spec.Algorithm == mlmsort.GNUFlat {
-		// The service serves the paper's staged algorithm by default; the
-		// zero Algorithm (GNU-flat) is not individually addressable.
-		spec.Algorithm = mlmsort.MLMSort
+		// The zero Algorithm (GNU-flat is not individually addressable) asks
+		// for the service's own choice, made here and nowhere else: the
+		// paper's proposal, megachunks sorted where they lie, for a job that
+		// stays in memory; the staged flow for a spill job, whose copy-out
+		// is a real transfer to its run file.
+		spec.Algorithm = mlmsort.MLMImplicit
+		if s.spills(len(spec.Data)) {
+			spec.Algorithm = mlmsort.MLMSort
+		}
 	}
 	if err := validateKeyType(spec); err != nil {
 		s.metrics.reject("bad-spec")
@@ -620,6 +585,7 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 		heapIdx:   -1,
 		batchable: p.batchable,
 		megachunk: p.megachunk,
+		leaseNeed: p.lease,
 		spill:     p.spill,
 		diskNeed:  p.diskLease,
 		predRun:   predRun,
@@ -632,8 +598,12 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 	tr.Bind(j.id, spec.Tenant, j.n)
 	if p.spill {
 		tr.MarkSpilled()
-	} else if p.batchable {
+	}
+	if p.batchable {
 		tr.Event("batch-class")
+	} else {
+		tr.EventDetail("plan", fmt.Sprintf("flow=%v megachunk=%d megachunks=%d lease=%d",
+			p.flow, p.megachunk, (j.n+p.megachunk-1)/p.megachunk, int64(p.lease)))
 	}
 	admitted = true
 	s.flight.Add(tr)
@@ -912,7 +882,7 @@ func (s *Scheduler) tryDispatchLocked() bool {
 	}
 	if head.batchable {
 		// One fixed worst-case lease per pass: sized to the largest batchable job.
-		lease, ok := s.budget.TryLease(leaseFor(s.cfg.BatchMaxElems))
+		lease, ok := s.budget.TryLease(head.leaseNeed)
 		if !ok {
 			head.trace.MarkHeadBlocked()
 			return false
@@ -929,7 +899,7 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		go s.runBatch(batch, lease)
 		return true
 	}
-	lease, ok := s.budget.TryLease(leaseFor(head.megachunk))
+	lease, ok := s.budget.TryLease(head.leaseNeed)
 	if !ok {
 		head.trace.MarkHeadBlocked()
 		return false

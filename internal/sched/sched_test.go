@@ -14,12 +14,13 @@ import (
 	"knlmlm/internal/memkind"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
+	"knlmlm/internal/tune"
 	"knlmlm/internal/units"
 	"knlmlm/internal/wire"
 	"knlmlm/internal/workload"
 )
 
-const testBudget = units.Bytes(4 << 20) // 4 MiB: room for 8 concurrent 256 KiB leases
+const testBudget = units.Bytes(4 << 20) // 4 MiB: room for 8 concurrent 40000-key jobs in place (512 KiB of scratch each)
 
 func testConfig() Config {
 	return Config{
@@ -252,8 +253,8 @@ func TestAutoMegachunkAlwaysFits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if leaseFor(j.megachunk) > testBudget {
-		t.Fatalf("megachunk %d overshoots budget", j.megachunk)
+	if j.leaseNeed > testBudget {
+		t.Fatalf("megachunk %d leases %v, over the budget", j.megachunk, j.leaseNeed)
 	}
 	waitDone(t, j)
 	mustSorted(t, j)
@@ -724,8 +725,16 @@ func TestLeaseBytesConcurrentWithDispatch(t *testing.T) {
 // be written off it), not stay charged to it for the life of the process.
 // Before phase 1's scratch rule was written once, with Forget, each such
 // job left one megachunk-sized class on the footprint until every staging
-// Get was refused.
+// Get was refused. Both flows are held to it: MLM-sort by name, whose
+// pipeline holds three staging buffers and the scratch, and the default,
+// sorted in place, which holds the scratch alone; and in both the MCDRAM
+// ledger is back at zero with the pool.
 func TestStagedScratchSettlesOnEveryExit(t *testing.T) {
+	t.Run("MLM-sort", func(t *testing.T) { scratchSettlesOnEveryExit(t, mlmsort.MLMSort) })
+	t.Run("default", func(t *testing.T) { scratchSettlesOnEveryExit(t, 0) })
+}
+
+func scratchSettlesOnEveryExit(t *testing.T, alg mlmsort.Algorithm) {
 	var cur atomic.Pointer[gate]
 	var failing atomic.Bool
 	cfg := testConfig()
@@ -743,7 +752,7 @@ func TestStagedScratchSettlesOnEveryExit(t *testing.T) {
 	s := newTestScheduler(t, cfg)
 	staged := func(seed int64) *Job {
 		t.Helper()
-		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 65536, seed), MegachunkLen: 16384})
+		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 65536, seed), MegachunkLen: 16384, Algorithm: alg})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
@@ -755,12 +764,20 @@ func TestStagedScratchSettlesOnEveryExit(t *testing.T) {
 			t.Fatalf("%s: pool footprint %d (freelists %d), want %d as before the jobs; stats %+v",
 				when, fp, free, want, s.PoolStats())
 		}
+		eventually(t, when+": lease released", func() bool { return s.Budget().Leased() == 0 })
 	}
 
 	warm := staged(1)
 	waitDone(t, warm)
 	mustSorted(t, warm)
-	pre := s.pool.FootprintBytes() // three staging buffers and one scratch
+	pre := s.pool.FootprintBytes()
+	want := tune.InPlace.Footprint(16384) // the scratch
+	if alg.Staged() {
+		want = tune.Staged.Footprint(16384) // and three staging buffers
+	}
+	if pre != int64(want) {
+		t.Fatalf("a clean job drew %d bytes from the pool, want its flow's footprint %v", pre, want)
+	}
 	settled("after a clean job", pre)
 
 	const cancels = 12

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"knlmlm/internal/fault"
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -158,6 +159,13 @@ func TestSchedulerSoak(t *testing.T) {
 				spec := JobSpec{
 					Data:     workload.Generate(workload.Random, n, rng.Int63()),
 					Priority: rng.Intn(7) - 2,
+				}
+				if rng.Intn(2) == 0 {
+					// Half the jobs name the staged flow, so the plan's
+					// staging-allocation faults keep reaching in-memory
+					// jobs' degraded path; the rest soak the default, which
+					// sorts them in place.
+					spec.Algorithm = mlmsort.MLMSort
 				}
 				if rng.Intn(8) == 0 {
 					spec.Deadline = time.Now().Add(time.Duration(50+rng.Intn(400)) * time.Millisecond)

@@ -2,10 +2,12 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/workload"
 )
@@ -172,6 +174,52 @@ func TestTraceSpillJob(t *testing.T) {
 		t.Fatal("spill job has no run prediction")
 	}
 	wallSumWithin10Pct(t, snap)
+}
+
+// TestTracePlanEvent: a job with a pipeline of its own records how it was
+// cut, once, at admission, so /debug/jobs/{id}/trace and the flight
+// recorder answer "which geometry did this job get"; a batch rider has no
+// cut to report. Under the 4 MiB test budget and its 600 KB DDR squeeze:
+// 36,000 keys (over the 32Ki batch threshold, under the squeeze) fit in
+// place as one megachunk (class 64Ki, 512 KiB of scratch); MLM-sort cuts
+// them four deep, floorPow2(9,000) = 8Ki cells under four buffers, 256 KiB;
+// 100,000 keys spill in runs of 64Ki cells, half the largest the budget
+// stages, 2 MiB.
+func TestTracePlanEvent(t *testing.T) {
+	cfg := spillTestConfig(t)
+	cfg.FlightRecorderCap = 8
+	s := newTestScheduler(t, cfg)
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"default", JobSpec{Data: workload.Generate(workload.Random, 36_000, 1)},
+			"flow=in-place megachunk=36000 megachunks=1 lease=524288"},
+		{"MLM-sort", JobSpec{Data: workload.Generate(workload.Random, 36_000, 2), Algorithm: mlmsort.MLMSort},
+			"flow=staged megachunk=8192 megachunks=5 lease=262144"},
+		{"explicit cut", JobSpec{Data: workload.Generate(workload.Random, 36_000, 3), MegachunkLen: 10_000},
+			"flow=in-place megachunk=10000 megachunks=4 lease=131072"},
+		{"spill", JobSpec{Data: workload.Generate(workload.Random, 100_000, 4)},
+			"flow=spill megachunk=65536 megachunks=2 lease=2097152"},
+		{"batch", JobSpec{Data: workload.Generate(workload.Random, 500, 5)}, ""},
+	} {
+		j, err := s.Submit(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", tc.name, err)
+		}
+		waitDone(t, j)
+		if s.FlightRecorder().Get(j.ID()) != j.Trace() {
+			t.Errorf("%s: the flight recorder does not hold the job's trace", tc.name)
+		}
+		plans := planEvents(j)
+		if tc.want == "" && len(plans) != 0 || tc.want != "" && (len(plans) != 1 || plans[0] != tc.want) {
+			t.Errorf("%s: plan events %q, want %q", tc.name, plans, tc.want)
+		}
+		if got := j.LeaseBytes(); tc.want != "" && !strings.HasSuffix(tc.want, fmt.Sprintf("lease=%d", got)) {
+			t.Errorf("%s: the job leased %d bytes, its plan said %q", tc.name, got, tc.want)
+		}
+	}
 }
 
 // TestTraceRejectedSubmission: a caller-provided trace records the

@@ -177,9 +177,9 @@ func TestShedJobOnTheWire(t *testing.T) {
 // requests the pre-check admits.
 //
 // The model is made pessimistic the way a slow host makes it so: one
-// staged job whose four megachunks each take 15 ms of compute measures
-// some 1,800 times its Table 2 estimate (33 µs for 320 KB), which puts
-// the staged drift correction at its clamp, 256. From then on a 40,000-key
+// job whose one megachunk takes 15 ms of compute measures some 450 times
+// its Table 2 estimate (33 µs for 320 KB), which puts the staged-class
+// drift correction at its clamp, 256. From then on a 40,000-key
 // job prices at 8.5 ms, so one queued job alone overshoots a 2 ms deadline.
 func TestPreDecodeDeadlineShed(t *testing.T) {
 	g := newGate()
