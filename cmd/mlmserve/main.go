@@ -53,7 +53,6 @@ type options struct {
 	workers      int
 	queueLimit   int
 	threads      int
-	batchElems   int
 	retain       int
 	decodeGate   int
 	autotune     bool
@@ -76,7 +75,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "concurrent pipelines (0 = scheduler default)")
 	flag.IntVar(&o.queueLimit, "queue", 0, "admission queue bound (0 = scheduler default)")
 	flag.IntVar(&o.threads, "threads", 0, "thread budget fair-shared across staged jobs (0 = GOMAXPROCS)")
-	flag.IntVar(&o.batchElems, "batch-max-elems", 0, "batchable-job element threshold; jobs at most this large ride a shared pass (0 = budget-derived default, 1 effectively disables batching)")
 	flag.IntVar(&o.retain, "retain", 4096, "terminal jobs retained for status/result lookup")
 	flag.IntVar(&o.decodeGate, "decode-gate", 0, "concurrent submit-body decodes; deadlined requests past the gate get 429 ingest-busy (0 = max(2, GOMAXPROCS))")
 	flag.BoolVar(&o.autotune, "autotune", false, "measure per-thread rates on staged jobs and feed them to the fair-share solver")
@@ -117,7 +115,6 @@ func run(o options) error {
 		Workers:           o.workers,
 		QueueLimit:        o.queueLimit,
 		TotalThreads:      o.threads,
-		BatchMaxElems:     o.batchElems,
 		RetainJobs:        o.retain,
 		Registry:          reg,
 		Resilience:        telemetry.NewResilience(reg),
@@ -193,8 +190,8 @@ func run(o options) error {
 		return err
 	}
 	snap := sc.Snapshot()
-	fmt.Printf("mlmserve: drained — %d jobs submitted, %d batches, high water %v\n",
-		snap.Submitted, snap.Batches, snap.HighWaterBytes)
+	fmt.Printf("mlmserve: drained — %d jobs submitted, high water %v\n",
+		snap.Submitted, snap.HighWaterBytes)
 	if snap.DiskBudgetBytes > 0 {
 		fmt.Printf("mlmserve: spill — disk high water %v / %v, leased %v at exit\n",
 			sc.DiskBudget().HighWater(), snap.DiskBudgetBytes, snap.DiskLeasedBytes)

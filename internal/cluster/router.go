@@ -50,8 +50,9 @@ func nodeRate(c edge.Capacity) float64 {
 // rate is scaled by the node's overload state:
 //
 //   - brownout divides by (1 + level): a shed-spill node takes half
-//     share, a critical-only node a quarter — mirroring how the brownout
-//     controller itself sheds work classes stepwise;
+//     share, a critical-only node a third (the ladder has three levels,
+//     0 to 2) — mirroring how the brownout controller itself sheds work
+//     classes stepwise;
 //   - queue depth divides by (1 + depth/4): four queued jobs halve the
 //     share, so backlog drains instead of compounds;
 //   - zero lease headroom floors the weight at a tenth: the node can

@@ -23,7 +23,7 @@ func TestBackendWeightDegradesWithBrownout(t *testing.T) {
 		t.Fatal("healthy backend weighs zero")
 	}
 	prev := base
-	for level := 1; level <= 3; level++ {
+	for level := 1; level <= 2; level++ {
 		c := healthyCap()
 		c.BrownoutLevel = level
 		w := backendWeight(true, c)

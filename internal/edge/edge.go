@@ -139,8 +139,8 @@ type Health struct {
 	DiskLeasedBytes int64 `json:"disk_leased_bytes,omitempty"`
 	DiskBudgetBytes int64 `json:"disk_budget_bytes,omitempty"`
 	// Brownout is the scheduler's overload degradation state: the level
-	// name ("normal", "shed-spill", "shrink-batch", "critical-only"),
-	// its numeric value, and the smoothed queue-delay signal driving it.
+	// name ("normal", "shed-spill", "critical-only"), its numeric value
+	// (0 to 2), and the smoothed queue-delay signal driving it.
 	// The endpoint stays 200 while browned out — the service is degraded
 	// on purpose, not unhealthy, and load balancers must keep routing.
 	Brownout         string  `json:"brownout"`

@@ -141,3 +141,47 @@ func TestRecordExternalSpill(t *testing.T) {
 		t.Fatal("write-back record sort diverges from stable reference")
 	}
 }
+
+// TestMegachunkSorterBlockFloor: whatever width it is handed, the sorter
+// cuts no block under tune.MinMegachunk cells. A 1Ki-cell megachunk and one
+// a cell short of two blocks take the single-worker path at width 8 (the
+// run table is never touched); 64Ki cells still fan out eight ways, keys
+// and records, and the merged result is the stable sorted order.
+func TestMegachunkSorterBlockFloor(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cells int
+		elem  ElemKind
+		runs  int
+	}{
+		{"i64-1Ki", 1 << 10, ElemInt64, 0},
+		{"i64-8Ki-1", 8<<10 - 1, ElemInt64, 0},
+		{"rec-8Ki-2", 8<<10 - 2, ElemKV, 0},
+		{"i64-64Ki", 64 << 10, ElemInt64, 8},
+		{"rec-64Ki", 64 << 10, ElemKV, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.cells)))
+			var mc, want []int64
+			if tc.elem == ElemKV {
+				mc = recordJob(rng, tc.cells/2)
+				want = sortedRecordsRef(mc)
+			} else {
+				mc = make([]int64, tc.cells)
+				for i := range mc {
+					mc[i] = rng.Int63()
+				}
+				want = slices.Clone(mc)
+				slices.Sort(want)
+			}
+			sorter := newMegachunkSorter(8, tc.elem)
+			sorter.sort(mc, make([]int64, len(mc)))
+			if len(sorter.runs) != tc.runs {
+				t.Errorf("run table holds %d blocks, want %d", len(sorter.runs), tc.runs)
+			}
+			if !slices.Equal(mc, want) {
+				t.Error("not the stable sorted order")
+			}
+		})
+	}
+}

@@ -152,7 +152,9 @@ func (ms *megachunkSorter) sort(mc, scratch []int64) {
 		return
 	}
 	scratch = scratch[:len(mc)]
-	w := min(int(ms.width.Load()), m)
+	// No block is cut under tune.MinMegachunk cells: below it the
+	// goroutines, the merge and the copy-back cost more than they share out.
+	w := min(int(ms.width.Load()), m, len(mc)/tune.MinMegachunk)
 	if w <= 1 {
 		// Single-worker fast path: no goroutines, no merge, no run table.
 		psort.SortBlock(mc, scratch, ms.cells)
@@ -229,9 +231,8 @@ func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megac
 // megachunks where they lie.
 func (a Algorithm) Staged() bool { return a == MLMSort || a == MLMHybrid }
 
-// SortHomes is phase 1 of every megachunked sort — in memory, spilled, or
-// the scheduler's batch pass, whose megachunks are its riders' separate
-// buffers: it sorts each home on the exec pipeline, so megachunks inherit
+// SortHomes is phase 1 of every megachunked sort, in memory or spilled: it
+// sorts each home on the exec pipeline, so megachunks inherit
 // its full failure semantics (retries, panic recovery, deadlines,
 // cancellation). MLM-sort (and its hybrid twin) stages each megachunk
 // through a buffer (the flat-mode MCDRAM analog); when the staging

@@ -22,10 +22,6 @@ const (
 	// disk-hungry work — are rejected at admission and evicted from the
 	// queue. Sheds the most seconds of backlog per job dropped.
 	BrownoutShedSpill
-	// BrownoutShrinkBatch: small-job batches are capped at a quarter of
-	// their configured size, shortening each pass's lease hold and the
-	// shared-fate blast radius of a slow pass, at some throughput cost.
-	BrownoutShrinkBatch
 	// BrownoutCritical: only jobs at or above the configured critical
 	// priority are admitted; everything else is rejected at the door.
 	BrownoutCritical
@@ -38,8 +34,6 @@ func (l BrownoutLevel) String() string {
 		return "normal"
 	case BrownoutShedSpill:
 		return "shed-spill"
-	case BrownoutShrinkBatch:
-		return "shrink-batch"
 	case BrownoutCritical:
 		return "critical-only"
 	}
@@ -108,7 +102,7 @@ func newBrownout(cfg BrownoutConfig, agingSlack time.Duration, reg *telemetry.Re
 	b := &brownout{cfg: cfg.norm(agingSlack)}
 	b.lastHigh = time.Now() // no step-down before the first CalmInterval elapses
 	b.gauge = reg.Gauge("sched_brownout_level",
-		"Current brownout degradation level (0=normal 1=shed-spill 2=shrink-batch 3=critical-only).", nil)
+		"Current brownout degradation level (0=normal 1=shed-spill 2=critical-only).", nil)
 	b.raised = reg.Counter("sched_brownout_transitions_total",
 		"Brownout level transitions.", telemetry.Labels{"direction": "raise"})
 	b.lowered = reg.Counter("sched_brownout_transitions_total",

@@ -46,13 +46,16 @@ func finalMerges(j *Job) (n int) {
 	return n
 }
 
-// TestPlanShapes runs a 1Mi-cell job of every key type through the three
-// shapes the plan can take and checks each is what ran, and that the
-// result is the bit-exact sorted permutation in all nine:
+// TestPlanShapes runs a job of every key type (f64 with NaNs and signed
+// zeros among its keys) through the shapes the plan can take, 1Mi cells
+// but for the small row, and checks each is what ran, and that the result
+// is the bit-exact sorted permutation in every one:
 //
 //   - the default, under the benchmark node's 64 MiB budget: one megachunk
 //     sorted where it lies, no byte through a copy stage, no final merge,
 //     an 8 MiB lease (the scratch);
+//   - the default at 1Ki cells: the same plan at the other end of the size
+//     range, an 8 KiB lease, with no second class of job to fall into;
 //   - MLM-sort by name: four megachunks staged in and out, the same 8 MiB
 //     (three staging buffers and a scratch of 256Ki cells), and under a
 //     heap that can place none of them every megachunk degrades and the job
@@ -60,14 +63,13 @@ func finalMerges(j *Job) (n int) {
 //   - the default under a 4 MiB budget, where the largest in-place
 //     megachunk is 512Ki cells: two megachunks and a final merge.
 func TestPlanShapes(t *testing.T) {
-	const n = mi
 	kinds := []struct {
 		kind  wire.Kind
-		input func(*rand.Rand) []int64
+		input func(rng *rand.Rand, cells int) []int64
 		check func(t *testing.T, got, input []int64)
 	}{
-		{wire.KindInt64, func(rng *rand.Rand) []int64 {
-			return workload.Generate(workload.Random, n, rng.Int63())
+		{wire.KindInt64, func(rng *rand.Rand, cells int) []int64 {
+			return workload.Generate(workload.Random, cells, rng.Int63())
 		}, func(t *testing.T, got, input []int64) {
 			want := append([]int64(nil), input...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -77,11 +79,12 @@ func TestPlanShapes(t *testing.T) {
 				}
 			}
 		}},
-		{wire.KindFloat64, func(rng *rand.Rand) []int64 { return f64Job(rng, n) }, checkF64Sorted},
-		{wire.KindRecord, func(rng *rand.Rand) []int64 { return recordCells(rng, n/2) }, checkIndexedRecordsStable},
+		{wire.KindFloat64, f64Job, checkF64Sorted},
+		{wire.KindRecord, func(rng *rand.Rand, cells int) []int64 { return recordCells(rng, cells/2) }, checkIndexedRecordsStable},
 	}
 	shapes := []struct {
 		name       string
+		n          int
 		budget     units.Bytes
 		alg        mlmsort.Algorithm
 		tinyHeap   bool
@@ -91,10 +94,11 @@ func TestPlanShapes(t *testing.T) {
 		lease      int64
 		flow       string
 	}{
-		{"default", 64 * units.MiB, 0, false, 1, 0, 0, 8 * mi, "in-place"},
-		{"MLM-sort", 64 * units.MiB, mlmsort.MLMSort, false, 4, 8 * n, 1, 8 * mi, "staged"},
-		{"MLM-sort-degraded", 64 * units.MiB, mlmsort.MLMSort, true, 4, 8 * n, 1, 8 * mi, "staged"},
-		{"default-over-budget", 4 * units.MiB, 0, false, 2, 0, 1, 4 * mi, "in-place"},
+		{"default", mi, 64 * units.MiB, 0, false, 1, 0, 0, 8 * mi, "in-place"},
+		{"default-1Ki", ki, 64 * units.MiB, 0, false, 1, 0, 0, 8 * ki, "in-place"},
+		{"MLM-sort", mi, 64 * units.MiB, mlmsort.MLMSort, false, 4, 8 * mi, 1, 8 * mi, "staged"},
+		{"MLM-sort-degraded", mi, 64 * units.MiB, mlmsort.MLMSort, true, 4, 8 * mi, 1, 8 * mi, "staged"},
+		{"default-over-budget", mi, 4 * units.MiB, 0, false, 2, 0, 1, 4 * mi, "in-place"},
 	}
 	rng := rand.New(rand.NewSource(23))
 	for _, sh := range shapes {
@@ -108,7 +112,7 @@ func TestPlanShapes(t *testing.T) {
 					cfg.Heap = memkind.NewHeap(units.KiB, units.GiB)
 				}
 				s := newTestScheduler(t, cfg)
-				input := k.input(rng)
+				n, input := sh.n, k.input(rng, sh.n)
 				j, err := s.Submit(JobSpec{Data: append([]int64(nil), input...), KeyType: k.kind, Algorithm: sh.alg})
 				if err != nil {
 					t.Fatalf("submit: %v", err)
@@ -126,7 +130,7 @@ func TestPlanShapes(t *testing.T) {
 				if in, out := meter.bytes.CopyInBytes(), meter.bytes.CopyOutBytes(); in != sh.copyBytes || out != sh.copyBytes {
 					t.Errorf("copy stages saw %d bytes in and %d out, want %d each way", in, out, sh.copyBytes)
 				}
-				if got := meter.bytes.ComputeBytes(); got != 16*n {
+				if got := meter.bytes.ComputeBytes(); got != int64(16*n) {
 					t.Errorf("compute stage charged %d bytes, want %d", got, 16*n)
 				}
 				if got := finalMerges(j); got != sh.merges {

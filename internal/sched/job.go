@@ -65,13 +65,12 @@ type JobSpec struct {
 	// zero is wire.KindInt64. The physical buffer is []int64 for every
 	// kind. Float64 keys arrive as raw IEEE-754 bit cells: admission maps
 	// them through psort's order-preserving bijection, the whole pipeline
-	// — batch, staged, spill — sorts them as plain int64, and the inverse
+	// — in memory or spilled — sorts them as plain int64, and the inverse
 	// is applied before any result leaves (completion for in-memory jobs,
 	// per batch for streamed spill merges), so results are again bit cells
 	// in float64 total order (NaN sign split, -0.0 < +0.0). Records are
 	// interleaved key/payload cell pairs (psort.KV layout): Data must have
-	// even length, and record jobs never batch and run only the MLM
-	// staged algorithms.
+	// even length, and record jobs run only the MLM algorithms.
 	KeyType wire.Kind
 	// Priority orders admission: higher runs sooner. Zero is the default
 	// class; negative deprioritizes. Values outside [-8, 8] are clamped
@@ -81,7 +80,7 @@ type JobSpec struct {
 	// that cannot start by it are rejected at submission (when the
 	// estimated queue wait already overshoots) or failed at dispatch.
 	Deadline time.Time
-	// Algorithm is the sort variant for non-batched jobs. The zero value
+	// Algorithm is the sort variant. The zero value
 	// leaves the choice to the scheduler: MLM-implicit (megachunks sorted
 	// in place, one megachunk when the job fits the budget) for in-memory
 	// jobs, MLM-sort (megachunks staged through triple buffers) for
@@ -135,11 +134,9 @@ type Job struct {
 	predRun time.Duration
 	predRaw time.Duration
 
-	// batchable jobs ride a shared pipeline pass; staged jobs get their
-	// own megachunked pipeline and a fair-share width control. megachunk
-	// and leaseNeed are the admission-time plan: the cut in cells and the
-	// MCDRAM lease dispatch takes for it.
-	batchable bool
+	// Every job gets its own megachunked pipeline and a fair-share width
+	// control. megachunk and leaseNeed are the admission-time plan: the
+	// cut in cells and the MCDRAM lease dispatch takes for it.
 	megachunk int
 	leaseNeed units.Bytes
 	widths    *mlmsort.WidthControl
@@ -445,8 +442,7 @@ func (j *Job) Spans() []telemetry.Span {
 // job).
 func (j *Job) Trace() *telemetry.JobTrace { return j.trace }
 
-// LeaseBytes reports the MCDRAM lease the job held (its own for staged
-// jobs, the enclosing batch's for batched jobs); 0 before dispatch.
+// LeaseBytes reports the MCDRAM lease the job held; 0 before dispatch.
 func (j *Job) LeaseBytes() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -80,9 +80,10 @@ func checkF64Sorted(t *testing.T, got, input []int64) {
 	}
 }
 
-// TestFloat64JobClasses runs a float64 job through each execution class
-// — batch (small), staged (forced megachunks), spill (DDR squeeze) —
-// and asserts the result is the bit-exact total order in every one.
+// TestFloat64JobClasses runs a float64 job through each shape a job takes
+// — small and in place ("batch", the label of the class it once was),
+// staged (MLM-sort by name), spill (DDR squeeze) — and asserts the result
+// is the bit-exact total order in every one.
 func TestFloat64JobClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 
@@ -184,8 +185,8 @@ func checkRecordsStable(t *testing.T, got, input []int64) {
 	}
 }
 
-// TestRecordJobClasses runs a record job through the staged and spill
-// classes (records are never batchable) and asserts stable key order
+// TestRecordJobClasses runs a record job through the in-memory and spill
+// classes, at both sizes and on both flows, and asserts stable key order
 // with payloads intact.
 func TestRecordJobClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -213,24 +214,35 @@ func TestRecordJobClasses(t *testing.T) {
 	})
 
 	t.Run("small-still-staged", func(t *testing.T) {
-		// Under the batch threshold, but records have no batch data flow:
-		// the job must take a staged pipeline, not panic in a batch pass.
+		// A small record job is planned like any other job: staged when it
+		// names MLM-sort, one megachunk in place when it names nothing.
 		s := newTestScheduler(t, testConfig())
-		input := recordCells(rng, 200)
-		j, err := s.Submit(JobSpec{
-			Data:      append([]int64(nil), input...),
-			KeyType:   wire.KindRecord,
-			Algorithm: mlmsort.MLMSort,
-		})
-		if err != nil {
-			t.Fatalf("submit: %v", err)
+		for _, tc := range []struct {
+			alg  mlmsort.Algorithm
+			plan string
+		}{
+			{mlmsort.MLMSort, "flow=staged megachunk=4096 megachunks=1 lease=131072"},
+			{0, "flow=in-place megachunk=400 megachunks=1 lease=4096"},
+		} {
+			input := recordCells(rng, 200)
+			j, err := s.Submit(JobSpec{
+				Data:      append([]int64(nil), input...),
+				KeyType:   wire.KindRecord,
+				Algorithm: tc.alg,
+			})
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			waitDone(t, j)
+			out, err := j.Result()
+			if err != nil {
+				t.Fatalf("result: %v", err)
+			}
+			checkRecordsStable(t, out, input)
+			if got := planEvents(j); len(got) != 1 || got[0] != tc.plan {
+				t.Errorf("plan events %q, want %q", got, tc.plan)
+			}
 		}
-		waitDone(t, j)
-		out, err := j.Result()
-		if err != nil {
-			t.Fatalf("result: %v", err)
-		}
-		checkRecordsStable(t, out, input)
 	})
 
 	t.Run("spill", func(t *testing.T) {

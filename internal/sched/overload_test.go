@@ -38,21 +38,21 @@ func slowModel(s *Scheduler) {
 // clamps at both extremes.
 func TestDriftEstimatorTracksAndClamps(t *testing.T) {
 	d := newDriftEstimator()
-	if f := d.factorFor(driftBatch); f != 1 {
+	if f := d.factorFor(driftStaged); f != 1 {
 		t.Fatalf("fresh factor = %v, want 1", f)
 	}
 	for i := 0; i < 50; i++ {
-		d.observe(driftBatch, 20*time.Millisecond, time.Millisecond)
+		d.observe(driftStaged, 20*time.Millisecond, time.Millisecond)
 	}
-	if f := d.factorFor(driftBatch); f < 15 || f > 21 {
+	if f := d.factorFor(driftStaged); f < 15 || f > 21 {
 		t.Fatalf("factor after 20x samples = %v, want near 20", f)
 	}
-	if f := d.factorFor(driftStaged); f != 1 {
-		t.Fatalf("staged factor moved with batch samples: %v", f)
+	if f := d.factorFor(driftSpill); f != 1 {
+		t.Fatalf("spill factor moved with staged samples: %v", f)
 	}
-	d.observe(driftStaged, 0, time.Millisecond)
-	d.observe(driftStaged, time.Millisecond, 0)
-	if f := d.factorFor(driftStaged); f != 1 {
+	d.observe(driftSpill, 0, time.Millisecond)
+	d.observe(driftSpill, time.Millisecond, 0)
+	if f := d.factorFor(driftSpill); f != 1 {
 		t.Fatalf("degenerate samples moved the factor: %v", f)
 	}
 	for i := 0; i < 100; i++ {
@@ -88,10 +88,7 @@ func TestDriftCorrectionScalesAdmissionEstimate(t *testing.T) {
 		t.Fatalf("predRaw = %v, want a positive model estimate", j1.predRaw)
 	}
 
-	class := driftStaged
-	if j1.batchable {
-		class = driftBatch
-	}
+	const class = driftStaged
 	for i := 0; i < 50; i++ {
 		s.observeDrift(class, 10*j1.predRaw, j1.predRaw)
 	}
@@ -324,26 +321,24 @@ func TestBrownoutLadder(t *testing.T) {
 		t.Fatalf("level ramped inside StepInterval: %v", b.Level())
 	}
 	b.eval(t0.Add(15*time.Millisecond), hot, false)
-	b.eval(t0.Add(30*time.Millisecond), hot, false)
 	if b.Level() != BrownoutCritical {
-		t.Fatalf("level = %v, want critical after three spaced raises", b.Level())
+		t.Fatalf("level = %v, want critical after two spaced raises", b.Level())
 	}
-	b.eval(t0.Add(45*time.Millisecond), hot, false)
+	b.eval(t0.Add(30*time.Millisecond), hot, false)
 	if b.Level() != BrownoutCritical {
 		t.Fatalf("level past critical: %v", b.Level())
 	}
 
 	// Lowering waits out CalmInterval from the last hot signal.
-	b.eval(t0.Add(60*time.Millisecond), 0, true)
+	b.eval(t0.Add(45*time.Millisecond), 0, true)
 	if b.Level() != BrownoutCritical {
 		t.Fatalf("lowered before CalmInterval: %v", b.Level())
 	}
-	b.eval(t0.Add(100*time.Millisecond), 0, true)
-	if b.Level() != BrownoutShrinkBatch {
-		t.Fatalf("level = %v, want shrink-batch after calm", b.Level())
+	b.eval(t0.Add(85*time.Millisecond), 0, true)
+	if b.Level() != BrownoutShedSpill {
+		t.Fatalf("level = %v, want shed-spill after calm", b.Level())
 	}
-	b.eval(t0.Add(115*time.Millisecond), 0, true)
-	b.eval(t0.Add(130*time.Millisecond), 0, true)
+	b.eval(t0.Add(100*time.Millisecond), 0, true)
 	if b.Level() != BrownoutNormal {
 		t.Fatalf("level = %v, want normal after full calm descent", b.Level())
 	}
@@ -444,47 +439,6 @@ func TestBrownoutGatesAdmissionAndShedsQueue(t *testing.T) {
 	waitDone(t, crit)
 	mustSorted(t, blocker)
 	mustSorted(t, crit)
-}
-
-// TestBrownoutShrinksBatches checks the shrink-batch level: small-job
-// batches are capped at a quarter of batchMaxJobs, so 8 batchable jobs
-// need at least 4 passes instead of 1.
-func TestBrownoutShrinksBatches(t *testing.T) {
-	g := newGate()
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.Brownout = pinnedBrownout()
-	cfg.Wrap = g.wrap()
-	s := newTestScheduler(t, cfg)
-	defer g.open()
-
-	blocker, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 40000, 1)})
-	if err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
-	eventually(t, "blocker running", func() bool { return blocker.State() == Running })
-
-	var js []*Job
-	for i := 0; i < 8; i++ {
-		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 500+i*13, int64(i+2))})
-		if err != nil {
-			t.Fatalf("small %d: %v", i, err)
-		}
-		if !j.batchable {
-			t.Fatalf("job %d not batchable", i)
-		}
-		js = append(js, j)
-	}
-	s.brown.level.Store(int32(BrownoutShrinkBatch))
-	g.open()
-	for _, j := range js {
-		waitDone(t, j)
-		mustSorted(t, j)
-	}
-	waitDone(t, blocker)
-	if got := s.Snapshot().Batches; got < 4 {
-		t.Fatalf("8 batchable jobs ran in %d passes; shrink-batch caps passes at 2 jobs each, want >= 4", got)
-	}
 }
 
 // TestLowPriorityNeverSilentlyStarved is the EDF-aging liveness

@@ -12,11 +12,10 @@
 //     past a bounded queue fails fast with a typed retryable error carrying
 //     a Retry-After hint; queued jobs run earliest-virtual-deadline-first,
 //     with priority folded into the deadline so no class starves.
-//   - Batching and fair-share provisioning. Jobs too small to deserve
-//     their own staged pipeline ride together as chunks of one pipeline
-//     pass; large jobs get staged pipelines whose copy/compute widths are
-//     re-solved from Equations 1-5 each time the set of concurrent jobs
-//     changes, using per-thread rates measured by the autotuner.
+//   - Fair-share provisioning. Every job runs a pipeline of its own,
+//     whose copy/compute widths are re-solved from Equations 1-5 each
+//     time the set of concurrent jobs changes, using per-thread rates
+//     measured by the autotuner.
 //   - A disk spill class for jobs past the DDR working-set budget. Where
 //     the two-level service would hard-reject them, a configured disk
 //     budget admits them into a three-level pipeline: phase 1 spills
@@ -54,22 +53,17 @@ type Config struct {
 	// MCDRAMBudget is the total staging capacity jobs lease from — the
 	// service analog of the paper's 16 GB scratchpad partition.
 	MCDRAMBudget units.Bytes
-	// Workers bounds concurrently running pipelines (staged jobs and
-	// batches each occupy one slot). Zero selects 2.
+	// Workers bounds concurrently running pipelines, one per job. Zero
+	// selects 2.
 	Workers int
 	// QueueLimit bounds admitted-but-not-running jobs; submissions past
 	// it are rejected with OverloadError{Reason: "queue-full"}. Zero
 	// selects 64.
 	QueueLimit int
-	// TotalThreads is the thread budget fair-shared across running staged
-	// jobs. Zero selects GOMAXPROCS (floor 3: the model needs all three
+	// TotalThreads is the thread budget fair-shared across running jobs.
+	// Zero selects GOMAXPROCS (floor 3: the model needs all three
 	// pools populated).
 	TotalThreads int
-	// BatchMaxElems is the batchable-job threshold: jobs of at most this
-	// many elements share one pipeline pass instead of running their own
-	// megachunked pipeline. Zero selects a budget-derived power of two
-	// (1/4 of the largest admissible megachunk, capped at 64 Ki).
-	BatchMaxElems int
 	// AgingSlack is the base virtual-deadline slack (see virtualDeadline):
 	// smaller means priorities decay faster into plain FIFO. Zero selects
 	// 2 s.
@@ -81,7 +75,7 @@ type Config struct {
 	// thresholds.
 	Brownout BrownoutConfig
 
-	// DDRBudget caps the DDR working set of an in-memory staged job: its
+	// DDRBudget caps the DDR working set of an in-memory job: its
 	// input plus the materialized final merge, 2x the data bytes. Jobs
 	// over it are admitted into the spill class — sorted megachunk runs
 	// go to disk and the final merge streams — when DiskBudget is set,
@@ -118,14 +112,14 @@ type Config struct {
 	// Resilience, when non-nil, receives retry/degradation/outcome
 	// counters from job pipelines.
 	Resilience *telemetry.Resilience
-	// Staging and Policy are the fault plug of every job pipeline, staged
-	// or batched, handed to mlmsort whole: the simulated two-level heap
-	// (and injected allocation faults) megachunk residency is placed on,
-	// and the retry budget, chunk deadline and stage-set wrap.
+	// Staging and Policy are the fault plug of every job pipeline, handed
+	// to mlmsort whole: the simulated two-level heap (and injected
+	// allocation faults) megachunk residency is placed on, and the retry
+	// budget, chunk deadline and stage-set wrap.
 	memkind.Staging
 	exec.Policy
-	// Autotune enables per-job rate measurement on staged jobs; measured
-	// rates feed back into the fair-share solver.
+	// Autotune enables per-job rate measurement on jobs that stage their
+	// megachunks; measured rates feed back into the fair-share solver.
 	Autotune bool
 	// FlightRecorderCap bounds the always-on ring of recent job traces
 	// (admission order, oldest evicted first). Zero selects
@@ -153,24 +147,9 @@ func (c Config) norm() (Config, error) {
 	if c.TotalThreads < 3 {
 		c.TotalThreads = 3
 	}
-	maxMc := tune.Staged.MaxMegachunk(c.MCDRAMBudget)
-	if maxMc < 2 {
+	if tune.Staged.MaxMegachunk(c.MCDRAMBudget) < 2 {
 		return c, fmt.Errorf("sched: MCDRAMBudget %v cannot stage even one 2-element megachunk under %d buffers",
 			c.MCDRAMBudget, tune.StagingBuffers)
-	}
-	if c.BatchMaxElems <= 0 {
-		c.BatchMaxElems = maxMc / 4
-		if c.BatchMaxElems > 64*1024 {
-			c.BatchMaxElems = 64 * 1024
-		}
-		if c.BatchMaxElems < 2 {
-			c.BatchMaxElems = 2
-		}
-	}
-	batchLease := tune.Staged.Footprint(c.BatchMaxElems)
-	if batchLease > c.MCDRAMBudget {
-		return c, fmt.Errorf("sched: BatchMaxElems %d needs a %v batch lease, budget is %v",
-			c.BatchMaxElems, batchLease, c.MCDRAMBudget)
 	}
 	if c.AgingSlack <= 0 {
 		c.AgingSlack = 2 * time.Second
@@ -183,9 +162,6 @@ func (c Config) norm() (Config, error) {
 	}
 	return c, nil
 }
-
-// batchMaxJobs bounds the riders of one batch pass.
-const batchMaxJobs = 8
 
 // Scheduler is the service core: admission control, queueing, dispatch,
 // and fair-share provisioning over one MCDRAM budget.
@@ -216,16 +192,16 @@ type Scheduler struct {
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	mu            sync.Mutex
-	queue         jobQueue
-	running       map[*Job]struct{}
-	pipelines     int
-	runningStaged int
-	jobs          map[string]*Job
-	retired       []string
-	seq           int64
-	draining      bool
-	closed        bool
+	mu    sync.Mutex
+	queue jobQueue
+	// running is the set of dispatched jobs, one pipeline and one worker
+	// slot each: its size is what Workers bounds and the fair share divides.
+	running  map[*Job]struct{}
+	jobs     map[string]*Job
+	retired  []string
+	seq      int64
+	draining bool
+	closed   bool
 	// queuedWork is the running sum of queued jobs' model-predicted
 	// service times (predRun), maintained on every push/pop/remove so
 	// admission can price the backlog in O(1).
@@ -251,7 +227,6 @@ type Scheduler struct {
 	logger *slog.Logger
 
 	submitted int64
-	batches   int64
 }
 
 // New builds and starts a Scheduler; callers must Close it.
@@ -368,16 +343,14 @@ func (s *Scheduler) SpillRecovery() spill.OrphanReport { return s.recovery }
 func (s *Scheduler) Rates() model.Params { return s.rates.params() }
 
 // TotalThreads reports the thread budget fair-shared across running
-// staged jobs — the pool size Rates() should be solved against.
+// jobs — the pool size Rates() should be solved against.
 func (s *Scheduler) TotalThreads() int { return s.cfg.TotalThreads }
 
 // plan is the admission-time sizing decision for one job: its class, how
 // it is cut, and what it leases. Nothing downstream re-derives any of it.
 type plan struct {
-	batchable bool
-	// flow is the data flow the job's algorithm runs (batch passes stage
-	// their riders); megachunk the cut, in cells; lease the flow's
-	// near-memory footprint at that cut.
+	// flow is the data flow the job's algorithm runs; megachunk the cut, in
+	// cells; lease the flow's near-memory footprint at that cut.
 	flow      tune.Flow
 	megachunk int
 	lease     units.Bytes
@@ -396,21 +369,14 @@ func (s *Scheduler) spills(n int) bool {
 	return s.cfg.DDRBudget > 0 && units.Bytes(int64(n)*16) > s.cfg.DDRBudget
 }
 
-// planFor sizes a job whose algorithm submit has resolved. Batchable jobs
-// ride the shared pass under one worst-case lease. Every other job gets its
-// own pipeline, cut by tune.Megachunk for the flow its algorithm runs
-// (unless the caller fixed the cut) and leasing that flow's footprint:
-// three staging buffers and the sort scratch when megachunks are staged,
-// the scratch alone when they are sorted where they lie.
+// planFor sizes a job whose algorithm submit has resolved. Every job, of
+// any size and key type, gets its own pipeline, cut by tune.Megachunk for
+// the flow its algorithm runs (unless the caller fixed the cut) and leasing
+// that flow's footprint: three staging buffers and the sort scratch when
+// megachunks are staged, the scratch alone when they are sorted where they
+// lie.
 func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 	n := len(spec.Data)
-	// Record jobs never batch: the shared pass sorts bare cells with the
-	// adaptive kernel, which would interleave keys and payloads. They get
-	// a pipeline of their own (whose megachunk alignment mlmsort enforces)
-	// at any size instead.
-	if spec.MegachunkLen <= 0 && n <= s.cfg.BatchMaxElems && spec.KeyType != wire.KindRecord {
-		return plan{batchable: true, flow: tune.Staged, lease: tune.Staged.Footprint(s.cfg.BatchMaxElems)}, nil
-	}
 	p := plan{flow: tune.InPlace, megachunk: spec.MegachunkLen, spill: s.spills(n)}
 	switch {
 	case p.spill:
@@ -423,7 +389,8 @@ func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 		if spec.KeyType == wire.KindRecord {
 			width = 2 // key and payload cells
 		}
-		p.megachunk = tune.Megachunk(n, width, s.cfg.MCDRAMBudget, p.flow)
+		// An empty job is cut as one element, so the plan still divides.
+		p.megachunk = max(tune.Megachunk(n, width, s.cfg.MCDRAMBudget, p.flow), width)
 	}
 	p.lease = p.flow.Footprint(p.megachunk)
 	if p.lease > s.cfg.MCDRAMBudget {
@@ -583,7 +550,6 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 		done:      make(chan struct{}),
 		enqueued:  now,
 		heapIdx:   -1,
-		batchable: p.batchable,
 		megachunk: p.megachunk,
 		leaseNeed: p.lease,
 		spill:     p.spill,
@@ -599,12 +565,8 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 	if p.spill {
 		tr.MarkSpilled()
 	}
-	if p.batchable {
-		tr.Event("batch-class")
-	} else {
-		tr.EventDetail("plan", fmt.Sprintf("flow=%v megachunk=%d megachunks=%d lease=%d",
-			p.flow, p.megachunk, (j.n+p.megachunk-1)/p.megachunk, int64(p.lease)))
-	}
+	tr.EventDetail("plan", fmt.Sprintf("flow=%v megachunk=%d megachunks=%d lease=%d",
+		p.flow, p.megachunk, (j.n+p.megachunk-1)/p.megachunk, int64(p.lease)))
 	admitted = true
 	s.flight.Add(tr)
 	s.jobs[j.id] = j
@@ -688,7 +650,7 @@ func (s *Scheduler) observeDrift(class int, measured, predictedRaw time.Duration
 // pipelines in parallel. With a free worker and an empty queue the
 // predicted wait is zero regardless of rate quality.
 func (s *Scheduler) predictedStartDelayLocked(now time.Time) time.Duration {
-	if s.pipelines < s.cfg.Workers && len(s.queue) == 0 {
+	if len(s.running) < s.cfg.Workers && len(s.queue) == 0 {
 		return 0
 	}
 	backlog := s.queuedWork
@@ -742,7 +704,6 @@ func (s *Scheduler) Lookup(id string) (*Job, bool) {
 type Stats struct {
 	Queued, Running int
 	Submitted       int64
-	Batches         int64
 	LeasedBytes     units.Bytes
 	HighWaterBytes  units.Bytes
 	BudgetBytes     units.Bytes
@@ -766,7 +727,6 @@ func (s *Scheduler) Snapshot() Stats {
 		Queued:         len(s.queue),
 		Running:        len(s.running),
 		Submitted:      s.submitted,
-		Batches:        s.batches,
 		LeasedBytes:    s.budget.Leased(),
 		HighWaterBytes: s.budget.HighWater(),
 		BudgetBytes:    s.budget.Capacity(),
@@ -874,30 +834,11 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		s.shedLocked(head, ShedDeadlineExpired, 0)
 		return true
 	}
-	if s.pipelines >= s.cfg.Workers {
+	if len(s.running) >= s.cfg.Workers {
 		// Head-of-line blockage starts the lease phase: the job is next in
 		// line but cannot dispatch yet (first blockage wins the stamp).
 		head.trace.MarkHeadBlocked()
 		return false
-	}
-	if head.batchable {
-		// One fixed worst-case lease per pass: sized to the largest batchable job.
-		lease, ok := s.budget.TryLease(head.leaseNeed)
-		if !ok {
-			head.trace.MarkHeadBlocked()
-			return false
-		}
-		batch := s.gatherBatchLocked()
-		for _, j := range batch {
-			s.startLocked(j, lease)
-		}
-		s.pipelines++
-		s.batches++
-		s.metrics.batches.Add(1)
-		s.metrics.batchedJobs.Add(int64(len(batch)))
-		s.wg.Add(1)
-		go s.runBatch(batch, lease)
-		return true
 	}
 	lease, ok := s.budget.TryLease(head.leaseNeed)
 	if !ok {
@@ -928,40 +869,10 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		j.mu.Unlock()
 		s.metrics.diskLeased.Set(float64(s.disk.Leased()))
 	}
-	s.pipelines++
-	s.runningStaged++
 	s.refairLocked()
 	s.wg.Add(1)
-	go s.runStaged(j, lease)
+	go s.run(j, lease)
 	return true
-}
-
-// gatherBatchLocked pops the head plus any immediately-following batchable
-// jobs, preserving EDF order (it stops at the first non-batchable head
-// rather than searching past it).
-func (s *Scheduler) gatherBatchLocked() []*Job {
-	maxJobs := batchMaxJobs
-	if s.brown.Level() >= BrownoutShrinkBatch {
-		// Brownout: shrink batches to a quarter of their size. Each pass
-		// holds its lease for less time and a slow or faulted pass delays
-		// fewer co-riding jobs — tail latency bought with peak throughput,
-		// which is the brownout trade.
-		maxJobs = batchMaxJobs / 4
-	}
-	batch := []*Job{s.popQueuedLocked()}
-	for len(batch) < maxJobs {
-		next := s.queue.peek()
-		if next == nil || !next.batchable {
-			break
-		}
-		s.popQueuedLocked()
-		if next.canceled.Load() {
-			s.finishLocked(next, Canceled, ErrCanceled)
-			continue
-		}
-		batch = append(batch, next)
-	}
-	return batch
 }
 
 // startLocked transitions a popped job to Running under the scheduler lock.
@@ -973,12 +884,7 @@ func (s *Scheduler) startLocked(j *Job, lease *Lease) {
 	j.mu.Unlock()
 	j.state.Store(int32(Running))
 	j.trace.MarkStarted()
-	if !j.batchable {
-		j.runCtx, j.cancel = context.WithCancel(s.rootCtx)
-	}
-	// Batched jobs keep nil runCtx/cancel: one job cannot cancel the
-	// shared pipeline; the pass observes the rider's flag when its chunk
-	// drains.
+	j.runCtx, j.cancel = context.WithCancel(s.rootCtx)
 	s.running[j] = struct{}{}
 	s.metrics.queueDepth.Set(float64(len(s.queue)))
 	s.metrics.running.Set(float64(len(s.running)))
@@ -1088,7 +994,7 @@ func (s *Scheduler) shedQueuedLocked(now time.Time) {
 	// no estimate (predRun zero) contribute a zero remainder, disabling
 	// the infeasibility test rather than fabricating one.
 	var minRem time.Duration
-	allBusy := s.pipelines >= s.cfg.Workers
+	allBusy := len(s.running) >= s.cfg.Workers
 	if allBusy {
 		first := true
 		for j := range s.running {
@@ -1147,13 +1053,13 @@ func (s *Scheduler) evalBrownoutLocked(now time.Time) {
 }
 
 // refairLocked re-solves Equations 1-5 for the current concurrency level
-// and pushes the per-job thread split into every running staged job's
-// width control. Called whenever the staged active set changes.
+// and pushes the per-job thread split into every running job's width
+// control. Called whenever the running set changes.
 func (s *Scheduler) refairLocked() {
-	if s.runningStaged == 0 {
+	if len(s.running) == 0 {
 		return
 	}
-	per := s.cfg.TotalThreads / s.runningStaged
+	per := s.cfg.TotalThreads / len(s.running)
 	if per < 3 {
 		per = 3
 	}
@@ -1163,20 +1069,21 @@ func (s *Scheduler) refairLocked() {
 	}
 	pools := s.rates.params().Optimal(per, maxIn, 1).Pools
 	for j := range s.running {
-		if j.widths != nil {
-			j.widths.SetPools(pools)
-		}
+		j.widths.SetPools(pools)
 	}
 	s.metrics.fairShare.Set(float64(per))
 }
 
-// predictRun stores the Eq. 1-5 completion estimate for a staged job at
-// its dispatch-time thread share — the blended measured rates solved with
-// the job's own byte volume. A trace's drift ratio is its measured run
+// predictRun stores the Eq. 1-5 completion estimate for a job at its
+// dispatch-time thread share — the blended measured rates solved with the
+// job's own byte volume. A trace's drift ratio is its measured run
 // phase over this estimate, so systematic drift under load is the model
 // telling us a resource it doesn't see (queueing inside a tier, disk
 // contention) has become binding.
 func (s *Scheduler) predictRun(j *Job, per int) {
+	if j.n == 0 {
+		return // the model takes no empty transfer, and there is no run to predict
+	}
 	params := s.rates.params()
 	params.BCopy = units.Bytes(int64(j.n) * 8)
 	maxIn := per / 2
@@ -1189,17 +1096,20 @@ func (s *Scheduler) predictRun(j *Job, per int) {
 	}
 }
 
-// runStaged executes one large job on its own megachunked pipeline. An
-// in-memory job sorts spec.Data in place. A spill-class job runs the
-// same phase 1, but each sorted megachunk is written to a run file in a
-// per-job store instead of merging in DDR. The MCDRAM lease is released
-// the moment the pipeline finishes — spilling exists precisely so the
-// deferred merge holds no staging capacity — while a spill job's disk
-// lease and run files are held until the result is streamed
-// (Job.StreamResult on the consumer's goroutine), the retention window
-// evicts the job, or the scheduler closes.
-func (s *Scheduler) runStaged(j *Job, lease *Lease) {
+// run executes one job, of any size, on its own megachunked pipeline: the
+// one place the scheduler starts one. An in-memory job sorts spec.Data in
+// place. A spill-class job runs the same phase 1, but each sorted
+// megachunk is written to a run file in a per-job store instead of merging
+// in DDR. The MCDRAM lease is released the moment the pipeline finishes —
+// spilling exists precisely so the deferred merge holds no staging
+// capacity — while a spill job's disk lease and run files are held until
+// the result is streamed (Job.StreamResult on the consumer's goroutine),
+// the retention window evicts the job, or the scheduler closes.
+func (s *Scheduler) run(j *Job, lease *Lease) {
 	defer s.wg.Done()
+	// The run context is registered under rootCtx until it is cancelled:
+	// a job that ends on its own must still let go of it.
+	defer j.cancel()
 	per := s.fairShareThreads()
 	s.predictRun(j, per)
 	opts := mlmsort.ExternalOptions{RealOptions: s.real}
@@ -1267,8 +1177,6 @@ func (s *Scheduler) runStaged(j *Job, lease *Lease) {
 		j.releaseSpill()
 	}
 	s.mu.Lock()
-	s.pipelines--
-	s.runningStaged--
 	s.finishLocked(j, st, err)
 	s.refairLocked()
 	s.metrics.leased.Set(float64(s.budget.Leased()))
@@ -1284,134 +1192,21 @@ func (s *Scheduler) foldSpillStats(st spill.Stats) {
 	s.metrics.spillBytesRead.Add(st.BytesRead)
 }
 
-// fairShareThreads reports the per-job thread share at current staged
-// concurrency.
+// fairShareThreads reports the per-job thread share at current
+// concurrency, for a job that is itself running.
 func (s *Scheduler) fairShareThreads() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := s.runningStaged
-	if k < 1 {
-		k = 1
-	}
-	per := s.cfg.TotalThreads / k
+	per := s.cfg.TotalThreads / len(s.running)
 	if per < 3 {
 		per = 3
 	}
 	return per
 }
 
-// runBatch executes a set of small jobs as one pass of phase 1, the same
-// mlmsort.SortHomes every staged and spilled job runs: rider i is
-// megachunk i, its home the rider's own buffer, staged through MCDRAM,
-// sorted and drained at width one, and its copy-out completes the rider —
-// so batched jobs finish one by one as the pipeline streams, not all at
-// the end. What is written here is only what the scheduler alone knows:
-// who rides, who cancelled, and whose spans are whose.
-func (s *Scheduler) runBatch(batch []*Job, lease *Lease) {
-	defer s.wg.Done()
-	homes := make([][]int64, len(batch))
-	for i, j := range batch {
-		homes[i] = j.spec.Data
-	}
-	opts := s.real
-	// Chunk i of the batch pass IS job i, so the observer can attribute
-	// each span to its owning job's trace recorder — per-job attribution
-	// even though one pipeline sorts the whole batch.
-	opts.Observer = batchObserver(batch)
-	passStart := time.Now()
-	_, err := mlmsort.SortHomes(s.rootCtx, mlmsort.MLMSort, homes, 1, opts, func(i int, sorted []int64) error {
-		j := batch[i]
-		if !j.canceled.Load() {
-			copy(j.spec.Data, sorted)
-			if j.spec.KeyType == wire.KindFloat64 {
-				// Batched float64 riders invert the ingress bijection
-				// the moment their sorted cells land back.
-				psort.Float64BitsFromSortable(j.spec.Data)
-			}
-		}
-		s.completeBatched(j)
-		return nil
-	})
-	if err == nil {
-		// One pass served the whole batch; each rider's share of the pass
-		// is its effective service time — summed over the batch that keeps
-		// the backlog price equal to the real drain cost of the pass.
-		share := time.Since(passStart) / time.Duration(len(batch))
-		for _, j := range batch {
-			s.observeDrift(driftBatch, share, j.predRaw)
-		}
-	}
-	lease.Release()
-	if s.cfg.Resilience != nil {
-		s.cfg.Resilience.RecordOutcome(err)
-	}
-
-	s.mu.Lock()
-	s.pipelines--
-	for _, j := range batch {
-		if State(j.state.Load()).Terminal() {
-			continue
-		}
-		// Chunks past the failure point never reached copy-out.
-		st, jerr := Failed, err
-		if err == nil {
-			st, jerr = Done, nil
-		}
-		if j.canceled.Load() {
-			st, jerr = Canceled, ErrCanceled
-		} else if err != nil && s.rootCtx.Err() != nil {
-			jerr = ErrClosed
-		}
-		s.finishLocked(j, st, jerr)
-	}
-	s.metrics.leased.Set(float64(s.budget.Leased()))
-	s.kickLocked()
-	s.mu.Unlock()
-
-	// Jobs that completed as their chunk drained went terminal inside the
-	// copy-out stage, before exec emitted that chunk's copy-out span —
-	// their fold at finish missed it. Now that the pass is over every
-	// span has landed: re-fold (idempotent) and feed the late copy-out
-	// delta to the phase histogram ObserveTrace skipped as zero.
-	for _, j := range batch {
-		pre := j.trace.PhaseDuration(telemetry.PhaseCopyOut)
-		j.trace.FoldSpans()
-		if d := j.trace.PhaseDuration(telemetry.PhaseCopyOut) - pre; d > 0 {
-			s.phases.ObservePhase(telemetry.PhaseCopyOut, d)
-		}
-	}
-}
-
-// batchObserver routes each batch-pipeline stage event to the owning
-// job's trace recorder: the pass's chunk index is the job's index in the
-// batch slice.
-type batchObserver []*Job
-
-// StageEvent implements exec.Observer.
-func (b batchObserver) StageEvent(e exec.StageEvent) {
-	if e.Chunk < 0 || e.Chunk >= len(b) {
-		return
-	}
-	if rec := b[e.Chunk].recorder; rec != nil {
-		rec.StageEvent(e)
-	}
-}
-
-// completeBatched resolves one batched job as its chunk drains.
-func (s *Scheduler) completeBatched(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.canceled.Load() {
-		s.finishLocked(j, Canceled, ErrCanceled)
-		return
-	}
-	s.finishLocked(j, Done, nil)
-}
-
 // cancelJob implements Job.Cancel: a queued job resolves immediately
-// (it holds no lease, so there is nothing to leak); a running staged job
-// has its context canceled and unwinds through the pipeline; a running
-// batched job is flagged and its chunk drains without writing it back.
+// (it holds no lease, so there is nothing to leak); a running job has its
+// context canceled and unwinds through the pipeline.
 func (s *Scheduler) cancelJob(j *Job) {
 	s.mu.Lock()
 	if State(j.state.Load()).Terminal() {
@@ -1424,11 +1219,8 @@ func (s *Scheduler) cancelJob(j *Job) {
 		s.mu.Unlock()
 		return
 	}
-	cancel := j.cancel
 	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	j.cancel()
 }
 
 // Drain stops admitting (submissions get OverloadError{Reason:"draining"})
@@ -1528,23 +1320,22 @@ func (r *rateEstimator) params() model.Params {
 // Job classes for drift tracking: each class runs a different pipeline
 // shape, so the model misses each by a different factor.
 const (
-	driftBatch = iota
-	driftStaged
+	driftStaged = iota
 	driftSpill
 	driftClasses
 )
 
 // driftClassNames are the class label values of sched_model_drift.
-var driftClassNames = [driftClasses]string{"batch", "staged", "spill"}
+var driftClassNames = [driftClasses]string{"staged", "spill"}
 
 // driftEstimator tracks, per job class, how far the Eq. 1-5 service
 // estimate misses reality on this machine: an EWMA of the
 // measured/predicted run-time ratio, seeded at 1. The admission
 // estimator multiplies its raw model estimate by the class factor, so
 // backlog pricing and predicted-late rejections track the machine even
-// for classes the autotuner never probes (batch passes make no autotune
-// decisions at all). Factors are clamped so one pathological sample
-// cannot collapse or explode admission.
+// for jobs the autotuner never probes (one sorted in place makes no
+// autotune decision at all). Factors are clamped so one pathological
+// sample cannot collapse or explode admission.
 type driftEstimator struct {
 	mu     sync.Mutex
 	factor [driftClasses]float64
@@ -1593,14 +1384,10 @@ func (d *driftEstimator) factorFor(class int) float64 {
 
 // driftClass maps an admission plan to its drift class.
 func driftClass(p plan) int {
-	switch {
-	case p.spill:
+	if p.spill {
 		return driftSpill
-	case p.batchable:
-		return driftBatch
-	default:
-		return driftStaged
 	}
+	return driftStaged
 }
 
 // schedMetrics is the sched_* metric family set. With a nil registry a
@@ -1615,8 +1402,6 @@ type schedMetrics struct {
 	shedByWhy   map[string]*telemetry.Counter
 	done        map[State]*telemetry.Counter
 	drift       map[string]*telemetry.Gauge
-	batches     *telemetry.Counter
-	batchedJobs *telemetry.Counter
 	latency     *telemetry.Histogram
 	queueWait   *telemetry.Histogram
 
@@ -1641,13 +1426,11 @@ func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
 		leased:      reg.Gauge("sched_mcdram_leased_bytes", "MCDRAM bytes currently out on lease to running jobs.", nil),
 		queueDepth:  reg.Gauge("sched_queue_depth", "Admitted jobs waiting for dispatch.", nil),
 		running:     reg.Gauge("sched_jobs_running", "Jobs currently running.", nil),
-		fairShare:   reg.Gauge("sched_fair_share_threads", "Per-job thread share at current staged concurrency.", nil),
+		fairShare:   reg.Gauge("sched_fair_share_threads", "Per-job thread share at current concurrency.", nil),
 		rejected:    make(map[string]*telemetry.Counter),
 		shedByWhy:   make(map[string]*telemetry.Counter),
 		done:        make(map[State]*telemetry.Counter),
 		drift:       make(map[string]*telemetry.Gauge),
-		batches:     reg.Counter("sched_batches_total", "Batch pipeline passes launched.", nil),
-		batchedJobs: reg.Counter("sched_batched_jobs_total", "Jobs that rode a shared batch pass.", nil),
 		latency: reg.Histogram("sched_job_latency_seconds", "Submit-to-terminal job latency.",
 			nil, telemetry.DefLatencyBuckets()),
 		queueWait: reg.Histogram("sched_queue_wait_seconds", "Submit-to-dispatch queue wait.",

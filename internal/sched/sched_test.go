@@ -110,8 +110,7 @@ func TestConcurrentJobsRespectBudget(t *testing.T) {
 
 	var js []*Job
 	for i := 0; i < jobs; i++ {
-		// 40000 elements: above the batchable threshold, so each job gets
-		// its own staged pipeline and its own lease.
+		// Each job gets its own pipeline and its own lease.
 		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 40000, int64(i+1))})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -163,30 +162,36 @@ func TestConcurrentJobsRespectBudget(t *testing.T) {
 	}
 }
 
+// TestBatchingSortsSmallJobs: a small job is an in-memory job like any
+// other. Each of twenty plans for itself (one megachunk sorted where it
+// lies, leasing that megachunk's scratch and no more), and the ledger and
+// the pool are back where they started once all have sorted.
 func TestBatchingSortsSmallJobs(t *testing.T) {
-	cfg := testConfig()
-	s := newTestScheduler(t, cfg)
+	s := newTestScheduler(t, testConfig())
 	var js []*Job
 	for i := 0; i < 20; i++ {
 		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 500+i*37, int64(i))})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if !j.batchable {
-			t.Fatalf("job %d (n=%d) should be batchable under threshold %d", i, j.N(), cfg.BatchMaxElems)
-		}
 		js = append(js, j)
 	}
 	for _, j := range js {
 		waitDone(t, j)
 		mustSorted(t, j)
+		lease := tune.InPlace.Footprint(j.N())
+		want := fmt.Sprintf("flow=in-place megachunk=%d megachunks=1 lease=%d", j.N(), int64(lease))
+		if got := planEvents(j); len(got) != 1 || got[0] != want {
+			t.Errorf("job %s (n=%d): plan events %q, want %q", j.ID(), j.N(), got, want)
+		}
+		if got := j.LeaseBytes(); got != int64(lease) {
+			t.Errorf("job %s (n=%d): leased %d bytes, want %v", j.ID(), j.N(), got, lease)
+		}
 	}
-	if s.Snapshot().Batches == 0 {
-		t.Fatal("no batch passes launched for 20 small jobs")
+	eventually(t, "leases released", func() bool { return s.Budget().Leased() == 0 })
+	if fp, free := s.pool.FootprintBytes(), s.pool.FreeBytes(); fp != free {
+		t.Fatalf("pool footprint %d after the jobs, freelists hold %d", fp, free)
 	}
-	// Batched jobs complete as their chunks drain, slightly before the
-	// batch pipeline itself unwinds and releases its lease.
-	eventually(t, "batch leases released", func() bool { return s.Budget().Leased() == 0 })
 }
 
 func TestSubmitQueueFullTypedOverload(t *testing.T) {
@@ -358,6 +363,59 @@ func TestCancelRunningReleasesLease(t *testing.T) {
 		t.Fatalf("Result err = %v, want ErrCanceled", err)
 	}
 	eventually(t, "lease released", func() bool { return s.Budget().Leased() == 0 })
+}
+
+// TestRunContextReleasedAtTerminal: a dispatched job's run context hangs
+// off the scheduler's root context, which keeps every child it has not seen
+// cancelled until Close. However the job ends (sorted, failed, cancelled
+// mid-run), its context is cancelled by the time a waiter can look, so a
+// long-lived scheduler holds none of a finished job's.
+func TestRunContextReleasedAtTerminal(t *testing.T) {
+	var failing atomic.Bool
+	g := newGate()
+	g.open()
+	var cur atomic.Pointer[gate]
+	cur.Store(g)
+	cfg := testConfig()
+	cfg.Wrap = func(st exec.Stages) exec.Stages {
+		if failing.Load() {
+			st.Compute = func(int, []int64) error { return errors.New("boom") }
+			return st
+		}
+		return cur.Load().wrap()(st)
+	}
+	s := newTestScheduler(t, cfg)
+	released := func(j *Job, want State) {
+		t.Helper()
+		waitDone(t, j)
+		if j.State() != want {
+			t.Fatalf("job %s (n=%d): state %v (%v), want %v", j.ID(), j.N(), j.State(), j.Err(), want)
+		}
+		// Wait returns from inside the run; its deferred cancel follows.
+		eventually(t, "run context of "+j.ID()+" cancelled", func() bool { return j.runCtx.Err() != nil })
+	}
+	submit := func(n int) *Job {
+		t.Helper()
+		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, n, int64(n))})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		return j
+	}
+	for _, n := range []int{0, 500, 40000} {
+		released(submit(n), Done)
+	}
+	failing.Store(true)
+	released(submit(500), Failed)
+	failing.Store(false)
+
+	held := newGate()
+	cur.Store(held)
+	j := submit(40000)
+	eventually(t, "running", func() bool { return j.State() == Running })
+	j.Cancel()
+	held.open()
+	released(j, Canceled)
 }
 
 func TestPriorityAgingNoStarvation(t *testing.T) {
@@ -607,10 +665,10 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestBatchScratchNotPooledAfterAbandonedCompute guards the multi-tenant
-// memory-safety invariant: when a chunk timeout abandons a batch compute
-// attempt, the goroutine may still be writing the shared sort scratch, so
-// the scratch must be written off (leaked), never returned to the budgeted
-// pool where another tenant's pipeline would receive it live.
+// memory-safety invariant for a small job: when a chunk timeout abandons
+// its compute attempt, the goroutine may still be writing the sort scratch,
+// so the scratch must be written off (leaked), never returned to the
+// budgeted pool where another tenant's pipeline would receive it live.
 func TestBatchScratchNotPooledAfterAbandonedCompute(t *testing.T) {
 	g := newGate()
 	cfg := testConfig()
@@ -622,22 +680,22 @@ func TestBatchScratchNotPooledAfterAbandonedCompute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if !j.batchable {
-		t.Fatalf("job (n=%d) should be batchable", j.N())
-	}
 	waitDone(t, j)
 	if j.State() != Failed {
 		t.Fatalf("state %v, want Failed (compute deadline is terminal)", j.State())
 	}
-	// Both the abandoned staging buffer (exec) and the batch scratch
-	// (sched) must be forgotten, not pooled.
-	if st := s.PoolStats(); st.Forgets < 2 {
-		t.Errorf("pool Forgets = %d, want >= 2 (staging buffer + scratch)", st.Forgets)
+	// Sorted in place, the job drew the scratch and nothing else.
+	if st := s.PoolStats(); st.Forgets < 1 {
+		t.Errorf("pool Forgets = %d, want >= 1 (the scratch)", st.Forgets)
 	}
 	g.open()
 	time.Sleep(50 * time.Millisecond) // let the abandoned attempt drain
 	// The pool must still serve later tenants: the write-off freed budget
-	// headroom and a fresh batch sorts correctly.
+	// headroom, what the pool charges is what it holds, and a fresh job
+	// sorts correctly.
+	if fp, free := s.pool.FootprintBytes(), s.pool.FreeBytes(); fp != free {
+		t.Fatalf("pool footprint %d after the write-off, freelists hold %d", fp, free)
+	}
 	j2, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 500, 2)})
 	if err != nil {
 		t.Fatalf("submit after abandonment: %v", err)
@@ -814,48 +872,54 @@ func scratchSettlesOnEveryExit(t *testing.T, alg mlmsort.Algorithm) {
 	settled("after the following job", pre)
 }
 
-// TestBatchRidersDegradeUnderTinyHeap: the batch pass is phase 1, so its
-// riders are placed on the staging heap like megachunks. Under a heap too
-// small for any rider every one degrades to the in-place DDR flow and
+// TestBatchRidersDegradeUnderTinyHeap: small jobs that name MLM-sort are
+// placed on the staging heap like any staged megachunk. Under a heap too
+// small for any of them every one degrades to the in-place DDR flow and
 // still completes sorted, the degradations are counted, and nothing stays
-// allocated.
+// allocated; small jobs on the default flow never ask the heap at all.
 func TestBatchRidersDegradeUnderTinyHeap(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	res := telemetry.NewResilience(reg)
-	heap := memkind.NewHeap(units.KiB, units.GiB) // a rider here is at least 4000 bytes
+	heap := memkind.NewHeap(units.KiB, units.GiB) // a job here is at least 4000 bytes
 	cfg := testConfig()
 	cfg.Registry, cfg.Resilience, cfg.Heap = reg, res, heap
 	s := newTestScheduler(t, cfg)
 
-	var js []*Job
-	for i := 0; i < 6; i++ {
-		spec := JobSpec{Data: workload.Generate(workload.Random, 500+i*37, int64(i))}
-		if i == 3 {
-			spec.KeyType = wire.KindFloat64 // a float64 rider takes the same path
+	const jobs = 6
+	round := func(alg mlmsort.Algorithm) {
+		t.Helper()
+		var js []*Job
+		for i := 0; i < jobs; i++ {
+			spec := JobSpec{Data: workload.Generate(workload.Random, 500+i*37, int64(i)), Algorithm: alg}
+			if i == 3 {
+				spec.KeyType = wire.KindFloat64 // a float64 job takes the same path
+			}
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			js = append(js, j)
 		}
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+		for i, j := range js {
+			waitDone(t, j)
+			if j.State() != Done {
+				t.Fatalf("job %s: state %v (%v), want Done", j.ID(), j.State(), j.Err())
+			}
+			if i != 3 {
+				mustSorted(t, j)
+			}
 		}
-		if !j.batchable {
-			t.Fatalf("job %d (n=%d) should be batchable", i, j.N())
-		}
-		js = append(js, j)
+		eventually(t, "leases released", func() bool { return s.Budget().Leased() == 0 })
 	}
-	for i, j := range js {
-		waitDone(t, j)
-		if j.State() != Done {
-			t.Fatalf("rider %s: state %v (%v), want Done", j.ID(), j.State(), j.Err())
-		}
-		if i != 3 {
-			mustSorted(t, j)
-		}
+	round(0)
+	if got := res.Degradations(); got != 0 {
+		t.Errorf("pipeline_degradations_total = %d after default-flow jobs, want 0: in place the heap is never asked", got)
 	}
-	eventually(t, "batch leases released", func() bool { return s.Budget().Leased() == 0 })
-	if got := res.Degradations(); got < int64(len(js)) {
-		t.Errorf("pipeline_degradations_total = %d, want one per rider (%d)", got, len(js))
+	round(mlmsort.MLMSort)
+	if got := res.Degradations(); got < jobs {
+		t.Errorf("pipeline_degradations_total = %d, want one per MLM-sort job (%d)", got, jobs)
 	}
 	if hbw := heap.HBWInUse(); hbw != 0 {
-		t.Errorf("staging heap holds %v after the batch, want 0", hbw)
+		t.Errorf("staging heap holds %v after the jobs, want 0", hbw)
 	}
 }

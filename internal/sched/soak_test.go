@@ -155,7 +155,7 @@ func TestSchedulerSoak(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(1000+c)))
 			for i := 0; i < perClient; i++ {
-				n := 200 + rng.Intn(60000) // mixes batchable and staged
+				n := 200 + rng.Intn(60000) // mixes small, in-memory and spill
 				spec := JobSpec{
 					Data:     workload.Generate(workload.Random, n, rng.Int63()),
 					Priority: rng.Intn(7) - 2,
@@ -215,6 +215,11 @@ func TestSchedulerSoak(t *testing.T) {
 	for _, rec := range all {
 		if !rec.j.State().Terminal() {
 			t.Fatalf("job %s not terminal after drain: %v", rec.j.ID(), rec.j.State())
+		}
+		// Every job that was dispatched has let go of its run context (one
+		// resolved in the queue never had one).
+		if ctx := rec.j.runCtx; ctx != nil {
+			eventually(t, "run context of "+rec.j.ID()+" cancelled", func() bool { return ctx.Err() != nil })
 		}
 		switch rec.j.State() {
 		case Done:

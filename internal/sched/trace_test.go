@@ -6,7 +6,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"knlmlm/internal/exec"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/workload"
@@ -97,9 +99,10 @@ func TestTraceStagedJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraceBatchAttribution: jobs riding one shared batch pass each get
-// their own spans (attributed by chunk index), not one job holding the
-// whole pass's recording.
+// TestTraceBatchAttribution: small jobs submitted together each record
+// their own pipeline's spans and no one else's (the compute spans of a job
+// charge exactly its own cells), and a job's work phases are complete the
+// moment Wait returns: nothing lands late that a second fold would add.
 func TestTraceBatchAttribution(t *testing.T) {
 	s := newTestScheduler(t, traceConfig(16))
 	var jobs []*Job
@@ -112,24 +115,28 @@ func TestTraceBatchAttribution(t *testing.T) {
 	}
 	for _, j := range jobs {
 		waitDone(t, j)
+		folded := j.Trace().PhaseDuration(telemetry.PhaseCompute)
 		mustSorted(t, j)
 		snap := j.Trace().Snapshot()
-		if !hasEvent(snap, "batch-class") {
-			t.Fatalf("job %s missing batch-class event: %v", j.ID(), snap.Events)
+		if len(planEvents(j)) != 1 {
+			t.Fatalf("job %s: plan events %q, want one", j.ID(), planEvents(j))
 		}
-		if snap.SpanCount == 0 {
-			t.Fatalf("batch job %s attributed no spans", j.ID())
+		var bytes int64
+		var busy time.Duration
+		for _, sp := range j.Spans() {
+			if sp.Stage != exec.StageCompute {
+				t.Fatalf("job %s sorted in place recorded a %v span", j.ID(), sp.Stage)
+			}
+			bytes += sp.Bytes
+			busy += sp.Dur
+		}
+		if want := int64(16 * j.N()); bytes != want {
+			t.Fatalf("job %s: compute spans charge %d bytes, want its own %d", j.ID(), bytes, want)
+		}
+		if folded <= 0 || folded != busy {
+			t.Fatalf("job %s: compute phase %v when Wait returned, its spans hold %v", j.ID(), folded, busy)
 		}
 		wallSumWithin10Pct(t, snap)
-	}
-	// A batched job goes terminal inside its copy-out stage, before exec
-	// emits that span; runBatch re-folds once the pass drains. Wait for
-	// the late attribution rather than racing it.
-	for _, j := range jobs {
-		j := j
-		eventually(t, "copy-out folded for "+j.ID(), func() bool {
-			return j.Trace().PhaseDuration(telemetry.PhaseCopyOut) > 0
-		})
 	}
 }
 
@@ -176,15 +183,14 @@ func TestTraceSpillJob(t *testing.T) {
 	wallSumWithin10Pct(t, snap)
 }
 
-// TestTracePlanEvent: a job with a pipeline of its own records how it was
-// cut, once, at admission, so /debug/jobs/{id}/trace and the flight
-// recorder answer "which geometry did this job get"; a batch rider has no
-// cut to report. Under the 4 MiB test budget and its 600 KB DDR squeeze:
-// 36,000 keys (over the 32Ki batch threshold, under the squeeze) fit in
-// place as one megachunk (class 64Ki, 512 KiB of scratch); MLM-sort cuts
-// them four deep, floorPow2(9,000) = 8Ki cells under four buffers, 256 KiB;
-// 100,000 keys spill in runs of 64Ki cells, half the largest the budget
-// stages, 2 MiB.
+// TestTracePlanEvent: every job records how it was cut, once, at
+// admission, so /debug/jobs/{id}/trace and the flight recorder answer
+// "which geometry did this job get". Under the 4 MiB test budget and its
+// 600 KB DDR squeeze: 36,000 keys (under the squeeze) fit in place as one
+// megachunk (class 64Ki, 512 KiB of scratch), and so do 500 (class 512,
+// 4 KiB); MLM-sort cuts the 36,000 four deep, floorPow2(9,000) = 8Ki cells
+// under four buffers, 256 KiB; 100,000 keys spill in runs of 64Ki cells,
+// half the largest the budget stages, 2 MiB.
 func TestTracePlanEvent(t *testing.T) {
 	cfg := spillTestConfig(t)
 	cfg.FlightRecorderCap = 8
@@ -202,7 +208,8 @@ func TestTracePlanEvent(t *testing.T) {
 			"flow=in-place megachunk=10000 megachunks=4 lease=131072"},
 		{"spill", JobSpec{Data: workload.Generate(workload.Random, 100_000, 4)},
 			"flow=spill megachunk=65536 megachunks=2 lease=2097152"},
-		{"batch", JobSpec{Data: workload.Generate(workload.Random, 500, 5)}, ""},
+		{"small", JobSpec{Data: workload.Generate(workload.Random, 500, 5)},
+			"flow=in-place megachunk=500 megachunks=1 lease=4096"},
 	} {
 		j, err := s.Submit(tc.spec)
 		if err != nil {
@@ -212,11 +219,10 @@ func TestTracePlanEvent(t *testing.T) {
 		if s.FlightRecorder().Get(j.ID()) != j.Trace() {
 			t.Errorf("%s: the flight recorder does not hold the job's trace", tc.name)
 		}
-		plans := planEvents(j)
-		if tc.want == "" && len(plans) != 0 || tc.want != "" && (len(plans) != 1 || plans[0] != tc.want) {
+		if plans := planEvents(j); len(plans) != 1 || plans[0] != tc.want {
 			t.Errorf("%s: plan events %q, want %q", tc.name, plans, tc.want)
 		}
-		if got := j.LeaseBytes(); tc.want != "" && !strings.HasSuffix(tc.want, fmt.Sprintf("lease=%d", got)) {
+		if got := j.LeaseBytes(); !strings.HasSuffix(tc.want, fmt.Sprintf("lease=%d", got)) {
 			t.Errorf("%s: the job leased %d bytes, its plan said %q", tc.name, got, tc.want)
 		}
 	}

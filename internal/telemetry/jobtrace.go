@@ -290,8 +290,7 @@ func (t *JobTrace) MarkFinished(state, errmsg string) {
 
 // FoldSpans folds the recorder's per-stage busy time into the work
 // phases: copy-in, compute, and copy-out (attributed to spill-write
-// instead when the job spilled its runs to disk). Idempotent — safe to
-// call again when late spans land after the terminal transition.
+// instead when the job spilled its runs to disk). Idempotent.
 func (t *JobTrace) FoldSpans() {
 	if t == nil || t.rec == nil {
 		return
@@ -308,9 +307,7 @@ func (t *JobTrace) FoldSpans() {
 		sh.mu.Unlock()
 	}
 	t.mu.Lock()
-	// Assignment, not accumulation: folding is idempotent, so callers can
-	// re-fold after spans that arrived post-terminal (a batched job
-	// completes inside its copy-out stage, before exec emits that span).
+	// Assignment, not accumulation: folding again changes nothing.
 	t.phases[PhaseCopyIn] = busy[exec.StageCopyIn]
 	t.phases[PhaseCompute] = busy[exec.StageCompute]
 	out := PhaseCopyOut

@@ -65,8 +65,8 @@ func (r *Resilience) ObserveRetry(e exec.RetryEvent) {
 // FinishStages is the one step that readies a stage set to run under a
 // caller's plug: the failure policy, with failed attempts counted by r
 // when r is non-nil, the observer, and the pool staging buffers come from.
-// Every real pipeline (the megachunk phase 1 that the in-memory, spilled
-// and batched runs share, and the merge benchmark) passes through here.
+// Every real pipeline (the megachunk phase 1 that the in-memory and
+// spilled runs share, and the merge benchmark) passes through here.
 // The policy's Wrap rides along and is applied by exec.RunContext.
 func FinishStages(s exec.Stages, p exec.Policy, r *Resilience, obs exec.Observer, pool *mem.SlicePool) exec.Stages {
 	s.Policy, s.Observer, s.Pool = p, obs, pool

@@ -29,9 +29,10 @@ const (
 	// StagingBuffers is the staging-buffer count of a staged pipeline: the
 	// paper's triple buffering.
 	StagingBuffers = 3
-	// minMegachunk keeps a cut job's megachunks above the size where the
-	// per-chunk pipeline cost shows.
-	minMegachunk = 4096
+	// MinMegachunk keeps a cut job's megachunks above the size where the
+	// per-chunk pipeline cost shows; mlmsort holds a megachunk's per-worker
+	// blocks to the same floor.
+	MinMegachunk = 4096
 )
 
 // resident is how many megachunk-sized buffers the flow keeps in near
@@ -77,7 +78,7 @@ func (f Flow) MaxMegachunk(budget units.Bytes) int {
 //     the ledger is idle and would starve at the queue head under mixed
 //     traffic.
 //
-// The result holds whole elements, is never under minMegachunk unless the
+// The result holds whole elements, is never under MinMegachunk unless the
 // job or the budget is, and is 0 only when the budget covers no megachunk.
 func Megachunk(cells, width int, budget units.Bytes, flow Flow) int {
 	largest := flow.MaxMegachunk(budget)
@@ -93,7 +94,7 @@ func Megachunk(cells, width int, budget units.Bytes, flow Flow) int {
 	case Spill:
 		mc = min(ceilPow2(cells), largest/2)
 	}
-	mc = min(max(mc, minMegachunk), largest)
+	mc = min(max(mc, MinMegachunk), largest)
 	return mc - mc%width
 }
 

@@ -27,8 +27,8 @@ func TestMegachunk(t *testing.T) {
 		{"in place, one cell over: class 16Mi is 128 MiB, so floorPow2(64 MiB / 8)", 8*mi + 1, 1, node, InPlace, 8 * mi},
 		{"in place, one record over: the same cut, and 8Mi cells hold whole records", 8*mi + 2, 2, node, InPlace, 8 * mi},
 		{"in place, far over: still the largest that fits", 100 * mi, 1, node, InPlace, 8 * mi},
-		{"in place, small job: the job, under minMegachunk because it is", 100, 2, node, InPlace, 100},
-		{"in place, budget under minMegachunk: 16 KiB / 8 = 2Ki, the cap beats the floor", mi, 1, 16 * units.KiB, InPlace, 2 * ki},
+		{"in place, small job: the job, under MinMegachunk because it is", 100, 2, node, InPlace, 100},
+		{"in place, budget under MinMegachunk: 16 KiB / 8 = 2Ki, the cap beats the floor", mi, 1, 16 * units.KiB, InPlace, 2 * ki},
 		{"in place, budget of one cell: no whole record fits", 4, 2, 8, InPlace, 0},
 		{"in place, budget under one cell", 4, 1, 7, InPlace, 0},
 
@@ -37,7 +37,7 @@ func TestMegachunk(t *testing.T) {
 		{"staged, 1Mi: floorPow2(1Mi / 4)", mi, 1, node, Staged, 256 * ki},
 		{"staged, odd n: floorPow2(250000)", 1_000_001, 1, node, Staged, 128 * ki},
 		{"staged, 40000: floorPow2(10000)", 40000, 1, node, Staged, 8 * ki},
-		{"staged, 10000: floorPow2(2500) = 2Ki, raised to minMegachunk", 10000, 1, node, Staged, 4 * ki},
+		{"staged, 10000: floorPow2(2500) = 2Ki, raised to MinMegachunk", 10000, 1, node, Staged, 4 * ki},
 		{"staged, 64Mi: floorPow2(16Mi) capped at 2Mi", 64 * mi, 1, node, Staged, 2 * mi},
 		{"staged, records: a power of two holds whole records", mi + 2, 2, node, Staged, 256 * ki},
 		{"staged, 64 KiB budget: 64 KiB / 32 = 2Ki, the cap beats the floor", mi, 1, 64 * units.KiB, Staged, 2 * ki},
@@ -47,7 +47,7 @@ func TestMegachunk(t *testing.T) {
 		{"spill, 1Mi: ceilPow2 is 1Mi, half the maximum", mi, 1, node, Spill, mi},
 		{"spill, 3Mi: ceilPow2 is 4Mi, held to 1Mi", 3 * mi, 1, node, Spill, mi},
 		{"spill, 60000 under 4 MiB: ceilPow2 is 64Ki, half of 128Ki", 60000, 1, 4 * units.MiB, Spill, 64 * ki},
-		{"spill, 1000: ceilPow2 is 1Ki, raised to minMegachunk", 1000, 1, node, Spill, 4 * ki},
+		{"spill, 1000: ceilPow2 is 1Ki, raised to MinMegachunk", 1000, 1, node, Spill, 4 * ki},
 	} {
 		if got := Megachunk(tc.cells, tc.width, tc.budget, tc.flow); got != tc.want {
 			t.Errorf("%s: Megachunk(%d, %d, %v, %v) = %d, want %d", tc.name, tc.cells, tc.width, tc.budget, tc.flow, got, tc.want)
