@@ -4,7 +4,7 @@
 // Examples:
 //
 //	mlmserve -addr :8080 -budget-mb 64 -workers 4
-//	mlmserve -addr 127.0.0.1:0 -budget-mb 16 -autotune -chaos -chaos-seed 7
+//	mlmserve -addr 127.0.0.1:0 -budget-mb 16 -chaos -chaos-seed 7
 //	mlmserve -addr :8080 -budget-mb 16 -ddr-budget-mb 1 -disk-budget-mb 256
 //
 // With -ddr-budget-mb and -disk-budget-mb both set, jobs whose working
@@ -55,7 +55,6 @@ type options struct {
 	threads      int
 	retain       int
 	decodeGate   int
-	autotune     bool
 	chaos        bool
 	chaosSeed    int64
 	simChunkMS   int
@@ -74,10 +73,9 @@ func main() {
 	flag.StringVar(&o.spillDir, "spill-dir", "", "parent directory for spill run files (empty = OS temp dir)")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent pipelines (0 = scheduler default)")
 	flag.IntVar(&o.queueLimit, "queue", 0, "admission queue bound (0 = scheduler default)")
-	flag.IntVar(&o.threads, "threads", 0, "thread budget fair-shared across staged jobs (0 = GOMAXPROCS)")
+	flag.IntVar(&o.threads, "threads", 0, "thread budget fair-shared across running jobs (0 = GOMAXPROCS)")
 	flag.IntVar(&o.retain, "retain", 4096, "terminal jobs retained for status/result lookup")
 	flag.IntVar(&o.decodeGate, "decode-gate", 0, "concurrent submit-body decodes; deadlined requests past the gate get 429 ingest-busy (0 = max(2, GOMAXPROCS))")
-	flag.BoolVar(&o.autotune, "autotune", false, "measure per-thread rates on staged jobs and feed them to the fair-share solver")
 	flag.BoolVar(&o.chaos, "chaos", false, "run every job pipeline under a seeded fault-injection plan")
 	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "chaos plan seed (with -chaos)")
 	flag.IntVar(&o.simChunkMS, "sim-chunk-ms", 0, "add a fixed sleep to every chunk's Compute stage, in ms: makes per-node service rate a configured quantity so cluster scale-out is measurable on one box (0 = off)")
@@ -118,7 +116,6 @@ func run(o options) error {
 		RetainJobs:        o.retain,
 		Registry:          reg,
 		Resilience:        telemetry.NewResilience(reg),
-		Autotune:          o.autotune,
 		FlightRecorderCap: o.flightCap,
 		Logger:            logger,
 		// One pool closes the upload loop: serve decodes binary submits

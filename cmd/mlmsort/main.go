@@ -15,11 +15,11 @@
 // With -spill, the real run sorts out-of-core through all three levels:
 // sorted megachunk runs are written to disk (under -spill-dir, capped at
 // -spill-budget-mb) instead of accumulating in DDR, and a final k-way
-// streaming merge produces the output. The run first measures the spill
-// directory's sequential disk bandwidth (tune.MeasureDiskRate) and uses
-// it to provision the merge's read-ahead width via the Eq. 1–5 solve
-// with disk as the slow tier. -spill composes with -chaos (run-file
-// write/read faults join the plan) and -metrics (spill_* families).
+// streaming merge, fed by one run-file fill at a time, produces the
+// output. The run also measures and reports the spill directory's
+// sequential disk bandwidth (tune.MeasureDiskRate). -spill composes with
+// -chaos (run-file write/read faults join the plan) and -metrics
+// (spill_* families).
 //
 // With -chaos, the real run executes under a randomized, seeded fault
 // plan (stage errors/panics/latency, MCDRAM allocation failures, an
@@ -160,17 +160,13 @@ func main() {
 				SpillDir:    *spillDir,
 				DiskBudget:  *spillBudgetMB << 20,
 				Registry:    reg,
-				// No measured host merge rate exists before the run, so
-				// Table 2's per-thread merge rate stands in: the ratio to
-				// the measured disk rate is what sizes the read-ahead.
-				MergeRate: model.PaperTable2().SComp,
+				ReadAhead:   1,
 			}
 			dr, err = tune.MeasureDiskRate(*spillDir, 8<<20)
 			if err != nil {
 				fail(err)
 			}
 			dr.Publish(reg)
-			xopts.DiskRate = dr.Read
 			if *chaos && inj != nil {
 				// A chaos run owns its store so the plan's run-file
 				// write/read faults reach the spill tier.

@@ -9,7 +9,7 @@
 //     the sample's weighted quantiles, and scatters the keys into
 //     disjoint ranges sized to each backend's polled capacity (see
 //     router.go — weights come from the paper's Eq. 1-5 model solved
-//     with each node's own EWMA rates, degraded by brownout and queue
+//     with each node's own published rates, degraded by brownout and queue
 //     depth).
 //   - Scatter: each partition is uploaded as one binary wire-format job
 //     (Expect: 100-continue, X-Deadline-Ms) and sorted remotely; the
@@ -39,6 +39,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,9 +89,8 @@ type Config struct {
 	// backend loses smaller pieces) at the cost of per-partition HTTP
 	// overhead. Zero selects 2.
 	PartsPerBackend int
-	// MergeThreads is the thread budget the result merge provisions its
-	// read-ahead and merge parallelism from. Zero selects GOMAXPROCS
-	// (floor 3, like the scheduler).
+	// MergeThreads is the worker count the result merge's rounds may fan
+	// out to. Zero selects GOMAXPROCS (floor 3, like the scheduler).
 	MergeThreads int
 	// PollInterval is the capacity poll cadence. Zero selects 500ms.
 	PollInterval time.Duration
@@ -139,7 +139,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.PartsPerBackend = 2
 	}
 	if cfg.MergeThreads <= 0 {
-		cfg.MergeThreads = defaultMergeThreads()
+		cfg.MergeThreads = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MergeThreads < 3 {
 		cfg.MergeThreads = 3

@@ -5,12 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"knlmlm/internal/psort"
-	"knlmlm/internal/tune"
-	"knlmlm/internal/units"
 )
 
 // The result merge is psort.WindowMerge — the engine the single node's
@@ -26,11 +23,10 @@ import (
 // every emitted block against the previous one and fails the stream
 // instead.
 //
-// The window width — how many backend streams download concurrently —
-// is provisioned by the same Equation 1-5 solve the spill tier uses for
-// disk read-ahead (tune.SpillReadAhead), with the backends' polled EWMA
-// copy rate as the per-stream source rate and their compute rate as the
-// merge's consumption rate.
+// The window — how many backend streams download concurrently — is two:
+// one stream draining into the merge while the next prefetches. The
+// partitions are range-ordered, so the merge consumes them one at a
+// time.
 //
 // Fault tolerance: a stream that dies mid-download (backend SIGKILL,
 // severed connection, evicted remote result) is recovered by
@@ -47,43 +43,9 @@ var ErrResultConsumed = errors.New("cluster: result already consumed")
 // ErrNotReady reports a result request for a job that is not Done.
 var ErrNotReady = errors.New("cluster: job not done")
 
-func defaultMergeThreads() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 3 {
-		n = 3
-	}
-	return n
-}
-
-// readAheadWidth provisions the merge's concurrent-download window from
-// the fleet's polled rates. No live capacity data (cold start, full
-// outage) falls back to 2: one stream draining, one prefetching.
-func (c *Coordinator) readAheadWidth(parts, n int) int {
-	var copyBps, compBps float64
-	live := 0
-	for _, b := range c.backends {
-		if up, cap := b.snapshot(); up && cap.EWMACopyBps > 0 && cap.EWMACompBps > 0 {
-			copyBps += cap.EWMACopyBps
-			compBps += cap.EWMACompBps
-			live++
-		}
-	}
-	w := 2
-	if live > 0 {
-		w = tune.SpillReadAhead(
-			units.BytesPerSec(copyBps/float64(live)),
-			units.BytesPerSec(compBps/float64(live)),
-			c.cfg.MergeThreads,
-			units.Bytes(int64(n)*8))
-		if w < 2 {
-			w = 2
-		}
-	}
-	if w > parts {
-		w = parts
-	}
-	return w
-}
+// readAheadWidth is the merge's concurrent-download window over parts
+// streams: one draining, one prefetching.
+func readAheadWidth(parts int) int { return min(2, parts) }
 
 // partStream is the merge-side handle on one partition's download: a
 // channel of decoded batches fed by a fill goroutine, with the terminal
@@ -147,7 +109,7 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 	}
 
 	c := j.coord
-	n, stall, err := mergeStreams(ctx, streams, c.readAheadWidth(len(streams), j.n), c.cfg.MergeThreads,
+	n, stall, err := mergeStreams(ctx, streams, readAheadWidth(len(streams)), c.cfg.MergeThreads,
 		func(ctx context.Context, s *partStream) error { return c.fillPart(ctx, j, s) },
 		func(block []int64) error {
 			if err := emit(block); err != nil {

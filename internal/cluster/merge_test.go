@@ -61,6 +61,16 @@ func scriptStreams(parts [][][]int64) ([]*partStream, *scriptedFill) {
 	return streams, f
 }
 
+// TestReadAheadWidth pins the coordinator's download window: two streams,
+// never more than there are partitions.
+func TestReadAheadWidth(t *testing.T) {
+	for _, tc := range []struct{ parts, want int }{{1, 1}, {2, 2}, {5, 2}} {
+		if got := readAheadWidth(tc.parts); got != tc.want {
+			t.Errorf("readAheadWidth(%d) = %d, want %d", tc.parts, got, tc.want)
+		}
+	}
+}
+
 // TestMergeStreamsSlidingWindow drives the coordinator's merge over
 // channel-backed streams, no HTTP: range-disjoint partitions must come
 // out concatenated, stream i must not start downloading before stream

@@ -8,18 +8,17 @@ import (
 
 // Bandwidth-aware routing: each backend's weight is the service rate the
 // paper's Equation 1-5 model predicts from that node's own polled
-// constants — its EWMA per-thread copy and compute rates and its thread
-// budget — degraded by the node's live overload state (brownout level,
+// constants — the per-thread copy and compute rates it publishes and its
+// thread budget — degraded by the node's live overload state (brownout level,
 // queue depth). A node that is browned out to level 2 or queueing deeply
 // gets proportionally smaller key ranges, which is the distributed
 // restatement of the paper's thesis: provision work to match measured
 // bandwidth, don't split evenly and hope.
 
 // nodeRate solves the model for one backend and reports its predicted
-// steady-state throughput in bytes/sec. The construction mirrors
-// tune.SpillReadAhead's: the node's DDR tier is its copy pool's
-// aggregate reach, its MCDRAM tier its compute pool's, and the optimal
-// symmetric pool split over the node's thread budget prices the
+// steady-state throughput in bytes/sec. The node's DDR tier is its copy
+// pool's aggregate reach, its MCDRAM tier its compute pool's, and the
+// optimal symmetric pool split over the node's thread budget prices the
 // pipeline. Dataset size cancels out of a rate, so a nominal 1 GiB is
 // used.
 func nodeRate(c edge.Capacity) float64 {
@@ -95,7 +94,9 @@ func (c *Coordinator) weights() []float64 {
 		return out
 	}
 	// Floor each live weight at 2% of the total so a struggling node keeps
-	// a trickle of work — its EWMA rates only recover by being measured.
+	// a trickle of work: a weight is a model price of polled state, not a
+	// measured rate, and a live node priced near zero would sit idle while
+	// the others queue.
 	floor := sum * 0.02
 	for i := range out {
 		if out[i] > 0 && out[i] < floor {

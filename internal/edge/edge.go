@@ -153,10 +153,11 @@ type Health struct {
 }
 
 // Capacity summarizes a node's headroom for an upstream router. The
-// EWMA rates are the scheduler's blended Eq. 1-5 parameters (seed
-// constants folded with autotuner measurements), per thread, so the
-// poller can re-solve the model with this node's thread budget and
-// derive a comparable predicted service rate per node.
+// rates are the scheduler's Eq. 1-5 parameters (the paper's Table 2),
+// per thread, so the poller can re-solve the model with this node's
+// thread budget and derive a comparable predicted service rate per node.
+// The ewma_* JSON names predate the rates being fixed; mixed fleets and
+// the tier conformance test read them, so they stay.
 type Capacity struct {
 	// HeadroomBytes is the unleased remainder of the MCDRAM staging
 	// budget — how much working set a new job could lease right now.

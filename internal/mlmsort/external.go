@@ -12,8 +12,6 @@ import (
 	"knlmlm/internal/psort"
 	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
-	"knlmlm/internal/tune"
-	"knlmlm/internal/units"
 )
 
 // ExternalOptions configures the three-level (MCDRAM -> DDR -> disk)
@@ -43,15 +41,9 @@ type ExternalOptions struct {
 	// merge streams run files through; zero selects 64Ki elements.
 	MergeBlock int
 	// ReadAhead is the number of concurrent run-file fill workers feeding
-	// the final merge. Zero derives it from DiskRate/MergeRate via the
-	// Eq. 1-5 solve (tune.SpillReadAhead) when both are known, else 2.
+	// the final merge, capped at the run count; zero selects 2, one fill
+	// in flight while the merge loop consumes the other's block.
 	ReadAhead int
-	// DiskRate is the measured sequential disk read bandwidth
-	// (tune.MeasureDiskRate); used with MergeRate to provision ReadAhead.
-	DiskRate units.BytesPerSec
-	// MergeRate is the per-thread merge compute rate (e.g. the scheduler's
-	// EWMA of autotuner measurements); used with DiskRate.
-	MergeRate units.BytesPerSec
 	// MergeThreads is the worker count each merge round's loser-tree pass
 	// may fan out to (psort.MergeRound: small rounds and values <= 1 keep
 	// the serial merge).
@@ -84,15 +76,9 @@ func (o ExternalOptions) mergeBlock() int {
 	return 64 << 10
 }
 
-// readAhead resolves the fill-worker width for a k-run merge. The Eq. 1-5
-// budget is the merge loop's own thread plus one copy thread each way;
-// rounds that fan out (MergeThreads) borrow their workers only for the
-// length of a round.
+// readAhead resolves the fill-worker width for a k-run merge.
 func (o ExternalOptions) readAhead(k int) int {
 	w := o.ReadAhead
-	if w <= 0 {
-		w = tune.SpillReadAhead(o.DiskRate, o.MergeRate, 3, 0)
-	}
 	if w <= 0 {
 		w = 2
 	}
@@ -247,9 +233,8 @@ func (rs *runSource) Next(ctx context.Context) ([]int64, error) {
 // copy-in overlaps merge compute exactly as the paper's pipeline overlaps
 // MCDRAM staging with sorting: one fill goroutine per run streams blocks
 // into a bounded channel (double buffering per run), with at most
-// opts.ReadAhead fills in flight at once — the copy-pool width, here
-// provisioned against the measured disk rate instead of the DDR rate.
-// Blocks come from opts.Pool (falling back to the shared pool, degrading
+// opts.ReadAhead fills in flight at once — the copy-pool width, with the
+// disk as the slow tier. Blocks come from opts.Pool (falling back to the shared pool, degrading
 // to unpooled allocation on budget refusal) and are recycled as the merge
 // consumes them, so the merge's DDR footprint is O(runs x MergeBlock),
 // independent of the dataset.

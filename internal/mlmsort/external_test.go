@@ -111,8 +111,8 @@ func (p *fillProbe) reset() {
 // both the in-memory MLM path and the standard library on adversarial
 // inputs, at a megachunk size forcing well over three spill runs. It
 // also holds ExternalStats.ReadAhead to the fill concurrency the merge
-// was observed to run with, for a width derived from measured rates
-// (MLM-sort cases) and an explicit one (MLM-ddr cases).
+// was observed to run with: the one fill the scheduler's download merge
+// asks for, a wider explicit width, and the zero default.
 func TestRunRealExternalDifferential(t *testing.T) {
 	seed := externalTestSeed(t)
 	defer func() {
@@ -129,16 +129,20 @@ func TestRunRealExternalDifferential(t *testing.T) {
 	defer st.Close()
 	const n = 5000
 	const mc = 1024 // ceil(5000/1024) = 5 spill runs
-	for _, alg := range []Algorithm{MLMSort, MLMDDr} {
+	for _, tc := range []struct {
+		alg             Algorithm
+		readAhead, want int
+	}{
+		{MLMSort, 1, 1},
+		{MLMDDr, 3, 3},
+		{MLMSort, 0, 2}, // zero options: the library default
+	} {
+		alg := tc.alg
 		opts := ExternalOptions{
 			RealOptions: RealOptions{Buffers: 2},
 			Store:       st,
 			MergeBlock:  257, // non-power-of-two, smaller than a run
-		}
-		if alg == MLMSort {
-			opts.DiskRate, opts.MergeRate = 200<<20, 400<<20
-		} else {
-			opts.ReadAhead = 3
+			ReadAhead:   tc.readAhead,
 		}
 		for name, input := range adversarialInputs(n, rng) {
 			want := append([]int64(nil), input...)
@@ -160,8 +164,9 @@ func TestRunRealExternalDifferential(t *testing.T) {
 			if stats.MergedElems != n {
 				t.Fatalf("%v/%s: merged %d elems, want %d", alg, name, stats.MergedElems, n)
 			}
-			if stats.ReadAhead != probe.peak {
-				t.Fatalf("%v/%s: ReadAhead reports %d fill workers, the merge ran %d", alg, name, stats.ReadAhead, probe.peak)
+			if stats.ReadAhead != tc.want || stats.ReadAhead != probe.peak {
+				t.Fatalf("%v/%s: ReadAhead %d reports %d fill workers, the merge ran %d, want %d",
+					alg, name, tc.readAhead, stats.ReadAhead, probe.peak, tc.want)
 			}
 			for i := range want {
 				if inMem[i] != want[i] {

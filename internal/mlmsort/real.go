@@ -337,19 +337,13 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 			Bytes:        units.BytesForElements(int64(cells)),
 			Registry:     at.Registry,
 			Next:         fs.Observer,
+			// With a width control, copyW and sorter.width point into it.
 			OnProvision: func(p model.Prediction) {
-				if opts.Widths != nil {
-					opts.Widths.SetPools(p.Pools)
-				} else {
-					if p.Pools.In > 0 {
-						copyW.Store(int32(p.Pools.In))
-					}
-					if p.Pools.Comp > 0 {
-						sorter.width.Store(int32(p.Pools.Comp))
-					}
+				if p.Pools.In > 0 {
+					copyW.Store(int32(p.Pools.In))
 				}
-				if at.OnDecision != nil {
-					at.OnDecision(p)
+				if p.Pools.Comp > 0 {
+					sorter.width.Store(int32(p.Pools.Comp))
 				}
 			},
 		})

@@ -77,11 +77,6 @@ type AutotuneOptions struct {
 	// Registry, when non-nil, receives autotune_reprovisions_total and
 	// the solved-width gauges.
 	Registry *telemetry.Registry
-	// OnDecision, when non-nil, receives the tuner's solved prediction
-	// (measured effective rates included) right after it is applied —
-	// the scheduler's hook for folding measured rates back into its
-	// fair-share solves. Runs inline on a stage goroutine; keep it quick.
-	OnDecision func(model.Prediction)
 }
 
 // buffers resolves the staging-buffer count.

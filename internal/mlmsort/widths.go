@@ -12,7 +12,7 @@ import (
 // at every megachunk boundary, so a SetPools lands within one megachunk.
 //
 // When a run also autotunes, the tuner writes its solved split through
-// the same control, so the scheduler observes (and can override) what the
+// the same control, so its owner observes (and can override) what the
 // run settled on. The zero value is not usable; construct with
 // NewWidthControl.
 type WidthControl struct {

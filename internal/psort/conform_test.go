@@ -14,7 +14,6 @@ package psort
 // failure, not a review nit.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"go/ast"
@@ -239,39 +238,6 @@ func kvCases() []genCase[KV] {
 	return cases
 }
 
-func stringCases() []genCase[[]byte] {
-	rng := rand.New(rand.NewSource(404))
-	randomStrings := func(n, maxLen int) [][]byte {
-		ss := make([][]byte, n)
-		for i := range ss {
-			s := make([]byte, rng.Intn(maxLen+1))
-			rng.Read(s)
-			ss[i] = s
-		}
-		return ss
-	}
-	sharedPrefix := make([][]byte, 3000)
-	prefix := bytes.Repeat([]byte("knl-mcdram-"), 8) // 88-byte common prefix
-	for i := range sharedPrefix {
-		sharedPrefix[i] = append(slices.Clone(prefix), []byte(fmt.Sprintf("%06d", rng.Intn(2000)))...)
-	}
-	nested := [][]byte{nil, []byte(""), []byte("a"), []byte("ab"), []byte("abc"), []byte("abcd"), []byte("ab"), []byte("a"), []byte("b")}
-	dupHeavy := make([][]byte, 4000)
-	for i := range dupHeavy {
-		dupHeavy[i] = []byte(fmt.Sprintf("key-%02d", rng.Intn(12)))
-	}
-	return []genCase[[]byte]{
-		{"empty", nil},
-		{"single", [][]byte{[]byte("x")}},
-		{"all-empty-strings", make([][]byte, 200)},
-		{"prefix-nesting", nested},
-		{"shared-prefix", sharedPrefix},
-		{"dup-heavy", dupHeavy},
-		{"random-short", randomStrings(2500, 12)},
-		{"random-long", randomStrings(1500, 200)},
-	}
-}
-
 // ---------------------------------------------------------------------
 // Conformance engine
 // ---------------------------------------------------------------------
@@ -297,7 +263,7 @@ type mergeKernel[E any] struct {
 
 // runSortConformance checks every kernel against the stable reference
 // sort on every generator case. cmp must be a total order on the element
-// *representation* (bit-level for floats, byte-level for strings), which
+// *representation* (bit-level for floats), which
 // makes the reference permutation content-unique: an unstable kernel
 // must still produce an element comparing equal at every rank, and a
 // stable kernel must reproduce the reference exactly (eq is identity
@@ -488,8 +454,7 @@ func eqInt64(a, b int64) bool { return a == b }
 func eqFloat64Bits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
-func eqKV(a, b KV) bool        { return a == b }
-func eqBytes(a, b []byte) bool { return bytes.Equal(a, b) }
+func eqKV(a, b KV) bool { return a == b }
 
 // ---------------------------------------------------------------------
 // Kernel registries
@@ -670,21 +635,6 @@ func windowMergeWhole(dst []int64, runs [][]int64, cells int) {
 	}
 }
 
-func stringSortKernels() []sortKernel[[]byte] {
-	return []sortKernel[[]byte]{
-		{name: "SortByteStrings", covers: []string{"SortByteStrings"}, run: SortByteStrings},
-		{name: "SortByteStringsScratch", covers: []string{"SortByteStringsScratch"}, run: func(ss [][]byte) { SortByteStringsScratch(ss, make([][]byte, len(ss))) }},
-		{name: "SortByteStringsScratch-nil", run: func(ss [][]byte) { SortByteStringsScratch(ss, nil) }},
-		{name: "msd-forced-tiled", run: func(ss [][]byte) {
-			if len(ss) < 2 {
-				return
-			}
-			msdRadix(ss, make([][]byte, len(ss)), 0, 2)
-		}},
-		{name: "multikey-quicksort-direct", run: func(ss [][]byte) { multikeyQuicksort(ss, 0) }},
-	}
-}
-
 // ---------------------------------------------------------------------
 // The conformance tests
 // ---------------------------------------------------------------------
@@ -707,10 +657,6 @@ func TestConformRecordSorts(t *testing.T) {
 
 func TestConformRecordMerges(t *testing.T) {
 	runMergeConformance(t, mergeKernelsAt(2, Int64sFromKVs), kvCases(), func(key int64, run, pos int) KV { return KV{Key: key, Payload: int64(run)<<32 | int64(pos)} }, cmpKV, eqKV)
-}
-
-func TestConformStringSorts(t *testing.T) {
-	runSortConformance(t, stringSortKernels(), stringCases(), bytes.Compare, eqBytes)
 }
 
 // TestConformSelect certifies the multisequence selector: for every case
@@ -893,11 +839,6 @@ func conformanceCovered() map[string]bool {
 		}
 	}
 	for _, k := range float64SortKernels() {
-		for _, c := range k.covers {
-			covered[c] = true
-		}
-	}
-	for _, k := range stringSortKernels() {
 		for _, c := range k.covers {
 			covered[c] = true
 		}

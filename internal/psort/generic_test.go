@@ -5,7 +5,6 @@ package psort
 // regression tests the generic kernels are pinned by.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -34,13 +33,6 @@ func kvsToBytes(rs []KV) []byte {
 		out = binary.LittleEndian.AppendUint64(out, uint64(r.Payload))
 	}
 	return out
-}
-
-// stringsToBytes joins strings with a 0x00 separator; the decoder splits
-// on it, so fuzz inputs cannot contain NUL inside a key — fine, since
-// byte order around the separator is still fully exercised.
-func stringsToBytes(ss [][]byte) []byte {
-	return bytes.Join(ss, []byte{0})
 }
 
 // FuzzFloat64Sort checks SortFloat64sScratch against slices.SortFunc on
@@ -95,29 +87,6 @@ func FuzzRecordSort(f *testing.F) {
 				if rs[i] != want[i] {
 					t.Fatalf("index %d: got %v want %v", i, rs[i], want[i])
 				}
-			}
-		}
-	})
-}
-
-// FuzzStringSort checks SortByteStringsScratch against slices.SortFunc
-// with bytes.Compare; elements must be content-equal at every rank.
-func FuzzStringSort(f *testing.F) {
-	for _, c := range stringCases() {
-		f.Add(stringsToBytes(c.data))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			data = data[:1<<20]
-		}
-		ss := bytes.Split(data, []byte{0})
-		want := make([][]byte, len(ss))
-		copy(want, ss)
-		slices.SortFunc(want, bytes.Compare)
-		SortByteStringsScratch(ss, make([][]byte, len(ss)))
-		for i := range ss {
-			if !bytes.Equal(ss[i], want[i]) {
-				t.Fatalf("index %d: got %q want %q", i, ss[i], want[i])
 			}
 		}
 	})
@@ -309,16 +278,6 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("SortBlock width %d at a tiling size allocates %v per run, want 0", cells, a)
 		}
-	}
-
-	strs := caseByName(t, stringCases(), "random-short")
-	swork := make([][]byte, len(strs))
-	sscratch := make([][]byte, len(strs))
-	if a := testing.AllocsPerRun(10, func() {
-		copy(swork, strs)
-		SortByteStringsScratch(swork, sscratch)
-	}); a != 0 {
-		t.Errorf("SortByteStringsScratch allocates %v per run, want 0", a)
 	}
 
 	// The record two-way merge into a preallocated destination.

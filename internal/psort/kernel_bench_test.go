@@ -1,7 +1,6 @@
 package psort
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,10 +48,8 @@ func BenchmarkRadix1e5(b *testing.B) {
 }
 
 // The typed kernels against the stdlib comparison sort over the same
-// order (the conformance harness's reference comparators), 1e6 keys each: float64 in the bit-exact total order, key+payload
-// records, and short byte strings (8..24 bytes, half of them behind a
-// shared 4-byte prefix, the shape URL and key workloads take; only the
-// headers are copied back, the kernels never write the bytes).
+// order (the conformance harness's reference comparators), 1e6 keys
+// each: float64 in the bit-exact total order, and key+payload records.
 
 func benchFloat64Sort(b *testing.B, sortFn func([]float64)) {
 	rng := rand.New(rand.NewSource(1))
@@ -88,31 +85,6 @@ func BenchmarkRecStdlib1e6(b *testing.B) {
 func BenchmarkRecKernel1e6(b *testing.B) {
 	scratch := make([]KV, 1_000_000)
 	benchRecordSort(b, func(rs []KV) { SortRecordsScratch(rs, scratch) })
-}
-
-func benchStringSort(b *testing.B, sortFn func([][]byte)) {
-	rng := rand.New(rand.NewSource(3))
-	src := make([][]byte, 1_000_000)
-	total := 0
-	for i := range src {
-		s := make([]byte, 8+rng.Intn(17))
-		rng.Read(s)
-		if i%2 == 0 {
-			copy(s, "key/")
-		}
-		src[i] = s
-		total += len(s)
-	}
-	benchSortOf(b, src, total, sortFn)
-}
-
-func BenchmarkStrStdlib1e6(b *testing.B) {
-	benchStringSort(b, func(ss [][]byte) { slices.SortFunc(ss, bytes.Compare) })
-}
-
-func BenchmarkStrKernel1e6(b *testing.B) {
-	scratch := make([][]byte, 1_000_000)
-	benchStringSort(b, func(ss [][]byte) { SortByteStringsScratch(ss, scratch) })
 }
 
 func benchRuns(k, runLen int) [][]int64 {

@@ -281,8 +281,7 @@ func (j *Job) StreamResult(ctx context.Context, sink func([]int64) error) (int64
 	s := j.sched
 	opts := mlmsort.ExternalOptions{
 		RealOptions: s.real,
-		DiskRate:    s.diskRate.Read,
-		MergeRate:   s.rates.params().SComp,
+		ReadAhead:   1,
 		// The download merge runs post-terminal, outside the fair-share
 		// budget; cap its fan-out at what the host can actually run.
 		MergeThreads: min(s.cfg.TotalThreads, runtime.GOMAXPROCS(0)),

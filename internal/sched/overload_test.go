@@ -25,11 +25,12 @@ func slowRates() model.Params {
 	}
 }
 
-// slowModel re-seeds a fresh scheduler's rate estimator with slowRates.
+// slowModel swaps a fresh scheduler's rates for slowRates, before it has
+// admitted anything.
 func slowModel(s *Scheduler) {
-	s.rates.mu.Lock()
-	s.rates.base = slowRates()
-	s.rates.mu.Unlock()
+	s.mu.Lock()
+	s.rates = slowRates()
+	s.mu.Unlock()
 }
 
 // TestDriftEstimatorTracksAndClamps pins the machine-correction EWMA: it

@@ -14,8 +14,8 @@
 //     with priority folded into the deadline so no class starves.
 //   - Fair-share provisioning. Every job runs a pipeline of its own,
 //     whose copy/compute widths are re-solved from Equations 1-5 each
-//     time the set of concurrent jobs changes, using per-thread rates
-//     measured by the autotuner.
+//     time the set of concurrent jobs changes, at the job's share of the
+//     thread budget and the paper's Table 2 rates.
 //   - A disk spill class for jobs past the DDR working-set budget. Where
 //     the two-level service would hard-reject them, a configured disk
 //     budget admits them into a three-level pipeline: phase 1 spills
@@ -118,9 +118,6 @@ type Config struct {
 	// budget, chunk deadline and stage-set wrap.
 	memkind.Staging
 	exec.Policy
-	// Autotune enables per-job rate measurement on jobs that stage their
-	// megachunks; measured rates feed back into the fair-share solver.
-	Autotune bool
 	// FlightRecorderCap bounds the always-on ring of recent job traces
 	// (admission order, oldest evicted first). Zero selects
 	// telemetry.DefFlightRecorderCap.
@@ -211,7 +208,9 @@ type Scheduler struct {
 	dispDone chan struct{}
 	wg       sync.WaitGroup
 
-	rates   *rateEstimator
+	// rates are the Eq. 1-5 per-thread rates (the paper's Table 2) that
+	// admission, the fair-share solve and the drift baseline price with.
+	rates   model.Params
 	drift   *driftEstimator
 	metrics *schedMetrics
 	brown   *brownout
@@ -246,7 +245,7 @@ func New(cfg Config) (*Scheduler, error) {
 		jobs:       make(map[string]*Job),
 		kick:       make(chan struct{}, 1),
 		dispDone:   make(chan struct{}),
-		rates:      newRateEstimator(model.PaperTable2()),
+		rates:      model.PaperTable2(),
 		drift:      newDriftEstimator(),
 		metrics:    newSchedMetrics(cfg.Registry),
 		flight:     telemetry.NewFlightRecorder(cfg.FlightRecorderCap),
@@ -282,10 +281,9 @@ func New(cfg Config) (*Scheduler, error) {
 		s.disk = NewBudget(cfg.DiskBudget)
 		s.spillRoot = root
 		s.metrics.diskBudget.Set(float64(cfg.DiskBudget))
-		// Probe the spill medium so the deferred merge can provision its
-		// read-ahead width from measured rates (Eq. 1-5 with the disk as
-		// the slow tier). A failed probe leaves the rate zero and the
-		// merge falls back to its fixed default width.
+		// Probe the spill medium so admission can price a spill job's run
+		// writes. A failed probe leaves the rate zero and the estimate
+		// without a write term.
 		if dr, err := tune.MeasureDiskRate(root, diskProbeBytes); err == nil {
 			s.diskRate = dr
 			dr.Publish(cfg.Registry)
@@ -335,12 +333,12 @@ func (s *Scheduler) ShedTotals() map[string]int64 { return s.metrics.shedTotals(
 // previous crashed process left behind and this one cleaned up.
 func (s *Scheduler) SpillRecovery() spill.OrphanReport { return s.recovery }
 
-// Rates reports the blended Eq. 1-5 model parameters the admission
-// estimator and fair-share solver currently run on: the seed constants
-// folded with every autotuner-measured per-thread rate so far. A
-// capacity poller (the cluster coordinator's router) reads these to
-// price this node with the same model the node prices itself with.
-func (s *Scheduler) Rates() model.Params { return s.rates.params() }
+// Rates reports the Eq. 1-5 model parameters the admission estimator and
+// fair-share solver run on: the paper's Table 2, fixed for the
+// scheduler's life. A capacity poller (the cluster coordinator's router)
+// reads these to price this node with the same model the node prices
+// itself with.
+func (s *Scheduler) Rates() model.Params { return s.rates }
 
 // TotalThreads reports the thread budget fair-shared across running
 // jobs — the pool size Rates() should be solved against.
@@ -621,8 +619,8 @@ func clampRetryAfter(d time.Duration) time.Duration {
 // estimateServiceLocked prices one job with the Eq. 1-5 estimator at the
 // steady-state overload thread share (the whole budget split across the
 // worker pool — the share a job dispatched under load actually gets),
-// using the same blended measured rates the fair-share solver uses plus
-// the measured disk rate for spill-class jobs. The raw model estimate is
+// using the same rates the fair-share solver uses plus the measured disk
+// rate for spill-class jobs. The raw model estimate is
 // returned alongside the drift-corrected one: the corrected value prices
 // the backlog (it tracks this machine), the raw one is what finished runs
 // are compared against to keep the correction honest. Zero means "no
@@ -632,7 +630,7 @@ func (s *Scheduler) estimateServiceLocked(n int, p plan) (raw, corrected time.Du
 	if per < 3 {
 		per = 3
 	}
-	est := tune.EstimateService(s.rates.params(), units.Bytes(int64(n)*8), per, p.spill, s.diskRate)
+	est := tune.EstimateService(s.rates, units.Bytes(int64(n)*8), per, p.spill, s.diskRate)
 	raw = est.Total()
 	return raw, time.Duration(float64(raw) * s.drift.factorFor(driftClass(p)))
 }
@@ -1067,7 +1065,7 @@ func (s *Scheduler) refairLocked() {
 	if maxIn < 1 {
 		maxIn = 1
 	}
-	pools := s.rates.params().Optimal(per, maxIn, 1).Pools
+	pools := s.rates.Optimal(per, maxIn, 1).Pools
 	for j := range s.running {
 		j.widths.SetPools(pools)
 	}
@@ -1075,7 +1073,7 @@ func (s *Scheduler) refairLocked() {
 }
 
 // predictRun stores the Eq. 1-5 completion estimate for a job at its
-// dispatch-time thread share — the blended measured rates solved with the
+// dispatch-time thread share — the scheduler's rates solved with the
 // job's own byte volume. A trace's drift ratio is its measured run
 // phase over this estimate, so systematic drift under load is the model
 // telling us a resource it doesn't see (queueing inside a tier, disk
@@ -1084,7 +1082,7 @@ func (s *Scheduler) predictRun(j *Job, per int) {
 	if j.n == 0 {
 		return // the model takes no empty transfer, and there is no run to predict
 	}
-	params := s.rates.params()
+	params := s.rates
 	params.BCopy = units.Bytes(int64(j.n) * 8)
 	maxIn := per / 2
 	if maxIn < 1 {
@@ -1114,12 +1112,6 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 	s.predictRun(j, per)
 	opts := mlmsort.ExternalOptions{RealOptions: s.real}
 	opts.Observer, opts.Widths, opts.Elem = j.recorder, j.widths, elemOf(j.spec.KeyType)
-	if s.cfg.Autotune {
-		opts.Autotune = &mlmsort.AutotuneOptions{
-			TotalThreads: per,
-			OnDecision:   s.rates.observe,
-		}
-	}
 	var runs []int
 	var err error
 	if j.spill {
@@ -1283,40 +1275,6 @@ func (s *Scheduler) Close() {
 	}
 }
 
-// rateEstimator folds autotuner-measured per-thread rates into the
-// fair-share solver's model parameters with an exponentially weighted
-// moving average, so repeated solves track the machine rather than the
-// paper's testbed constants.
-type rateEstimator struct {
-	mu   sync.Mutex
-	base model.Params
-}
-
-func newRateEstimator(seed model.Params) *rateEstimator {
-	return &rateEstimator{base: seed}
-}
-
-const rateAlpha = 0.3
-
-// observe is the AutotuneOptions.OnDecision hook.
-func (r *rateEstimator) observe(p model.Prediction) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p.CCopy > 0 {
-		r.base.SCopy = units.BytesPerSec((1-rateAlpha)*float64(r.base.SCopy) + rateAlpha*float64(p.CCopy))
-	}
-	if p.CComp > 0 {
-		r.base.SComp = units.BytesPerSec((1-rateAlpha)*float64(r.base.SComp) + rateAlpha*float64(p.CComp))
-	}
-}
-
-// params reports the current blended parameter set.
-func (r *rateEstimator) params() model.Params {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.base
-}
-
 // Job classes for drift tracking: each class runs a different pipeline
 // shape, so the model misses each by a different factor.
 const (
@@ -1332,10 +1290,9 @@ var driftClassNames = [driftClasses]string{"staged", "spill"}
 // estimate misses reality on this machine: an EWMA of the
 // measured/predicted run-time ratio, seeded at 1. The admission
 // estimator multiplies its raw model estimate by the class factor, so
-// backlog pricing and predicted-late rejections track the machine even
-// for jobs the autotuner never probes (one sorted in place makes no
-// autotune decision at all). Factors are clamped so one pathological
-// sample cannot collapse or explode admission.
+// backlog pricing and predicted-late rejections track the machine while
+// the rates stay the paper's Table 2. Factors are clamped so one
+// pathological sample cannot collapse or explode admission.
 type driftEstimator struct {
 	mu     sync.Mutex
 	factor [driftClasses]float64

@@ -92,7 +92,6 @@ func TestSchedulerSoak(t *testing.T) {
 		Resilience:   res,
 		Staging:      rig.Staging,
 		Policy:       rig.Policy,
-		Autotune:     true,
 		// A ring far smaller than the job count, so the soak exercises
 		// eviction under concurrent submission.
 		FlightRecorderCap: 48,

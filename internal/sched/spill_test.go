@@ -6,11 +6,14 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/fault"
+	"knlmlm/internal/mlmsort"
+	"knlmlm/internal/model"
 	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
@@ -166,6 +169,86 @@ func TestSpillJobStreamsIdentical(t *testing.T) {
 	}
 	waitDone(t, small)
 	mustSorted(t, small)
+}
+
+// fillProbe is an IOFaults that never fails anything: it records the
+// peak number of run-file fills inside the store at once, which is the
+// read-ahead width the download merge really ran with (MergeSpilled holds
+// a fill slot across each Fill). The first reads linger so that fills the
+// merge would allow to overlap do overlap.
+type fillProbe struct {
+	mu                    sync.Mutex
+	reads, inflight, peak int
+}
+
+func (p *fillProbe) FailWrite(int) bool { return false }
+
+func (p *fillProbe) FailRead(int) bool {
+	p.mu.Lock()
+	p.reads++
+	p.inflight++
+	p.peak = max(p.peak, p.inflight)
+	linger := p.reads <= 16
+	p.mu.Unlock()
+	if linger {
+		time.Sleep(500 * time.Microsecond)
+	}
+	p.mu.Lock()
+	p.inflight--
+	p.mu.Unlock()
+	return false
+}
+
+// TestSpillStreamMergeOneFill pins the width of a spill job's download
+// merge: one run-file fill at a time, over several runs.
+func TestSpillStreamMergeOneFill(t *testing.T) {
+	probe := &fillProbe{}
+	reg := telemetry.NewRegistry()
+	cfg := spillTestConfig(t)
+	cfg.IOFaults, cfg.Registry = probe, reg
+	s := newTestScheduler(t, cfg)
+	j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 400000, 23)})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitDone(t, j)
+	if got := drainStream(t, j); !workload.IsSorted(got) || len(got) != 400000 {
+		t.Fatalf("streamed %d elements, sorted %v", len(got), workload.IsSorted(got))
+	}
+	if runs := reg.Counter("sched_spill_runs_total", "", nil).Value(); runs < 3 {
+		t.Fatalf("%d runs: the merge needs a fan-in to show its width", runs)
+	}
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	if probe.reads == 0 || probe.peak != 1 {
+		t.Fatalf("download merge ran %d fills at once over %d reads, want 1", probe.peak, probe.reads)
+	}
+}
+
+// TestRatesStayTable2 pins what the scheduler prices with: the paper's
+// Table 2, before and after an in-place, a named MLM-sort and a spill job.
+func TestRatesStayTable2(t *testing.T) {
+	s := newTestScheduler(t, spillTestConfig(t))
+	if got := s.Rates(); got != model.PaperTable2() {
+		t.Fatalf("fresh Rates() = %+v, want Table 2", got)
+	}
+	for _, spec := range []JobSpec{
+		{Data: workload.Generate(workload.Random, 20000, 1)},
+		{Data: workload.Generate(workload.Random, 20000, 2), Algorithm: mlmsort.MLMSort},
+		{Data: workload.Generate(workload.Random, 60000, 3)},
+	} {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitDone(t, j)
+		if j.State() != Done {
+			t.Fatalf("job %s: %v (%v)", j.ID(), j.State(), j.Err())
+		}
+	}
+	if got := s.Rates(); got != model.PaperTable2() {
+		t.Fatalf("Rates() after jobs = %+v, want Table 2", got)
+	}
 }
 
 // TestSpillAdmissionRejections pins the TooLargeError tiers: over-DDR

@@ -344,8 +344,8 @@ func TestCancelViaDELETE(t *testing.T) {
 }
 
 // TestHealthzCapacityBlock checks the compact routing block a cluster
-// coordinator polls: headroom tracks the ledger, the EWMA rates are the
-// admission model's live parameters, and the thread budget is the one
+// coordinator polls: headroom tracks the ledger, the rates are the
+// admission model's parameters, and the thread budget is the one
 // the fair-share solver runs on.
 func TestHealthzCapacityBlock(t *testing.T) {
 	g := newGate()

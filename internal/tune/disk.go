@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"knlmlm/internal/model"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 )
@@ -99,42 +98,4 @@ func (d DiskRate) Publish(reg *telemetry.Registry) {
 		"measured sequential spill-disk write bandwidth", nil).Set(float64(d.Write))
 	reg.Gauge("spill_disk_read_bytes_per_sec",
 		"measured sequential spill-disk read bandwidth", nil).Set(float64(d.Read))
-}
-
-// SpillReadAhead provisions the out-of-core merge's disk read-ahead width
-// by the same Equation 1-5 solve the in-memory pipeline uses for copy
-// threads, with the tiers shifted one level down: disk plays DDR (the
-// slow source the copy pool streams from, per-thread rate diskRead), DDR
-// plays MCDRAM (where merge compute runs at mergeRate per thread), and
-// the "copy-in pool" becomes the number of concurrent run-file fill
-// workers. bytes is the spilled dataset size (<= 0 picks a nominal size;
-// the argmin is size-independent). The result is clamped to
-// [1, totalThreads-1] so the merge always keeps a compute thread.
-func SpillReadAhead(diskRead, mergeRate units.BytesPerSec, totalThreads int, bytes units.Bytes) int {
-	if diskRead <= 0 || mergeRate <= 0 {
-		return 0
-	}
-	if totalThreads < 3 {
-		totalThreads = 3
-	}
-	if bytes <= 0 {
-		bytes = units.Bytes(1 << 30)
-	}
-	p := model.Params{
-		BCopy: bytes,
-		// One spill device serves all fill workers: aggregate disk bandwidth
-		// tops out near the sequential rate with modest overlap headroom.
-		DDRMax:    2 * diskRead,
-		MCDRAMMax: mergeRate * units.BytesPerSec(totalThreads),
-		SCopy:     diskRead,
-		SComp:     mergeRate,
-	}
-	w := p.Optimal(totalThreads, totalThreads-1, 1).Pools.In
-	if w < 1 {
-		w = 1
-	}
-	if w > totalThreads-1 {
-		w = totalThreads - 1
-	}
-	return w
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"knlmlm/internal/telemetry"
-	"knlmlm/internal/units"
 )
 
 func TestMeasureDiskRate(t *testing.T) {
@@ -33,40 +32,4 @@ func TestDiskRatePublish(t *testing.T) {
 		t.Fatalf("read gauge = %v, want 200", v)
 	}
 	DiskRate{}.Publish(nil) // nil registry must be a no-op, not a panic
-}
-
-func TestSpillReadAhead(t *testing.T) {
-	const GB = units.BytesPerSec(1 << 30)
-	if w := SpillReadAhead(0, GB, 8, 0); w != 0 {
-		t.Fatalf("unknown disk rate should return 0, got %d", w)
-	}
-	if w := SpillReadAhead(GB, 0, 8, 0); w != 0 {
-		t.Fatalf("unknown merge rate should return 0, got %d", w)
-	}
-	for _, tc := range []struct {
-		name       string
-		disk, comp units.BytesPerSec
-		threads    int
-	}{
-		{"disk-bound", GB / 64, GB, 8},
-		{"compute-bound", GB, GB / 64, 8},
-		{"balanced", GB, GB, 8},
-		{"tiny-budget", GB, GB, 2}, // clamped up to the model's minimum
-	} {
-		w := SpillReadAhead(tc.disk, tc.comp, tc.threads, 0)
-		max := tc.threads - 1
-		if max < 2 {
-			max = 2
-		}
-		if w < 1 || w > max {
-			t.Fatalf("%s: width %d outside [1, %d]", tc.name, w, max)
-		}
-	}
-	// A merge much faster than the disk can never want more fill workers
-	// than one that is slower than the disk.
-	slow := SpillReadAhead(GB, GB*4, 16, 0)
-	fast := SpillReadAhead(GB*4, GB/4, 16, 0)
-	if fast > slow {
-		t.Fatalf("compute-bound merge got more read-ahead (%d) than copy-bound (%d)", fast, slow)
-	}
 }

@@ -24,8 +24,8 @@ type ServiceEstimate struct {
 func (e ServiceEstimate) Total() time.Duration { return e.Run + e.SpillWrite }
 
 // EstimateService solves Equations 1-5 for one job of the given byte
-// volume at the given thread share, using the blended measured rates in
-// p (the same parameter set the fair-share solver uses), and returns the
+// volume at the given thread share, using the rates in p (the same
+// parameter set the fair-share solver uses), and returns the
 // predicted service time. spill adds the run-file write time at the
 // measured disk rate — phase 1 of a spill job streams every byte through
 // the disk once more than the in-memory pipeline does.

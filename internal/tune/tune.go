@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/mem"
 	"knlmlm/internal/model"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
@@ -206,17 +205,4 @@ func (t *PipelineTuner) Decision() (model.Prediction, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.decision, t.fired
-}
-
-// PublishPool mirrors a slice pool's traffic counters into gauges, so a
-// metrics scrape shows whether the steady state is really allocation-free
-// (misses stop growing once the pool is warm).
-func PublishPool(reg *telemetry.Registry, p *mem.SlicePool) {
-	st := p.Stats()
-	reg.Gauge("mem_pool_gets", "slice pool Get calls", nil).Set(float64(st.Gets))
-	reg.Gauge("mem_pool_hits", "slice pool Gets served from a freelist", nil).Set(float64(st.Hits))
-	reg.Gauge("mem_pool_misses", "slice pool Gets that allocated", nil).Set(float64(st.Misses()))
-	reg.Gauge("mem_pool_puts", "slice pool Put calls", nil).Set(float64(st.Puts))
-	reg.Gauge("mem_pool_drops", "slice pool Puts discarded", nil).Set(float64(st.Drops))
-	reg.Gauge("mem_pool_free_slices", "slices currently pooled", nil).Set(float64(p.FreeSlices()))
 }

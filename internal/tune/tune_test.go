@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/mem"
 	"knlmlm/internal/model"
 	"knlmlm/internal/telemetry"
 )
@@ -165,19 +164,5 @@ func TestTunerConcurrentEvents(t *testing.T) {
 	wg.Wait()
 	if _, ok := tu.Decision(); !ok {
 		t.Error("concurrent warmup never fired")
-	}
-}
-
-func TestPublishPool(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := mem.NewSlicePool()
-	p.Put(p.Get(1024))
-	p.Get(1024)
-	PublishPool(reg, p)
-	if v := reg.Gauge("mem_pool_hits", "", nil).Value(); v != 1 {
-		t.Errorf("mem_pool_hits = %v, want 1", v)
-	}
-	if v := reg.Gauge("mem_pool_gets", "", nil).Value(); v != 2 {
-		t.Errorf("mem_pool_gets = %v, want 2", v)
 	}
 }
