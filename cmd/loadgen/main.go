@@ -500,8 +500,7 @@ func newSubmit(base string, keys []int64, deadlineMS int64, binary bool, kind wi
 }
 
 // send issues one attempt of a prepared submit and reads the answer. The
-// template's body is a bytes.Reader, so GetBody hands every attempt its
-// own.
+// template carries GetBody, which hands every attempt its own body.
 func send(client *http.Client, tmpl *http.Request) (*http.Response, []byte, error) {
 	hr := tmpl.Clone(tmpl.Context())
 	hr.Body, _ = tmpl.GetBody()

@@ -144,7 +144,10 @@ const expectContinueBytes = 4 << 20
 // submitSorted uploads keys as one binary sort job and blocks (wait=1)
 // until the backend reports it terminal, returning the remote job ID.
 // Large bodies ride Expect: 100-continue with the deadline in
-// edge.DeadlineHeader, so the backend can refuse them pre-upload.
+// edge.DeadlineHeader, so the backend can refuse them pre-upload. The
+// body reads keys as it is sent, and the transport may close it after
+// Do returns, so submitSorted returns only once every body it opened is
+// closed (or ctx is done): after it, no upload reads keys.
 func (b *backend) submitSorted(ctx context.Context, keys []int64, opts edge.SortRequest) (string, error) {
 	if b.faults != nil && b.faults.FailDial(b.idx) {
 		b.markDown()
@@ -158,6 +161,24 @@ func (b *backend) submitSorted(ctx context.Context, keys []int64, opts edge.Sort
 	if size >= expectContinueBytes || opts.DeadlineMS > 0 {
 		req.Header.Set("Expect", "100-continue")
 	}
+	var open sync.WaitGroup
+	req.Body = trackBody(req.Body, &open)
+	getBody := req.GetBody
+	req.GetBody = func() (io.ReadCloser, error) {
+		rc, err := getBody()
+		if err != nil {
+			return nil, err
+		}
+		return trackBody(rc, &open), nil
+	}
+	defer func() {
+		closed := make(chan struct{})
+		go func() { open.Wait(); close(closed) }()
+		select {
+		case <-closed:
+		case <-ctx.Done():
+		}
+	}()
 	resp, err := b.client.Do(req)
 	if err != nil {
 		b.markDown()
@@ -193,6 +214,24 @@ func (b *backend) submitSorted(ctx context.Context, keys []int64, opts edge.Sort
 		b.bytesRouted.Add(int64(len(keys) * 8))
 	}
 	return st.ID, nil
+}
+
+// trackedBody counts itself open in a WaitGroup until its first Close.
+type trackedBody struct {
+	io.ReadCloser
+	once sync.Once
+	open *sync.WaitGroup
+}
+
+func trackBody(rc io.ReadCloser, open *sync.WaitGroup) io.ReadCloser {
+	open.Add(1)
+	return &trackedBody{ReadCloser: rc, open: open}
+}
+
+func (t *trackedBody) Close() error {
+	err := t.ReadCloser.Close()
+	t.once.Do(t.open.Done)
+	return err
 }
 
 // faultBody threads the injected stream-sever decision through a

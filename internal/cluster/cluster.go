@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"knlmlm/internal/edge"
+	"knlmlm/internal/mem"
 	"knlmlm/internal/telemetry"
 )
 
@@ -115,6 +116,9 @@ type Coordinator struct {
 	client     *http.Client
 	pollClient *http.Client
 	logger     *slog.Logger
+	// keyPool recycles the job path's key buffers: submit bodies, the
+	// job buffer the partitions share, and download batches.
+	keyPool *mem.SlicePool
 
 	seq      atomic.Int64
 	probeSeq atomic.Int64
@@ -166,6 +170,7 @@ func New(cfg Config) (*Coordinator, error) {
 		client:     client,
 		pollClient: &http.Client{Transport: tr, Timeout: 2 * time.Second},
 		logger:     cfg.Logger,
+		keyPool:    mem.NewSlicePool(),
 		jobs:       map[string]*Job{},
 		stop:       make(chan struct{}),
 	}
@@ -276,10 +281,14 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu        sync.Mutex
-	state     string
-	err       error
-	parts     []*part
+	mu    sync.Mutex
+	state string
+	err   error
+	parts []*part
+	// buf is the buffer every partition's keys slice. It goes back to
+	// the key pool once the result is delivered in full, and to the GC
+	// on every other end.
+	buf       []int64
 	skew      float64
 	resampled bool
 	consumed  bool
@@ -361,8 +370,10 @@ func (j *Job) Cancel() {
 }
 
 // Submit accepts a cluster sort job and starts its partition/scatter
-// pipeline asynchronously; the returned Job tracks it. The coordinator
-// owns req.Keys until the job is evicted from retention.
+// pipeline asynchronously; the returned Job tracks it. Submit takes
+// req.Keys: a job of several partitions recycles the slice into the
+// coordinator's key pool once it is scattered, and a one-partition job
+// sorts from it, so the caller must not touch it again.
 func (c *Coordinator) Submit(req edge.SortRequest) (*Job, error) {
 	// The partitions hold the keys; the job holds only the options.
 	keys := req.Keys
@@ -415,7 +426,10 @@ func (c *Coordinator) run(j *Job, keys []int64, seq int64) {
 		pw[p] = weights[p%len(c.backends)]
 	}
 	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(uint64(seq)*0x9e3779b97f4a7c15)))
-	pl := partition(keys, pw, sampleRate, skewLimit, rng)
+	pl := partition(keys, pw, sampleRate, skewLimit, rng, c.keyPool)
+	if len(pl.parts) > 1 {
+		c.keyPool.Put(keys) // scattered: the partitions hold their own copy
+	}
 	c.m.skew.Observe(pl.skew)
 	if pl.resampled {
 		c.m.resamples.Add(1)
@@ -428,6 +442,7 @@ func (c *Coordinator) run(j *Job, keys []int64, seq int64) {
 	c.m.partitions.Add(int64(len(parts)))
 	j.mu.Lock()
 	j.parts = parts
+	j.buf = pl.buf
 	j.skew = pl.skew
 	j.resampled = pl.resampled
 	j.mu.Unlock()
@@ -529,8 +544,8 @@ func (c *Coordinator) submitPart(ctx context.Context, j *Job, p *part) error {
 }
 
 // retain remembers the job for status lookup, evicting the oldest
-// terminal jobs past the retention bound (their partition keys go with
-// them).
+// terminal jobs past the retention bound (their partition keys go to
+// the GC with them: a download may still be reading them).
 func (c *Coordinator) retain(j *Job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -554,8 +569,9 @@ func (c *Coordinator) retain(j *Job) {
 	}
 }
 
-// release drops a job's retained partition keys.
-func (j *Job) release() {
+// release drops a job's retained partition keys and hands back the
+// buffer they sliced, nil after the first call.
+func (j *Job) release() []int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, p := range j.parts {
@@ -563,6 +579,9 @@ func (j *Job) release() {
 		p.keys = nil
 		p.mu.Unlock()
 	}
+	buf := j.buf
+	j.buf = nil
+	return buf
 }
 
 // Lookup finds a job by ID.

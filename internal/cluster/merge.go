@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"knlmlm/internal/mem"
 	"knlmlm/internal/psort"
 )
 
@@ -54,18 +55,28 @@ type partStream struct {
 	p   *part
 	ch  chan []int64
 	err error
+	// pool takes back each batch once the merge asks for the next one
+	// (nil drops them), so a stream keeps at most three in circulation:
+	// one merging, one queued, one filling.
+	pool *mem.SlicePool
+	prev []int64
 	// stall is the time the merge spent blocked on this stream with
 	// nothing mergeable — the tier's pipeline bubble.
 	stall time.Duration
 }
 
-// Next hands the merge the stream's next downloaded batch.
+// Next hands the merge the stream's next downloaded batch, recycling
+// the one before it: WindowMerge is done with a block when it asks its
+// source for the next.
 func (s *partStream) Next(ctx context.Context) ([]int64, error) {
+	s.pool.Put(s.prev)
+	s.prev = nil
 	t0 := time.Now()
 	defer func() { s.stall += time.Since(t0) }()
 	select {
 	case batch, ok := <-s.ch:
 		if ok {
+			s.prev = batch
 			return batch, nil
 		}
 		if s.err != nil {
@@ -79,7 +90,10 @@ func (s *partStream) Next(ctx context.Context) ([]int64, error) {
 
 // StreamResult merges the job's sorted partitions into emit, in order,
 // batch by batch. It is consume-once; the emitted element count is
-// returned. Cancelling ctx aborts the downloads and the merge.
+// returned. Cancelling ctx aborts the downloads and the merge. A result
+// delivered in full returns the job's buffer to the key pool: the merge
+// has returned, every fill has exited and every upload body is closed,
+// so nothing can read it again. Any other end leaves it to the GC.
 func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64, error) {
 	j.mu.Lock()
 	switch {
@@ -98,17 +112,17 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 	parts := j.parts
 	j.mu.Unlock()
 
+	c := j.coord
 	var streams []*partStream
 	for _, p := range parts {
 		if len(p.keys) > 0 {
-			streams = append(streams, &partStream{p: p, ch: make(chan []int64, 1)})
+			streams = append(streams, &partStream{p: p, ch: make(chan []int64, 1), pool: c.keyPool})
 		}
 	}
 	if len(streams) == 0 {
 		return 0, nil
 	}
 
-	c := j.coord
 	n, stall, err := mergeStreams(ctx, streams, readAheadWidth(len(streams)), c.cfg.MergeThreads,
 		func(ctx context.Context, s *partStream) error { return c.fillPart(ctx, j, s) },
 		func(block []int64) error {
@@ -125,7 +139,7 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 	if want := totalLive(streams); n != int64(want) {
 		return n, fmt.Errorf("cluster: merge delivered %d of %d elements", n, want)
 	}
-	j.release()
+	c.keyPool.Put(j.release())
 	return n, nil
 }
 
@@ -275,15 +289,18 @@ func (c *Coordinator) streamOnce(ctx context.Context, s *partStream) error {
 		skip -= int64(got)
 	}
 	for {
-		buf := make([]int64, mergeBlockElems)
+		buf := c.keyPool.Get(mergeBlockElems)
 		n, err := fr.ReadBatch(buf)
-		if n > 0 {
+		if n == 0 {
+			c.keyPool.Put(buf)
+		} else {
 			select {
 			case s.ch <- buf[:n]:
 				p.mu.Lock()
 				p.sent += int64(n)
 				p.mu.Unlock()
 			case <-ctx.Done():
+				c.keyPool.Put(buf)
 				return ctx.Err()
 			}
 		}

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
+
+	"knlmlm/internal/mem"
 )
 
 // Range partitioning: the coordinator splits a job's keys into P
@@ -10,10 +12,12 @@ import (
 // backend sorts a share proportional to what it can actually absorb and
 // the final merge degenerates to ordered streams.
 //
-// Splitters come from a sorted random sample. Sampling is the only pass
-// the coordinator makes over the keys before scatter, so its cost is
-// bounded by the sample rate; the skew guard below catches the rare bad
-// sample. Duplicate keys never straddle a splitter — partition i holds
+// Splitters come from a sorted random sample, whose cost is bounded by
+// the sample rate. One counting pass then sizes every partition, the
+// skew guard below reads its verdict off the counts and catches the
+// rare bad sample, and one write pass scatters each key once into its
+// partition's exact-size region of the job buffer. Duplicate keys never
+// straddle a splitter — partition i holds
 // [splitter[i-1], splitter[i]) — so equal keys always land together and
 // the concatenated partition results are a correct total order.
 
@@ -24,8 +28,13 @@ type plan struct {
 	// splitters[i-1] <= k < splitters[i] (open ends at the extremes).
 	splitters []int64
 	// parts are the scattered key slices, one per partition, in range
-	// order.
+	// order. With more than one partition they are consecutive regions
+	// of buf.
 	parts [][]int64
+	// buf is the one job buffer the parts share: drawn from the pool
+	// partition was given, or the input itself when the plan is one
+	// partition.
+	buf []int64
 	// skew is the worst partition's overfill ratio: its actual size over
 	// its weight-proportional target. 1.0 is a perfect split.
 	skew float64
@@ -55,7 +64,7 @@ func sampleSplitters(keys []int64, weights []float64, sampleLen int, rng *rand.R
 			sample[i] = keys[rng.Intn(len(keys))]
 		}
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	slices.Sort(sample)
 
 	var wsum float64
 	for _, w := range weights {
@@ -74,77 +83,99 @@ func sampleSplitters(keys []int64, weights []float64, sampleLen int, rng *rand.R
 	return splitters
 }
 
-// scatter routes every key to its range partition. The per-key decision
-// is a binary search over the splitters (first i with key < splitters[i];
-// past the last splitter means the final partition), so duplicates of a
-// splitter value all take the same branch and stay together.
-func scatter(keys []int64, splitters []int64, weights []float64) [][]int64 {
-	parts := len(splitters) + 1
-	out := make([][]int64, parts)
-	var wsum float64
-	for _, w := range weights {
-		wsum += w
+// bucket is k's partition: the number of splitters <= k. Duplicates of
+// a splitter value therefore all land above it, together. The count is
+// one compare and one conditional add per splitter with no branch on
+// the key, which for the handful of splitters a job has beats a binary
+// search whose every step is a mispredicted branch.
+func bucket(splitters []int64, k int64) int {
+	b := 0
+	for _, s := range splitters {
+		le := 0 // a conditional set: the compiler emits SETLE, not a jump
+		if s <= k {
+			le = 1
+		}
+		b += le
 	}
-	for i := range out {
-		// Pre-size to the weighted target with a little slack; a resample
-		// decision is cheaper than chasing exact capacity.
-		target := int(float64(len(keys))*weights[i]/wsum) + 16
-		out[i] = make([]int64, 0, target+target/8)
+	return b
+}
+
+// countBuckets sets counts[i] to the number of keys in partition i.
+func countBuckets(keys, splitters []int64, counts []int) {
+	clear(counts)
+	for _, k := range keys {
+		counts[bucket(splitters, k)]++
+	}
+}
+
+// scatter writes every key once into buf, partition after partition,
+// each partition an exact-size region sized by counts and holding its
+// keys in input order, and returns the regions.
+func scatter(keys, splitters []int64, counts []int, buf []int64) [][]int64 {
+	parts := make([][]int64, len(counts))
+	next := make([]int, len(counts))
+	off := 0
+	for i, c := range counts {
+		parts[i] = buf[off : off+c : off+c]
+		next[i] = off
+		off += c
 	}
 	for _, k := range keys {
-		p := sort.Search(len(splitters), func(i int) bool { return k < splitters[i] })
-		out[p] = append(out[p], k)
+		b := bucket(splitters, k)
+		buf[next[b]] = k
+		next[b]++
 	}
-	return out
+	return parts
 }
 
 // planSkew measures the worst overfill: partition size relative to its
 // weight-proportional target. Empty targets (zero weight) are guarded by
 // the router's weight floor.
-func planSkew(parts [][]int64, weights []float64, n int) float64 {
+func planSkew(counts []int, weights []float64, n int) float64 {
 	var wsum float64
 	for _, w := range weights {
 		wsum += w
 	}
 	worst := 0.0
-	for i, p := range parts {
+	for i, c := range counts {
 		target := float64(n) * weights[i] / wsum
 		if target < 1 {
 			target = 1
 		}
-		if r := float64(len(p)) / target; r > worst {
+		if r := float64(c) / target; r > worst {
 			worst = r
 		}
 	}
 	return worst
 }
 
-// partition builds the job's scatter plan: sample, split, measure skew,
-// and — when the sample produced a partition more than skewLimit times
-// its target — resample once at 4x the sample size and keep the better
-// plan. One bounded retry: a pathological key distribution (all keys
-// equal, say) cannot be fixed by sampling harder, and the merge is
-// correct under any skew; the limit only protects balance.
-func partition(keys []int64, weights []float64, sampleRate, skewLimit float64, rng *rand.Rand) plan {
+// partition builds the job's scatter plan: sample, split, count, measure
+// skew, and — when the sample produced a partition more than skewLimit
+// times its target — resample once at 4x the sample size and keep the
+// better plan. One bounded retry: a pathological key distribution (all
+// keys equal, say) cannot be fixed by sampling harder, and the merge is
+// correct under any skew; the limit only protects balance. The skew is
+// read from counts, so only the plan kept is scattered: every key is
+// written once, into one buffer from pool (nil allocates).
+func partition(keys []int64, weights []float64, sampleRate, skewLimit float64, rng *rand.Rand, pool *mem.SlicePool) plan {
 	if len(weights) == 1 {
-		return plan{parts: [][]int64{keys}, skew: 1}
+		return plan{parts: [][]int64{keys}, buf: keys, skew: 1}
 	}
 	sampleLen := int(sampleRate * float64(len(keys)))
 	pl := plan{splitters: sampleSplitters(keys, weights, sampleLen, rng)}
-	pl.parts = scatter(keys, pl.splitters, weights)
-	pl.skew = planSkew(pl.parts, weights, len(keys))
-	if pl.skew <= skewLimit {
-		return pl
+	counts := make([]int, len(weights))
+	countBuckets(keys, pl.splitters, counts)
+	pl.skew = planSkew(counts, weights, len(keys))
+	if pl.skew > skewLimit {
+		re := sampleSplitters(keys, weights, 4*sampleLen, rng)
+		reCounts := make([]int, len(weights))
+		countBuckets(keys, re, reCounts)
+		if reSkew := planSkew(reCounts, weights, len(keys)); reSkew < pl.skew {
+			pl.splitters, counts, pl.skew = re, reCounts, reSkew
+		}
+		pl.resampled = true
 	}
-	re := plan{
-		splitters: sampleSplitters(keys, weights, 4*sampleLen, rng),
-		resampled: true,
-	}
-	re.parts = scatter(keys, re.splitters, weights)
-	re.skew = planSkew(re.parts, weights, len(keys))
-	if re.skew < pl.skew {
-		return re
-	}
-	pl.resampled = true
+	pl.buf = pool.GetOrAlloc(len(keys))
+	pl.parts = scatter(keys, pl.splitters, counts, pl.buf)
 	return pl
 }

@@ -86,7 +86,11 @@ func statusOf(j *Job) jobStatus {
 	return st
 }
 
+// handleSubmit decodes a binary body into the coordinator's key pool,
+// as a node does, and hands it to Submit; a refused body goes straight
+// back to the pool.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	pool := s.coord.keyPool
 	req, fr, err := edge.DecodeSubmit(w, r, s.maxBodyBytes)
 	if err == nil && req.KeyType != "" && req.KeyType != "i64" {
 		// Splitters and the merge compare int64 cells; typed keys are a
@@ -94,7 +98,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		err = fmt.Errorf("key_type %q is not served by the coordinator", req.KeyType)
 	}
 	if err == nil && fr != nil {
-		req.Keys = make([]int64, fr.Total())
+		req.Keys = pool.Get(int(fr.Total()))
 		if e := fr.ReadInto(req.Keys); e != nil {
 			err = fmt.Errorf("bad binary body: %w", e)
 		}
@@ -105,10 +109,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		_, err = req.Check()
 	}
 	if err != nil {
+		pool.Put(req.Keys)
 		edge.RefuseSubmit(w, err)
 		return
 	}
 	j, err := s.coord.Submit(req)
+	if err != nil {
+		pool.Put(req.Keys)
+	}
 	if errors.Is(err, errDraining) {
 		edge.WriteJSON(w, http.StatusServiceUnavailable, edge.ErrorBody{Error: err.Error(), Code: "draining"})
 		return

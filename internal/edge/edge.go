@@ -9,7 +9,6 @@
 package edge
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -290,7 +289,10 @@ func queryOptions(r *http.Request) (req SortRequest, err error) {
 // NewWireSubmit builds the binary submit of int64 keys that
 // queryOptions and DecodeSubmit take apart: the keys as the frame-stream
 // body, the options as query parameters, the deadline in
-// DeadlineHeader. It reports the body size.
+// DeadlineHeader. It reports the body size. The body is read from
+// req.Keys as it is sent (wire.EncodeReader), so the keys must not
+// change until the transport has closed it; GetBody rewinds it for a
+// resend.
 func NewWireSubmit(ctx context.Context, base string, req SortRequest) (*http.Request, int, error) {
 	q := url.Values{}
 	if req.Wait {
@@ -305,16 +307,20 @@ func NewWireSubmit(ctx context.Context, base string, req SortRequest) (*http.Req
 	if req.MegachunkLen > 0 {
 		q.Set("megachunk_len", strconv.Itoa(req.MegachunkLen))
 	}
-	body := wire.Encode(nil, req.Keys, 0)
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, base+SubmitPath+"?"+q.Encode(), bytes.NewReader(body))
+	keys := req.Keys
+	body := wire.NewEncodeReader(keys, 0)
+	size := body.Len()
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, base+SubmitPath+"?"+q.Encode(), body)
 	if err != nil {
 		return nil, 0, err
 	}
+	hr.ContentLength = int64(size)
+	hr.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(wire.NewEncodeReader(keys, 0)), nil }
 	hr.Header.Set("Content-Type", wire.ContentType)
 	if req.DeadlineMS > 0 {
 		hr.Header.Set(DeadlineHeader, strconv.FormatInt(req.DeadlineMS, 10))
 	}
-	return hr, len(body), nil
+	return hr, size, nil
 }
 
 // DecodeSubmit decodes a POST /v1/sort request as far as the tiers

@@ -13,7 +13,8 @@ import (
 //
 //   - the build's encode path (zero-copy on little-endian platforms,
 //     encoding/binary under -tags wire_purego) and the always-portable
-//     reference produce byte-identical streams, and
+//     reference produce byte-identical streams, and so does the
+//     EncodeReader read in odd-sized pieces, and
 //   - decoding the stream returns exactly the input, through both the
 //     one-shot Decode and an incremental ReadBatch loop.
 func FuzzRoundTrip(f *testing.F) {
@@ -38,6 +39,21 @@ func FuzzRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc, ref) {
 			t.Fatalf("encode path diverges from portable reference (zeroCopy=%v, %d keys, frame %d)",
 				ZeroCopy(), len(keys), frameElems)
+		}
+
+		var streamed []byte
+		er := NewEncodeReader(keys, frameElems)
+		piece := make([]byte, 1+int(frame)%61)
+		for {
+			n, err := er.Read(piece)
+			streamed = append(streamed, piece[:n]...)
+			if err == io.EOF {
+				break
+			}
+		}
+		if !bytes.Equal(streamed, enc) {
+			t.Fatalf("EncodeReader diverges from Encode (%d keys, frame %d, reads of %d)",
+				len(keys), frameElems, len(piece))
 		}
 
 		got, err := Decode(bytes.NewReader(enc), 0, nil)

@@ -525,3 +525,81 @@ func Decode(r io.Reader, maxElems int64, alloc func(n int) []int64) ([]int64, er
 	}
 	return dst, nil
 }
+
+// EncodeReader reads the int64 stream Encode would build for keys, one
+// Read at a time, without building it: the header and frame prefixes
+// are computed from the read position and the payload is copied out of
+// keys itself (their memory on zero-copy builds). An upload body made
+// from it costs no buffer of its own. keys must not change while it is
+// read.
+type EncodeReader struct {
+	keys       []int64
+	frameElems int
+	off, size  int // byte position in the stream, and its length
+}
+
+// NewEncodeReader starts a reader of Encode(nil, keys, frameElems).
+func NewEncodeReader(keys []int64, frameElems int) *EncodeReader {
+	if frameElems <= 0 {
+		frameElems = DefaultFrameElems
+	}
+	frameElems = min(frameElems, MaxFrameElems)
+	return &EncodeReader{keys: keys, frameElems: frameElems, size: EncodedLen(len(keys), frameElems)}
+}
+
+// Len reports the bytes not yet read.
+func (er *EncodeReader) Len() int { return er.size - er.off }
+
+// Read copies the next bytes of the stream into p.
+func (er *EncodeReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) && er.off < er.size {
+		c := er.fill(p[n:])
+		n += c
+		er.off += c
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// fill copies stream bytes from er.off into p, stopping at the end of
+// the segment (header, frame prefix, payload, end marker) off lies in.
+func (er *EncodeReader) fill(p []byte) int {
+	var hdr [headerLen]byte
+	if er.off < headerLen {
+		copy(hdr[:4], magic[:])
+		binary.LittleEndian.PutUint64(hdr[4:], uint64(len(er.keys)))
+		return copy(p, hdr[er.off:])
+	}
+	stride := frameHeaderLen + er.frameElems*8
+	frame, in := (er.off-headerLen)/stride, (er.off-headerLen)%stride
+	first := frame * er.frameElems
+	count := min(er.frameElems, len(er.keys)-first)
+	b := in - frameHeaderLen // byte offset into this frame's payload
+	switch {
+	case count <= 0:
+		// Past the last full frame: the zero end marker.
+		return copy(p, hdr[in:frameHeaderLen])
+	case b >= count*8:
+		// Past a short last frame's payload: the end marker again.
+		return copy(p, hdr[b-count*8:frameHeaderLen])
+	case b < 0:
+		binary.LittleEndian.PutUint32(hdr[:], uint32(count))
+		return copy(p, hdr[in:frameHeaderLen])
+	}
+	frameKeys := er.keys[first : first+count]
+	if zeroCopy {
+		return copy(p, int64Bytes(frameKeys)[b:])
+	}
+	k, part := b/8, b%8
+	if part != 0 || len(p) < 8 {
+		var cell [8]byte
+		binary.LittleEndian.PutUint64(cell[:], uint64(frameKeys[k]))
+		return copy(p, cell[part:])
+	}
+	whole := min(len(p)/8, count-k)
+	EncodeInt64s(p[:whole*8], frameKeys[k:k+whole])
+	return whole * 8
+}

@@ -309,3 +309,49 @@ func TestBulkConversions(t *testing.T) {
 		}
 	}
 }
+
+// readChunked drains r through reads of at most chunk bytes.
+func readChunked(t *testing.T, r io.Reader, chunk int) []byte {
+	t.Helper()
+	var out []byte
+	buf := make([]byte, chunk)
+	for {
+		n, err := r.Read(buf)
+		out = append(out, buf[:n]...)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
+}
+
+func TestEncodeReaderMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, frame := range []int{5, DefaultFrameElems} {
+		for _, n := range []int{0, 1, frame - 1, frame, frame + 1, 3*frame + 7} {
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = int64(rng.Uint64())
+			}
+			if n > 0 {
+				keys[0] = math.MinInt64
+			}
+			want := Encode(nil, keys, frame)
+			for _, chunk := range []int{3, 13, 4096, 1 << 20} {
+				er := NewEncodeReader(keys, frame)
+				if er.Len() != len(want) {
+					t.Fatalf("frame %d n %d: Len %d, Encode wrote %d", frame, n, er.Len(), len(want))
+				}
+				if got := readChunked(t, er, chunk); !bytes.Equal(got, want) {
+					t.Fatalf("frame %d n %d chunk %d: reader bytes diverge from Encode (zeroCopy=%v)",
+						frame, n, chunk, ZeroCopy())
+				}
+				if er.Len() != 0 {
+					t.Fatalf("frame %d n %d: %d bytes left after EOF", frame, n, er.Len())
+				}
+			}
+		}
+	}
+}
