@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"knlmlm/internal/mem"
 )
 
 // This file holds the pipeline's failure semantics: typed errors, the
@@ -151,21 +153,22 @@ type Policy struct {
 	Wrap func(Stages) Stages
 }
 
-// SettleScratch disposes of compute scratch the caller drew from s.Pool
-// for a run of s that returned runErr. Only a clean run proves no stage
-// attempt still holds the scratch: under a chunk deadline an aborted run
-// may have abandoned a compute attempt whose goroutine is still writing
-// it, and recycling it would hand live memory to the pool's next
-// consumer. So the scratch goes back to the pool after a clean run — or
-// after any run without a deadline, which never abandons an attempt —
-// and is otherwise written off the pool's footprint, exactly as RunContext
-// writes off an abandoned staging buffer, so a budgeted pool does not
-// ratchet toward refusing every Get as aborted runs accumulate.
-func (s *Stages) SettleScratch(scratch []int64, runErr error) {
-	if runErr == nil || s.ChunkTimeout <= 0 {
-		s.Pool.Put(scratch)
+// Settle disposes of a buffer the caller drew from pool for a run under
+// p that returned runErr: compute scratch, or any buffer a stage writes
+// that the stage set does not own. Only a clean run proves no stage
+// attempt still holds it: under a chunk deadline an aborted run may have
+// abandoned a compute attempt whose goroutine is still writing it, and
+// recycling it would hand live memory to the pool's next consumer. So the
+// buffer goes back to the pool after a clean run — or after any run
+// without a deadline, which never abandons an attempt — and is otherwise
+// written off the pool's footprint, exactly as RunContext writes off an
+// abandoned staging buffer, so a budgeted pool does not ratchet toward
+// refusing every Get as aborted runs accumulate.
+func (p Policy) Settle(pool *mem.SlicePool, buf []int64, runErr error) {
+	if runErr == nil || p.ChunkTimeout <= 0 {
+		pool.Put(buf)
 	} else {
-		s.Pool.Forget(scratch)
+		pool.Forget(buf)
 	}
 }
 

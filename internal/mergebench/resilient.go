@@ -174,7 +174,7 @@ func runRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffe
 	}
 	stages = telemetry.FinishStages(stages, opts.Policy, opts.Resilience, opts.Observer, mem.Pool)
 	err = exec.RunContext(ctx, stages, stats.Buffers)
-	stages.SettleScratch(scratch, err)
+	stages.Settle(stages.Pool, scratch, err)
 	if err != nil {
 		return nil, stats, err
 	}

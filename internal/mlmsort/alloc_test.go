@@ -24,7 +24,7 @@ func TestComputeLoopAllocationFree(t *testing.T) {
 	sorter := newMegachunkSorter(1, ElemInt64)
 	allocs := testing.AllocsPerRun(10, func() {
 		copy(mc, src)
-		sorter.sort(mc, scratch)
+		sorter.sort(mc, scratch, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state compute loop allocates %.1f times per megachunk", allocs)

@@ -175,7 +175,7 @@ func TestMegachunkSorterBlockFloor(t *testing.T) {
 				slices.Sort(want)
 			}
 			sorter := newMegachunkSorter(8, tc.elem)
-			sorter.sort(mc, make([]int64, len(mc)))
+			sorter.sort(mc, make([]int64, len(mc)), nil)
 			if len(sorter.runs) != tc.runs {
 				t.Errorf("run table holds %d blocks, want %d", len(sorter.runs), tc.runs)
 			}

@@ -174,7 +174,8 @@ func SpillSorted(ctx context.Context, a Algorithm, xs []int64, threads, megachun
 	}
 	// Record jobs spill fine under every algorithm here — the spill path
 	// is megachunk-structured for all of them.
-	homes, real, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts.RealOptions, func(i int, sorted []int64) error {
+	homes := megachunks(xs, megachunkCells(xs, megachunkLen, opts.Elem))
+	real, err := SortHomes(ctx, a, homes, threads, opts.RealOptions, nil, func(i int, sorted []int64) error {
 		w, err := opts.Store.CreateRun(i)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package mlmsort
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -20,9 +21,9 @@ import (
 // place. threads is the worker count (use a small number on small hosts —
 // the algorithms' structure, not their host speed, is what this layer
 // verifies). megachunkLen is the MLM megachunk size in elements; zero
-// selects the whole array (MLM-implicit's configuration) for the MLM
-// variants and a quarter of the array for the staged variants, so that the
-// multi-megachunk code path executes.
+// selects the whole array for MLM-implicit (the paper's configuration) and
+// a quarter of the array for MLM-ddr, MLM-sort, MLM-hybrid and the basic
+// chunked sort, so that the multi-megachunk code path executes.
 //
 // The five variants differ in *data flow*, which is exactly what they do on
 // real KNL hardware; memory-mode differences (where buffers live) have no
@@ -121,12 +122,12 @@ func megachunks(xs []int64, mcLen int) [][]int64 {
 }
 
 // megachunkSorter sorts megachunks the MLM way — each worker sorts one
-// maximal block, then a multiway merge through scratch — with a tunable
-// worker width (the autotuner's compute-pool knob) and a reusable run
-// table, so the steady state of a multi-megachunk run performs no
-// per-megachunk allocation. Blocks are sorted with the adaptive kernel
-// (or the record radix under ElemKV): each worker's disjoint segment of
-// scratch doubles as its radix scratch.
+// maximal block, then a multiway merge writes the sorted megachunk — with
+// a tunable worker width (the autotuner's compute-pool knob) and a
+// reusable run table, so the steady state of a multi-megachunk run
+// performs no per-megachunk allocation. Blocks are sorted with the
+// adaptive kernel (or the record radix under ElemKV): each worker's
+// disjoint segment of scratch doubles as its radix scratch.
 type megachunkSorter struct {
 	width *atomic.Int32
 	cells int
@@ -139,27 +140,30 @@ func newMegachunkSorter(threads int, elem ElemKind) *megachunkSorter {
 	return ms
 }
 
-// sort sorts one megachunk in place; scratch must be at least as long.
-// Only the pipeline's single compute goroutine calls it, so the run table
-// needs no lock (the same discipline the shared scratch relies on).
-// Worker splits are in element units, so no record ever straddles a
-// block. Record megachunks merge through the serial loser tree at cell
-// width 2 (psort.MergeRound), which record jobs absorb because the staged
-// pipeline overlaps it with the next megachunk's copy-in.
-func (ms *megachunkSorter) sort(mc, scratch []int64) {
+// sort sorts one megachunk; scratch must be at least as long. With a nil
+// dst the megachunk is sorted in place. Otherwise dst, as long as mc and
+// aliasing neither buffer, receives the sorted megachunk and mc is left
+// unspecified: the blocks' merge writes dst directly, and a single block
+// is copied there once. Only the pipeline's single compute goroutine
+// calls it, so the run table needs no lock (the same discipline the
+// shared scratch relies on). Worker splits are in element units, so no
+// record ever straddles a block. Two blocks merge through the two-ended
+// two-way merge and more through the loser tree (psort.MergeRound), at
+// either cell width.
+func (ms *megachunkSorter) sort(mc, scratch, dst []int64) {
 	m := len(mc) / ms.cells
-	if m < 2 {
-		return
-	}
-	scratch = scratch[:len(mc)]
 	// No block is cut under tune.MinMegachunk cells: below it the
-	// goroutines, the merge and the copy-back cost more than they share out.
+	// goroutines and the merge cost more than they share out.
 	w := min(int(ms.width.Load()), m, len(mc)/tune.MinMegachunk)
 	if w <= 1 {
 		// Single-worker fast path: no goroutines, no merge, no run table.
-		psort.SortBlock(mc, scratch, ms.cells)
+		if m > 1 {
+			psort.SortBlock(mc, scratch[:len(mc)], ms.cells)
+		}
+		copy(dst, mc)
 		return
 	}
+	scratch = scratch[:len(mc)]
 	ms.runs = ms.runs[:0]
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
@@ -172,61 +176,74 @@ func (ms *megachunkSorter) sort(mc, scratch []int64) {
 		}(mc[lo:hi], scratch[lo:hi])
 	}
 	wg.Wait()
+	if dst != nil {
+		psort.MergeRound(dst, ms.runs, w, ms.cells)
+		return
+	}
 	psort.MergeRound(scratch, ms.runs, w, ms.cells)
 	copy(mc, scratch)
 }
 
-// finalMerge is phase 2 of the chunked algorithms: the multiway merge
-// across xs's sorted megachunks (runs), recorded as one whole-array
-// compute span. Under ElemKV the runs are record-aligned by construction.
-func finalMerge(ctx context.Context, xs []int64, runs [][]int64, threads int, obs exec.Observer, elem ElemKind) error {
-	if len(runs) < 2 {
-		return ctx.Err()
-	}
+// finalMerge is phase 2 of the chunked algorithms: merge, the multiway
+// merge of n cells across the sorted megachunks into the caller's array,
+// recorded as one whole-array compute span.
+func finalMerge(ctx context.Context, n int, obs exec.Observer, merge func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// The merge target comes from the shared pool rather than a per-run
-	// make: the merge joins its workers before returning, so the buffer
-	// is idle again by the Put.
-	final := mem.Pool.Get(len(xs))
 	done := spanStart(obs)
-	psort.MergeRound(final, runs, threads, elem.cells())
-	copy(xs, final)
-	done(exec.StageCompute, wholeArray, touchedBytes(len(xs)))
-	mem.Pool.Put(final)
+	merge()
+	done(exec.StageCompute, wholeArray, touchedBytes(n))
 	return ctx.Err()
 }
 
+// runRealMLM sorts xs's megachunks (phase 1) and merges them (phase 2).
+// Two or more megachunks draw one run buffer t of len(xs): each
+// megachunk's merge writes its sorted run into t, as the paper's writes
+// the megachunk back to DDR, and the final merge reads t and writes xs,
+// ping-ponging its rounds through t, so no key is copied back. t aliases
+// no home, so staged and degraded megachunks alike merge into it. It is
+// merge space, DDR-side, so it comes from the shared pool and not from
+// opts.Pool, and it settles like the pipeline's scratch. One megachunk
+// draws no t.
 func runRealMLM(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts RealOptions) (RealStats, error) {
 	if megachunkLen <= 0 && a == MLMImplicit {
 		megachunkLen = len(xs) // the paper: megachunk size equal to problem size
 	}
-	runs, stats, err := sortMegachunks(ctx, a, xs, threads, megachunkLen, opts, nil)
+	mcLen := megachunkCells(xs, megachunkLen, opts.Elem)
+	homes := megachunks(xs, mcLen)
+	if len(homes) < 2 {
+		stats, err := SortHomes(ctx, a, homes, threads, opts, nil, nil)
+		return stats, cmp.Or(err, ctx.Err())
+	}
+	t := mem.Pool.Get(len(xs))
+	runs := megachunks(t, mcLen)
+	stats, err := SortHomes(ctx, a, homes, threads, opts, runs, nil)
+	// t settles on phase 1's outcome (the deferred call's argument): the
+	// final merge joins its workers before it returns.
+	defer opts.Settle(mem.Pool, t, err)
 	if err != nil {
 		return stats, err
 	}
 	// Phase 2: final multiway merge across megachunks.
-	return stats, finalMerge(ctx, xs, runs, threads, opts.Observer, opts.Elem)
+	return stats, finalMerge(ctx, len(xs), opts.Observer, func() {
+		psort.MergeRounds(xs, t, runs, threads, opts.Elem.cells())
+	})
 }
 
-// sortMegachunks is phase 1 over one array: it cuts xs into megachunks (a
+// megachunkCells resolves a run's megachunk length in cells: a
 // non-positive megachunkLen selects a quarter of the array, so the
-// multi-megachunk path executes), sorts them with SortHomes and returns
-// them. With a nil writeRun xs is left a sequence of sorted runs, the
-// returned megachunks; with a writeRun xs is left unspecified.
-func sortMegachunks(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts RealOptions, writeRun func(i int, sorted []int64) error) ([][]int64, RealStats, error) {
+// multi-megachunk path executes, and megachunks (and therefore run files)
+// hold whole records.
+func megachunkCells(xs []int64, megachunkLen int, elem ElemKind) int {
 	if megachunkLen <= 0 {
 		megachunkLen = (len(xs) + 3) / 4
 	}
-	// Megachunks (and therefore run files) must hold whole records.
-	homes := megachunks(xs, opts.Elem.alignChunk(megachunkLen))
-	stats, err := SortHomes(ctx, a, homes, threads, opts, writeRun)
-	return homes, stats, err
+	return elem.alignChunk(megachunkLen)
 }
 
 // Staged reports whether the algorithm's real data flow copies each
-// megachunk through a staging buffer and back (MLM-sort and its hybrid-mode
+// megachunk into a staging buffer to sort it (MLM-sort and its hybrid-mode
 // twin, one flow on a host without MCDRAM); every other variant sorts
 // megachunks where they lie.
 func (a Algorithm) Staged() bool { return a == MLMSort || a == MLMHybrid }
@@ -241,11 +258,14 @@ func (a Algorithm) Staged() bool { return a == MLMSort || a == MLMHybrid }
 // variants sort in place throughout. threads must be positive and every
 // home hold whole elements of opts.Elem.
 //
-// Where a sorted megachunk goes is the only thing the callers vary. A nil
-// writeRun writes staged megachunks back to their homes. A non-nil
+// Where a sorted megachunk goes is the only thing the callers vary. With
+// into non-nil, megachunk i's merge writes into[i] (as long as homes[i],
+// aliasing no home) wherever the megachunk was sorted, and a staged
+// flow's copy-out stage is left only the staging release. A non-nil
 // writeRun is the copy-out instead: it receives megachunk i sorted,
-// wherever it was sorted, and the homes are left unspecified.
-func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, opts RealOptions, writeRun func(i int, sorted []int64) error) (RealStats, error) {
+// wherever it was sorted. Either way the homes are left unspecified.
+// With neither, staged megachunks are written back to their homes.
+func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, opts RealOptions, into [][]int64, writeRun func(i int, sorted []int64) error) (RealStats, error) {
 	maxLen, cells := 0, 0
 	for _, h := range homes {
 		maxLen = max(maxLen, len(h))
@@ -299,21 +319,26 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		if inPlace(i) {
 			buf = homes[i]
 		}
-		sorter.sort(buf, scratch)
+		var dst []int64
+		if into != nil {
+			dst = into[i] // the megachunk merge is the write-back
+		}
+		sorter.sort(buf, scratch, dst)
 		return nil
 	}
 	if s.CopyIn != nil {
 		s.CopyOut = func(i int, src []int64) error {
 			moved := !inPlace(i)
-			if !moved {
-				src = homes[i]
-			}
-			if writeRun != nil {
+			switch {
+			case writeRun != nil:
+				if !moved {
+					src = homes[i]
+				}
 				if err := writeRun(i, src); err != nil {
 					return err
 				}
-			} else if moved {
-				// megachunk merge writes back to DDR
+			case moved && into == nil:
+				// megachunk write-back to DDR
 				exec.CopyParallel(homes[i], src, int(copyW.Load()))
 			}
 			if staged {
@@ -360,17 +385,16 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		stats.Degraded, stats.AllocFailures = table.drain()
 		stats.Staged = stats.Megachunks - stats.Degraded
 	}
-	fs.SettleScratch(scratch, err)
+	fs.Settle(pool, scratch, err)
 	return stats, err
 }
 
 // runRealBasic is Bender et al.'s basic algorithm: each megachunk is sorted
-// with the *parallel* sort, then the megachunks are multiway merged.
+// with the *parallel* sort, then the megachunks are multiway merged
+// through a buffer from the shared pool (merge space, as in runRealMLM)
+// and copied back.
 func runRealBasic(ctx context.Context, xs []int64, threads, megachunkLen int, opts RealOptions) (RealStats, error) {
-	if megachunkLen <= 0 {
-		megachunkLen = (len(xs) + 3) / 4
-	}
-	runs := megachunks(xs, megachunkLen)
+	runs := megachunks(xs, megachunkCells(xs, megachunkLen, ElemInt64))
 	stats := RealStats{Megachunks: len(runs)}
 	s := exec.Stages{
 		NumChunks: len(runs),
@@ -381,8 +405,15 @@ func runRealBasic(ctx context.Context, xs []int64, threads, megachunkLen int, op
 		},
 	}
 	s = telemetry.FinishStages(s, opts.Policy, opts.Resilience, opts.Observer, opts.pool())
-	if err := exec.RunContext(ctx, s, opts.buffers()); err != nil {
-		return stats, err
+	if err := exec.RunContext(ctx, s, opts.buffers()); err != nil || len(runs) < 2 {
+		return stats, cmp.Or(err, ctx.Err())
 	}
-	return stats, finalMerge(ctx, xs, runs, threads, opts.Observer, ElemInt64)
+	// The merge joins its workers before returning, so the buffer is idle
+	// again by the Put.
+	final := mem.Pool.Get(len(xs))
+	defer mem.Pool.Put(final)
+	return stats, finalMerge(ctx, len(xs), opts.Observer, func() {
+		psort.MergeRound(final, runs, threads, 1)
+		copy(xs, final)
+	})
 }

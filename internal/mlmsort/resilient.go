@@ -50,8 +50,9 @@ type RealOptions struct {
 	// Pool, when non-nil, replaces the process-wide shared pool as the
 	// source of this run's staging buffers and sort scratch — the hook
 	// the scheduler uses to draw job staging from its budget-capped pool.
-	// The final-merge buffer still comes from the shared pool: merge
-	// space is DDR-side in the paper's data flow, not MCDRAM.
+	// The run buffer the megachunks merge into and the basic sort's merge
+	// buffer still come from the shared pool: merge space is DDR-side in
+	// the paper's data flow, not MCDRAM.
 	Pool *mem.SlicePool
 	// Elem selects how the int64 cells are interpreted by the sort and
 	// merge kernels (see ElemKind). The zero value is ElemInt64, the

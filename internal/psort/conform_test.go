@@ -554,6 +554,7 @@ func cellMergeKernels() []cellMergeKernel {
 	type fn = func(dst []int64, runs [][]int64)
 	round := func(cells int) fn { return func(dst []int64, runs [][]int64) { MergeRound(dst, runs, 4, cells) } }
 	window := func(cells int) fn { return func(dst []int64, runs [][]int64) { windowMergeWhole(dst, runs, cells) } }
+	rounds := func(cells int) fn { return func(dst []int64, runs [][]int64) { mergeRoundsWhole(dst, runs, 4, cells) } }
 	return []cellMergeKernel{
 		{name: [2]string{"Merge2", "MergeRecords2"}, covers: []string{"Merge2", "MergeRecords2"}, arity: 2,
 			run: [2]fn{
@@ -575,6 +576,7 @@ func cellMergeKernels() []cellMergeKernel {
 		{name: [2]string{"LoserTree.Reset-reuse", "RecordLoserTree.Reset-reuse"}, run: [2]fn{resetReuse[[1]int64], resetReuse[[2]int64]}},
 		{name: [2]string{"MergeRound", "MergeRound-records"}, covers: []string{"MergeRound"}, run: [2]fn{round(1), round(2)}},
 		{name: [2]string{"WindowMerge", "WindowMerge-records"}, covers: []string{"WindowMerge"}, run: [2]fn{window(1), window(2)}},
+		{name: [2]string{"MergeRounds", "MergeRounds-records"}, covers: []string{"MergeRounds"}, run: [2]fn{rounds(1), rounds(2)}},
 	}
 }
 
@@ -617,6 +619,19 @@ func float64SortKernels() []sortKernel[float64] {
 		{name: "SortFloat64sScratch", covers: []string{"SortFloat64sScratch"}, run: func(xs []float64) { SortFloat64sScratch(xs, make([]float64, len(xs))) }},
 		{name: "SortFloat64sScratch-nil", run: func(xs []float64) { SortFloat64sScratch(xs, nil) }},
 	}
+}
+
+// mergeRoundsWhole runs MergeRounds as a plain k-way merge kernel: the
+// runs are laid back to back in a spare, which the rounds clobber.
+func mergeRoundsWhole(dst []int64, runs [][]int64, threads, cells int) {
+	src := slices.Concat(runs...)
+	in := make([][]int64, len(runs))
+	off := 0
+	for i, r := range runs {
+		in[i] = src[off : off+len(r)]
+		off += len(r)
+	}
+	MergeRounds(dst, src, in, threads, cells)
 }
 
 // windowMergeWhole runs WindowMerge as a plain k-way merge kernel: every

@@ -131,6 +131,34 @@ func BenchmarkMergeBatchedK8(b *testing.B)     { benchMergeK(b, 8, 100_000, true
 func BenchmarkMergePerElementK16(b *testing.B) { benchMergeK(b, 16, 50_000, false) }
 func BenchmarkMergeBatchedK16(b *testing.B)    { benchMergeK(b, 16, 50_000, true) }
 
+// benchRounds times MergeRounds over the same runs as benchMergeK, laid
+// back to back in a spare, on one worker: the final merge's shape where
+// the caller holds a buffer as large as the output. Each pass clobbers
+// the spare, so it is refilled outside the timer.
+func benchRounds(b *testing.B, k, runLen int) {
+	runs := benchRuns(k, runLen)
+	flat := slices.Concat(runs...)
+	src, dst := make([]int64, len(flat)), make([]int64, len(flat))
+	in := make([][]int64, k)
+	for i := range in {
+		in[i] = src[i*runLen : (i+1)*runLen]
+	}
+	var r rounds[[1]int64]
+	b.SetBytes(int64(len(flat) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(src, flat)
+		b.StartTimer()
+		r.merge(dst, src, in, 1)
+	}
+}
+
+// BenchmarkMergeRoundsK8 is BenchmarkMergeBatchedK8's runs through three
+// rounds of the two-ended two-way merge instead of the 8-way tree; CI's
+// pairwise-merge floor holds it at 1.2x the tree.
+func BenchmarkMergeRoundsK8(b *testing.B) { benchRounds(b, 8, 100_000) }
+
 // Blocky runs — each run holds contiguous key blocks, the shape produced
 // by range-partitioned producers — where the batched drain's bulk copies
 // dominate.
@@ -233,8 +261,13 @@ func benchMerge2(b *testing.B, n int, fn func(dst, a, b []int64)) {
 	}
 }
 
-func BenchmarkMerge2Linear(b *testing.B) { benchMerge2(b, 500_000, merge2Linear) }
+func BenchmarkMerge2Linear(b *testing.B) { benchMerge2(b, 500_000, linear2) }
 func BenchmarkMerge2Gallop(b *testing.B) { benchMerge2(b, 500_000, Merge2) }
+
+// linear2 is the reference merge at width 1, in Merge2's signature.
+func linear2(dst, a, b []int64) {
+	merge2Linear(asCells[[1]int64](dst), asCells[[1]int64](a), asCells[[1]int64](b))
+}
 
 // Structured inputs where galloping should shine: disjoint ranges.
 func BenchmarkMerge2LinearDisjoint(b *testing.B) {
@@ -249,7 +282,7 @@ func BenchmarkMerge2LinearDisjoint(b *testing.B) {
 	b.SetBytes(int64(2 * n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merge2Linear(dst, a, bb)
+		linear2(dst, a, bb)
 	}
 }
 

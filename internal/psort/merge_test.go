@@ -21,10 +21,7 @@ func drainBoth(t *testing.T, label string, runs [][]int64) {
 	t.Helper()
 	records := make([][]int64, len(runs))
 	for i, r := range runs {
-		records[i] = make([]int64, 0, 2*len(r))
-		for j, key := range r {
-			records[i] = append(records[i], key, int64(i)<<32|int64(j))
-		}
+		records[i] = payloaded(r, i)
 	}
 	keys := slices.Concat(runs...)
 	slices.Sort(keys)
@@ -112,14 +109,91 @@ func TestMerge2MatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
 		runs := makeRuns(rng, 2, 400)
-		a, b := runs[0], runs[1]
-		want := make([]int64, len(a)+len(b))
-		merge2Linear(want, a, b)
-		got := make([]int64, len(a)+len(b))
-		Merge2(got, a, b)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: gallop Merge2 diverges at %d", trial, i)
+		merge2BothWidths(t, "random", runs[0], runs[1])
+	}
+}
+
+// merge2BothWidths checks the two-ended merge2 against the one-ended
+// merge2Linear on keys a and b, and again on records built from them
+// whose payload names each key's run and position, so at width 2 any
+// departure from the stable order (ties to a, in run order) is a
+// divergence.
+func merge2BothWidths(t *testing.T, label string, a, b []int64) {
+	t.Helper()
+	want, got := make([]int64, len(a)+len(b)), make([]int64, len(a)+len(b))
+	linear2(want, a, b)
+	Merge2(got, a, b)
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("%s (%d+%d): width-1 merge2 diverges at %d: %d, want %d", label, len(a), len(b), i, got[i], want[i])
+	}
+	ra, rb := payloaded(a, 0), payloaded(b, 1)
+	want, got = make([]int64, len(ra)+len(rb)), make([]int64, len(ra)+len(rb))
+	merge2Linear(asCells[[2]int64](want), asCells[[2]int64](ra), asCells[[2]int64](rb))
+	merge2(asCells[[2]int64](got), asCells[[2]int64](ra), asCells[[2]int64](rb))
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("%s (%d+%d): width-2 merge2 diverges at cell %d: %d, want %d", label, len(a), len(b), i, got[i], want[i])
+	}
+}
+
+// payloaded interleaves keys with a payload of (run, position).
+func payloaded(keys []int64, run int) []int64 {
+	out := make([]int64, 0, 2*len(keys))
+	for j, k := range keys {
+		out = append(out, k, int64(run)<<32|int64(j))
+	}
+	return out
+}
+
+func firstDiff(got, want []int64) int {
+	for i := range want {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMerge2TwoEndedExhaustive covers every pair of lengths up to 64 on
+// four shapes: random keys from a small domain (ties on both ends),
+// disjoint ranges in either order (one end emits only a, the other only
+// b), and interleaved blocks (streaks that start and stop the gallop).
+func TestMerge2TwoEndedExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	shapes := map[string]func(n, run int) []int64{
+		"random": func(n, _ int) []int64 {
+			r := make([]int64, n)
+			for i := range r {
+				r[i] = int64(rng.Intn(24))
+			}
+			slices.Sort(r)
+			return r
+		},
+		"a-below-b": func(n, run int) []int64 {
+			r := make([]int64, n)
+			for i := range r {
+				r[i] = int64(run*1000 + i)
+			}
+			return r
+		},
+		"b-below-a": func(n, run int) []int64 {
+			r := make([]int64, n)
+			for i := range r {
+				r[i] = int64((1-run)*1000 + i)
+			}
+			return r
+		},
+		"blocks": func(n, run int) []int64 {
+			r := make([]int64, n)
+			for i := range r {
+				r[i] = int64(i/9*18 + run*9 + i%9)
+			}
+			return r
+		},
+	}
+	for name, gen := range shapes {
+		for la := 0; la <= 64; la++ {
+			for lb := 0; lb <= 64; lb++ {
+				merge2BothWidths(t, name, gen(la, 0), gen(lb, 1))
 			}
 		}
 	}
@@ -284,14 +358,96 @@ func FuzzMerge2MatchesLinear(f *testing.F) {
 		b := bytesToInt64s(db)
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		want := make([]int64, len(a)+len(b))
-		merge2Linear(want, a, b)
-		got := make([]int64, len(a)+len(b))
-		Merge2(got, a, b)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("gallop Merge2 diverges at %d", i)
+		merge2BothWidths(t, "fuzz", a, b)
+	})
+}
+
+// roundsBoth merges runs through MergeRounds and through the loser tree,
+// at both cell widths, on one worker and on four, and fails on any
+// difference; at width 2 the payloads make it a stability check.
+func roundsBoth(t *testing.T, label string, runs [][]int64) {
+	t.Helper()
+	records := make([][]int64, len(runs))
+	for i, r := range runs {
+		records[i] = payloaded(r, i)
+	}
+	for width, in := range [][][]int64{runs, records} {
+		cells := width + 1
+		total := len(slices.Concat(in...))
+		want := make([]int64, total)
+		if cells == 1 {
+			batchedDrain[[1]int64](want, in)
+		} else {
+			batchedDrain[[2]int64](want, in)
+		}
+		for _, threads := range []int{1, 4} {
+			got := make([]int64, total)
+			mergeRoundsWhole(got, in, threads, cells)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("%s: k=%d width %d threads %d: rounds diverge from the tree at cell %d: %d, want %d",
+					label, len(runs), cells, threads, i, got[i], want[i])
 			}
 		}
-	})
+	}
+}
+
+// TestMergeRoundsMatchesTree runs every fan-in from 1 to 17, so both
+// parities of the round count (and the four-run first round) run, with
+// empty runs and all-equal keys among them, then a few fan-ins large
+// enough that each round is split across workers by selection.
+func TestMergeRoundsMatchesTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for k := 1; k <= 17; k++ {
+		roundsBoth(t, "random", makeRuns(rng, k, 90))
+		runs := makeRuns(rng, k, 40)
+		runs[rng.Intn(k)] = nil
+		roundsBoth(t, "with-empty", runs)
+		equal := make([][]int64, k)
+		for i := range equal {
+			equal[i] = make([]int64, rng.Intn(30))
+			for j := range equal[i] {
+				equal[i][j] = 7
+			}
+		}
+		roundsBoth(t, "all-equal", equal)
+	}
+	for _, k := range []int{2, 3, 5, 8} {
+		runs := make([][]int64, k)
+		for i := range runs {
+			runs[i] = make([]int64, parallelMergeMin/k+rng.Intn(300))
+			for j := range runs[i] {
+				runs[i][j] = int64(rng.Intn(1 << 14))
+			}
+			slices.Sort(runs[i])
+		}
+		roundsBoth(t, "split", runs)
+	}
+}
+
+func TestMergeRoundsAllocationFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	// A warm rounds state merges on one worker without allocating: the
+	// four-run tree, the cuts and the run views are all held in it.
+	for _, k := range []int{8, 9} { // three pairwise rounds; a four-run round first
+		runs := makeRuns(rand.New(rand.NewSource(int64(k))), k, 500)
+		flat := slices.Concat(runs...)
+		src, dst := make([]int64, len(flat)), make([]int64, len(flat))
+		in := make([][]int64, k)
+		off := 0
+		for i, r := range runs {
+			in[i] = src[off : off+len(r)]
+			off += len(r)
+		}
+		var r rounds[[1]int64]
+		allocs := testing.AllocsPerRun(5, func() {
+			copy(src, flat)
+			r.merge(dst, src, in, 1)
+		})
+		if allocs != 0 {
+			t.Errorf("k=%d: rounds allocate %.1f times per merge", k, allocs)
+		}
+		checkSorted(t, "rounds", dst, flat)
+	}
 }

@@ -180,16 +180,24 @@ func Merge2(dst, a, b []int64) {
 
 // merge2 is the two-way merge at either cell width, stable: ties go to a.
 //
+// The element-wise loop is two-ended: each step emits the smaller head
+// at the front of dst and the larger tail at the back, so the merge runs
+// as two independent dependency chains, each waiting only on its own
+// previous comparison. The back keeps the same stability from its side:
+// on equal tails it emits b's first, because b's equal keys come last.
+// While both runs hold an unconsumed element the two picks are distinct
+// elements (the smallest and the largest of what is left), so the loop
+// needs no other guard.
+//
 // The merge is adaptive: it runs the element-wise loop until one side
-// wins gallopMin times in a row, then switches to gallop mode —
-// exponential-search the end of each side's winning streak and memmove
-// the whole prefix — dropping back to element-wise when streaks shrink.
-// Output is identical to the plain linear merge.
+// wins gallopMin times in a row at the front, then switches to gallop
+// mode — exponential-search the end of each side's winning streak and
+// memmove the whole prefix — dropping back to element-wise when streaks
+// shrink. Output is identical to the plain linear merge.
 func merge2[C cell](dst, a, b []C) {
 	if len(dst) != len(a)+len(b) {
 		panic("psort: two-way merge destination length mismatch")
 	}
-	k := 0
 	galloping := false
 	for len(a) > 0 && len(b) > 0 {
 		if galloping {
@@ -197,33 +205,37 @@ func merge2[C cell](dst, a, b []C) {
 			// element: if a's streak is empty then b[0] < a[0], so b's
 			// streak is not.
 			ma := gallopLE(a, b[0][0])
-			copy(dst[k:], a[:ma])
-			k += ma
-			a = a[ma:]
+			copy(dst, a[:ma])
+			dst, a = dst[ma:], a[ma:]
 			if len(a) == 0 {
 				break
 			}
 			mb := gallopLT(b, a[0][0])
-			copy(dst[k:], b[:mb])
-			k += mb
-			b = b[mb:]
+			copy(dst, b[:mb])
+			dst, b = dst[mb:], b[mb:]
 			if ma < gallopMin && mb < gallopMin {
 				galloping = false
 			}
 			continue
 		}
-		// Which side holds the smaller head is a coin flip on interleaved
-		// runs, so nothing here branches on it: the comparison is read as
-		// 0 or 1, which masks the element in cell by cell, advances one
-		// cursor and keeps the streak count.
-		i, j, last, streak := 0, 0, 0, 0
-		for i < len(a) && j < len(b) {
-			take := b2i(b[j][0] < a[i][0]) // 1 takes from b; ties go to a
-			for c := 0; c < len(dst[k]); c++ {
-				dst[k][c] = a[i][c] ^ (a[i][c]^b[j][c])&-int64(take)
+		// Which side holds the smaller head (or the larger tail) is a coin
+		// flip on interleaved runs, so nothing here branches on it: each
+		// comparison is read as 0 or 1, which masks the element in cell by
+		// cell and advances one cursor. The front keeps the streak count.
+		// a[i..ia] and b[j..jb] are what is left; the front has written
+		// i+j elements and the back everything after ia+jb+1.
+		i, j, ia, jb := 0, 0, len(a)-1, len(b)-1
+		last, streak := 0, 0
+		for i <= ia && j <= jb {
+			take := b2i(b[j][0] < a[i][0])   // 1 takes b's head; ties go to a
+			back := b2i(a[ia][0] > b[jb][0]) // 1 takes a's tail; ties go to b
+			f, t := i+j, ia+jb+1
+			for c := 0; c < len(dst[f]); c++ {
+				dst[f][c] = a[i][c] ^ (a[i][c]^b[j][c])&-int64(take)
+				dst[t][c] = b[jb][c] ^ (b[jb][c]^a[ia][c])&-int64(back)
 			}
-			k++
 			i, j = i+1-take, j+take
+			ia, jb = ia-back, jb-1+back
 			streak = streak&-b2i(take == last) + 1
 			last = take
 			if streak >= gallopMin {
@@ -231,22 +243,22 @@ func merge2[C cell](dst, a, b []C) {
 				break
 			}
 		}
-		a, b = a[i:], b[j:]
+		dst, a, b = dst[i+j:ia+jb+2], a[i:ia+1], b[j:jb+1]
 	}
-	copy(dst[k:], a)
-	copy(dst[k+len(a):], b)
+	copy(dst, a)
+	copy(dst[len(a):], b)
 }
 
-// merge2Linear is the pre-gallop element-wise merge, kept as the
-// reference implementation for differential tests and the old-vs-new
-// kernel benchmarks.
-func merge2Linear(dst, a, b []int64) {
+// merge2Linear is the pre-gallop, one-ended element-wise merge at either
+// cell width, kept as the reference implementation for differential tests
+// and the old-vs-new kernel benchmarks.
+func merge2Linear[C cell](dst, a, b []C) {
 	if len(dst) != len(a)+len(b) {
 		panic("psort: Merge2 destination length mismatch")
 	}
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
+		if a[i][0] <= b[j][0] {
 			dst[k] = a[i]
 			i++
 		} else {
