@@ -22,9 +22,9 @@
 // HTTP listener shuts down.
 //
 // With -chaos, every job pipeline runs under a seeded fault-injection
-// plan (stage errors/panics/latency, MCDRAM allocation failures) — the
-// serving analog of cmd/chaos — so resilience can be exercised against
-// live traffic.
+// plan (stage errors/panics/latency, run-file IO faults) — the serving
+// analog of cmd/chaos — so resilience can be exercised against live
+// traffic; allocation faults reach only the library's staged flow.
 package main
 
 import (
@@ -67,7 +67,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	flag.Int64Var(&o.budgetMB, "budget-mb", 64, "MCDRAM staging budget leased to jobs, in MiB")
+	flag.Int64Var(&o.budgetMB, "budget-mb", 64, "MCDRAM budget leased to jobs for their sort scratch, in MiB")
 	flag.Int64Var(&o.ddrMB, "ddr-budget-mb", 0, "DDR working-set budget, in MiB (0 = uncapped; over-budget jobs spill when a disk budget is set)")
 	flag.Int64Var(&o.diskMB, "disk-budget-mb", 0, "disk budget for spill run files, in MiB (0 disables the spill class)")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "parent directory for spill run files (empty = OS temp dir)")
@@ -125,7 +125,7 @@ func run(o options) error {
 	if o.chaos {
 		plan := fault.NewPlan(o.chaosSeed, budget)
 		rig := plan.Rig(cfg.Resilience)
-		cfg.Staging, cfg.Policy = rig.Staging, rig.Policy
+		cfg.Policy = rig.Policy
 		// Spill-class jobs run their run-file IO under the same plan.
 		cfg.IOFaults = rig.Injector
 		fmt.Printf("mlmserve chaos plan seed=%d: %s\n", o.chaosSeed, plan)

@@ -106,7 +106,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		// What a node would refuse is refused here, before any partition
 		// is cut, not by every backend in turn.
-		_, err = req.Check()
+		err = req.Check()
 	}
 	if err != nil {
 		pool.Put(req.Keys)

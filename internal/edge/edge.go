@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/wire"
 )
@@ -59,9 +58,9 @@ type SortRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS, when positive, is a start deadline relative to arrival.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Algorithm names the sort variant. Empty leaves the data flow to the
-	// node's scheduler; "MLM-sort", the one name accepted, asks for
-	// megachunks staged through triple buffers.
+	// Algorithm must be empty: the node sorts every job by one flow
+	// (MLM-implicit, megachunks sorted where they lie), and any name, a
+	// variant of the library's included, is refused with a 400.
 	Algorithm string `json:"algorithm,omitempty"`
 	// MegachunkLen overrides automatic budget-aware megachunk sizing.
 	MegachunkLen int `json:"megachunk_len,omitempty"`
@@ -228,20 +227,6 @@ func AcceptsWire(r *http.Request) bool {
 	return false
 }
 
-// ParseAlgorithm maps a request's algorithm name to the sort variant: one
-// name per data flow. No name is the zero Algorithm, which the scheduler
-// alone resolves to its default.
-func ParseAlgorithm(name string) (mlmsort.Algorithm, error) {
-	switch name {
-	case "":
-		return 0, nil
-	case "MLM-sort":
-		return mlmsort.MLMSort, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want MLM-sort, or none for the node's default)", name)
-	}
-}
-
 // HeaderDeadlineMS reads DeadlineHeader; zero when absent or malformed.
 func HeaderDeadlineMS(r *http.Request) int64 {
 	ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64)
@@ -374,12 +359,15 @@ func DecodeSubmit(w http.ResponseWriter, r *http.Request, maxBody int64) (req So
 }
 
 // Check validates what both tiers refuse before admitting a decoded
-// request: an empty key array and an unknown algorithm.
-func (req *SortRequest) Check() (mlmsort.Algorithm, error) {
+// request: an empty key array and any algorithm name.
+func (req *SortRequest) Check() error {
 	if len(req.Keys) == 0 {
-		return 0, errEmptyKeys
+		return errEmptyKeys
 	}
-	return ParseAlgorithm(req.Algorithm)
+	if req.Algorithm != "" {
+		return fmt.Errorf("unknown algorithm %q (the node chooses the data flow; omit the field)", req.Algorithm)
+	}
+	return nil
 }
 
 // RefuseSubmit answers a submit that DecodeSubmit, the body read or

@@ -5,13 +5,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-
-	"knlmlm/internal/mlmsort"
 )
 
 // TestWireSubmitRoundTrip: what NewWireSubmit builds, DecodeSubmit reads
 // back, so the coordinator's client and both servers agree on where
-// each option rides.
+// each option rides. An algorithm name rides too, so that Check refuses
+// it at whichever tier it reaches.
 func TestWireSubmitRoundTrip(t *testing.T) {
 	want := SortRequest{
 		Keys: []int64{9, -3, 4}, KeyType: "i64", Priority: 2, DeadlineMS: 1500,
@@ -33,26 +32,13 @@ func TestWireSubmitRoundTrip(t *testing.T) {
 	if err := fr.ReadInto(got.Keys); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := got.Check(); err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
-}
-
-// TestParseAlgorithm: one name per data flow, and no default of the
-// edge's own. No name is the zero Algorithm, which sched.submit resolves.
-func TestParseAlgorithm(t *testing.T) {
-	if a, err := ParseAlgorithm(""); err != nil || a != 0 {
-		t.Errorf(`ParseAlgorithm("") = %v, %v; want the zero Algorithm`, a, err)
+	if err := got.Check(); err == nil {
+		t.Fatalf("Check accepted algorithm %q", got.Algorithm)
 	}
-	if a, err := ParseAlgorithm("MLM-sort"); err != nil || a != mlmsort.MLMSort {
-		t.Errorf(`ParseAlgorithm("MLM-sort") = %v, %v`, a, err)
-	}
-	for _, name := range []string{"MLM-hybrid", "MLM-implicit", "mlm-sort", "GNU-flat"} {
-		if a, err := ParseAlgorithm(name); err == nil {
-			t.Errorf("ParseAlgorithm(%q) = %v, want an error", name, a)
-		}
+	if got.Algorithm = ""; got.Check() != nil {
+		t.Fatalf("Check refused %+v", got)
 	}
 }

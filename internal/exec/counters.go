@@ -49,7 +49,9 @@ func Instrument(s Stages, touchedPerElem int64) (Stages, *Counters) {
 	if s.CopyOut != nil {
 		inner := s.CopyOut
 		out.CopyOut = func(i int, buf []int64) error {
-			c.copyOut.Add(int64(len(buf)) * 8)
+			// By chunk length too: with no CopyIn the chunk leaves from the
+			// caller's storage and buf is empty.
+			c.copyOut.Add(int64(s.ChunkLen(i)) * 8)
 			return inner(i, buf)
 		}
 	}

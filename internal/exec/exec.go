@@ -96,9 +96,11 @@ type Buffer struct {
 }
 
 // Stages supplies the per-chunk work of a pipeline. CopyIn and CopyOut may
-// be nil, in which case no staging buffer exists and Compute receives an
-// empty one (the in-place variants: MLM-ddr and implicit cache mode operate
-// directly on the source array and use only Compute).
+// be nil. With no CopyIn no staging buffer exists: Compute, and CopyOut
+// when there is one, work over storage the caller closed over and receive
+// an empty buffer (the in-place variants: MLM-ddr and implicit cache mode
+// sort megachunks where they live, and a spilling run's CopyOut streams
+// each one to its run file from there).
 //
 // Stage functions report failure by returning an error; a panicking stage
 // is recovered and treated as an error. A failed attempt is retried under
@@ -115,7 +117,8 @@ type Stages struct {
 	// Compute transforms chunk i in buf in place (or, with nil CopyIn,
 	// operates on whatever storage the caller closed over; buf is empty).
 	Compute func(i int, buf []int64) error
-	// CopyOut drains chunk i from src to its destination.
+	// CopyOut drains chunk i from src to its destination (with nil CopyIn,
+	// from the caller's storage; src is empty).
 	CopyOut func(i int, src []int64) error
 	// Observer, when non-nil, receives per-chunk stage events (work and
 	// wait spans). Nil means telemetry off: no timestamps are taken and
@@ -160,9 +163,6 @@ func (s *Stages) Validate() error {
 	if s.Compute == nil {
 		return fmt.Errorf("exec: Compute stage is required")
 	}
-	if s.CopyIn == nil && s.CopyOut != nil {
-		return fmt.Errorf("exec: CopyOut without CopyIn is not a supported pipeline shape")
-	}
 	if err := s.Retry.validate(); err != nil {
 		return err
 	}
@@ -176,7 +176,9 @@ func (s *Stages) Validate() error {
 // (>= 1; the paper's flat-mode buffering uses 3). Stages for different
 // chunks overlap exactly as in the simulated async pipeline: each stage
 // processes chunks in order, one at a time, and a chunk occupies one buffer
-// from its copy-in until its last stage finishes.
+// from its copy-in until its last stage finishes. Without CopyIn the
+// buffers are empty slots, nothing is drawn from Pool, and buffers only
+// bounds how many chunks compute may finish ahead of copy-out.
 func Run(s Stages, buffers int) error {
 	return RunContext(context.Background(), s, buffers)
 }
@@ -207,6 +209,9 @@ type runner struct {
 // so the pipeline keeps running; the refusal stays visible in the pool's
 // stats.
 func (r *runner) newBuffer(n int) *Buffer {
+	if r.s.CopyIn == nil {
+		return &Buffer{} // the stages work over caller storage
+	}
 	return &Buffer{full: r.pool.GetOrAlloc(n)}
 }
 
@@ -279,11 +284,11 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 	defer cancel()
 	r := &runner{s: &s, obs: s.Observer, touched: s.touchedPerElem(), pool: s.Pool, cancel: cancel}
 
-	if s.CopyIn == nil {
-		// No staging: compute runs chunk by chunk over caller storage, so
-		// nothing is drawn from the pool. The stage is handed an empty
-		// buffer; a replacement after an abandoned attempt is as empty.
-		b := &Buffer{}
+	if s.CopyIn == nil && s.CopyOut == nil {
+		// Compute alone, chunk by chunk over caller storage. The stage is
+		// handed an empty buffer; a replacement after an abandoned attempt
+		// is as empty.
+		b := r.newBuffer(0)
 		for i := 0; i < s.NumChunks; i++ {
 			if err := runCtx.Err(); err != nil {
 				return err
@@ -317,9 +322,12 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 	go func() { // copy-in pool
 		defer wg.Done()
 		defer close(toCompute)
+		// With no CopyIn this goroutine only hands out the slots: waiting
+		// for one is compute waiting on copy-out, recorded as compute-wait.
+		observe := r.obs != nil && s.CopyIn != nil
 		for i := 0; i < s.NumChunks; i++ {
 			var t0 time.Time
-			if r.obs != nil {
+			if observe {
 				t0 = time.Now()
 			}
 			var b *Buffer
@@ -328,18 +336,20 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 			case <-runCtx.Done():
 				return
 			}
-			if r.obs != nil {
+			if observe {
 				r.obs.StageEvent(StageEvent{Stage: StageCopyInWait, Chunk: i, Worker: 0, Start: t0, End: time.Now()})
 			}
-			b.Data = b.full[:s.ChunkLen(i)]
-			b, err := r.runStage(runCtx, StageCopyIn, i, 0, b, nil, s.CopyIn)
-			if err != nil {
-				// runStage returned a buffer no attempt can still touch
-				// (abandoned attempts got replacements); recycle it rather
-				// than ratcheting the pool's footprint on every abort.
-				r.reclaim(b)
-				r.fail(err)
-				return
+			if s.CopyIn != nil {
+				b.Data = b.full[:s.ChunkLen(i)]
+				var err error
+				if b, err = r.runStage(runCtx, StageCopyIn, i, 0, b, nil, s.CopyIn); err != nil {
+					// runStage returned a buffer no attempt can still touch
+					// (abandoned attempts got replacements); recycle it rather
+					// than ratcheting the pool's footprint on every abort.
+					r.reclaim(b)
+					r.fail(err)
+					return
+				}
 			}
 			toCompute <- item{i, b}
 		}

@@ -113,12 +113,6 @@ func TestPipelineValidation(t *testing.T) {
 		{"negative chunks", Stages{NumChunks: -1, Compute: func(int, []int64) error { return nil }}, 1},
 		{"missing compute", Stages{NumChunks: 1, ChunkLen: func(int) int { return 1 }}, 1},
 		{"missing chunklen", Stages{NumChunks: 1, Compute: func(int, []int64) error { return nil }}, 1},
-		{"copyout without copyin", Stages{
-			NumChunks: 1,
-			ChunkLen:  func(int) int { return 1 },
-			Compute:   func(int, []int64) error { return nil },
-			CopyOut:   func(int, []int64) error { return nil },
-		}, 1},
 		{"zero buffers", Stages{
 			NumChunks: 1,
 			ChunkLen:  func(int) int { return 1 },

@@ -3,6 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,6 +110,95 @@ func TestPooledRunNoStagingPath(t *testing.T) {
 		}
 		if fp := pool.FootprintBytes(); fp != base {
 			t.Errorf("%s: pool footprint %d, want the baseline %d", tc.name, fp, base)
+		}
+	}
+}
+
+// TestComputeCopyOutOverCallerStorage: a pipeline with Compute and CopyOut
+// but no CopyIn works over the caller's storage, as a spilling run does
+// when it sorts each megachunk where it lives and streams it to its run
+// file from there. It draws nothing from the pool, both stages get an
+// empty buffer, and buffers bounds how far compute runs ahead: with two,
+// copy-out of chunk 0 and compute of chunk 1 are both under way at once
+// (each waits, inside its stage, for the other to have begun); with one,
+// compute of chunk i+1 starts only after copy-out of chunk i returns.
+func TestComputeCopyOutOverCallerStorage(t *testing.T) {
+	const chunks, chunkLen = 4, 256
+	for _, buffers := range []int{1, 2} {
+		pool := mem.NewSlicePoolBudget(1 << 20)
+		pool.Warm(chunkLen)
+		baseStats := pool.Stats()
+		data := workload.Generate(workload.Random, chunks*chunkLen, 3)
+		out := make([]int64, len(data))
+		outStarted, computeStarted := make(chan struct{}), make(chan struct{})
+		var order []string // appended by both stage goroutines under mu
+		var mu sync.Mutex
+		log := func(ev string) {
+			mu.Lock()
+			order = append(order, ev)
+			mu.Unlock()
+		}
+		// overlapped waits for ch inside a stage; giving up after a bound
+		// only turns a missing overlap into an error instead of a hang.
+		overlapped := func(ch chan struct{}) error {
+			select {
+			case <-ch:
+				return nil
+			case <-time.After(10 * time.Second):
+				return errors.New("the other stage never started")
+			}
+		}
+		s := Stages{
+			NumChunks: chunks,
+			ChunkLen:  func(int) int { return chunkLen },
+			Compute: func(i int, buf []int64) error {
+				if len(buf) != 0 {
+					t.Errorf("chunk %d: compute got a %d-element buffer, want none", i, len(buf))
+				}
+				log(fmt.Sprintf("compute %d", i))
+				chunk := data[i*chunkLen : (i+1)*chunkLen]
+				slices.Sort(chunk)
+				if buffers == 2 && i == 1 {
+					close(computeStarted)
+					return overlapped(outStarted)
+				}
+				return nil
+			},
+			CopyOut: func(i int, src []int64) error {
+				if len(src) != 0 {
+					t.Errorf("chunk %d: copy-out got a %d-element buffer, want none", i, len(src))
+				}
+				copy(out[i*chunkLen:], data[i*chunkLen:(i+1)*chunkLen])
+				if buffers == 2 && i == 0 {
+					close(outStarted)
+					if err := overlapped(computeStarted); err != nil {
+						return err
+					}
+				}
+				log(fmt.Sprintf("copy-out %d done", i))
+				return nil
+			},
+			Pool: pool,
+		}
+		if err := Run(s, buffers); err != nil {
+			t.Fatalf("buffers=%d: %v", buffers, err)
+		}
+		if st := pool.Stats(); st != baseStats {
+			t.Errorf("buffers=%d: the run touched the pool: %+v, was %+v", buffers, st, baseStats)
+		}
+		for i := 0; i < chunks; i++ {
+			if !workload.IsSorted(out[i*chunkLen : (i+1)*chunkLen]) {
+				t.Fatalf("buffers=%d: chunk %d copied out unsorted", buffers, i)
+			}
+		}
+		if buffers == 1 {
+			var want []string
+			for i := 0; i < chunks; i++ {
+				want = append(want, fmt.Sprintf("compute %d", i), fmt.Sprintf("copy-out %d done", i))
+			}
+			if !slices.Equal(order, want) {
+				t.Errorf("buffers=1: stages ran %q, want strictly %q", order, want)
+			}
 		}
 	}
 }

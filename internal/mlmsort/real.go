@@ -242,11 +242,11 @@ func megachunkCells(xs []int64, megachunkLen int, elem ElemKind) int {
 	return elem.alignChunk(megachunkLen)
 }
 
-// Staged reports whether the algorithm's real data flow copies each
+// staged reports whether the algorithm's real data flow copies each
 // megachunk into a staging buffer to sort it (MLM-sort and its hybrid-mode
 // twin, one flow on a host without MCDRAM); every other variant sorts
 // megachunks where they lie.
-func (a Algorithm) Staged() bool { return a == MLMSort || a == MLMHybrid }
+func (a Algorithm) staged() bool { return a == MLMSort || a == MLMHybrid }
 
 // SortHomes is phase 1 of every megachunked sort, in memory or spilled: it
 // sorts each home on the exec pipeline, so megachunks inherit
@@ -297,7 +297,7 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		NumChunks: len(homes),
 		ChunkLen:  func(i int) int { return len(homes[i]) },
 	}
-	staged := a.Staged()
+	staged := a.staged()
 	var table *stagingTable
 	inPlace := func(i int) bool { return table == nil || table.isDegraded(i) }
 	if staged {
@@ -309,11 +309,6 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 			}
 			return nil // a failed staging leaves the megachunk in DDR
 		}
-	} else if writeRun != nil {
-		// The megachunk is sorted where it lives and the copy-out streams
-		// it from there; the staging buffer is untouched, so CopyIn (which
-		// exec requires of any pipeline with a CopyOut) has nothing to move.
-		s.CopyIn = func(int, []int64) error { return nil }
 	}
 	s.Compute = func(i int, buf []int64) error {
 		if inPlace(i) {
@@ -326,7 +321,9 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		sorter.sort(buf, scratch, dst)
 		return nil
 	}
-	if s.CopyIn != nil {
+	if staged || writeRun != nil {
+		// Unstaged, the megachunk was sorted where it lives and the
+		// copy-out streams it from there: exec hands it no buffer.
 		s.CopyOut = func(i int, src []int64) error {
 			moved := !inPlace(i)
 			switch {

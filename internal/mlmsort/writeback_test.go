@@ -97,7 +97,7 @@ func TestMegachunkWritebackDifferential(t *testing.T) {
 				if stats.Megachunks != count {
 					t.Errorf("%s: %d megachunks, want %d", name, stats.Megachunks, count)
 				}
-				if a.Staged() && stats.Degraded != len(failing) {
+				if a.staged() && stats.Degraded != len(failing) {
 					t.Errorf("%s: %d megachunks degraded, want %d", name, stats.Degraded, len(failing))
 				}
 				drawn := int64(0)

@@ -482,6 +482,9 @@ type cellMergeKernel struct {
 
 func scratchFor(xs []int64) []int64 { return make([]int64, len(xs)) }
 
+// longScratch is a scratch two elements of either width longer than xs.
+func longScratch(xs []int64) []int64 { return make([]int64, len(xs)+4) }
+
 // forcedRadix runs the LSD core with the scatter chosen by hand: the
 // production dispatch only tiles from radixTileMinLen cells, past the
 // sizes of this matrix (TestPublicEntriesAcrossTileThreshold crosses it).
@@ -495,8 +498,13 @@ func cellSortKernels() []cellSortKernel {
 	return []cellSortKernel{
 		{name: [2]string{"Serial"}, covers: []string{"Serial"}, run: [2]fn{Serial}},
 		{name: [2]string{"Parallel"}, covers: []string{"Parallel"}, run: [2]fn{func(xs []int64) { Parallel(xs, 4) }}},
-		{name: [2]string{"RadixSort", "SortRecords"}, covers: []string{"RadixSort", "SortRecords"},
-			run: [2]fn{RadixSort, func(xs []int64) { SortRecords(KVsFromInt64s(xs)) }}},
+		// The labels date from when RadixSort and SortRecords were exports
+		// that drew their own scratch. The row hands the Scratch entries a
+		// scratch longer than the input, as a pool's size class is.
+		{name: [2]string{"RadixSort", "SortRecords"}, run: [2]fn{
+			func(xs []int64) { RadixSortScratch(xs, longScratch(xs)) },
+			func(xs []int64) { SortRecordsScratch(KVsFromInt64s(xs), KVsFromInt64s(longScratch(xs))) },
+		}},
 		{name: [2]string{"RadixSortScratch", "SortRecordsScratch"}, covers: []string{"RadixSortScratch", "SortRecordsScratch"},
 			run: [2]fn{
 				func(xs []int64) { RadixSortScratch(xs, scratchFor(xs)) },
@@ -556,12 +564,12 @@ func cellMergeKernels() []cellMergeKernel {
 	window := func(cells int) fn { return func(dst []int64, runs [][]int64) { windowMergeWhole(dst, runs, cells) } }
 	rounds := func(cells int) fn { return func(dst []int64, runs [][]int64) { mergeRoundsWhole(dst, runs, 4, cells) } }
 	return []cellMergeKernel{
-		{name: [2]string{"Merge2", "MergeRecords2"}, covers: []string{"Merge2", "MergeRecords2"}, arity: 2,
+		// The width-2 label dates from when MergeRecords2 was an export; a
+		// two-run record round is what reaches merge2 at that width now.
+		{name: [2]string{"Merge2", "MergeRecords2"}, covers: []string{"Merge2"}, arity: 2,
 			run: [2]fn{
 				func(dst []int64, runs [][]int64) { Merge2(dst, runs[0], runs[1]) },
-				func(dst []int64, runs [][]int64) {
-					MergeRecords2(KVsFromInt64s(dst), KVsFromInt64s(runs[0]), KVsFromInt64s(runs[1]))
-				},
+				round(2),
 			}},
 		// The width-2 label dates from when the record k-way merge was an
 		// export of its own; mergeCells is what MergeRound calls now.
@@ -615,7 +623,10 @@ func int64sAsCells(xs []int64) []int64 { return xs }
 
 func float64SortKernels() []sortKernel[float64] {
 	return []sortKernel[float64]{
-		{name: "SortFloat64s", covers: []string{"SortFloat64s"}, run: SortFloat64s},
+		// The label dates from when SortFloat64s was an export. The row hands
+		// SortFloat64sScratch a scratch too short for the radix, which takes
+		// the comparison path.
+		{name: "SortFloat64s", run: func(xs []float64) { SortFloat64sScratch(xs, make([]float64, len(xs)/2)) }},
 		{name: "SortFloat64sScratch", covers: []string{"SortFloat64sScratch"}, run: func(xs []float64) { SortFloat64sScratch(xs, make([]float64, len(xs))) }},
 		{name: "SortFloat64sScratch-nil", run: func(xs []float64) { SortFloat64sScratch(xs, nil) }},
 	}

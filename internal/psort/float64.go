@@ -16,20 +16,6 @@ package psort
 // return. Sorting is deterministic down to the bit: -0.0 and +0.0 keep
 // distinct positions and NaNs order by their payload bits.
 
-// SortFloat64s sorts xs ascending in the Float64TotalLess total order,
-// allocating radix scratch when the input is large enough to want it.
-// Hot paths should use SortFloat64sScratch with pooled scratch.
-func SortFloat64s(xs []float64) {
-	if len(xs) < 2 {
-		return
-	}
-	var scratch []float64
-	if len(xs) >= radixMinLen {
-		scratch = make([]float64, len(xs))
-	}
-	SortFloat64sScratch(xs, scratch)
-}
-
 // SortFloat64sScratch sorts xs ascending in the Float64TotalLess total
 // order using scratch as the radix ping-pong buffer; scratch may be nil
 // or short, in which case the comparison path is used, exactly like

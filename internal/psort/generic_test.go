@@ -280,16 +280,18 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 		}
 	}
 
-	// The record two-way merge into a preallocated destination.
+	// The record two-way merge (a two-run record round) into a
+	// preallocated destination.
 	a1 := slices.Clone(recs[:n/2])
 	b1 := slices.Clone(recs[n/2:])
 	slices.SortStableFunc(a1, cmpKV)
 	slices.SortStableFunc(b1, cmpKV)
-	dst := make([]KV, n)
+	dst := make([]int64, 2*n)
+	two := [][]int64{Int64sFromKVs(a1), Int64sFromKVs(b1)}
 	if a := testing.AllocsPerRun(10, func() {
-		MergeRecords2(dst, a1, b1)
+		MergeRound(dst, two, 1, 2)
 	}); a != 0 {
-		t.Errorf("MergeRecords2 allocates %v per run, want 0", a)
+		t.Errorf("a two-run record MergeRound allocates %v per run, want 0", a)
 	}
 
 	// The loser tree reused via Reset — the shape of a steady-state merge

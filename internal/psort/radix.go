@@ -139,16 +139,6 @@ const radixSlackBits = 4
 // down to about 68, so 64.
 const radixInsertionMax = 64
 
-// RadixSort sorts xs ascending, allocating its own scratch buffer. Hot
-// paths should use RadixSortScratch (or SortAdaptive) with pooled scratch
-// instead.
-func RadixSort(xs []int64) {
-	if len(xs) < 2 {
-		return
-	}
-	RadixSortScratch(xs, make([]int64, len(xs)))
-}
-
 // RadixSortScratch sorts xs ascending using scratch as the ping-pong
 // buffer; scratch must be at least as long as xs and must not alias it.
 // The sort performs no allocation. Scratch contents on return are

@@ -18,10 +18,10 @@ func diffAgainstSerial(t *testing.T, label string, in []int64) {
 	Serial(want)
 
 	got := append([]int64(nil), in...)
-	RadixSort(got)
+	RadixSortScratch(got, make([]int64, len(got)))
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s: RadixSort diverges from Serial at %d: %d != %d", label, i, got[i], want[i])
+			t.Fatalf("%s: RadixSortScratch diverges from Serial at %d: %d != %d", label, i, got[i], want[i])
 		}
 	}
 
@@ -78,7 +78,7 @@ func TestRadixQuickCheck(t *testing.T) {
 		want := append([]int64(nil), xs...)
 		Serial(want)
 		got := append([]int64(nil), xs...)
-		RadixSort(got)
+		RadixSortScratch(got, make([]int64, len(got)))
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -425,7 +425,7 @@ func FuzzRadixMatchesSerial(f *testing.F) {
 		want := append([]int64(nil), xs...)
 		Serial(want)
 		got := append([]int64(nil), xs...)
-		RadixSort(got)
+		RadixSortScratch(got, make([]int64, len(got)))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("radix diverges from Serial at %d", i)

@@ -27,19 +27,6 @@ type KV struct {
 // the histogram overhead amortizes by a few hundred records.
 const recRadixMinLen = 256
 
-// SortRecords sorts rs ascending by key, stably, allocating its own
-// scratch. Hot paths should use SortRecordsScratch with pooled scratch.
-func SortRecords(rs []KV) {
-	if len(rs) < 2 {
-		return
-	}
-	if len(rs) < recRadixMinLen {
-		binaryInsertionRecords(rs)
-		return
-	}
-	SortRecordsScratch(rs, make([]KV, len(rs)))
-}
-
 // SortRecordsScratch sorts rs ascending by key, stably, using scratch as
 // the radix ping-pong buffer; scratch must be at least as long as rs and
 // must not alias it. The sort performs no allocation. Scratch contents
@@ -80,11 +67,4 @@ func binaryInsertionRecords(rs []KV) {
 			rs[lo] = r
 		}
 	}
-}
-
-// MergeRecords2 merges sorted runs a and b into dst, stably (ties take
-// from a first). dst must have exactly len(a)+len(b) capacity used and
-// must not alias the runs.
-func MergeRecords2(dst, a, b []KV) {
-	merge2(kvCells(dst), kvCells(a), kvCells(b))
 }

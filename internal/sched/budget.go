@@ -8,7 +8,7 @@ import (
 )
 
 // Budget is the scheduler's MCDRAM ledger: a fixed byte capacity from
-// which concurrent jobs lease their staging footprint. It is the
+// which concurrent jobs lease their sort-scratch footprint. It is the
 // admission-control half of the paper's Section 3.2 provisioning story —
 // where the single-run algorithm sizes its chunks against the whole 16 GB
 // scratchpad, the service must split that scratchpad between tenants, and

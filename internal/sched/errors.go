@@ -133,7 +133,7 @@ type TooLargeError struct {
 	// Lease is the minimal lease the job would need; Budget the
 	// scheduler's total budget on the binding tier.
 	Lease, Budget units.Bytes
-	// Resource names the binding tier: "MCDRAM" (staging lease), "DDR"
+	// Resource names the binding tier: "MCDRAM" (scratch lease), "DDR"
 	// (working set, with no spill tier to fall back to), or "disk" (run
 	// files would not fit the disk budget). Empty means MCDRAM.
 	Resource string

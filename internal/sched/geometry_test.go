@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -8,9 +9,8 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/mlmsort"
-	"knlmlm/internal/telemetry"
+	"knlmlm/internal/psort"
 	"knlmlm/internal/units"
 	"knlmlm/internal/wire"
 	"knlmlm/internal/workload"
@@ -56,12 +56,16 @@ func finalMerges(j *Job) (n int) {
 //     an 8 MiB lease (the scratch);
 //   - the default at 1Ki cells: the same plan at the other end of the size
 //     range, an 8 KiB lease, with no second class of job to fall into;
-//   - MLM-sort by name: four megachunks staged in and out, the same 8 MiB
-//     (three staging buffers and a scratch of 256Ki cells), and under a
-//     heap that can place none of them every megachunk degrades and the job
-//     still sorts;
 //   - the default under a 4 MiB budget, where the largest in-place
-//     megachunk is 512Ki cells: two megachunks and a final merge.
+//     megachunk is 512Ki cells: two megachunks and a final merge;
+//   - a spill job under the same 4 MiB: four megachunks of 256Ki cells,
+//     half the largest, each sorted where it lies and copied out from there
+//     to its run file (8 MiB through copy-out, none through copy-in), no
+//     final merge in phase 1, and a 2 MiB lease: one scratch, no staging
+//     buffer. Its result streams through the download merge.
+//
+// In every shape the job draws exactly its lease from the scheduler's
+// pool, and the pool refuses nothing.
 func TestPlanShapes(t *testing.T) {
 	kinds := []struct {
 		kind  wire.Kind
@@ -86,40 +90,49 @@ func TestPlanShapes(t *testing.T) {
 		name       string
 		n          int
 		budget     units.Bytes
-		alg        mlmsort.Algorithm
-		tinyHeap   bool
+		spill      bool
 		megachunks int
-		copyBytes  int64
+		copyOut    int64
 		merges     int
 		lease      int64
 		flow       string
 	}{
-		{"default", mi, 64 * units.MiB, 0, false, 1, 0, 0, 8 * mi, "in-place"},
-		{"default-1Ki", ki, 64 * units.MiB, 0, false, 1, 0, 0, 8 * ki, "in-place"},
-		{"MLM-sort", mi, 64 * units.MiB, mlmsort.MLMSort, false, 4, 8 * mi, 1, 8 * mi, "staged"},
-		{"MLM-sort-degraded", mi, 64 * units.MiB, mlmsort.MLMSort, true, 4, 8 * mi, 1, 8 * mi, "staged"},
-		{"default-over-budget", mi, 4 * units.MiB, 0, false, 2, 0, 1, 4 * mi, "in-place"},
+		{"default", mi, 64 * units.MiB, false, 1, 0, 0, 8 * mi, "in-place"},
+		{"default-1Ki", ki, 64 * units.MiB, false, 1, 0, 0, 8 * ki, "in-place"},
+		{"default-over-budget", mi, 4 * units.MiB, false, 2, 0, 1, 4 * mi, "in-place"},
+		{"spill", mi, 4 * units.MiB, true, 4, 8 * mi, 0, 2 * mi, "spill"},
 	}
 	rng := rand.New(rand.NewSource(23))
 	for _, sh := range shapes {
 		for _, k := range kinds {
 			t.Run(sh.name+"/"+k.kind.String(), func(t *testing.T) {
 				meter := &stageMeter{}
-				res := telemetry.NewResilience(telemetry.NewRegistry())
-				cfg := Config{MCDRAMBudget: sh.budget, Workers: 1, Resilience: res}
-				cfg.Wrap = meter.wrap
-				if sh.tinyHeap {
-					cfg.Heap = memkind.NewHeap(units.KiB, units.GiB)
+				cfg := Config{MCDRAMBudget: sh.budget, Workers: 1}
+				if sh.spill {
+					// A 1Mi-cell job's DDR working set is 16 MiB.
+					cfg.DDRBudget, cfg.DiskBudget, cfg.SpillDir = 8*units.MiB, 16*units.MiB, t.TempDir()
 				}
+				cfg.Wrap = meter.wrap
 				s := newTestScheduler(t, cfg)
 				n, input := sh.n, k.input(rng, sh.n)
-				j, err := s.Submit(JobSpec{Data: append([]int64(nil), input...), KeyType: k.kind, Algorithm: sh.alg})
+				j, err := s.Submit(JobSpec{Data: append([]int64(nil), input...), KeyType: k.kind})
 				if err != nil {
 					t.Fatalf("submit: %v", err)
 				}
 				waitDone(t, j)
-				out, err := j.Result()
-				if err != nil {
+				if j.Spilled() != sh.spill {
+					t.Fatalf("spilled %v, want %v", j.Spilled(), sh.spill)
+				}
+				if got := finalMerges(j); got != sh.merges {
+					t.Errorf("%d final merges, want %d", got, sh.merges)
+				}
+				if fp, st := s.pool.FootprintBytes(), s.PoolStats(); fp != sh.lease || st.Refusals != 0 {
+					t.Errorf("the job drew %d bytes from the pool with %d refusals, want its lease %d and none", fp, st.Refusals, sh.lease)
+				}
+				var out []int64
+				if sh.spill {
+					out = drainStreamF64(t, j) // no int64 order asserted: f64 keys leave as IEEE bits
+				} else if out, err = j.Result(); err != nil {
 					t.Fatalf("result: %v", err)
 				}
 				k.check(t, out, input)
@@ -127,24 +140,14 @@ func TestPlanShapes(t *testing.T) {
 				if meter.megachunks != sh.megachunks {
 					t.Errorf("ran %d megachunks, want %d", meter.megachunks, sh.megachunks)
 				}
-				if in, out := meter.bytes.CopyInBytes(), meter.bytes.CopyOutBytes(); in != sh.copyBytes || out != sh.copyBytes {
-					t.Errorf("copy stages saw %d bytes in and %d out, want %d each way", in, out, sh.copyBytes)
+				if in, out := meter.bytes.CopyInBytes(), meter.bytes.CopyOutBytes(); in != 0 || out != sh.copyOut {
+					t.Errorf("copy stages saw %d bytes in and %d out, want 0 and %d", in, out, sh.copyOut)
 				}
 				if got := meter.bytes.ComputeBytes(); got != int64(16*n) {
 					t.Errorf("compute stage charged %d bytes, want %d", got, 16*n)
 				}
-				if got := finalMerges(j); got != sh.merges {
-					t.Errorf("%d final merges, want %d", got, sh.merges)
-				}
 				if got := j.LeaseBytes(); got != sh.lease {
 					t.Errorf("lease %d bytes, want %d", got, sh.lease)
-				}
-				wantDegraded := int64(0)
-				if sh.tinyHeap {
-					wantDegraded = int64(sh.megachunks)
-				}
-				if got := res.Degradations(); got != wantDegraded {
-					t.Errorf("%d megachunks degraded, want %d", got, wantDegraded)
 				}
 				wantPlan := fmt.Sprintf("flow=%s megachunk=%d megachunks=%d lease=%d", sh.flow, n/sh.megachunks, sh.megachunks, sh.lease)
 				if got := planEvents(j); len(got) != 1 || got[0] != wantPlan {
@@ -191,15 +194,17 @@ func planEvents(j *Job) (plans []string) {
 }
 
 // BenchmarkGeometry is the sweep tune.Megachunk's rules rest on (the
-// paper's mode comparison and its Figure 7, through the scheduler): one job
-// at a time of each shape, cut into megachunks of n/8, n/4, n/2 and n
-// cells, staged (MLM-sort) and in place (MLM-implicit), beside the plan the
-// scheduler makes when asked for nothing. Run it with -cpu 1 for what a job
-// costs (on one P wall time is CPU time, and a loaded server has no idle
-// core to hide a merge on) and with the host's cores for what an idle box
-// returns. EXPERIMENTS.md, "Modes and Figure 7 on the real path", has the
-// table and how to read it; CI's geometry floor holds i64-1Mi/default
-// against i64-1Mi/staged-n4, the plan it replaced.
+// paper's mode comparison and its Figure 7): one job at a time of each
+// shape, cut into megachunks of n/8, n/4, n/2 and n cells, in place
+// (MLM-implicit, through the scheduler) and staged (the library's
+// MLM-sort, the flow the scheduler ran before every job was sorted in
+// place, at the widths and on the pool the scheduler gives a lone job),
+// beside the plan the scheduler makes when asked for nothing. Run it with
+// -cpu 1 for what a job costs (on one P wall time is CPU time, and a
+// loaded server has no idle core to hide a merge on) and with the host's
+// cores for what an idle box returns. EXPERIMENTS.md, "Modes and Figure 7
+// on the real path", has the table and how to read it; CI's geometry floor
+// holds i64-1Mi/default against i64-1Mi/staged-n4, the plan it replaced.
 func BenchmarkGeometry(b *testing.B) {
 	shapes := []struct {
 		name  string
@@ -226,7 +231,7 @@ func BenchmarkGeometry(b *testing.B) {
 		default:
 			src = workload.Generate(workload.Random, sh.cells, 1)
 		}
-		run := func(name string, spec JobSpec) {
+		run := func(name string, job func(s *Scheduler, data []int64) error) {
 			b.Run(sh.name+"/"+name, func(b *testing.B) {
 				// Room for the widest row (staged, one megachunk of 4Mi
 				// cells: four buffers of 32 MiB), so the budget decides no
@@ -245,25 +250,19 @@ func BenchmarkGeometry(b *testing.B) {
 				// every row: the server's buffers move about the same way.
 				const pageCells, pages = 1 << 10, 256
 				buf, place := make([]int64, sh.cells+pageCells*pages), rand.New(rand.NewSource(1))
-				spec.KeyType = sh.kind
 				b.SetBytes(int64(8 * sh.cells))
 				per := make([]time.Duration, b.N)
 				for i := range per {
 					b.StopTimer()
 					off := pageCells * place.Intn(pages)
-					spec.Data = buf[off : off+sh.cells : off+sh.cells]
-					copy(spec.Data, src)
+					data := buf[off : off+sh.cells : off+sh.cells]
+					copy(data, src)
 					b.StartTimer()
 					t0 := time.Now()
-					j, err := s.Submit(spec)
-					if err != nil {
+					if err := job(s, data); err != nil {
 						b.Fatal(err)
 					}
-					<-j.Done()
 					per[i] = time.Since(t0)
-					if err := j.Err(); err != nil {
-						b.Fatal(err)
-					}
 				}
 				// ns/op is a mean and this host stalls: the quickest and the
 				// median job are what a rule can be placed on.
@@ -272,14 +271,35 @@ func BenchmarkGeometry(b *testing.B) {
 				b.ReportMetric(float64(per[len(per)/2])/1e6, "p50-ms")
 			})
 		}
-		run("default", JobSpec{})
-		for _, flow := range []struct {
-			name string
-			alg  mlmsort.Algorithm
-		}{{"staged", mlmsort.MLMSort}, {"inplace", mlmsort.MLMImplicit}} {
-			for _, div := range []int{8, 4, 2, 1} {
-				run(fmt.Sprintf("%s-n%d", flow.name, div), JobSpec{Algorithm: flow.alg, MegachunkLen: sh.cells / div})
+		submit := func(megachunk int) func(*Scheduler, []int64) error {
+			return func(s *Scheduler, data []int64) error {
+				j, err := s.Submit(JobSpec{Data: data, KeyType: sh.kind, MegachunkLen: megachunk})
+				if err != nil {
+					return err
+				}
+				<-j.Done()
+				return j.Err()
 			}
+		}
+		staged := func(megachunk int) func(*Scheduler, []int64) error {
+			return func(s *Scheduler, data []int64) error {
+				if sh.kind == wire.KindFloat64 {
+					psort.SortableFromFloat64Bits(data)
+					defer psort.Float64BitsFromSortable(data)
+				}
+				opts := mlmsort.RealOptions{Buffers: 3, Pool: s.pool, Elem: elemOf(sh.kind)}
+				per := s.cfg.TotalThreads
+				opts.Widths = mlmsort.NewWidthControl(s.rates.Optimal(per, max(per/2, 1), 1).Pools)
+				_, err := mlmsort.RunRealResilient(context.Background(), mlmsort.MLMSort, data, per, megachunk, opts)
+				return err
+			}
+		}
+		run("default", submit(0))
+		for _, div := range []int{8, 4, 2, 1} {
+			run(fmt.Sprintf("staged-n%d", div), staged(sh.cells/div))
+		}
+		for _, div := range []int{8, 4, 2, 1} {
+			run(fmt.Sprintf("inplace-n%d", div), submit(sh.cells/div))
 		}
 	}
 }

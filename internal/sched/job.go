@@ -70,7 +70,7 @@ type JobSpec struct {
 	// per batch for streamed spill merges), so results are again bit cells
 	// in float64 total order (NaN sign split, -0.0 < +0.0). Records are
 	// interleaved key/payload cell pairs (psort.KV layout): Data must have
-	// even length, and record jobs run only the MLM algorithms.
+	// even length.
 	KeyType wire.Kind
 	// Priority orders admission: higher runs sooner. Zero is the default
 	// class; negative deprioritizes. Values outside [-8, 8] are clamped
@@ -80,12 +80,6 @@ type JobSpec struct {
 	// that cannot start by it are rejected at submission (when the
 	// estimated queue wait already overshoots) or failed at dispatch.
 	Deadline time.Time
-	// Algorithm is the sort variant. The zero value
-	// leaves the choice to the scheduler: MLM-implicit (megachunks sorted
-	// in place, one megachunk when the job fits the budget) for in-memory
-	// jobs, MLM-sort (megachunks staged through triple buffers) for
-	// spill-class ones. MLM-sort by name gets the staged flow at any size.
-	Algorithm mlmsort.Algorithm
 	// MegachunkLen overrides the scheduler's budget-aware megachunk
 	// sizing (elements; 0 = automatic).
 	MegachunkLen int

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/psort"
 	"knlmlm/internal/wire"
 )
@@ -81,9 +80,10 @@ func checkF64Sorted(t *testing.T, got, input []int64) {
 }
 
 // TestFloat64JobClasses runs a float64 job through each shape a job takes
-// — small and in place ("batch", the label of the class it once was),
-// staged (MLM-sort by name), spill (DDR squeeze) — and asserts the result
-// is the bit-exact total order in every one.
+// — small and in place ("batch", the label of the class it once was), cut
+// into megachunks that a final merge joins ("staged", likewise), spill
+// (DDR squeeze) — and asserts the result is the bit-exact total order in
+// every one.
 func TestFloat64JobClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 
@@ -109,9 +109,9 @@ func TestFloat64JobClasses(t *testing.T) {
 		s := newTestScheduler(t, testConfig())
 		input := f64Job(rng, 40000)
 		j, err := s.Submit(JobSpec{
-			Data:      append([]int64(nil), input...),
-			KeyType:   wire.KindFloat64,
-			Algorithm: mlmsort.MLMSort,
+			Data:         append([]int64(nil), input...),
+			KeyType:      wire.KindFloat64,
+			MegachunkLen: 10000,
 		})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
@@ -186,8 +186,9 @@ func checkRecordsStable(t *testing.T, got, input []int64) {
 }
 
 // TestRecordJobClasses runs a record job through the in-memory and spill
-// classes, at both sizes and on both flows, and asserts stable key order
-// with payloads intact.
+// classes, at both sizes, whole and cut into megachunks, and asserts
+// stable key order with payloads intact. The in-memory labels are those of
+// the staged flow the cut jobs once ran.
 func TestRecordJobClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 
@@ -195,9 +196,9 @@ func TestRecordJobClasses(t *testing.T) {
 		s := newTestScheduler(t, testConfig())
 		input := recordCells(rng, 3000)
 		j, err := s.Submit(JobSpec{
-			Data:      append([]int64(nil), input...),
-			KeyType:   wire.KindRecord,
-			Algorithm: mlmsort.MLMDDr,
+			Data:         append([]int64(nil), input...),
+			KeyType:      wire.KindRecord,
+			MegachunkLen: 1500,
 		})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
@@ -214,21 +215,21 @@ func TestRecordJobClasses(t *testing.T) {
 	})
 
 	t.Run("small-still-staged", func(t *testing.T) {
-		// A small record job is planned like any other job: staged when it
-		// names MLM-sort, one megachunk in place when it names nothing.
+		// A small record job is planned like any other job: one megachunk
+		// in place when it names no cut, and the cut it names otherwise.
 		s := newTestScheduler(t, testConfig())
 		for _, tc := range []struct {
-			alg  mlmsort.Algorithm
-			plan string
+			megachunk int
+			plan      string
 		}{
-			{mlmsort.MLMSort, "flow=staged megachunk=4096 megachunks=1 lease=131072"},
 			{0, "flow=in-place megachunk=400 megachunks=1 lease=4096"},
+			{100, "flow=in-place megachunk=100 megachunks=4 lease=1024"},
 		} {
 			input := recordCells(rng, 200)
 			j, err := s.Submit(JobSpec{
-				Data:      append([]int64(nil), input...),
-				KeyType:   wire.KindRecord,
-				Algorithm: tc.alg,
+				Data:         append([]int64(nil), input...),
+				KeyType:      wire.KindRecord,
+				MegachunkLen: tc.megachunk,
 			})
 			if err != nil {
 				t.Fatalf("submit: %v", err)
@@ -249,9 +250,8 @@ func TestRecordJobClasses(t *testing.T) {
 		s := newTestScheduler(t, spillTestConfig(t))
 		input := recordCells(rng, 30000) // 60000 cells, over the DDR squeeze
 		j, err := s.Submit(JobSpec{
-			Data:      append([]int64(nil), input...),
-			KeyType:   wire.KindRecord,
-			Algorithm: mlmsort.MLMSort,
+			Data:    append([]int64(nil), input...),
+			KeyType: wire.KindRecord,
 		})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
@@ -279,8 +279,7 @@ func TestRecordJobClasses(t *testing.T) {
 }
 
 // TestKeyTypeValidation pins the admission-side spec checks: unknown
-// key types, odd record payloads, and record jobs naming algorithms
-// with no record data flow are all ErrBadSpec — refused before any
+// key types and odd record payloads are ErrBadSpec — refused before any
 // resources are leased.
 func TestKeyTypeValidation(t *testing.T) {
 	s := newTestScheduler(t, testConfig())
@@ -288,13 +287,8 @@ func TestKeyTypeValidation(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Data: []int64{1, 2}, KeyType: wire.Kind(9)}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("unknown key type: err = %v, want ErrBadSpec", err)
 	}
-	if _, err := s.Submit(JobSpec{Data: []int64{1, 2, 3}, KeyType: wire.KindRecord, Algorithm: mlmsort.MLMSort}); !errors.Is(err, ErrBadSpec) {
+	if _, err := s.Submit(JobSpec{Data: []int64{1, 2, 3}, KeyType: wire.KindRecord}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("odd record cells: err = %v, want ErrBadSpec", err)
-	}
-	// GNUFlat is the zero Algorithm and is rewritten to the staged default
-	// at submit, so GNUCache is the addressable no-record-flow algorithm.
-	if _, err := s.Submit(JobSpec{Data: []int64{1, 2, 3, 4}, KeyType: wire.KindRecord, Algorithm: mlmsort.GNUCache}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("record job on GNUCache: err = %v, want ErrBadSpec", err)
 	}
 }
 

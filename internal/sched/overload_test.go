@@ -39,13 +39,13 @@ func slowModel(s *Scheduler) {
 // clamps at both extremes.
 func TestDriftEstimatorTracksAndClamps(t *testing.T) {
 	d := newDriftEstimator()
-	if f := d.factorFor(driftStaged); f != 1 {
+	if f := d.factorFor(driftInMemory); f != 1 {
 		t.Fatalf("fresh factor = %v, want 1", f)
 	}
 	for i := 0; i < 50; i++ {
-		d.observe(driftStaged, 20*time.Millisecond, time.Millisecond)
+		d.observe(driftInMemory, 20*time.Millisecond, time.Millisecond)
 	}
-	if f := d.factorFor(driftStaged); f < 15 || f > 21 {
+	if f := d.factorFor(driftInMemory); f < 15 || f > 21 {
 		t.Fatalf("factor after 20x samples = %v, want near 20", f)
 	}
 	if f := d.factorFor(driftSpill); f != 1 {
@@ -89,7 +89,7 @@ func TestDriftCorrectionScalesAdmissionEstimate(t *testing.T) {
 		t.Fatalf("predRaw = %v, want a positive model estimate", j1.predRaw)
 	}
 
-	const class = driftStaged
+	const class = driftInMemory
 	for i := 0; i < 50; i++ {
 		s.observeDrift(class, 10*j1.predRaw, j1.predRaw)
 	}

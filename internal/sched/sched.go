@@ -4,8 +4,8 @@
 // split that scratchpad — and the machine's threads — between concurrent
 // jobs. The scheduler does three things the single-run code cannot:
 //
-//   - MCDRAM admission control. A Budget ledger leases staging bytes to
-//     each dispatched job; the sum of live leases provably never exceeds
+//   - MCDRAM admission control. A Budget ledger leases sort-scratch bytes
+//     to each dispatched job; the sum of live leases provably never exceeds
 //     the configured budget, and jobs whose minimal lease cannot fit are
 //     rejected with a typed, non-retryable error.
 //   - Priority- and deadline-aware queueing with backpressure. Admission
@@ -36,7 +36,6 @@ import (
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/mem"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/model"
 	"knlmlm/internal/psort"
@@ -50,8 +49,9 @@ import (
 // Config describes a Scheduler. MCDRAMBudget is required; every other
 // field has a usable default.
 type Config struct {
-	// MCDRAMBudget is the total staging capacity jobs lease from — the
-	// service analog of the paper's 16 GB scratchpad partition.
+	// MCDRAMBudget is the total near-memory capacity jobs lease their sort
+	// scratch from — the service analog of the paper's 16 GB scratchpad
+	// partition.
 	MCDRAMBudget units.Bytes
 	// Workers bounds concurrently running pipelines, one per job. Zero
 	// selects 2.
@@ -112,11 +112,8 @@ type Config struct {
 	// Resilience, when non-nil, receives retry/degradation/outcome
 	// counters from job pipelines.
 	Resilience *telemetry.Resilience
-	// Staging and Policy are the fault plug of every job pipeline, handed
-	// to mlmsort whole: the simulated two-level heap (and injected
-	// allocation faults) megachunk residency is placed on, and the retry
-	// budget, chunk deadline and stage-set wrap.
-	memkind.Staging
+	// Policy is the fault plug of every job pipeline, handed to mlmsort
+	// whole: the retry budget, chunk deadline and stage-set wrap.
 	exec.Policy
 	// FlightRecorderCap bounds the always-on ring of recent job traces
 	// (admission order, oldest evicted first). Zero selects
@@ -144,9 +141,9 @@ func (c Config) norm() (Config, error) {
 	if c.TotalThreads < 3 {
 		c.TotalThreads = 3
 	}
-	if tune.Staged.MaxMegachunk(c.MCDRAMBudget) < 2 {
-		return c, fmt.Errorf("sched: MCDRAMBudget %v cannot stage even one 2-element megachunk under %d buffers",
-			c.MCDRAMBudget, tune.StagingBuffers)
+	if tune.MaxMegachunk(c.MCDRAMBudget) < 2 {
+		return c, fmt.Errorf("sched: MCDRAMBudget %v cannot hold the sort scratch of even one 2-element megachunk",
+			c.MCDRAMBudget)
 	}
 	if c.AgingSlack <= 0 {
 		c.AgingSlack = 2 * time.Second
@@ -167,7 +164,7 @@ type Scheduler struct {
 	budget *Budget
 	// disk is the spill tier's separate ledger (nil when DiskBudget is
 	// zero): spill-class jobs lease their run-file bytes here while the
-	// MCDRAM ledger only covers their staging, so one tier's pressure
+	// MCDRAM ledger only covers their scratch, so one tier's pressure
 	// never masquerades as the other's.
 	disk *Budget
 	// spillRoot is the scheduler's private parent directory for per-job
@@ -175,15 +172,16 @@ type Scheduler struct {
 	// bandwidth measured there at startup (zero if the probe failed).
 	spillRoot string
 	diskRate  tune.DiskRate
-	// pool is the budget-capped staging pool all job pipelines draw from:
+	// pool is the budget-capped scratch pool all job pipelines draw from:
 	// the byte-accounting second line of defense under the lease ledger.
 	// A refused Get degrades that buffer to an unpooled (DDR) allocation
 	// instead of failing the job, mirroring the paper's graceful
 	// flat-mode degradation.
 	pool *mem.SlicePool
 	// real is what every pipeline the scheduler starts shares: the
-	// configured fault plug and sink, triple buffering, and pool. Each run
-	// copies it and adds only its own observer, widths and element kind.
+	// configured fault plug and sink, the pipeline depth, and pool. Each
+	// run copies it and adds only its own observer, widths and element
+	// kind.
 	real mlmsort.RealOptions
 
 	rootCtx    context.Context
@@ -256,8 +254,10 @@ func New(cfg Config) (*Scheduler, error) {
 		s.logger = telemetry.NopLogger()
 	}
 	s.real = mlmsort.RealOptions{
-		Staging: cfg.Staging, Resilience: cfg.Resilience, Policy: cfg.Policy,
-		Buffers: tune.StagingBuffers, Pool: s.pool,
+		Resilience: cfg.Resilience, Policy: cfg.Policy, Pool: s.pool,
+		// A spill job's pipeline draws no buffer for these: they only let
+		// the sort of megachunk i+1 run while megachunk i is written out.
+		Buffers: spillDepth,
 	}
 	s.brown = newBrownout(cfg.Brownout, cfg.AgingSlack, s.metrics.reg)
 	s.metrics.budgetBytes.Set(float64(cfg.MCDRAMBudget))
@@ -293,6 +293,10 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
+// spillDepth is how many sorted megachunks a spill job's pipeline holds
+// between its sort and its run-file writes.
+const spillDepth = 2
+
 // diskProbeBytes sizes the startup disk-rate probe: large enough for a
 // stable sequential-rate sample, small enough to keep New fast.
 const diskProbeBytes = 2 << 20
@@ -315,7 +319,7 @@ func (s *Scheduler) FlightRecorder() *telemetry.FlightRecorder { return s.flight
 // built without a Registry; telemetry methods are nil-safe).
 func (s *Scheduler) Phases() *telemetry.PhaseMetrics { return s.phases }
 
-// PoolStats reports the budget-capped staging pool's counters.
+// PoolStats reports the budget-capped scratch pool's counters.
 func (s *Scheduler) PoolStats() mem.PoolStats { return s.pool.Stats() }
 
 // KeyPool reports the configured key-buffer recycling pool (nil when
@@ -347,8 +351,8 @@ func (s *Scheduler) TotalThreads() int { return s.cfg.TotalThreads }
 // plan is the admission-time sizing decision for one job: its class, how
 // it is cut, and what it leases. Nothing downstream re-derives any of it.
 type plan struct {
-	// flow is the data flow the job's algorithm runs; megachunk the cut, in
-	// cells; lease the flow's near-memory footprint at that cut.
+	// flow is where the job's sorted megachunks go; megachunk the cut, in
+	// cells; lease the near-memory footprint at that cut, the sort scratch.
 	flow      tune.Flow
 	megachunk int
 	lease     units.Bytes
@@ -360,27 +364,22 @@ type plan struct {
 
 // spills reports whether a job of n cells is spill class: its DDR working
 // set, input plus materialized final merge, exceeds DDRBudget. Phase 1 of
-// such a job stages through MCDRAM as usual but its runs land on disk and
-// the merge streams, so its DDR footprint stays at its input plus
+// such a job sorts its megachunks in place as usual but its runs land on
+// disk and the merge streams, so its DDR footprint stays at its input plus
 // O(read-ahead) whatever its size.
 func (s *Scheduler) spills(n int) bool {
 	return s.cfg.DDRBudget > 0 && units.Bytes(int64(n)*16) > s.cfg.DDRBudget
 }
 
-// planFor sizes a job whose algorithm submit has resolved. Every job, of
-// any size and key type, gets its own pipeline, cut by tune.Megachunk for
-// the flow its algorithm runs (unless the caller fixed the cut) and leasing
-// that flow's footprint: three staging buffers and the sort scratch when
-// megachunks are staged, the scratch alone when they are sorted where they
-// lie.
+// planFor sizes a job. Every job, of any size and key type, gets its own
+// pipeline sorting its megachunks where they lie (MLM-implicit), cut by
+// tune.Megachunk for its flow (unless the caller fixed the cut) and
+// leasing the sort scratch.
 func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 	n := len(spec.Data)
 	p := plan{flow: tune.InPlace, megachunk: spec.MegachunkLen, spill: s.spills(n)}
-	switch {
-	case p.spill:
+	if p.spill {
 		p.flow = tune.Spill
-	case spec.Algorithm.Staged():
-		p.flow = tune.Staged
 	}
 	if p.megachunk <= 0 {
 		width := 1
@@ -390,7 +389,7 @@ func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 		// An empty job is cut as one element, so the plan still divides.
 		p.megachunk = max(tune.Megachunk(n, width, s.cfg.MCDRAMBudget, p.flow), width)
 	}
-	p.lease = p.flow.Footprint(p.megachunk)
+	p.lease = tune.Footprint(p.megachunk)
 	if p.lease > s.cfg.MCDRAMBudget {
 		return plan{}, &TooLargeError{Lease: p.lease, Budget: s.cfg.MCDRAMBudget}
 	}
@@ -412,7 +411,7 @@ func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 // or when the queue is full, ErrDeadlineExpired (not retryable) when the
 // deadline already passed at submission, and TooLargeError (not
 // retryable; matches ErrTooLarge) when the job's minimal lease exceeds a
-// whole tier budget: MCDRAM staging always, DDR working set when no
+// whole tier budget: MCDRAM scratch always, DDR working set when no
 // spill tier is configured, or the disk budget itself.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	return s.SubmitCtx(context.Background(), spec)
@@ -445,17 +444,6 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 }
 
 func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
-	if spec.Algorithm == mlmsort.GNUFlat {
-		// The zero Algorithm (GNU-flat is not individually addressable) asks
-		// for the service's own choice, made here and nowhere else: the
-		// paper's proposal, megachunks sorted where they lie, for a job that
-		// stays in memory; the staged flow for a spill job, whose copy-out
-		// is a real transfer to its run file.
-		spec.Algorithm = mlmsort.MLMImplicit
-		if s.spills(len(spec.Data)) {
-			spec.Algorithm = mlmsort.MLMSort
-		}
-	}
 	if err := validateKeyType(spec); err != nil {
 		s.metrics.reject("bad-spec")
 		return nil, err
@@ -582,15 +570,8 @@ func validateKeyType(spec JobSpec) error {
 	if !spec.KeyType.Valid() {
 		return fmt.Errorf("%w: unknown key type %v", ErrBadSpec, spec.KeyType)
 	}
-	if spec.KeyType == wire.KindRecord {
-		if len(spec.Data)%2 != 0 {
-			return fmt.Errorf("%w: record job has odd cell count %d", ErrBadSpec, len(spec.Data))
-		}
-		switch spec.Algorithm {
-		case mlmsort.MLMDDr, mlmsort.MLMSort, mlmsort.MLMImplicit, mlmsort.MLMHybrid:
-		default:
-			return fmt.Errorf("%w: %v has no record data flow", ErrBadSpec, spec.Algorithm)
-		}
+	if spec.KeyType == wire.KindRecord && len(spec.Data)%2 != 0 {
+		return fmt.Errorf("%w: record job has odd cell count %d", ErrBadSpec, len(spec.Data))
 	}
 	return nil
 }
@@ -844,8 +825,9 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		return false
 	}
 	// Spill jobs lease from both ledgers atomically under the scheduler
-	// lock: MCDRAM for staging, disk for run files. Either refusal leaves
-	// the job queued (head-of-line, no starvation) with nothing leaked.
+	// lock: MCDRAM for the sort scratch, disk for run files. Either refusal
+	// leaves the job queued (head-of-line, no starvation) with nothing
+	// leaked.
 	var diskLease *Lease
 	if head.spill {
 		dl, ok := s.disk.TryLease(head.diskNeed)
@@ -1095,14 +1077,15 @@ func (s *Scheduler) predictRun(j *Job, per int) {
 }
 
 // run executes one job, of any size, on its own megachunked pipeline: the
-// one place the scheduler starts one. An in-memory job sorts spec.Data in
-// place. A spill-class job runs the same phase 1, but each sorted
-// megachunk is written to a run file in a per-job store instead of merging
-// in DDR. The MCDRAM lease is released the moment the pipeline finishes —
-// spilling exists precisely so the deferred merge holds no staging
-// capacity — while a spill job's disk lease and run files are held until
-// the result is streamed (Job.StreamResult on the consumer's goroutine),
-// the retention window evicts the job, or the scheduler closes.
+// one place the scheduler starts one. Every job runs MLM-implicit: each
+// megachunk is sorted where it lives in spec.Data. An in-memory job then
+// merges them in DDR; a spill-class job writes each sorted megachunk from
+// there to a run file in a per-job store while the next one sorts. The
+// MCDRAM lease is released the moment the pipeline finishes — spilling
+// exists precisely so the deferred merge holds no near memory — while a
+// spill job's disk lease and run files are held until the result is
+// streamed (Job.StreamResult on the consumer's goroutine), the retention
+// window evicts the job, or the scheduler closes.
 func (s *Scheduler) run(j *Job, lease *Lease) {
 	defer s.wg.Done()
 	// The run context is registered under rootCtx until it is cancelled:
@@ -1128,9 +1111,9 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 	}
 	runStart := time.Now()
 	if err == nil && j.spill {
-		runs, _, err = mlmsort.SpillSorted(j.runCtx, j.spec.Algorithm, j.spec.Data, per, j.megachunk, opts)
+		runs, _, err = mlmsort.SpillSorted(j.runCtx, mlmsort.MLMImplicit, j.spec.Data, per, j.megachunk, opts)
 	} else if err == nil {
-		_, err = mlmsort.RunRealResilient(j.runCtx, j.spec.Algorithm, j.spec.Data, per, j.megachunk, opts.RealOptions)
+		_, err = mlmsort.RunRealResilient(j.runCtx, mlmsort.MLMImplicit, j.spec.Data, per, j.megachunk, opts.RealOptions)
 	}
 	lease.Release()
 	if j.spill && s.cfg.Resilience != nil {
@@ -1149,7 +1132,7 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 		j.mu.Unlock()
 		s.metrics.spillJobs.Add(1)
 	case err == nil:
-		s.observeDrift(driftStaged, time.Since(runStart), j.predRaw)
+		s.observeDrift(driftInMemory, time.Since(runStart), j.predRaw)
 		if j.spec.KeyType == wire.KindFloat64 {
 			// Float64 egress: the sorted buffer holds the bijection's
 			// int64 images; flip it back so the retained result is IEEE
@@ -1278,12 +1261,14 @@ func (s *Scheduler) Close() {
 // Job classes for drift tracking: each class runs a different pipeline
 // shape, so the model misses each by a different factor.
 const (
-	driftStaged = iota
+	driftInMemory = iota
 	driftSpill
 	driftClasses
 )
 
-// driftClassNames are the class label values of sched_model_drift.
+// driftClassNames are the class label values of sched_model_drift. The
+// in-memory class keeps the label "staged" from when those jobs were
+// staged: dashboards and the benchmark's tune.estimate_drift_staged read it.
 var driftClassNames = [driftClasses]string{"staged", "spill"}
 
 // driftEstimator tracks, per job class, how far the Eq. 1-5 service
@@ -1344,7 +1329,7 @@ func driftClass(p plan) int {
 	if p.spill {
 		return driftSpill
 	}
-	return driftStaged
+	return driftInMemory
 }
 
 // schedMetrics is the sched_* metric family set. With a nil registry a
@@ -1379,7 +1364,7 @@ func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
 	}
 	m := &schedMetrics{
 		reg:         reg,
-		budgetBytes: reg.Gauge("sched_mcdram_budget_bytes", "Configured MCDRAM staging budget.", nil),
+		budgetBytes: reg.Gauge("sched_mcdram_budget_bytes", "Configured MCDRAM budget jobs lease their sort scratch from.", nil),
 		leased:      reg.Gauge("sched_mcdram_leased_bytes", "MCDRAM bytes currently out on lease to running jobs.", nil),
 		queueDepth:  reg.Gauge("sched_queue_depth", "Admitted jobs waiting for dispatch.", nil),
 		running:     reg.Gauge("sched_jobs_running", "Jobs currently running.", nil),

@@ -11,12 +11,9 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/memkind"
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/tune"
 	"knlmlm/internal/units"
-	"knlmlm/internal/wire"
 	"knlmlm/internal/workload"
 )
 
@@ -179,7 +176,7 @@ func TestBatchingSortsSmallJobs(t *testing.T) {
 	for _, j := range js {
 		waitDone(t, j)
 		mustSorted(t, j)
-		lease := tune.InPlace.Footprint(j.N())
+		lease := tune.Footprint(j.N())
 		want := fmt.Sprintf("flow=in-place megachunk=%d megachunks=1 lease=%d", j.N(), int64(lease))
 		if got := planEvents(j); len(got) != 1 || got[0] != want {
 			t.Errorf("job %s (n=%d): plan events %q, want %q", j.ID(), j.N(), got, want)
@@ -609,7 +606,7 @@ func TestStagedJobUsesBudgetedPool(t *testing.T) {
 	mustSorted(t, j)
 	st := s.PoolStats()
 	if st.Gets == 0 {
-		t.Fatal("staged job did not draw from the scheduler pool")
+		t.Fatal("job did not draw from the scheduler pool")
 	}
 	if s.pool.FootprintBytes() > int64(testBudget) {
 		t.Fatalf("pool footprint %d exceeds budget %v", s.pool.FootprintBytes(), testBudget)
@@ -642,25 +639,17 @@ func TestRegistryExportsJobOutcomes(t *testing.T) {
 	}
 }
 
-func TestHybridAlgorithmJob(t *testing.T) {
-	s := newTestScheduler(t, testConfig())
-	j, err := s.Submit(JobSpec{
-		Data:      workload.Generate(workload.Random, 60000, 11),
-		Algorithm: mlmsort.MLMHybrid,
-	})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	waitDone(t, j)
-	mustSorted(t, j)
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero budget must be rejected")
 	}
-	if _, err := New(Config{MCDRAMBudget: 32}); err == nil {
-		t.Fatal("budget too small to stage anything must be rejected")
+	// 16 bytes are the scratch of one 2-cell megachunk, the least a job
+	// can sort with; 8 cannot hold it.
+	if _, err := New(Config{MCDRAMBudget: 8}); err == nil {
+		t.Fatal("budget too small for any sort scratch must be rejected")
+	}
+	if _, err := New(Config{MCDRAMBudget: 16}); err != nil {
+		t.Fatalf("budget of one smallest scratch: %v", err)
 	}
 }
 
@@ -777,25 +766,28 @@ func TestLeaseBytesConcurrentWithDispatch(t *testing.T) {
 	}
 }
 
-// TestStagedScratchSettlesOnEveryExit pins the staging pool's ledger
-// across the exits of a staged job that are not a clean run: a cancelled
-// or failed job's sort scratch must go back to the budget-capped pool (or
-// be written off it), not stay charged to it for the life of the process.
+// TestStagedScratchSettlesOnEveryExit pins the scratch pool's ledger
+// across the exits of a job that are not a clean run: a cancelled or
+// failed job's sort scratch must go back to the budget-capped pool (or be
+// written off it), not stay charged to it for the life of the process.
 // Before phase 1's scratch rule was written once, with Forget, each such
-// job left one megachunk-sized class on the footprint until every staging
-// Get was refused. Both flows are held to it: MLM-sort by name, whose
-// pipeline holds three staging buffers and the scratch, and the default,
-// sorted in place, which holds the scratch alone; and in both the MCDRAM
-// ledger is back at zero with the pool.
+// job left one megachunk-sized class on the footprint until every Get was
+// refused. Both flows are held to it: the default, sorted in place, and a
+// spill job, sorted in place and written out from there; each holds the
+// scratch alone, and in both the MCDRAM ledger is back at zero with the
+// pool.
 func TestStagedScratchSettlesOnEveryExit(t *testing.T) {
-	t.Run("MLM-sort", func(t *testing.T) { scratchSettlesOnEveryExit(t, mlmsort.MLMSort) })
-	t.Run("default", func(t *testing.T) { scratchSettlesOnEveryExit(t, 0) })
+	t.Run("spill", func(t *testing.T) { scratchSettlesOnEveryExit(t, true) })
+	t.Run("default", func(t *testing.T) { scratchSettlesOnEveryExit(t, false) })
 }
 
-func scratchSettlesOnEveryExit(t *testing.T, alg mlmsort.Algorithm) {
+func scratchSettlesOnEveryExit(t *testing.T, spilled bool) {
 	var cur atomic.Pointer[gate]
 	var failing atomic.Bool
 	cfg := testConfig()
+	if spilled {
+		cfg = spillTestConfig(t)
+	}
 	cfg.Workers = 1
 	cfg.Wrap = func(st exec.Stages) exec.Stages {
 		if failing.Load() {
@@ -808,13 +800,26 @@ func scratchSettlesOnEveryExit(t *testing.T, alg mlmsort.Algorithm) {
 		return st
 	}
 	s := newTestScheduler(t, cfg)
-	staged := func(seed int64) *Job {
+	submit := func(seed int64) *Job {
 		t.Helper()
-		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 65536, seed), MegachunkLen: 16384, Algorithm: alg})
+		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 65536, seed), MegachunkLen: 16384})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
+		if j.Spilled() != spilled {
+			t.Fatalf("job %s: spilled %v, want %v", j.ID(), j.Spilled(), spilled)
+		}
 		return j
+	}
+	sorted := func(j *Job) {
+		t.Helper()
+		if !spilled {
+			mustSorted(t, j)
+			return
+		}
+		if out := drainStream(t, j); len(out) != j.N() || !workload.IsSorted(out) {
+			t.Fatalf("job %s streamed %d of %d keys, sorted %v", j.ID(), len(out), j.N(), workload.IsSorted(out))
+		}
 	}
 	settled := func(when string, want int64) {
 		t.Helper()
@@ -825,24 +830,20 @@ func scratchSettlesOnEveryExit(t *testing.T, alg mlmsort.Algorithm) {
 		eventually(t, when+": lease released", func() bool { return s.Budget().Leased() == 0 })
 	}
 
-	warm := staged(1)
+	warm := submit(1)
 	waitDone(t, warm)
-	mustSorted(t, warm)
-	pre := s.pool.FootprintBytes()
-	want := tune.InPlace.Footprint(16384) // the scratch
-	if alg.Staged() {
-		want = tune.Staged.Footprint(16384) // and three staging buffers
+	if fp, want := s.pool.FootprintBytes(), tune.Footprint(16384); fp != int64(want) {
+		t.Fatalf("a clean job's pipeline drew %d bytes from the pool, want its footprint %v", fp, want)
 	}
-	if pre != int64(want) {
-		t.Fatalf("a clean job drew %d bytes from the pool, want its flow's footprint %v", pre, want)
-	}
+	sorted(warm)
+	pre := s.pool.FootprintBytes() // and, after a spill job's download, the merge's blocks
 	settled("after a clean job", pre)
 
 	const cancels = 12
 	for i := 0; i < cancels; i++ {
 		g := newGate()
 		cur.Store(g)
-		j := staged(int64(2 + i))
+		j := submit(int64(2 + i))
 		eventually(t, "running", func() bool { return j.State() == Running })
 		j.Cancel()
 		g.open()
@@ -852,74 +853,24 @@ func scratchSettlesOnEveryExit(t *testing.T, alg mlmsort.Algorithm) {
 		}
 	}
 	cur.Store(nil)
-	settled(fmt.Sprintf("after %d cancelled staged jobs", cancels), pre)
+	settled(fmt.Sprintf("after %d cancelled jobs", cancels), pre)
 
 	failing.Store(true)
-	j := staged(100)
+	j := submit(100)
 	waitDone(t, j)
 	if j.State() != Failed {
 		t.Fatalf("state %v, want Failed", j.State())
 	}
 	failing.Store(false)
-	settled("after a failed staged job", pre)
+	settled("after a failed job", pre)
 
-	next := staged(101)
+	next := submit(101)
 	waitDone(t, next)
-	mustSorted(t, next)
 	if st := s.PoolStats(); st.Refusals != 0 {
-		t.Fatalf("a staged job after the aborted ones was refused %d staging Gets: %+v", st.Refusals, st)
+		t.Fatalf("a job after the aborted ones was refused %d pool Gets: %+v", st.Refusals, st)
 	}
+	// Before the download: how many blocks a merge holds at once varies
+	// with its read-ahead, and the pool keeps the most it was asked for.
 	settled("after the following job", pre)
-}
-
-// TestBatchRidersDegradeUnderTinyHeap: small jobs that name MLM-sort are
-// placed on the staging heap like any staged megachunk. Under a heap too
-// small for any of them every one degrades to the in-place DDR flow and
-// still completes sorted, the degradations are counted, and nothing stays
-// allocated; small jobs on the default flow never ask the heap at all.
-func TestBatchRidersDegradeUnderTinyHeap(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	res := telemetry.NewResilience(reg)
-	heap := memkind.NewHeap(units.KiB, units.GiB) // a job here is at least 4000 bytes
-	cfg := testConfig()
-	cfg.Registry, cfg.Resilience, cfg.Heap = reg, res, heap
-	s := newTestScheduler(t, cfg)
-
-	const jobs = 6
-	round := func(alg mlmsort.Algorithm) {
-		t.Helper()
-		var js []*Job
-		for i := 0; i < jobs; i++ {
-			spec := JobSpec{Data: workload.Generate(workload.Random, 500+i*37, int64(i)), Algorithm: alg}
-			if i == 3 {
-				spec.KeyType = wire.KindFloat64 // a float64 job takes the same path
-			}
-			j, err := s.Submit(spec)
-			if err != nil {
-				t.Fatalf("submit %d: %v", i, err)
-			}
-			js = append(js, j)
-		}
-		for i, j := range js {
-			waitDone(t, j)
-			if j.State() != Done {
-				t.Fatalf("job %s: state %v (%v), want Done", j.ID(), j.State(), j.Err())
-			}
-			if i != 3 {
-				mustSorted(t, j)
-			}
-		}
-		eventually(t, "leases released", func() bool { return s.Budget().Leased() == 0 })
-	}
-	round(0)
-	if got := res.Degradations(); got != 0 {
-		t.Errorf("pipeline_degradations_total = %d after default-flow jobs, want 0: in place the heap is never asked", got)
-	}
-	round(mlmsort.MLMSort)
-	if got := res.Degradations(); got < jobs {
-		t.Errorf("pipeline_degradations_total = %d, want one per MLM-sort job (%d)", got, jobs)
-	}
-	if hbw := heap.HBWInUse(); hbw != 0 {
-		t.Errorf("staging heap holds %v after the jobs, want 0", hbw)
-	}
+	sorted(next)
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"knlmlm/internal/fault"
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -61,7 +60,7 @@ func soakScale(t *testing.T) int {
 // invariants:
 //
 //   - total leased bytes never exceed the budget (and neither does the
-//     staging pool's footprint),
+//     scratch pool's footprint),
 //   - sustained high-priority traffic never starves lower priorities,
 //   - canceling a queued job never leaks a lease.
 //
@@ -90,7 +89,6 @@ func TestSchedulerSoak(t *testing.T) {
 		AgingSlack:   25 * time.Millisecond,
 		Registry:     reg,
 		Resilience:   res,
-		Staging:      rig.Staging,
 		Policy:       rig.Policy,
 		// A ring far smaller than the job count, so the soak exercises
 		// eviction under concurrent submission.
@@ -158,13 +156,6 @@ func TestSchedulerSoak(t *testing.T) {
 				spec := JobSpec{
 					Data:     workload.Generate(workload.Random, n, rng.Int63()),
 					Priority: rng.Intn(7) - 2,
-				}
-				if rng.Intn(2) == 0 {
-					// Half the jobs name the staged flow, so the plan's
-					// staging-allocation faults keep reaching in-memory
-					// jobs' degraded path; the rest soak the default, which
-					// sorts them in place.
-					spec.Algorithm = mlmsort.MLMSort
 				}
 				if rng.Intn(8) == 0 {
 					spec.Deadline = time.Now().Add(time.Duration(50+rng.Intn(400)) * time.Millisecond)
@@ -289,9 +280,6 @@ func TestSchedulerSoak(t *testing.T) {
 	// written off, so what the pool still charges is what it holds.
 	if fp, free := s.pool.FootprintBytes(), s.pool.FreeBytes(); fp != free {
 		t.Fatalf("pool footprint %d at quiescence, freelists hold %d: %d bytes leaked", fp, free, fp-free)
-	}
-	if hbw := rig.Heap.HBWInUse(); hbw != 0 {
-		t.Fatalf("staging heap holds %v after drain, want 0", hbw)
 	}
 	// A chaos node counts what it injects, beside the retries it caused.
 	if got := res.FaultsInjected(); got == 0 || got != inj.Total() {

@@ -12,7 +12,6 @@ import (
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/fault"
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/model"
 	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
@@ -61,7 +60,7 @@ func spillTestSeed(t *testing.T) int64 {
 }
 
 // spillTestConfig builds a scheduler config whose DDR budget forces any
-// staged job over ~38k elements into the spill class.
+// job over ~38k elements into the spill class.
 func spillTestConfig(t *testing.T) Config {
 	cfg := testConfig()
 	cfg.DDRBudget = 600 << 10
@@ -98,11 +97,12 @@ func TestSpillJobStreamsIdentical(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := spillTestConfig(t)
 	cfg.Registry = reg
+	// Under 1 MiB the spill class's MCDRAM-maximized megachunks are half
+	// the largest scratch, 64Ki elements: n is large enough to need at
+	// least three runs of them.
+	cfg.MCDRAMBudget = 1 << 20
 	s := newTestScheduler(t, cfg)
 
-	// Large enough that even the spill class's MCDRAM-maximized megachunks
-	// (capped at half of maxMc = 64Ki elements under the 4 MiB test
-	// budget) need at least three runs to cover it.
 	const n = 400000
 	data := workload.Generate(workload.Random, n, seed)
 	want := append([]int64(nil), data...)
@@ -159,13 +159,13 @@ func TestSpillJobStreamsIdentical(t *testing.T) {
 		t.Fatalf("sched_spill_bytes_written_total = %d, want %d", v, n*8)
 	}
 
-	// A staged job under the DDR budget keeps the in-memory path.
+	// A job under the DDR budget keeps the in-memory path.
 	small, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 35000, seed+1)})
 	if err != nil {
 		t.Fatalf("Submit small: %v", err)
 	}
 	if small.Spilled() {
-		t.Fatal("under-DDR staged job classed as spill")
+		t.Fatal("under-DDR job classed as spill")
 	}
 	waitDone(t, small)
 	mustSorted(t, small)
@@ -206,6 +206,7 @@ func TestSpillStreamMergeOneFill(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := spillTestConfig(t)
 	cfg.IOFaults, cfg.Registry = probe, reg
+	cfg.MCDRAMBudget = 1 << 20 // runs of 64Ki elements: seven of them
 	s := newTestScheduler(t, cfg)
 	j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 400000, 23)})
 	if err != nil {
@@ -226,7 +227,8 @@ func TestSpillStreamMergeOneFill(t *testing.T) {
 }
 
 // TestRatesStayTable2 pins what the scheduler prices with: the paper's
-// Table 2, before and after an in-place, a named MLM-sort and a spill job.
+// Table 2, before and after a whole in-place job, one cut into megachunks
+// and a spill job.
 func TestRatesStayTable2(t *testing.T) {
 	s := newTestScheduler(t, spillTestConfig(t))
 	if got := s.Rates(); got != model.PaperTable2() {
@@ -234,7 +236,7 @@ func TestRatesStayTable2(t *testing.T) {
 	}
 	for _, spec := range []JobSpec{
 		{Data: workload.Generate(workload.Random, 20000, 1)},
-		{Data: workload.Generate(workload.Random, 20000, 2), Algorithm: mlmsort.MLMSort},
+		{Data: workload.Generate(workload.Random, 20000, 2), MegachunkLen: 5000},
 		{Data: workload.Generate(workload.Random, 60000, 3)},
 	} {
 		j, err := s.Submit(spec)

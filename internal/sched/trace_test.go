@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/workload"
 )
@@ -188,9 +187,8 @@ func TestTraceSpillJob(t *testing.T) {
 // "which geometry did this job get". Under the 4 MiB test budget and its
 // 600 KB DDR squeeze: 36,000 keys (under the squeeze) fit in place as one
 // megachunk (class 64Ki, 512 KiB of scratch), and so do 500 (class 512,
-// 4 KiB); MLM-sort cuts the 36,000 four deep, floorPow2(9,000) = 8Ki cells
-// under four buffers, 256 KiB; 100,000 keys spill in runs of 64Ki cells,
-// half the largest the budget stages, 2 MiB.
+// 4 KiB); 300,000 keys spill in runs of 256Ki cells, half the largest
+// scratch the budget holds (512Ki cells), a 2 MiB lease.
 func TestTracePlanEvent(t *testing.T) {
 	cfg := spillTestConfig(t)
 	cfg.FlightRecorderCap = 8
@@ -202,12 +200,10 @@ func TestTracePlanEvent(t *testing.T) {
 	}{
 		{"default", JobSpec{Data: workload.Generate(workload.Random, 36_000, 1)},
 			"flow=in-place megachunk=36000 megachunks=1 lease=524288"},
-		{"MLM-sort", JobSpec{Data: workload.Generate(workload.Random, 36_000, 2), Algorithm: mlmsort.MLMSort},
-			"flow=staged megachunk=8192 megachunks=5 lease=262144"},
 		{"explicit cut", JobSpec{Data: workload.Generate(workload.Random, 36_000, 3), MegachunkLen: 10_000},
 			"flow=in-place megachunk=10000 megachunks=4 lease=131072"},
-		{"spill", JobSpec{Data: workload.Generate(workload.Random, 100_000, 4)},
-			"flow=spill megachunk=65536 megachunks=2 lease=2097152"},
+		{"spill", JobSpec{Data: workload.Generate(workload.Random, 300_000, 4)},
+			"flow=spill megachunk=262144 megachunks=2 lease=2097152"},
 		{"small", JobSpec{Data: workload.Generate(workload.Random, 500, 5)},
 			"flow=in-place megachunk=500 megachunks=1 lease=4096"},
 	} {

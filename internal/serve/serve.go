@@ -41,7 +41,6 @@ import (
 
 	"knlmlm/internal/edge"
 	"knlmlm/internal/mem"
-	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/sched"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/wire"
@@ -378,9 +377,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cfg.KeyPool.Put(req.Keys)
 		}
 	}
-	var alg mlmsort.Algorithm
 	if err == nil {
-		alg, err = req.Check()
+		err = req.Check()
 	}
 	var keyType wire.Kind
 	if err == nil {
@@ -400,7 +398,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Data:         req.Keys,
 		KeyType:      keyType,
 		Priority:     req.Priority,
-		Algorithm:    alg,
 		MegachunkLen: req.MegachunkLen,
 		Tenant:       r.Header.Get("X-Tenant"),
 		Trace:        tr,
