@@ -143,20 +143,20 @@ func TestRecordExternalSpill(t *testing.T) {
 }
 
 // TestMegachunkSorterBlockFloor: whatever width it is handed, the sorter
-// cuts no block under tune.MinMegachunk cells. A 1Ki-cell megachunk and one
-// a cell short of two blocks take the single-worker path at width 8 (the
-// run table is never touched); 64Ki cells still fan out eight ways, keys
-// and records, and the merged result is the stable sorted order.
+// gives no worker a share under tune.MinMegachunk cells. A 1Ki-cell
+// megachunk and one a cell short of two shares take the single-worker
+// path at width 8; 64Ki cells still fan out eight ways, keys and records,
+// and the split result is the stable sorted order.
 func TestMegachunkSorterBlockFloor(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		cells int
-		elem  ElemKind
-		runs  int
+		name    string
+		cells   int
+		elem    ElemKind
+		workers int
 	}{
-		{"i64-1Ki", 1 << 10, ElemInt64, 0},
-		{"i64-8Ki-1", 8<<10 - 1, ElemInt64, 0},
-		{"rec-8Ki-2", 8<<10 - 2, ElemKV, 0},
+		{"i64-1Ki", 1 << 10, ElemInt64, 1},
+		{"i64-8Ki-1", 8<<10 - 1, ElemInt64, 1},
+		{"rec-8Ki-2", 8<<10 - 2, ElemKV, 1},
 		{"i64-64Ki", 64 << 10, ElemInt64, 8},
 		{"rec-64Ki", 64 << 10, ElemKV, 8},
 	} {
@@ -175,10 +175,10 @@ func TestMegachunkSorterBlockFloor(t *testing.T) {
 				slices.Sort(want)
 			}
 			sorter := newMegachunkSorter(8, tc.elem)
-			sorter.sort(mc, make([]int64, len(mc)), nil)
-			if len(sorter.runs) != tc.runs {
-				t.Errorf("run table holds %d blocks, want %d", len(sorter.runs), tc.runs)
+			if w := sorter.workers(len(mc)); w != tc.workers {
+				t.Errorf("sorted by %d workers, want %d", w, tc.workers)
 			}
+			sorter.sort(mc, make([]int64, len(mc)), nil)
 			if !slices.Equal(mc, want) {
 				t.Error("not the stable sorted order")
 			}

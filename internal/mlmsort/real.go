@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,17 +120,17 @@ func megachunks(xs []int64, mcLen int) [][]int64 {
 	return out
 }
 
-// megachunkSorter sorts megachunks the MLM way — each worker sorts one
-// maximal block, then a multiway merge writes the sorted megachunk — with
-// a tunable worker width (the autotuner's compute-pool knob) and a
-// reusable run table, so the steady state of a multi-megachunk run
-// performs no per-megachunk allocation. Blocks are sorted with the
-// adaptive kernel (or the record radix under ElemKV): each worker's
-// disjoint segment of scratch doubles as its radix scratch.
+// megachunkSorter sorts megachunks with a tunable worker width (the
+// autotuner's compute-pool knob). Blocks are sorted with the adaptive
+// kernel (or the record radix under ElemKV) through psort.SortBlock: one
+// worker runs the radix core, whose last pass writes the run buffer when
+// there is one, and two or more split the megachunk on its top digit,
+// scatter it between them and finish disjoint bucket ranges, so no
+// megachunk is merged. The split's tables are pooled in psort, so a
+// multi-megachunk run performs no per-megachunk allocation for them.
 type megachunkSorter struct {
 	width *atomic.Int32
 	cells int
-	runs  [][]int64
 }
 
 func newMegachunkSorter(threads int, elem ElemKind) *megachunkSorter {
@@ -140,48 +139,20 @@ func newMegachunkSorter(threads int, elem ElemKind) *megachunkSorter {
 	return ms
 }
 
+// workers is the width a megachunk of the given length is sorted at: the
+// sorter's width, but no worker's share under tune.MinMegachunk cells,
+// where the goroutines cost more than they share out.
+func (ms *megachunkSorter) workers(cells int) int {
+	return max(1, min(int(ms.width.Load()), cells/ms.cells, cells/tune.MinMegachunk))
+}
+
 // sort sorts one megachunk; scratch must be at least as long. With a nil
 // dst the megachunk is sorted in place. Otherwise dst, as long as mc and
 // aliasing neither buffer, receives the sorted megachunk and mc is left
-// unspecified: the blocks' merge writes dst directly, and a single block
-// is copied there once. Only the pipeline's single compute goroutine
-// calls it, so the run table needs no lock (the same discipline the
-// shared scratch relies on). Worker splits are in element units, so no
-// record ever straddles a block. Two blocks merge through the two-ended
-// two-way merge and more through the loser tree (psort.MergeRound), at
-// either cell width.
+// unspecified. Only the pipeline's single compute goroutine calls it, the
+// discipline the shared scratch relies on.
 func (ms *megachunkSorter) sort(mc, scratch, dst []int64) {
-	m := len(mc) / ms.cells
-	// No block is cut under tune.MinMegachunk cells: below it the
-	// goroutines and the merge cost more than they share out.
-	w := min(int(ms.width.Load()), m, len(mc)/tune.MinMegachunk)
-	if w <= 1 {
-		// Single-worker fast path: no goroutines, no merge, no run table.
-		if m > 1 {
-			psort.SortBlock(mc, scratch[:len(mc)], ms.cells)
-		}
-		copy(dst, mc)
-		return
-	}
-	scratch = scratch[:len(mc)]
-	ms.runs = ms.runs[:0]
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo, hi := m*i/w*ms.cells, m*(i+1)/w*ms.cells
-		ms.runs = append(ms.runs, mc[lo:hi])
-		wg.Add(1)
-		go func(block, blockScratch []int64) {
-			defer wg.Done()
-			psort.SortBlock(block, blockScratch, ms.cells)
-		}(mc[lo:hi], scratch[lo:hi])
-	}
-	wg.Wait()
-	if dst != nil {
-		psort.MergeRound(dst, ms.runs, w, ms.cells)
-		return
-	}
-	psort.MergeRound(scratch, ms.runs, w, ms.cells)
-	copy(mc, scratch)
+	psort.SortBlock(mc, scratch[:len(mc)], dst, ms.workers(len(mc)), ms.cells)
 }
 
 // finalMerge is phase 2 of the chunked algorithms: merge, the multiway

@@ -485,16 +485,27 @@ func scratchFor(xs []int64) []int64 { return make([]int64, len(xs)) }
 // longScratch is a scratch two elements of either width longer than xs.
 func longScratch(xs []int64) []int64 { return make([]int64, len(xs)+4) }
 
-// forcedRadix runs the LSD core with the scatter chosen by hand: the
-// production dispatch only tiles from radixTileMinLen cells, past the
-// sizes of this matrix (TestPublicEntriesAcrossTileThreshold crosses it).
-func forcedRadix[C cell](tiled bool) func(xs []int64) {
-	return func(xs []int64) { radixSort(asCells[C](xs), asCells[C](scratchFor(xs)), tiled) }
+// forcedRadix runs the radix core with the scatter and the split chosen
+// by hand: the production dispatch only tiles from radixTileMinLen cells
+// and splits from radixSplitMinLen, past the sizes of this matrix
+// (TestPublicEntriesAcrossTileThreshold and TestSplitThresholdCases cross
+// them).
+func forcedRadix[C cell](tiled, split bool) func(xs []int64) {
+	return func(xs []int64) { radixSort(asCells[C](xs), asCells[C](scratchFor(xs)), nil, tiled, split) }
 }
 
 func cellSortKernels() []cellSortKernel {
 	type fn = func(xs []int64)
-	sortBlock := func(cells int) fn { return func(xs []int64) { SortBlock(xs, scratchFor(xs), cells) } }
+	sortBlock := func(w, cells int) fn { return func(xs []int64) { SortBlock(xs, scratchFor(xs), nil, w, cells) } }
+	// Into a dst: the block is left unspecified, and the result is copied
+	// back for the engine to check.
+	sortBlockInto := func(w, cells int) fn {
+		return func(xs []int64) {
+			dst := make([]int64, len(xs))
+			SortBlock(xs, scratchFor(xs), dst, w, cells)
+			copy(xs, dst)
+		}
+	}
 	return []cellSortKernel{
 		{name: [2]string{"Serial"}, covers: []string{"Serial"}, run: [2]fn{Serial}},
 		{name: [2]string{"Parallel"}, covers: []string{"Parallel"}, run: [2]fn{func(xs []int64) { Parallel(xs, 4) }}},
@@ -512,10 +523,14 @@ func cellSortKernels() []cellSortKernel {
 			}},
 		{name: [2]string{"SortAdaptive"}, covers: []string{"SortAdaptive"}, run: [2]fn{func(xs []int64) { SortAdaptive(xs, scratchFor(xs)) }}},
 		{name: [2]string{"SortAdaptive-nil-scratch"}, run: [2]fn{func(xs []int64) { SortAdaptive(xs, nil) }}},
-		{name: [2]string{"SortBlock", "SortBlock-records"}, covers: []string{"SortBlock"}, run: [2]fn{sortBlock(1), sortBlock(2)}},
+		{name: [2]string{"SortBlock", "SortBlock-records"}, covers: []string{"SortBlock"}, run: [2]fn{sortBlock(1, 1), sortBlock(1, 2)}},
+		{name: [2]string{"SortBlock-into", "SortBlock-records-into"}, run: [2]fn{sortBlockInto(1, 1), sortBlockInto(1, 2)}},
+		{name: [2]string{"SortBlock-w2", "SortBlock-records-w2"}, run: [2]fn{sortBlock(2, 1), sortBlock(2, 2)}},
+		{name: [2]string{"SortBlock-w3-into", "SortBlock-records-w3-into"}, run: [2]fn{sortBlockInto(3, 1), sortBlockInto(3, 2)}},
 		// The width-1 label dates from when the plain scatter was an export.
-		{name: [2]string{"RadixSortScratchUntiled", "record-radix-forced-plain"}, run: [2]fn{forcedRadix[[1]int64](false), forcedRadix[[2]int64](false)}},
-		{name: [2]string{"radix-forced-tiled", "record-radix-forced-tiled"}, run: [2]fn{forcedRadix[[1]int64](true), forcedRadix[[2]int64](true)}},
+		{name: [2]string{"RadixSortScratchUntiled", "record-radix-forced-plain"}, run: [2]fn{forcedRadix[[1]int64](false, false), forcedRadix[[2]int64](false, false)}},
+		{name: [2]string{"radix-forced-tiled", "record-radix-forced-tiled"}, run: [2]fn{forcedRadix[[1]int64](true, false), forcedRadix[[2]int64](true, false)}},
+		{name: [2]string{"radix-forced-split", "record-radix-forced-split"}, run: [2]fn{forcedRadix[[1]int64](false, true), forcedRadix[[2]int64](false, true)}},
 		{name: [2]string{"", "record-binary-insertion"}, run: [2]fn{nil, func(xs []int64) { binaryInsertionRecords(KVsFromInt64s(xs)) }}},
 	}
 }

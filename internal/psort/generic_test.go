@@ -240,13 +240,13 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 	for _, tiled := range []bool{false, true} {
 		if a := testing.AllocsPerRun(10, func() {
 			copy(rwork, recs)
-			radixSort(kvCells(rwork), kvCells(rscratch), tiled)
+			radixSort(kvCells(rwork), kvCells(rscratch), nil, tiled, tiled)
 		}); a != 0 {
 			t.Errorf("radixSort width 2 (tiled=%v) allocates %v per run, want 0", tiled, a)
 		}
 		if a := testing.AllocsPerRun(10, func() {
 			copy(iwork, ints)
-			radixSort(asCells[[1]int64](iwork), asCells[[1]int64](iscratch), tiled)
+			radixSort(asCells[[1]int64](iwork), asCells[[1]int64](iscratch), nil, tiled, tiled)
 		}); a != 0 {
 			t.Errorf("radixSort width 1 (tiled=%v) allocates %v per run, want 0", tiled, a)
 		}
@@ -261,7 +261,7 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 		work, scratch := make([]int64, len(src)), make([]int64, len(src))
 		if a := testing.AllocsPerRun(10, func() {
 			copy(work, src)
-			SortBlock(work, scratch, cells)
+			SortBlock(work, scratch, nil, 1, cells)
 		}); a != 0 {
 			t.Errorf("SortBlock width %d on shared-prefix allocates %v per run, want 0", cells, a)
 		}
@@ -274,7 +274,7 @@ func TestGenericKernelsZeroAlloc(t *testing.T) {
 	for _, cells := range []int{1, 2} {
 		if a := testing.AllocsPerRun(5, func() {
 			copy(twork, tsrc)
-			SortBlock(twork, tscratch, cells)
+			SortBlock(twork, tscratch, nil, 1, cells)
 		}); a != 0 {
 			t.Errorf("SortBlock width %d at a tiling size allocates %v per run, want 0", cells, a)
 		}

@@ -192,8 +192,8 @@ func BenchmarkMergeBatchedK8BlockyRecords(b *testing.B) {
 	benchDrain[[2]int64](b, benchBlockyRuns(8, 100_000, 512), true)
 }
 
-// benchScatter times the LSD core with the scatter forced, on cells
-// cells of random keys viewed at width len(C). 256Ki cells is the
+// benchScatter times the LSD core (no split) with the scatter forced, on
+// cells cells of random keys viewed at width len(C). 256Ki cells is the
 // service's block (a 1Mi-key job's megachunk) and the pair CI floors:
 // block plus scratch are 4 MiB, twice L2, and production tiles there.
 // 1<<23 cells (64 MiB) is where the 256 naked scatter streams miss TLB
@@ -210,7 +210,7 @@ func benchScatter[C cell](b *testing.B, cells int, tiled bool) {
 		b.StopTimer()
 		copy(buf, src)
 		b.StartTimer()
-		radixSort(asCells[C](buf), asCells[C](scratch), tiled)
+		radixSort(asCells[C](buf), asCells[C](scratch), nil, tiled, false)
 	}
 }
 
@@ -220,6 +220,26 @@ func BenchmarkScatterPlain8Mi(b *testing.B)        { benchScatter[[1]int64](b, 1
 func BenchmarkScatterTiled8Mi(b *testing.B)        { benchScatter[[1]int64](b, 1<<23, true) }
 func BenchmarkScatterPlainRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, 1<<23, false) }
 func BenchmarkScatterTiledRecords4Mi(b *testing.B) { benchScatter[[2]int64](b, 1<<23, true) }
+
+// benchSplit times the radix core on cells cells of random keys at
+// width len(C), tiled, with the split on its top digit or without: the
+// LSD core that scatters every planned digit across the whole buffer.
+// 1Mi keys is a node-staged job's one megachunk and the pair CI floors.
+func benchSplit[C cell](b *testing.B, cells int, split bool) {
+	src := workload.Generate(workload.Random, cells, 1)
+	buf, scratch := make([]int64, cells), make([]int64, cells)
+	b.SetBytes(int64(cells) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(buf, src)
+		b.StartTimer()
+		radixSort(asCells[C](buf), asCells[C](scratch), nil, true, split)
+	}
+}
+
+func BenchmarkRadixLSD1Mi(b *testing.B)   { benchSplit[[1]int64](b, 1<<20, false) }
+func BenchmarkRadixSplit1Mi(b *testing.B) { benchSplit[[1]int64](b, 1<<20, true) }
 
 // benchPlan times the radix core on 96Ki random keys with the digit plan
 // the kernel makes for them, or with plan 0: whole histograms and every
@@ -236,12 +256,12 @@ func benchPlan(b *testing.B, planned bool) {
 		copy(buf, src)
 		b.StartTimer()
 		if planned {
-			radixSort(xs, sc, false)
+			radixSort(xs, sc, nil, false, false)
 			continue
 		}
 		var counts [radixDigits][256]int
-		radixCount(xs, &counts, true, true)
-		radixPasses(xs, sc, &counts, 0, false)
+		radixCount(xs, &counts, 0, radixDigits)
+		radixLSD(xs, sc, xs, &counts, 0, radixDigits-1, false)
 	}
 }
 

@@ -101,6 +101,15 @@ const (
 	radixTileMinLenRec = 192 << 10
 )
 
+// radixSplitMinLen and radixSplitMinLenRec are the buffer sizes, in
+// int64 cells, from which keys and records split: one tiled scatter on
+// the plan's top digit, then each bucket through the remaining digits in
+// cache (radixSplit). Measured, not derived; see the sweep below.
+const (
+	radixSplitMinLen    = 256 << 10
+	radixSplitMinLenRec = 256 << 10
+)
+
 // tileCells is the per-bucket staging capacity in int64 cells: 64 bare
 // keys or 32 KV records, eight 64-byte cache lines per flush either way,
 // making the stage array 128 KiB — L2-resident rather than L1, which
@@ -142,10 +151,11 @@ const radixInsertionMax = 64
 // RadixSortScratch sorts xs ascending using scratch as the ping-pong
 // buffer; scratch must be at least as long as xs and must not alias it.
 // The sort performs no allocation. Scratch contents on return are
-// unspecified. Large inputs scatter through the tiled write buffers;
-// small ones use the plain scatter (see radixTileMinLen).
+// unspecified. Large inputs scatter through the tiled write buffers
+// (see radixTileMinLen) and split on their top digit (radixSplitMinLen).
 func RadixSortScratch(xs, scratch []int64) {
-	radixSort(asCells[[1]int64](xs), asCells[[1]int64](scratch), tiles[[1]int64](len(xs)))
+	n := len(xs)
+	radixSort(asCells[[1]int64](xs), asCells[[1]int64](scratch), nil, tiles[[1]int64](n), splits[[1]int64](n))
 }
 
 // tiles reports whether n elements of width len(C) fill a buffer the
@@ -158,34 +168,83 @@ func tiles[C cell](n int) bool {
 	return n >= radixTileMinLen
 }
 
-// radixSort is the diverting LSD core: it sorts xs ascending by key,
-// stably, with the tiling decision lifted out so the callers can make it
-// on the buffer's size in cells and the differential tests and benchmarks
-// can force either scatter at any size.
-func radixSort[C cell](xs, scratch []C, tiled bool) {
+// splits reports whether n elements of width len(C) are worth one split
+// on the top digit before the remaining digits run bucket by bucket.
+func splits[C cell](n int) bool {
+	var c C
+	if len(c) == 2 {
+		return 2*n >= radixSplitMinLenRec
+	}
+	return n >= radixSplitMinLen
+}
+
+// radixSort is the diverting radix core: it sorts xs ascending by key,
+// stably, into dst, or in place when dst is nil (xs is then left
+// unspecified; dst aliases neither buffer). The scatter and split
+// decisions are lifted out so the callers can make them on the buffer's
+// size in cells and the differential tests and benchmarks can force
+// either at any size.
+func radixSort[C cell](xs, scratch, dst []C, tiled, split bool) {
 	n := len(xs)
+	if dst == nil {
+		dst = xs
+	}
 	if n < 2 {
+		copy(dst, xs)
 		return
 	}
 	if len(scratch) < n {
 		panic("psort: radix scratch shorter than input")
 	}
-
-	// On high-entropy keys the top four digits settle the plan and the
-	// low four are never counted, so they are counted first when a sample
-	// says they may; if they then miss the target, or were not tried, one
-	// more pass counts what is still uncounted.
+	scratch = scratch[:n]
 	var counts [radixDigits][256]int
-	low, topFirst := 0, radixTopFirst(xs)
-	if topFirst {
-		radixCount(xs, &counts, false, true)
-		low = radixPlan(&counts, n, radixDigits/2)
+	if split && radixSpread(xs) {
+		if radixSketch(xs, &counts) {
+			radixSplit(xs, scratch, dst, &counts, radixPlan(&counts, n, 1))
+			return
+		}
+		clear(counts[:])
+	}
+	low := radixHistograms(xs, &counts, func(lo, hi int) { radixCount(xs, &counts, lo, hi) })
+	radixLSD(xs, scratch, dst, &counts, low, radixDigits-1, tiled)
+	radixSweep(dst, scratch, low)
+}
+
+// radixHistograms counts xs's digit histograms into counts through count
+// and returns the digit plan. On high-entropy keys the top four digits
+// settle the plan and the low four are never counted, so they are
+// counted first when a sample says they may; if they then miss the
+// target, or were not tried, one more pass counts what is still
+// uncounted.
+func radixHistograms[C cell](xs []C, counts *[radixDigits][256]int, count func(lo, hi int)) (low int) {
+	n := len(xs)
+	half := radixDigits / 2
+	if radixTopFirst(xs) {
+		count(half, radixDigits)
+		if low = radixPlan(counts, n, half); low == 0 {
+			count(0, half)
+		}
+	} else {
+		count(0, radixDigits)
 	}
 	if low == 0 {
-		radixCount(xs, &counts, true, !topFirst)
-		low = radixPlan(&counts, n, 1)
+		low = radixPlan(counts, n, 1)
 	}
-	radixPasses(xs, scratch, &counts, low, tiled)
+	return low
+}
+
+// radixTop is the highest digit at or above low on which the keys of xs
+// do not all agree, low-1 when there is none. counts holds their
+// histograms.
+func radixTop[C cell](xs []C, counts *[radixDigits][256]int, low int) int {
+	top := radixDigits - 1
+	for ; top >= low; top-- {
+		shift, bias := digitPlan(top)
+		if counts[top][digit(xs[0][0], shift, bias)] != len(xs) {
+			break
+		}
+	}
+	return top
 }
 
 // radixTopFirst guesses whether the top half of the key can carry the
@@ -207,23 +266,68 @@ func radixTopFirst[C cell](xs []C) bool {
 	return true
 }
 
-// radixCount adds the histograms of the key's low four digits, its top
-// four, or all eight to counts in one pass over xs. The top digit is
-// biased so negative keys land in the low buckets.
-func radixCount[C cell](xs []C, counts *[radixDigits][256]int, lowHalf, topHalf bool) {
-	for i := range xs {
-		u := uint64(xs[i][0])
-		if lowHalf {
+// radixCount adds the histograms of digits lo..hi-1 of xs's keys to
+// counts, all eight in one pass and otherwise up to four a pass. The top
+// digit is biased so negative keys land in the low buckets. Each loop
+// counts a fixed set of digits: a per-key test of which digits to count
+// costs more than the increments it guards.
+func radixCount[C cell](xs []C, counts *[radixDigits][256]int, lo, hi int) {
+	if lo == 0 && hi == radixDigits {
+		for i := range xs {
+			u := uint64(xs[i][0])
 			counts[0][u&0xff]++
 			counts[1][(u>>8)&0xff]++
 			counts[2][(u>>16)&0xff]++
 			counts[3][(u>>24)&0xff]++
-		}
-		if topHalf {
 			counts[4][(u>>32)&0xff]++
 			counts[5][(u>>40)&0xff]++
 			counts[6][(u>>48)&0xff]++
 			counts[7][uint8(u>>56)^topBias]++
+		}
+		return
+	}
+	for ; lo < hi; lo += 4 {
+		radixCountGroup(xs, counts, lo, min(hi-lo, 4))
+	}
+}
+
+// radixCountGroup counts k <= 4 digits from lo in one pass over xs.
+func radixCountGroup[C cell](xs []C, counts *[radixDigits][256]int, lo, k int) {
+	var c [4]*[256]int
+	var s [4]uint
+	var b [4]uint8
+	for j := 0; j < k; j++ {
+		c[j] = &counts[lo+j]
+		s[j], b[j] = digitPlan(lo + j)
+	}
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+	switch k {
+	case 1:
+		for i := range xs {
+			c0[digit(xs[i][0], s0, b0)]++
+		}
+	case 2:
+		for i := range xs {
+			v := xs[i][0]
+			c0[digit(v, s0, b0)]++
+			c1[digit(v, s1, b1)]++
+		}
+	case 3:
+		for i := range xs {
+			v := xs[i][0]
+			c0[digit(v, s0, b0)]++
+			c1[digit(v, s1, b1)]++
+			c2[digit(v, s2, b2)]++
+		}
+	default:
+		for i := range xs {
+			v := xs[i][0]
+			c0[digit(v, s0, b0)]++
+			c1[digit(v, s1, b1)]++
+			c2[digit(v, s2, b2)]++
+			c3[digit(v, s3, b3)]++
 		}
 	}
 }
@@ -254,48 +358,73 @@ func radixPlan(counts *[radixDigits][256]int, n, floor int) (low int) {
 	return 0
 }
 
-// radixPasses scatters xs by digits low..7, least significant first, and
-// then orders what those digits left tied. counts holds the histograms
-// of xs and is consumed.
-func radixPasses[C cell](xs, scratch []C, counts *[radixDigits][256]int, low int, tiled bool) {
-	n := len(xs)
-	src, dst := xs, scratch[:n]
-	for d := low; d < radixDigits; d++ {
-		c := &counts[d]
+// radixLSD scatters src by its digits low..top that are not constant,
+// least significant first, and leaves the result in dst. The passes
+// alternate between dst and other so that the last one writes dst; other
+// may be src itself (two buffers) and dst may be src (in place), and
+// either then costs a copy when the pass count has the wrong parity.
+// counts holds the histograms of src and is consumed.
+func radixLSD[C cell](src, other, dst []C, counts *[radixDigits][256]int, low, top int, tiled bool) {
+	n := len(src)
+	// Skip digits every key agrees on: one bucket holds everything.
+	// Probing the bucket of the first key settles it in O(1).
+	var scatter [radixDigits]bool
+	k := 0
+	for d := low; d <= top; d++ {
 		shift, bias := digitPlan(d)
-		// Skip digits every key agrees on: one bucket holds everything.
-		// Probing the bucket of the first key settles it in O(1).
-		if c[digit(src[0][0], shift, bias)] == n {
+		if scatter[d] = counts[d][digit(src[0][0], shift, bias)] != n; scatter[d] {
+			k++
+		}
+	}
+	cur := src
+	for d := low; d <= top; d++ {
+		if !scatter[d] {
 			continue
+		}
+		k--
+		to := other
+		if k%2 == 0 {
+			to = dst
+		}
+		if &to[0] == &cur[0] {
+			if to = dst; &dst[0] == &cur[0] {
+				to = other
+			}
 		}
 		// Exclusive prefix sum: c[b] becomes the first write index for
 		// bucket b, which makes the scatter below stable.
+		c := &counts[d]
 		var sum int
 		for b := 0; b < 256; b++ {
 			cnt := c[b]
 			c[b] = sum
 			sum += cnt
 		}
+		shift, bias := digitPlan(d)
 		if tiled {
-			radixScatterTiled(src, dst, c, shift, bias)
+			radixScatterTiled(cur, to, c, shift, bias)
 		} else {
-			radixScatterPlain(src, dst, c, shift, bias)
+			radixScatterPlain(cur, to, c, shift, bias)
 		}
-		src, dst = dst, src
+		cur = to
 	}
-	if &src[0] != &xs[0] {
-		copy(xs, src)
+	if &cur[0] != &dst[0] {
+		copy(dst, cur)
 	}
+}
+
+// radixSweep is the finishing sweep. xs is in order of the digits low..7
+// and stable below them, so the keys still out of place sit in runs that
+// agree above digit low-1. Neighbours the scattered digits told apart are
+// the usual case and cost one comparison; inside a run, mixed gathers the
+// low bits its neighbours differ in, so equal keys cost no more than that
+// either. scratch is at least as long as xs; plan 0 leaves nothing to
+// finish.
+func radixSweep[C cell](xs, scratch []C, low int) {
 	if low == 0 {
 		return
 	}
-
-	// The finishing sweep. xs is in order of the digits scattered and
-	// stable below them, so the keys still out of place sit in runs that
-	// agree above digit low-1. Neighbours the scattered digits told apart
-	// are the usual case and cost one comparison; inside a run, mixed
-	// gathers the low bits its neighbours differ in, so equal keys cost
-	// no more than that either.
+	n := len(xs)
 	shift := uint(8*low) & 63
 	for i := 1; i < n; i++ {
 		if uint64(xs[i][0]^xs[i-1][0])>>shift != 0 {
@@ -314,7 +443,7 @@ func radixPasses[C cell](xs, scratch []C, counts *[radixDigits][256]int, low int
 		case len(run) <= radixInsertionMax:
 			insertion(run)
 		default:
-			radixSort(run, scratch, tiles[C](len(run)))
+			radixSort(run, scratch, nil, tiles[C](len(run)), splits[C](len(run)))
 		}
 	}
 }
@@ -414,21 +543,4 @@ func SortAdaptive(xs, scratch []int64) {
 		return
 	}
 	introsort(xs, 2*log2(n))
-}
-
-// SortBlock sorts one block of cells-wide elements ascending by key
-// using scratch as SortAdaptive and SortRecordsScratch do. Like
-// MergeRound it is where a caller holding cell buffers names the
-// element width: bare keys (cells 1) take the adaptive dispatcher,
-// key+payload records (cells 2) the stable record sort, which needs
-// scratch at least as long as the block.
-func SortBlock(block, scratch []int64, cells int) {
-	switch cells {
-	case 1:
-		SortAdaptive(block, scratch)
-	case 2:
-		SortRecordsScratch(KVsFromInt64s(block), KVsFromInt64s(scratch))
-	default:
-		panic("psort: SortBlock cell width must be 1 or 2")
-	}
 }

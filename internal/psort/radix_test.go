@@ -206,7 +206,7 @@ func TestPublicEntriesAcrossTileThreshold(t *testing.T) {
 // or above the plan's lowest that are not constant.
 func planOf(keys []int64) (low int, scattered []int) {
 	var counts [radixDigits][256]int
-	radixCount(asCells[[1]int64](keys), &counts, true, true)
+	radixCount(asCells[[1]int64](keys), &counts, 0, radixDigits)
 	low = radixPlan(&counts, len(keys), 1)
 	// The kernel decides on the top half alone when that reaches the
 	// target; it must be the same decision.

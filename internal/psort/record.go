@@ -40,7 +40,7 @@ func SortRecordsScratch(rs, scratch []KV) {
 		binaryInsertionRecords(rs)
 		return
 	}
-	radixSort(kvCells(rs), kvCells(scratch), tiles[[2]int64](n))
+	radixSort(kvCells(rs), kvCells(scratch), nil, tiles[[2]int64](n), splits[[2]int64](n))
 }
 
 // kvCells hands records to the kernel core as width-2 cells.
