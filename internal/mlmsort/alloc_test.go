@@ -1,6 +1,7 @@
 package mlmsort
 
 import (
+	"runtime"
 	"testing"
 
 	"knlmlm/internal/mem"
@@ -9,28 +10,69 @@ import (
 )
 
 // TestComputeLoopAllocationFree: the per-megachunk compute body — the
-// steady-state inner loop of every real run — must not allocate once the
-// pool is warm (single-worker fast path: adaptive sort straight into
-// pooled scratch).
+// steady-state inner loop of every real run — must not leave garbage
+// once the pools are warm. One worker allocates nothing at all (adaptive
+// sort straight into pooled scratch); two spawn their goroutines, and the
+// split's per-worker tables come from psort's pool, so the heap bytes per
+// megachunk stay under 1 KiB at either width, below the split threshold
+// and above it, in place and into a run buffer. A sorter is built per
+// megachunk, as a one-megachunk job builds one, so split state tied to
+// the sorter would show here.
 func TestComputeLoopAllocationFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counting is unreliable under -race")
 	}
-	const mcLen = 20_000
-	src := workload.Generate(workload.Random, mcLen, 21)
-	mc := make([]int64, mcLen)
-	scratch := mem.Pool.Get(mcLen)
-	defer mem.Pool.Put(scratch)
-	sorter := newMegachunkSorter(1, ElemInt64)
-	allocs := testing.AllocsPerRun(10, func() {
-		copy(mc, src)
-		sorter.sort(mc, scratch, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state compute loop allocates %.1f times per megachunk", allocs)
-	}
-	if !workload.IsSorted(mc) {
-		t.Fatal("sorter broke the data")
+	for _, tc := range []struct {
+		name        string
+		width, elem int
+		into        bool
+	}{
+		{"w1-20K", 1, 20_000, false},
+		{"w1-512Ki-into", 1, 512 << 10, true},
+		{"w2-20K", 2, 20_000, false},
+		{"w2-512Ki", 2, 512 << 10, false},
+		{"w2-512Ki-into", 2, 512 << 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := workload.Generate(workload.Random, tc.elem, 21)
+			mc := make([]int64, tc.elem)
+			var dst []int64
+			if tc.into {
+				dst = make([]int64, tc.elem)
+			}
+			scratch := mem.Pool.Get(tc.elem)
+			defer mem.Pool.Put(scratch)
+			body := func() {
+				copy(mc, src)
+				newMegachunkSorter(tc.width, ElemInt64).sort(mc, scratch, dst)
+			}
+			body() // warm the split's pool
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				body()
+			}
+			runtime.ReadMemStats(&after)
+			if perMC := (after.TotalAlloc - before.TotalAlloc) / runs; perMC >= 1024 {
+				t.Errorf("steady-state compute loop leaves %d heap bytes per megachunk, want under 1 KiB", perMC)
+			}
+			sorter := newMegachunkSorter(tc.width, ElemInt64)
+			allocs := testing.AllocsPerRun(10, func() {
+				copy(mc, src)
+				sorter.sort(mc, scratch, dst)
+			})
+			if tc.width == 1 && allocs != 0 {
+				t.Errorf("one worker allocates %.1f times per megachunk", allocs)
+			}
+			out := mc
+			if tc.into {
+				out = dst
+			}
+			if !workload.IsSorted(out) {
+				t.Fatal("sorter broke the data")
+			}
+		})
 	}
 }
 

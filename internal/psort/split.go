@@ -138,29 +138,105 @@ func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top in
 
 // splitState is a parallel split's shared tables: each worker's
 // histograms (then its bucket offsets), their sum, and the bucket range
-// each worker finishes. It is pooled, so a loop over megachunks reuses
-// one and a job adds no garbage for it.
+// each worker finishes. A freelist keeps them, so a loop over megachunks
+// reuses one and a job adds no garbage for it; unlike a sync.Pool it is
+// not emptied by a collection.
 type splitState struct {
 	parts [][radixDigits][256]int
 	sum   [radixDigits][256]int
 	cuts  []int
 }
 
-var splitStates = sync.Pool{New: func() any { return new(splitState) }}
+var splitStates = make(chan *splitState, 8)
 
-// onWorkers runs f(0) .. f(w-1), f(0) on the calling goroutine, and
-// returns when every one has.
-func onWorkers(w int, f func(i int)) {
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for i := 1; i < w; i++ {
+func getSplitState(w int) *splitState {
+	var st *splitState
+	select {
+	case st = <-splitStates:
+	default:
+		st = new(splitState)
+	}
+	if len(st.parts) < w {
+		st.parts = make([][radixDigits][256]int, w)
+		st.cuts = make([]int, w+1)
+	}
+	return st
+}
+
+func putSplitState(st *splitState) {
+	select {
+	case splitStates <- st:
+	default:
+	}
+}
+
+// Phases of a parallel split, in order.
+const (
+	phaseSketch = iota
+	phaseCount
+	phaseScatter
+	phaseFinish
+)
+
+// splitJob is one parallel split: the buffers, the plan, and the phase
+// the workers are in. Its run method is all a worker goroutine calls, so
+// one job is the one allocation a split makes besides its goroutines.
+type splitJob[C cell] struct {
+	xs, scratch, dst, spare []C
+	st                      *splitState
+	w, phase, lo, hi        int
+	low, top                int
+	tiled                   bool
+	wg                      sync.WaitGroup
+}
+
+// each runs phase on all w workers, worker 0 on the calling goroutine,
+// and returns when every one has.
+func (j *splitJob[C]) each(phase int) {
+	j.phase = phase
+	j.wg.Add(j.w - 1)
+	for i := 1; i < j.w; i++ {
 		go func() {
-			defer wg.Done()
-			f(i)
+			defer j.wg.Done()
+			j.run(i)
 		}()
 	}
-	f(0)
-	wg.Wait()
+	j.run(0)
+	j.wg.Wait()
+}
+
+func (j *splitJob[C]) run(i int) {
+	n, part := len(j.xs), &j.st.parts[i]
+	share := j.xs[n*i/j.w : n*(i+1)/j.w]
+	switch j.phase {
+	case phaseSketch:
+		radixSketch(share, part)
+	case phaseCount:
+		radixCount(share, part, j.lo, j.hi)
+	case phaseScatter:
+		shift, bias := digitPlan(j.top)
+		if j.tiled {
+			radixScatterTiled(share, j.scratch, &part[j.top], shift, bias)
+		} else {
+			radixScatterPlain(share, j.scratch, &part[j.top], shift, bias)
+		}
+	case phaseFinish:
+		radixFinish(j.scratch, j.spare, j.dst, &j.st.sum[j.top], j.st.cuts[i], j.st.cuts[i+1], j.low, j.top)
+	}
+}
+
+// total sums the workers' histograms of digits lo..hi-1 into st.sum.
+func (j *splitJob[C]) total(lo, hi int) {
+	parts, sum := j.st.parts[:j.w], &j.st.sum
+	for d := lo; d < hi; d++ {
+		for b := range sum[d] {
+			s := 0
+			for i := range parts {
+				s += parts[i][d][b]
+			}
+			sum[d][b] = s
+		}
+	}
 }
 
 // radixSortParallel is radixSort with w >= 2 workers and no merge: the
@@ -179,37 +255,20 @@ func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 	if len(scratch) < n {
 		panic("psort: radix scratch shorter than input")
 	}
-	scratch = scratch[:n]
-	st := splitStates.Get().(*splitState)
-	defer splitStates.Put(st)
-	if len(st.parts) < w {
-		st.parts = make([][radixDigits][256]int, w)
-		st.cuts = make([]int, w+1)
-	}
+	st := getSplitState(w)
+	defer putSplitState(st)
+	j := &splitJob[C]{xs: xs, scratch: scratch[:n], dst: dst, spare: spareFor(xs, dst), st: st, w: w, top: radixDigits - 1, tiled: tiles[C](n)}
 	parts, sum := st.parts[:w], &st.sum
-	share := func(i int) []C { return xs[n*i/w : n*(i+1)/w] }
-	total := func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			for b := range sum[d] {
-				s := 0
-				for i := range parts {
-					s += parts[i][d][b]
-				}
-				sum[d][b] = s
-			}
-		}
-	}
 	for i := range parts {
 		clear(parts[i][:])
 	}
-	low, top := 0, radixDigits-1
 	sketched := radixSpread(xs)
 	if sketched {
-		onWorkers(w, func(i int) { radixSketch(share(i), &parts[i]) })
-		total(0, radixDigits)
-		shift, bias := digitPlan(top)
-		if sketched = sum[top][digit(xs[0][0], shift, bias)] != n; sketched {
-			low = radixPlan(sum, n, 1)
+		j.each(phaseSketch)
+		j.total(0, radixDigits)
+		shift, bias := digitPlan(j.top)
+		if sketched = sum[j.top][digit(xs[0][0], shift, bias)] != n; sketched {
+			j.low = radixPlan(sum, n, 1)
 		} else {
 			for i := range parts {
 				clear(parts[i][:])
@@ -217,42 +276,33 @@ func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 		}
 	}
 	if !sketched {
-		low = radixHistograms(xs, sum, func(lo, hi int) {
-			onWorkers(w, func(i int) { radixCount(share(i), &parts[i], lo, hi) })
-			total(lo, hi)
+		j.low = radixHistograms(xs, sum, func(lo, hi int) {
+			j.lo, j.hi = lo, hi
+			j.each(phaseCount)
+			j.total(lo, hi)
 		})
-		if top = radixTop(xs, sum, low); top < low {
+		if j.top = radixTop(xs, sum, j.low); j.top < j.low {
 			copy(dst, xs)
-			radixSweep(dst, scratch, low)
+			radixSweep(dst, j.scratch, j.low)
 			return
 		}
 	}
 
 	// Bucket b of worker i goes after bucket b of the workers before it,
 	// which keeps the scatter stable; sum[top] becomes the bucket ends.
-	ends := &sum[top]
+	ends := &sum[j.top]
 	pos := 0
 	for b := 0; b < 256; b++ {
 		for i := range parts {
-			cnt := parts[i][top][b]
-			parts[i][top][b] = pos
+			cnt := parts[i][j.top][b]
+			parts[i][j.top][b] = pos
 			pos += cnt
 		}
 		ends[b] = pos
 	}
-	shift, bias := digitPlan(top)
-	tiled := tiles[C](n)
-	onWorkers(w, func(i int) {
-		if tiled {
-			radixScatterTiled(share(i), scratch, &parts[i][top], shift, bias)
-		} else {
-			radixScatterPlain(share(i), scratch, &parts[i][top], shift, bias)
-		}
-	})
-	cuts := st.cuts[:w+1]
-	splitCuts(ends, n, cuts)
-	spare := spareFor(xs, dst)
-	onWorkers(w, func(i int) { radixFinish(scratch, spare, dst, ends, cuts[i], cuts[i+1], low, top) })
+	j.each(phaseScatter)
+	splitCuts(ends, n, st.cuts[:w+1])
+	j.each(phaseFinish)
 }
 
 // splitCuts cuts a split's 256 buckets, bucket b ending at ends[b] of n,
