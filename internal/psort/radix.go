@@ -382,15 +382,7 @@ func radixLSD[C cell](src, other, dst []C, counts *[radixDigits][256]int, low, t
 			continue
 		}
 		k--
-		to := other
-		if k%2 == 0 {
-			to = dst
-		}
-		if &to[0] == &cur[0] {
-			if to = dst; &dst[0] == &cur[0] {
-				to = other
-			}
-		}
+		to := passTarget(k, cur, other, dst)
 		// Exclusive prefix sum: c[b] becomes the first write index for
 		// bucket b, which makes the scatter below stable.
 		c := &counts[d]
@@ -411,6 +403,22 @@ func radixLSD[C cell](src, other, dst []C, counts *[radixDigits][256]int, low, t
 	if &cur[0] != &dst[0] {
 		copy(dst, cur)
 	}
+}
+
+// passTarget is where a pass from cur writes when k passes follow it:
+// dst when k is even, so the last pass writes dst, and other otherwise,
+// unless that is cur, which only two buffers allow; then the other one.
+func passTarget[C cell](k int, cur, other, dst []C) []C {
+	to := other
+	if k%2 == 0 {
+		to = dst
+	}
+	if &to[0] == &cur[0] {
+		if to = dst; &dst[0] == &cur[0] {
+			to = other
+		}
+	}
+	return to
 }
 
 // radixSweep is the finishing sweep. xs is in order of the digits low..7

@@ -126,6 +126,9 @@ func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top in
 		case low >= top:
 			copy(out, bucket)
 			radixSweep(out, bucket, low)
+		case top-low == 3 && len(bucket) >= wideMinLen:
+			radixWide(bucket, other, out, low)
+			radixSweep(out, bucket, low)
 		default:
 			clear(counts[low:top])
 			radixCount(bucket, &counts, low, top)
@@ -133,6 +136,61 @@ func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top in
 			radixSweep(out, bucket, low)
 		}
 		start = end
+	}
+}
+
+// wideBits is the digit width of a bucket's passes when the plan leaves
+// it three bytes, as it does random keys from 1Mi to past 64Mi: two
+// 12-bit passes instead of three 8-bit ones. The bucket is in cache, where
+// 4096 write cursors miss no more than 256 do, so a pass and a digit's
+// count saved outweigh the longer prefix sums from wideMinLen keys.
+const (
+	wideBits   = 12
+	wideMinLen = 1 << 10
+)
+
+// radixWide scatters src by bits 8*low to 8*low+23 of its keys, digit 7
+// excluded, in two wideBits passes into dst, through other as radixLSD
+// does, skipping a digit every key agrees on.
+func radixWide[C cell](src, other, dst []C, low int) {
+	const mask = 1<<wideBits - 1
+	var counts [2][1 << wideBits]uint32
+	shifts := [2]uint{uint(8*low) & 63, uint(8*low+wideBits) & 63}
+	for i := range src {
+		u := uint64(src[i][0])
+		counts[0][(u>>shifts[0])&mask]++
+		counts[1][(u>>shifts[1])&mask]++
+	}
+	n, k := uint32(len(src)), 0
+	var scatter [2]bool
+	for p := range counts {
+		if scatter[p] = counts[p][(uint64(src[0][0])>>shifts[p])&mask] != n; scatter[p] {
+			k++
+		}
+	}
+	cur := src
+	for p := range counts {
+		if !scatter[p] {
+			continue
+		}
+		k--
+		to := passTarget(k, cur, other, dst)
+		c, shift := &counts[p], shifts[p]
+		var sum uint32
+		for b := range c {
+			cnt := c[b]
+			c[b] = sum
+			sum += cnt
+		}
+		for i := range cur {
+			b := (uint64(cur[i][0]) >> shift) & mask
+			to[c[b]] = cur[i]
+			c[b]++
+		}
+		cur = to
+	}
+	if &cur[0] != &dst[0] {
+		copy(dst, cur)
 	}
 }
 

@@ -172,3 +172,46 @@ func TestSplitCutsByCount(t *testing.T) {
 		}
 	}
 }
+
+// TestRadixWide runs a bucket's two 12-bit passes, and the sweep after
+// them, at every low they can start from, on the buffer arrangements a
+// split hands them (a spare, or the bucket itself as the other buffer),
+// with either pass left nothing to do; records keep their input order.
+func TestRadixWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n = 3000
+	for low := 0; low <= radixDigits-4; low++ {
+		for _, shape := range []string{"random", "first-pass-constant", "second-pass-constant", "both-constant"} {
+			for _, spare := range []bool{false, true} {
+				src := make([]int64, 0, 2*n)
+				prefix := int64(rng.Uint64()) &^ (1<<(8*low+24) - 1)
+				for i := 0; i < n; i++ {
+					mid := rng.Int63n(1 << 24)
+					switch shape {
+					case "first-pass-constant":
+						mid = mid&^(1<<wideBits-1) | 0x5a5
+					case "second-pass-constant":
+						mid = mid&(1<<wideBits-1) | 0xa5a<<wideBits
+					case "both-constant":
+						mid = 0x123456
+					}
+					src = append(src, prefix|mid<<(8*low)|rng.Int63n(1<<(8*low)), int64(i))
+				}
+				want := slices.Clone(src)
+				slices.SortStableFunc(KVsFromInt64s(want), cmpKV)
+				in := slices.Clone(src)
+				out := make([]int64, len(src))
+				bucket, dst := asCells[[2]int64](in), asCells[[2]int64](out)
+				other := bucket
+				if spare {
+					other = make([][2]int64, n)
+				}
+				radixWide(bucket, other, dst, low)
+				radixSweep(dst, bucket, low)
+				if i := firstDiff(out, want); i >= 0 {
+					t.Fatalf("low %d, %s, spare %v: cell %d is %d, want %d", low, shape, spare, i, out[i], want[i])
+				}
+			}
+		}
+	}
+}
