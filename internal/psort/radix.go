@@ -103,11 +103,21 @@ const (
 
 // radixSplitMinLen and radixSplitMinLenRec are the buffer sizes, in
 // int64 cells, from which keys and records split: one tiled scatter on
-// the plan's top digit, then each bucket through the remaining digits in
-// cache (radixSplit). Measured, not derived; see the sweep below.
+// the top digit, then each bucket through the remaining digits in cache
+// (radixSplit). Measured, not derived. Host as above; radixSort with the
+// split and without it (the LSD core), both at production tiling, legs
+// alternated 40 times in one process, median paired time ratio split /
+// LSD on random keys: 64Ki 0.97, 96Ki 0.87, 128Ki 0.89, 160Ki 0.89, 192Ki
+// 0.90, 256Ki 0.86, 1Mi 0.81, 4Mi 0.80; on random records 64Ki 1.35, 96Ki
+// 1.11, 128Ki 0.98, 160Ki 0.88, 192Ki 0.92, 256Ki 0.90, 1Mi 0.77, 4Mi
+// 0.83. Each constant is the lowest size at which the split is clearly
+// ahead on random input of its width; the classes that take it (those
+// whose top digit spreads, radixSpread) read level or ahead from there
+// but for a top-digit bucket holding 60% of the records (1.03-1.11).
+// EXPERIMENTS.md, "One partition pass (PR 32)", has every class.
 const (
-	radixSplitMinLen    = 256 << 10
-	radixSplitMinLenRec = 256 << 10
+	radixSplitMinLen    = 96 << 10
+	radixSplitMinLenRec = 160 << 10
 )
 
 // tileCells is the per-bucket staging capacity in int64 cells: 64 bare

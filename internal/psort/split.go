@@ -126,7 +126,7 @@ func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top in
 		case low >= top:
 			copy(out, bucket)
 			radixSweep(out, bucket, low)
-		case top-low == 3 && len(bucket) >= wideMinLen:
+		case top-low == 3 && len(bucket) >= wideMinLen && !tiles[C](len(bucket)):
 			radixWide(bucket, other, out, low)
 			radixSweep(out, bucket, low)
 		default:
@@ -141,9 +141,11 @@ func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top in
 
 // wideBits is the digit width of a bucket's passes when the plan leaves
 // it three bytes, as it does random keys from 1Mi to past 64Mi: two
-// 12-bit passes instead of three 8-bit ones. The bucket is in cache, where
-// 4096 write cursors miss no more than 256 do, so a pass and a digit's
-// count saved outweigh the longer prefix sums from wideMinLen keys.
+// 12-bit passes instead of three 8-bit ones. A bucket under the tiling
+// size is in cache, where 4096 write cursors miss no more than 256 do, so
+// a pass and a digit's count saved outweigh the longer prefix sums from
+// wideMinLen keys; a bucket past it (a top digit most keys share) keeps
+// the tiled 8-bit passes.
 const (
 	wideBits   = 12
 	wideMinLen = 1 << 10
