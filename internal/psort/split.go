@@ -1,6 +1,9 @@
 package psort
 
-import "sync"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // The split: the paper's move of cutting data bigger than the fast tier
 // into pieces that fit, one level down, at the core's L2. A block past L2
@@ -91,23 +94,16 @@ func radixSplit[C cell](xs, scratch, dst []C, counts *[radixDigits][256]int, low
 	}
 	shift, bias := digitPlan(top)
 	radixScatterTiled(xs, scratch, c, shift, bias)
-	radixFinish(scratch, spareFor(xs, dst), dst, c, 0, 256, low, top)
-}
-
-// spareFor is the third buffer a split's buckets can pass through: the
-// input once it has been scattered, unless the sort is in place.
-func spareFor[C cell](xs, dst []C) []C {
-	if &xs[0] == &dst[0] {
-		return nil
-	}
-	return xs
+	radixFinish(scratch, dst, c, 0, 256, low, top)
 }
 
 // radixFinish sorts buckets b0..b1-1 of a split on digit top into dst.
 // in holds the split, bucket b ending at ends[b]; each bucket is counted,
-// scattered by digits low..top-1 and swept on its own, through spare when
-// there is one (nil: through in).
-func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top int) {
+// scattered by digits low..top-1 and swept on its own, its passes going
+// back and forth between its two places in in and dst. A third buffer
+// would save the parity copy, in cache, and cost a first touch of one
+// more place out of it.
+func radixFinish[C cell](in, dst []C, ends *[256]int, b0, b1, low, top int) {
 	var counts [radixDigits][256]int
 	start := 0
 	if b0 > 0 {
@@ -116,10 +112,6 @@ func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top in
 	for b := b0; b < b1; b++ {
 		end := ends[b]
 		bucket, out := in[start:end], dst[start:end]
-		other := bucket
-		if spare != nil {
-			other = spare[start:end]
-		}
 		switch {
 		case len(bucket) < 2:
 			copy(out, bucket)
@@ -127,12 +119,12 @@ func radixFinish[C cell](in, spare, dst []C, ends *[256]int, b0, b1, low, top in
 			copy(out, bucket)
 			radixSweep(out, bucket, low)
 		case top-low == 3 && len(bucket) >= wideMinLen && !tiles[C](len(bucket)):
-			radixWide(bucket, other, out, low)
+			radixWide(bucket, bucket, out, low)
 			radixSweep(out, bucket, low)
 		default:
 			clear(counts[low:top])
 			radixCount(bucket, &counts, low, top)
-			radixLSD(bucket, other, out, &counts, low, top-1, tiles[C](len(bucket)))
+			radixLSD(bucket, bucket, out, &counts, low, top-1, tiles[C](len(bucket)))
 			radixSweep(out, bucket, low)
 		}
 		start = end
@@ -230,39 +222,66 @@ func putSplitState(st *splitState) {
 	}
 }
 
-// Phases of a parallel split, in order.
+// Phases of a parallel split, in order, and the word that ends its
+// workers.
 const (
 	phaseSketch = iota
 	phaseCount
 	phaseScatter
 	phaseFinish
+	phaseEnd
 )
 
 // splitJob is one parallel split: the buffers, the plan, and the phase
-// the workers are in. Its run method is all a worker goroutine calls, so
-// one job is the one allocation a split makes besides its goroutines.
+// the workers are in. The workers other than 0 are started once and wait
+// for each phase by spinning on seq: a goroutine started, or woken, per
+// phase reaches an idle core tens of microseconds late on a virtual
+// machine, which a phase of a 192Ki-key megachunk cannot hide.
 type splitJob[C cell] struct {
-	xs, scratch, dst, spare []C
-	st                      *splitState
-	w, phase, lo, hi        int
-	low, top                int
-	tiled                   bool
-	wg                      sync.WaitGroup
+	xs, scratch, dst []C
+	st               *splitState
+	w, phase, lo, hi int
+	low, top         int
+	tiled            bool
+	seq, done        atomic.Int32
+}
+
+// start starts workers 1 .. w-1; end stops them.
+func (j *splitJob[C]) start() {
+	for i := 1; i < j.w; i++ {
+		go func() {
+			for last := int32(0); ; {
+				seq := j.seq.Load()
+				if seq == last {
+					runtime.Gosched()
+					continue
+				}
+				if last = seq; j.phase == phaseEnd {
+					return
+				}
+				j.run(i)
+				j.done.Add(1)
+			}
+		}()
+	}
+}
+
+func (j *splitJob[C]) end() {
+	j.phase = phaseEnd
+	j.seq.Add(1)
 }
 
 // each runs phase on all w workers, worker 0 on the calling goroutine,
-// and returns when every one has.
+// and returns when every one has. The phase and its arguments are written
+// before seq moves, which publishes them to the workers.
 func (j *splitJob[C]) each(phase int) {
 	j.phase = phase
-	j.wg.Add(j.w - 1)
-	for i := 1; i < j.w; i++ {
-		go func() {
-			defer j.wg.Done()
-			j.run(i)
-		}()
-	}
+	j.done.Store(0)
+	j.seq.Add(1)
 	j.run(0)
-	j.wg.Wait()
+	for j.done.Load() < int32(j.w-1) {
+		runtime.Gosched()
+	}
 }
 
 func (j *splitJob[C]) run(i int) {
@@ -281,7 +300,7 @@ func (j *splitJob[C]) run(i int) {
 			radixScatterPlain(share, j.scratch, &part[j.top], shift, bias)
 		}
 	case phaseFinish:
-		radixFinish(j.scratch, j.spare, j.dst, &j.st.sum[j.top], j.st.cuts[i], j.st.cuts[i+1], j.low, j.top)
+		radixFinish(j.scratch, j.dst, &j.st.sum[j.top], j.st.cuts[i], j.st.cuts[i+1], j.low, j.top)
 	}
 }
 
@@ -317,7 +336,9 @@ func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 	}
 	st := getSplitState(w)
 	defer putSplitState(st)
-	j := &splitJob[C]{xs: xs, scratch: scratch[:n], dst: dst, spare: spareFor(xs, dst), st: st, w: w, top: radixDigits - 1, tiled: tiles[C](n)}
+	j := &splitJob[C]{xs: xs, scratch: scratch[:n], dst: dst, st: st, w: w, top: radixDigits - 1, tiled: tiles[C](n)}
+	j.start()
+	defer j.end()
 	parts, sum := st.parts[:w], &st.sum
 	for i := range parts {
 		clear(parts[i][:])
