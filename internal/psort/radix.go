@@ -215,46 +215,30 @@ func radixSort[C cell](xs, scratch, dst []C, tiled, split bool) {
 		}
 		clear(counts[:])
 	}
-	low := radixHistograms(xs, &counts, func(lo, hi int) { radixCount(xs, &counts, lo, hi) })
+	low := radixHistograms(xs, &counts)
 	radixLSD(xs, scratch, dst, &counts, low, radixDigits-1, tiled)
 	radixSweep(dst, scratch, low)
 }
 
-// radixHistograms counts xs's digit histograms into counts through count
-// and returns the digit plan. On high-entropy keys the top four digits
-// settle the plan and the low four are never counted, so they are
-// counted first when a sample says they may; if they then miss the
-// target, or were not tried, one more pass counts what is still
-// uncounted.
-func radixHistograms[C cell](xs []C, counts *[radixDigits][256]int, count func(lo, hi int)) (low int) {
-	n := len(xs)
-	half := radixDigits / 2
+// radixHistograms counts xs's digit histograms into counts and returns
+// the digit plan. On high-entropy keys the top four digits settle the
+// plan and the low four are never counted, so they are counted first when
+// a sample says they may; if they then miss the target, or were not
+// tried, one more pass counts what is still uncounted.
+func radixHistograms[C cell](xs []C, counts *[radixDigits][256]int) (low int) {
+	n, half := len(xs), radixDigits/2
 	if radixTopFirst(xs) {
-		count(half, radixDigits)
+		radixCount(xs, counts, half, radixDigits)
 		if low = radixPlan(counts, n, half); low == 0 {
-			count(0, half)
+			radixCount(xs, counts, 0, half)
 		}
 	} else {
-		count(0, radixDigits)
+		radixCount(xs, counts, 0, radixDigits)
 	}
 	if low == 0 {
 		low = radixPlan(counts, n, 1)
 	}
 	return low
-}
-
-// radixTop is the highest digit at or above low on which the keys of xs
-// do not all agree, low-1 when there is none. counts holds their
-// histograms.
-func radixTop[C cell](xs []C, counts *[radixDigits][256]int, low int) int {
-	top := radixDigits - 1
-	for ; top >= low; top-- {
-		shift, bias := digitPlan(top)
-		if counts[top][digit(xs[0][0], shift, bias)] != len(xs) {
-			break
-		}
-	}
-	return top
 }
 
 // radixTopFirst guesses whether the top half of the key can carry the
@@ -393,15 +377,8 @@ func radixLSD[C cell](src, other, dst []C, counts *[radixDigits][256]int, low, t
 		}
 		k--
 		to := passTarget(k, cur, other, dst)
-		// Exclusive prefix sum: c[b] becomes the first write index for
-		// bucket b, which makes the scatter below stable.
 		c := &counts[d]
-		var sum int
-		for b := 0; b < 256; b++ {
-			cnt := c[b]
-			c[b] = sum
-			sum += cnt
-		}
+		exclusiveSum(c)
 		shift, bias := digitPlan(d)
 		if tiled {
 			radixScatterTiled(cur, to, c, shift, bias)
@@ -412,6 +389,17 @@ func radixLSD[C cell](src, other, dst []C, counts *[radixDigits][256]int, low, t
 	}
 	if &cur[0] != &dst[0] {
 		copy(dst, cur)
+	}
+}
+
+// exclusiveSum turns a histogram into its exclusive prefix sum: c[b]
+// becomes the first write index of bucket b, which makes a scatter stable.
+func exclusiveSum(c *[256]int) {
+	var sum int
+	for b := range c {
+		cnt := c[b]
+		c[b] = sum
+		sum += cnt
 	}
 }
 

@@ -84,26 +84,21 @@ func radixSketch[C cell](xs []C, counts *[radixDigits][256]int) bool {
 // xs on digit 7 into scratch, then each bucket sorted by digits low..6 in
 // cache, into dst. counts[7] is the exact histogram of digit 7.
 func radixSplit[C cell](xs, scratch, dst []C, counts *[radixDigits][256]int, low int) {
-	top := radixDigits - 1
-	c := &counts[top]
-	var sum int
-	for b := 0; b < 256; b++ {
-		cnt := c[b]
-		c[b] = sum
-		sum += cnt
-	}
-	shift, bias := digitPlan(top)
-	radixScatterTiled(xs, scratch, c, shift, bias)
-	radixFinish(scratch, dst, c, 0, 256, low, top)
+	top := &counts[radixDigits-1]
+	exclusiveSum(top)
+	shift, bias := digitPlan(radixDigits - 1)
+	radixScatterTiled(xs, scratch, top, shift, bias)
+	radixFinish(scratch, dst, top, 0, 256, low)
 }
 
-// radixFinish sorts buckets b0..b1-1 of a split on digit top into dst.
-// in holds the split, bucket b ending at ends[b]; each bucket is counted,
-// scattered by digits low..top-1 and swept on its own, its passes going
-// back and forth between its two places in in and dst. A third buffer
-// would save the parity copy, in cache, and cost a first touch of one
-// more place out of it.
-func radixFinish[C cell](in, dst []C, ends *[256]int, b0, b1, low, top int) {
+// radixFinish sorts buckets b0..b1-1 of a split into dst. in holds the
+// split, bucket b ending at ends[b]; each bucket is counted, scattered by
+// digits low..6 and swept on its own, its passes going back and forth
+// between its two places in in and dst. A third buffer would save the
+// parity copy, in cache, and cost a first touch of one more place out of
+// it.
+func radixFinish[C cell](in, dst []C, ends *[256]int, b0, b1, low int) {
+	const top = radixDigits - 1
 	var counts [radixDigits][256]int
 	start := 0
 	if b0 > 0 {
@@ -115,7 +110,7 @@ func radixFinish[C cell](in, dst []C, ends *[256]int, b0, b1, low, top int) {
 		switch {
 		case len(bucket) < 2:
 			copy(out, bucket)
-		case low >= top:
+		case low == top:
 			copy(out, bucket)
 			radixSweep(out, bucket, low)
 		case top-low == 3 && len(bucket) >= wideMinLen && !tiles[C](len(bucket)):
@@ -226,7 +221,6 @@ func putSplitState(st *splitState) {
 // workers.
 const (
 	phaseSketch = iota
-	phaseCount
 	phaseScatter
 	phaseFinish
 	phaseEnd
@@ -240,9 +234,7 @@ const (
 type splitJob[C cell] struct {
 	xs, scratch, dst []C
 	st               *splitState
-	w, phase, lo, hi int
-	low, top         int
-	tiled            bool
+	w, phase, low    int
 	seq, done        atomic.Int32
 }
 
@@ -290,44 +282,28 @@ func (j *splitJob[C]) run(i int) {
 	switch j.phase {
 	case phaseSketch:
 		radixSketch(share, part)
-	case phaseCount:
-		radixCount(share, part, j.lo, j.hi)
 	case phaseScatter:
-		shift, bias := digitPlan(j.top)
-		if j.tiled {
-			radixScatterTiled(share, j.scratch, &part[j.top], shift, bias)
-		} else {
-			radixScatterPlain(share, j.scratch, &part[j.top], shift, bias)
-		}
+		shift, bias := digitPlan(radixDigits - 1)
+		radixScatterTiled(share, j.scratch, &part[radixDigits-1], shift, bias)
 	case phaseFinish:
-		radixFinish(j.scratch, j.dst, &j.st.sum[j.top], j.st.cuts[i], j.st.cuts[i+1], j.low, j.top)
-	}
-}
-
-// total sums the workers' histograms of digits lo..hi-1 into st.sum.
-func (j *splitJob[C]) total(lo, hi int) {
-	parts, sum := j.st.parts[:j.w], &j.st.sum
-	for d := lo; d < hi; d++ {
-		for b := range sum[d] {
-			s := 0
-			for i := range parts {
-				s += parts[i][d][b]
-			}
-			sum[d][b] = s
-		}
+		radixFinish(j.scratch, j.dst, &j.st.sum[radixDigits-1], j.st.cuts[i], j.st.cuts[i+1], j.low)
 	}
 }
 
 // radixSortParallel is radixSort with w >= 2 workers and no merge: the
-// workers count their shares of xs (the sketch when the top digit
-// spreads, the whole-block histograms otherwise), scatter them on the
-// plan's top digit into scratch at offsets that keep the scatter stable,
-// and then finish disjoint bucket ranges into dst, cut by count at
-// n*i/w. A bucket holding more than a share is finished by the worker
-// whose range it starts in, so a block whose digits cannot be split
-// fairly is finished by fewer workers. Arguments as radixSort's.
+// workers sketch their shares of xs, scatter them on digit 7 into scratch
+// at offsets that keep the scatter stable, and then finish disjoint
+// bucket ranges into dst, cut by count at n*i/w. A bucket holding more
+// than a share is finished by the worker whose range it starts in, and a
+// block whose top digit does not spread (radixSpread) is sorted by one:
+// a block whose digits cannot be split fairly is finished by fewer
+// workers, and is still not merged. Arguments as radixSort's.
 func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 	n := len(xs)
+	if !radixSpread(xs) {
+		radixSort(xs, scratch, dst, tiles[C](n), false)
+		return
+	}
 	if dst == nil {
 		dst = xs
 	}
@@ -336,47 +312,38 @@ func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 	}
 	st := getSplitState(w)
 	defer putSplitState(st)
-	j := &splitJob[C]{xs: xs, scratch: scratch[:n], dst: dst, st: st, w: w, top: radixDigits - 1, tiled: tiles[C](n)}
-	j.start()
-	defer j.end()
 	parts, sum := st.parts[:w], &st.sum
 	for i := range parts {
 		clear(parts[i][:])
 	}
-	sketched := radixSpread(xs)
-	if sketched {
-		j.each(phaseSketch)
-		j.total(0, radixDigits)
-		shift, bias := digitPlan(j.top)
-		if sketched = sum[j.top][digit(xs[0][0], shift, bias)] != n; sketched {
-			j.low = radixPlan(sum, n, 1)
-		} else {
+	j := &splitJob[C]{xs: xs, scratch: scratch[:n], dst: dst, st: st, w: w}
+	j.start()
+	defer j.end()
+	j.each(phaseSketch)
+	for d := range sum {
+		for b := range sum[d] {
+			s := 0
 			for i := range parts {
-				clear(parts[i][:])
+				s += parts[i][d][b]
 			}
+			sum[d][b] = s
 		}
 	}
-	if !sketched {
-		j.low = radixHistograms(xs, sum, func(lo, hi int) {
-			j.lo, j.hi = lo, hi
-			j.each(phaseCount)
-			j.total(lo, hi)
-		})
-		if j.top = radixTop(xs, sum, j.low); j.top < j.low {
-			copy(dst, xs)
-			radixSweep(dst, j.scratch, j.low)
-			return
-		}
+	top := radixDigits - 1
+	if shift, bias := digitPlan(top); sum[top][digit(xs[0][0], shift, bias)] == n {
+		radixSort(xs, scratch, dst, tiles[C](n), false)
+		return
 	}
+	j.low = radixPlan(sum, n, 1)
 
 	// Bucket b of worker i goes after bucket b of the workers before it,
 	// which keeps the scatter stable; sum[top] becomes the bucket ends.
-	ends := &sum[j.top]
+	ends := &sum[top]
 	pos := 0
 	for b := 0; b < 256; b++ {
 		for i := range parts {
-			cnt := parts[i][j.top][b]
-			parts[i][j.top][b] = pos
+			cnt := parts[i][top][b]
+			parts[i][top][b] = pos
 			pos += cnt
 		}
 		ends[b] = pos
