@@ -170,10 +170,10 @@ func finalMerge(ctx context.Context, n int, obs exec.Observer, merge func()) err
 
 // runRealMLM sorts xs's megachunks (phase 1) and merges them (phase 2).
 // Two or more megachunks draw one run buffer t of len(xs): each
-// megachunk's merge writes its sorted run into t, as the paper's writes
+// megachunk's sort writes its sorted run into t, as the paper's writes
 // the megachunk back to DDR, and the final merge reads t and writes xs,
 // ping-ponging its rounds through t, so no key is copied back. t aliases
-// no home, so staged and degraded megachunks alike merge into it. It is
+// no home, so staged and degraded megachunks alike land in it. It is
 // merge space, DDR-side, so it comes from the shared pool and not from
 // opts.Pool, and it settles like the pipeline's scratch. One megachunk
 // draws no t.
@@ -230,7 +230,7 @@ func (a Algorithm) staged() bool { return a == MLMSort || a == MLMHybrid }
 // home hold whole elements of opts.Elem.
 //
 // Where a sorted megachunk goes is the only thing the callers vary. With
-// into non-nil, megachunk i's merge writes into[i] (as long as homes[i],
+// into non-nil, megachunk i's sort writes into[i] (as long as homes[i],
 // aliasing no home) wherever the megachunk was sorted, and a staged
 // flow's copy-out stage is left only the staging release. A non-nil
 // writeRun is the copy-out instead: it receives megachunk i sorted,
@@ -287,7 +287,7 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		}
 		var dst []int64
 		if into != nil {
-			dst = into[i] // the megachunk merge is the write-back
+			dst = into[i] // the megachunk sort is the write-back
 		}
 		sorter.sort(buf, scratch, dst)
 		return nil

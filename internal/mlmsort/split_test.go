@@ -40,15 +40,20 @@ func blocksMerge(mc, scratch, dst []int64, w, cells int) {
 
 // TestMegachunkSplitMatchesBlocksMerge: the sorter at widths 1 to 3, in
 // place and into a run buffer, gives the cells blocks-plus-merge gives,
-// keys and records (payload = input index, few distinct keys), on a
+// keys and records (payload = input index; keys drawn from 512 random
+// values, so their top digits spread and every key repeats), on a
 // megachunk wide enough for three shares.
 func TestMegachunkSplitMatchesBlocksMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const cells = 3*8<<10 + 10
+	values := workload.Generate(workload.Random, 512, 33)
 	for _, elem := range []ElemKind{ElemInt64, ElemKV} {
 		var src []int64
 		if elem == ElemKV {
 			src = recordJob(rng, cells/2)
+			for i := 0; i < len(src); i += 2 {
+				src[i] = values[rng.Intn(len(values))]
+			}
 		} else {
 			src = workload.Generate(workload.Random, cells, 32)
 		}

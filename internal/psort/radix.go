@@ -59,7 +59,13 @@ import (
 //     write-combines; the same discipline the DGEMM-on-KNL kernels apply
 //     to their C-tile write-back. The plain scatter stays as the path of
 //     blocks that fit, where staging is a second store per element for
-//     nothing, and as the baseline leg of the in-package tiling benchmark.
+//     nothing, and as the baseline leg of the in-package tiling benchmark;
+//   - from radixSplitMinLen cells, keys whose top digit spreads are split
+//     once: one tiled scatter on digit 7, and then each of the 256
+//     buckets through the remaining digits and the sweep in cache, into
+//     place (split.go). A 1Mi-key block leaves L2 once instead of four
+//     times, and the buckets, disjoint key ranges, need no merge, which
+//     is also how w workers share a block (SortBlock).
 //
 // Signedness is handled on the top digit alone: flipping its high bit
 // makes two's-complement order agree with unsigned bucket order.

@@ -5,23 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// The split: the paper's move of cutting data bigger than the fast tier
-// into pieces that fit, one level down, at the core's L2. A block past L2
-// is scattered once, tiled, on its top digit; each of the 256 buckets
-// (4Ki keys of a 1Mi-key block) then takes the plan's remaining digits
-// and the finishing sweep on its own, in cache, and lands in place. The
-// buckets are disjoint key ranges in order, so nothing merges them, and
-// w workers can count, scatter and finish a block between them with no
-// merge either (SortBlock).
-//
-// The split counts less than the LSD core as well as scattering less
-// out of cache. Each bucket counts its own digits to scatter them, which
-// makes a whole-block count of those digits redundant: the whole block
-// counts its top digit alone (radixSketch), and plans the digits below
-// from every sketchStride-th key. Below top the plan only decides how
-// many digits the buckets scatter before their sweep; the sweep puts in
-// order whatever the plan left tied, so a sampled plan costs time when it
-// is wrong, never the order.
+// The split (radix.go's header has what it is) counts less than the LSD
+// core as well as scattering less out of cache. Each bucket counts its
+// own digits to scatter them, which makes a whole-block count of those
+// digits redundant: the block counts its top digit alone (radixSketch)
+// and plans the digits below from every sketchStride-th key. Below the
+// top digit the plan only decides how many digits the buckets scatter
+// before their sweep, and the sweep orders whatever the plan left tied,
+// so a sampled plan costs time when it is wrong, never the order.
 
 // sketchStride is the sampling interval of radixSketch.
 const sketchStride = 16
@@ -238,7 +229,7 @@ type splitJob[C cell] struct {
 	seq, done        atomic.Int32
 }
 
-// start starts workers 1 .. w-1; end stops them.
+// start starts workers 1 .. w-1; end stops them, and may be called again.
 func (j *splitJob[C]) start() {
 	for i := 1; i < j.w; i++ {
 		go func() {
@@ -310,8 +301,9 @@ func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 	if len(scratch) < n {
 		panic("psort: radix scratch shorter than input")
 	}
+	// The state goes back only from a sort that ran to the end: after a
+	// panic in a phase a worker may still be using it.
 	st := getSplitState(w)
-	defer putSplitState(st)
 	parts, sum := st.parts[:w], &st.sum
 	for i := range parts {
 		clear(parts[i][:])
@@ -331,6 +323,8 @@ func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 	}
 	top := radixDigits - 1
 	if shift, bias := digitPlan(top); sum[top][digit(xs[0][0], shift, bias)] == n {
+		j.end()
+		putSplitState(st)
 		radixSort(xs, scratch, dst, tiles[C](n), false)
 		return
 	}
@@ -351,6 +345,7 @@ func radixSortParallel[C cell](xs, scratch, dst []C, w int) {
 	j.each(phaseScatter)
 	splitCuts(ends, n, st.cuts[:w+1])
 	j.each(phaseFinish)
+	putSplitState(st)
 }
 
 // splitCuts cuts a split's 256 buckets, bucket b ending at ends[b] of n,
