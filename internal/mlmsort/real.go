@@ -126,8 +126,8 @@ func megachunks(xs []int64, mcLen int) [][]int64 {
 // worker runs the radix core, whose last pass writes the run buffer when
 // there is one, and two or more split the megachunk on its top digit,
 // scatter it between them and finish disjoint bucket ranges, so no
-// megachunk is merged. The split's tables are pooled in psort, so a
-// multi-megachunk run performs no per-megachunk allocation for them.
+// megachunk is merged. The split's tables are reused from a freelist in
+// psort, so a multi-megachunk run allocates none per megachunk.
 type megachunkSorter struct {
 	width *atomic.Int32
 	cells int
