@@ -42,22 +42,22 @@ def main():
     ap.add_argument('--cpu')
     args = ap.parse_args()
 
-    binary = os.path.join(tempfile.mkdtemp(), 'pkg.test')
-    subprocess.run(['go', 'test', '-c', '-o', binary, args.pkg], check=True)
-    cmd = [binary, '-test.run', '^$', '-test.bench', args.bench, '-test.benchtime', args.benchtime]
-    if args.cpu:
-        cmd += ['-test.cpu', args.cpu]
-
     runs = []
-    for _ in range(args.runs):
-        out = subprocess.run(cmd, cwd=args.pkg, check=True, capture_output=True, text=True).stdout
-        sys.stdout.write(out)
-        mbps = {}
-        for line in out.splitlines():
-            m = LINE.match(line)
-            if m:
-                mbps[m.group(1)] = float(m.group(2))
-        runs.append(mbps)
+    with tempfile.TemporaryDirectory() as tmp:
+        binary = os.path.join(tmp, 'pkg.test')
+        subprocess.run(['go', 'test', '-c', '-o', binary, args.pkg], check=True)
+        cmd = [binary, '-test.run', '^$', '-test.bench', args.bench, '-test.benchtime', args.benchtime]
+        if args.cpu:
+            cmd += ['-test.cpu', args.cpu]
+        for _ in range(args.runs):
+            out = subprocess.run(cmd, cwd=args.pkg, check=True, capture_output=True, text=True).stdout
+            sys.stdout.write(out)
+            mbps = {}
+            for line in out.splitlines():
+                m = LINE.match(line)
+                if m:
+                    mbps[m.group(1)] = float(m.group(2))
+            runs.append(mbps)
 
     failed = False
     for num, den, floor in args.pair:
