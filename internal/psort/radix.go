@@ -120,7 +120,7 @@ const (
 // ahead on random input of its width; the classes that take it (those
 // whose top digit spreads, radixSpread) read level or ahead from there
 // but for a top-digit bucket holding 60% of the records (1.03-1.11).
-// EXPERIMENTS.md, "One partition pass (PR 32)", has every class.
+// EXPERIMENTS.md, "One partition pass", has every class.
 const (
 	radixSplitMinLen    = 96 << 10
 	radixSplitMinLenRec = 160 << 10

@@ -8,10 +8,10 @@ import (
 	"knlmlm/internal/race"
 )
 
-// splitClasses are the inputs the split is decided on, n keys each: PR
-// 15's classes, groups of 65 to 300 keys that share their top 40 bits,
-// and two made for the split: a constant top digit, and a top digit one
-// bucket of which holds over half the keys.
+// splitClasses are the inputs the split is decided on, n keys each: the
+// diverting radix's classes, groups of 65 to 300 keys that share their
+// top 40 bits, and two made for the split: a constant top digit, and a
+// top digit one bucket of which holds over half the keys.
 func splitClasses(n int, rng *rand.Rand) []genCase[int64] {
 	gen := func(f func(i int) int64) []int64 {
 		xs := make([]int64, n)
