@@ -16,6 +16,7 @@ import (
 	"knlmlm/internal/cachesim"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/mergebench"
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/model"
 	"knlmlm/internal/noc"
@@ -176,12 +177,12 @@ func BenchmarkAblationCopyPriority(b *testing.B) {
 // allows" claim — and reports the large:small chunk gain.
 func BenchmarkAblationMegachunkSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		small := mlmsort.PaperSortConfig(4_000_000_000, workload.Random)
+		small := mlmsim.PaperSortConfig(4_000_000_000, workload.Random)
 		small.MegachunkElements = 125_000_000
-		large := mlmsort.PaperSortConfig(4_000_000_000, workload.Random)
+		large := mlmsim.PaperSortConfig(4_000_000_000, workload.Random)
 		large.MegachunkElements = 2_000_000_000
-		ts := mlmsort.Simulate(mlmsort.MLMSort, small).Time.Seconds()
-		tl := mlmsort.Simulate(mlmsort.MLMSort, large).Time.Seconds()
+		ts := mlmsim.Simulate(mlmsort.MLMSort, small).Time.Seconds()
+		tl := mlmsim.Simulate(mlmsort.MLMSort, large).Time.Seconds()
 		b.ReportMetric(ts/tl, "large-chunk-gain")
 	}
 }
@@ -190,16 +191,16 @@ func BenchmarkAblationMegachunkSize(b *testing.B) {
 // MLM-sort with 2x MCDRAM bandwidth.
 func BenchmarkAblationFutureMCDRAM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := mlmsort.PaperSortConfig(4_000_000_000, workload.Random)
-		base := mlmsort.Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
+		cfg := mlmsim.PaperSortConfig(4_000_000_000, workload.Random)
+		base := mlmsim.Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
 
-		fast := mlmsort.MLMSort.Machine().Config()
+		fast := mlmsim.Machine(mlmsort.MLMSort).Config()
 		fast.Memory.MCDRAMBandwidth = 2 * fast.Memory.MCDRAMBandwidth
 		m, err := newMachine(fast)
 		if err != nil {
 			b.Fatal(err)
 		}
-		faster := mlmsort.SimulateOn(m, mlmsort.MLMSort, cfg).Time.Seconds()
+		faster := mlmsim.SimulateOn(m, mlmsort.MLMSort, cfg).Time.Seconds()
 		b.ReportMetric(base/faster, "2x-mcdram-gain")
 	}
 }
@@ -207,11 +208,11 @@ func BenchmarkAblationFutureMCDRAM(b *testing.B) {
 // BenchmarkAblationHybridVsFlat reruns the paper's prose claim that hybrid
 // mode matches flat at equal chunk sizes.
 func BenchmarkAblationHybridVsFlat(b *testing.B) {
-	cfg := mlmsort.PaperSortConfig(4_000_000_000, workload.Random)
+	cfg := mlmsim.PaperSortConfig(4_000_000_000, workload.Random)
 	cfg.MegachunkElements = 1_000_000_000
 	for i := 0; i < b.N; i++ {
-		flat := mlmsort.Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
-		hybrid := mlmsort.Simulate(mlmsort.MLMHybrid, cfg).Time.Seconds()
+		flat := mlmsim.Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
+		hybrid := mlmsim.Simulate(mlmsort.MLMHybrid, cfg).Time.Seconds()
 		b.ReportMetric(hybrid/flat, "hybrid:flat")
 	}
 }
@@ -219,10 +220,10 @@ func BenchmarkAblationHybridVsFlat(b *testing.B) {
 // BenchmarkExtensionPreferredPolicy prices the Li et al. numactl-preferred
 // configuration against GNU-flat and MLM-sort.
 func BenchmarkExtensionPreferredPolicy(b *testing.B) {
-	cfg := mlmsort.PaperSortConfig(4_000_000_000, workload.Random)
+	cfg := mlmsim.PaperSortConfig(4_000_000_000, workload.Random)
 	for i := 0; i < b.N; i++ {
-		flat := mlmsort.Simulate(mlmsort.GNUFlat, cfg).Time.Seconds()
-		pref := mlmsort.Simulate(mlmsort.GNUPreferred, cfg).Time.Seconds()
+		flat := mlmsim.Simulate(mlmsort.GNUFlat, cfg).Time.Seconds()
+		pref := mlmsim.Simulate(mlmsort.GNUPreferred, cfg).Time.Seconds()
 		b.ReportMetric(flat/pref, "preferred-gain")
 	}
 }

@@ -1,5 +1,5 @@
 // Command calibrate fits the sort cost model's rate constants
-// (mlmsort.Calibration) against the paper's Table 1.
+// (mlmsim.Calibration) against the paper's Table 1.
 //
 // The fit minimises the sum of squared log-errors of the within-config
 // speedup ratios (each algorithm vs GNU-flat at the same size and input
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -23,11 +24,9 @@ import (
 
 // paperCell is one Table 1 measurement.
 type paperCell struct {
-	elements int64
-	order    workload.Order
-	alg      mlmsort.Algorithm
-	seconds  float64
-	exclude  bool
+	paperCellKey
+	seconds float64
+	exclude bool
 }
 
 func paperTable1() []paperCell {
@@ -55,7 +54,7 @@ func paperTable1() []paperCell {
 		for _, r := range rows {
 			for i, n := range sizes {
 				cells = append(cells, paperCell{
-					elements: n, order: order, alg: r.alg, seconds: r.t[i],
+					paperCellKey: paperCellKey{n, order, r.alg}, seconds: r.t[i],
 					exclude: r.alg == mlmsort.MLMDDr && n == sizes[2],
 				})
 			}
@@ -67,14 +66,14 @@ func paperTable1() []paperCell {
 }
 
 // simGrid simulates every (size, order, algorithm) cell once.
-func simGrid(cal mlmsort.Calibration) map[paperCellKey]float64 {
+func simGrid(cal mlmsim.Calibration) map[paperCellKey]float64 {
 	out := map[paperCellKey]float64{}
 	for _, order := range workload.PaperOrders() {
 		for _, n := range []int64{2_000_000_000, 4_000_000_000, 6_000_000_000} {
-			cfg := mlmsort.PaperSortConfig(n, order)
+			cfg := mlmsim.PaperSortConfig(n, order)
 			cfg.Cal = cal
 			for _, a := range mlmsort.Algorithms() {
-				out[paperCellKey{n, order, a}] = mlmsort.Simulate(a, cfg).Time.Seconds()
+				out[paperCellKey{n, order, a}] = mlmsim.Simulate(a, cfg).Time.Seconds()
 			}
 		}
 	}
@@ -90,15 +89,15 @@ type paperCellKey struct {
 // fig7Penalty enforces Figure 7's shape: at 6 G elements, larger chunks
 // must not be slower for MLM-sort (flat) nor for MLM-implicit. Each rising
 // adjacent pair contributes its squared relative rise.
-func fig7Penalty(cal mlmsort.Calibration) float64 {
+func fig7Penalty(cal mlmsim.Calibration) float64 {
 	var pen float64
 	sweep := func(a mlmsort.Algorithm, chunks []int64) {
 		prev := -1.0
 		for _, ch := range chunks {
-			cfg := mlmsort.PaperSortConfig(6_000_000_000, workload.Random)
+			cfg := mlmsim.PaperSortConfig(6_000_000_000, workload.Random)
 			cfg.Cal = cal
 			cfg.MegachunkElements = ch
-			t := mlmsort.Simulate(a, cfg).Time.Seconds()
+			t := mlmsim.Simulate(a, cfg).Time.Seconds()
 			if prev > 0 && t > prev {
 				d := (t - prev) / prev
 				pen += d * d
@@ -113,7 +112,7 @@ func fig7Penalty(cal mlmsort.Calibration) float64 {
 
 // loss scores a calibration: squared log-error of speedup ratios plus the
 // Figure 7 shape penalty.
-func loss(cal mlmsort.Calibration, cells []paperCell) float64 {
+func loss(cal mlmsim.Calibration, cells []paperCell) float64 {
 	if err := cal.Validate(); err != nil {
 		return math.Inf(1)
 	}
@@ -133,7 +132,7 @@ func loss(cal mlmsort.Calibration, cells []paperCell) float64 {
 		pBase := base[paperCellKey{c.elements, c.order, mlmsort.GNUFlat}]
 		sBase := sim[paperCellKey{c.elements, c.order, mlmsort.GNUFlat}]
 		paperRatio := pBase / c.seconds
-		simRatio := sBase / sim[paperCellKey{c.elements, c.order, c.alg}]
+		simRatio := sBase / sim[c.paperCellKey]
 		d := math.Log(simRatio / paperRatio)
 		sum += d * d
 	}
@@ -177,10 +176,10 @@ func main() {
 	// Multi-start: greedy descent is path-dependent, so begin from several
 	// seeds spanning the (latency-penalty, fan-penalty) plane and keep the
 	// best basin.
-	seeds := []mlmsort.Calibration{mlmsort.DefaultCalibration()}
+	seeds := []mlmsim.Calibration{mlmsim.DefaultCalibration()}
 	for _, pen := range []float64{0.75, 0.85, 0.95} {
 		for _, fan := range []float64{0.1, 0.3, 0.5} {
-			s := mlmsort.DefaultCalibration()
+			s := mlmsim.DefaultCalibration()
 			s.DDRLatencyPenalty = pen
 			s.MergeFanPenalty = fan
 			seeds = append(seeds, s)
@@ -197,31 +196,30 @@ func main() {
 	fmt.Printf("initial loss %.5f\n", best)
 
 	type knob struct {
-		name string
-		get  func(*mlmsort.Calibration) float64
-		set  func(*mlmsort.Calibration, float64)
-		min  float64
-		max  float64
+		name     string
+		get      func(*mlmsim.Calibration) float64
+		set      func(*mlmsim.Calibration, float64)
+		min, max float64
 	}
 	knobs := []knob{
 		{"SSerial",
-			func(c *mlmsort.Calibration) float64 { return float64(c.SSerial) / 1e9 },
-			func(c *mlmsort.Calibration, v float64) { c.SSerial = units.GBps(v) }, 0.05, 3},
+			func(c *mlmsim.Calibration) float64 { return float64(c.SSerial) / 1e9 },
+			func(c *mlmsim.Calibration, v float64) { c.SSerial = units.GBps(v) }, 0.05, 3},
 		{"DDRLatencyPenalty",
-			func(c *mlmsort.Calibration) float64 { return c.DDRLatencyPenalty },
-			func(c *mlmsort.Calibration, v float64) { c.DDRLatencyPenalty = v }, 0.3, 1},
+			func(c *mlmsim.Calibration) float64 { return c.DDRLatencyPenalty },
+			func(c *mlmsim.Calibration, v float64) { c.DDRLatencyPenalty = v }, 0.3, 1},
 		// SMergeBase is capped near SSerial's scale: merge comparison
 		// levels priced far below sort levels would make tiny chunks win
 		// on compute, inverting the paper's Figure 7.
 		{"SMergeBase",
-			func(c *mlmsort.Calibration) float64 { return float64(c.SMergeBase) / 1e9 },
-			func(c *mlmsort.Calibration, v float64) { c.SMergeBase = units.GBps(v) }, 0.1, 1.2},
+			func(c *mlmsim.Calibration) float64 { return float64(c.SMergeBase) / 1e9 },
+			func(c *mlmsim.Calibration, v float64) { c.SMergeBase = units.GBps(v) }, 0.1, 1.2},
 		{"MergeFanPenalty",
-			func(c *mlmsort.Calibration) float64 { return c.MergeFanPenalty },
-			func(c *mlmsort.Calibration, v float64) { c.MergeFanPenalty = v }, 0.01, 0.6},
+			func(c *mlmsim.Calibration) float64 { return c.MergeFanPenalty },
+			func(c *mlmsim.Calibration, v float64) { c.MergeFanPenalty = v }, 0.01, 0.6},
 		{"GNUWorkInflation",
-			func(c *mlmsort.Calibration) float64 { return c.GNUWorkInflation },
-			func(c *mlmsort.Calibration, v float64) { c.GNUWorkInflation = v }, 1, 2},
+			func(c *mlmsim.Calibration) float64 { return c.GNUWorkInflation },
+			func(c *mlmsim.Calibration, v float64) { c.GNUWorkInflation = v }, 1, 2},
 	}
 
 	step := 0.25

@@ -37,6 +37,7 @@ import (
 	"knlmlm/internal/mergebench"
 	"knlmlm/internal/model"
 	"knlmlm/internal/prof"
+	"knlmlm/internal/report"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -166,7 +167,7 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 	}
 
 	spans := rec.Spans()
-	a := telemetry.Publish(reg, spans)
+	a := report.Publish(reg, spans)
 
 	// File artifacts land before any further stdout writing: if stdout is
 	// a pipe truncated early (e.g. | head), the process dies on the next
@@ -207,15 +208,14 @@ func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Resu
 	if tracePath == "" && !metrics {
 		return
 	}
-	spans := telemetry.SimSpans(res.Trace)
 	reg := telemetry.NewRegistry()
-	a := telemetry.Publish(reg, spans)
+	a := report.Publish(reg, report.SimSpans(res.Trace))
 
 	// File artifacts before stdout reporting, as in runReal.
 	if tracePath != "" {
 		var ct telemetry.ChromeTrace
 		ct.AddProcessName(1, "merge benchmark (simulated)")
-		ct.AddSimTrace(1, res.Trace)
+		report.AddSimTrace(&ct, 1, res.Trace)
 		if err := ct.WriteFile(tracePath); err != nil {
 			fail(err)
 		}

@@ -46,9 +46,11 @@ import (
 	"time"
 
 	"knlmlm/internal/fault"
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/model"
 	"knlmlm/internal/prof"
+	"knlmlm/internal/report"
 	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/tune"
@@ -218,18 +220,18 @@ func main() {
 		return
 	}
 
-	cfg := mlmsort.PaperSortConfig(*n, order)
+	cfg := mlmsim.PaperSortConfig(*n, order)
 	cfg.Threads = *threads
 	cfg.MegachunkElements = *chunk
 	if *repeats > 1 {
 		if telemetryOn {
 			fmt.Fprintln(os.Stderr, "mlmsort: -trace/-metrics apply to single runs; ignoring with -runs > 1")
 		}
-		s := mlmsort.Repeated(alg, cfg, *repeats, 1)
+		s := mlmsim.Repeated(alg, cfg, *repeats, 1)
 		fmt.Printf("%s  n=%d  %s: %.2fs ± %.4fs (n=%d)\n", alg, *n, order, s.Mean, s.StdDev, s.N)
 		return
 	}
-	res := mlmsort.Simulate(alg, cfg)
+	res := mlmsim.Simulate(alg, cfg)
 	fmt.Printf("%s  n=%d  %s: %.2fs (simulated)\n", alg, *n, order, res.Time.Seconds())
 	if *verbose {
 		fmt.Print(res.Trace.String())
@@ -237,7 +239,7 @@ func main() {
 	if *tracePath != "" {
 		var ct telemetry.ChromeTrace
 		ct.AddProcessName(1, fmt.Sprintf("%s (simulated)", alg))
-		ct.AddSimTrace(1, res.Trace)
+		report.AddSimTrace(&ct, 1, res.Trace)
 		if err := ct.WriteFile(*tracePath); err != nil {
 			fail(err)
 		}
@@ -245,7 +247,7 @@ func main() {
 	}
 	if *metrics {
 		reg := telemetry.NewRegistry()
-		telemetry.Publish(reg, telemetry.SimSpans(res.Trace))
+		report.Publish(reg, report.SimSpans(res.Trace))
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
 			fail(err)
 		}
@@ -294,7 +296,7 @@ func emitRealTelemetry(rec *telemetry.Recorder, reg *telemetry.Registry, tracePa
 		os.Exit(2)
 	}
 	spans := rec.Spans()
-	a := telemetry.Publish(reg, spans)
+	a := report.Publish(reg, spans)
 	// Trace file first: if stdout is a pipe truncated early (e.g. | head),
 	// the process dies on a later print and the file must already exist.
 	if tracePath != "" {

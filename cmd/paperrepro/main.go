@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"knlmlm"
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/report"
 	"knlmlm/internal/telemetry"
@@ -35,9 +36,8 @@ import (
 func writeVariantTrace(path string, n int64, order workload.Order) error {
 	var ct telemetry.ChromeTrace
 	for pid, alg := range mlmsort.Algorithms() {
-		cfg := mlmsort.PaperSortConfig(n, order)
-		res := mlmsort.Simulate(alg, cfg)
-		ct.AddSimTrace(pid+1, res.Trace)
+		res := mlmsim.Simulate(alg, mlmsim.PaperSortConfig(n, order))
+		report.AddSimTrace(&ct, pid+1, res.Trace)
 		// Named after AddSimTrace so this label wins over the trace's own.
 		ct.AddProcessName(pid+1, fmt.Sprintf("%s  (%.2fs simulated)", alg, res.Time.Seconds()))
 	}

@@ -8,21 +8,22 @@ import (
 	"fmt"
 	"log"
 
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/workload"
 )
 
 func main() {
 	// --- Simulated side: paper-scale timing -----------------------------
-	cfg := mlmsort.PaperSortConfig(2_000_000_000, workload.Random)
-	res := mlmsort.Simulate(mlmsort.MLMSort, cfg)
+	cfg := mlmsim.PaperSortConfig(2_000_000_000, workload.Random)
+	res := mlmsim.Simulate(mlmsort.MLMSort, cfg)
 	fmt.Printf("MLM-sort, 2G random int64 elements on the simulated KNL: %.2fs\n\n", res.Time.Seconds())
 	fmt.Println("phase breakdown:")
 	fmt.Print(res.Trace.String())
 
 	// Compare with the baseline in one line each.
 	for _, a := range []mlmsort.Algorithm{mlmsort.GNUFlat, mlmsort.GNUCache, mlmsort.MLMImplicit} {
-		r := mlmsort.Simulate(a, cfg)
+		r := mlmsim.Simulate(a, cfg)
 		fmt.Printf("%-13s %.2fs\n", a.String()+":", r.Time.Seconds())
 	}
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/workload"
 )
@@ -17,11 +18,11 @@ func main() {
 	fmt.Printf("sorting %d int64 elements (%.1f GB) on the simulated KNL\n\n", int64(n), float64(n)*8/1e9)
 
 	for _, order := range workload.PaperOrders() {
-		cfg := mlmsort.PaperSortConfig(n, order)
+		cfg := mlmsim.PaperSortConfig(n, order)
 		fmt.Printf("%s inputs:\n", order)
 		var base float64
 		for _, a := range mlmsort.Algorithms() {
-			s := mlmsort.Repeated(a, cfg, 10, 1)
+			s := mlmsim.Repeated(a, cfg, 10, 1)
 			if a == mlmsort.GNUFlat {
 				base = s.Mean
 			}

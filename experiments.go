@@ -5,6 +5,7 @@ import (
 
 	"knlmlm/internal/mem"
 	"knlmlm/internal/mergebench"
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/model"
 	"knlmlm/internal/report"
@@ -31,13 +32,13 @@ func Table1(seed int64) []Table1Row {
 	var rows []Table1Row
 	for _, order := range workload.PaperOrders() {
 		for _, n := range PaperSizes() {
-			cfg := mlmsort.PaperSortConfig(n, order)
+			cfg := mlmsim.PaperSortConfig(n, order)
 			for _, a := range mlmsort.Algorithms() {
 				rows = append(rows, Table1Row{
 					Elements:  n,
 					Order:     order,
 					Algorithm: a,
-					Summary:   mlmsort.Repeated(a, cfg, Table1Runs, seed),
+					Summary:   mlmsim.Repeated(a, cfg, Table1Runs, seed),
 				})
 			}
 		}
@@ -143,9 +144,9 @@ func Fig7() []Fig7Point {
 				out = append(out, p)
 				continue
 			}
-			cfg := mlmsort.PaperSortConfig(n, workload.Random)
+			cfg := mlmsim.PaperSortConfig(n, workload.Random)
 			cfg.MegachunkElements = chunk
-			p.Seconds = mlmsort.Simulate(a, cfg).Time.Seconds()
+			p.Seconds = mlmsim.Simulate(a, cfg).Time.Seconds()
 			out = append(out, p)
 		}
 	}
@@ -287,10 +288,10 @@ type BenderResult struct {
 // Bender runs the basic chunked algorithm of Bender et al. against the GNU
 // baselines at 4 G random elements.
 func Bender() BenderResult {
-	cfg := mlmsort.PaperSortConfig(4_000_000_000, workload.Random)
-	flat := mlmsort.Simulate(mlmsort.GNUFlat, cfg).Time.Seconds()
-	cache := mlmsort.Simulate(mlmsort.GNUCache, cfg).Time.Seconds()
-	basic := mlmsort.Simulate(mlmsort.BasicChunked, cfg).Time.Seconds()
+	cfg := mlmsim.PaperSortConfig(4_000_000_000, workload.Random)
+	flat := mlmsim.Simulate(mlmsort.GNUFlat, cfg).Time.Seconds()
+	cache := mlmsim.Simulate(mlmsort.GNUCache, cfg).Time.Seconds()
+	basic := mlmsim.Simulate(mlmsort.BasicChunked, cfg).Time.Seconds()
 	return BenderResult{
 		GNUFlatSeconds:  flat,
 		GNUCacheSeconds: cache,

@@ -8,6 +8,7 @@ import (
 	"knlmlm/internal/knl"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/model"
+	"knlmlm/internal/report"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -237,7 +238,7 @@ func TestRunRealObservedTelemetry(t *testing.T) {
 		t.Fatal("output not a permutation")
 	}
 	numChunks := (n + chunkLen - 1) / chunkLen
-	a := telemetry.Analyze(rec.Spans())
+	a := report.Analyze(rec.Spans())
 	if a.Chunks != numChunks {
 		t.Errorf("analyzer saw %d chunks, want %d", a.Chunks, numChunks)
 	}

@@ -1,16 +1,11 @@
-// Package mlmsort implements the paper's Section 4: the MLM-sort algorithm
-// and its variants (MLM-sort in flat mode, MLM-implicit in hardware cache
-// mode, MLM-ddr without MCDRAM), the GNU-parallel-sort baselines (flat and
-// hardware cache mode), and the basic chunked algorithm of Bender et al.
-//
-// Each variant exists twice:
-//
-//   - a simulated phase plan (built from internal/core kernels) evaluated
-//     on the simulated KNL — this is what reproduces Table 1, Figure 6 and
-//     Figure 7;
-//   - a real executable version (over []int64, built on internal/psort and
-//     internal/exec) — this is what proves the algorithms correct.
-package mlmsort
+// Package mlmsim simulates the paper's Section 4 sort variants on the
+// simulated KNL: each variant of internal/mlmsort (MLM-sort in flat mode,
+// MLM-implicit in hardware cache mode, MLM-ddr without MCDRAM, the
+// GNU-parallel-sort baselines and the basic chunked algorithm of Bender et
+// al.) becomes a phase plan of internal/core kernels, priced by the
+// calibrated cost model of Calibration. This is what reproduces Table 1,
+// Figure 6 and Figure 7; internal/mlmsort runs the same variants for real.
+package mlmsim
 
 import (
 	"fmt"
@@ -111,19 +106,19 @@ func DefaultCalibration() Calibration {
 func (c Calibration) Validate() error {
 	switch {
 	case c.SCopy <= 0 || c.SSerial <= 0 || c.SMergeBase <= 0:
-		return fmt.Errorf("mlmsort: rates must be positive: %+v", c)
+		return fmt.Errorf("mlmsim: rates must be positive: %+v", c)
 	case c.DDRLatencyPenalty <= 0 || c.DDRLatencyPenalty > 1:
-		return fmt.Errorf("mlmsort: DDR latency penalty %v outside (0,1]", c.DDRLatencyPenalty)
+		return fmt.Errorf("mlmsim: DDR latency penalty %v outside (0,1]", c.DDRLatencyPenalty)
 	case c.MergeFanPenalty < 0:
-		return fmt.Errorf("mlmsort: negative merge fan penalty %v", c.MergeFanPenalty)
+		return fmt.Errorf("mlmsim: negative merge fan penalty %v", c.MergeFanPenalty)
 	case c.GNUWorkInflation < 1:
-		return fmt.Errorf("mlmsort: GNU work inflation %v below 1", c.GNUWorkInflation)
+		return fmt.Errorf("mlmsim: GNU work inflation %v below 1", c.GNUWorkInflation)
 	case c.LeafElems < 2:
-		return fmt.Errorf("mlmsort: leaf size %d too small", c.LeafElems)
+		return fmt.Errorf("mlmsim: leaf size %d too small", c.LeafElems)
 	case c.L2PerThread <= 0:
-		return fmt.Errorf("mlmsort: non-positive L2 share %v", c.L2PerThread)
+		return fmt.Errorf("mlmsim: non-positive L2 share %v", c.L2PerThread)
 	case c.TimeScale <= 0:
-		return fmt.Errorf("mlmsort: non-positive time scale %v", c.TimeScale)
+		return fmt.Errorf("mlmsim: non-positive time scale %v", c.TimeScale)
 	}
 	return nil
 }

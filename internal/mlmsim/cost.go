@@ -1,4 +1,4 @@
-package mlmsort
+package mlmsim
 
 import (
 	"fmt"
@@ -57,7 +57,7 @@ func (c Calibration) serialSortKernels(
 	placement core.Placement, workFactor float64, staged bool,
 ) []core.Kernel {
 	if threads <= 0 || elemsPerThread <= 0 {
-		panic(fmt.Sprintf("mlmsort: %s: bad serial sort shape %d x %d", label, threads, elemsPerThread))
+		panic(fmt.Sprintf("mlmsim: %s: bad serial sort shape %d x %d", label, threads, elemsPerThread))
 	}
 	phaseBytes := units.Bytes(threads) * units.BytesForElements(elemsPerThread)
 	total := c.serialLevels(elemsPerThread) * workFactor

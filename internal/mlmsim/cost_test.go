@@ -1,17 +1,18 @@
-package mlmsort
+package mlmsim
 
 import (
 	"math"
 	"testing"
 
 	"knlmlm/internal/core"
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
 )
 
 func TestSerialSortKernelsFlatShape(t *testing.T) {
 	cal := DefaultCalibration()
-	m := MLMSort.Machine() // flat
+	m := Machine(mlmsort.MLMSort) // flat
 	ks := cal.serialSortKernels(m, "sort", 256, 4_000_000, core.ScratchpadPlaced, 1, true)
 	if len(ks) != 1 {
 		t.Fatalf("flat placement should produce one kernel, got %d", len(ks))
@@ -34,7 +35,7 @@ func TestSerialSortKernelsFlatShape(t *testing.T) {
 
 func TestSerialSortKernelsDDRPenaltyBlended(t *testing.T) {
 	cal := DefaultCalibration()
-	m := MLMDDr.Machine()
+	m := Machine(mlmsort.MLMDDr)
 	ks := cal.serialSortKernels(m, "sort", 256, 4_000_000, core.DDRPlaced, 1, false)
 	rate := float64(ks[0].PerThread)
 	// The blended rate sits strictly between the full penalty and no
@@ -48,7 +49,7 @@ func TestSerialSortKernelsDDRPenaltyBlended(t *testing.T) {
 
 func TestSerialSortKernelsCacheDecomposition(t *testing.T) {
 	cal := DefaultCalibration()
-	m := MLMImplicit.Machine() // cache mode
+	m := Machine(mlmsort.MLMImplicit) // cache mode
 	ks := cal.serialSortKernels(m, "sort", 256, 7_800_000, core.CacheManaged, 1, false)
 	if len(ks) < 3 {
 		t.Fatalf("cache placement should decompose into levels, got %d kernels", len(ks))
@@ -83,7 +84,7 @@ func TestSerialSortKernelsCacheDecomposition(t *testing.T) {
 
 func TestSerialSortKernelsWorkFactorScales(t *testing.T) {
 	cal := DefaultCalibration()
-	m := MLMSort.Machine()
+	m := Machine(mlmsort.MLMSort)
 	base := cal.serialSortKernels(m, "s", 256, 4_000_000, core.ScratchpadPlaced, 1, true)[0]
 	half := cal.serialSortKernels(m, "s", 256, 4_000_000, core.ScratchpadPlaced, 0.5, true)[0]
 	if !units.AlmostEqual(half.Passes, base.Passes/2, 1e-9) {
@@ -93,7 +94,7 @@ func TestSerialSortKernelsWorkFactorScales(t *testing.T) {
 
 func TestSerialSortKernelsPanicOnBadShape(t *testing.T) {
 	cal := DefaultCalibration()
-	m := MLMSort.Machine()
+	m := Machine(mlmsort.MLMSort)
 	defer func() {
 		if recover() == nil {
 			t.Error("zero threads should panic")
@@ -104,7 +105,7 @@ func TestSerialSortKernelsPanicOnBadShape(t *testing.T) {
 
 func TestMergeKernelPlacements(t *testing.T) {
 	cal := DefaultCalibration()
-	m := MLMSort.Machine()
+	m := Machine(mlmsort.MLMSort)
 	k := cal.mergeKernel(m, "merge", 256, 256, units.GB, core.ScratchpadPlaced, core.DDRPlaced, true)
 	f := k.Flow(m)
 	// Reads stream MCDRAM (inflated by the multi-stream penalty), writes
@@ -123,7 +124,7 @@ func TestMergeKernelPlacements(t *testing.T) {
 
 func TestMergeKernelDDRSourcePenalty(t *testing.T) {
 	cal := DefaultCalibration()
-	m := MLMDDr.Machine()
+	m := Machine(mlmsort.MLMDDr)
 	fast := cal.mergeKernel(m, "m", 256, 2, units.GB, core.ScratchpadPlaced, core.DDRPlaced, true)
 	slow := cal.mergeKernel(m, "m", 256, 2, units.GB, core.DDRPlaced, core.DDRPlaced, false)
 	if slow.PerThread >= fast.PerThread {
@@ -151,13 +152,13 @@ func TestMegachunkExceedingMCDRAMPanics(t *testing.T) {
 			t.Error("oversized flat-mode megachunk should panic")
 		}
 	}()
-	Simulate(MLMSort, cfg)
+	Simulate(mlmsort.MLMSort, cfg)
 }
 
 func TestImplicitMegachunkMayExceedMCDRAM(t *testing.T) {
 	cfg := PaperSortConfig(6_000_000_000, workload.Random)
 	cfg.MegachunkElements = 3_000_000_000
-	r := Simulate(MLMImplicit, cfg) // must not panic: no scratchpad involved
+	r := Simulate(mlmsort.MLMImplicit, cfg) // must not panic: no scratchpad involved
 	if r.Time <= 0 {
 		t.Error("non-positive time")
 	}

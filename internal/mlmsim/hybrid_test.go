@@ -1,17 +1,18 @@
-package mlmsort
+package mlmsim
 
 import (
 	"testing"
 
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
 )
 
 func TestHybridModeWiring(t *testing.T) {
-	if MLMHybrid.Mode().String() != "hybrid" {
-		t.Fatalf("MLM-hybrid mode = %v", MLMHybrid.Mode())
+	if Mode(mlmsort.MLMHybrid).String() != "hybrid" {
+		t.Fatalf("MLM-hybrid mode = %v", Mode(mlmsort.MLMHybrid))
 	}
-	m := MLMHybrid.Machine()
+	m := Machine(mlmsort.MLMHybrid)
 	if m.Scratchpad().Capacity() != 8*units.GiB {
 		t.Errorf("hybrid scratchpad = %v, want 8 GiB", m.Scratchpad().Capacity())
 	}
@@ -25,8 +26,8 @@ func TestHybridModeWiring(t *testing.T) {
 func TestHybridMatchesFlatAtSameChunkSize(t *testing.T) {
 	cfg := PaperSortConfig(4_000_000_000, workload.Random)
 	cfg.MegachunkElements = 1_000_000_000 // fits both partitions
-	flat := Simulate(MLMSort, cfg).Time.Seconds()
-	hybrid := Simulate(MLMHybrid, cfg).Time.Seconds()
+	flat := Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
+	hybrid := Simulate(mlmsort.MLMHybrid, cfg).Time.Seconds()
 	if rel := (hybrid - flat) / flat; rel < -0.02 || rel > 0.15 {
 		t.Errorf("hybrid %.2fs vs flat %.2fs: rel diff %.3f not 'near identical'", hybrid, flat, rel)
 	}
@@ -38,7 +39,7 @@ func TestHybridChunkSizeLimit(t *testing.T) {
 	cfg := PaperSortConfig(4_000_000_000, workload.Random)
 	cfg.MegachunkElements = 2_000_000_000 // 16 GB: fits flat, not hybrid's 8 GiB
 
-	if r := Simulate(MLMSort, cfg); r.Time <= 0 {
+	if r := Simulate(mlmsort.MLMSort, cfg); r.Time <= 0 {
 		t.Fatal("flat should accept a 16 GB megachunk")
 	}
 	defer func() {
@@ -46,33 +47,22 @@ func TestHybridChunkSizeLimit(t *testing.T) {
 			t.Error("hybrid should reject a 16 GB megachunk")
 		}
 	}()
-	Simulate(MLMHybrid, cfg)
+	Simulate(mlmsort.MLMHybrid, cfg)
 }
 
 // The default hybrid megachunk respects the partition; end-to-end at 6 G it
 // lands close to flat (which uses the bigger 1.5 G chunks) but not faster.
 func TestHybridDefaultsAndOrdering(t *testing.T) {
 	cfg := PaperSortConfig(6_000_000_000, workload.Random)
-	if mc := cfg.megachunk(MLMHybrid); units.BytesForElements(mc) > 8*units.GiB {
+	if mc := cfg.megachunk(mlmsort.MLMHybrid); units.BytesForElements(mc) > 8*units.GiB {
 		t.Fatalf("default hybrid megachunk %d exceeds the partition", mc)
 	}
-	flat := Simulate(MLMSort, cfg).Time.Seconds()
-	hybrid := Simulate(MLMHybrid, cfg).Time.Seconds()
+	flat := Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
+	hybrid := Simulate(mlmsort.MLMHybrid, cfg).Time.Seconds()
 	if hybrid < flat*0.98 {
 		t.Errorf("hybrid (%.2fs) should not beat flat (%.2fs): smaller chunks", hybrid, flat)
 	}
 	if hybrid > flat*1.2 {
 		t.Errorf("hybrid (%.2fs) too far from flat (%.2fs)", hybrid, flat)
-	}
-}
-
-func TestHybridRealExecution(t *testing.T) {
-	xs := workload.Generate(workload.Random, 20_000, 13)
-	orig := append([]int64(nil), xs...)
-	if err := RunReal(MLMHybrid, xs, 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !workload.IsSorted(xs) || workload.Fingerprint(xs) != workload.Fingerprint(orig) {
-		t.Error("hybrid real run incorrect")
 	}
 }

@@ -1,32 +1,33 @@
-package mlmsort
+package mlmsim
 
 import (
 	"testing"
 
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/workload"
 )
 
 func TestAlgorithmNamesAndModes(t *testing.T) {
-	if len(Algorithms()) != 5 {
-		t.Fatalf("Algorithms() = %v", Algorithms())
+	if len(mlmsort.Algorithms()) != 5 {
+		t.Fatalf("Algorithms() = %v", mlmsort.Algorithms())
 	}
-	wantNames := map[Algorithm]string{
-		GNUFlat: "GNU-flat", GNUCache: "GNU-cache", MLMDDr: "MLM-ddr",
-		MLMSort: "MLM-sort", MLMImplicit: "MLM-implicit", BasicChunked: "Basic-chunked",
+	wantNames := map[mlmsort.Algorithm]string{
+		mlmsort.GNUFlat: "GNU-flat", mlmsort.GNUCache: "GNU-cache", mlmsort.MLMDDr: "MLM-ddr",
+		mlmsort.MLMSort: "MLM-sort", mlmsort.MLMImplicit: "MLM-implicit", mlmsort.BasicChunked: "Basic-chunked",
 	}
 	for a, name := range wantNames {
 		if a.String() != name {
 			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), name)
 		}
 	}
-	if Algorithm(99).String() != "Algorithm(99)" {
+	if mlmsort.Algorithm(99).String() != "Algorithm(99)" {
 		t.Error("unknown algorithm name")
 	}
-	if GNUCache.Mode().String() != "cache" || MLMImplicit.Mode().String() != "cache" {
+	if Mode(mlmsort.GNUCache).String() != "cache" || Mode(mlmsort.MLMImplicit).String() != "cache" {
 		t.Error("cache-mode variants misclassified")
 	}
-	for _, a := range []Algorithm{GNUFlat, MLMDDr, MLMSort, BasicChunked} {
-		if a.Mode().String() != "flat" {
+	for _, a := range []mlmsort.Algorithm{mlmsort.GNUFlat, mlmsort.MLMDDr, mlmsort.MLMSort, mlmsort.BasicChunked} {
+		if Mode(a).String() != "flat" {
 			t.Errorf("%v should run in flat mode", a)
 		}
 	}
@@ -116,41 +117,41 @@ func TestConfigValidate(t *testing.T) {
 
 func TestMegachunkDefaults(t *testing.T) {
 	c := PaperSortConfig(2_000_000_000, workload.Random)
-	if got := c.megachunk(MLMSort); got != 1_000_000_000 {
+	if got := c.megachunk(mlmsort.MLMSort); got != 1_000_000_000 {
 		t.Errorf("2G MLM-sort megachunk = %d, want 1G", got)
 	}
-	if got := c.megachunk(MLMImplicit); got != 2_000_000_000 {
+	if got := c.megachunk(mlmsort.MLMImplicit); got != 2_000_000_000 {
 		t.Errorf("implicit megachunk = %d, want N", got)
 	}
 	c6 := PaperSortConfig(6_000_000_000, workload.Random)
-	if got := c6.megachunk(MLMSort); got != 1_500_000_000 {
+	if got := c6.megachunk(mlmsort.MLMSort); got != 1_500_000_000 {
 		t.Errorf("6G megachunk = %d, want 1.5G", got)
 	}
 	small := PaperSortConfig(500_000_000, workload.Random)
-	if got := small.megachunk(MLMDDr); got != 500_000_000 {
+	if got := small.megachunk(mlmsort.MLMDDr); got != 500_000_000 {
 		t.Errorf("sub-1G megachunk = %d, want N", got)
 	}
 	override := c
 	override.MegachunkElements = 123
-	if got := override.megachunk(MLMSort); got != 123 {
+	if got := override.megachunk(mlmsort.MLMSort); got != 123 {
 		t.Errorf("override megachunk = %d", got)
 	}
 }
 
 func TestPlanRequiresMatchingMode(t *testing.T) {
 	c := PaperSortConfig(2_000_000_000, workload.Random)
-	m := GNUFlat.Machine() // flat machine
+	m := Machine(mlmsort.GNUFlat) // flat machine
 	defer func() {
 		if recover() == nil {
 			t.Error("cache-mode algorithm on flat machine should panic")
 		}
 	}()
-	Plan(m, GNUCache, c)
+	Plan(m, mlmsort.GNUCache, c)
 }
 
 func TestSimulatePositiveTimes(t *testing.T) {
 	c := PaperSortConfig(2_000_000_000, workload.Random)
-	for _, a := range append(Algorithms(), BasicChunked) {
+	for _, a := range append(mlmsort.Algorithms(), mlmsort.BasicChunked) {
 		r := Simulate(a, c)
 		if r.Time <= 0 {
 			t.Errorf("%v: non-positive time", a)
@@ -166,11 +167,11 @@ func TestSimulatePositiveTimes(t *testing.T) {
 func TestTable1OrderingRandom(t *testing.T) {
 	for _, n := range []int64{2_000_000_000, 4_000_000_000} {
 		c := PaperSortConfig(n, workload.Random)
-		times := map[Algorithm]float64{}
-		for _, a := range Algorithms() {
+		times := map[mlmsort.Algorithm]float64{}
+		for _, a := range mlmsort.Algorithms() {
 			times[a] = Simulate(a, c).Time.Seconds()
 		}
-		order := []Algorithm{MLMImplicit, MLMSort, MLMDDr, GNUCache, GNUFlat}
+		order := []mlmsort.Algorithm{mlmsort.MLMImplicit, mlmsort.MLMSort, mlmsort.MLMDDr, mlmsort.GNUCache, mlmsort.GNUFlat}
 		for i := 1; i < len(order); i++ {
 			if times[order[i-1]] >= times[order[i]] {
 				t.Errorf("n=%d: %v (%.2f) should beat %v (%.2f)",
@@ -186,9 +187,9 @@ func TestTable1OrderingRandom(t *testing.T) {
 func TestHeadlineSpeedupBand(t *testing.T) {
 	for _, order := range workload.PaperOrders() {
 		c := PaperSortConfig(2_000_000_000, order)
-		base := Simulate(GNUFlat, c).Time.Seconds()
+		base := Simulate(mlmsort.GNUFlat, c).Time.Seconds()
 		best := base
-		for _, a := range []Algorithm{MLMSort, MLMImplicit} {
+		for _, a := range []mlmsort.Algorithm{mlmsort.MLMSort, mlmsort.MLMImplicit} {
 			if tt := Simulate(a, c).Time.Seconds(); tt < best {
 				best = tt
 			}
@@ -204,19 +205,19 @@ func TestHeadlineSpeedupBand(t *testing.T) {
 // and help the MLM variants more than the GNU baselines.
 func TestReverseInputAdvantage(t *testing.T) {
 	n := int64(2_000_000_000)
-	ratio := func(a Algorithm) float64 {
+	ratio := func(a mlmsort.Algorithm) float64 {
 		r := Simulate(a, PaperSortConfig(n, workload.Reverse)).Time.Seconds()
 		rnd := Simulate(a, PaperSortConfig(n, workload.Random)).Time.Seconds()
 		return r / rnd
 	}
-	for _, a := range Algorithms() {
+	for _, a := range mlmsort.Algorithms() {
 		if r := ratio(a); r >= 1 {
 			t.Errorf("%v: reverse input not faster (ratio %.2f)", a, r)
 		}
 	}
-	if ratio(MLMDDr) >= ratio(GNUFlat) {
+	if ratio(mlmsort.MLMDDr) >= ratio(mlmsort.GNUFlat) {
 		t.Errorf("MLM should exploit reverse structure more than GNU: %v vs %v",
-			ratio(MLMDDr), ratio(GNUFlat))
+			ratio(mlmsort.MLMDDr), ratio(mlmsort.GNUFlat))
 	}
 }
 
@@ -225,9 +226,9 @@ func TestReverseInputAdvantage(t *testing.T) {
 // cache mode.
 func TestBenderCorroboration(t *testing.T) {
 	c := PaperSortConfig(4_000_000_000, workload.Random)
-	flat := Simulate(GNUFlat, c).Time.Seconds()
-	cache := Simulate(GNUCache, c).Time.Seconds()
-	basic := Simulate(BasicChunked, c).Time.Seconds()
+	flat := Simulate(mlmsort.GNUFlat, c).Time.Seconds()
+	cache := Simulate(mlmsort.GNUCache, c).Time.Seconds()
+	basic := Simulate(mlmsort.BasicChunked, c).Time.Seconds()
 	gain := flat / basic
 	if gain < 1.1 || gain > 1.6 {
 		t.Errorf("basic chunked gain over GNU-flat = %.2fx, expected roughly 1.3x", gain)
@@ -239,7 +240,7 @@ func TestBenderCorroboration(t *testing.T) {
 
 // Scaling: times grow with problem size for every variant.
 func TestTimesScaleWithN(t *testing.T) {
-	for _, a := range Algorithms() {
+	for _, a := range mlmsort.Algorithms() {
 		prev := 0.0
 		for _, n := range []int64{2_000_000_000, 4_000_000_000, 6_000_000_000} {
 			tt := Simulate(a, PaperSortConfig(n, workload.Random)).Time.Seconds()
@@ -253,7 +254,7 @@ func TestTimesScaleWithN(t *testing.T) {
 
 func TestRepeatedNoiseModel(t *testing.T) {
 	c := PaperSortConfig(2_000_000_000, workload.Random)
-	s := Repeated(GNUFlat, c, 10, 1)
+	s := Repeated(mlmsort.GNUFlat, c, 10, 1)
 	if s.N != 10 {
 		t.Fatalf("N = %d", s.N)
 	}
@@ -264,13 +265,13 @@ func TestRepeatedNoiseModel(t *testing.T) {
 		t.Errorf("noise %.4f implausibly large", s.StdDev/s.Mean)
 	}
 	// Determinism in seed.
-	s2 := Repeated(GNUFlat, c, 10, 1)
+	s2 := Repeated(mlmsort.GNUFlat, c, 10, 1)
 	if s.Mean != s2.Mean || s.StdDev != s2.StdDev {
 		t.Error("Repeated not deterministic in seed")
 	}
 	// MLM variants are steadier than GNU, as in Table 1.
-	gnu := Repeated(GNUFlat, c, 10, 2)
-	mlm := Repeated(MLMSort, c, 10, 2)
+	gnu := Repeated(mlmsort.GNUFlat, c, 10, 2)
+	mlm := Repeated(mlmsort.MLMSort, c, 10, 2)
 	if mlm.StdDev/mlm.Mean >= gnu.StdDev/gnu.Mean {
 		t.Error("MLM noise should be below GNU noise")
 	}
@@ -282,5 +283,5 @@ func TestRepeatedPanicsOnZeroRuns(t *testing.T) {
 			t.Error("zero runs should panic")
 		}
 	}()
-	Repeated(GNUFlat, PaperSortConfig(1e9, workload.Random), 0, 1)
+	Repeated(mlmsort.GNUFlat, PaperSortConfig(1e9, workload.Random), 0, 1)
 }

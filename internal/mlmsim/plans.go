@@ -1,4 +1,4 @@
-package mlmsort
+package mlmsim
 
 import (
 	"fmt"
@@ -7,76 +7,17 @@ import (
 	"knlmlm/internal/knl"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/memkind"
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
 )
 
-// Algorithm identifies one of the evaluated sort variants.
-type Algorithm int
-
-const (
-	// GNUFlat is GNU parallel sort with all data in DDR (flat mode,
-	// MCDRAM unused) — the paper's baseline.
-	GNUFlat Algorithm = iota
-	// GNUCache is GNU parallel sort in hardware cache mode.
-	GNUCache
-	// MLMDDr is MLM-sort's structure run entirely out of DDR.
-	MLMDDr
-	// MLMSort is MLM-sort in flat mode with explicit staging to MCDRAM.
-	MLMSort
-	// MLMImplicit runs the chunked algorithm in hardware cache mode with
-	// megachunk size equal to the problem size — the paper's implicit
-	// cache mode.
-	MLMImplicit
-	// BasicChunked is the algorithm of Bender et al.: chunk into
-	// MCDRAM-sized pieces, sort each chunk with the *parallel* sort, then
-	// multiway merge. Evaluated in flat mode.
-	BasicChunked
-	// MLMHybrid runs MLM-sort in hybrid mode (half scratchpad, half
-	// cache): identical staging to MLM-sort but with megachunks limited to
-	// the smaller scratchpad partition. The paper ran this configuration
-	// and reported it "near identical performance to flat, given a chunk
-	// size" — this variant reproduces that claim (extension; not a Table 1
-	// column).
-	MLMHybrid
-	// GNUPreferred is GNU parallel sort in flat mode with the arrays
-	// allocated under numactl --preferred / HBW_POLICY_PREFERRED: MCDRAM
-	// fills first, the remainder spills to DDR. This is the Li et al.
-	// (SC'17) flat-mode configuration the paper's related-work section
-	// contrasts with chunking (extension; not a Table 1 column).
-	GNUPreferred
-)
-
-var algNames = map[Algorithm]string{
-	GNUFlat:      "GNU-flat",
-	GNUCache:     "GNU-cache",
-	MLMDDr:       "MLM-ddr",
-	MLMSort:      "MLM-sort",
-	MLMImplicit:  "MLM-implicit",
-	BasicChunked: "Basic-chunked",
-	MLMHybrid:    "MLM-hybrid",
-	GNUPreferred: "GNU-preferred",
-}
-
-// String reports the paper's name for the algorithm.
-func (a Algorithm) String() string {
-	if s, ok := algNames[a]; ok {
-		return s
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// Algorithms lists the paper's five Table 1 variants in report order.
-func Algorithms() []Algorithm {
-	return []Algorithm{GNUFlat, GNUCache, MLMDDr, MLMSort, MLMImplicit}
-}
-
 // Mode reports the MCDRAM mode the variant runs under.
-func (a Algorithm) Mode() mem.Mode {
+func Mode(a mlmsort.Algorithm) mem.Mode {
 	switch a {
-	case GNUCache, MLMImplicit:
+	case mlmsort.GNUCache, mlmsort.MLMImplicit:
 		return mem.Cache
-	case MLMHybrid:
+	case mlmsort.MLMHybrid:
 		return mem.Hybrid
 	default:
 		return mem.Flat
@@ -113,13 +54,13 @@ func PaperSortConfig(elements int64, order workload.Order) Config {
 // Validate reports whether the config is runnable.
 func (c Config) Validate() error {
 	if c.Elements <= 0 {
-		return fmt.Errorf("mlmsort: elements %d must be positive", c.Elements)
+		return fmt.Errorf("mlmsim: elements %d must be positive", c.Elements)
 	}
 	if c.Threads <= 0 {
-		return fmt.Errorf("mlmsort: threads %d must be positive", c.Threads)
+		return fmt.Errorf("mlmsim: threads %d must be positive", c.Threads)
 	}
 	if c.MegachunkElements < 0 {
-		return fmt.Errorf("mlmsort: negative megachunk size %d", c.MegachunkElements)
+		return fmt.Errorf("mlmsim: negative megachunk size %d", c.MegachunkElements)
 	}
 	return c.Cal.Validate()
 }
@@ -127,18 +68,18 @@ func (c Config) Validate() error {
 // megachunk resolves the megachunk size for the algorithm: the paper uses
 // 1 G elements (1.5 G for the 6 G runs) for the staged variants, and the
 // whole problem for MLM-implicit.
-func (c Config) megachunk(a Algorithm) int64 {
+func (c Config) megachunk(a mlmsort.Algorithm) int64 {
 	if c.MegachunkElements > 0 {
 		return c.MegachunkElements
 	}
-	if a == MLMImplicit {
+	if a == mlmsort.MLMImplicit {
 		return c.Elements
 	}
 	mc := int64(1_000_000_000)
 	if c.Elements >= 6_000_000_000 {
 		mc = 1_500_000_000
 	}
-	if a == MLMHybrid {
+	if a == mlmsort.MLMHybrid {
 		// Hybrid mode halves the scratchpad; megachunks must fit the
 		// partition (50% of 16 GiB holds 1.07 G elements).
 		if limit := units.ElementsForBytes(8 * units.GiB); mc > limit {
@@ -152,27 +93,27 @@ func (c Config) megachunk(a Algorithm) int64 {
 }
 
 // Plan builds the simulated phase plan for an algorithm. The machine's
-// mode must match a.Mode().
-func Plan(m *knl.Machine, a Algorithm, c Config) *core.Plan {
+// mode must match Mode(a).
+func Plan(m *knl.Machine, a mlmsort.Algorithm, c Config) *core.Plan {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	if got := m.Config().Mode.Mode; got != a.Mode() {
-		panic(fmt.Sprintf("mlmsort: %v needs mode %v, machine is in %v", a, a.Mode(), got))
+	if got := m.Config().Mode.Mode; got != Mode(a) {
+		panic(fmt.Sprintf("mlmsim: %v needs mode %v, machine is in %v", a, Mode(a), got))
 	}
 	switch a {
-	case GNUFlat:
+	case mlmsort.GNUFlat:
 		return c.gnuPlan(m, core.DDRPlaced)
-	case GNUCache:
+	case mlmsort.GNUCache:
 		return c.gnuPlan(m, core.CacheManaged)
-	case GNUPreferred:
+	case mlmsort.GNUPreferred:
 		return c.gnuPreferredPlan(m)
-	case MLMDDr, MLMSort, MLMImplicit, MLMHybrid:
+	case mlmsort.MLMDDr, mlmsort.MLMSort, mlmsort.MLMImplicit, mlmsort.MLMHybrid:
 		return c.mlmPlan(m, a)
-	case BasicChunked:
+	case mlmsort.BasicChunked:
 		return c.basicChunkedPlan(m)
 	default:
-		panic(fmt.Sprintf("mlmsort: unknown algorithm %v", a))
+		panic(fmt.Sprintf("mlmsim: unknown algorithm %v", a))
 	}
 }
 
@@ -230,11 +171,11 @@ func (c Config) gnuPreferredPlan(m *knl.Machine) *core.Plan {
 	heap := memkind.HeapFor(cfg.Memory, cfg.Mode)
 	data, err := heap.Alloc(memkind.PolicyHBWPreferred, b, 0)
 	if err != nil {
-		panic(fmt.Sprintf("mlmsort: preferred data allocation failed: %v", err))
+		panic(fmt.Sprintf("mlmsim: preferred data allocation failed: %v", err))
 	}
 	temp, err := heap.Alloc(memkind.PolicyHBWPreferred, b, 0)
 	if err != nil {
-		panic(fmt.Sprintf("mlmsort: preferred temp allocation failed: %v", err))
+		panic(fmt.Sprintf("mlmsim: preferred temp allocation failed: %v", err))
 	}
 	dataFrac := data.HBWFraction()
 	tempFrac := temp.HBWFraction()
@@ -280,7 +221,7 @@ func (c Config) gnuPreferredPlan(m *knl.Machine) *core.Plan {
 // per-thread serial sorts, then a parallel multiway merge of the
 // megachunk's runs to its output location; finally a K-way merge across
 // megachunks when K > 1.
-func (c Config) mlmPlan(m *knl.Machine, a Algorithm) *core.Plan {
+func (c Config) mlmPlan(m *knl.Machine, a mlmsort.Algorithm) *core.Plan {
 	fSerial, _ := orderFactors(c.Order)
 	mcElems := c.megachunk(a)
 	k := int((c.Elements + mcElems - 1) / mcElems)
@@ -306,7 +247,7 @@ func (c Config) mlmPlan(m *knl.Machine, a Algorithm) *core.Plan {
 		var sortPlace core.Placement
 		staged := false
 		switch a {
-		case MLMSort, MLMHybrid:
+		case mlmsort.MLMSort, mlmsort.MLMHybrid:
 			// Explicit copy-in DDR -> MCDRAM by all threads. Allocating
 			// the staging block from the machine's scratchpad enforces the
 			// flat-mode capacity limit on megachunk size (Section 4.2: the
@@ -314,7 +255,7 @@ func (c Config) mlmPlan(m *knl.Machine, a Algorithm) *core.Plan {
 			// MCDRAM").
 			block, err := m.Scratchpad().Alloc(mcBytes)
 			if err != nil {
-				panic(fmt.Sprintf("mlmsort: megachunk of %v does not fit flat-mode MCDRAM: %v", mcBytes, err))
+				panic(fmt.Sprintf("mlmsim: megachunk of %v does not fit flat-mode MCDRAM: %v", mcBytes, err))
 			}
 			// Megachunks are staged one at a time; release before the next
 			// iteration constructs its steps.
@@ -325,7 +266,7 @@ func (c Config) mlmPlan(m *knl.Machine, a Algorithm) *core.Plan {
 			})
 			sortPlace = core.ScratchpadPlaced
 			staged = true
-		case MLMImplicit:
+		case mlmsort.MLMImplicit:
 			sortPlace = core.CacheManaged
 		default: // MLMDDr
 			sortPlace = core.DDRPlaced
@@ -341,9 +282,9 @@ func (c Config) mlmPlan(m *knl.Machine, a Algorithm) *core.Plan {
 		var mergeSrc, mergeDst core.Placement
 		mergeStaged := false
 		switch a {
-		case MLMSort, MLMHybrid:
+		case mlmsort.MLMSort, mlmsort.MLMHybrid:
 			mergeSrc, mergeDst, mergeStaged = core.ScratchpadPlaced, core.DDRPlaced, true
-		case MLMImplicit:
+		case mlmsort.MLMImplicit:
 			mergeSrc, mergeDst = core.CacheManaged, core.CacheManaged
 		default:
 			mergeSrc, mergeDst = core.DDRPlaced, core.DDRPlaced
@@ -356,7 +297,7 @@ func (c Config) mlmPlan(m *knl.Machine, a Algorithm) *core.Plan {
 	// mechanisms or even explicitly take advantage of the MCDRAM").
 	if k > 1 {
 		place := core.DDRPlaced
-		if a == MLMImplicit {
+		if a == mlmsort.MLMImplicit {
 			place = core.CacheManaged
 		}
 		fm := c.Cal.mergeKernel(m, "final-merge", c.Threads, k,
@@ -375,7 +316,7 @@ func (c Config) mlmPlan(m *knl.Machine, a Algorithm) *core.Plan {
 func (c Config) basicChunkedPlan(m *knl.Machine) *core.Plan {
 	_, fComparison := orderFactors(c.Order)
 	factor := fComparison * c.Cal.GNUWorkInflation
-	mcElems := c.megachunk(BasicChunked)
+	mcElems := c.megachunk(mlmsort.BasicChunked)
 	k := int((c.Elements + mcElems - 1) / mcElems)
 	plan := &core.Plan{Name: "Basic-chunked"}
 
@@ -395,7 +336,7 @@ func (c Config) basicChunkedPlan(m *knl.Machine) *core.Plan {
 
 		block, err := m.Scratchpad().Alloc(mcBytes)
 		if err != nil {
-			panic(fmt.Sprintf("mlmsort: chunk of %v does not fit flat-mode MCDRAM: %v", mcBytes, err))
+			panic(fmt.Sprintf("mlmsim: chunk of %v does not fit flat-mode MCDRAM: %v", mcBytes, err))
 		}
 		m.Scratchpad().Free(block) // chunks are staged one at a time
 		plan.Steps = append(plan.Steps, &core.KernelStep{
@@ -437,6 +378,6 @@ func (c Config) copyInKernel(label string, payload units.Bytes) core.Kernel {
 }
 
 // Machine builds the paper's machine in the algorithm's required mode.
-func (a Algorithm) Machine() *knl.Machine {
-	return knl.MustNew(knl.PaperConfig(a.Mode()))
+func Machine(a mlmsort.Algorithm) *knl.Machine {
+	return knl.MustNew(knl.PaperConfig(Mode(a)))
 }

@@ -1,17 +1,18 @@
-package mlmsort
+package mlmsim
 
 import (
 	"testing"
 
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/workload"
 )
 
 func TestPreferredModeWiring(t *testing.T) {
-	if GNUPreferred.Mode().String() != "flat" {
-		t.Fatalf("GNU-preferred mode = %v, want flat", GNUPreferred.Mode())
+	if Mode(mlmsort.GNUPreferred).String() != "flat" {
+		t.Fatalf("GNU-preferred mode = %v, want flat", Mode(mlmsort.GNUPreferred))
 	}
-	if GNUPreferred.String() != "GNU-preferred" {
-		t.Fatalf("name = %q", GNUPreferred.String())
+	if mlmsort.GNUPreferred.String() != "GNU-preferred" {
+		t.Fatalf("name = %q", mlmsort.GNUPreferred.String())
 	}
 }
 
@@ -21,9 +22,9 @@ func TestPreferredModeWiring(t *testing.T) {
 func TestPreferredBetweenFlatAndChunked(t *testing.T) {
 	for _, n := range []int64{2_000_000_000, 4_000_000_000} {
 		cfg := PaperSortConfig(n, workload.Random)
-		flat := Simulate(GNUFlat, cfg).Time.Seconds()
-		pref := Simulate(GNUPreferred, cfg).Time.Seconds()
-		mlm := Simulate(MLMSort, cfg).Time.Seconds()
+		flat := Simulate(mlmsort.GNUFlat, cfg).Time.Seconds()
+		pref := Simulate(mlmsort.GNUPreferred, cfg).Time.Seconds()
+		mlm := Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
 		if pref >= flat {
 			t.Errorf("n=%d: preferred (%.2fs) should beat GNU-flat (%.2fs)", n, pref, flat)
 		}
@@ -40,9 +41,9 @@ func TestPreferredBetweenFlatAndChunked(t *testing.T) {
 func TestPreferredGainModest(t *testing.T) {
 	for _, n := range []int64{2_000_000_000, 4_000_000_000, 6_000_000_000} {
 		cfg := PaperSortConfig(n, workload.Random)
-		flat := Simulate(GNUFlat, cfg).Time.Seconds()
-		pref := Simulate(GNUPreferred, cfg).Time.Seconds()
-		mlm := Simulate(MLMSort, cfg).Time.Seconds()
+		flat := Simulate(mlmsort.GNUFlat, cfg).Time.Seconds()
+		pref := Simulate(mlmsort.GNUPreferred, cfg).Time.Seconds()
+		mlm := Simulate(mlmsort.MLMSort, cfg).Time.Seconds()
 		gain := flat / pref
 		if gain <= 1.0 || gain >= 1.3 {
 			t.Errorf("n=%d: preferred gain %.3fx outside the modest band", n, gain)
@@ -51,16 +52,5 @@ func TestPreferredGainModest(t *testing.T) {
 			t.Errorf("n=%d: chunking's gain (%.3fx) should exceed preferred's (%.3fx)",
 				n, flat/mlm, gain)
 		}
-	}
-}
-
-func TestPreferredRealExecution(t *testing.T) {
-	xs := workload.Generate(workload.Random, 20_000, 17)
-	orig := append([]int64(nil), xs...)
-	if err := RunReal(GNUPreferred, xs, 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !workload.IsSorted(xs) || workload.Fingerprint(xs) != workload.Fingerprint(orig) {
-		t.Error("preferred real run incorrect")
 	}
 }

@@ -1,10 +1,11 @@
-package mlmsort
+package mlmsim
 
 import (
 	"fmt"
 	"math/rand"
 
 	"knlmlm/internal/knl"
+	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/stats"
 	"knlmlm/internal/trace"
 	"knlmlm/internal/units"
@@ -12,7 +13,7 @@ import (
 
 // Result is one simulated sort run.
 type Result struct {
-	Algorithm Algorithm
+	Algorithm mlmsort.Algorithm
 	Config    Config
 	Time      units.Time
 	Trace     *trace.Trace
@@ -20,15 +21,15 @@ type Result struct {
 
 // Simulate evaluates the algorithm's phase plan on a fresh paper machine in
 // the algorithm's mode and returns the deterministic (noise-free) result.
-func Simulate(a Algorithm, c Config) Result {
-	m := a.Machine()
+func Simulate(a mlmsort.Algorithm, c Config) Result {
+	m := Machine(a)
 	return SimulateOn(m, a, c)
 }
 
 // SimulateOn evaluates the plan on a caller-supplied machine (which must be
 // in the algorithm's mode). The returned trace is scaled to the same
 // calibrated seconds as Time.
-func SimulateOn(m *knl.Machine, a Algorithm, c Config) Result {
+func SimulateOn(m *knl.Machine, a mlmsort.Algorithm, c Config) Result {
 	tr := Plan(m, a, c).Simulate(m)
 	for i := range tr.Phases {
 		tr.Phases[i].Start = units.Time(float64(tr.Phases[i].Start) * c.Cal.TimeScale)
@@ -47,13 +48,13 @@ func SimulateOn(m *knl.Machine, a Algorithm, c Config) Result {
 // runs show ~1.4-2.5% σ/mean, the MLM variants' serial-sort phases are far
 // steadier (~0.1%), and MLM-implicit sits in between because the cache's
 // behaviour varies with conflict patterns.
-func noiseSigma(a Algorithm) float64 {
+func noiseSigma(a mlmsort.Algorithm) float64 {
 	switch a {
-	case GNUFlat, GNUCache:
+	case mlmsort.GNUFlat, mlmsort.GNUCache:
 		return 0.016
-	case MLMImplicit:
+	case mlmsort.MLMImplicit:
 		return 0.012
-	case BasicChunked:
+	case mlmsort.BasicChunked:
 		return 0.010
 	default: // MLMDDr, MLMSort
 		return 0.0012
@@ -66,9 +67,9 @@ func noiseSigma(a Algorithm) float64 {
 // standard deviation). The noise is multiplicative Gaussian; it models the
 // OS/library jitter a real machine shows and is the only stochastic element
 // of the simulation.
-func Repeated(a Algorithm, c Config, runs int, seed int64) stats.Summary {
+func Repeated(a mlmsort.Algorithm, c Config, runs int, seed int64) stats.Summary {
 	if runs < 1 {
-		panic(fmt.Sprintf("mlmsort: runs %d must be positive", runs))
+		panic(fmt.Sprintf("mlmsim: runs %d must be positive", runs))
 	}
 	base := Simulate(a, c).Time.Seconds()
 	rng := rand.New(rand.NewSource(seed ^ int64(a)<<32 ^ c.Elements))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"knlmlm/internal/exec"
+	"knlmlm/internal/report"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/workload"
 )
@@ -91,7 +92,7 @@ func TestObservedRunAnalyzable(t *testing.T) {
 	if err := RunRealObserved(MLMSort, xs, 4, 10_000, rec); err != nil {
 		t.Fatal(err)
 	}
-	a := telemetry.Analyze(rec.Spans())
+	a := report.Analyze(rec.Spans())
 	if a.Chunks != 4 {
 		t.Errorf("analyzer saw %d chunks, want 4", a.Chunks)
 	}

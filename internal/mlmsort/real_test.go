@@ -104,3 +104,25 @@ func TestRunRealVariantsAgree(t *testing.T) {
 		}
 	}
 }
+
+func TestHybridRealExecution(t *testing.T) {
+	xs := workload.Generate(workload.Random, 20_000, 13)
+	orig := append([]int64(nil), xs...)
+	if err := RunReal(MLMHybrid, xs, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !workload.IsSorted(xs) || workload.Fingerprint(xs) != workload.Fingerprint(orig) {
+		t.Error("hybrid real run incorrect")
+	}
+}
+
+func TestPreferredRealExecution(t *testing.T) {
+	xs := workload.Generate(workload.Random, 20_000, 17)
+	orig := append([]int64(nil), xs...)
+	if err := RunReal(GNUPreferred, xs, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !workload.IsSorted(xs) || workload.Fingerprint(xs) != workload.Fingerprint(orig) {
+		t.Error("preferred real run incorrect")
+	}
+}

@@ -15,16 +15,17 @@ import (
 const parallelMergeMin = 64 << 10
 
 // MergeRound merges sorted runs of cells-wide elements into dst, which
-// must have their combined length and alias none of them. It is the one
-// place the serial/parallel choice is made and the cell width picked —
-// megachunk block merges, the final in-memory merge and every
-// WindowMerge round all come here. Bare keys (cells 1) take the serial
-// loser tree for small rounds or a single worker and ParallelMergeK
-// otherwise, with the fan-out capped so every worker keeps at least
-// parallelMergeMin/2 elements of real work. Records (cells 2,
-// interleaved key/payload) always take the serial loser tree, stable by
-// run order — multisequence selection is keyed on bare cells and has no
-// record variant.
+// must have their combined length and alias none of them, through the
+// k-way loser tree. It makes the serial/parallel choice and picks the
+// cell width for its two callers: the basic chunked algorithm's final
+// merge (runRealBasic in internal/mlmsort) and every WindowMerge round.
+// MergeRounds picks the width for the pairwise rounds, and SortBlock for
+// the block sorts. Bare keys (cells 1) take the serial loser tree for
+// small rounds or a single worker and ParallelMergeK otherwise, with the
+// fan-out capped so every worker keeps at least parallelMergeMin/2
+// elements of real work. Records (cells 2, interleaved key/payload)
+// always take the serial loser tree, stable by run order — multisequence
+// selection is keyed on bare cells and has no record variant.
 func MergeRound(dst []int64, runs [][]int64, threads, cells int) {
 	switch {
 	case cells == 2:

@@ -1,4 +1,4 @@
-package telemetry
+package report
 
 import (
 	"fmt"
@@ -7,7 +7,7 @@ import (
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/model"
-	"knlmlm/internal/report"
+	"knlmlm/internal/telemetry"
 )
 
 // StageStats aggregates the spans of one stage.
@@ -110,7 +110,7 @@ func intersectDuration(a, b []interval) time.Duration {
 }
 
 // Analyze computes the occupancy/stall summary of the spans.
-func Analyze(spans []Span) Analysis {
+func Analyze(spans []telemetry.Span) Analysis {
 	var a Analysis
 	a.Spans = len(spans)
 	if len(spans) == 0 {
@@ -177,7 +177,7 @@ func Analyze(spans []Span) Analysis {
 // ChunkLatencies reports, per chunk index, the wall time from the chunk's
 // first work span start to its last work span end (wait spans excluded;
 // whole-array spans with chunk -1 ignored), in chunk order.
-func ChunkLatencies(spans []Span) []time.Duration {
+func ChunkLatencies(spans []telemetry.Span) []time.Duration {
 	type bound struct {
 		lo, hi time.Duration
 		seen   bool
@@ -216,8 +216,8 @@ func seconds(d time.Duration) string { return fmt.Sprintf("%.6f", d.Seconds()) }
 
 // StallReport renders the per-stage busy/starvation breakdown and the
 // overlap summary as a table.
-func (a Analysis) StallReport() *report.Table {
-	t := &report.Table{
+func (a Analysis) StallReport() *Table {
+	t := &Table{
 		Title:   "Pipeline occupancy and stalls",
 		Headers: []string{"Stage", "Spans", "Busy(s)", "Bytes"},
 	}
@@ -242,8 +242,8 @@ func (a Analysis) StallReport() *report.Table {
 // actually pins down: which side bounds the run, the copy:compute ratio,
 // and how close T_total comes to max(T_copy, T_comp) (the model assumes
 // exactly 1.0).
-func (a Analysis) ModelDriftReport(pred model.Prediction) *report.Table {
-	t := &report.Table{
+func (a Analysis) ModelDriftReport(pred model.Prediction) *Table {
+	t := &Table{
 		Title:   "Measured vs Section 3.2 model (Eq. 1–5)",
 		Headers: []string{"Quantity", "Measured", "Model", "Note"},
 	}
@@ -289,27 +289,27 @@ func invOrZero(v float64) float64 {
 // per-stage busy-seconds and byte counters, wait-time histograms, a
 // chunk-latency histogram, and the overlap/efficiency gauges. It returns
 // the analysis so callers can render reports without re-analyzing.
-func Publish(reg *Registry, spans []Span) Analysis {
+func Publish(reg *telemetry.Registry, spans []telemetry.Span) Analysis {
 	a := Analyze(spans)
 	for _, st := range a.Stage {
 		if st.Spans == 0 {
 			continue
 		}
-		lbl := Labels{"stage": st.Stage.String()}
+		lbl := telemetry.Labels{"stage": st.Stage.String()}
 		reg.Counter("pipeline_stage_spans_total", "Recorded spans per stage.", lbl).Add(int64(st.Spans))
 		reg.Counter("pipeline_stage_bytes_total", "Bytes moved or touched per stage.", lbl).Add(st.Bytes)
 		reg.Gauge("pipeline_stage_busy_seconds", "Summed span duration per stage (thread-seconds).", lbl).Set(st.Busy.Seconds())
 	}
-	waitBuckets := DefLatencyBuckets()
+	waitBuckets := telemetry.DefLatencyBuckets()
 	for _, s := range spans {
 		if s.Stage.IsWait() {
 			reg.Histogram("pipeline_stage_wait_seconds",
 				"Starvation time per wait event.",
-				Labels{"stage": s.Stage.String()}, waitBuckets).Observe(s.Dur.Seconds())
+				telemetry.Labels{"stage": s.Stage.String()}, waitBuckets).Observe(s.Dur.Seconds())
 		}
 	}
 	latHist := reg.Histogram("pipeline_chunk_latency_seconds",
-		"Per-chunk wall time from first work span to last.", nil, DefLatencyBuckets())
+		"Per-chunk wall time from first work span to last.", nil, telemetry.DefLatencyBuckets())
 	for _, d := range ChunkLatencies(spans) {
 		latHist.Observe(d.Seconds())
 	}

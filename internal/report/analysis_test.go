@@ -1,4 +1,4 @@
-package telemetry
+package report
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/model"
+	"knlmlm/internal/telemetry"
 )
 
 const ms = time.Millisecond
@@ -19,11 +20,11 @@ const ms = time.Millisecond
 //	copy-out:               [25,30) [40,45) [55,60)
 //
 // T_copy union = 30 (in) + 15-overlapping outs... computed below.
-func pipelineSpans() []Span {
-	mk := func(st exec.Stage, chunk int, lo, hi time.Duration, bytes int64) Span {
-		return Span{Stage: st, Chunk: chunk, Worker: int(st), Start: lo, Dur: hi - lo, Bytes: bytes}
+func pipelineSpans() []telemetry.Span {
+	mk := func(st exec.Stage, chunk int, lo, hi time.Duration, bytes int64) telemetry.Span {
+		return telemetry.Span{Stage: st, Chunk: chunk, Worker: int(st), Start: lo, Dur: hi - lo, Bytes: bytes}
 	}
-	return []Span{
+	return []telemetry.Span{
 		mk(exec.StageCopyIn, 0, 0, 10*ms, 80),
 		mk(exec.StageCopyIn, 1, 10*ms, 20*ms, 80),
 		mk(exec.StageCopyIn, 2, 20*ms, 30*ms, 80),
@@ -117,7 +118,7 @@ func TestModelDriftReport(t *testing.T) {
 }
 
 func TestPublishFillsRegistry(t *testing.T) {
-	reg := NewRegistry()
+	reg := telemetry.NewRegistry()
 	a := Publish(reg, pipelineSpans())
 	if a.Chunks != 3 {
 		t.Fatalf("publish returned wrong analysis")

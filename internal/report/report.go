@@ -1,5 +1,9 @@
 // Package report renders the reproduction's tables and figure series as
-// aligned ASCII (for terminals and EXPERIMENTS.md), markdown, and CSV.
+// aligned ASCII (for terminals and EXPERIMENTS.md), markdown, and CSV. It
+// also reads runs after the fact: the occupancy/stall analysis of recorded
+// spans (analysis.go) and the bridge that turns simulated phase traces
+// into spans and Chrome-trace lanes (simtrace.go). The command-line
+// drivers use it; the daemons link none of it.
 package report
 
 import (

@@ -5,18 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
-
-	"knlmlm/internal/exec"
-	"knlmlm/internal/trace"
 )
 
-// chromeEvent is one entry of the Chrome trace-event format. Only the
-// "X" (complete) and "M" (metadata) phases are emitted; timestamps and
-// durations are microseconds, as the format requires.
-type chromeEvent struct {
+// ChromeEvent is one entry of the Chrome trace-event format: "X"
+// (complete), "i" (instant) or "M" (metadata). Timestamps and durations
+// are microseconds, as the format requires.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -28,17 +23,21 @@ type chromeEvent struct {
 }
 
 // ChromeTrace accumulates trace events from any mix of sources — real
-// pipeline spans and simulated phase traces — so a telemetry capture and
-// a simulation of the same configuration can be compared side by side in
-// one Perfetto / chrome://tracing timeline. Each source should use its
-// own pid; the viewer renders one process lane per pid.
+// pipeline spans, a job's lifecycle, simulated phase traces — so that
+// runs can be compared side by side in one Perfetto / chrome://tracing
+// timeline. Each source should use its own pid; the viewer renders one
+// process lane per pid.
 type ChromeTrace struct {
-	events []chromeEvent
+	events []ChromeEvent
 }
+
+// Add appends one event. It is the only way an event enters the trace;
+// the other Add methods and the exporters of other sources build on it.
+func (c *ChromeTrace) Add(e ChromeEvent) { c.events = append(c.events, e) }
 
 // AddProcessName labels a pid lane in the viewer.
 func (c *ChromeTrace) AddProcessName(pid int, name string) {
-	c.events = append(c.events, chromeEvent{
+	c.Add(ChromeEvent{
 		Name: "process_name", Ph: "M", PID: pid,
 		Args: map[string]any{"name": name},
 	})
@@ -46,7 +45,7 @@ func (c *ChromeTrace) AddProcessName(pid int, name string) {
 
 // AddThreadName labels a tid row within a pid lane.
 func (c *ChromeTrace) AddThreadName(pid, tid int, name string) {
-	c.events = append(c.events, chromeEvent{
+	c.Add(ChromeEvent{
 		Name: "thread_name", Ph: "M", PID: pid, TID: tid,
 		Args: map[string]any{"name": name},
 	})
@@ -66,7 +65,7 @@ func (c *ChromeTrace) AddSpans(pid int, spans []Span) {
 		if s.Bytes != 0 {
 			args["bytes"] = s.Bytes
 		}
-		c.events = append(c.events, chromeEvent{
+		c.Add(ChromeEvent{
 			Name: s.Stage.String(), Cat: cat, Ph: "X",
 			TS:  micros(s.Start),
 			Dur: micros(s.Dur),
@@ -76,39 +75,6 @@ func (c *ChromeTrace) AddSpans(pid int, spans []Span) {
 	}
 	for w := range workers {
 		c.AddThreadName(pid, w, fmt.Sprintf("worker %d", w))
-	}
-}
-
-// AddSimTrace bridges a simulated phase trace into the same timeline.
-// Each distinct phase label gets its own thread row (simulated stages
-// have no worker identity); the simulation clock's seconds map directly
-// onto the viewer's microsecond axis.
-func (c *ChromeTrace) AddSimTrace(pid int, tr *trace.Trace) {
-	if tr == nil {
-		return
-	}
-	tids := map[string]int{}
-	for _, p := range tr.Phases {
-		base, _ := splitPhaseLabel(p.Label)
-		tid, ok := tids[base]
-		if !ok {
-			tid = len(tids)
-			tids[base] = tid
-			c.AddThreadName(pid, tid, base)
-		}
-		c.events = append(c.events, chromeEvent{
-			Name: p.Label, Cat: "sim", Ph: "X",
-			TS:  p.Start.Seconds() * 1e6,
-			Dur: p.Duration.Seconds() * 1e6,
-			PID: pid, TID: tid,
-			Args: map[string]any{
-				"ddr_bytes":    float64(p.DDRBytes),
-				"mcdram_bytes": float64(p.MCDRAMBytes),
-			},
-		})
-	}
-	if tr.Name != "" {
-		c.AddProcessName(pid, tr.Name)
 	}
 }
 
@@ -139,74 +105,3 @@ func (c *ChromeTrace) WriteFile(path string) error {
 func (c *ChromeTrace) Len() int { return len(c.events) }
 
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
-// splitPhaseLabel splits a simulated phase label like "copy-in[7]" into
-// its base label and chunk index (-1 when the label carries none).
-func splitPhaseLabel(label string) (base string, chunk int) {
-	chunk = -1
-	if !strings.HasSuffix(label, "]") {
-		return label, chunk
-	}
-	i := strings.LastIndexByte(label, '[')
-	if i < 0 {
-		return label, chunk
-	}
-	n, err := strconv.Atoi(label[i+1 : len(label)-1])
-	if err != nil {
-		return label, chunk
-	}
-	return label[:i], n
-}
-
-// SimSpans converts a simulated phase trace into telemetry spans on the
-// simulation clock (1 simulated second = 1s span time), classifying each
-// phase label onto the pipeline stage taxonomy: labels containing
-// "copy-in"/"copy-out" become copy stages, "-spin" phases become the
-// matching wait stage (an idle copy pool's busy-wait is starvation), and
-// everything else is compute. This lets the same occupancy/stall analyzer
-// run over simulated and real executions.
-func SimSpans(tr *trace.Trace) []Span {
-	if tr == nil {
-		return nil
-	}
-	out := make([]Span, 0, len(tr.Phases))
-	seq := map[string]int{}
-	for _, p := range tr.Phases {
-		base, chunk := splitPhaseLabel(p.Label)
-		if chunk < 0 {
-			chunk = seq[base]
-			seq[base]++
-		}
-		out = append(out, Span{
-			Stage: classifyLabel(base),
-			Chunk: chunk,
-			// Worker encodes the stage row (stable small ints).
-			Worker: int(classifyLabel(base)),
-			Start:  time.Duration(p.Start.Seconds() * float64(time.Second)),
-			Dur:    time.Duration(p.Duration.Seconds() * float64(time.Second)),
-			Bytes:  int64(p.DDRBytes + p.MCDRAMBytes),
-		})
-	}
-	return out
-}
-
-func classifyLabel(base string) exec.Stage {
-	spin := strings.Contains(base, "spin")
-	switch {
-	case strings.Contains(base, "copy-in"):
-		if spin {
-			return exec.StageCopyInWait
-		}
-		return exec.StageCopyIn
-	case strings.Contains(base, "copy-out"):
-		if spin {
-			return exec.StageCopyOutWait
-		}
-		return exec.StageCopyOut
-	default:
-		if spin {
-			return exec.StageComputeWait
-		}
-		return exec.StageCompute
-	}
-}

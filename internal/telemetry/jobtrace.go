@@ -513,14 +513,14 @@ func (t *JobTrace) Chrome() *ChromeTrace {
 		if s.to <= s.from {
 			continue
 		}
-		ct.events = append(ct.events, chromeEvent{
+		ct.Add(ChromeEvent{
 			Name: s.name, Cat: "lifecycle", Ph: "X",
 			TS: micros(s.from), Dur: micros(s.to - s.from),
 			PID: 1, TID: lifecycleTID,
 		})
 	}
 	for _, e := range events {
-		ct.events = append(ct.events, chromeEvent{
+		ct.Add(ChromeEvent{
 			Name: e.Name, Cat: "event", Ph: "i",
 			TS: micros(e.At), PID: 1, TID: lifecycleTID,
 		})

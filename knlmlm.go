@@ -20,10 +20,14 @@
 //   - internal/psort — from-scratch sorting substrate (serial adaptive
 //     introsort, loser-tree multiway merge, multisequence selection,
 //     GNU-parallel-analog sort);
-//   - internal/core, internal/mlmsort, internal/mergebench,
-//     internal/model, internal/stream — the paper's contribution: MLM-sort
-//     and friends, the Section 5 merge benchmark, the Section 3.2 analytic
-//     model, and STREAM calibration.
+//   - internal/mlmsort — the paper's contribution run for real: MLM-sort
+//     and friends over []int64, the code the service links;
+//   - internal/core, internal/mlmsim, internal/mergebench,
+//     internal/model, internal/stream — the same variants simulated on the
+//     KNL, the Section 5 merge benchmark, the Section 3.2 analytic model,
+//     and STREAM calibration;
+//   - internal/report — the reproduction's tables, the occupancy analysis
+//     of recorded spans, and the bridge of simulated traces into them.
 //
 // This root package is the facade: it exposes the experiment drivers that
 // regenerate every table and figure in the paper (see EXPERIMENTS.md), used
@@ -33,6 +37,7 @@ package knlmlm
 import (
 	"knlmlm/internal/knl"
 	"knlmlm/internal/mem"
+	"knlmlm/internal/mlmsim"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
@@ -48,7 +53,7 @@ func NewPaperMachine(mode mem.Mode) *knl.Machine {
 // It is the simplest entry point; see Table1 and friends for the full
 // experiment drivers.
 func Sort(a mlmsort.Algorithm, elements int64, order workload.Order) float64 {
-	return mlmsort.Simulate(a, mlmsort.PaperSortConfig(elements, order)).Time.Seconds()
+	return mlmsim.Simulate(a, mlmsim.PaperSortConfig(elements, order)).Time.Seconds()
 }
 
 // SortReal executes the algorithm's real data flow over xs in place.
