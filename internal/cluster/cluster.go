@@ -15,10 +15,10 @@
 //     (Expect: 100-continue, X-Deadline-Ms) and sorted remotely; the
 //     coordinator holds the wait=1 response until the remote sort is
 //     terminal.
-//   - Merge: the result download streams the per-partition wire
-//     downloads through a windowed k-way merge straight onto the
-//     client's socket — the cluster restatement of the single node's
-//     disk -> merge -> socket spill path, with backends playing disk.
+//   - Gather: the result download concatenates the per-partition wire
+//     downloads, in range order, straight onto the client's socket, with
+//     the next partition prefetching while one drains. The ranges are
+//     disjoint, so nothing is merged (merge.go).
 //
 // Fault tolerance is per partition, not per job: every partition is a
 // small state machine (assigned -> sorted -> streaming -> delivered)
@@ -39,7 +39,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,9 +89,6 @@ type Config struct {
 	// backend loses smaller pieces) at the cost of per-partition HTTP
 	// overhead. Zero selects 2.
 	PartsPerBackend int
-	// MergeThreads is the worker count the result merge's rounds may fan
-	// out to. Zero selects GOMAXPROCS (floor 3, like the scheduler).
-	MergeThreads int
 	// PollInterval is the capacity poll cadence. Zero selects 500ms.
 	PollInterval time.Duration
 	// RetainJobs bounds terminal jobs kept for status lookup. Zero
@@ -141,12 +137,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.PartsPerBackend <= 0 {
 		cfg.PartsPerBackend = 2
-	}
-	if cfg.MergeThreads <= 0 {
-		cfg.MergeThreads = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MergeThreads < 3 {
-		cfg.MergeThreads = 3
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
@@ -251,7 +241,7 @@ func (s partState) String() string {
 
 // part is one range partition's state machine. Its keys are retained —
 // and re-submittable — until the partition's bytes have been delivered
-// into the merged result stream.
+// into the gathered result stream.
 type part struct {
 	idx  int
 	keys []int64
@@ -261,7 +251,7 @@ type part struct {
 	backend  *backend
 	remoteID string
 	retries  int
-	sent     int64 // elements already delivered into the merge
+	sent     int64 // elements already delivered into the gather
 }
 
 func (p *part) setState(s partState) {
@@ -352,7 +342,7 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// Cancel aborts the job: scatter and merge stop, and every submitted
+// Cancel aborts the job: scatter and gather stop, and every submitted
 // remote partition job is best-effort cancelled.
 func (j *Job) Cancel() {
 	j.cancel()
@@ -406,8 +396,8 @@ func (c *Coordinator) Submit(req edge.SortRequest) (*Job, error) {
 var errDraining = errors.New("cluster: coordinator is draining")
 
 // run executes the partition and scatter phases. The job turns Done when
-// every partition is sorted on some backend; the merge happens at result
-// download time, mirroring the single node's deferred spill merge.
+// every partition is sorted on some backend; the gather happens at
+// result download time, as the single node's spill merge does.
 func (c *Coordinator) run(j *Job, keys []int64, seq int64) {
 	j.mu.Lock()
 	j.started = time.Now()

@@ -5,10 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -111,8 +112,8 @@ func testKeys(n int, seed int64) []int64 {
 }
 
 func wantSorted(keys []int64) []int64 {
-	want := append([]int64(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	want := slices.Clone(keys)
+	slices.Sort(want)
 	return want
 }
 
@@ -226,6 +227,41 @@ func TestClusterBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("decode wire result: %v", err)
 	}
 	checkResult(t, got, wantSorted(keys))
+}
+
+// TestClusterDuplicateKeysConcatenate holds the gather to the invariant
+// it relies on: equal keys never straddle a splitter, so concatenating
+// the partition streams is the sorted whole even when a few values fill
+// every partition, or one value fills the job, or half the keys sit at
+// the int64 extremes. Both download encodings are checked bit-exact.
+func TestClusterDuplicateKeysConcatenate(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	rng := rand.New(rand.NewSource(36))
+	const n = 30000
+	few, equal, extremes := make([]int64, n), make([]int64, n), testKeys(n, 36)
+	for i := range few {
+		few[i] = int64(rng.Intn(3)) - 1
+		equal[i] = 42
+		if i%2 == 0 {
+			extremes[i] = [2]int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+		}
+	}
+	for _, in := range []struct {
+		name string
+		keys []int64
+	}{{"three values", few}, {"all equal", equal}, {"half at the extremes", extremes}} {
+		keys := in.keys
+		t.Run(in.name, func(t *testing.T) {
+			st := submitWaitJSON(t, tc, keys)
+			if st.State != "done" || st.Parts != 4 {
+				t.Fatalf("job ended %s over %d partitions (%s), want done over 4", st.State, st.Parts, st.Error)
+			}
+			checkResult(t, downloadJSON(t, tc, st.ID), wantSorted(keys))
+			if err := binaryRoundTrip(tc, keys); err != nil {
+				t.Fatalf("binary: %v", err)
+			}
+		})
+	}
 }
 
 func TestClusterResultConsumeOnce(t *testing.T) {

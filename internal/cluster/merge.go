@@ -8,92 +8,58 @@ import (
 	"time"
 
 	"knlmlm/internal/mem"
-	"knlmlm/internal/psort"
 )
 
-// The result merge is psort.WindowMerge — the engine the single node's
-// spill merge runs — over a third kind of block source: partition
-// downloads play the run files, the network plays the disk, and the
-// merged stream goes straight to the caller without ever materializing.
-// Partitions are range-disjoint and ordered, so the k-way merge over a
-// sliding window of streams degenerates to ordered concatenation with
-// prefetch. Within the window it still merges by value, so partitions
-// that overlap their neighbours cost balance, not correctness; streams
-// beyond the window are not consulted, so an overlap wider than the
-// window (a partitioner bug) would come out of order — the merge checks
-// every emitted block against the previous one and fails the stream
-// instead.
+// The result gather concatenates: partition i holds the key range
+// [splitter[i-1], splitter[i]) and equal keys never straddle a splitter
+// (partition.go), so the sorted result is partition 0's stream, then
+// partition 1's, and so on. No element ever has to be compared against
+// another stream's, so the gather runs no merge engine: it hands each
+// downloaded batch to the caller as it arrives, in stream order, without
+// copying it. It still checks the claim it rests on — a batch whose
+// first key is below the last key emitted fails the download with an
+// overlap error instead of reaching the caller out of order.
 //
-// The window — how many backend streams download concurrently — is two:
-// one stream draining into the merge while the next prefetches. The
-// partitions are range-ordered, so the merge consumes them one at a
-// time.
+// The downloads run ahead of the drain through an ordered window of
+// two streams: one draining into the caller while the next prefetches.
+// Draining never waits on the prefetching stream, so stream i's last
+// batch goes out as soon as it arrives, whatever stream i+1 is doing.
 //
 // Fault tolerance: a stream that dies mid-download (backend SIGKILL,
 // severed connection, evicted remote result) is recovered by
 // re-submitting that partition's retained keys to a surviving backend
-// and skipping the elements already handed to the merge — sound because
+// and skipping the elements already handed to the caller — sound because
 // re-sorting the same multiset is deterministic, so the retried stream
 // is byte-identical to the lost one.
 
 // ErrResultConsumed mirrors the single node's consume-once contract: the
-// merged stream releases each partition's retained keys as it completes,
-// so it can only be taken once.
+// gathered stream releases each partition's retained keys as it
+// completes, so it can only be taken once.
 var ErrResultConsumed = errors.New("cluster: result already consumed")
 
 // ErrNotReady reports a result request for a job that is not Done.
 var ErrNotReady = errors.New("cluster: job not done")
 
-// readAheadWidth is the merge's concurrent-download window over parts
+// readAheadWidth is the gather's concurrent-download window over parts
 // streams: one draining, one prefetching.
 func readAheadWidth(parts int) int { return min(2, parts) }
 
-// partStream is the merge-side handle on one partition's download: a
+// partStream is the gather-side handle on one partition's download: a
 // channel of decoded batches fed by a fill goroutine, with the terminal
 // error (nil on success) readable after the channel closes.
 type partStream struct {
 	p   *part
 	ch  chan []int64
 	err error
-	// pool takes back each batch once the merge asks for the next one
-	// (nil drops them), so a stream keeps at most three in circulation:
-	// one merging, one queued, one filling.
-	pool *mem.SlicePool
-	prev []int64
-	// stall is the time the merge spent blocked on this stream with
-	// nothing mergeable — the tier's pipeline bubble.
-	stall time.Duration
 }
 
-// Next hands the merge the stream's next downloaded batch, recycling
-// the one before it: WindowMerge is done with a block when it asks its
-// source for the next.
-func (s *partStream) Next(ctx context.Context) ([]int64, error) {
-	s.pool.Put(s.prev)
-	s.prev = nil
-	t0 := time.Now()
-	defer func() { s.stall += time.Since(t0) }()
-	select {
-	case batch, ok := <-s.ch:
-		if ok {
-			s.prev = batch
-			return batch, nil
-		}
-		if s.err != nil {
-			return nil, s.err
-		}
-		return nil, io.EOF
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// StreamResult merges the job's sorted partitions into emit, in order,
+// StreamResult gathers the job's sorted partitions into emit, in order,
 // batch by batch. It is consume-once; the emitted element count is
-// returned. Cancelling ctx aborts the downloads and the merge. A result
-// delivered in full returns the job's buffer to the key pool: the merge
-// has returned, every fill has exited and every upload body is closed,
-// so nothing can read it again. Any other end leaves it to the GC.
+// returned. Cancelling ctx aborts the downloads and the gather. A result
+// delivered in full returns the job's buffer to the key pool: the
+// gather has returned, every fill has exited and every upload body is
+// closed, so nothing can read it again. Any other end leaves it to the
+// GC.
 func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64, error) {
 	j.mu.Lock()
 	switch {
@@ -116,14 +82,14 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 	var streams []*partStream
 	for _, p := range parts {
 		if len(p.keys) > 0 {
-			streams = append(streams, &partStream{p: p, ch: make(chan []int64, 1), pool: c.keyPool})
+			streams = append(streams, &partStream{p: p, ch: make(chan []int64, 1)})
 		}
 	}
 	if len(streams) == 0 {
 		return 0, nil
 	}
 
-	n, stall, err := mergeStreams(ctx, streams, readAheadWidth(len(streams)), c.cfg.MergeThreads,
+	n, stall, err := mergeStreams(ctx, streams, readAheadWidth(len(streams)), c.keyPool,
 		func(ctx context.Context, s *partStream) error { return c.fillPart(ctx, j, s) },
 		func(block []int64) error {
 			if err := emit(block); err != nil {
@@ -137,7 +103,7 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 		return n, err
 	}
 	if want := totalLive(streams); n != int64(want) {
-		return n, fmt.Errorf("cluster: merge delivered %d of %d elements", n, want)
+		return n, fmt.Errorf("cluster: gather delivered %d of %d elements", n, want)
 	}
 	c.keyPool.Put(j.release())
 	return n, nil
@@ -146,17 +112,17 @@ func (j *Job) StreamResult(ctx context.Context, emit func([]int64) error) (int64
 // mergeStreams downloads the streams through an ordered sliding window —
 // fill delivers one stream's batches into its channel, and stream i
 // starts once stream i-width has fully delivered, so at most width
-// downloads are in flight and they are always the next ranges the merge
-// needs — and merges them into emit with the same window. It returns the
-// element count emitted and the time the merge stalled on downloads; on
-// failure every fill goroutine has exited by the time it returns.
-func mergeStreams(ctx context.Context, streams []*partStream, width, threads int, fill func(context.Context, *partStream) error, emit func([]int64) error) (int64, time.Duration, error) {
+// downloads are in flight and they are always the next ranges the
+// gather needs — and drains them into emit in stream order, returning
+// each batch to pool (nil drops it) once emit is done with it. It
+// returns the element count emitted and the time the drain stalled on
+// the stream it was draining; on failure every fill goroutine has exited
+// by the time it returns.
+func mergeStreams(ctx context.Context, streams []*partStream, width int, pool *mem.SlicePool, fill func(context.Context, *partStream) error, emit func([]int64) error) (int64, time.Duration, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	srcs := make([]psort.BlockSource, len(streams))
 	fillDone := make([]chan struct{}, len(streams))
-	for i, s := range streams {
-		srcs[i] = s
+	for i := range streams {
 		fillDone[i] = make(chan struct{})
 	}
 	for i, s := range streams {
@@ -174,16 +140,48 @@ func mergeStreams(ctx context.Context, streams []*partStream, width, threads int
 			s.err = fill(sctx, s)
 		}()
 	}
-	n, err := psort.WindowMerge(sctx, srcs, 1, width, threads, nil, emit)
+	var n, last int64
+	var stall time.Duration
+	err := func() error {
+		for i, s := range streams {
+			for {
+				t0 := time.Now()
+				var batch []int64
+				var ok bool
+				select {
+				case batch, ok = <-s.ch:
+				case <-sctx.Done():
+					return sctx.Err()
+				}
+				stall += time.Since(t0)
+				if !ok {
+					if s.err != nil {
+						return s.err
+					}
+					break
+				}
+				if len(batch) == 0 {
+					continue
+				}
+				if n > 0 && batch[0] < last {
+					return fmt.Errorf("cluster: stream %d has a batch starting at key %d after key %d was emitted: partitions overlap or a stream is unsorted", i, batch[0], last)
+				}
+				last = batch[len(batch)-1]
+				err := emit(batch)
+				pool.Put(batch)
+				if err != nil {
+					return err
+				}
+				n += int64(len(batch))
+			}
+		}
+		return nil
+	}()
 	if err != nil {
 		cancel()
 		for _, ch := range fillDone {
 			<-ch
 		}
-	}
-	var stall time.Duration
-	for _, s := range streams {
-		stall += s.stall
 	}
 	return n, stall, err
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -71,7 +72,7 @@ func TestReadAheadWidth(t *testing.T) {
 	}
 }
 
-// TestMergeStreamsSlidingWindow drives the coordinator's merge over
+// TestMergeStreamsSlidingWindow drives the coordinator's gather over
 // channel-backed streams, no HTTP: range-disjoint partitions must come
 // out concatenated, stream i must not start downloading before stream
 // i-width has delivered in full, and time spent waiting on a slow
@@ -90,7 +91,7 @@ func TestMergeStreamsSlidingWindow(t *testing.T) {
 	f.delay[streams[3]] = slow
 
 	var got []int64
-	n, stall, err := mergeStreams(context.Background(), streams, width, 2, f.fill, func(b []int64) error {
+	n, stall, err := mergeStreams(context.Background(), streams, width, nil, f.fill, func(b []int64) error {
 		got = append(got, b...)
 		return nil
 	})
@@ -101,10 +102,9 @@ func TestMergeStreamsSlidingWindow(t *testing.T) {
 	if n != int64(len(want)) || !slices.Equal(got, want) {
 		t.Fatalf("merged %d elements %v, want %v", n, got, want)
 	}
-	// Nothing is mergeable while stream 3's first batch is outstanding: a
-	// round's bound needs a block in hand from every stream in the window.
+	// The drain reaches stream 3 and waits there for its first batch.
 	if stall < slow/2 {
-		t.Fatalf("stall = %v, want most of the %v the merge waited on stream 3", stall, slow)
+		t.Fatalf("stall = %v, want most of the %v the gather waited on stream 3", stall, slow)
 	}
 
 	index := map[*partStream]int{}
@@ -135,10 +135,11 @@ func TestMergeStreamsSlidingWindow(t *testing.T) {
 	}
 }
 
-// TestMergeStreamsRejectsOverlapBeyondWindow: the merge never consults a
-// stream beyond its window, so partitions that overlap more widely than
-// that cannot be merged correctly. It must say so rather than emit keys
-// out of order, and leave no fill goroutine behind.
+// TestMergeStreamsRejectsOverlapBeyondWindow: the gather concatenates,
+// so it is only correct while the partitions really are disjoint and
+// ordered. Streams that overlap (here every stream's range spans the
+// others') must fail with an overlap error rather than emit keys out of
+// order, and leave no fill goroutine behind.
 func TestMergeStreamsRejectsOverlapBeyondWindow(t *testing.T) {
 	streams, f := scriptStreams([][][]int64{
 		{{1, 5}, {9, 13}},
@@ -146,7 +147,7 @@ func TestMergeStreamsRejectsOverlapBeyondWindow(t *testing.T) {
 		{{3, 7}, {11, 15}},
 	})
 	var got []int64
-	_, _, err := mergeStreams(context.Background(), streams, 2, 2, f.fill, func(b []int64) error {
+	_, _, err := mergeStreams(context.Background(), streams, 2, nil, f.fill, func(b []int64) error {
 		got = append(got, b...)
 		return nil
 	})
@@ -168,5 +169,49 @@ func TestMergeStreamsRejectsOverlapBeyondWindow(t *testing.T) {
 	}
 	if open != 0 {
 		t.Fatalf("%d fill goroutines still running after mergeStreams returned", open)
+	}
+}
+
+// TestMergeStreamsNoHeadOfLineWait: stream 0's last batch must reach the
+// caller while stream 1 has delivered nothing yet. Stream 1's fill holds
+// its first batch back until key 3 has been emitted (or 2 s pass, so a
+// gather that waits on stream 1 first still finishes and fails here).
+func TestMergeStreamsNoHeadOfLineWait(t *testing.T) {
+	streams, f := scriptStreams([][][]int64{
+		{{1, 2}, {3}},
+		{{4, 5}},
+	})
+	sawThree := make(chan struct{})
+	var delivered atomic.Bool
+	fill := func(ctx context.Context, s *partStream) error {
+		if s == streams[1] {
+			select {
+			case <-sawThree:
+			case <-time.After(2 * time.Second):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			delivered.Store(true)
+		}
+		return f.fill(ctx, s)
+	}
+	var got []int64
+	waited := false
+	_, _, err := mergeStreams(context.Background(), streams, 2, nil, fill, func(b []int64) error {
+		got = append(got, b...)
+		if slices.Contains(b, 3) {
+			waited = delivered.Load()
+			close(sawThree)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("mergeStreams: %v", err)
+	}
+	if want := []int64{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("gathered %v, want %v", got, want)
+	}
+	if waited {
+		t.Fatal("key 3 reached the caller only after stream 1 delivered: stream 0's tail waited on stream 1")
 	}
 }

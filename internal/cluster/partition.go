@@ -10,7 +10,7 @@ import (
 // Range partitioning: the coordinator splits a job's keys into P
 // disjoint key ranges sized to the backends' measured capacity, so each
 // backend sorts a share proportional to what it can actually absorb and
-// the final merge degenerates to ordered streams.
+// the result is the partitions' sorted streams concatenated.
 //
 // Splitters come from a sorted random sample, whose cost is bounded by
 // the sample rate. One counting pass then sizes every partition, the
@@ -153,7 +153,7 @@ func planSkew(counts []int, weights []float64, n int) float64 {
 // skew, and — when the sample produced a partition more than skewLimit
 // times its target — resample once at 4x the sample size and keep the
 // better plan. One bounded retry: a pathological key distribution (all
-// keys equal, say) cannot be fixed by sampling harder, and the merge is
+// keys equal, say) cannot be fixed by sampling harder, and the gather is
 // correct under any skew; the limit only protects balance. The skew is
 // read from counts, so only the plan kept is scattered: every key is
 // written once, into one buffer from pool (nil allocates).

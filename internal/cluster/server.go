@@ -93,7 +93,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	pool := s.coord.keyPool
 	req, fr, err := edge.DecodeSubmit(w, r, s.maxBodyBytes)
 	if err == nil && req.KeyType != "" && req.KeyType != "i64" {
-		// Splitters and the merge compare int64 cells; typed keys are a
+		// Splitters and the gather compare int64 cells; typed keys are a
 		// node's to serve.
 		err = fmt.Errorf("key_type %q is not served by the coordinator", req.KeyType)
 	}
@@ -155,9 +155,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	edge.WriteJSON(w, http.StatusOK, statusOf(j))
 }
 
-// handleResult streams the merged result — chunked JSON array by
+// handleResult streams the gathered result — chunked JSON array by
 // default, the wire frame stream under Accept: application/x-mlm-keys.
-// The merge runs inside this handler (backends -> merge -> socket); a
+// The gather runs inside this handler (backends -> socket); a
 // client disconnect cancels the downloads. Consume-once, like the
 // single node's spill results: a repeat GET answers 410 Gone.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -7,7 +7,7 @@ import (
 )
 
 // metrics is the coordinator's cluster_* family: the observable record
-// of how the tier routed, retried, and merged. The per-backend families
+// of how the tier routed, retried, and gathered. The per-backend families
 // are pre-instantiated per index so the hot paths never touch the
 // registry's family lock.
 type metrics struct {
@@ -19,10 +19,10 @@ type metrics struct {
 	resamples  *telemetry.Counter
 	skew       *telemetry.Histogram
 	mergeBytes *telemetry.Counter
-	// mergeStall accumulates seconds the merge spent blocked waiting for
-	// a backend stream with nothing mergeable — the cluster analog of a
-	// pipeline bubble, and the signal that read-ahead width or a backend
-	// is the bottleneck.
+	// mergeStall accumulates seconds the result gather spent blocked on
+	// the stream it was draining, waiting for that backend's next batch —
+	// the cluster analog of a pipeline bubble, and the signal that the
+	// read-ahead width or a backend is the bottleneck.
 	mergeStall *telemetry.Gauge
 
 	bytesRouted []*telemetry.Counter
@@ -47,9 +47,9 @@ func newMetrics(reg *telemetry.Registry, backends int) *metrics {
 			"Worst partition size over its weighted target per job (1.0 = balanced).",
 			nil, []float64{1.05, 1.1, 1.25, 1.5, 2, 2.5, 4, 8}),
 		mergeBytes: reg.Counter("cluster_merge_bytes_total",
-			"Result bytes streamed through the coordinator merge.", nil),
+			"Result bytes streamed through the coordinator gather.", nil),
 		mergeStall: reg.Gauge("cluster_merge_stall_seconds_total",
-			"Cumulative seconds the result merge spent stalled on backend streams.", nil),
+			"Cumulative seconds the result gather spent waiting on the backend stream it was draining.", nil),
 	}
 	for i := 0; i < backends; i++ {
 		lbl := telemetry.Labels{"backend": strconv.Itoa(i)}

@@ -325,7 +325,7 @@ func MergeSpilled(ctx context.Context, store *spill.Store, runs []int, opts Exte
 			}
 		}()
 	}
-	return psort.WindowMerge(mctx, srcs, opts.Elem.cells(), len(srcs), opts.MergeThreads, pool, sink)
+	return psort.WindowMerge(mctx, srcs, opts.Elem.cells(), opts.MergeThreads, pool, sink)
 }
 
 // fillWithRetry drives one read-ahead fill with the exec retry semantics:

@@ -661,14 +661,14 @@ func mergeRoundsWhole(dst []int64, runs [][]int64, threads, cells int) {
 }
 
 // windowMergeWhole runs WindowMerge as a plain k-way merge kernel: every
-// run one block, all runs in the window, output gathered into dst.
+// run one block, output gathered into dst.
 func windowMergeWhole(dst []int64, runs [][]int64, cells int) {
 	srcs := make([]BlockSource, len(runs))
 	for i, r := range runs {
 		srcs[i] = &scriptedSource{blocks: [][]int64{slices.Clone(r)}}
 	}
 	pos := 0
-	if _, err := WindowMerge(context.Background(), srcs, cells, 0, 4, nil, func(block []int64) error {
+	if _, err := WindowMerge(context.Background(), srcs, cells, 4, nil, func(block []int64) error {
 		pos += copy(dst[pos:], block)
 		return nil
 	}); err != nil {

@@ -18,7 +18,8 @@ const parallelMergeMin = 64 << 10
 // must have their combined length and alias none of them, through the
 // k-way loser tree. It makes the serial/parallel choice and picks the
 // cell width for its two callers: the basic chunked algorithm's final
-// merge (runRealBasic in internal/mlmsort) and every WindowMerge round.
+// merge (runRealBasic in internal/mlmsort) and every WindowMerge round of
+// the disk tier's spill merge.
 // MergeRounds picks the width for the pairwise rounds, and SortBlock for
 // the block sorts. Bare keys (cells 1) take the serial loser tree for
 // small rounds or a single worker and ParallelMergeK otherwise, with the
@@ -40,8 +41,7 @@ func MergeRound(dst []int64, runs [][]int64, threads, cells int) {
 }
 
 // BlockSource is one sorted input of WindowMerge, delivered block by
-// block: a run file read ahead from disk, a backend's result stream, or
-// memory. Next returns the next non-empty block of cells — keys
+// block: a run file read ahead from disk, or memory. Next returns the next non-empty block of cells — keys
 // nondecreasing within and across blocks — or a bare io.EOF after the
 // last one. A block stays valid until the next call on the same source,
 // which the merge makes only once it has emitted the block's last cell,
@@ -50,8 +50,8 @@ type BlockSource interface {
 	Next(ctx context.Context) ([]int64, error)
 }
 
-// WindowMerge is the streaming k-way merge every tier above a single
-// megachunk runs: it merges srcs, in order, into a nondecreasing stream
+// WindowMerge is the streaming k-way merge of the disk tier: it merges
+// srcs, in order, into a nondecreasing stream
 // of blocks handed to emit (each valid only during the call) and returns
 // the cell count emitted. cells is the element width (1 bare keys, 2
 // key/payload records merged stably by source order); threads is each
@@ -62,45 +62,34 @@ type BlockSource interface {
 // in hand, every element no greater than the smallest block-final key is
 // globally placeable, so those prefixes are merged and flushed. Each
 // round fully consumes at least the bounding source's block, which
-// guarantees progress.
-//
-// window is how many consecutive sources are merged at a time. The disk
-// tier's runs overlap arbitrarily, so it merges all of them (window <= 0
-// or >= len(srcs)). The cluster's partitions are range-disjoint and
-// ordered, so a narrow window sliding forward as its leading sources
-// drain is ordered concatenation with prefetch; sources beyond the
-// window are not consulted until it reaches them. That is only sound if
-// they really hold nothing smaller, so every emitted block's first key
-// is checked against the previous block's last key and an inversion —
-// overlapping ranges wider than the window, or an unsorted source — fails
-// the merge instead of being emitted.
-func WindowMerge(ctx context.Context, srcs []BlockSource, cells, window, threads int, pool *mem.SlicePool, emit func([]int64) error) (int64, error) {
+// guarantees progress. The rounds are only sound if every source is
+// sorted, so every emitted block's first key is checked against the
+// previous block's last key and an inversion — an unsorted run file —
+// fails the merge instead of being emitted.
+func WindowMerge(ctx context.Context, srcs []BlockSource, cells, threads int, pool *mem.SlicePool, emit func([]int64) error) (int64, error) {
 	if cells != 1 && cells != 2 {
 		return 0, fmt.Errorf("psort: WindowMerge cell width %d, want 1 or 2", cells)
 	}
 	k := len(srcs)
-	if window <= 0 || window > k {
-		window = k
-	}
 	heads := make([][]int64, k) // unconsumed portion of each source's current block
 	done := make([]bool, k)
-	prefixes := make([][]int64, 0, window)
+	prefixes := make([][]int64, 0, k)
 	var out []int64
 	defer func() { pool.Put(out) }()
 	var total, prevLast int64
 
-	for base := 0; base < k; {
+	for {
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		// Fill the window and find the safe bound: everything <= the
-		// smallest block-final key is in hand. For records that is the key
-		// cell of the last record, one cell before the block end.
+		// Refill every live source and find the safe bound: everything <=
+		// the smallest block-final key is in hand. For records that is the
+		// key cell of the last record, one cell before the block end.
 		held, first := 0, true
 		var bound int64
-		for si := base; si < min(base+window, k); si++ {
+		for si, src := range srcs {
 			for len(heads[si]) == 0 && !done[si] {
-				b, err := srcs[si].Next(ctx)
+				b, err := src.Next(ctx)
 				if err == io.EOF {
 					done[si] = true
 					break
@@ -118,13 +107,6 @@ func WindowMerge(ctx context.Context, srcs []BlockSource, cells, window, threads
 			}
 			h := heads[si]
 			if len(h) == 0 {
-				// A drained leading source slides the window forward at
-				// once, so its successor's block is in hand before this
-				// round's bound is taken: the bound only holds against
-				// sources beyond the window while the leading one is live.
-				if si == base {
-					base++
-				}
 				continue
 			}
 			held += len(h)
@@ -133,9 +115,8 @@ func WindowMerge(ctx context.Context, srcs []BlockSource, cells, window, threads
 			}
 		}
 		if held == 0 {
-			break // every source drained: the window slid off the end
+			break // every source drained
 		}
-		hi := min(base+window, k)
 		// Stability across rounds (records only): a source whose whole head
 		// is <= bound may continue with more ==bound keys in its next
 		// block, and any later source emitting ==bound records this round
@@ -145,9 +126,9 @@ func WindowMerge(ctx context.Context, srcs []BlockSource, cells, window, threads
 		// order. The open source itself emits its full head, which is what
 		// keeps every round making progress. Bare int64 ties are
 		// indistinguishable, so cells == 1 keeps the inclusive cut.
-		open := hi
+		open := k
 		if cells == 2 {
-			for si := base; si < hi; si++ {
+			for si := range heads {
 				if h := heads[si]; len(h) > 0 && h[len(h)-cells] <= bound {
 					open = si
 					break
@@ -156,8 +137,7 @@ func WindowMerge(ctx context.Context, srcs []BlockSource, cells, window, threads
 		}
 		prefixes = prefixes[:0]
 		sum := 0
-		for si := base; si < hi; si++ {
-			h := heads[si]
+		for si, h := range heads {
 			if len(h) == 0 {
 				continue
 			}
@@ -175,7 +155,7 @@ func WindowMerge(ctx context.Context, srcs []BlockSource, cells, window, threads
 			}
 		}
 		// One contributing source — what every round degenerates to when
-		// ranges are disjoint or a single run covered the job — needs no
+		// runs are disjoint or a single run covered the job — needs no
 		// merge at all: the prefix is already the round's sorted output, so
 		// it is emitted in place instead of being copied through out.
 		block := prefixes[0]
@@ -188,7 +168,7 @@ func WindowMerge(ctx context.Context, srcs []BlockSource, cells, window, threads
 			MergeRound(block, prefixes, threads, cells)
 		}
 		if total > 0 && block[0] < prevLast {
-			return total, fmt.Errorf("psort: merge round starts at key %d after emitting %d: sources overlap beyond the %d-wide window or are not sorted", block[0], prevLast, window)
+			return total, fmt.Errorf("psort: merge round starts at key %d after emitting %d: a source is not sorted", block[0], prevLast)
 		}
 		prevLast = block[sum-cells]
 		if err := emit(block); err != nil {

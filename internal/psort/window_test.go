@@ -106,23 +106,21 @@ func blockSources(srcs []*scriptedSource) []BlockSource {
 	return out
 }
 
-// windowedRuns builds k sorted runs of cells-wide elements, n elements in
-// all, that a window-wide WindowMerge can merge: element t of the sorted
-// whole has home run t*k/n and lands at most window-1 runs later, so runs
-// closer than window overlap freely (ties included) and runs at least
-// window apart are ordered. Keys come from a small domain so ties span
-// blocks, rounds and runs; under cells == 2 the payload numbers the
-// elements in (run, position) order, so any instability shows up as a
-// payload mismatch against the serial record round.
-func windowedRuns(rng *rand.Rand, n, k, window, cells, domain int) [][]int64 {
+// overlappingRuns builds k sorted runs of cells-wide elements, n elements
+// in all: each element of the sorted whole lands in a random run, so the
+// runs overlap freely (ties included). Keys come from a small domain so
+// ties span blocks, rounds and runs; under cells == 2 the payload numbers
+// the elements in (run, position) order, so any instability shows up as
+// a payload mismatch against the serial record round.
+func overlappingRuns(rng *rand.Rand, n, k, cells, domain int) [][]int64 {
 	keys := make([]int64, n)
 	for i := range keys {
 		keys[i] = int64(rng.Intn(domain)) - int64(domain/2)
 	}
 	slices.Sort(keys)
 	runs := make([][]int64, k)
-	for t, key := range keys {
-		r := min(t*k/n+rng.Intn(window), k-1)
+	for _, key := range keys {
+		r := rng.Intn(k)
 		runs[r] = append(runs[r], key)
 		if cells == 2 {
 			runs[r] = append(runs[r], 0)
@@ -140,7 +138,7 @@ func windowedRuns(rng *rand.Rand, n, k, window, cells, domain int) [][]int64 {
 	return runs
 }
 
-// referenceMerge is the in-memory kernel the windowed merge must agree
+// referenceMerge is the in-memory kernel the streaming merge must agree
 // with cell for cell: one serial MergeRound over whole runs, stable
 // under cells 2.
 func referenceMerge(runs [][]int64, cells int) []int64 {
@@ -154,9 +152,9 @@ func referenceMerge(runs [][]int64, cells int) []int64 {
 }
 
 // collect runs WindowMerge over the sources and gathers what it emits.
-func collect(ctx context.Context, srcs []BlockSource, cells, window int, hook func(emitted int) error) ([]int64, int64, error) {
+func collect(ctx context.Context, srcs []BlockSource, cells int, hook func(emitted int) error) ([]int64, int64, error) {
 	var got []int64
-	n, err := WindowMerge(ctx, srcs, cells, window, 2, nil, func(block []int64) error {
+	n, err := WindowMerge(ctx, srcs, cells, 2, nil, func(block []int64) error {
 		if len(block) == 0 {
 			return errors.New("empty block emitted")
 		}
@@ -170,24 +168,22 @@ func collect(ctx context.Context, srcs []BlockSource, cells, window int, hook fu
 }
 
 // TestWindowMergeDifferential feeds the merge scripted sources across
-// block shapes, cell widths and window widths and holds it to the
+// block shapes, cell widths and key domains and holds it to the
 // in-memory kernels over the same runs.
 func TestWindowMergeDifferential(t *testing.T) {
 	const k = 5
 	for _, cells := range []int{1, 2} {
-		for _, window := range []int{1, 2, k} {
-			for name, b := range blockers {
-				for _, domain := range []int{3, 40, 1 << 30} {
-					rng := rand.New(rand.NewSource(int64(cells*1000 + window*100 + domain%97)))
-					runs := windowedRuns(rng, 400, k, window, cells, domain)
-					want := referenceMerge(runs, cells)
-					got, n, err := collect(context.Background(), blockSources(scriptSources(runs, cells, b, rng)), cells, window, nil)
-					if err != nil {
-						t.Fatalf("cells=%d window=%d %s domain=%d: %v", cells, window, name, domain, err)
-					}
-					if n != int64(len(want)) || !slices.Equal(got, want) {
-						t.Fatalf("cells=%d window=%d %s domain=%d: emitted %d cells, diverges from the in-memory merge of %d", cells, window, name, domain, n, len(want))
-					}
+		for name, b := range blockers {
+			for _, domain := range []int{3, 40, 1 << 30} {
+				rng := rand.New(rand.NewSource(int64(cells*1000 + domain%97)))
+				runs := overlappingRuns(rng, 400, k, cells, domain)
+				want := referenceMerge(runs, cells)
+				got, n, err := collect(context.Background(), blockSources(scriptSources(runs, cells, b, rng)), cells, nil)
+				if err != nil {
+					t.Fatalf("cells=%d %s domain=%d: %v", cells, name, domain, err)
+				}
+				if n != int64(len(want)) || !slices.Equal(got, want) {
+					t.Fatalf("cells=%d %s domain=%d: emitted %d cells, diverges from the in-memory merge of %d", cells, name, domain, n, len(want))
 				}
 			}
 		}
@@ -198,7 +194,7 @@ func TestWindowMergeDifferential(t *testing.T) {
 // sources, empty sources, a lone source passed through in place, and
 // blocks a source delivers empty.
 func TestWindowMergeEdges(t *testing.T) {
-	if _, n, err := collect(context.Background(), nil, 1, 0, nil); n != 0 || err != nil {
+	if _, n, err := collect(context.Background(), nil, 1, nil); n != 0 || err != nil {
 		t.Fatalf("no sources: n=%d err=%v", n, err)
 	}
 	srcs := []BlockSource{
@@ -206,7 +202,7 @@ func TestWindowMergeEdges(t *testing.T) {
 		&scriptedSource{blocks: [][]int64{{}, {1, 4}, {}, {4, 9}}},
 		&scriptedSource{},
 	}
-	got, _, err := collect(context.Background(), srcs, 1, 2, nil)
+	got, _, err := collect(context.Background(), srcs, 1, nil)
 	if err != nil || !slices.Equal(got, []int64{1, 4, 4, 9}) {
 		t.Fatalf("lone live source: got %v err=%v", got, err)
 	}
@@ -219,7 +215,7 @@ func TestWindowMergeFailures(t *testing.T) {
 	errSource := errors.New("source died")
 	errSink := errors.New("sink full")
 	rng := rand.New(rand.NewSource(7))
-	runs := windowedRuns(rng, 300, 4, 4, 1, 50)
+	runs := overlappingRuns(rng, 300, 4, 1, 50)
 	want := referenceMerge(runs, 1)
 	fresh := func() []*scriptedSource { return scriptSources(runs, 1, blockers["random"], rng) }
 
@@ -227,7 +223,7 @@ func TestWindowMergeFailures(t *testing.T) {
 		srcs := fresh()
 		srcs[2].blocks = srcs[2].blocks[:len(srcs[2].blocks)/2]
 		srcs[2].err = errSource
-		got, n, err := collect(context.Background(), blockSources(srcs), 1, 0, nil)
+		got, n, err := collect(context.Background(), blockSources(srcs), 1, nil)
 		if !errors.Is(err, errSource) {
 			t.Fatalf("err = %v, want the source's", err)
 		}
@@ -236,7 +232,7 @@ func TestWindowMergeFailures(t *testing.T) {
 		}
 	})
 	t.Run("emit error", func(t *testing.T) {
-		got, n, err := collect(context.Background(), blockSources(fresh()), 1, 0, func(emitted int) error {
+		got, n, err := collect(context.Background(), blockSources(fresh()), 1, func(emitted int) error {
 			if emitted > 100 {
 				return errSink
 			}
@@ -251,7 +247,7 @@ func TestWindowMergeFailures(t *testing.T) {
 	})
 	t.Run("cancelled context", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
-		got, _, err := collect(ctx, blockSources(fresh()), 1, 0, func(emitted int) error {
+		got, _, err := collect(ctx, blockSources(fresh()), 1, func(emitted int) error {
 			if emitted > 100 {
 				cancel()
 			}
@@ -264,43 +260,56 @@ func TestWindowMergeFailures(t *testing.T) {
 			t.Fatal("merge ran to completion despite the cancellation")
 		}
 	})
+	t.Run("unsorted source", func(t *testing.T) {
+		// The second source's second block starts below its first block's
+		// last key: the merge has already emitted 5 when 3 turns up.
+		srcs := []BlockSource{
+			&scriptedSource{blocks: [][]int64{{1, 2}, {8, 9}}},
+			&scriptedSource{blocks: [][]int64{{4, 5}, {3, 7}}},
+		}
+		got, _, err := collect(context.Background(), srcs, 1, nil)
+		if err == nil || !strings.Contains(err.Error(), "not sorted") {
+			t.Fatalf("err = %v (emitted %v), want an unsorted-source error", err, got)
+		}
+		if len(got) == 0 || !slices.IsSorted(got) {
+			t.Fatalf("emitted %v before the error, want a non-empty sorted prefix", got)
+		}
+	})
 	t.Run("overlap beyond the window", func(t *testing.T) {
-		// Three hand-built sources whose ranges all overlap, merged two at
-		// a time: the third holds keys below what the first two emit.
+		// Three hand-built sources whose ranges all overlap: the third
+		// holds keys below what the first two emit, and every source is
+		// merged at once, so the whole comes out in order.
 		srcs := []BlockSource{
 			&scriptedSource{blocks: [][]int64{{1, 5}, {9, 13}}},
 			&scriptedSource{blocks: [][]int64{{2, 6}, {10, 14}}},
 			&scriptedSource{blocks: [][]int64{{3, 7}, {11, 15}}},
 		}
-		got, _, err := collect(context.Background(), srcs, 1, 2, nil)
-		if err == nil || !strings.Contains(err.Error(), "overlap") {
-			t.Fatalf("err = %v (emitted %v), want an overlap error", err, got)
-		}
-		if !slices.IsSorted(got) {
-			t.Fatalf("out-of-order cells reached the sink before the error: %v", got)
+		got, _, err := collect(context.Background(), srcs, 1, nil)
+		if err != nil || !slices.Equal(got, []int64{1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15}) {
+			t.Fatalf("got %v err=%v", got, err)
 		}
 	})
 	t.Run("neighbours may overlap", func(t *testing.T) {
 		// The first source drains while the second still holds keys above
-		// the third's: the window must already include the third.
+		// the third's: the third must already be in the merge.
 		srcs := []BlockSource{
 			&scriptedSource{blocks: [][]int64{{1, 2}}},
 			&scriptedSource{blocks: [][]int64{{3, 6}}},
 			&scriptedSource{blocks: [][]int64{{4, 7}}},
 		}
-		got, _, err := collect(context.Background(), srcs, 1, 2, nil)
+		got, _, err := collect(context.Background(), srcs, 1, nil)
 		if err != nil || !slices.Equal(got, []int64{1, 2, 3, 4, 6, 7}) {
 			t.Fatalf("got %v err=%v", got, err)
 		}
 	})
 	t.Run("split record", func(t *testing.T) {
 		srcs := []BlockSource{&scriptedSource{blocks: [][]int64{{1, 0, 2}}}}
-		if _, _, err := collect(context.Background(), srcs, 2, 0, nil); err == nil {
+		if _, _, err := collect(context.Background(), srcs, 2, nil); err == nil {
 			t.Fatal("a block of one and a half records was accepted")
 		}
 	})
 	t.Run("cell width", func(t *testing.T) {
-		if _, _, err := collect(context.Background(), nil, 3, 0, nil); err == nil {
+		if _, _, err := collect(context.Background(), nil, 3, nil); err == nil {
 			t.Fatal("cell width 3 was accepted")
 		}
 	})
@@ -338,55 +347,32 @@ func TestMergeRoundParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// FuzzWindowMerge drives the merge from fuzzed shape parameters. With
-// sources built for the window the output must equal the in-memory
-// merge; with sources that overlap at random the merge may instead
-// refuse — but whatever it emits must be in order, and a completed merge
-// must be the sorted whole.
+// FuzzWindowMerge drives the merge from fuzzed shape parameters: over
+// runs that overlap at random the output must equal the in-memory merge.
 func FuzzWindowMerge(f *testing.F) {
-	// Seeds mirror TestWindowMergeDifferential's axes.
+	// Seeds mirror TestWindowMergeDifferential's axes, at three run counts:
+	// a lone source passed through, a two-way merge, and its k.
 	for _, cells := range []uint8{1, 2} {
-		for _, window := range []uint8{1, 2, 5} {
+		for _, k := range []uint8{1, 2, 5} {
 			for _, domain := range []uint16{3, 40, 60000} {
-				f.Add(int64(cells)*1000+int64(window), uint16(400), uint8(5), window, cells, domain, true)
+				f.Add(int64(cells)*1000+int64(k), uint16(400), k, cells, domain)
 			}
 		}
 	}
-	f.Add(int64(9), uint16(64), uint8(6), uint8(2), uint8(1), uint16(10), false)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, k, window, cells uint8, domain uint16, fits bool) {
+	f.Add(int64(9), uint16(64), uint8(6), uint8(1), uint16(10))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, k, cells uint8, domain uint16) {
 		if k == 0 || k > 16 || cells < 1 || cells > 2 || domain == 0 || n > 4096 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		w := int(window)
-		if w <= 0 || w > int(k) {
-			w = int(k)
-		}
-		spread := w
-		if !fits {
-			spread = int(k) // runs overlap at any distance
-		}
-		runs := windowedRuns(rng, int(n), int(k), spread, int(cells), int(domain))
+		runs := overlappingRuns(rng, int(n), int(k), int(cells), int(domain))
 		want := referenceMerge(runs, int(cells))
-		got, _, err := collect(context.Background(), blockSources(scriptSources(runs, int(cells), blockers["random"], rng)), int(cells), int(window), nil)
-		for e := int(cells); e < len(got); e += int(cells) {
-			if got[e] < got[e-int(cells)] {
-				t.Fatalf("emitted out of order at cell %d: %d after %d (err=%v)", e, got[e], got[e-int(cells)], err)
-			}
-		}
-		switch {
-		case err == nil && fits:
-			if !slices.Equal(got, want) {
-				t.Fatal("diverges from the in-memory merge")
-			}
-		case err == nil:
-			for e := 0; e < len(want); e += int(cells) {
-				if e >= len(got) || got[e] != want[e] {
-					t.Fatalf("completed merge is not the sorted whole at cell %d", e)
-				}
-			}
-		case fits || !strings.Contains(err.Error(), "overlap"):
+		got, _, err := collect(context.Background(), blockSources(scriptSources(runs, int(cells), blockers["random"], rng)), int(cells), nil)
+		if err != nil {
 			t.Fatalf("unexpected error: %v", err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatal("diverges from the in-memory merge")
 		}
 	})
 }
