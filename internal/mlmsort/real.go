@@ -247,22 +247,9 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 	pool := opts.pool()
 	scratch := pool.GetOrAlloc(maxLen)
 	stats := RealStats{Megachunks: len(homes)}
-	sorter := newMegachunkSorter(threads, opts.Elem)
+	sorter := newMegachunkSorter(cmp.Or(opts.SortWorkers, threads), opts.Elem)
 	copyW := new(atomic.Int32)
 	copyW.Store(1) // the paper's baseline: one copy thread each way
-	if opts.Widths != nil {
-		// External width control: the run starts from the control's
-		// current pools (defaulting any unset width) and both the copy
-		// stages and the megachunk sorter read it live thereafter.
-		copyW = &opts.Widths.copyIn
-		sorter.width = &opts.Widths.comp
-		if copyW.Load() <= 0 {
-			copyW.Store(1)
-		}
-		if sorter.width.Load() <= 0 {
-			sorter.width.Store(int32(threads))
-		}
-	}
 
 	s := exec.Stages{
 		NumChunks: len(homes),
@@ -330,7 +317,6 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 			Bytes:        units.BytesForElements(int64(cells)),
 			Registry:     at.Registry,
 			Next:         fs.Observer,
-			// With a width control, copyW and sorter.width point into it.
 			OnProvision: func(p model.Prediction) {
 				if p.Pools.In > 0 {
 					copyW.Store(int32(p.Pools.In))
@@ -358,9 +344,9 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 }
 
 // runRealBasic is Bender et al.'s basic algorithm: each megachunk is sorted
-// with the *parallel* sort, then the megachunks are multiway merged
-// through a buffer from the shared pool (merge space, as in runRealMLM)
-// and copied back.
+// with the *parallel* sort, then the megachunks are merged in pairwise
+// rounds (psort.MergeRounds, as in runRealMLM) into a buffer from the
+// shared pool (merge space) and copied back.
 func runRealBasic(ctx context.Context, xs []int64, threads, megachunkLen int, opts RealOptions) (RealStats, error) {
 	runs := megachunks(xs, megachunkCells(xs, megachunkLen, ElemInt64))
 	stats := RealStats{Megachunks: len(runs)}
@@ -381,7 +367,7 @@ func runRealBasic(ctx context.Context, xs []int64, threads, megachunkLen int, op
 	final := mem.Pool.Get(len(xs))
 	defer mem.Pool.Put(final)
 	return stats, finalMerge(ctx, len(xs), opts.Observer, func() {
-		psort.MergeRound(final, runs, threads, 1)
+		psort.MergeRounds(final, xs, runs, threads, 1)
 		copy(xs, final)
 	})
 }

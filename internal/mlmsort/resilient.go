@@ -41,12 +41,10 @@ type RealOptions struct {
 	// measured rates. Only the staged variants (MLM-sort, MLM-hybrid)
 	// have copy pools to tune; others ignore it.
 	Autotune *AutotuneOptions
-	// Widths, when non-nil, hands the staged pipeline's copy and compute
-	// pool widths to an external controller (the scheduler's fair-share
-	// split across concurrent jobs). The run starts from the control's
-	// current pools and tracks later SetPools calls; when Autotune is
-	// also set, the tuner's decision is written through the same control.
-	Widths *WidthControl
+	// SortWorkers is the megachunk sort's worker count (the scheduler's
+	// Eq. 1-5 compute pool at a job's share); zero sorts at the run's
+	// threads. The final merge runs at threads either way.
+	SortWorkers int
 	// Pool, when non-nil, replaces the process-wide shared pool as the
 	// source of this run's staging buffers and sort scratch — the hook
 	// the scheduler uses to draw job staging from its budget-capped pool.

@@ -17,9 +17,8 @@ const parallelMergeMin = 64 << 10
 // MergeRound merges sorted runs of cells-wide elements into dst, which
 // must have their combined length and alias none of them, through the
 // k-way loser tree. It makes the serial/parallel choice and picks the
-// cell width for its two callers: the basic chunked algorithm's final
-// merge (runRealBasic in internal/mlmsort) and every WindowMerge round of
-// the disk tier's spill merge.
+// cell width for its one caller, every WindowMerge round of the disk
+// tier's spill merge.
 // MergeRounds picks the width for the pairwise rounds, and SortBlock for
 // the block sorts. Bare keys (cells 1) take the serial loser tree for
 // small rounds or a single worker and ParallelMergeK otherwise, with the

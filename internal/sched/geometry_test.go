@@ -150,7 +150,7 @@ func TestPlanShapes(t *testing.T) {
 					t.Errorf("lease %d bytes, want %d", got, sh.lease)
 				}
 				wantPlan := fmt.Sprintf("flow=%s megachunk=%d megachunks=%d lease=%d", sh.flow, n/sh.megachunks, sh.megachunks, sh.lease)
-				if got := planEvents(j); len(got) != 1 || got[0] != wantPlan {
+				if got := eventDetails(j, "plan"); len(got) != 1 || got[0] != wantPlan {
 					t.Errorf("plan events %q, want %q", got, wantPlan)
 				}
 				if leased, fp, free := s.Budget().Leased(), s.pool.FootprintBytes(), s.pool.FreeBytes(); leased != 0 || fp != free {
@@ -183,14 +183,14 @@ func checkIndexedRecordsStable(t *testing.T, got, input []int64) {
 	}
 }
 
-// planEvents reports the details of a job's plan trace events.
-func planEvents(j *Job) (plans []string) {
+// eventDetails reports the details of a job's trace events of one name.
+func eventDetails(j *Job, name string) (details []string) {
 	for _, ev := range j.Trace().Snapshot().Events {
-		if ev.Name == "plan" {
-			plans = append(plans, ev.Detail)
+		if ev.Name == name {
+			details = append(details, ev.Detail)
 		}
 	}
-	return plans
+	return details
 }
 
 // BenchmarkGeometry is the sweep tune.Megachunk's rules rest on (the
@@ -288,8 +288,8 @@ func BenchmarkGeometry(b *testing.B) {
 					defer psort.Float64BitsFromSortable(data)
 				}
 				opts := mlmsort.RealOptions{Buffers: 3, Pool: s.pool, Elem: elemOf(sh.kind)}
-				per := s.cfg.TotalThreads
-				opts.Widths = mlmsort.NewWidthControl(s.rates.Optimal(per, max(per/2, 1), 1).Pools)
+				per := s.threadShare(1)
+				opts.SortWorkers = s.rates.Optimal(per, max(per/2, 1), 1).Pools.Comp
 				_, err := mlmsort.RunRealResilient(context.Background(), mlmsort.MLMSort, data, per, megachunk, opts)
 				return err
 			}

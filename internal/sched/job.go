@@ -128,12 +128,11 @@ type Job struct {
 	predRun time.Duration
 	predRaw time.Duration
 
-	// Every job gets its own megachunked pipeline and a fair-share width
-	// control. megachunk and leaseNeed are the admission-time plan: the
-	// cut in cells and the MCDRAM lease dispatch takes for it.
+	// Every job gets its own megachunked pipeline. megachunk and
+	// leaseNeed are the admission-time plan: the cut in cells and the
+	// MCDRAM lease dispatch takes for it.
 	megachunk int
 	leaseNeed units.Bytes
-	widths    *mlmsort.WidthControl
 
 	// spill-class jobs sort through the three-level pipeline: phase 1
 	// spills sorted megachunk runs into store, and the deferred merge

@@ -240,7 +240,7 @@ func TestRecordJobClasses(t *testing.T) {
 				t.Fatalf("result: %v", err)
 			}
 			checkRecordsStable(t, out, input)
-			if got := planEvents(j); len(got) != 1 || got[0] != tc.plan {
+			if got := eventDetails(j, "plan"); len(got) != 1 || got[0] != tc.plan {
 				t.Errorf("plan events %q, want %q", got, tc.plan)
 			}
 		}

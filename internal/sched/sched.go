@@ -13,9 +13,10 @@
 //     a Retry-After hint; queued jobs run earliest-virtual-deadline-first,
 //     with priority folded into the deadline so no class starves.
 //   - Fair-share provisioning. Every job runs a pipeline of its own,
-//     whose copy/compute widths are re-solved from Equations 1-5 each
-//     time the set of concurrent jobs changes, at the job's share of the
-//     thread budget and the paper's Table 2 rates.
+//     whose widths are solved once, when it starts, from Equations 1-5
+//     at its share of the thread budget and the paper's Table 2 rates:
+//     its megachunks sort at the solved compute pool, its final merge at
+//     the whole share.
 //   - A disk spill class for jobs past the DDR working-set budget. Where
 //     the two-level service would hard-reject them, a configured disk
 //     budget admits them into a three-level pipeline: phase 1 spills
@@ -26,6 +27,7 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -351,15 +353,23 @@ func (s *Scheduler) TotalThreads() int { return s.cfg.TotalThreads }
 // plan is the admission-time sizing decision for one job: its class, how
 // it is cut, and what it leases. Nothing downstream re-derives any of it.
 type plan struct {
-	// flow is where the job's sorted megachunks go; megachunk the cut, in
-	// cells; lease the near-memory footprint at that cut, the sort scratch.
-	flow      tune.Flow
+	// megachunk is the cut, in cells; lease the near-memory footprint at
+	// that cut, the sort scratch.
 	megachunk int
 	lease     units.Bytes
 	// spill-class jobs additionally lease diskLease bytes from the disk
 	// ledger for their run files.
 	spill     bool
 	diskLease units.Bytes
+}
+
+// flow is where the plan's sorted megachunks go: to run files for a
+// spill-class job, back where they were sorted for every other.
+func (p plan) flow() tune.Flow {
+	if p.spill {
+		return tune.Spill
+	}
+	return tune.InPlace
 }
 
 // spills reports whether a job of n cells is spill class: its DDR working
@@ -377,17 +387,14 @@ func (s *Scheduler) spills(n int) bool {
 // leasing the sort scratch.
 func (s *Scheduler) planFor(spec JobSpec) (plan, error) {
 	n := len(spec.Data)
-	p := plan{flow: tune.InPlace, megachunk: spec.MegachunkLen, spill: s.spills(n)}
-	if p.spill {
-		p.flow = tune.Spill
-	}
+	p := plan{megachunk: spec.MegachunkLen, spill: s.spills(n)}
 	if p.megachunk <= 0 {
 		width := 1
 		if spec.KeyType == wire.KindRecord {
 			width = 2 // key and payload cells
 		}
 		// An empty job is cut as one element, so the plan still divides.
-		p.megachunk = max(tune.Megachunk(n, width, s.cfg.MCDRAMBudget, p.flow), width)
+		p.megachunk = max(tune.Megachunk(n, width, s.cfg.MCDRAMBudget, p.flow()), width)
 	}
 	p.lease = tune.Footprint(p.megachunk)
 	if p.lease > s.cfg.MCDRAMBudget {
@@ -552,7 +559,7 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 		tr.MarkSpilled()
 	}
 	tr.EventDetail("plan", fmt.Sprintf("flow=%v megachunk=%d megachunks=%d lease=%d",
-		p.flow, p.megachunk, (j.n+p.megachunk-1)/p.megachunk, int64(p.lease)))
+		p.flow(), p.megachunk, (j.n+p.megachunk-1)/p.megachunk, int64(p.lease)))
 	admitted = true
 	s.flight.Add(tr)
 	s.jobs[j.id] = j
@@ -607,11 +614,7 @@ func clampRetryAfter(d time.Duration) time.Duration {
 // are compared against to keep the correction honest. Zero means "no
 // estimate" (degenerate rates), never "instant".
 func (s *Scheduler) estimateServiceLocked(n int, p plan) (raw, corrected time.Duration) {
-	per := s.cfg.TotalThreads / s.cfg.Workers
-	if per < 3 {
-		per = 3
-	}
-	est := tune.EstimateService(s.rates, units.Bytes(int64(n)*8), per, p.spill, s.diskRate)
+	est := tune.EstimateService(s.rates, units.Bytes(int64(n)*8), s.threadShare(s.cfg.Workers), p.spill, s.diskRate)
 	raw = est.Total()
 	return raw, time.Duration(float64(raw) * s.drift.factorFor(driftClass(p)))
 }
@@ -839,9 +842,6 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		diskLease = dl
 	}
 	j := s.popQueuedLocked()
-	// The width control must exist before the job enters the running set:
-	// refairLocked reads it under the scheduler lock.
-	j.widths = mlmsort.NewWidthControl(model.Pools{})
 	s.startLocked(j, lease)
 	if diskLease != nil {
 		j.mu.Lock()
@@ -849,7 +849,7 @@ func (s *Scheduler) tryDispatchLocked() bool {
 		j.mu.Unlock()
 		s.metrics.diskLeased.Set(float64(s.disk.Leased()))
 	}
-	s.refairLocked()
+	s.publishShareLocked()
 	s.wg.Add(1)
 	go s.run(j, lease)
 	return true
@@ -1032,48 +1032,33 @@ func (s *Scheduler) evalBrownoutLocked(now time.Time) {
 	s.brown.eval(now, headAge, len(s.queue) == 0)
 }
 
-// refairLocked re-solves Equations 1-5 for the current concurrency level
-// and pushes the per-job thread split into every running job's width
-// control. Called whenever the running set changes.
-func (s *Scheduler) refairLocked() {
-	if len(s.running) == 0 {
-		return
+// publishShareLocked sets the sched_fair_share_threads gauge to the
+// share of the running set. Called whenever the running set changes.
+func (s *Scheduler) publishShareLocked() {
+	if len(s.running) > 0 {
+		s.metrics.fairShare.Set(float64(s.threadShare(len(s.running))))
 	}
-	per := s.cfg.TotalThreads / len(s.running)
-	if per < 3 {
-		per = 3
-	}
-	maxIn := per / 2
-	if maxIn < 1 {
-		maxIn = 1
-	}
-	pools := s.rates.Optimal(per, maxIn, 1).Pools
-	for j := range s.running {
-		j.widths.SetPools(pools)
-	}
-	s.metrics.fairShare.Set(float64(per))
 }
 
-// predictRun stores the Eq. 1-5 completion estimate for a job at its
-// dispatch-time thread share — the scheduler's rates solved with the
-// job's own byte volume. A trace's drift ratio is its measured run
-// phase over this estimate, so systematic drift under load is the model
-// telling us a resource it doesn't see (queueing inside a tier, disk
-// contention) has become binding.
-func (s *Scheduler) predictRun(j *Job, per int) {
+// predictRun solves Equations 1-5 for a job at its dispatch-time thread
+// share, with the scheduler's rates and the job's own byte volume, stores
+// the completion estimate in its trace and returns the prediction. A
+// trace's drift ratio is its measured run phase over this estimate, so
+// systematic drift under load is the model telling us a resource it
+// doesn't see (queueing inside a tier, disk contention) has become
+// binding. Eq. 1-5 are linear in B_copy, so the solved pools are the
+// share's whatever the job's size. An empty job predicts nothing.
+func (s *Scheduler) predictRun(j *Job, per int) model.Prediction {
 	if j.n == 0 {
-		return // the model takes no empty transfer, and there is no run to predict
+		return model.Prediction{} // the model takes no empty transfer
 	}
 	params := s.rates
 	params.BCopy = units.Bytes(int64(j.n) * 8)
-	maxIn := per / 2
-	if maxIn < 1 {
-		maxIn = 1
-	}
-	pred := params.Optimal(per, maxIn, 1)
+	pred := params.Optimal(per, max(per/2, 1), 1)
 	if t := pred.TTotal.Seconds(); t > 0 {
 		j.trace.SetPredicted(time.Duration(t * float64(time.Second)))
 	}
+	return pred
 }
 
 // run executes one job, of any size, on its own megachunked pipeline: the
@@ -1091,10 +1076,13 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 	// The run context is registered under rootCtx until it is cancelled:
 	// a job that ends on its own must still let go of it.
 	defer j.cancel()
+	// The widths are solved once, here: the megachunks sort at the
+	// share's Eq. 1-5 compute pool, a final merge at the whole share.
 	per := s.fairShareThreads()
-	s.predictRun(j, per)
 	opts := mlmsort.ExternalOptions{RealOptions: s.real}
-	opts.Observer, opts.Widths, opts.Elem = j.recorder, j.widths, elemOf(j.spec.KeyType)
+	opts.SortWorkers = cmp.Or(s.predictRun(j, per).Pools.Comp, per)
+	j.trace.EventDetail("widths", fmt.Sprintf("threads=%d sort=%d", per, opts.SortWorkers))
+	opts.Observer, opts.Elem = j.recorder, elemOf(j.spec.KeyType)
 	var runs []int
 	var err error
 	if j.spill {
@@ -1153,7 +1141,7 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 	}
 	s.mu.Lock()
 	s.finishLocked(j, st, err)
-	s.refairLocked()
+	s.publishShareLocked()
 	s.metrics.leased.Set(float64(s.budget.Leased()))
 	s.kickLocked()
 	s.mu.Unlock()
@@ -1172,11 +1160,15 @@ func (s *Scheduler) foldSpillStats(st spill.Stats) {
 func (s *Scheduler) fairShareThreads() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	per := s.cfg.TotalThreads / len(s.running)
-	if per < 3 {
-		per = 3
-	}
-	return per
+	return s.threadShare(len(s.running))
+}
+
+// threadShare is the one place a job's thread share is derived: the
+// thread budget divided among the given number of concurrent pipelines,
+// never under the three threads of the smallest Eq. 1-5 split (one
+// copy-in, one copy-out, one compute).
+func (s *Scheduler) threadShare(jobs int) int {
+	return max(s.cfg.TotalThreads/jobs, 3)
 }
 
 // cancelJob implements Job.Cancel: a queued job resolves immediately

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
+	"knlmlm/internal/model"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/tune"
 	"knlmlm/internal/units"
@@ -178,7 +180,7 @@ func TestBatchingSortsSmallJobs(t *testing.T) {
 		mustSorted(t, j)
 		lease := tune.Footprint(j.N())
 		want := fmt.Sprintf("flow=in-place megachunk=%d megachunks=1 lease=%d", j.N(), int64(lease))
-		if got := planEvents(j); len(got) != 1 || got[0] != want {
+		if got := eventDetails(j, "plan"); len(got) != 1 || got[0] != want {
 			t.Errorf("job %s (n=%d): plan events %q, want %q", j.ID(), j.N(), got, want)
 		}
 		if got := j.LeaseBytes(); got != int64(lease) {
@@ -562,6 +564,11 @@ func TestLookupAndRetention(t *testing.T) {
 	}
 }
 
+// TestFairShareWidthsApplied: each job's widths are solved once, when it
+// starts, at its share of the thread budget, and its trace says what they
+// were. The gate holds every job running, so the last of four to start
+// shares 16 threads four ways; the earlier ones started at whatever
+// share the running set gave them then.
 func TestFairShareWidthsApplied(t *testing.T) {
 	g := newGate()
 	cfg := testConfig()
@@ -579,20 +586,52 @@ func TestFairShareWidthsApplied(t *testing.T) {
 		}
 		js = append(js, j)
 	}
-	eventually(t, "4 running", func() bool { return s.Snapshot().Running == 4 })
-	for _, j := range js {
-		p := j.widths.Pools()
-		total := p.In + p.Out + p.Comp
-		// 16 threads over 4 jobs: each job's solved split spends about its
-		// 4-thread share (the model may round within a pool or two).
-		if total < 3 || total > 6 {
-			t.Fatalf("job %s width total %d (pools %+v), want ~4", j.ID(), total, p)
+	eventually(t, "4 widths events", func() bool {
+		for _, j := range js {
+			if len(eventDetails(j, "widths")) == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	rates := s.Rates()
+	want := func(per int) []string {
+		return []string{fmt.Sprintf("threads=%d sort=%d", per, rates.Optimal(per, per/2, 1).Pools.Comp)}
+	}
+	if got := eventDetails(js[3], "widths"); !slices.Equal(got, want(4)) {
+		t.Fatalf("last job's widths %q, want %q (16 threads over 4 running jobs)", got, want(4))
+	}
+	for _, j := range js[:3] {
+		got, ok := eventDetails(j, "widths"), false
+		for running := 1; running <= 4; running++ {
+			ok = ok || slices.Equal(got, want(16/running))
+		}
+		if !ok {
+			t.Fatalf("job %s widths %q match no share of 16 threads over 1-4 jobs", j.ID(), got)
 		}
 	}
 	g.open()
 	for _, j := range js {
 		waitDone(t, j)
 		mustSorted(t, j)
+	}
+}
+
+// TestSortWidthIndependentOfJobSize is the claim a single solve per job
+// rests on: Eq. 1-5 are linear in B_copy, so a job's own byte volume
+// solves to the same pools as Table 2's, at every share, whatever the
+// job's size.
+func TestSortWidthIndependentOfJobSize(t *testing.T) {
+	table2 := model.PaperTable2()
+	for per := 3; per <= 64; per++ {
+		want := table2.Optimal(per, per/2, 1).Pools
+		for _, n := range []int{1, 1 << 10, 1 << 20, 64 << 20} {
+			params := table2
+			params.BCopy = units.Bytes(int64(n) * 8)
+			if got := params.Optimal(per, per/2, 1).Pools; got != want {
+				t.Errorf("share %d, n %d: pools %+v, want Table 2's %+v", per, n, got, want)
+			}
+		}
 	}
 }
 

@@ -117,8 +117,8 @@ func TestTraceBatchAttribution(t *testing.T) {
 		folded := j.Trace().PhaseDuration(telemetry.PhaseCompute)
 		mustSorted(t, j)
 		snap := j.Trace().Snapshot()
-		if len(planEvents(j)) != 1 {
-			t.Fatalf("job %s: plan events %q, want one", j.ID(), planEvents(j))
+		if len(eventDetails(j, "plan")) != 1 {
+			t.Fatalf("job %s: plan events %q, want one", j.ID(), eventDetails(j, "plan"))
 		}
 		var bytes int64
 		var busy time.Duration
@@ -215,7 +215,7 @@ func TestTracePlanEvent(t *testing.T) {
 		if s.FlightRecorder().Get(j.ID()) != j.Trace() {
 			t.Errorf("%s: the flight recorder does not hold the job's trace", tc.name)
 		}
-		if plans := planEvents(j); len(plans) != 1 || plans[0] != tc.want {
+		if plans := eventDetails(j, "plan"); len(plans) != 1 || plans[0] != tc.want {
 			t.Errorf("%s: plan events %q, want %q", tc.name, plans, tc.want)
 		}
 		if got := j.LeaseBytes(); !strings.HasSuffix(tc.want, fmt.Sprintf("lease=%d", got)) {
