@@ -101,15 +101,11 @@ type Job struct {
 	seq   int64
 	state atomic.Int32
 
-	// enqueued/started/finished stamp the lifecycle, and lease is the
-	// job's MCDRAM reservation; guarded by mu after construction (status
-	// reads race with dispatch otherwise).
-	mu       sync.Mutex
-	err      error
-	enqueued time.Time
-	started  time.Time
-	finished time.Time
-	lease    *Lease
+	// err and lease (the MCDRAM reservation) are guarded by mu after
+	// construction; the lifecycle stamps are the trace's alone.
+	mu    sync.Mutex
+	err   error
+	lease *Lease
 
 	done chan struct{}
 
@@ -147,16 +143,16 @@ type Job struct {
 
 	// dataRefs counts in-flight StreamResult deliveries of spec.Data;
 	// dataGone marks the buffer reclaimed (retention eviction recycled it
-	// into the scheduler's KeyPool, or will as soon as the refs drain).
-	// Both guarded by mu. Zero-valued (no refcounting cost) when the
-	// scheduler has no KeyPool.
+	// into the scheduler's KeyPool, or will as soon as the refs drain; a
+	// spill job lets go of it when phase 1 has written its runs). Both
+	// guarded by mu. Zero-valued (no refcounting cost) for an in-memory
+	// job when the scheduler has no KeyPool.
 	dataRefs int
 	dataGone bool
 
 	canceled atomic.Bool
 	runCtx   context.Context
 	cancel   context.CancelFunc
-	recorder *telemetry.Recorder
 	trace    *telemetry.JobTrace
 	sched    *Scheduler
 }
@@ -397,38 +393,26 @@ func (j *Job) releaseSpill() {
 	}
 }
 
-// Times reports the lifecycle stamps (zero where not reached).
-func (j *Job) Times() (enqueued, started, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.enqueued, j.started, j.finished
+// Times reports the lifecycle stamps, read from the job's trace (zero
+// where not reached).
+func (j *Job) Times() (enqueued, started, finished time.Time) { return j.trace.Times() }
+
+// QueueWait reports time from admission to dispatch (or to the terminal
+// stamp, or now, while never dispatched): the trace's queue phase plus
+// its lease phase.
+func (j *Job) QueueWait() time.Duration {
+	return j.trace.PhaseDuration(telemetry.PhaseQueue) + j.trace.PhaseDuration(telemetry.PhaseLease)
 }
 
-// QueueWait reports time from admission to dispatch (or to now while
-// still queued).
-func (j *Job) QueueWait() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.enqueued.IsZero() {
-		return 0
-	}
-	if j.started.IsZero() {
-		if j.finished.IsZero() {
-			return time.Since(j.enqueued)
-		}
-		return j.finished.Sub(j.enqueued)
-	}
-	return j.started.Sub(j.enqueued)
+// runRemaining is the model-predicted remainder of a running job: its
+// predRun less its run phase so far, floored at zero.
+func (j *Job) runRemaining() time.Duration {
+	return max(j.predRun-j.trace.PhaseDuration(telemetry.PhaseRun), 0)
 }
 
 // Spans reports the job's recorded pipeline spans (always recorded; the
 // trace's recorder is attached to every job's pipeline).
-func (j *Job) Spans() []telemetry.Span {
-	if j.recorder == nil {
-		return nil
-	}
-	return j.recorder.Spans()
-}
+func (j *Job) Spans() []telemetry.Span { return j.trace.Recorder().Spans() }
 
 // Trace reports the job's lifecycle trace (never nil for an admitted
 // job).

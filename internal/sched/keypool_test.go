@@ -138,3 +138,39 @@ func TestKeyPoolEvictionWaitsForStream(t *testing.T) {
 		t.Fatal("buffer not reclaimed after the stream drained")
 	}
 }
+
+// TestKeyPoolTakesSpillInputAtDone: a spill job's result is its run
+// files, so its key buffer is back in the KeyPool once the job is Done —
+// before its download, not at retention eviction — and the download
+// still streams the whole sorted result.
+func TestKeyPoolTakesSpillInputAtDone(t *testing.T) {
+	pool := mem.NewSlicePool()
+	cfg := spillTestConfig(t)
+	cfg.KeyPool = pool
+	s := newTestScheduler(t, cfg)
+
+	const n = 50000
+	data := pool.Get(n)
+	copy(data, workload.Generate(workload.Random, n, 1))
+	j, err := s.Submit(JobSpec{Data: data})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if !j.Spilled() {
+		t.Fatalf("%d-key job not spill class", n)
+	}
+	waitDone(t, j)
+	if j.State() != Done {
+		t.Fatalf("state %v (%v), want Done", j.State(), j.Err())
+	}
+	if free := pool.FreeSlices(); free != 1 {
+		t.Fatalf("%d free slices in the pool once the spill job is Done, want its input (1)", free)
+	}
+	got := drainStream(t, j)
+	if len(got) != n || !workload.IsSorted(got) {
+		t.Fatalf("streamed %d keys (sorted %v), want %d sorted", len(got), workload.IsSorted(got), n)
+	}
+	if reused := pool.Get(n); reused == nil || &reused[0] != &data[0] {
+		t.Fatal("the next Get of the input's class did not reuse the spill job's input")
+	}
+}

@@ -77,12 +77,14 @@ type Config struct {
 	// thresholds.
 	Brownout BrownoutConfig
 
-	// DDRBudget caps the DDR working set of an in-memory job: its
-	// input plus the materialized final merge, 2x the data bytes. Jobs
-	// over it are admitted into the spill class — sorted megachunk runs
-	// go to disk and the final merge streams — when DiskBudget is set,
-	// and rejected with a DDR TooLargeError otherwise. Zero means
-	// unbounded: no job ever spills.
+	// DDRBudget caps the DDR working set of an in-memory job, charged
+	// as 2x the data bytes for every job: its input plus the run buffer
+	// of a final merge. Only a job over the MCDRAM budget, cut into more
+	// than one megachunk, draws that buffer; one that fits is a single
+	// megachunk sorted in place. Jobs over it are admitted into the spill
+	// class — sorted megachunk runs go to disk and the final merge
+	// streams — when DiskBudget is set, and rejected with a DDR
+	// TooLargeError otherwise. Zero means unbounded: no job ever spills.
 	DDRBudget units.Bytes
 	// DiskBudget is the disk-tier ledger capacity spill-class jobs lease
 	// their run-file bytes from, accounted separately from the MCDRAM
@@ -373,7 +375,8 @@ func (p plan) flow() tune.Flow {
 }
 
 // spills reports whether a job of n cells is spill class: its DDR working
-// set, input plus materialized final merge, exceeds DDRBudget. Phase 1 of
+// set as DDRBudget charges it, 2x the data whether or not the job would
+// draw a final merge's run buffer, exceeds DDRBudget. Phase 1 of
 // such a job sorts its megachunks in place as usual but its runs land on
 // disk and the merge streams, so its DDR footprint stays at its input plus
 // O(read-ahead) whatever its size.
@@ -521,7 +524,7 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 	// must drain before an identical submission becomes feasible.
 	predRaw, predRun := s.estimateServiceLocked(len(spec.Data), p)
 	if !spec.Deadline.IsZero() {
-		wait := s.predictedStartDelayLocked(now)
+		wait := s.predictedStartDelayLocked()
 		if start := now.Add(wait); start.After(spec.Deadline) {
 			s.metrics.reject("predicted-late")
 			return nil, &OverloadError{
@@ -541,7 +544,6 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 		n:         len(spec.Data),
 		seq:       s.seq,
 		done:      make(chan struct{}),
-		enqueued:  now,
 		heapIdx:   -1,
 		megachunk: p.megachunk,
 		leaseNeed: p.lease,
@@ -553,7 +555,6 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 	}
 	j.vdl = virtualDeadline(now, spec.Priority, spec.Deadline, s.cfg.AgingSlack)
 	j.trace = tr
-	j.recorder = tr.Recorder()
 	tr.Bind(j.id, spec.Tenant, j.n)
 	if p.spill {
 		tr.MarkSpilled()
@@ -631,18 +632,13 @@ func (s *Scheduler) observeDrift(class int, measured, predictedRaw time.Duration
 // unfinished remainder of running pipelines, drained by Workers
 // pipelines in parallel. With a free worker and an empty queue the
 // predicted wait is zero regardless of rate quality.
-func (s *Scheduler) predictedStartDelayLocked(now time.Time) time.Duration {
+func (s *Scheduler) predictedStartDelayLocked() time.Duration {
 	if len(s.running) < s.cfg.Workers && len(s.queue) == 0 {
 		return 0
 	}
 	backlog := s.queuedWork
 	for j := range s.running {
-		j.mu.Lock()
-		started := j.started
-		j.mu.Unlock()
-		if rem := j.predRun - now.Sub(started); rem > 0 {
-			backlog += rem
-		}
+		backlog += j.runRemaining()
 	}
 	return backlog / time.Duration(s.cfg.Workers)
 }
@@ -715,7 +711,7 @@ func (s *Scheduler) Snapshot() Stats {
 		Draining:       s.draining,
 		Brownout:       s.brown.Level(),
 		QueueDelayEWMA: s.brown.delayEWMA(),
-		PredictedStart: s.predictedStartDelayLocked(time.Now()),
+		PredictedStart: s.predictedStartDelayLocked(),
 	}
 	if s.disk != nil {
 		st.DiskBudgetBytes = s.disk.Capacity()
@@ -739,7 +735,7 @@ func (s *Scheduler) PreAdmit(deadline time.Duration) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wait := s.predictedStartDelayLocked(time.Now())
+	wait := s.predictedStartDelayLocked()
 	if wait <= deadline {
 		return nil
 	}
@@ -857,9 +853,7 @@ func (s *Scheduler) tryDispatchLocked() bool {
 
 // startLocked transitions a popped job to Running under the scheduler lock.
 func (s *Scheduler) startLocked(j *Job, lease *Lease) {
-	now := time.Now()
 	j.mu.Lock()
-	j.started = now
 	j.lease = lease
 	j.mu.Unlock()
 	j.state.Store(int32(Running))
@@ -869,8 +863,9 @@ func (s *Scheduler) startLocked(j *Job, lease *Lease) {
 	s.metrics.queueDepth.Set(float64(len(s.queue)))
 	s.metrics.running.Set(float64(len(s.running)))
 	s.metrics.leased.Set(float64(s.budget.Leased()))
-	s.metrics.queueWait.Observe(now.Sub(j.enqueued).Seconds())
-	s.brown.observeDelay(now.Sub(j.enqueued))
+	wait := j.QueueWait()
+	s.metrics.queueWait.Observe(wait.Seconds())
+	s.brown.observeDelay(wait)
 }
 
 // finishLocked resolves a job to a terminal state exactly once.
@@ -878,23 +873,22 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 	if State(j.state.Load()).Terminal() {
 		return
 	}
-	now := time.Now()
 	j.mu.Lock()
 	j.err = err
-	j.finished = now
 	j.mu.Unlock()
 	j.state.Store(int32(st))
 	delete(s.running, j)
 	s.metrics.queueDepth.Set(float64(len(s.queue)))
 	s.metrics.running.Set(float64(len(s.running)))
 	s.metrics.completed(st)
-	s.metrics.latency.Observe(now.Sub(j.enqueued).Seconds())
 	errmsg := ""
 	if err != nil {
 		errmsg = err.Error()
 	}
 	j.trace.MarkFinished(st.String(), errmsg)
-	j.trace.FoldSpans()
+	enqueued, _, finished := j.trace.Times()
+	total := finished.Sub(enqueued)
+	s.metrics.latency.Observe(total.Seconds())
 	s.phases.ObserveTrace(j.trace)
 	// Only now may a waiter run: it reads trace and histograms as terminal.
 	close(j.done)
@@ -905,7 +899,7 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 			slog.String("state", st.String()),
 			slog.Int("n", j.n),
 			slog.Bool("spilled", j.spill),
-			slog.Float64("total_ms", float64(now.Sub(j.enqueued).Nanoseconds())/1e6),
+			slog.Float64("total_ms", float64(total.Nanoseconds())/1e6),
 			slog.Float64("queue_ms", float64(j.trace.PhaseDuration(telemetry.PhaseQueue).Nanoseconds())/1e6),
 			slog.Float64("lease_ms", float64(j.trace.PhaseDuration(telemetry.PhaseLease).Nanoseconds())/1e6),
 			slog.Float64("run_ms", float64(j.trace.PhaseDuration(telemetry.PhaseRun).Nanoseconds())/1e6),
@@ -978,14 +972,7 @@ func (s *Scheduler) shedQueuedLocked(now time.Time) {
 	if allBusy {
 		first := true
 		for j := range s.running {
-			j.mu.Lock()
-			started := j.started
-			j.mu.Unlock()
-			rem := j.predRun - now.Sub(started)
-			if rem < 0 {
-				rem = 0
-			}
-			if first || rem < minRem {
+			if rem := j.runRemaining(); first || rem < minRem {
 				minRem, first = rem, false
 			}
 		}
@@ -1020,14 +1007,14 @@ func (s *Scheduler) shedQueuedLocked(now time.Time) {
 	}
 }
 
-// evalBrownoutLocked feeds the controller its signals: the live age of
-// the queue head (the sharpest leading indicator — it grows the moment
+// evalBrownoutLocked feeds the controller its signals: the queue head's
+// wait so far (the sharpest leading indicator — it grows the moment
 // dispatch stalls, before any job completes) and whether the queue has
 // drained (so the smoothed signal can decay after a storm).
 func (s *Scheduler) evalBrownoutLocked(now time.Time) {
 	var headAge time.Duration
 	if head := s.queue.peek(); head != nil {
-		headAge = now.Sub(head.enqueued)
+		headAge = head.QueueWait()
 	}
 	s.brown.eval(now, headAge, len(s.queue) == 0)
 }
@@ -1082,7 +1069,7 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 	opts := mlmsort.ExternalOptions{RealOptions: s.real}
 	opts.SortWorkers = cmp.Or(s.predictRun(j, per).Pools.Comp, per)
 	j.trace.EventDetail("widths", fmt.Sprintf("threads=%d sort=%d", per, opts.SortWorkers))
-	opts.Observer, opts.Elem = j.recorder, elemOf(j.spec.KeyType)
+	opts.Observer, opts.Elem = j.trace.Recorder(), elemOf(j.spec.KeyType)
 	var runs []int
 	var err error
 	if j.spill {
@@ -1112,12 +1099,16 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 	st := Done
 	switch {
 	case err == nil && j.spill:
-		// Float64 spill jobs keep the sortable image on disk; StreamResult
-		// inverts each merge batch on egress.
+		// The runs are the result now (float64 ones keep the sortable
+		// image; StreamResult inverts each merge batch on egress), so the
+		// input is never read again: back to the KeyPool, or to the GC.
 		s.observeDrift(driftSpill, time.Since(runStart), j.predRaw)
 		j.mu.Lock()
 		j.runIDs = runs
+		input := j.spec.Data
+		j.spec.Data, j.dataGone = nil, true
 		j.mu.Unlock()
+		j.recycleInto(input)
 		s.metrics.spillJobs.Add(1)
 	case err == nil:
 		s.observeDrift(driftInMemory, time.Since(runStart), j.predRaw)

@@ -764,8 +764,8 @@ func TestPriorityClampedAtAdmission(t *testing.T) {
 	if hostile.spec.Priority != -maxPriorityMagnitude {
 		t.Fatalf("priority %d not clamped to %d", hostile.spec.Priority, -maxPriorityMagnitude)
 	}
-	if !hostile.vdl.After(hostile.enqueued) {
-		t.Fatalf("virtual deadline %v before enqueue %v: slack overflowed", hostile.vdl, hostile.enqueued)
+	if enqueued, _, _ := hostile.Times(); !hostile.vdl.After(enqueued) {
+		t.Fatalf("virtual deadline %v before enqueue %v: slack overflowed", hostile.vdl, enqueued)
 	}
 	g.open()
 	waitDone(t, normal)

@@ -64,6 +64,12 @@ func soakScale(t *testing.T) int {
 //   - sustained high-priority traffic never starves lower priorities,
 //   - canceling a queued job never leaks a lease.
 //
+// The storm's spill-class jobs may all be refused or shed by brownout,
+// which is overload control doing its job; so once the storm has drained
+// and brownout is back to normal, a fixed batch of spill-class jobs runs
+// under the same fault plan, and each of them must finish and stream
+// sorted.
+//
 // Run with -race; the test is sized to stay in tier-1 time budgets
 // (SCHED_SOAK_SCALE lengthens it for nightly runs, SCHED_SOAK_SEED
 // replays a failure).
@@ -141,6 +147,8 @@ func TestSchedulerSoak(t *testing.T) {
 		j         *Job
 		canceled  bool
 		wasQueued bool
+		// batch marks the post-storm spill batch, which must all finish.
+		batch bool
 	}
 	var mu sync.Mutex
 	var all []submitted
@@ -187,6 +195,32 @@ func TestSchedulerSoak(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	// The storm is over once every job it admitted is terminal and
+	// brownout has stepped back down to normal.
+	stormOver := func() bool {
+		for _, rec := range all {
+			if !rec.j.State().Terminal() {
+				return false
+			}
+		}
+		return s.BrownoutLevel() == BrownoutNormal
+	}
+	calm := time.Now().Add(60 * time.Second)
+	for !stormOver() {
+		if time.Now().After(calm) {
+			t.Fatalf("storm not over after 60s: brownout %v", s.BrownoutLevel())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	const spillBatch = 4
+	for i := 0; i < spillBatch; i++ {
+		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 48000, seed+int64(i))})
+		if err != nil {
+			t.Fatalf("spill batch %d: %v", i, err)
+		}
+		waitDone(t, j)
+		all = append(all, submitted{j: j, batch: true})
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -210,6 +244,10 @@ func TestSchedulerSoak(t *testing.T) {
 		// resolved in the queue never had one).
 		if ctx := rec.j.runCtx; ctx != nil {
 			eventually(t, "run context of "+rec.j.ID()+" cancelled", func() bool { return ctx.Err() != nil })
+		}
+		if rec.batch && (rec.j.State() != Done || !rec.j.Spilled()) {
+			t.Fatalf("spill batch job %s: %v (%v), spilled %v; want done and spilled",
+				rec.j.ID(), rec.j.State(), rec.j.Err(), rec.j.Spilled())
 		}
 		switch rec.j.State() {
 		case Done:

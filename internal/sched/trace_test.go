@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -50,8 +51,9 @@ func hasEvent(snap telemetry.TraceSnapshot, name string) bool {
 }
 
 // TestTraceStagedJobLifecycle: a staged job carries a complete trace —
-// identity, timeline events, folded work phases, an Eq. 1-5 run-time
-// prediction — and the flight recorder resolves it by id.
+// identity, timeline events, work phases summed from its spans, an
+// Eq. 1-5 run-time prediction — and the flight recorder resolves it by
+// id.
 func TestTraceStagedJobLifecycle(t *testing.T) {
 	s := newTestScheduler(t, traceConfig(8))
 	j, err := s.SubmitCtx(context.Background(), JobSpec{
@@ -88,7 +90,7 @@ func TestTraceStagedJobLifecycle(t *testing.T) {
 		t.Fatal("staged job recorded no pipeline spans")
 	}
 	if snap.PhasesMS["compute"] <= 0 {
-		t.Fatalf("no compute time folded from spans: %v", snap.PhasesMS)
+		t.Fatalf("no compute time summed from spans: %v", snap.PhasesMS)
 	}
 	if snap.PredictedRunMS <= 0 {
 		t.Fatal("staged job has no Eq. 1-5 run prediction")
@@ -101,7 +103,7 @@ func TestTraceStagedJobLifecycle(t *testing.T) {
 // TestTraceBatchAttribution: small jobs submitted together each record
 // their own pipeline's spans and no one else's (the compute spans of a job
 // charge exactly its own cells), and a job's work phases are complete the
-// moment Wait returns: nothing lands late that a second fold would add.
+// moment Wait returns: nothing lands late that a later read would add.
 func TestTraceBatchAttribution(t *testing.T) {
 	s := newTestScheduler(t, traceConfig(16))
 	var jobs []*Job
@@ -114,7 +116,7 @@ func TestTraceBatchAttribution(t *testing.T) {
 	}
 	for _, j := range jobs {
 		waitDone(t, j)
-		folded := j.Trace().PhaseDuration(telemetry.PhaseCompute)
+		compute := j.Trace().PhaseDuration(telemetry.PhaseCompute)
 		mustSorted(t, j)
 		snap := j.Trace().Snapshot()
 		if len(eventDetails(j, "plan")) != 1 {
@@ -132,15 +134,15 @@ func TestTraceBatchAttribution(t *testing.T) {
 		if want := int64(16 * j.N()); bytes != want {
 			t.Fatalf("job %s: compute spans charge %d bytes, want its own %d", j.ID(), bytes, want)
 		}
-		if folded <= 0 || folded != busy {
-			t.Fatalf("job %s: compute phase %v when Wait returned, its spans hold %v", j.ID(), folded, busy)
+		if compute <= 0 || compute != busy {
+			t.Fatalf("job %s: compute phase %v when Wait returned, its spans hold %v", j.ID(), compute, busy)
 		}
 		wallSumWithin10Pct(t, snap)
 	}
 }
 
 // TestTraceSpillJob: a spill-class job's trace carries the spill flag,
-// folds copy-out into spill-write, predicts its run time, and picks up
+// counts copy-out as spill-write, predicts its run time, and picks up
 // merge and stream phases when the result is consumed.
 func TestTraceSpillJob(t *testing.T) {
 	cfg := spillTestConfig(t)
@@ -165,7 +167,7 @@ func TestTraceSpillJob(t *testing.T) {
 		t.Fatal("trace lost the spill flag")
 	}
 	if snap.PhasesMS["spill-write"] <= 0 {
-		t.Fatalf("no spill-write phase folded: %v", snap.PhasesMS)
+		t.Fatalf("no spill-write phase: %v", snap.PhasesMS)
 	}
 	if snap.PhasesMS["copy-out"] != 0 {
 		t.Fatalf("spilled job kept a copy-out phase: %v", snap.PhasesMS)
@@ -322,5 +324,146 @@ func TestTraceDisabledPhases(t *testing.T) {
 	mustSorted(t, j)
 	if j.Trace() == nil || !j.Trace().Terminal() {
 		t.Fatal("trace should exist and be terminal even without a registry")
+	}
+}
+
+// lifecycleBars reads a trace's Chrome lifecycle lane: the duration of
+// each wall-phase bar in microseconds (absent bars read zero).
+func lifecycleBars(t *testing.T, tr *telemetry.JobTrace) map[string]float64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := tr.Chrome().Write(&buf); err != nil {
+		t.Fatalf("chrome write: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
+		t.Fatalf("chrome export: %v", err)
+	}
+	bars := map[string]float64{}
+	for _, e := range doc.TraceEvents {
+		if e.Cat == "lifecycle" {
+			bars[e.Name] += e.Dur
+		}
+	}
+	return bars
+}
+
+func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// TestLifecycleShapes: whatever stamps a job reached, its trace is its one
+// lifecycle record. For each shape the wall phases sum to the total, each
+// Chrome lifecycle bar is the phase PhaseDuration reports (between two
+// reads, for a job still live), and Job.Times and QueueWait are the
+// trace's stamps and its queue plus lease phases. One worker and a gated
+// pipeline hold every shape in place: the blocker runs, A blocks at the
+// head, B and C wait behind it.
+func TestLifecycleShapes(t *testing.T) {
+	g := newGate()
+	cfg := traceConfig(16)
+	cfg.Workers = 1
+	cfg.Wrap = g.wrap()
+	s := newTestScheduler(t, cfg)
+	defer g.open()
+	submit := func(seed int64, priority int) *Job {
+		t.Helper()
+		j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 40000, seed), Priority: priority})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		return j
+	}
+	headBlocked := func(j *Job) func() bool {
+		return func() bool { return hasEvent(j.Trace().Snapshot(), "head-blocked") }
+	}
+	blocker := submit(1, 0)
+	eventually(t, "blocker running", func() bool { return blocker.State() == Running })
+	a := submit(2, 8)
+	eventually(t, "A blocked at the head", headBlocked(a))
+	c, b := submit(3, 0), submit(4, -8)
+
+	rows := []struct {
+		name string
+		// reach drives the scheduler to the shape and returns its job.
+		reach                               func() *Job
+		headBlocked, dispatched, terminated bool
+	}{
+		{"admitted only", func() *Job { return b }, false, false, false},
+		{"canceled while queued", func() *Job {
+			b.Cancel()
+			waitDone(t, b)
+			return b
+		}, false, false, true},
+		{"canceled while head-blocked", func() *Job {
+			a.Cancel()
+			waitDone(t, a)
+			return a
+		}, true, false, true},
+		{"head-blocked then dispatched", func() *Job {
+			eventually(t, "C blocked at the head", headBlocked(c))
+			g.open()
+			waitDone(t, c)
+			return c
+		}, true, true, true},
+		{"dispatched then terminal", func() *Job {
+			waitDone(t, blocker)
+			return blocker
+		}, false, true, true},
+	}
+	for _, row := range rows {
+		j := row.reach()
+		// A job that ended before dispatch must not keep growing a bar.
+		time.Sleep(5 * time.Millisecond)
+		tr := j.Trace()
+		var before [telemetry.NumPhases]time.Duration
+		for _, p := range telemetry.WallPhases() {
+			before[p] = tr.PhaseDuration(p)
+		}
+		bars := lifecycleBars(t, tr)
+		snap := tr.Snapshot()
+		enqueued, started, finished := j.Times()
+		wait := j.QueueWait()
+
+		var sum float64
+		for _, p := range telemetry.WallPhases() {
+			sum += snap.PhasesMS[p.String()]
+			after := tr.PhaseDuration(p)
+			if bar := bars[p.String()]; bar < micros(before[p]) || bar > micros(after) {
+				t.Errorf("%s: Chrome %s bar %.3fus, PhaseDuration %v then %v", row.name, p, bar, before[p], after)
+			}
+		}
+		if math.Abs(sum-snap.TotalMS) > 1e-6 {
+			t.Errorf("%s: wall phases sum to %.6fms, total %.6fms", row.name, sum, snap.TotalMS)
+		}
+		if got := hasEvent(snap, "head-blocked"); got != row.headBlocked {
+			t.Errorf("%s: head-blocked %v, want %v", row.name, got, row.headBlocked)
+		}
+		if got := !started.IsZero(); got != row.dispatched {
+			t.Errorf("%s: dispatched %v, want %v", row.name, got, row.dispatched)
+		}
+		if got := !finished.IsZero(); got != row.terminated || got != (snap.State != "") {
+			t.Errorf("%s: finished stamp %v, trace state %q, want terminal %v", row.name, got, snap.State, row.terminated)
+		}
+		if got := enqueued.Sub(snap.Submitted); got != before[telemetry.PhaseAdmit] {
+			t.Errorf("%s: Times enqueued %v after birth, admit phase %v", row.name, got, before[telemetry.PhaseAdmit])
+		}
+		queued := before[telemetry.PhaseQueue] + before[telemetry.PhaseLease]
+		if row.dispatched && started.Sub(enqueued) != queued {
+			t.Errorf("%s: Times started %v after admission, queue+lease %v", row.name, started.Sub(enqueued), queued)
+		}
+		if row.terminated && !row.dispatched && finished.Sub(enqueued) != queued {
+			t.Errorf("%s: Times finished %v after admission, queue+lease %v", row.name, finished.Sub(enqueued), queued)
+		}
+		if total := finished.Sub(snap.Submitted); row.terminated && float64(total.Nanoseconds())/1e6 != snap.TotalMS {
+			t.Errorf("%s: total %.6fms, Times finished %v after birth", row.name, snap.TotalMS, total)
+		}
+		if row.terminated && wait != queued || !row.terminated && wait < queued {
+			t.Errorf("%s: QueueWait %v, trace queue+lease %v", row.name, wait, queued)
+		}
 	}
 }

@@ -12,6 +12,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"context"
 	"sync"
 	"time"
@@ -39,7 +40,7 @@ const (
 	// PhaseRun is pipeline wall time, dispatch to terminal.
 	PhaseRun
 	// PhaseCopyIn/PhaseCompute/PhaseCopyOut are per-stage busy thread-
-	// seconds inside the run, folded from the job's Span recorder.
+	// seconds inside the run, summed from the job's Span recorder.
 	PhaseCopyIn
 	PhaseCompute
 	PhaseCopyOut
@@ -113,14 +114,16 @@ type JobTrace struct {
 	dropped int
 
 	// Lifecycle stamps, as offsets from born; zero means "not reached".
+	// They are the job's only lifecycle record: wallLocked cuts the wall
+	// phases from them, and Times reports them as wall-clock times.
 	enqueuedAt    time.Duration
 	headBlockedAt time.Duration
 	startedAt     time.Duration
 	finishedAt    time.Duration
 
-	// phases accumulates the work and post-terminal phase durations
-	// (wall phases are derived from the stamps above).
-	phases [NumPhases]time.Duration
+	// post accumulates the post-terminal phases, indexed from PhaseMerge
+	// (work phases are summed from rec when read).
+	post [NumPhases - PhaseMerge]time.Duration
 
 	predicted time.Duration
 	state     string
@@ -261,14 +264,15 @@ func (t *JobTrace) SetPredicted(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// AddPhase accumulates duration into a work or post-terminal phase.
-// (Wall phases are derived from lifecycle stamps and ignore AddPhase.)
+// AddPhase accumulates duration into a post-terminal phase (merge or
+// stream). Wall phases are cut from the lifecycle stamps and work phases
+// summed from the recorder's spans, so those ignore AddPhase.
 func (t *JobTrace) AddPhase(p Phase, d time.Duration) {
-	if t == nil || p >= NumPhases || d <= 0 {
+	if t == nil || p < PhaseMerge || p >= NumPhases || d <= 0 {
 		return
 	}
 	t.mu.Lock()
-	t.phases[p] += d
+	t.post[p-PhaseMerge] += d
 	t.mu.Unlock()
 }
 
@@ -288,104 +292,78 @@ func (t *JobTrace) MarkFinished(state, errmsg string) {
 	t.mu.Unlock()
 }
 
-// FoldSpans folds the recorder's per-stage busy time into the work
-// phases: copy-in, compute, and copy-out (attributed to spill-write
-// instead when the job spilled its runs to disk). Idempotent.
-func (t *JobTrace) FoldSpans() {
-	if t == nil || t.rec == nil {
+// Times reports the lifecycle stamps as wall-clock times: admission,
+// dispatch and terminal, each zero where not reached (and all zero on a
+// nil trace).
+func (t *JobTrace) Times() (enqueued, started, finished time.Time) {
+	if t == nil {
 		return
 	}
-	var busy [exec.NumStages]time.Duration
-	for i := range t.rec.shards {
-		sh := &t.rec.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.spans {
-			if int(s.Stage) < len(busy) {
-				busy[s.Stage] += s.Dur
-			}
-		}
-		sh.mu.Unlock()
-	}
 	t.mu.Lock()
-	// Assignment, not accumulation: folding again changes nothing.
-	t.phases[PhaseCopyIn] = busy[exec.StageCopyIn]
-	t.phases[PhaseCompute] = busy[exec.StageCompute]
-	out := PhaseCopyOut
-	if t.spilled {
-		out = PhaseSpillWrite
+	defer t.mu.Unlock()
+	at := func(d time.Duration) time.Time {
+		if d == 0 {
+			return time.Time{}
+		}
+		return t.born.Add(d)
 	}
-	t.phases[out] = busy[exec.StageCopyOut]
-	t.mu.Unlock()
+	return at(t.enqueuedAt), at(t.startedAt), at(t.finishedAt)
 }
 
-// PhaseDuration reports one phase's duration: wall phases are derived
-// from the lifecycle stamps, work and post phases from AddPhase/FoldSpans
-// accumulation. Zero on a nil trace or an unreached phase.
+// PhaseDuration reports one phase's duration (see phasesLocked). Zero on
+// a nil trace or an unreached phase.
 func (t *JobTrace) PhaseDuration(p Phase) time.Duration {
-	if t == nil {
+	if t == nil || p >= NumPhases {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.phaseLocked(p)
+	d, _ := t.phasesLocked()
+	return d[p]
 }
 
-func (t *JobTrace) phaseLocked(p Phase) time.Duration {
-	switch p {
-	case PhaseAdmit:
-		return t.enqueuedAt
-	case PhaseQueue:
-		end := t.startedAt
-		if t.headBlockedAt != 0 {
-			end = t.headBlockedAt
-		}
-		if end == 0 {
-			// Still queued (or resolved without dispatch): the queue phase
-			// runs to the terminal stamp, or to now.
-			if t.finishedAt != 0 {
-				end = t.finishedAt
-			} else {
-				end = t.since()
-			}
-		}
-		if d := end - t.enqueuedAt; d > 0 {
-			return d
-		}
-		return 0
-	case PhaseLease:
-		if t.headBlockedAt == 0 {
-			return 0
-		}
-		end := t.startedAt
-		if end == 0 {
-			if t.finishedAt != 0 {
-				end = t.finishedAt
-			} else {
-				end = t.since()
-			}
-		}
-		if d := end - t.headBlockedAt; d > 0 {
-			return d
-		}
-		return 0
-	case PhaseRun:
-		if t.startedAt == 0 {
-			return 0
-		}
-		end := t.finishedAt
-		if end == 0 {
-			end = t.since()
-		}
-		if d := end - t.startedAt; d > 0 {
-			return d
-		}
-		return 0
-	default:
-		if p < NumPhases {
-			return t.phases[p]
-		}
-		return 0
+// wallLocked is the one place the wall phases are cut: wall phase p runs
+// from b[p] to b[p+1], and b[PhaseRun+1] is the job's end — its terminal
+// stamp, or now while it is live. Admit ends at admission; queue at the
+// first head-of-line blockage, else at dispatch; lease at dispatch; run
+// at the end. A boundary not reached falls to the end, so a job that
+// ended before dispatch has its last reached phase run to its terminal
+// stamp and every later phase empty. The phases sum to the end.
+func (t *JobTrace) wallLocked() (b [PhaseRun + 2]time.Duration) {
+	end := t.finishedAt
+	if end == 0 {
+		end = t.since()
 	}
+	b[PhaseQueue] = t.enqueuedAt
+	b[PhaseLease] = cmp.Or(t.headBlockedAt, t.startedAt, end)
+	b[PhaseRun] = cmp.Or(t.startedAt, end)
+	b[PhaseRun+1] = end
+	for i := 1; i < len(b); i++ {
+		b[i] = max(b[i], b[i-1])
+	}
+	return b
+}
+
+// phasesLocked reports every phase's duration and the job's total: the
+// wall phases as wallLocked cuts them, the work phases summed from the
+// recorder's spans (copy-out counts as spill-write when the job spilled
+// its runs to disk), the post-terminal phases as AddPhase accumulated
+// them.
+func (t *JobTrace) phasesLocked() (d [NumPhases]time.Duration, total time.Duration) {
+	b := t.wallLocked()
+	for p := PhaseAdmit; p <= PhaseRun; p++ {
+		d[p] = b[p+1] - b[p]
+	}
+	busy := t.rec.busyByStage()
+	d[PhaseCopyIn] = busy[exec.StageCopyIn]
+	d[PhaseCompute] = busy[exec.StageCompute]
+	out := PhaseCopyOut
+	if t.spilled {
+		out = PhaseSpillWrite
+	}
+	d[out] = busy[exec.StageCopyOut]
+	copy(d[PhaseMerge:], t.post[:])
+	return d, b[PhaseRun+1]
 }
 
 // TraceSnapshot is the JSON wire form of a trace, served by
@@ -432,10 +410,7 @@ func (t *JobTrace) Snapshot() TraceSnapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	total := t.finishedAt
-	if total == 0 {
-		total = t.since()
-	}
+	phases, total := t.phasesLocked()
 	snap := TraceSnapshot{
 		ID:            t.id,
 		Tenant:        t.tenant,
@@ -452,14 +427,14 @@ func (t *JobTrace) Snapshot() TraceSnapshot {
 	if t.rec != nil {
 		snap.SpanCount = t.rec.Len()
 	}
-	for p := Phase(0); p < NumPhases; p++ {
-		if d := t.phaseLocked(p); d > 0 || p <= PhaseRun {
-			snap.PhasesMS[p.String()] = durMS(d)
+	for p, d := range phases {
+		if d > 0 || Phase(p) <= PhaseRun {
+			snap.PhasesMS[Phase(p).String()] = durMS(d)
 		}
 	}
 	if t.predicted > 0 {
 		snap.PredictedRunMS = durMS(t.predicted)
-		if run := t.phaseLocked(PhaseRun); run > 0 {
+		if run := phases[PhaseRun]; run > 0 {
 			snap.DriftRatio = float64(run) / float64(t.predicted)
 		}
 	}
@@ -467,55 +442,32 @@ func (t *JobTrace) Snapshot() TraceSnapshot {
 }
 
 // Chrome renders the trace as a Chrome trace-event timeline: one lane for
-// the lifecycle wall phases, plus the recorder's per-chunk pipeline spans
-// (reusing the standard span export) under the same process.
+// the lifecycle wall phases (the bars PhaseDuration measures), plus the
+// recorder's per-chunk pipeline spans (reusing the standard span export)
+// under the same process.
 func (t *JobTrace) Chrome() *ChromeTrace {
 	ct := &ChromeTrace{}
 	if t == nil {
 		return ct
 	}
-	snap := t.Snapshot()
-	name := "job " + snap.ID
-	if snap.ID == "" {
+	t.mu.Lock()
+	id, b := t.id, t.wallLocked()
+	events := append([]TraceEvent(nil), t.events...)
+	t.mu.Unlock()
+	name := "job " + id
+	if id == "" {
 		name = "job (unbound)"
 	}
 	ct.AddProcessName(1, name)
 	const lifecycleTID = 1000
 	ct.AddThreadName(1, lifecycleTID, "lifecycle")
-	t.mu.Lock()
-	type seg struct {
-		name     string
-		from, to time.Duration
-	}
-	end := func(d time.Duration) time.Duration {
-		if d != 0 {
-			return d
-		}
-		return t.since()
-	}
-	segs := []seg{{"admit", 0, t.enqueuedAt}}
-	if t.enqueuedAt != 0 {
-		qEnd := t.startedAt
-		if t.headBlockedAt != 0 {
-			qEnd = t.headBlockedAt
-		}
-		segs = append(segs, seg{"queue", t.enqueuedAt, end(qEnd)})
-		if t.headBlockedAt != 0 {
-			segs = append(segs, seg{"lease", t.headBlockedAt, end(t.startedAt)})
-		}
-	}
-	if t.startedAt != 0 {
-		segs = append(segs, seg{"run", t.startedAt, end(t.finishedAt)})
-	}
-	events := append([]TraceEvent(nil), t.events...)
-	t.mu.Unlock()
-	for _, s := range segs {
-		if s.to <= s.from {
+	for p := PhaseAdmit; p <= PhaseRun; p++ {
+		if b[p+1] <= b[p] {
 			continue
 		}
 		ct.Add(ChromeEvent{
-			Name: s.name, Cat: "lifecycle", Ph: "X",
-			TS: micros(s.from), Dur: micros(s.to - s.from),
+			Name: p.String(), Cat: "lifecycle", Ph: "X",
+			TS: micros(b[p]), Dur: micros(b[p+1] - b[p]),
 			PID: 1, TID: lifecycleTID,
 		})
 	}

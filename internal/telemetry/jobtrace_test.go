@@ -77,8 +77,9 @@ func TestJobTraceNoHeadBlock(t *testing.T) {
 	}
 }
 
-// TestJobTraceFoldSpans: recorder busy time folds into copy-in/compute/
-// copy-out, with copy-out reattributed to spill-write for spilled jobs.
+// TestJobTraceFoldSpans: the work phases are the recorder's busy time,
+// summed when read: copy-in, compute and copy-out, with copy-out
+// reattributed to spill-write for spilled jobs.
 func TestJobTraceFoldSpans(t *testing.T) {
 	for _, spilled := range []bool{false, true} {
 		tr := NewJobTrace()
@@ -90,11 +91,10 @@ func TestJobTraceFoldSpans(t *testing.T) {
 		rec.Add(Span{Stage: exec.StageCopyIn, Worker: 0, Dur: 5 * time.Millisecond})
 		rec.Add(Span{Stage: exec.StageCompute, Worker: 1, Dur: 7 * time.Millisecond})
 		rec.Add(Span{Stage: exec.StageCopyOut, Worker: 2, Dur: 3 * time.Millisecond})
-		// Wait-stage spans are idle time, not work; they must not fold.
+		// Wait-stage spans are idle time, not work; they must not count.
 		rec.Add(Span{Stage: exec.StageComputeWait, Worker: 1, Dur: time.Hour})
 		tr.MarkStarted()
 		tr.MarkFinished("done", "")
-		tr.FoldSpans()
 
 		if d := tr.PhaseDuration(PhaseCopyIn); d != 5*time.Millisecond {
 			t.Fatalf("spilled=%v: copy-in = %v", spilled, d)
@@ -212,7 +212,7 @@ func TestNilTraceAllocFree(t *testing.T) {
 		tr.MarkFinished("done", "")
 		tr.SetPredicted(time.Second)
 		tr.AddPhase(PhaseQueue, time.Second)
-		tr.FoldSpans()
+		_, _, _ = tr.Times()
 		_ = tr.Recorder()
 		_ = tr.ID()
 		_ = tr.Terminal()

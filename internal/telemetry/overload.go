@@ -55,20 +55,16 @@ func (pm *PhaseMetrics) ObserveTrace(t *JobTrace) {
 	if pm == nil || t == nil {
 		return
 	}
-	for _, p := range WallPhases() {
-		if d := t.PhaseDuration(p); d > 0 {
-			pm.phase[p].Observe(d.Seconds())
-		}
-	}
-	for _, p := range WorkPhases() {
-		if d := t.PhaseDuration(p); d > 0 {
-			pm.phase[p].Observe(d.Seconds())
-		}
-	}
 	t.mu.Lock()
-	pred, run := t.predicted, t.phaseLocked(PhaseRun)
+	d, _ := t.phasesLocked()
+	pred := t.predicted
 	t.mu.Unlock()
-	if pred > 0 && run > 0 {
+	for p := PhaseAdmit; p < PhaseMerge; p++ {
+		if d[p] > 0 {
+			pm.phase[p].Observe(d[p].Seconds())
+		}
+	}
+	if run := d[PhaseRun]; pred > 0 && run > 0 {
 		pm.drift.Observe(float64(run) / float64(pred))
 	}
 }
@@ -183,10 +179,8 @@ func BuildOverloadReport(traces []*JobTrace) OverloadReport {
 		}
 		rep.Terminal++
 		t.mu.Lock()
-		row := jobRow{id: t.id, total: t.finishedAt, spilled: t.spilled}
-		for p := Phase(0); p < NumPhases; p++ {
-			row.wall[p] = t.phaseLocked(p)
-		}
+		row := jobRow{id: t.id, spilled: t.spilled}
+		row.wall, row.total = t.phasesLocked()
 		pred := t.predicted
 		failed := t.state != "" && t.state != "done"
 		t.mu.Unlock()

@@ -37,23 +37,17 @@ type Span struct {
 // End reports the span's end offset.
 func (s Span) End() time.Duration { return s.Start + s.Dur }
 
-// recorderShards bounds lock contention: stage goroutines hash to shards
-// by worker id, so the three-pool exec pipeline never contends at all.
-const recorderShards = 16
-
-type shard struct {
-	mu    sync.Mutex
-	spans []Span
-}
-
 // Recorder collects spans from concurrently running pipeline stages. It
 // implements exec.Observer, so it can be attached directly to
 // exec.Stages.Observer; non-pipeline code (the mlmsort megachunk loop)
-// records through Record. The zero Recorder is not usable — construct
+// records through Record. Its writers are a pipeline's few stage
+// goroutines, each emitting a few spans per megachunk, so one mutex over
+// one slice serves them. The zero Recorder is not usable — construct
 // with NewRecorder, which fixes the epoch.
 type Recorder struct {
-	epoch  time.Time
-	shards [recorderShards]shard
+	epoch time.Time
+	mu    sync.Mutex
+	spans []Span
 }
 
 // NewRecorder returns a recorder whose epoch is now.
@@ -79,35 +73,25 @@ func (r *Recorder) Record(stage exec.Stage, chunk, worker int, start, end time.T
 
 // Add appends a pre-built span.
 func (r *Recorder) Add(s Span) {
-	sh := &r.shards[uint(s.Worker)%recorderShards]
-	sh.mu.Lock()
-	sh.spans = append(sh.spans, s)
-	sh.mu.Unlock()
+	r.mu.Lock()
+	r.spans = append(r.spans, s)
+	r.mu.Unlock()
 }
 
 // Len reports the number of recorded spans.
 func (r *Recorder) Len() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n += len(sh.spans)
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.spans)
 }
 
-// Spans merges every shard and returns the spans sorted by start time
-// (ties broken by worker then stage), suitable for analysis and export.
-// The returned slice is a copy; recording may continue afterwards.
+// Spans returns the spans sorted by start time (ties broken by worker
+// then stage), suitable for analysis and export. The returned slice is a
+// copy; recording may continue afterwards.
 func (r *Recorder) Spans() []Span {
-	out := make([]Span, 0, r.Len())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.spans...)
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	out := append([]Span(nil), r.spans...)
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -124,26 +108,34 @@ func (r *Recorder) Spans() []Span {
 // byte-for-byte cross-validation against exec.Counters.
 func (r *Recorder) BytesByStage() [exec.NumStages]int64 {
 	var out [exec.NumStages]int64
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.spans {
-			if int(s.Stage) < len(out) {
-				out[s.Stage] += s.Bytes
-			}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.spans {
+		if int(s.Stage) < len(out) {
+			out[s.Stage] += s.Bytes
 		}
-		sh.mu.Unlock()
+	}
+	return out
+}
+
+// busyByStage sums recorded span durations per stage: the work phases
+// of a job's trace.
+func (r *Recorder) busyByStage() [exec.NumStages]time.Duration {
+	var out [exec.NumStages]time.Duration
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.spans {
+		if int(s.Stage) < len(out) {
+			out[s.Stage] += s.Dur
+		}
 	}
 	return out
 }
 
 // Reset drops all recorded spans and restarts the epoch.
 func (r *Recorder) Reset() {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		sh.spans = sh.spans[:0]
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	r.spans = r.spans[:0]
 	r.epoch = time.Now()
+	r.mu.Unlock()
 }

@@ -34,8 +34,6 @@ type Config struct {
 	// MaxCopyIn bounds the copy-in width the sweep considers; zero
 	// selects TotalThreads/2 - the widest split leaving one computer.
 	MaxCopyIn int
-	// Passes is the model's algorithm pass count; zero selects 1.
-	Passes float64
 	// WarmupChunks is how many chunks must finish copy-out (or compute,
 	// for pipelines without one) before the tuner solves; zero selects 1.
 	WarmupChunks int
@@ -43,10 +41,6 @@ type Config struct {
 	// thread splits is independent of it, so any positive value works;
 	// zero selects the bytes observed during warmup.
 	Bytes units.Bytes
-	// DDRMax and MCDRAMMax cap the model's aggregate bandwidths; zero
-	// leaves the corresponding ceiling effectively unbounded, which is
-	// the right default when nothing is known about the host.
-	DDRMax, MCDRAMMax units.BytesPerSec
 	// OnProvision receives the solved prediction exactly once, after
 	// warmup. The callback runs inline on a stage goroutine and must be
 	// quick (typically a couple of atomic stores).
@@ -83,9 +77,6 @@ func NewPipelineTuner(cfg Config) *PipelineTuner {
 	}
 	if cfg.MaxCopyIn <= 0 {
 		cfg.MaxCopyIn = cfg.TotalThreads / 2
-	}
-	if cfg.Passes <= 0 {
-		cfg.Passes = 1
 	}
 	if cfg.WarmupChunks <= 0 {
 		cfg.WarmupChunks = 1
@@ -172,17 +163,15 @@ func (t *PipelineTuner) solveLocked() (model.Prediction, bool) {
 	if b <= 0 {
 		b = units.Bytes(t.copyBytes + t.compBytes)
 	}
-	ddr, mcdram := t.cfg.DDRMax, t.cfg.MCDRAMMax
-	if ddr <= 0 {
-		// Uncapped: the host has no measured ceiling, so never enter the
-		// model's bandwidth-saturated regimes.
-		ddr = units.BytesPerSec(float64(sCopy) * 1e6)
+	// One pass, and no aggregate bandwidth ceiling (the host's are not
+	// measured), so the solve never enters the model's bandwidth-
+	// saturated regimes.
+	p := model.Params{
+		BCopy: b, SCopy: sCopy, SComp: sComp,
+		DDRMax:    units.BytesPerSec(float64(sCopy) * 1e6),
+		MCDRAMMax: units.BytesPerSec(float64(sComp) * 1e6),
 	}
-	if mcdram <= 0 {
-		mcdram = units.BytesPerSec(float64(sComp) * 1e6)
-	}
-	p := model.Params{BCopy: b, DDRMax: ddr, MCDRAMMax: mcdram, SCopy: sCopy, SComp: sComp}
-	return p.Optimal(t.cfg.TotalThreads, t.cfg.MaxCopyIn, t.cfg.Passes), true
+	return p.Optimal(t.cfg.TotalThreads, t.cfg.MaxCopyIn, 1), true
 }
 
 // publish mirrors the decision into the configured metrics registry.
