@@ -578,6 +578,7 @@ func cellMergeKernels() []cellMergeKernel {
 	round := func(cells int) fn { return func(dst []int64, runs [][]int64) { MergeRound(dst, runs, 4, cells) } }
 	window := func(cells int) fn { return func(dst []int64, runs [][]int64) { windowMergeWhole(dst, runs, cells) } }
 	rounds := func(cells int) fn { return func(dst []int64, runs [][]int64) { mergeRoundsWhole(dst, runs, 4, cells) } }
+	scalar := func(f fn) fn { return func(dst []int64, runs [][]int64) { defer forceScalar()(); f(dst, runs) } }
 	return []cellMergeKernel{
 		// The width-2 label dates from when MergeRecords2 was an export; a
 		// two-run record round is what reaches merge2 at that width now.
@@ -600,6 +601,10 @@ func cellMergeKernels() []cellMergeKernel {
 		{name: [2]string{"MergeRound", "MergeRound-records"}, covers: []string{"MergeRound"}, run: [2]fn{round(1), round(2)}},
 		{name: [2]string{"WindowMerge", "WindowMerge-records"}, covers: []string{"WindowMerge"}, run: [2]fn{window(1), window(2)}},
 		{name: [2]string{"MergeRounds", "MergeRounds-records"}, covers: []string{"MergeRounds"}, run: [2]fn{rounds(1), rounds(2)}},
+		// The rows above run merge2's vector path for bare keys where the
+		// CPU has it; these two force the scalar fallback.
+		{name: [2]string{"Merge2-scalar"}, arity: 2, run: [2]fn{scalar(func(dst []int64, runs [][]int64) { Merge2(dst, runs[0], runs[1]) })}},
+		{name: [2]string{"MergeRounds-scalar"}, run: [2]fn{scalar(rounds(1))}},
 	}
 }
 

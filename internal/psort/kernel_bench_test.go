@@ -284,6 +284,16 @@ func benchMerge2(b *testing.B, n int, fn func(dst, a, b []int64)) {
 func BenchmarkMerge2Linear(b *testing.B) { benchMerge2(b, 500_000, linear2) }
 func BenchmarkMerge2Gallop(b *testing.B) { benchMerge2(b, 500_000, Merge2) }
 
+// The vector merge against the scalar fallback on 512Ki+512Ki random
+// keys: CI's "Vector-merge floor" pair. Without AVX-512 both legs run the
+// scalar merge.
+func BenchmarkMerge2Vector(b *testing.B) { benchMerge2(b, 512<<10, Merge2) }
+
+func BenchmarkMerge2Scalar(b *testing.B) {
+	defer forceScalar()()
+	benchMerge2(b, 512<<10, Merge2)
+}
+
 // linear2 is the reference merge at width 1, in Merge2's signature.
 func linear2(dst, a, b []int64) {
 	merge2Linear(asCells[[1]int64](dst), asCells[[1]int64](a), asCells[[1]int64](b))

@@ -114,25 +114,45 @@ func TestMerge2MatchesLinear(t *testing.T) {
 }
 
 // merge2BothWidths checks the two-ended merge2 against the one-ended
-// merge2Linear on keys a and b, and again on records built from them
-// whose payload names each key's run and position, so at width 2 any
-// departure from the stable order (ties to a, in run order) is a
-// divergence.
+// merge2Linear on keys a and b, on the vector path and on the forced
+// scalar fallback, and again on records built from them whose payload
+// names each key's run and position, so at width 2 any departure from
+// the stable order (ties to a, in run order) is a divergence.
 func merge2BothWidths(t *testing.T, label string, a, b []int64) {
 	t.Helper()
-	want, got := make([]int64, len(a)+len(b)), make([]int64, len(a)+len(b))
+	want := make([]int64, len(a)+len(b))
 	linear2(want, a, b)
-	Merge2(got, a, b)
-	if i := firstDiff(got, want); i >= 0 {
-		t.Fatalf("%s (%d+%d): width-1 merge2 diverges at %d: %d, want %d", label, len(a), len(b), i, got[i], want[i])
-	}
+	bothPaths(func(path string) {
+		got := make([]int64, len(a)+len(b))
+		Merge2(got, a, b)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("%s (%d+%d): width-1 %s merge2 diverges at %d: %d, want %d", label, len(a), len(b), path, i, got[i], want[i])
+		}
+	})
 	ra, rb := payloaded(a, 0), payloaded(b, 1)
-	want, got = make([]int64, len(ra)+len(rb)), make([]int64, len(ra)+len(rb))
+	want, got := make([]int64, len(ra)+len(rb)), make([]int64, len(ra)+len(rb))
 	merge2Linear(asCells[[2]int64](want), asCells[[2]int64](ra), asCells[[2]int64](rb))
 	merge2(asCells[[2]int64](got), asCells[[2]int64](ra), asCells[[2]int64](rb))
 	if i := firstDiff(got, want); i >= 0 {
 		t.Fatalf("%s (%d+%d): width-2 merge2 diverges at cell %d: %d, want %d", label, len(a), len(b), i, got[i], want[i])
 	}
+}
+
+// forceScalar makes merge2 take its scalar path for bare keys until the
+// returned func restores the path the CPU chose: the hook that tests and
+// times both paths on one build.
+func forceScalar() (restore func()) {
+	saved := vectorMerge
+	vectorMerge = false
+	return func() { vectorMerge = saved }
+}
+
+// bothPaths runs f on merge2's vector path (the scalar one on a build or
+// CPU without it) and then on the forced scalar fallback.
+func bothPaths(f func(path string)) {
+	f("vector")
+	defer forceScalar()()
+	f("scalar")
 }
 
 // payloaded interleaves keys with a payload of (run, position).
@@ -224,6 +244,73 @@ func TestMerge2GallopsLongStreaks(t *testing.T) {
 		if dst[i] != want[i] {
 			t.Fatalf("reverse: dst[%d] = %d, want %d", i, dst[i], want[i])
 		}
+	}
+}
+
+// TestMerge2VectorEdges covers the vector kernel's edges on both paths:
+// every pair of lengths 0-17 (under, at and past one and two blocks of 8)
+// on all-equal keys, on keys mixing math.MinInt64 and math.MaxInt64 (the
+// signed min and max), and on runs wholly before each other; then
+// rank-split slices that start at unaligned offsets, as MergeRounds'
+// workers hand them over.
+func TestMerge2VectorEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	shapes := map[string]func(n, run int) []int64{
+		"all-equal": func(n, _ int) []int64 { return repeatInt64(5, n) },
+		"extremes": func(n, _ int) []int64 {
+			r := make([]int64, n)
+			for i := range r {
+				r[i] = extremes[rng.Intn(len(extremes))]
+			}
+			slices.Sort(r)
+			return r
+		},
+		"a-before-b": func(n, run int) []int64 {
+			r := make([]int64, n)
+			for i := range r {
+				r[i] = int64(run*100 + i)
+			}
+			return r
+		},
+		"b-before-a": func(n, run int) []int64 {
+			r := make([]int64, n)
+			for i := range r {
+				r[i] = int64((1-run)*100 + i)
+			}
+			return r
+		},
+	}
+	for name, gen := range shapes {
+		for la := 0; la <= 17; la++ {
+			for lb := 0; lb <= 17; lb++ {
+				merge2BothWidths(t, name, gen(la, 0), gen(lb, 1))
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		a, b := make([]int64, 100+rng.Intn(200)), make([]int64, 100+rng.Intn(200))
+		for _, r := range [][]int64{a, b} {
+			for i := range r {
+				r[i] = rng.Int63n(1000) - 500
+			}
+			slices.Sort(r)
+		}
+		offA, offB := 1+rng.Intn(7), 1+rng.Intn(7)
+		runs := [][]int64{a[offA:], b[offB:]}
+		n := len(runs[0]) + len(runs[1])
+		want := make([]int64, n)
+		linear2(want, runs[0], runs[1])
+		r := 1 + rng.Intn(n-1)
+		cuts := Select(runs, r)
+		bothPaths(func(path string) {
+			got := make([]int64, n+3)[3:]
+			Merge2(got[:r], runs[0][:cuts[0]], runs[1][:cuts[1]])
+			Merge2(got[r:], runs[0][cuts[0]:], runs[1][cuts[1]:])
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("split at %d, offsets %d and %d: %s merge2 diverges at %d: %d, want %d", r, offA, offB, path, i, got[i], want[i])
+			}
+		})
 	}
 }
 
@@ -363,8 +450,9 @@ func FuzzMerge2MatchesLinear(f *testing.F) {
 }
 
 // roundsBoth merges runs through MergeRounds and through the loser tree,
-// at both cell widths, on one worker and on four, and fails on any
-// difference; at width 2 the payloads make it a stability check.
+// at both cell widths, on one worker and on four, on both of merge2's
+// paths, and fails on any difference; at width 2 the payloads make it a
+// stability check.
 func roundsBoth(t *testing.T, label string, runs [][]int64) {
 	t.Helper()
 	records := make([][]int64, len(runs))
@@ -380,14 +468,16 @@ func roundsBoth(t *testing.T, label string, runs [][]int64) {
 		} else {
 			batchedDrain[[2]int64](want, in)
 		}
-		for _, threads := range []int{1, 4} {
-			got := make([]int64, total)
-			mergeRoundsWhole(got, in, threads, cells)
-			if i := firstDiff(got, want); i >= 0 {
-				t.Fatalf("%s: k=%d width %d threads %d: rounds diverge from the tree at cell %d: %d, want %d",
-					label, len(runs), cells, threads, i, got[i], want[i])
+		bothPaths(func(path string) {
+			for _, threads := range []int{1, 4} {
+				got := make([]int64, total)
+				mergeRoundsWhole(got, in, threads, cells)
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("%s: k=%d width %d threads %d, %s merge2: rounds diverge from the tree at cell %d: %d, want %d",
+						label, len(runs), cells, threads, path, i, got[i], want[i])
+				}
 			}
-		}
+		})
 	}
 }
 

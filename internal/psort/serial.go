@@ -171,6 +171,10 @@ func siftDown(xs []int64, root, end int) {
 // structure is exploited quickly.
 const gallopMin = 8
 
+// vectorBlock is the keys merge2AVX512 loads and merges at a time: one
+// 8-lane register.
+const vectorBlock = 8
+
 // Merge2 merges the sorted runs a and b into dst, which must have length
 // len(a)+len(b) and not alias either input. It is the compute kernel of
 // the paper's streaming merge benchmark.
@@ -179,74 +183,137 @@ func Merge2(dst, a, b []int64) {
 }
 
 // merge2 is the two-way merge at either cell width, stable: ties go to a.
+// Bare keys take the vector kernel where the CPU has one (merge2Keys);
+// equal bare keys cannot be told apart, so its network need not be
+// stable. Records, and keys on other CPUs, take the scalar merge below.
 //
-// The element-wise loop is two-ended: each step emits the smaller head
-// at the front of dst and the larger tail at the back, so the merge runs
-// as two independent dependency chains, each waiting only on its own
-// previous comparison. The back keeps the same stability from its side:
-// on equal tails it emits b's first, because b's equal keys come last.
-// While both runs hold an unconsumed element the two picks are distinct
-// elements (the smallest and the largest of what is left), so the loop
-// needs no other guard.
-//
-// The merge is adaptive: it runs the element-wise loop until one side
-// wins gallopMin times in a row at the front, then switches to gallop
-// mode — exponential-search the end of each side's winning streak and
-// memmove the whole prefix — dropping back to element-wise when streaks
-// shrink. Output is identical to the plain linear merge.
+// The scalar merge is adaptive: it runs the element-wise loop
+// (merge2Steps) until one side wins gallopMin times in a row at the
+// front, then gallops (gallop2) — exponential-search the end of each
+// side's winning streak and memmove the whole prefix — dropping back to
+// element-wise when streaks shrink. Output is identical to the plain
+// linear merge.
 func merge2[C cell](dst, a, b []C) {
 	if len(dst) != len(a)+len(b) {
 		panic("psort: two-way merge destination length mismatch")
 	}
-	galloping := false
+	var c C
+	if len(c) == 1 && vectorMerge {
+		merge2Keys(keyCells(dst), keyCells(a), keyCells(b))
+		return
+	}
+	merge2Scalar(dst, a, b)
+}
+
+// merge2Scalar is merge2 without the vector kernel: records always, and
+// bare keys on a CPU without one.
+func merge2Scalar[C cell](dst, a, b []C) {
 	for len(a) > 0 && len(b) > 0 {
-		if galloping {
-			// Alternate bulk copies. Each round emits at least one
-			// element: if a's streak is empty then b[0] < a[0], so b's
-			// streak is not.
-			ma := gallopLE(a, b[0][0])
-			copy(dst, a[:ma])
-			dst, a = dst[ma:], a[ma:]
-			if len(a) == 0 {
-				break
-			}
-			mb := gallopLT(b, a[0][0])
-			copy(dst, b[:mb])
-			dst, b = dst[mb:], b[mb:]
-			if ma < gallopMin && mb < gallopMin {
-				galloping = false
-			}
-			continue
+		i, j, ia, jb := merge2Steps(dst, a, b)
+		dst, a, b = dst[i+j:ia+jb+2], a[i:ia+1], b[j:jb+1]
+		dst, a, b = gallop2(dst, a, b)
+	}
+	copy(dst, a)
+	copy(dst[len(a):], b)
+}
+
+// merge2Keys is merge2 for bare keys with the vector kernel.
+// merge2AVX512 merges while both runs hold a block of vectorBlock keys it
+// has not loaded. It leaves its last vectorBlock keys in a register, but
+// those are exactly what the n keys it wrote leave of the prefixes it
+// read, so coRank finds where the runs resume. It stops early before a
+// block that lies wholly before the other run's head with nothing of
+// the carry above it: that is a streak, which gallop2 copies. The tails,
+// where a run has under a block left, go through the scalar merge.
+func merge2Keys(dst, a, b [][1]int64) {
+	for len(a) >= vectorBlock && len(b) >= vectorBlock {
+		i, j := merge2AVX512(dst, a, b)
+		tail := i > len(a)-vectorBlock || j > len(b)-vectorBlock
+		n := i + j - vectorBlock
+		p := coRank(a[:i], b[:j], n)
+		dst, a, b = dst[n:], a[p:], b[n-p:]
+		if tail {
+			break
 		}
+		dst, a, b = gallop2(dst, a, b)
+	}
+	merge2Scalar(dst, a, b)
+}
+
+// coRank reports how many of the n smallest keys of the sorted runs a
+// and b lie in a, taking them from a and b in whichever way keeps both
+// parts sorted; 0 <= n <= len(a)+len(b).
+func coRank(a, b [][1]int64, n int) int {
+	lo, hi := max(0, n-len(b)), min(len(a), n)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid][0] < b[n-mid-1][0] {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// merge2Steps is merge2's element-wise loop. It is two-ended: each step
+// emits the smaller head at the front of dst and the larger tail at the
+// back, so the merge runs as two independent dependency chains, each
+// waiting only on its own previous comparison. The back keeps the same
+// stability from its side: on equal tails it emits b's first, because
+// b's equal keys come last. While both runs hold an unconsumed element
+// the two picks are distinct elements (the smallest and the largest of
+// what is left), so the loop needs no other guard.
+//
+// It returns what is left, a[i..ia] and b[j..jb] (the front has written
+// i+j elements and the back everything after ia+jb+1), when a run is
+// used up or when one side has won gallopMin front picks in a row.
+func merge2Steps[C cell](dst, a, b []C) (i, j, ia, jb int) {
+	ia, jb = len(a)-1, len(b)-1
+	last, streak := 0, 0
+	for i <= ia && j <= jb {
 		// Which side holds the smaller head (or the larger tail) is a coin
 		// flip on interleaved runs, so nothing here branches on it: each
 		// comparison is read as 0 or 1, which masks the element in cell by
 		// cell and advances one cursor. The front keeps the streak count.
-		// a[i..ia] and b[j..jb] are what is left; the front has written
-		// i+j elements and the back everything after ia+jb+1.
-		i, j, ia, jb := 0, 0, len(a)-1, len(b)-1
-		last, streak := 0, 0
-		for i <= ia && j <= jb {
-			take := b2i(b[j][0] < a[i][0])   // 1 takes b's head; ties go to a
-			back := b2i(a[ia][0] > b[jb][0]) // 1 takes a's tail; ties go to b
-			f, t := i+j, ia+jb+1
-			for c := 0; c < len(dst[f]); c++ {
-				dst[f][c] = a[i][c] ^ (a[i][c]^b[j][c])&-int64(take)
-				dst[t][c] = b[jb][c] ^ (b[jb][c]^a[ia][c])&-int64(back)
-			}
-			i, j = i+1-take, j+take
-			ia, jb = ia-back, jb-1+back
-			streak = streak&-b2i(take == last) + 1
-			last = take
-			if streak >= gallopMin {
-				galloping = true
-				break
-			}
+		take := b2i(b[j][0] < a[i][0])   // 1 takes b's head; ties go to a
+		back := b2i(a[ia][0] > b[jb][0]) // 1 takes a's tail; ties go to b
+		f, t := i+j, ia+jb+1
+		for c := 0; c < len(dst[f]); c++ {
+			dst[f][c] = a[i][c] ^ (a[i][c]^b[j][c])&-int64(take)
+			dst[t][c] = b[jb][c] ^ (b[jb][c]^a[ia][c])&-int64(back)
 		}
-		dst, a, b = dst[i+j:ia+jb+2], a[i:ia+1], b[j:jb+1]
+		i, j = i+1-take, j+take
+		ia, jb = ia-back, jb-1+back
+		streak = streak&-b2i(take == last) + 1
+		last = take
+		if streak >= gallopMin {
+			return
+		}
 	}
-	copy(dst, a)
-	copy(dst[len(a):], b)
+	return
+}
+
+// gallop2 emits the runs' winning streaks by alternate bulk copies while
+// either streak is at least gallopMin long, and returns what is left.
+// Each round emits at least one element: if a's streak is empty then
+// b[0] < a[0], so b's streak is not.
+func gallop2[C cell](dst, a, b []C) ([]C, []C, []C) {
+	for len(a) > 0 && len(b) > 0 {
+		ma := gallopLE(a, b[0][0])
+		copy(dst, a[:ma])
+		dst, a = dst[ma:], a[ma:]
+		if len(a) == 0 {
+			break
+		}
+		mb := gallopLT(b, a[0][0])
+		copy(dst, b[:mb])
+		dst, b = dst[mb:], b[mb:]
+		if ma < gallopMin && mb < gallopMin {
+			break
+		}
+	}
+	return dst, a, b
 }
 
 // merge2Linear is the pre-gallop, one-ended element-wise merge at either

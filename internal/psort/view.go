@@ -9,7 +9,7 @@ import "unsafe"
 // Unlike the wire package's byte-level zero copy, nothing here depends
 // on endianness — the views never change how memory is *interpreted
 // across machines*, only which Go type reads the same cells in this
-// process — so there is no purego fallback to maintain.
+// process — so the views need no purego fallback.
 
 // cell is the element the per-element kernels are written over: a
 // fixed-width array of int64 cells ordered by c[0], with any payload
@@ -33,6 +33,12 @@ func asCells[C cell](xs []int64) []C {
 		return nil
 	}
 	return unsafe.Slice((*C)(unsafe.Pointer(&xs[0])), len(xs)/len(c))
+}
+
+// keyCells views a buffer of width-1 cells as bare-key cells, for the
+// vector merge; C must be one int64 wide.
+func keyCells[C cell](xs []C) [][1]int64 {
+	return unsafe.Slice((*[1]int64)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
 }
 
 // f64AsI64 views a []float64 as []int64 over the same memory: element i
