@@ -5,13 +5,13 @@
 // Examples:
 //
 //	mlmcoord -addr :9090 -backends http://127.0.0.1:8080,http://127.0.0.1:8081
-//	mlmcoord -addr 127.0.0.1:0 -backends "$B0,$B1" -parts-per-backend 4 -poll-interval 250ms
+//	mlmcoord -addr 127.0.0.1:0 -backends "$B0,$B1" -poll-interval 250ms
 //
-// Jobs are range-partitioned with sampled splitters sized to each
-// backend's polled capacity (Eq. 1-5 model on the node's own EWMA
-// rates, degraded by brownout level and queue depth), scattered as
-// binary wire uploads, and merged back into the client's download as a
-// windowed k-way merge of the backend result streams. A backend that
+// Jobs are range-partitioned, two partitions per backend, by sampled
+// splitters sized to each backend's polled capacity (Eq. 1-5 on the
+// node's published per-thread rates and threads, degraded by brownout
+// level and queue depth), scattered as binary wire uploads, and
+// concatenated in key order into the client's download. A backend that
 // dies mid-job costs only the partitions it held; each is re-run on a
 // surviving node, resuming mid-stream where the download stopped.
 //
@@ -35,7 +35,6 @@ import (
 type options struct {
 	addr         string
 	backends     string
-	partsPerNode int
 	pollInterval time.Duration
 	retain       int
 	seed         int64
@@ -48,7 +47,6 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":9090", "listen address (host:port; port 0 picks a free port)")
 	flag.StringVar(&o.backends, "backends", "", "comma-separated mlmserve base URLs (required)")
-	flag.IntVar(&o.partsPerNode, "parts-per-backend", 0, "range partitions per backend per job (0 = 2)")
 	flag.DurationVar(&o.pollInterval, "poll-interval", 0, "backend capacity poll cadence (0 = 500ms)")
 	flag.IntVar(&o.retain, "retain", 0, "terminal jobs retained for status lookup (0 = 64)")
 	flag.Int64Var(&o.seed, "seed", 1, "splitter sampling seed")
@@ -79,12 +77,11 @@ func run(o options) error {
 	}
 
 	coord, err := cluster.New(cluster.Config{
-		Backends:        backends,
-		PartsPerBackend: o.partsPerNode,
-		PollInterval:    o.pollInterval,
-		RetainJobs:      o.retain,
-		Seed:            o.seed,
-		Logger:          logger,
+		Backends:     backends,
+		PollInterval: o.pollInterval,
+		RetainJobs:   o.retain,
+		Seed:         o.seed,
+		Logger:       logger,
 	})
 	if err != nil {
 		return err

@@ -62,6 +62,11 @@ const (
 	// sampleRate is the fraction of a job's keys sampled for splitter
 	// selection; the sample is floored at 8 keys per partition regardless.
 	sampleRate = 0.01
+	// partsPerBackend is how many range partitions each backend receives
+	// per job. More partitions smooth the retry granularity (a dead
+	// backend loses smaller pieces) at the cost of per-partition HTTP
+	// overhead.
+	partsPerBackend = 2
 	// skewLimit triggers a one-shot splitter resample when the worst
 	// partition exceeds this multiple of its weighted target.
 	skewLimit = 2.5
@@ -84,11 +89,6 @@ type Config struct {
 	// Registry receives the cluster_* metric families; nil selects a
 	// private registry.
 	Registry *telemetry.Registry
-	// PartsPerBackend is how many range partitions each backend receives
-	// per job. More partitions smooth the retry granularity (a dead
-	// backend loses smaller pieces) at the cost of per-partition HTTP
-	// overhead. Zero selects 2.
-	PartsPerBackend int
 	// PollInterval is the capacity poll cadence. Zero selects 500ms.
 	PollInterval time.Duration
 	// RetainJobs bounds terminal jobs kept for status lookup. Zero
@@ -134,9 +134,6 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: at least one backend is required")
-	}
-	if cfg.PartsPerBackend <= 0 {
-		cfg.PartsPerBackend = 2
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
@@ -404,7 +401,7 @@ func (c *Coordinator) run(j *Job, keys []int64, seq int64) {
 	j.mu.Unlock()
 
 	weights := c.weights()
-	nparts := len(c.backends) * c.cfg.PartsPerBackend
+	nparts := len(c.backends) * partsPerBackend
 	if nparts > len(keys) {
 		nparts = len(keys)
 	}

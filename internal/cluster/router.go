@@ -10,7 +10,9 @@ import (
 // paper's Equation 1-5 model predicts from that node's own polled
 // constants — the per-thread copy and compute rates it publishes and its
 // thread budget — degraded by the node's live overload state (brownout level,
-// queue depth). A node that is browned out to level 2 or queueing deeply
+// queue depth). Every node publishes the same rates (the paper's Table
+// 2, fixed for the node's life), so the weights differ only by thread
+// budget and overload. A node that is browned out to level 2 or queueing deeply
 // gets proportionally smaller key ranges, which is the distributed
 // restatement of the paper's thesis: provision work to match measured
 // bandwidth, don't split evenly and hope.

@@ -21,7 +21,6 @@ type Server struct {
 	coord        *Coordinator
 	mux          *http.ServeMux
 	maxBodyBytes int64
-	chunkElems   int
 }
 
 // ServerConfig describes a Server.
@@ -31,9 +30,6 @@ type ServerConfig struct {
 	// MaxBodyBytes bounds submit bodies. Zero selects 256 MiB — the
 	// coordinator exists to take jobs bigger than one node wants.
 	MaxBodyBytes int64
-	// ResultChunkElems is the JSON result streaming granularity. Zero
-	// selects edge.DefaultResultChunkElems.
-	ResultChunkElems int
 }
 
 // NewServer builds the HTTP front end.
@@ -48,7 +44,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		coord:        cfg.Coordinator,
 		mux:          http.NewServeMux(),
 		maxBodyBytes: cfg.MaxBodyBytes,
-		chunkElems:   cfg.ResultChunkElems,
 	}
 	s.mux.HandleFunc("POST /v1/sort", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
@@ -165,7 +160,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	enc := &edge.ResultWriter{W: w, Wire: edge.AcceptsWire(r), Kind: wire.KindInt64, N: j.N(), ChunkElems: s.chunkElems}
+	enc := &edge.ResultWriter{W: w, Wire: edge.AcceptsWire(r), Kind: wire.KindInt64, N: j.N()}
 	_, err := j.StreamResult(r.Context(), enc.WriteBatch)
 	switch {
 	case err == nil:

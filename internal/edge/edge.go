@@ -163,7 +163,9 @@ type Capacity struct {
 	QueueDepth    int   `json:"queue_depth"`
 	BrownoutLevel int   `json:"brownout_level"`
 	// EWMACopyBps/EWMACompBps are the per-thread copy and compute rates
-	// (bytes/sec) the admission model currently runs on.
+	// (bytes/sec) the admission model runs on: the paper's Table 2, fixed
+	// for the node's life (sched.Scheduler.Rates), not moving averages.
+	// The JSON names are kept for protocol compatibility.
 	EWMACopyBps float64 `json:"ewma_copy_bps"`
 	EWMACompBps float64 `json:"ewma_comp_bps"`
 	// Threads is the node's fair-shared thread budget.

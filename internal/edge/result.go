@@ -7,8 +7,8 @@ import (
 	"knlmlm/internal/wire"
 )
 
-// DefaultResultChunkElems is the JSON download's streaming granularity
-// (elements per write/flush) when ResultWriter.ChunkElems is zero.
+// DefaultResultChunkElems is the JSON download's streaming granularity:
+// elements per write and flush.
 const DefaultResultChunkElems = 8192
 
 // ResultWriter renders the sorted-key batches of a job's StreamResult
@@ -27,13 +27,13 @@ type ResultWriter struct {
 	N int
 	// Spilled adds X-Sort-Spilled: the body is a consume-once merge.
 	Spilled bool
-	// ChunkElems is the JSON elements per write and flush (zero selects
+	// chunkElems is the JSON elements per write and flush (zero selects
 	// DefaultResultChunkElems), so a multi-gigabyte result never
-	// materializes as one response buffer. FrameElems is the wire frame
+	// materializes as one response buffer. frameElems is the wire frame
 	// granularity (zero selects wire.DefaultFrameElems); it is
-	// deliberately independent of ChunkElems, whose smaller default suits
-	// the JSON encoder's per-chunk buffer.
-	ChunkElems, FrameElems int
+	// deliberately independent of chunkElems, whose smaller default suits
+	// the JSON encoder's per-chunk buffer. Only tests set either.
+	chunkElems, frameElems int
 
 	flusher http.Flusher
 	fw      *wire.Writer
@@ -57,7 +57,7 @@ func (e *ResultWriter) begin() error {
 	ct := "application/json"
 	if e.Wire {
 		ct = wire.ContentTypeFor(e.Kind)
-		e.fw = wire.NewWriterKind(e.W, e.Kind, e.N, e.FrameElems)
+		e.fw = wire.NewWriterKind(e.W, e.Kind, e.N, e.frameElems)
 	}
 	e.W.Header().Set("Content-Type", ct)
 	e.W.Header().Set("X-Sort-Elements", strconv.Itoa(e.N))
@@ -67,8 +67,8 @@ func (e *ResultWriter) begin() error {
 	if e.Wire {
 		return nil // the frame writer sends its stream header with the first frame
 	}
-	if e.ChunkElems <= 0 {
-		e.ChunkElems = DefaultResultChunkElems
+	if e.chunkElems <= 0 {
+		e.chunkElems = DefaultResultChunkElems
 	}
 	_, err := e.W.Write([]byte("["))
 	return err
@@ -88,9 +88,9 @@ func (e *ResultWriter) WriteBatch(batch []int64) error {
 		e.flush()
 		return nil
 	}
-	for lo := 0; lo < len(batch); lo += e.ChunkElems {
+	for lo := 0; lo < len(batch); lo += e.chunkElems {
 		e.buf = e.buf[:0]
-		for _, v := range batch[lo:min(lo+e.ChunkElems, len(batch))] {
+		for _, v := range batch[lo:min(lo+e.chunkElems, len(batch))] {
 			if e.comma {
 				e.buf = append(e.buf, ',')
 			}

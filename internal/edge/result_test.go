@@ -38,7 +38,7 @@ func TestResultWriterJSON(t *testing.T) {
 	})
 	t.Run("commas across chunks and batches", func(t *testing.T) {
 		rec := httptest.NewRecorder()
-		e := &ResultWriter{W: rec, N: 12, Spilled: true, ChunkElems: 3}
+		e := &ResultWriter{W: rec, N: 12, Spilled: true, chunkElems: 3}
 		untouched(t, e, rec)
 		// Batches that end inside a chunk, on a chunk boundary, and empty.
 		for i, batch := range [][]int64{{-1, 2, 3, 4}, {5, 6}, {}, {7, 8, 9, 10, 11, 12}} {
@@ -65,7 +65,7 @@ func TestResultWriterJSON(t *testing.T) {
 func TestResultWriterWire(t *testing.T) {
 	keys := []int64{-5, -1, 0, 3, 3, 8, 1 << 40}
 	rec := httptest.NewRecorder()
-	e := &ResultWriter{W: rec, Wire: true, Kind: wire.KindInt64, N: len(keys), FrameElems: 4}
+	e := &ResultWriter{W: rec, Wire: true, Kind: wire.KindInt64, N: len(keys), frameElems: 4}
 	untouched(t, e, rec)
 	if err := e.WriteBatch(keys[:5]); err != nil {
 		t.Fatal(err)

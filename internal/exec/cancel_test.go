@@ -82,7 +82,8 @@ func TestCancellationRaces(t *testing.T) {
 				}
 			}
 			rec := telemetry.NewRecorder()
-			inst, counters := exec.InstrumentObserved(s, 16, rec)
+			inst, counters := exec.Instrument(s, 16)
+			inst.Observer = rec
 
 			done := make(chan error, 1)
 			go func() { done <- exec.RunContext(ctx, inst, 3) }()

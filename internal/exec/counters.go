@@ -57,14 +57,3 @@ func Instrument(s Stages, touchedPerElem int64) (Stages, *Counters) {
 	}
 	return out, c
 }
-
-// InstrumentObserved is Instrument plus a span hook: the returned stage
-// set both counts traffic in the Counters and emits per-stage span events
-// (work and wait) to obs when the pipeline runs. The two accountings use
-// the same per-stage byte attribution, so telemetry totals can be
-// cross-validated against the Counters exactly.
-func InstrumentObserved(s Stages, touchedPerElem int64, obs Observer) (Stages, *Counters) {
-	out, c := Instrument(s, touchedPerElem)
-	out.Observer = obs
-	return out, c
-}

@@ -71,7 +71,8 @@ func TestTelemetryMatchesCountersByteForByte(t *testing.T) {
 		src := workload.Generate(workload.Random, n, int64(p+1))
 		dst := make([]int64, n)
 		s := stagedIncrement(src, dst, chunkLen, passes)
-		inst, c := exec.InstrumentObserved(s, int64(2*passes*8), rec)
+		inst, c := exec.Instrument(s, int64(2*passes*8))
+		inst.Observer = rec
 		counters[p] = c
 		wg.Add(1)
 		go func() {

@@ -21,7 +21,7 @@ func TestAutotuneReprovisions(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	stats, err := RunRealResilient(context.Background(), MLMSort, xs, 2, mc, RealOptions{
 		Buffers:  3,
-		Autotune: &AutotuneOptions{WarmupChunks: 1, Registry: reg},
+		Autotune: &AutotuneOptions{Registry: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestAutotuneIgnoredWithoutCopyPools(t *testing.T) {
 	const n, mc = 40_000, 10_000
 	xs := workload.Generate(workload.Random, n, 13)
 	stats, err := RunRealResilient(context.Background(), MLMDDr, xs, 2, mc, RealOptions{
-		Autotune: &AutotuneOptions{WarmupChunks: 1},
+		Autotune: &AutotuneOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestAutotuneExplicitBudget(t *testing.T) {
 	const n, mc = 60_000, 10_000
 	xs := workload.Generate(workload.Random, n, 17)
 	stats, err := RunRealResilient(context.Background(), MLMHybrid, xs, 2, mc, RealOptions{
-		Autotune: &AutotuneOptions{TotalThreads: 8, MaxCopyIn: 3, WarmupChunks: 2},
+		Autotune: &AutotuneOptions{TotalThreads: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestAutotuneUnderChaos(t *testing.T) {
 		rig := plan.Rig(res)
 		stats, err := RunRealResilient(context.Background(), MLMSort, xs, 2, mc, RealOptions{
 			Staging: rig.Staging, Resilience: res, Policy: rig.Policy, Buffers: 3,
-			Autotune: &AutotuneOptions{WarmupChunks: 1, Registry: reg},
+			Autotune: &AutotuneOptions{Registry: reg},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"knlmlm/internal/psort"
+	"knlmlm/internal/spill"
 )
 
 // recordJob builds an interleaved key/payload cell buffer with
@@ -98,29 +99,36 @@ func TestRecordExternalSpill(t *testing.T) {
 	xs := recordJob(rng, 5000)
 	want := sortedRecordsRef(xs)
 
+	st, err := spill.NewStore(spill.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	defer st.Close()
+	opts := ExternalOptions{
+		RealOptions: RealOptions{Elem: ElemKV},
+		Store:       st,
+		blockElems:  513, // odd: MergeSpilled must round it to whole records
+	}
+	runs, stats, err := SpillSorted(context.Background(), MLMSort, xs, 2, 1000, opts)
+	if err != nil {
+		t.Fatalf("SpillSorted: %v", err)
+	}
+	if stats.Runs < 2 {
+		t.Fatalf("runs = %d, want a real k-way merge", stats.Runs)
+	}
 	var streamed []int64
-	sink := func(batch []int64) error {
+	merged, err := MergeSpilled(context.Background(), st, runs, opts, func(batch []int64) error {
 		if len(batch)%2 != 0 {
 			t.Fatalf("sink batch of %d cells splits a record", len(batch))
 		}
 		streamed = append(streamed, batch...)
 		return nil
-	}
-	opts := ExternalOptions{
-		RealOptions: RealOptions{Elem: ElemKV},
-		SpillDir:    t.TempDir(),
-		MergeBlock:  513, // odd: MergeSpilled must round it to whole records
-		Sink:        sink,
-	}
-	stats, err := RunRealExternal(context.Background(), MLMSort, xs, 2, 1000, opts)
+	})
 	if err != nil {
-		t.Fatalf("RunRealExternal: %v", err)
+		t.Fatalf("MergeSpilled: %v", err)
 	}
-	if stats.Runs < 2 {
-		t.Fatalf("runs = %d, want a real k-way merge", stats.Runs)
-	}
-	if stats.MergedElems != int64(len(want)) {
-		t.Fatalf("merged %d cells, want %d", stats.MergedElems, len(want))
+	if merged != int64(len(want)) {
+		t.Fatalf("merged %d cells, want %d", merged, len(want))
 	}
 	if !slices.Equal(streamed, want) {
 		for i := range want {
@@ -130,10 +138,11 @@ func TestRecordExternalSpill(t *testing.T) {
 		}
 	}
 
-	// Write-back shape (no sink): the in-place xs must match too.
+	// Write-back shape: RunRealExternal, on a private store, sorts xs in
+	// place.
 	xs2 := recordJob(rng, 2048)
 	want2 := sortedRecordsRef(xs2)
-	opts.Sink = nil
+	opts.Store, opts.SpillDir = nil, t.TempDir()
 	if _, err := RunRealExternal(context.Background(), MLMDDr, xs2, 2, 700, opts); err != nil {
 		t.Fatalf("RunRealExternal write-back: %v", err)
 	}

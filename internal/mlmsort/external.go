@@ -37,9 +37,6 @@ type ExternalOptions struct {
 	// metrics. Ignored when Store is set (the store already has one).
 	Registry *telemetry.Registry
 
-	// MergeBlock is the element count of each read-ahead block the final
-	// merge streams run files through; zero selects 64Ki elements.
-	MergeBlock int
 	// ReadAhead is the number of concurrent run-file fill workers feeding
 	// the final merge, capped at the run count; zero selects 2, one fill
 	// in flight while the merge loop consumes the other's block.
@@ -49,10 +46,10 @@ type ExternalOptions struct {
 	// the serial merge).
 	MergeThreads int
 
-	// Sink, when non-nil, receives the merged output as a stream of sorted
-	// batches (nondecreasing across calls) instead of it being written
-	// back into xs. Batches are only valid during the call.
-	Sink func([]int64) error
+	// blockElems is the element count of each read-ahead block the final
+	// merge streams run files through; zero selects 64Ki elements. Tests
+	// set small and odd sizes.
+	blockElems int
 }
 
 // ExternalStats extends RealStats with the spill tier's accounting.
@@ -70,8 +67,8 @@ type ExternalStats struct {
 
 // mergeBlock resolves the read-ahead block size.
 func (o ExternalOptions) mergeBlock() int {
-	if o.MergeBlock > 0 {
-		return o.MergeBlock
+	if o.blockElems > 0 {
+		return o.blockElems
 	}
 	return 64 << 10
 }
@@ -88,11 +85,11 @@ func (o ExternalOptions) readAhead(k int) int {
 // RunRealExternal sorts xs through all three memory levels: megachunks
 // are staged through the MCDRAM analog and sorted exactly as RunReal's
 // phase 1, each sorted run is spilled to disk instead of accumulating in
-// DDR, and a final k-way streaming merge over the run files produces the
-// output — written back into xs, or streamed through opts.Sink without
-// ever materializing in memory. The DDR working set is therefore bounded
-// by the pipeline's staging buffers plus the merge's read-ahead blocks,
-// independent of len(xs).
+// DDR, and a final k-way streaming merge over the run files writes the
+// output back into xs. Beside xs, the DDR working set is bounded by the
+// pipeline's staging buffers plus the merge's read-ahead blocks,
+// independent of len(xs); MergeSpilled streams the runs to a sink
+// instead.
 //
 // Failure semantics match RunRealResilient: injected or genuine run-file
 // IO faults surface as stage errors and are retried under opts.Retry;
@@ -132,13 +129,10 @@ func runRealExternal(ctx context.Context, a Algorithm, xs []int64, threads, mega
 		return stats, err
 	}
 
-	sink := opts.Sink
-	if sink == nil {
-		pos := 0
-		sink = func(batch []int64) error {
-			pos += copy(xs[pos:], batch)
-			return nil
-		}
+	pos := 0
+	sink := func(batch []int64) error {
+		pos += copy(xs[pos:], batch)
+		return nil
 	}
 	// Resolved once, here: handed an explicit width, MergeSpilled runs
 	// exactly the width that is reported.
@@ -237,7 +231,7 @@ func (rs *runSource) Next(ctx context.Context) ([]int64, error) {
 // opts.ReadAhead fills in flight at once — the copy-pool width, with the
 // disk as the slow tier. Blocks come from opts.Pool (falling back to the shared pool, degrading
 // to unpooled allocation on budget refusal) and are recycled as the merge
-// consumes them, so the merge's DDR footprint is O(runs x MergeBlock),
+// consumes them, so the merge's DDR footprint is O(runs x block),
 // independent of the dataset.
 //
 // The merge itself is psort.WindowMerge over all runs at once, each run

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,7 +142,7 @@ func TestRunRealExternalDifferential(t *testing.T) {
 		opts := ExternalOptions{
 			RealOptions: RealOptions{Buffers: 2},
 			Store:       st,
-			MergeBlock:  257, // non-power-of-two, smaller than a run
+			blockElems:  257, // non-power-of-two, smaller than a run
 			ReadAhead:   tc.readAhead,
 		}
 		for name, input := range adversarialInputs(n, rng) {
@@ -289,7 +290,7 @@ func TestMergeSpilledStreamsAndRecycles(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	var got []int64
-	total, err := MergeSpilled(context.Background(), st, runs, ExternalOptions{MergeBlock: 128, ReadAhead: 3},
+	total, err := MergeSpilled(context.Background(), st, runs, ExternalOptions{blockElems: 128, ReadAhead: 3},
 		func(batch []int64) error {
 			got = append(got, batch...)
 			return nil
@@ -325,7 +326,7 @@ func TestMergeSpilledSinkErrorAborts(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("client went away")
 	calls := 0
-	_, err = MergeSpilled(context.Background(), st, runs, ExternalOptions{MergeBlock: 64},
+	_, err = MergeSpilled(context.Background(), st, runs, ExternalOptions{blockElems: 64},
 		func(batch []int64) error {
 			calls++
 			if calls >= 2 {
@@ -339,32 +340,56 @@ func TestMergeSpilledSinkErrorAborts(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// cancelOnRead cancels a sort from inside its final merge, at run-file
+// read number at: run files are read only once phase 1 has spilled
+// them all.
+type cancelOnRead struct {
+	cancel context.CancelFunc
+	at     int64
+	reads  atomic.Int64
+}
+
+func (c *cancelOnRead) FailWrite(int) bool { return false }
+
+func (c *cancelOnRead) FailRead(int) bool {
+	if c.reads.Add(1) == c.at {
+		c.cancel()
+	}
+	return false
+}
+
 func TestRunRealExternalCancelCleansRuns(t *testing.T) {
-	st, err := spill.NewStore(spill.Config{Dir: t.TempDir()})
+	const n, megachunk, block = 3000, 600, 64
+	runs := n / megachunk
+	// Before the merge uses up a block, each run's fill worker has read
+	// at most three: the one the merge holds, the one staged in its
+	// channel and the one waiting to be staged. The merge only asks for a
+	// run's next block after a round has cut its head away and been
+	// written back, so read 3*runs+1 cancels mid-stream, with blocks
+	// being recycled and most of each 10-block run still unread.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	probe := &cancelOnRead{cancel: cancel, at: int64(3*runs + 1)}
+	st, err := spill.NewStore(spill.Config{Dir: t.TempDir(), Faults: probe})
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
 	defer st.Close()
-	xs := make([]int64, 3000)
+	xs := make([]int64, n)
 	for i := range xs {
 		xs[i] = int64(len(xs) - i)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sunk := 0
-	_, err = RunRealExternal(ctx, MLMSort, xs, 2, 600, ExternalOptions{
+	_, err = RunRealExternal(ctx, MLMSort, xs, 2, megachunk, ExternalOptions{
 		Store:      st,
-		MergeBlock: 64,
-		Sink: func(batch []int64) error {
-			sunk += len(batch)
-			cancel() // client disconnects mid-stream
-			return nil
-		},
+		blockElems: block,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunRealExternal = %v, want context.Canceled", err)
 	}
-	if sunk == 0 {
-		t.Fatal("cancellation fired before any batch was streamed")
+	// The input is reversed, so key 1 starts in the last megachunk; only
+	// the merge's write-back puts it at xs[0].
+	if xs[0] != 1 {
+		t.Fatalf("xs[0] = %d after cancel: cancellation fired before any batch was written back", xs[0])
 	}
 	if n := st.LiveRuns(); n != 0 {
 		t.Fatalf("%d run files survive a cancelled sort", n)
@@ -415,7 +440,7 @@ func TestRunRealExternalRetriesIOFaults(t *testing.T) {
 			Resilience: res,
 		},
 		Store:      st,
-		MergeBlock: 100,
+		blockElems: 100,
 	})
 	if err != nil {
 		t.Fatalf("RunRealExternal under IO faults: %v", err)

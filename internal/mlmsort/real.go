@@ -312,8 +312,6 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		tuner = tune.NewPipelineTuner(tune.Config{
 			Initial:      model.Pools{In: int(copyW.Load()), Out: int(copyW.Load()), Comp: int(sorter.width.Load())},
 			TotalThreads: total,
-			MaxCopyIn:    at.MaxCopyIn,
-			WarmupChunks: at.WarmupChunks,
 			Bytes:        units.BytesForElements(int64(cells)),
 			Registry:     at.Registry,
 			Next:         fs.Observer,

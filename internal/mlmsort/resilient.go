@@ -60,19 +60,14 @@ type RealOptions struct {
 	Elem ElemKind
 }
 
-// AutotuneOptions configures mid-run re-provisioning. The zero value is
-// usable: warmup is one megachunk and the thread budget is inferred from
-// the run's current split.
+// AutotuneOptions configures mid-run re-provisioning: the tuner measures
+// one megachunk, then solves over copy-in widths up to TotalThreads/2.
+// The zero value is usable: the thread budget is inferred from the run's
+// current split.
 type AutotuneOptions struct {
 	// TotalThreads is the budget the re-solve distributes between copy
 	// and compute pools; zero selects threads+2 (the initial split).
 	TotalThreads int
-	// MaxCopyIn bounds the copy-in widths swept; zero selects
-	// TotalThreads/2.
-	MaxCopyIn int
-	// WarmupChunks is how many megachunks to measure before solving;
-	// zero selects 1.
-	WarmupChunks int
 	// Registry, when non-nil, receives autotune_reprovisions_total and
 	// the solved-width gauges.
 	Registry *telemetry.Registry

@@ -135,15 +135,15 @@ func BenchmarkMergeBatchedK16(b *testing.B)    { benchMergeK(b, 16, 50_000, true
 // back to back in a spare, on one worker: the final merge's shape where
 // the caller holds a buffer as large as the output. Each pass clobbers
 // the spare, so it is refilled outside the timer.
-func benchRounds(b *testing.B, k, runLen int) {
-	runs := benchRuns(k, runLen)
+func benchRounds[C cell](b *testing.B, runs [][]int64) {
 	flat := slices.Concat(runs...)
 	src, dst := make([]int64, len(flat)), make([]int64, len(flat))
-	in := make([][]int64, k)
-	for i := range in {
-		in[i] = src[i*runLen : (i+1)*runLen]
+	in := make([][]int64, len(runs))
+	for i, lo := 0, 0; i < len(runs); i++ {
+		in[i] = src[lo : lo+len(runs[i])]
+		lo += len(runs[i])
 	}
-	var r rounds[[1]int64]
+	var r rounds[C]
 	b.SetBytes(int64(len(flat) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -157,7 +157,35 @@ func benchRounds(b *testing.B, k, runLen int) {
 // BenchmarkMergeRoundsK8 is BenchmarkMergeBatchedK8's runs through three
 // rounds of the two-ended two-way merge instead of the 8-way tree; CI's
 // pairwise-merge floor holds it at 1.2x the tree.
-func BenchmarkMergeRoundsK8(b *testing.B) { benchRounds(b, 8, 100_000) }
+func BenchmarkMergeRoundsK8(b *testing.B) { benchRounds[[1]int64](b, benchRuns(8, 100_000)) }
+
+// benchRecordRuns is benchRuns as records: k runs of runLen random keys,
+// each key carrying its index as payload, every run sorted by key.
+func benchRecordRuns(k, runLen int) [][]int64 {
+	runs := make([][]int64, k)
+	scratch := make([]KV, runLen)
+	for i := range runs {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		r := make([]int64, 2*runLen)
+		for j := 0; j < runLen; j++ {
+			r[2*j], r[2*j+1] = rng.Int63(), int64(j)
+		}
+		SortRecordsScratch(KVsFromInt64s(r), scratch)
+		runs[i] = r
+	}
+	return runs
+}
+
+// The rounds-against-tree pair on records: eight runs of 100,000
+// random-key records (1.6 MB each). WindowMerge merges a record job's
+// spill runs on the tree; this pair reads what rounds would give there
+// (ROADMAP item 14).
+func BenchmarkMergeBatchedK8Records(b *testing.B) {
+	benchDrain[[2]int64](b, benchRecordRuns(8, 100_000), true)
+}
+func BenchmarkMergeRoundsK8Records(b *testing.B) {
+	benchRounds[[2]int64](b, benchRecordRuns(8, 100_000))
+}
 
 // Blocky runs — each run holds contiguous key blocks, the shape produced
 // by range-partitioned producers — where the batched drain's bulk copies

@@ -40,22 +40,23 @@ func (l BrownoutLevel) String() string {
 	return "unknown"
 }
 
-// BrownoutConfig tunes the brownout controller. The zero value selects
-// defaults derived from the scheduler's AgingSlack.
-type BrownoutConfig struct {
-	// RaiseQueueDelay is the queue-delay signal (EWMA of observed
+// brownoutConfig holds the brownout controller's thresholds. The zero
+// value selects defaults derived from the scheduler's aging slack; only
+// tests set other values.
+type brownoutConfig struct {
+	// raiseQueueDelay is the queue-delay signal (EWMA of observed
 	// dispatch waits, or current head-of-queue age, whichever is larger)
 	// at which the controller steps one level up. Zero selects the
-	// scheduler's AgingSlack — if jobs wait longer than the aging
+	// scheduler's aging slack — if jobs wait longer than the aging
 	// horizon, the queue is past its design point.
-	RaiseQueueDelay time.Duration
-	// StepInterval is the minimum time between level changes, bounding
+	raiseQueueDelay time.Duration
+	// stepInterval is the minimum time between level changes, bounding
 	// how fast the controller ramps. Zero selects 250ms.
-	StepInterval time.Duration
-	// CalmInterval is how long the signal must stay below a quarter of
-	// RaiseQueueDelay (hysteresis: raise fast, lower slow) before a level
+	stepInterval time.Duration
+	// calmInterval is how long the signal must stay below a quarter of
+	// raiseQueueDelay (hysteresis: raise fast, lower slow) before a level
 	// is stepped back down. Zero selects 1s.
-	CalmInterval time.Duration
+	calmInterval time.Duration
 }
 
 // criticalPriority is the minimum job priority admitted at
@@ -63,15 +64,15 @@ type BrownoutConfig struct {
 // level.
 const criticalPriority = 1
 
-func (c BrownoutConfig) norm(agingSlack time.Duration) BrownoutConfig {
-	if c.RaiseQueueDelay <= 0 {
-		c.RaiseQueueDelay = agingSlack
+func (c brownoutConfig) norm(agingSlack time.Duration) brownoutConfig {
+	if c.raiseQueueDelay <= 0 {
+		c.raiseQueueDelay = agingSlack
 	}
-	if c.StepInterval <= 0 {
-		c.StepInterval = 250 * time.Millisecond
+	if c.stepInterval <= 0 {
+		c.stepInterval = 250 * time.Millisecond
 	}
-	if c.CalmInterval <= 0 {
-		c.CalmInterval = time.Second
+	if c.calmInterval <= 0 {
+		c.calmInterval = time.Second
 	}
 	return c
 }
@@ -85,7 +86,7 @@ const brownoutAlpha = 0.3
 // reads are a lock-free atomic so admission and dispatch gates stay
 // branch-cheap.
 type brownout struct {
-	cfg   BrownoutConfig
+	cfg   brownoutConfig
 	level atomic.Int32
 
 	mu       sync.Mutex
@@ -98,9 +99,9 @@ type brownout struct {
 	raised, lowered *telemetry.Counter
 }
 
-func newBrownout(cfg BrownoutConfig, agingSlack time.Duration, reg *telemetry.Registry) *brownout {
+func newBrownout(cfg brownoutConfig, agingSlack time.Duration, reg *telemetry.Registry) *brownout {
 	b := &brownout{cfg: cfg.norm(agingSlack)}
-	b.lastHigh = time.Now() // no step-down before the first CalmInterval elapses
+	b.lastHigh = time.Now() // no step-down before the first calmInterval elapses
 	b.gauge = reg.Gauge("sched_brownout_level",
 		"Current brownout degradation level (0=normal 1=shed-spill 2=critical-only).", nil)
 	b.raised = reg.Counter("sched_brownout_transitions_total",
@@ -141,21 +142,21 @@ func (b *brownout) eval(now time.Time, headAge time.Duration, queueEmpty bool) {
 	lvl := BrownoutLevel(b.level.Load())
 	var raised, lowered bool
 	switch {
-	case sig >= b.cfg.RaiseQueueDelay.Seconds():
+	case sig >= b.cfg.raiseQueueDelay.Seconds():
 		b.lastHigh = now
-		if lvl < BrownoutCritical && now.Sub(b.lastStep) >= b.cfg.StepInterval {
+		if lvl < BrownoutCritical && now.Sub(b.lastStep) >= b.cfg.stepInterval {
 			lvl++
 			b.level.Store(int32(lvl))
 			b.lastStep = now
 			raised = true
 		}
-	case sig > b.cfg.RaiseQueueDelay.Seconds()/4:
+	case sig > b.cfg.raiseQueueDelay.Seconds()/4:
 		// Between the thresholds: neither raise nor count toward calm.
 		b.lastHigh = now
 	default:
 		if lvl > BrownoutNormal &&
-			now.Sub(b.lastHigh) >= b.cfg.CalmInterval &&
-			now.Sub(b.lastStep) >= b.cfg.StepInterval {
+			now.Sub(b.lastHigh) >= b.cfg.calmInterval &&
+			now.Sub(b.lastStep) >= b.cfg.stepInterval {
 			lvl--
 			b.level.Store(int32(lvl))
 			b.lastStep = now

@@ -301,10 +301,10 @@ func TestQueuedDeadlineInfeasibleShed(t *testing.T) {
 // an empty queue.
 func TestBrownoutLadder(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := BrownoutConfig{
-		RaiseQueueDelay: 100 * time.Millisecond,
-		StepInterval:    10 * time.Millisecond,
-		CalmInterval:    50 * time.Millisecond,
+	cfg := brownoutConfig{
+		raiseQueueDelay: 100 * time.Millisecond,
+		stepInterval:    10 * time.Millisecond,
+		calmInterval:    50 * time.Millisecond,
 	}
 	b := newBrownout(cfg, 2*time.Second, reg)
 	if b.Level() != BrownoutNormal {
@@ -316,10 +316,10 @@ func TestBrownoutLadder(t *testing.T) {
 	if b.Level() != BrownoutShedSpill {
 		t.Fatalf("level after first hot eval = %v, want shed-spill", b.Level())
 	}
-	// Within StepInterval: the ladder must not ramp faster than the cap.
+	// Within stepInterval: the ladder must not ramp faster than the cap.
 	b.eval(t0.Add(5*time.Millisecond), hot, false)
 	if b.Level() != BrownoutShedSpill {
-		t.Fatalf("level ramped inside StepInterval: %v", b.Level())
+		t.Fatalf("level ramped inside stepInterval: %v", b.Level())
 	}
 	b.eval(t0.Add(15*time.Millisecond), hot, false)
 	if b.Level() != BrownoutCritical {
@@ -330,10 +330,10 @@ func TestBrownoutLadder(t *testing.T) {
 		t.Fatalf("level past critical: %v", b.Level())
 	}
 
-	// Lowering waits out CalmInterval from the last hot signal.
+	// Lowering waits out calmInterval from the last hot signal.
 	b.eval(t0.Add(45*time.Millisecond), 0, true)
 	if b.Level() != BrownoutCritical {
-		t.Fatalf("lowered before CalmInterval: %v", b.Level())
+		t.Fatalf("lowered before calmInterval: %v", b.Level())
 	}
 	b.eval(t0.Add(85*time.Millisecond), 0, true)
 	if b.Level() != BrownoutShedSpill {
@@ -365,8 +365,8 @@ func TestBrownoutLadder(t *testing.T) {
 // pinnedBrownout makes manually-stored levels stick: raising needs an
 // hour of queue delay and lowering an hour of calm, so the only writer
 // is the test.
-func pinnedBrownout() BrownoutConfig {
-	return BrownoutConfig{RaiseQueueDelay: time.Hour, CalmInterval: time.Hour}
+func pinnedBrownout() brownoutConfig {
+	return brownoutConfig{raiseQueueDelay: time.Hour, calmInterval: time.Hour}
 }
 
 // TestBrownoutGatesAdmissionAndShedsQueue drives the degradation
@@ -380,7 +380,7 @@ func TestBrownoutGatesAdmissionAndShedsQueue(t *testing.T) {
 	cfg.DDRBudget = 700 << 10 // 40k elems staged in memory, 60k spills
 	cfg.DiskBudget = 4 << 20
 	cfg.SpillDir = t.TempDir()
-	cfg.Brownout = pinnedBrownout()
+	cfg.brownout = pinnedBrownout()
 	cfg.Wrap = g.wrap()
 	s := newTestScheduler(t, cfg)
 	defer g.open()
@@ -451,7 +451,7 @@ func TestLowPriorityNeverSilentlyStarved(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.QueueLimit = 512
-	cfg.AgingSlack = 50 * time.Millisecond
+	cfg.agingSlack = 50 * time.Millisecond
 	s := newTestScheduler(t, cfg)
 
 	low, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 40000, 1), Priority: -8})

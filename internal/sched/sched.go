@@ -66,16 +66,8 @@ type Config struct {
 	// Zero selects GOMAXPROCS (floor 3: the model needs all three
 	// pools populated).
 	TotalThreads int
-	// AgingSlack is the base virtual-deadline slack (see virtualDeadline):
-	// smaller means priorities decay faster into plain FIFO. Zero selects
-	// 2 s.
-	AgingSlack time.Duration
 	// RetainJobs bounds terminal jobs kept for Lookup. Zero selects 256.
 	RetainJobs int
-	// Brownout tunes the overload brownout controller (see BrownoutConfig
-	// and BrownoutLevel). The zero value selects AgingSlack-derived
-	// thresholds.
-	Brownout BrownoutConfig
 
 	// DDRBudget caps the DDR working set of an in-memory job, charged
 	// as 2x the data bytes for every job: its input plus the run buffer
@@ -127,6 +119,14 @@ type Config struct {
 	// admitted/terminal, rejections) with job and tenant attributes. Nil
 	// disables logging.
 	Logger *slog.Logger
+
+	// agingSlack is the base virtual-deadline slack (see virtualDeadline):
+	// smaller means priorities decay faster into plain FIFO. Zero selects
+	// 2 s; tests shorten it.
+	agingSlack time.Duration
+	// brownout holds the brownout controller's thresholds; the zero value
+	// selects its defaults. Tests set it.
+	brownout brownoutConfig
 }
 
 func (c Config) norm() (Config, error) {
@@ -149,8 +149,8 @@ func (c Config) norm() (Config, error) {
 		return c, fmt.Errorf("sched: MCDRAMBudget %v cannot hold the sort scratch of even one 2-element megachunk",
 			c.MCDRAMBudget)
 	}
-	if c.AgingSlack <= 0 {
-		c.AgingSlack = 2 * time.Second
+	if c.agingSlack <= 0 {
+		c.agingSlack = 2 * time.Second
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 256
@@ -263,7 +263,7 @@ func New(cfg Config) (*Scheduler, error) {
 		// the sort of megachunk i+1 run while megachunk i is written out.
 		Buffers: spillDepth,
 	}
-	s.brown = newBrownout(cfg.Brownout, cfg.AgingSlack, s.metrics.reg)
+	s.brown = newBrownout(cfg.brownout, cfg.agingSlack, s.metrics.reg)
 	s.metrics.budgetBytes.Set(float64(cfg.MCDRAMBudget))
 	if cfg.DiskBudget > 0 {
 		// Before creating this scheduler's spill root, reclaim roots a
@@ -553,7 +553,7 @@ func (s *Scheduler) submit(spec JobSpec, tr *telemetry.JobTrace) (*Job, error) {
 		predRaw:   predRaw,
 		sched:     s,
 	}
-	j.vdl = virtualDeadline(now, spec.Priority, spec.Deadline, s.cfg.AgingSlack)
+	j.vdl = virtualDeadline(now, spec.Priority, spec.Deadline, s.cfg.agingSlack)
 	j.trace = tr
 	tr.Bind(j.id, spec.Tenant, j.n)
 	if p.spill {

@@ -422,7 +422,7 @@ func TestPriorityAgingNoStarvation(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.QueueLimit = 128
-	cfg.AgingSlack = 20 * time.Millisecond
+	cfg.agingSlack = 20 * time.Millisecond
 	cfg.Wrap = g.wrap()
 	s := newTestScheduler(t, cfg)
 	defer g.open()
@@ -439,7 +439,7 @@ func TestPriorityAgingNoStarvation(t *testing.T) {
 	}
 	// Give the low-priority job's virtual deadline time to age past the
 	// slack of the high-priority traffic that follows.
-	time.Sleep(5 * cfg.AgingSlack)
+	time.Sleep(5 * cfg.agingSlack)
 	for i := 0; i < 50; i++ {
 		if _, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 1000, int64(i+3)), Priority: 10}); err != nil {
 			t.Fatalf("high %d: %v", i, err)

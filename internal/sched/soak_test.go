@@ -92,7 +92,7 @@ func TestSchedulerSoak(t *testing.T) {
 		Workers:      3,
 		QueueLimit:   256,
 		TotalThreads: 8,
-		AgingSlack:   25 * time.Millisecond,
+		agingSlack:   25 * time.Millisecond,
 		Registry:     reg,
 		Resilience:   res,
 		Policy:       rig.Policy,
@@ -372,7 +372,7 @@ func TestSoakPriorityNoStarvation(t *testing.T) {
 		Workers:      1,
 		QueueLimit:   512,
 		TotalThreads: 4,
-		AgingSlack:   10 * time.Millisecond,
+		agingSlack:   10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -57,10 +57,6 @@ type Config struct {
 	// MaxBodyBytes bounds POST /v1/sort request bodies. Zero selects
 	// 64 MiB.
 	MaxBodyBytes int64
-	// ResultChunkElems is the streaming granularity of JSON result
-	// downloads (edge.ResultWriter's ChunkElems; zero selects its
-	// default). Binary downloads use the wire frame default.
-	ResultChunkElems int
 	// KeyPool supplies the destination buffers for binary submit bodies.
 	// Defaults to the scheduler's pool (Scheduler.KeyPool), closing the
 	// recycle loop: upload decodes into a pooled buffer, the sort runs in
@@ -476,7 +472,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	kt := j.KeyType()
 	enc := &edge.ResultWriter{
 		W: w, Wire: edge.AcceptsWire(r), Kind: kt, N: j.N(), Spilled: j.Spilled(),
-		ChunkElems: s.cfg.ResultChunkElems,
 	}
 	if !enc.Wire && kt != wire.KindInt64 {
 		// Same asymmetry as submit: float bits and key/payload pairs have

@@ -464,21 +464,22 @@ func TestMetricsExposesSchedAndServeFamilies(t *testing.T) {
 }
 
 func TestResultStreamingChunks(t *testing.T) {
-	// A tiny chunk size exercises the multi-chunk streaming path.
+	// A result of a few default chunks (edge.DefaultResultChunkElems)
+	// with a ragged last one exercises the multi-chunk streaming path.
 	reg := telemetry.NewRegistry()
 	sc, err := sched.New(sched.Config{MCDRAMBudget: testBudget, TotalThreads: 8, Registry: reg})
 	if err != nil {
 		t.Fatalf("sched.New: %v", err)
 	}
 	defer sc.Close()
-	srv, err := New(Config{Scheduler: sc, Registry: reg, ResultChunkElems: 7})
+	srv, err := New(Config{Scheduler: sc, Registry: reg})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	keys := workload.Generate(workload.Random, 1000, 11)
+	keys := workload.Generate(workload.Random, 3*edge.DefaultResultChunkElems+7, 11)
 	raw, _ := json.Marshal(edge.SortRequest{Keys: keys, Wait: true})
 	resp, err := http.Post(hs.URL+"/v1/sort", "application/json", bytes.NewReader(raw))
 	if err != nil {

@@ -78,14 +78,15 @@ type Config struct {
 	// MaxBytes caps the store's on-disk footprint; writes past it fail
 	// with a BudgetError. Zero means unbounded.
 	MaxBytes int64
-	// BufBytes is the writer/reader IO buffer size; sequential block IO
-	// at this granularity is the store's whole performance story. Zero
-	// selects 1 MiB.
-	BufBytes int
 	// Faults, when non-nil, injects write/read failures (chaos testing).
 	Faults IOFaults
 	// Registry, when non-nil, receives the spill_* metric families.
 	Registry *telemetry.Registry
+
+	// bufBytes is the writer/reader IO buffer size; sequential block IO
+	// at this granularity is the store's whole performance story. Zero
+	// selects 1 MiB; tests set odd sizes.
+	bufBytes int
 }
 
 // Store is a collection of run files in one private temp directory. It is
@@ -122,8 +123,8 @@ type runMeta struct {
 
 // NewStore creates a store with a fresh private directory.
 func NewStore(cfg Config) (*Store, error) {
-	if cfg.BufBytes <= 0 {
-		cfg.BufBytes = 1 << 20
+	if cfg.bufBytes <= 0 {
+		cfg.bufBytes = 1 << 20
 	}
 	if cfg.MaxBytes < 0 {
 		return nil, fmt.Errorf("spill: negative byte budget %d", cfg.MaxBytes)
@@ -236,7 +237,7 @@ func (s *Store) CreateRun(id int) (*RunWriter, error) {
 		s:   s,
 		id:  id,
 		f:   f,
-		buf: make([]byte, 0, s.cfg.BufBytes),
+		buf: make([]byte, 0, s.cfg.bufBytes),
 	}, nil
 }
 
@@ -287,7 +288,7 @@ func (s *Store) OpenRun(id int) (*RunReader, error) {
 		id:     id,
 		f:      f,
 		remain: r.elems,
-		buf:    make([]byte, s.cfg.BufBytes),
+		buf:    make([]byte, s.cfg.bufBytes),
 	}, nil
 }
 
@@ -388,12 +389,12 @@ func (w *RunWriter) Append(keys []int64) error {
 	// per-element encode: buffer-sized chunks in, flush when full.
 	for len(keys) > 0 {
 		take := len(keys)
-		if room := (w.s.cfg.BufBytes - len(w.buf) + 7) / 8; take > room {
+		if room := (w.s.cfg.bufBytes - len(w.buf) + 7) / 8; take > room {
 			take = room
 		}
 		w.buf = wire.AppendInt64s(w.buf, keys[:take])
 		keys = keys[take:]
-		if len(w.buf) >= w.s.cfg.BufBytes {
+		if len(w.buf) >= w.s.cfg.bufBytes {
 			if err := w.flush(); err != nil {
 				return err
 			}

@@ -82,7 +82,7 @@ func TestRoundtripOddBlockSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	// A tiny, non-multiple-of-8 IO buffer forces partial-key carry-over in
 	// the reader's refill path.
-	s := mustStore(t, Config{BufBytes: 37})
+	s := mustStore(t, Config{bufBytes: 37})
 	for id := 0; id < 4; id++ {
 		n := 1 + rng.Intn(500)
 		keys := make([]int64, n)

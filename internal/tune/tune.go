@@ -31,12 +31,6 @@ type Config struct {
 	// TotalThreads is the thread budget the re-solve distributes
 	// (symmetric pools: In == Out, rest compute).
 	TotalThreads int
-	// MaxCopyIn bounds the copy-in width the sweep considers; zero
-	// selects TotalThreads/2 - the widest split leaving one computer.
-	MaxCopyIn int
-	// WarmupChunks is how many chunks must finish copy-out (or compute,
-	// for pipelines without one) before the tuner solves; zero selects 1.
-	WarmupChunks int
 	// Bytes is the dataset size handed to the model. The argmin over
 	// thread splits is independent of it, so any positive value works;
 	// zero selects the bytes observed during warmup.
@@ -52,6 +46,14 @@ type Config struct {
 	// Next, when non-nil, receives every stage event after the tuner's
 	// accounting (chain a telemetry.Recorder here to keep full tracing).
 	Next exec.Observer
+
+	// maxCopyIn bounds the copy-in width the sweep considers; zero
+	// selects TotalThreads/2 - the widest split leaving one computer.
+	maxCopyIn int
+	// warmupChunks is how many chunks must finish copy-out (or compute,
+	// for pipelines without one) before the tuner solves; zero selects 1.
+	// Only tests set either.
+	warmupChunks int
 }
 
 // PipelineTuner accumulates warmup-stage measurements and fires one
@@ -75,11 +77,11 @@ func NewPipelineTuner(cfg Config) *PipelineTuner {
 	if cfg.TotalThreads < 3 {
 		cfg.TotalThreads = 3 // smallest budget with all three pools populated
 	}
-	if cfg.MaxCopyIn <= 0 {
-		cfg.MaxCopyIn = cfg.TotalThreads / 2
+	if cfg.maxCopyIn <= 0 {
+		cfg.maxCopyIn = cfg.TotalThreads / 2
 	}
-	if cfg.WarmupChunks <= 0 {
-		cfg.WarmupChunks = 1
+	if cfg.warmupChunks <= 0 {
+		cfg.warmupChunks = 1
 	}
 	if cfg.Initial.In <= 0 {
 		cfg.Initial.In = 1
@@ -119,7 +121,7 @@ func (t *PipelineTuner) StageEvent(e exec.StageEvent) {
 		// copy-out finish at compute.
 		if e.Stage == exec.StageCopyOut || (e.Stage == exec.StageCompute && t.copyBytes == 0) {
 			t.chunksDone++
-			if t.chunksDone >= t.cfg.WarmupChunks {
+			if t.chunksDone >= t.cfg.warmupChunks {
 				dec, fire = t.solveLocked()
 				t.fired = fire
 				t.decision = dec
@@ -171,7 +173,7 @@ func (t *PipelineTuner) solveLocked() (model.Prediction, bool) {
 		DDRMax:    units.BytesPerSec(float64(sCopy) * 1e6),
 		MCDRAMMax: units.BytesPerSec(float64(sComp) * 1e6),
 	}
-	return p.Optimal(t.cfg.TotalThreads, t.cfg.MaxCopyIn, 1), true
+	return p.Optimal(t.cfg.TotalThreads, t.cfg.maxCopyIn, 1), true
 }
 
 // publish mirrors the decision into the configured metrics registry.

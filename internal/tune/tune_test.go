@@ -33,8 +33,8 @@ func TestTunerCopyBoundWidensCopyPool(t *testing.T) {
 	tu := NewPipelineTuner(Config{
 		Initial:      model.Pools{In: 1, Out: 1, Comp: 6},
 		TotalThreads: 8,
-		MaxCopyIn:    3,
-		WarmupChunks: 2,
+		maxCopyIn:    3,
+		warmupChunks: 2,
 		Registry:     reg,
 		OnProvision: func(p model.Prediction) {
 			fired++
@@ -72,7 +72,7 @@ func TestTunerComputeBoundKeepsCopyNarrow(t *testing.T) {
 	tu := NewPipelineTuner(Config{
 		Initial:      model.Pools{In: 1, Out: 1, Comp: 6},
 		TotalThreads: 8,
-		MaxCopyIn:    3,
+		maxCopyIn:    3,
 		OnProvision:  func(p model.Prediction) { got = p },
 	})
 	feedChunk(tu, 0, time.Millisecond, time.Second)
@@ -94,7 +94,7 @@ func TestTunerComputeOnlyPipeline(t *testing.T) {
 	tu := NewPipelineTuner(Config{
 		Initial:      model.Pools{In: 1, Out: 1, Comp: 4},
 		TotalThreads: 6,
-		WarmupChunks: 1,
+		warmupChunks: 1,
 		OnProvision:  func(model.Prediction) { fired++ },
 	})
 	tu.StageEvent(ev(exec.StageCompute, 0, time.Second, 1_000_000*16))
@@ -110,7 +110,7 @@ func TestTunerZeroDurationWarmupWaits(t *testing.T) {
 	tu := NewPipelineTuner(Config{
 		Initial:      model.Pools{In: 1, Out: 1, Comp: 4},
 		TotalThreads: 6,
-		WarmupChunks: 1,
+		warmupChunks: 1,
 		OnProvision:  func(model.Prediction) { fired++ },
 	})
 	feedChunk(tu, 0, 0, 0)
@@ -136,7 +136,7 @@ func (c *captureObs) StageEvent(exec.StageEvent) {
 
 func TestTunerChainsNextObserver(t *testing.T) {
 	next := &captureObs{}
-	tu := NewPipelineTuner(Config{Next: next, WarmupChunks: 100})
+	tu := NewPipelineTuner(Config{Next: next, warmupChunks: 100})
 	feedChunk(tu, 0, time.Millisecond, time.Millisecond)
 	tu.StageEvent(ev(exec.StageComputeWait, 1, time.Millisecond, 0))
 	if next.n != 4 {
@@ -148,7 +148,7 @@ func TestTunerConcurrentEvents(t *testing.T) {
 	tu := NewPipelineTuner(Config{
 		Initial:      model.Pools{In: 1, Out: 1, Comp: 6},
 		TotalThreads: 8,
-		WarmupChunks: 50,
+		warmupChunks: 50,
 		OnProvision:  func(model.Prediction) {},
 	})
 	var wg sync.WaitGroup
