@@ -16,10 +16,11 @@
 // sorted megachunk runs are written to disk (under -spill-dir, capped at
 // -spill-budget-mb) instead of accumulating in DDR, and a final k-way
 // streaming merge, fed by one run-file fill at a time, produces the
-// output. The run also measures and reports the spill directory's
-// sequential disk bandwidth (tune.MeasureDiskRate). -spill composes with
-// -chaos (run-file write/read faults join the plan) and -metrics
-// (spill_* families).
+// output. The run files are removed before the command exits, whether
+// the sort succeeded or failed. The run also measures and reports the
+// spill directory's sequential disk bandwidth (tune.MeasureDiskRate).
+// -spill composes with -chaos (run-file write/read faults join the plan)
+// and -metrics (spill_* families).
 //
 // With -chaos, the real run executes under a randomized, seeded fault
 // plan (stage errors/panics/latency, MCDRAM allocation failures, an
@@ -151,41 +152,24 @@ func main() {
 			fmt.Println(plan)
 		}
 		var (
-			stats  mlmsort.RealStats
-			xstats mlmsort.ExternalStats
-			dr     tune.DiskRate
+			stats   mlmsort.RealStats
+			runs    int
+			spilled int64
+			dr      tune.DiskRate
 		)
 		start := time.Now()
 		if *spillFlag {
-			xopts := mlmsort.ExternalOptions{
-				RealOptions: opts,
-				SpillDir:    *spillDir,
-				DiskBudget:  *spillBudgetMB << 20,
-				Registry:    reg,
-				ReadAhead:   1,
-			}
 			dr, err = tune.MeasureDiskRate(*spillDir, 8<<20)
 			if err != nil {
 				fail(err)
 			}
 			dr.Publish(reg)
+			cfg := spill.Config{Dir: *spillDir, MaxBytes: *spillBudgetMB << 20, Registry: reg}
 			if *chaos && inj != nil {
-				// A chaos run owns its store so the plan's run-file
-				// write/read faults reach the spill tier.
-				st, serr := spill.NewStore(spill.Config{
-					Dir:      *spillDir,
-					MaxBytes: xopts.DiskBudget,
-					Faults:   inj,
-					Registry: reg,
-				})
-				if serr != nil {
-					fail(serr)
-				}
-				defer st.Close()
-				xopts.Store = st
+				// The plan's run-file write/read faults reach the spill tier.
+				cfg.Faults = inj
 			}
-			xstats, err = mlmsort.RunRealExternal(context.Background(), alg, xs, *threads, int(*chunk), xopts)
-			stats = xstats.RealStats
+			stats, runs, spilled, err = spillSort(context.Background(), alg, xs, *threads, int(*chunk), opts, cfg)
 		} else {
 			stats, err = mlmsort.RunRealResilient(context.Background(), alg, xs, *threads, int(*chunk), opts)
 		}
@@ -198,8 +182,8 @@ func main() {
 		}
 		fmt.Printf("%s sorted %d %s elements on the host in %v (verified)\n", alg, *n, order, wall)
 		if *spillFlag {
-			fmt.Printf("spill: %d runs, %v spilled, merge read-ahead %d (disk write %v, read %v)\n",
-				xstats.Runs, units.Bytes(xstats.SpilledBytes), xstats.ReadAhead, dr.Write, dr.Read)
+			fmt.Printf("spill: %d runs, %v spilled (disk write %v, read %v)\n",
+				runs, units.Bytes(spilled), dr.Write, dr.Read)
 		}
 		if *autotune {
 			if stats.Retunes > 0 {
@@ -252,6 +236,34 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// spillSort sorts xs out of core as the service does: SpillSorted into a
+// store of its own, then MergeSpilled back onto xs. The store is closed —
+// its run files, journal and directory removed — before spillSort
+// returns, on every path, so a failed run leaves nothing under cfg.Dir
+// even though the caller then exits without running deferred calls. It
+// reports the run count and the bytes the store wrote.
+func spillSort(ctx context.Context, alg mlmsort.Algorithm, xs []int64, threads, megachunk int, opts mlmsort.RealOptions, cfg spill.Config) (stats mlmsort.RealStats, runs int, written int64, err error) {
+	st, err := spill.NewStore(cfg)
+	if err != nil {
+		return stats, 0, 0, err
+	}
+	defer func() {
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	xopts := mlmsort.ExternalOptions{RealOptions: opts, Store: st}
+	ids, stats, err := mlmsort.SpillSorted(ctx, alg, xs, threads, megachunk, xopts)
+	if err == nil {
+		pos := 0
+		_, err = mlmsort.MergeSpilled(ctx, st, ids, xopts, func(batch []int64) error {
+			pos += copy(xs[pos:], batch)
+			return nil
+		})
+	}
+	return stats, len(ids), st.Stats().BytesWritten, err
 }
 
 // wireReal attaches the -autotune and -chaos machinery to one real-run

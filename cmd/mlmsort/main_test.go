@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 
 	"knlmlm/internal/mlmsort"
+	"knlmlm/internal/spill"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/workload"
 )
@@ -53,5 +56,60 @@ func TestAutotuneAndChaosShareOneRegistry(t *testing.T) {
 		if !strings.Contains(scrape, family) {
 			t.Errorf("one-registry scrape is missing %s:\n%s", family, scrape)
 		}
+	}
+}
+
+// cancelOnRead cancels the sort at its final merge's first run-file
+// read, once phase 1 has written every run.
+type cancelOnRead struct{ cancel context.CancelFunc }
+
+func (c cancelOnRead) FailWrite(int) bool { return false }
+func (c cancelOnRead) FailRead(int) bool  { c.cancel(); return false }
+
+// TestSpillSortLeavesNoStore: -spill's store is gone when spillSort
+// returns, after a verified sort, a run refused by the disk budget, and a
+// merge cancelled mid-stream alike, since a failed command exits without
+// running deferred calls.
+func TestSpillSortLeavesNoStore(t *testing.T) {
+	const n, megachunk = 40_000, 10_000
+	for _, tc := range []struct {
+		name    string
+		cfg     func(spill.Config, context.CancelFunc) spill.Config
+		wantErr func(error) bool
+	}{
+		{"sorted", func(c spill.Config, _ context.CancelFunc) spill.Config { return c }, nil},
+		{"over-budget", func(c spill.Config, _ context.CancelFunc) spill.Config {
+			c.MaxBytes = megachunk*8 - 1 // below one run
+			return c
+		}, func(err error) bool { var be *spill.BudgetError; return errors.As(err, &be) }},
+		{"cancelled", func(c spill.Config, cancel context.CancelFunc) spill.Config {
+			c.Faults = cancelOnRead{cancel}
+			return c
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			xs := workload.Generate(workload.Random, n, 1)
+			_, runs, written, err := spillSort(ctx, mlmsort.MLMSort, xs, 2, megachunk,
+				mlmsort.RealOptions{}, tc.cfg(spill.Config{Dir: dir}, cancel))
+			switch {
+			case tc.wantErr == nil && err != nil:
+				t.Fatalf("spillSort: %v", err)
+			case tc.wantErr == nil && (!workload.IsSorted(xs) || runs != n/megachunk || written != n*8):
+				t.Fatalf("sorted=%v runs=%d written=%d, want sorted, %d runs, %d bytes",
+					workload.IsSorted(xs), runs, written, n/megachunk, n*8)
+			case tc.wantErr != nil && !tc.wantErr(err):
+				t.Fatalf("spillSort = %v, want the %s error", err, tc.name)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				t.Errorf("%s left %s under the spill directory", tc.name, e.Name())
+			}
+		})
 	}
 }

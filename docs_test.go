@@ -11,8 +11,9 @@ import (
 // The documents name only what exists. README.md, DESIGN.md and
 // EXPERIMENTS.md describe the tree a reader has checked out, so every
 // cmd/<x> and internal/<x> they name is a directory, every root-level
-// *.json or *.txt they name in prose is a file, and every directory
-// under cmd/ and internal/ has a line in README's tree. A deletion that
+// *.json or *.txt they name in prose is a file, every directory under
+// cmd/ and internal/ has a line in README's tree, and every command
+// under cmd/ has a row in DESIGN.md's Executables table. A deletion that
 // leaves a pointer behind, or a new package nobody introduced, fails
 // here.
 //
@@ -115,6 +116,38 @@ func TestReadmeTreeNamesEveryPackage(t *testing.T) {
 		}
 		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 			t.Errorf("README.md's tree lists %s, which is not a directory of this tree", dir)
+		}
+	}
+}
+
+func TestDesignExecutablesNameEveryCommand(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table follows the "Executables:" line, one row per binary, its
+	// first cell the command's directory in backticks.
+	row := regexp.MustCompile("^\\| `(cmd/[a-z0-9_]+)`")
+	rows, inTable := map[string]bool{}, false
+	for _, line := range strings.Split(string(raw), "\n") {
+		switch {
+		case strings.HasPrefix(line, "Executables:"):
+			inTable = true
+		case inTable && strings.HasPrefix(line, "|"):
+			if m := row.FindStringSubmatch(line); m != nil {
+				rows[m[1]] = true
+			}
+		case inTable && len(rows) > 0:
+			inTable = false
+		}
+	}
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && !rows["cmd/"+e.Name()] {
+			t.Errorf("DESIGN.md's Executables table has no row for cmd/%s", e.Name())
 		}
 	}
 }

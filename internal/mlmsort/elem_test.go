@@ -109,12 +109,12 @@ func TestRecordExternalSpill(t *testing.T) {
 		Store:       st,
 		blockElems:  513, // odd: MergeSpilled must round it to whole records
 	}
-	runs, stats, err := SpillSorted(context.Background(), MLMSort, xs, 2, 1000, opts)
+	runs, _, err := SpillSorted(context.Background(), MLMSort, xs, 2, 1000, opts)
 	if err != nil {
 		t.Fatalf("SpillSorted: %v", err)
 	}
-	if stats.Runs < 2 {
-		t.Fatalf("runs = %d, want a real k-way merge", stats.Runs)
+	if len(runs) < 2 {
+		t.Fatalf("runs = %d, want a real k-way merge", len(runs))
 	}
 	var streamed []int64
 	merged, err := MergeSpilled(context.Background(), st, runs, opts, func(batch []int64) error {
@@ -138,13 +138,13 @@ func TestRecordExternalSpill(t *testing.T) {
 		}
 	}
 
-	// Write-back shape: RunRealExternal, on a private store, sorts xs in
-	// place.
+	// Write-back shape: the merge's batches land in xs, which ends sorted
+	// in place.
 	xs2 := recordJob(rng, 2048)
 	want2 := sortedRecordsRef(xs2)
-	opts.Store, opts.SpillDir = nil, t.TempDir()
-	if _, err := RunRealExternal(context.Background(), MLMDDr, xs2, 2, 700, opts); err != nil {
-		t.Fatalf("RunRealExternal write-back: %v", err)
+	opts.Store = newTestStore(t, nil)
+	if _, _, err := sortExternal(context.Background(), MLMDDr, xs2, 2, 700, opts); err != nil {
+		t.Fatalf("out-of-core write-back: %v", err)
 	}
 	if !slices.Equal(xs2, want2) {
 		t.Fatal("write-back record sort diverges from stable reference")

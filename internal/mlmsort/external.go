@@ -11,36 +11,21 @@ import (
 	"knlmlm/internal/mem"
 	"knlmlm/internal/psort"
 	"knlmlm/internal/spill"
-	"knlmlm/internal/telemetry"
 )
 
 // ExternalOptions configures the three-level (MCDRAM -> DDR -> disk)
-// out-of-core sort. It embeds RealOptions: everything the resilient
-// in-memory path understands — staged heap placement, fault wrapping,
-// retries, chunk deadlines, width control, autotuning, pooling — applies
-// unchanged to the spill pipeline's phase 1.
+// out-of-core sort: SpillSorted, then MergeSpilled. It embeds
+// RealOptions: everything the resilient in-memory path understands —
+// staged heap placement, fault wrapping, retries, chunk deadlines,
+// autotuning, pooling — applies unchanged to the spill pipeline's
+// phase 1.
 type ExternalOptions struct {
 	RealOptions
 
-	// Store is the run store sorted megachunks spill to. Nil makes
-	// RunRealExternal create a private store (under SpillDir, capped at
-	// DiskBudget) that is closed — all run files deleted — before it
-	// returns, on every path.
+	// Store is the run store sorted megachunks spill to and the merge
+	// reads back. The caller owns it: SpillSorted needs one, and the
+	// runs stay in it until the caller removes them or closes it.
 	Store *spill.Store
-	// SpillDir is the private store's parent directory; empty selects the
-	// OS temp dir. Ignored when Store is set.
-	SpillDir string
-	// DiskBudget caps the private store's footprint in bytes (0 =
-	// uncapped). Ignored when Store is set.
-	DiskBudget int64
-	// Registry, when non-nil, receives the private store's spill_*
-	// metrics. Ignored when Store is set (the store already has one).
-	Registry *telemetry.Registry
-
-	// ReadAhead is the number of concurrent run-file fill workers feeding
-	// the final merge, capped at the run count; zero selects 2, one fill
-	// in flight while the merge loop consumes the other's block.
-	ReadAhead int
 	// MergeThreads is the worker count each merge round's loser-tree pass
 	// may fan out to (psort.MergeRound: small rounds and values <= 1 keep
 	// the serial merge).
@@ -52,19 +37,6 @@ type ExternalOptions struct {
 	blockElems int
 }
 
-// ExternalStats extends RealStats with the spill tier's accounting.
-type ExternalStats struct {
-	RealStats
-	// Runs is the number of run files the sort spilled.
-	Runs int
-	// SpilledBytes is the total bytes written to run files.
-	SpilledBytes int64
-	// MergedElems is the element count the final merge emitted.
-	MergedElems int64
-	// ReadAhead is the fill-worker width the merge ran with.
-	ReadAhead int
-}
-
 // mergeBlock resolves the read-ahead block size.
 func (o ExternalOptions) mergeBlock() int {
 	if o.blockElems > 0 {
@@ -73,103 +45,37 @@ func (o ExternalOptions) mergeBlock() int {
 	return 64 << 10
 }
 
-// readAhead resolves the fill-worker width for a k-run merge.
-func (o ExternalOptions) readAhead(k int) int {
-	w := o.ReadAhead
-	if w <= 0 {
-		w = 2
-	}
-	return max(min(w, k), 1)
-}
-
-// RunRealExternal sorts xs through all three memory levels: megachunks
-// are staged through the MCDRAM analog and sorted exactly as RunReal's
-// phase 1, each sorted run is spilled to disk instead of accumulating in
-// DDR, and a final k-way streaming merge over the run files writes the
-// output back into xs. Beside xs, the DDR working set is bounded by the
-// pipeline's staging buffers plus the merge's read-ahead blocks,
-// independent of len(xs); MergeSpilled streams the runs to a sink
-// instead.
-//
-// Failure semantics match RunRealResilient: injected or genuine run-file
-// IO faults surface as stage errors and are retried under opts.Retry;
-// the spill tier's run files are deleted on every path — completion,
-// cancellation, and fault abort.
-func RunRealExternal(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts ExternalOptions) (ExternalStats, error) {
-	stats, err := runRealExternal(ctx, a, xs, threads, megachunkLen, opts)
-	if opts.Resilience != nil {
-		opts.Resilience.RecordOutcome(err)
-	}
-	return stats, err
-}
-
-func runRealExternal(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts ExternalOptions) (ExternalStats, error) {
-	if opts.Store == nil {
-		st, err := spill.NewStore(spill.Config{
-			Dir:      opts.SpillDir,
-			MaxBytes: opts.DiskBudget,
-			Registry: opts.Registry,
-		})
-		if err != nil {
-			return ExternalStats{}, err
-		}
-		defer st.Close()
-		opts.Store = st
-	}
-
-	runs, stats, err := SpillSorted(ctx, a, xs, threads, megachunkLen, opts)
-	// The runs are deleted on every exit below this point; a shared store
-	// must not accumulate this sort's files past its lifetime.
-	defer func() {
-		for _, id := range runs {
-			opts.Store.RemoveRun(id)
-		}
-	}()
-	if err != nil {
-		return stats, err
-	}
-
-	pos := 0
-	sink := func(batch []int64) error {
-		pos += copy(xs[pos:], batch)
-		return nil
-	}
-	// Resolved once, here: handed an explicit width, MergeSpilled runs
-	// exactly the width that is reported.
-	opts.ReadAhead = opts.readAhead(len(runs))
-	stats.ReadAhead = opts.ReadAhead
-	merged, err := MergeSpilled(ctx, opts.Store, runs, opts, sink)
-	stats.MergedElems = merged
-	return stats, err
-}
-
 // SpillSorted is phase 1 of the out-of-core sort: it runs the same staged
 // megachunk pipeline as the in-memory MLM variants, but the copy-out
 // stage writes each sorted megachunk to a run file in opts.Store instead
 // of back to DDR. It returns the run ids (one per megachunk, in key
 // order of megachunk position). Run-file write faults fail the copy-out
 // attempt and are retried under opts.Retry; a retried write re-creates
-// the run, so half-written files never survive.
+// the run, so half-written files never survive. Like RunRealResilient,
+// it records its outcome to opts.Resilience.
 //
 // On error the caller owns cleanup of whatever runs were created —
 // RemoveRun over the returned ids (a no-op for runs that never sealed).
-func SpillSorted(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts ExternalOptions) ([]int, ExternalStats, error) {
+func SpillSorted(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts ExternalOptions) (runs []int, stats RealStats, err error) {
+	if opts.Resilience != nil {
+		defer func() { opts.Resilience.RecordOutcome(err) }()
+	}
 	if threads < 1 {
-		return nil, ExternalStats{}, fmt.Errorf("mlmsort: threads %d must be positive", threads)
+		return nil, RealStats{}, fmt.Errorf("mlmsort: threads %d must be positive", threads)
 	}
 	if opts.Store == nil {
-		return nil, ExternalStats{}, fmt.Errorf("mlmsort: SpillSorted needs a run store")
+		return nil, RealStats{}, fmt.Errorf("mlmsort: SpillSorted needs a run store")
 	}
 	if err := opts.Elem.validateBuffer(len(xs)); err != nil {
-		return nil, ExternalStats{}, err
+		return nil, RealStats{}, err
 	}
 	if len(xs) == 0 {
-		return nil, ExternalStats{}, ctx.Err()
+		return nil, RealStats{}, ctx.Err()
 	}
 	// Record jobs spill fine under every algorithm here — the spill path
 	// is megachunk-structured for all of them.
 	homes := megachunks(xs, megachunkCells(xs, megachunkLen, opts.Elem))
-	real, err := SortHomes(ctx, a, homes, threads, opts.RealOptions, nil, func(i int, sorted []int64) error {
+	stats, err = SortHomes(ctx, a, homes, threads, opts.RealOptions, nil, func(i int, sorted []int64) error {
 		w, err := opts.Store.CreateRun(i)
 		if err != nil {
 			return err
@@ -180,15 +86,11 @@ func SpillSorted(ctx context.Context, a Algorithm, xs []int64, threads, megachun
 		}
 		return w.Close()
 	})
-	stats := ExternalStats{RealStats: real, Runs: len(homes)}
-	runIDs := make([]int, len(homes))
-	for i := range runIDs {
-		runIDs[i] = i
-		if err == nil {
-			stats.SpilledBytes += opts.Store.RunElems(i) * 8
-		}
+	runs = make([]int, len(homes))
+	for i := range runs {
+		runs[i] = i
 	}
-	return runIDs, stats, err
+	return runs, stats, err
 }
 
 // spillBlock is one filled read-ahead block (or a terminal read error)
@@ -227,12 +129,13 @@ func (rs *runSource) Next(ctx context.Context) ([]int64, error) {
 // files, emitting the globally sorted sequence to sink in batches. Disk
 // copy-in overlaps merge compute exactly as the paper's pipeline overlaps
 // MCDRAM staging with sorting: one fill goroutine per run streams blocks
-// into a bounded channel (double buffering per run), with at most
-// opts.ReadAhead fills in flight at once — the copy-pool width, with the
-// disk as the slow tier. Blocks come from opts.Pool (falling back to the shared pool, degrading
-// to unpooled allocation on budget refusal) and are recycled as the merge
-// consumes them, so the merge's DDR footprint is O(runs x block),
-// independent of the dataset.
+// into a bounded channel (double buffering per run), with one fill in
+// flight at a time — a copy pool of width one, with the disk as the slow
+// tier. Blocks come from opts.Pool (falling back to the shared pool,
+// degrading to unpooled allocation on budget refusal) and are recycled as
+// the merge consumes them, so the merge's DDR footprint is
+// O(runs x block), independent of the dataset. It deletes no run: the
+// caller removes them, or closes the store, when the merge returns.
 //
 // The merge itself is psort.WindowMerge over all runs at once, each run
 // file a block source; this function owns only what is specific to disk.
@@ -260,8 +163,8 @@ func MergeSpilled(ctx context.Context, store *spill.Store, runs []int, opts Exte
 	pool := opts.pool()
 
 	mctx, cancel := context.WithCancel(ctx)
-	// One fill worker per run, at most readAhead concurrently on the disk.
-	fillSlots := make(chan struct{}, opts.readAhead(len(runs)))
+	// One fill worker per run, one of them on the disk at a time.
+	fillSlots := make(chan struct{}, 1)
 	sources := make([]*runSource, 0, len(runs))
 	srcs := make([]psort.BlockSource, 0, len(runs))
 	var wg sync.WaitGroup

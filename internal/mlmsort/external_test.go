@@ -3,6 +3,7 @@ package mlmsort
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -107,13 +108,41 @@ func (p *fillProbe) reset() {
 	p.mu.Unlock()
 }
 
+// sortExternal sorts xs out of core as cmd/mlmsort -spill and the
+// service do: SpillSorted into opts.Store, then MergeSpilled back onto
+// xs. The runs stay in the store; it returns their ids and the merged
+// cell count.
+func sortExternal(ctx context.Context, alg Algorithm, xs []int64, threads, megachunk int, opts ExternalOptions) ([]int, int64, error) {
+	runs, _, err := SpillSorted(ctx, alg, xs, threads, megachunk, opts)
+	if err != nil {
+		return runs, 0, err
+	}
+	pos := 0
+	merged, err := MergeSpilled(ctx, opts.Store, runs, opts, func(batch []int64) error {
+		pos += copy(xs[pos:], batch)
+		return nil
+	})
+	return runs, merged, err
+}
+
+// newTestStore opens a run store under a test temp dir, closed at the
+// end of the test.
+func newTestStore(t *testing.T, faults spill.IOFaults) *spill.Store {
+	t.Helper()
+	st, err := spill.NewStore(spill.Config{Dir: t.TempDir(), Faults: faults})
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // TestRunRealExternalDifferential is the three-way differential required
-// by the spill tier: the out-of-core path must agree byte-for-byte with
-// both the in-memory MLM path and the standard library on adversarial
-// inputs, at a megachunk size forcing well over three spill runs. It
-// also holds ExternalStats.ReadAhead to the fill concurrency the merge
-// was observed to run with: the one fill the scheduler's download merge
-// asks for, a wider explicit width, and the zero default.
+// by the spill tier: the out-of-core sort (SpillSorted, then MergeSpilled
+// onto xs) must agree byte-for-byte with both the in-memory MLM path and
+// the standard library on adversarial inputs, at a megachunk size forcing
+// well over three spill runs. It also pins the merge's read-ahead at the
+// one fill in flight it was observed to run with.
 func TestRunRealExternalDifferential(t *testing.T) {
 	seed := externalTestSeed(t)
 	defer func() {
@@ -123,27 +152,14 @@ func TestRunRealExternalDifferential(t *testing.T) {
 	}()
 	rng := rand.New(rand.NewSource(seed))
 	probe := &fillProbe{}
-	st, err := spill.NewStore(spill.Config{Dir: t.TempDir(), Faults: probe})
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	defer st.Close()
+	st := newTestStore(t, probe)
 	const n = 5000
 	const mc = 1024 // ceil(5000/1024) = 5 spill runs
-	for _, tc := range []struct {
-		alg             Algorithm
-		readAhead, want int
-	}{
-		{MLMSort, 1, 1},
-		{MLMDDr, 3, 3},
-		{MLMSort, 0, 2}, // zero options: the library default
-	} {
-		alg := tc.alg
+	for _, alg := range []Algorithm{MLMSort, MLMDDr} {
 		opts := ExternalOptions{
 			RealOptions: RealOptions{Buffers: 2},
 			Store:       st,
 			blockElems:  257, // non-power-of-two, smaller than a run
-			ReadAhead:   tc.readAhead,
 		}
 		for name, input := range adversarialInputs(n, rng) {
 			want := append([]int64(nil), input...)
@@ -155,19 +171,18 @@ func TestRunRealExternalDifferential(t *testing.T) {
 			}
 			ext := append([]int64(nil), input...)
 			probe.reset()
-			stats, err := RunRealExternal(context.Background(), alg, ext, 3, mc, opts)
+			runs, merged, err := sortExternal(context.Background(), alg, ext, 3, mc, opts)
 			if err != nil {
-				t.Fatalf("%v/%s: RunRealExternal: %v", alg, name, err)
+				t.Fatalf("%v/%s: out-of-core sort: %v", alg, name, err)
 			}
-			if stats.Runs < 3 {
-				t.Fatalf("%v/%s: only %d spill runs; differential needs >= 3", alg, name, stats.Runs)
+			if len(runs) < 3 {
+				t.Fatalf("%v/%s: only %d spill runs; differential needs >= 3", alg, name, len(runs))
 			}
-			if stats.MergedElems != n {
-				t.Fatalf("%v/%s: merged %d elems, want %d", alg, name, stats.MergedElems, n)
+			if merged != n {
+				t.Fatalf("%v/%s: merged %d elems, want %d", alg, name, merged, n)
 			}
-			if stats.ReadAhead != tc.want || stats.ReadAhead != probe.peak {
-				t.Fatalf("%v/%s: ReadAhead %d reports %d fill workers, the merge ran %d, want %d",
-					alg, name, tc.readAhead, stats.ReadAhead, probe.peak, tc.want)
+			if probe.peak != 1 {
+				t.Fatalf("%v/%s: the merge ran %d fills at once, want 1", alg, name, probe.peak)
 			}
 			for i := range want {
 				if inMem[i] != want[i] {
@@ -183,7 +198,7 @@ func TestRunRealExternalDifferential(t *testing.T) {
 	}
 }
 
-// TestRunRealExternalParallelMerge runs the out-of-core path with merge
+// TestRunRealExternalParallelMerge runs the out-of-core sort with merge
 // fan-out enabled at a size whose safe windows clear psort.MergeRound's
 // fan-out threshold, so the parallel rounds are exercised end to end.
 func TestRunRealExternalParallelMerge(t *testing.T) {
@@ -198,15 +213,16 @@ func TestRunRealExternalParallelMerge(t *testing.T) {
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
 	ext := append([]int64(nil), input...)
-	stats, err := RunRealExternal(context.Background(), MLMSort, ext, 3, 16384, ExternalOptions{
+	runs, _, err := sortExternal(context.Background(), MLMSort, ext, 3, 16384, ExternalOptions{
 		RealOptions:  RealOptions{Buffers: 2},
+		Store:        newTestStore(t, nil),
 		MergeThreads: 4,
 	})
 	if err != nil {
-		t.Fatalf("RunRealExternal: %v", err)
+		t.Fatalf("out-of-core sort: %v", err)
 	}
-	if stats.Runs < 3 {
-		t.Fatalf("only %d runs; the parallel merge needs a real fan-in", stats.Runs)
+	if len(runs) < 3 {
+		t.Fatalf("only %d runs; the parallel merge needs a real fan-in", len(runs))
 	}
 	for i := range want {
 		if ext[i] != want[i] {
@@ -232,15 +248,15 @@ func TestSpillSortedWritesSortedRuns(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Int63()
 	}
-	runs, stats, err := SpillSorted(context.Background(), MLMSort, xs, 2, 700, ExternalOptions{Store: st})
+	runs, _, err := SpillSorted(context.Background(), MLMSort, xs, 2, 700, ExternalOptions{Store: st})
 	if err != nil {
 		t.Fatalf("SpillSorted: %v", err)
 	}
-	if len(runs) != 5 || stats.Runs != 5 {
-		t.Fatalf("runs = %v (stats %d), want 5", runs, stats.Runs)
+	if len(runs) != 5 {
+		t.Fatalf("runs = %v, want 5", runs)
 	}
-	if stats.SpilledBytes != int64(len(xs))*8 {
-		t.Fatalf("SpilledBytes = %d, want %d", stats.SpilledBytes, len(xs)*8)
+	if w := st.Stats().BytesWritten; w != int64(len(xs))*8 {
+		t.Fatalf("BytesWritten = %d, want %d", w, len(xs)*8)
 	}
 	var total int64
 	for _, id := range runs {
@@ -290,7 +306,7 @@ func TestMergeSpilledStreamsAndRecycles(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	var got []int64
-	total, err := MergeSpilled(context.Background(), st, runs, ExternalOptions{blockElems: 128, ReadAhead: 3},
+	total, err := MergeSpilled(context.Background(), st, runs, ExternalOptions{blockElems: 128},
 		func(batch []int64) error {
 			got = append(got, batch...)
 			return nil
@@ -370,32 +386,30 @@ func TestRunRealExternalCancelCleansRuns(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	probe := &cancelOnRead{cancel: cancel, at: int64(3*runs + 1)}
-	st, err := spill.NewStore(spill.Config{Dir: t.TempDir(), Faults: probe})
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	defer st.Close()
+	st := newTestStore(t, probe)
 	xs := make([]int64, n)
 	for i := range xs {
 		xs[i] = int64(len(xs) - i)
 	}
-	_, err = RunRealExternal(ctx, MLMSort, xs, 2, megachunk, ExternalOptions{
+	_, _, err := sortExternal(ctx, MLMSort, xs, 2, megachunk, ExternalOptions{
 		Store:      st,
 		blockElems: block,
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunRealExternal = %v, want context.Canceled", err)
+		t.Fatalf("out-of-core sort = %v, want context.Canceled", err)
 	}
 	// The input is reversed, so key 1 starts in the last megachunk; only
 	// the merge's write-back puts it at xs[0].
 	if xs[0] != 1 {
 		t.Fatalf("xs[0] = %d after cancel: cancellation fired before any batch was written back", xs[0])
 	}
-	if n := st.LiveRuns(); n != 0 {
-		t.Fatalf("%d run files survive a cancelled sort", n)
-	}
-	if fp := st.FootprintBytes(); fp != 0 {
-		t.Fatalf("%d disk bytes still charged after cancel", fp)
+	// The store's owner removes the runs (cmd/mlmsort's spillSort and
+	// the scheduler's spill-abort tests check that). The merge's part is
+	// to have closed every run it opened, so closing the store removes
+	// its directory at once instead of deferring to a straggling reader.
+	st.Close()
+	if _, err := os.Stat(st.Dir()); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("store directory after cancel and Close: %v; a run reader is still open", err)
 	}
 }
 
@@ -422,11 +436,7 @@ func (f *onceFlaky) FailRead(run int) bool {
 }
 
 func TestRunRealExternalRetriesIOFaults(t *testing.T) {
-	st, err := spill.NewStore(spill.Config{Dir: t.TempDir(), Faults: &onceFlaky{}})
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	defer st.Close()
+	st := newTestStore(t, &onceFlaky{})
 	res := telemetry.NewResilience(telemetry.NewRegistry())
 	xs := make([]int64, 2500)
 	for i := range xs {
@@ -434,7 +444,7 @@ func TestRunRealExternalRetriesIOFaults(t *testing.T) {
 	}
 	want := append([]int64(nil), xs...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	_, err = RunRealExternal(context.Background(), MLMSort, xs, 2, 500, ExternalOptions{
+	_, _, err := sortExternal(context.Background(), MLMSort, xs, 2, 500, ExternalOptions{
 		RealOptions: RealOptions{
 			Policy:     exec.Policy{Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}},
 			Resilience: res,
@@ -443,7 +453,7 @@ func TestRunRealExternalRetriesIOFaults(t *testing.T) {
 		blockElems: 100,
 	})
 	if err != nil {
-		t.Fatalf("RunRealExternal under IO faults: %v", err)
+		t.Fatalf("out-of-core sort under IO faults: %v", err)
 	}
 	for i := range want {
 		if xs[i] != want[i] {
@@ -454,31 +464,27 @@ func TestRunRealExternalRetriesIOFaults(t *testing.T) {
 	if fst.WriteFaults != 1 || fst.ReadFaults != 1 {
 		t.Fatalf("fault counters = %d/%d, want 1/1", fst.WriteFaults, fst.ReadFaults)
 	}
-	if st.LiveRuns() != 0 {
-		t.Fatalf("%d run files survive completion", st.LiveRuns())
+	if res.Retries() != 2 {
+		t.Fatalf("%d retries reported, want the write's and the read's", res.Retries())
+	}
+	// SpillSorted records phase 1's outcome, as RunRealResilient does.
+	if c, a := res.Completions(), res.Aborts()+res.Cancellations(); c != 1 || a != 0 {
+		t.Fatalf("outcomes: %d completions, %d others; want one completion", c, a)
 	}
 }
 
 func TestRunRealExternalExhaustedRetriesAbort(t *testing.T) {
-	st, err := spill.NewStore(spill.Config{Dir: t.TempDir(), Faults: alwaysFailReads{}})
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	defer st.Close()
 	xs := make([]int64, 1000)
 	for i := range xs {
 		xs[i] = int64(i ^ 0x55)
 	}
-	_, err = RunRealExternal(context.Background(), MLMSort, xs, 2, 300, ExternalOptions{
+	_, _, err := sortExternal(context.Background(), MLMSort, xs, 2, 300, ExternalOptions{
 		RealOptions: RealOptions{Policy: exec.Policy{Retry: exec.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}}},
-		Store:       st,
+		Store:       newTestStore(t, alwaysFailReads{}),
 	})
 	var ce *exec.ChunkError
 	if !errors.As(err, &ce) {
-		t.Fatalf("RunRealExternal = %v, want ChunkError after exhausted read retries", err)
-	}
-	if st.LiveRuns() != 0 {
-		t.Fatalf("%d run files survive a fault abort", st.LiveRuns())
+		t.Fatalf("out-of-core sort = %v, want ChunkError after exhausted read retries", err)
 	}
 }
 

@@ -1091,10 +1091,6 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 		_, err = mlmsort.RunRealResilient(j.runCtx, mlmsort.MLMImplicit, j.spec.Data, per, j.megachunk, opts.RealOptions)
 	}
 	lease.Release()
-	if j.spill && s.cfg.Resilience != nil {
-		// RunRealResilient records its own outcome; phase 1 alone does not.
-		s.cfg.Resilience.RecordOutcome(err)
-	}
 
 	st := Done
 	switch {

@@ -97,6 +97,8 @@ func TestSpillJobStreamsIdentical(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := spillTestConfig(t)
 	cfg.Registry = reg
+	res := telemetry.NewResilience(telemetry.NewRegistry())
+	cfg.Resilience = res
 	// Under 1 MiB the spill class's MCDRAM-maximized megachunks are half
 	// the largest scratch, 64Ki elements: n is large enough to need at
 	// least three runs of them.
@@ -121,6 +123,10 @@ func TestSpillJobStreamsIdentical(t *testing.T) {
 	}
 	if _, err := j.Result(); !errors.Is(err, ErrSpilled) {
 		t.Fatalf("Result on spilled job = %v, want ErrSpilled", err)
+	}
+	// Phase 1 records the job's one pipeline outcome.
+	if c, o := res.Completions(), res.Aborts()+res.Cancellations(); c != 1 || o != 0 {
+		t.Fatalf("outcomes after one spill job: %d completions, %d others; want one completion", c, o)
 	}
 	if got := j.DiskLeaseBytes(); got != int64(n*8) {
 		t.Fatalf("DiskLeaseBytes = %d, want %d", got, n*8)

@@ -2,12 +2,12 @@ package wire
 
 import "encoding/binary"
 
-// Bulk []int64 ↔ little-endian byte conversions. On zero-copy builds
+// Bulk []int64 ↔ little-endian byte conversions. On little-endian hosts
 // each is a single memmove of the backing arrays; the portable path
 // loops through encoding/binary. Both produce identical bytes — the
 // differential tests pin this by running the portable implementations
-// (always compiled) against the build's chosen path. These are exported
-// for the spill tier, whose run files share the wire's byte layout.
+// against the zero-copy path. These are exported for the spill tier,
+// whose run files share the wire's byte layout.
 
 // EncodeInt64s writes src's little-endian encoding into dst, which must
 // hold exactly 8*len(src) bytes.
@@ -43,8 +43,8 @@ func DecodeInt64s(dst []int64, src []byte) {
 	decodeInt64sPortable(dst, src)
 }
 
-// The portable implementations are compiled on every platform (the
-// zero-copy build's differential tests call them directly).
+// The portable implementations: the whole codec on big-endian hosts,
+// and the differential tests' reference on little-endian ones.
 
 func encodeInt64sPortable(dst []byte, src []int64) {
 	for i, k := range src {

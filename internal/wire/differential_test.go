@@ -7,15 +7,21 @@ import (
 	"testing"
 )
 
-// TestZeroCopyMatchesPortable pins the two encode/decode implementations
-// to each other at the byte level. On little-endian platforms the
-// exported functions take the unsafe zero-copy path while the portable
-// internals loop through encoding/binary; under -tags wire_purego both
-// resolve to the portable loop and the test degenerates to a self-check
-// (the cross-implementation coverage then comes from running the suite
-// both ways in CI).
+// forcePortable makes the codec take its portable encoding/binary path,
+// the one big-endian hosts take, until the returned func restores the
+// host's path.
+func forcePortable() (restore func()) {
+	saved := zeroCopy
+	zeroCopy = false
+	return func() { zeroCopy = saved }
+}
+
+// TestZeroCopyMatchesPortable pins the two encode/decode paths to each
+// other at the byte level: every exported conversion and the framed
+// Encode/Decode run on the host's path (zero-copy on little-endian
+// hosts) and again through forcePortable, and must agree.
 func TestZeroCopyMatchesPortable(t *testing.T) {
-	t.Logf("zeroCopy = %v", ZeroCopy())
+	t.Logf("zeroCopy = %v", zeroCopy)
 	rng := rand.New(rand.NewSource(7))
 	cases := [][]int64{
 		nil,
@@ -34,25 +40,71 @@ func TestZeroCopyMatchesPortable(t *testing.T) {
 		}
 		cases = append(cases, v)
 	}
+	// run encodes keys every way the codec can and decodes the results.
+	type result struct {
+		enc, app, framed []byte
+		dec, unframed    []int64
+	}
+	run := func(keys []int64) (r result) {
+		r.enc = make([]byte, len(keys)*8)
+		EncodeInt64s(r.enc, keys)
+		r.app = AppendInt64s(nil, keys)
+		r.framed = Encode(nil, keys, 5)
+		r.dec = make([]int64, len(keys))
+		DecodeInt64s(r.dec, r.enc)
+		var err error
+		if r.unframed, err = Decode(bytes.NewReader(r.framed), 0, nil); err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		return r
+	}
 	for ci, keys := range cases {
-		fast := make([]byte, len(keys)*8)
-		EncodeInt64s(fast, keys)
-		slow := make([]byte, len(keys)*8)
-		encodeInt64sPortable(slow, keys)
-		if !bytes.Equal(fast, slow) {
-			t.Fatalf("case %d (%d keys): EncodeInt64s != portable encode", ci, len(keys))
+		host := run(keys)
+		restore := forcePortable()
+		port := run(keys)
+		restore()
+		if !bytes.Equal(host.enc, port.enc) || !bytes.Equal(host.app, port.app) || !bytes.Equal(host.app, host.enc) {
+			t.Fatalf("case %d (%d keys): EncodeInt64s/AppendInt64s differ between the paths", ci, len(keys))
 		}
-		if fastA, slowA := AppendInt64s(nil, keys), appendInt64sPortable(nil, keys); !bytes.Equal(fastA, slowA) {
-			t.Fatalf("case %d (%d keys): AppendInt64s != portable append", ci, len(keys))
+		if !bytes.Equal(host.framed, port.framed) {
+			t.Fatalf("case %d (%d keys): Encode differs between the paths", ci, len(keys))
 		}
-		fastD := make([]int64, len(keys))
-		DecodeInt64s(fastD, slow)
-		slowD := make([]int64, len(keys))
-		decodeInt64sPortable(slowD, slow)
 		for i := range keys {
-			if fastD[i] != keys[i] || slowD[i] != keys[i] {
-				t.Fatalf("case %d key %d: decode fast=%d slow=%d want %d", ci, i, fastD[i], slowD[i], keys[i])
+			if host.dec[i] != keys[i] || port.dec[i] != keys[i] || host.unframed[i] != keys[i] || port.unframed[i] != keys[i] {
+				t.Fatalf("case %d key %d: decode host=%d/%d portable=%d/%d want %d",
+					ci, i, host.dec[i], host.unframed[i], port.dec[i], port.unframed[i], keys[i])
 			}
 		}
+	}
+}
+
+// TestPortablePath runs the codec's writer, reader and conversion tests
+// again on the portable path, so the ordinary build covers both.
+func TestPortablePath(t *testing.T) {
+	if !zeroCopy {
+		t.Skip("the host's path is the portable one")
+	}
+	defer forcePortable()()
+	for _, tc := range []struct {
+		name string
+		f    func(*testing.T)
+	}{
+		{"WriterMatchesReference", TestWriterMatchesReference},
+		{"WriterUnevenBatchesRoundTrip", TestWriterUnevenBatchesRoundTrip},
+		{"RoundTrip", TestRoundTrip},
+		{"ReadBatchAcrossFrames", TestReadBatchAcrossFrames},
+		{"BulkConversions", TestBulkConversions},
+		{"EncodeReaderMatchesEncode", TestEncodeReaderMatchesEncode},
+		{"ReaderOneByteReads", TestReaderOneByteReads},
+		{"ReaderHalfReads", TestReaderHalfReads},
+		{"ReaderEveryBoundarySplit", TestReaderEveryBoundarySplit},
+		{"ReaderBatchCrossesFrames", TestReaderBatchCrossesFrames},
+		{"ReaderTruncationAtEveryOffset", TestReaderTruncationAtEveryOffset},
+		{"ReaderEmptyStreamShortReads", TestReaderEmptyStreamShortReads},
+		{"ReaderTrailingDataAfterSplitEnd", TestReaderTrailingDataAfterSplitEnd},
+		{"ReaderErrReaderPropagates", TestReaderErrReaderPropagates},
+		{"KindRoundTripStreams", TestKindRoundTripStreams},
+	} {
+		t.Run(tc.name, tc.f)
 	}
 }

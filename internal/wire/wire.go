@@ -28,10 +28,10 @@
 // distinguishes a complete stream from a truncated one — the binary
 // analog of JSON's closing bracket.
 //
-// The zero-copy []int64 ↔ []byte conversion is selected per platform by
-// build tags; the portable fallback (always used under the wire_purego
-// tag, and on big-endian targets) produces byte-identical streams
-// through encoding/binary.
+// The zero-copy []int64 ↔ []byte conversion is taken on little-endian
+// hosts, chosen once at init from the host's byte order; the portable
+// fallback (big-endian hosts, and tests through a hook) produces
+// byte-identical streams through encoding/binary.
 package wire
 
 import (
@@ -107,11 +107,6 @@ func EncodedLen(n, frameElems int) int {
 	}
 	return headerLen + frames*frameHeaderLen + n*8 + frameHeaderLen
 }
-
-// ZeroCopy reports whether this build reinterprets []int64 memory
-// directly as wire bytes (little-endian platform, wire_purego unset).
-// The encoded bytes are identical either way.
-func ZeroCopy() bool { return zeroCopy }
 
 // Writer encodes a key sequence as one frame stream. Batches passed to
 // Write are split into frames of at most frameElems elements; Close

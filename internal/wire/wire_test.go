@@ -346,7 +346,7 @@ func TestEncodeReaderMatchesEncode(t *testing.T) {
 				}
 				if got := readChunked(t, er, chunk); !bytes.Equal(got, want) {
 					t.Fatalf("frame %d n %d chunk %d: reader bytes diverge from Encode (zeroCopy=%v)",
-						frame, n, chunk, ZeroCopy())
+						frame, n, chunk, zeroCopy)
 				}
 				if er.Len() != 0 {
 					t.Fatalf("frame %d n %d: %d bytes left after EOF", frame, n, er.Len())
