@@ -44,6 +44,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "mergebench: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// run is the command; main exits 2 on its error. Returning instead of
+// exiting lets the deferred profile stop write -cpuprofile and
+// -memprofile on a failed run too.
+func run() (err error) {
 	repeats := flag.Int("repeats", 0, "merge repeats (0 = sweep the paper grid)")
 	copyThreads := flag.Int("copy", 0, "copy-in thread count (0 = sweep)")
 	async := flag.Bool("async", false, "use the event-driven pipeline instead of the paper's barrier schedule")
@@ -62,24 +72,18 @@ func main() {
 		*real = true
 	}
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "mergebench: %v\n", err)
-		os.Exit(2)
-	}
-
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "mergebench: %v\n", err)
+		if perr := stopProf(); err == nil {
+			err = perr
 		}
 	}()
 
 	if *real {
-		runReal(*n, max(1, *repeats), *buffers, *chaos, *chaosSeed, *tracePath, *metrics, fail)
-		return
+		return runReal(*n, max(1, *repeats), *buffers, *chaos, *chaosSeed, *tracePath, *metrics)
 	}
 
 	m := knl.MustNew(knl.PaperConfig(mem.Flat))
@@ -96,8 +100,7 @@ func main() {
 		if *verbose {
 			fmt.Print(res.Trace.String())
 		}
-		emitSimTelemetry(m, cfg, res, *tracePath, *metrics, fail)
-		return
+		return emitSimTelemetry(m, cfg, res, *tracePath, *metrics)
 	}
 	if *tracePath != "" || *metrics {
 		fmt.Fprintln(os.Stderr, "mergebench: -trace/-metrics need a single configuration (-repeats and -copy) or -real; ignoring for the sweep")
@@ -122,13 +125,14 @@ func main() {
 		}
 		fmt.Printf("  %d\n", copyGrid[best])
 	}
+	return nil
 }
 
 // runReal executes the host pipeline, optionally captured by telemetry
 // and/or perturbed by a chaos plan. Every metric family the run emits —
 // span-derived, faults_*, pipeline_* — shares one registry, so -chaos
 // and -metrics compose.
-func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath string, metrics bool, fail func(error)) {
+func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath string, metrics bool) error {
 	const chunkLen = 1 << 16
 	xs := workload.Generate(workload.Random, n, 1)
 	telemetryOn := tracePath != "" || metrics
@@ -152,7 +156,7 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 	start := time.Now()
 	out, stats, err := mergebench.RunRealResilient(context.Background(), xs, chunkLen, repeats, buffers, opts)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	wall := time.Since(start)
 	fmt.Printf("real merge benchmark processed %d elements through %d-buffer staging in %v\n",
@@ -163,7 +167,7 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 			stats.HBWBuffers, stats.DegradedBuffers, stats.DroppedBuffers)
 	}
 	if !telemetryOn {
-		return
+		return nil
 	}
 
 	spans := rec.Spans()
@@ -177,7 +181,7 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 		ct.AddProcessName(1, "merge benchmark (real)")
 		ct.AddSpans(1, spans)
 		if err := ct.WriteFile(tracePath); err != nil {
-			fail(err)
+			return err
 		}
 	}
 
@@ -195,18 +199,17 @@ func runReal(n, repeats, buffers int, chaos bool, chaosSeed int64, tracePath str
 	}
 	if metrics {
 		fmt.Println()
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			fail(err)
-		}
+		return reg.WritePrometheus(os.Stdout)
 	}
+	return nil
 }
 
 // emitSimTelemetry exports a single simulated configuration: bridged
 // Chrome trace, metrics over the simulation clock, and the simulated-vs-model
 // drift table (Table 3's comparison for one cell).
-func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Result, tracePath string, metrics bool, fail func(error)) {
+func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Result, tracePath string, metrics bool) error {
 	if tracePath == "" && !metrics {
-		return
+		return nil
 	}
 	reg := telemetry.NewRegistry()
 	a := report.Publish(reg, report.SimSpans(res.Trace))
@@ -217,7 +220,7 @@ func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Resu
 		ct.AddProcessName(1, "merge benchmark (simulated)")
 		report.AddSimTrace(&ct, 1, res.Trace)
 		if err := ct.WriteFile(tracePath); err != nil {
-			fail(err)
+			return err
 		}
 	}
 
@@ -230,15 +233,7 @@ func emitSimTelemetry(m *knl.Machine, cfg mergebench.Config, res mergebench.Resu
 	}
 	if metrics {
 		fmt.Println()
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			fail(err)
-		}
+		return reg.WritePrometheus(os.Stdout)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"knlmlm/internal/edge"
-	"knlmlm/internal/exec"
 	"knlmlm/internal/fault"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/sched"
@@ -57,7 +56,6 @@ type options struct {
 	decodeGate   int
 	chaos        bool
 	chaosSeed    int64
-	simChunkMS   int
 	drainTimeout time.Duration
 	logLevel     string
 	logJSON      bool
@@ -78,7 +76,6 @@ func main() {
 	flag.IntVar(&o.decodeGate, "decode-gate", 0, "concurrent submit-body decodes; deadlined requests past the gate get 429 ingest-busy (0 = max(2, GOMAXPROCS))")
 	flag.BoolVar(&o.chaos, "chaos", false, "run every job pipeline under a seeded fault-injection plan")
 	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "chaos plan seed (with -chaos)")
-	flag.IntVar(&o.simChunkMS, "sim-chunk-ms", 0, "add a fixed sleep to every chunk's Compute stage, in ms: makes per-node service rate a configured quantity so cluster scale-out is measurable on one box (0 = off)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error, or off")
 	flag.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON (default logfmt-style text)")
@@ -119,7 +116,8 @@ func run(o options) error {
 		FlightRecorderCap: o.flightCap,
 		Logger:            logger,
 		// One pool closes the upload loop: serve decodes binary submits
-		// into it, the scheduler recycles buffers at retention eviction.
+		// into it, the scheduler takes each buffer back once its result
+		// is downloaded (or evicted undownloaded).
 		KeyPool: mem.NewSlicePool(),
 	}
 	if o.chaos {
@@ -130,31 +128,6 @@ func run(o options) error {
 		cfg.IOFaults = rig.Injector
 		fmt.Printf("mlmserve chaos plan seed=%d: %s\n", o.chaosSeed, plan)
 	}
-	if o.simChunkMS > 0 {
-		// Benchmark aid for single-box cluster experiments: a sleeping
-		// Compute stage releases the CPU, so N colocated nodes really do
-		// serve at N times one node's configured rate instead of fighting
-		// over the same cores. Composes under the chaos wrap so injected
-		// faults still see the slowed pipeline.
-		d := time.Duration(o.simChunkMS) * time.Millisecond
-		sim := func(s exec.Stages) exec.Stages {
-			inner := s.Compute
-			s.Compute = func(i int, buf []int64) error {
-				time.Sleep(d)
-				if inner != nil {
-					return inner(i, buf)
-				}
-				return nil
-			}
-			return s
-		}
-		if prev := cfg.Wrap; prev != nil {
-			cfg.Wrap = func(s exec.Stages) exec.Stages { return prev(sim(s)) }
-		} else {
-			cfg.Wrap = sim
-		}
-	}
-
 	sc, err := sched.New(cfg)
 	if err != nil {
 		return err

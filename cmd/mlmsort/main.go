@@ -80,58 +80,64 @@ func driftPrediction(n int64, threads int) model.Prediction {
 }
 
 func main() {
-	algName := flag.String("alg", "MLM-sort", "algorithm: GNU-flat, GNU-cache, MLM-ddr, MLM-sort, MLM-implicit, Basic-chunked")
-	n := flag.Int64("n", 2_000_000_000, "element count")
-	orderName := flag.String("order", "random", "input order (random, reverse, sorted, nearly-sorted, organ-pipe, few-unique)")
-	threads := flag.Int("threads", 256, "thread budget")
-	chunk := flag.Int64("chunk", 0, "megachunk elements (0 = paper default)")
-	real := flag.Bool("real", false, "execute the real data flow on the host instead of simulating")
-	repeats := flag.Int("runs", 1, "simulated repetitions (with the run-to-run noise model)")
-	verbose := flag.Bool("v", false, "print the phase trace")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-	metrics := flag.Bool("metrics", false, "print Prometheus-format metrics for the run")
-	chaos := flag.Bool("chaos", false, "run the real sort under a randomized fault-injection plan (implies -real)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos plan seed (with -chaos)")
-	autotune := flag.Bool("autotune", false, "re-provision copy/compute widths mid-run from measured rates (staged variants, with -real)")
-	tuneThreads := flag.Int("tune-threads", 0, "thread budget for -autotune (0 = threads+2, the run's initial split)")
-	spillFlag := flag.Bool("spill", false, "sort out-of-core: spill sorted runs to disk, k-way merge them back (implies -real)")
-	spillDir := flag.String("spill-dir", "", "parent directory for spill run files (with -spill; empty = OS temp dir)")
-	spillBudgetMB := flag.Int64("spill-budget-mb", 0, "disk budget for run files in MiB (with -spill; 0 = uncapped)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "mlmsort: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// run is the command; main exits 2 on its error. Returning instead of
+// exiting lets the deferred profile stop write -cpuprofile and
+// -memprofile on a failed run too.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("mlmsort", flag.ExitOnError)
+	algName := fs.String("alg", "MLM-sort", "algorithm: GNU-flat, GNU-cache, MLM-ddr, MLM-sort, MLM-implicit, Basic-chunked")
+	n := fs.Int64("n", 2_000_000_000, "element count")
+	orderName := fs.String("order", "random", "input order (random, reverse, sorted, nearly-sorted, organ-pipe, few-unique)")
+	threads := fs.Int("threads", 256, "thread budget")
+	chunk := fs.Int64("chunk", 0, "megachunk elements (0 = paper default)")
+	real := fs.Bool("real", false, "execute the real data flow on the host instead of simulating")
+	repeats := fs.Int("runs", 1, "simulated repetitions (with the run-to-run noise model)")
+	verbose := fs.Bool("v", false, "print the phase trace")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
+	metrics := fs.Bool("metrics", false, "print Prometheus-format metrics for the run")
+	chaos := fs.Bool("chaos", false, "run the real sort under a randomized fault-injection plan (implies -real)")
+	chaosSeed := fs.Int64("chaos-seed", 1, "chaos plan seed (with -chaos)")
+	autotune := fs.Bool("autotune", false, "re-provision copy/compute widths mid-run from measured rates (staged variants, with -real)")
+	tuneThreads := fs.Int("tune-threads", 0, "thread budget for -autotune (0 = threads+2, the run's initial split)")
+	spillFlag := fs.Bool("spill", false, "sort out-of-core: spill sorted runs to disk, k-way merge them back (implies -real)")
+	spillDir := fs.String("spill-dir", "", "parent directory for spill run files (with -spill; empty = OS temp dir)")
+	spillBudgetMB := fs.Int64("spill-budget-mb", 0, "disk budget for run files in MiB (with -spill; 0 = uncapped)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	fs.Parse(args)
 	if *chaos || *spillFlag {
 		*real = true
 	}
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "mlmsort: %v\n", err)
-		os.Exit(2)
-	}
-
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "mlmsort: %v\n", err)
+		if perr := stopProf(); err == nil {
+			err = perr
 		}
 	}()
 
 	alg, err := parseAlg(*algName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	order, err := workload.ParseOrder(*orderName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	telemetryOn := *tracePath != "" || *metrics
 
 	if *real {
 		if *n > 1<<28 {
-			fail(fmt.Errorf("real mode sorts host data; use -n <= %d", 1<<28))
+			return fmt.Errorf("real mode sorts host data; use -n <= %d", 1<<28)
 		}
 		xs := workload.Generate(order, int(*n), 1)
 		var rec *telemetry.Recorder
@@ -161,7 +167,7 @@ func main() {
 		if *spillFlag {
 			dr, err = tune.MeasureDiskRate(*spillDir, 8<<20)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			dr.Publish(reg)
 			cfg := spill.Config{Dir: *spillDir, MaxBytes: *spillBudgetMB << 20, Registry: reg}
@@ -174,11 +180,11 @@ func main() {
 			stats, err = mlmsort.RunRealResilient(context.Background(), alg, xs, *threads, int(*chunk), opts)
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
 		wall := time.Since(start)
 		if !workload.IsSorted(xs) {
-			fail(fmt.Errorf("output not sorted — algorithm bug"))
+			return fmt.Errorf("output not sorted — algorithm bug")
 		}
 		fmt.Printf("%s sorted %d %s elements on the host in %v (verified)\n", alg, *n, order, wall)
 		if *spillFlag {
@@ -199,9 +205,9 @@ func main() {
 				inj, res.Retries(), res.Degradations(), stats.Staged, stats.Megachunks)
 		}
 		if telemetryOn {
-			emitRealTelemetry(rec, reg, *tracePath, *metrics, *n, *threads, alg.String())
+			return emitRealTelemetry(rec, reg, *tracePath, *metrics, *n, *threads, alg.String())
 		}
-		return
+		return nil
 	}
 
 	cfg := mlmsim.PaperSortConfig(*n, order)
@@ -213,7 +219,7 @@ func main() {
 		}
 		s := mlmsim.Repeated(alg, cfg, *repeats, 1)
 		fmt.Printf("%s  n=%d  %s: %.2fs ± %.4fs (n=%d)\n", alg, *n, order, s.Mean, s.StdDev, s.N)
-		return
+		return nil
 	}
 	res := mlmsim.Simulate(alg, cfg)
 	fmt.Printf("%s  n=%d  %s: %.2fs (simulated)\n", alg, *n, order, res.Time.Seconds())
@@ -225,25 +231,23 @@ func main() {
 		ct.AddProcessName(1, fmt.Sprintf("%s (simulated)", alg))
 		report.AddSimTrace(&ct, 1, res.Trace)
 		if err := ct.WriteFile(*tracePath); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Printf("wrote simulated Chrome trace to %s\n", *tracePath)
 	}
 	if *metrics {
 		reg := telemetry.NewRegistry()
 		report.Publish(reg, report.SimSpans(res.Trace))
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			fail(err)
-		}
+		return reg.WritePrometheus(os.Stdout)
 	}
+	return nil
 }
 
 // spillSort sorts xs out of core as the service does: SpillSorted into a
 // store of its own, then MergeSpilled back onto xs. The store is closed —
 // its run files, journal and directory removed — before spillSort
-// returns, on every path, so a failed run leaves nothing under cfg.Dir
-// even though the caller then exits without running deferred calls. It
-// reports the run count and the bytes the store wrote.
+// returns, on every path, so a failed run leaves nothing under cfg.Dir.
+// It reports the run count and the bytes the store wrote.
 func spillSort(ctx context.Context, alg mlmsort.Algorithm, xs []int64, threads, megachunk int, opts mlmsort.RealOptions, cfg spill.Config) (stats mlmsort.RealStats, runs int, written int64, err error) {
 	st, err := spill.NewStore(cfg)
 	if err != nil {
@@ -302,11 +306,7 @@ func wireReal(opts *mlmsort.RealOptions, reg *telemetry.Registry,
 // drift, Chrome trace file, Prometheus metrics. It publishes the span-
 // derived metrics into the run's shared registry, alongside whatever the
 // autotuner and fault injector already recorded there.
-func emitRealTelemetry(rec *telemetry.Recorder, reg *telemetry.Registry, tracePath string, metrics bool, n int64, threads int, alg string) {
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "mlmsort: %v\n", err)
-		os.Exit(2)
-	}
+func emitRealTelemetry(rec *telemetry.Recorder, reg *telemetry.Registry, tracePath string, metrics bool, n int64, threads int, alg string) error {
 	spans := rec.Spans()
 	a := report.Publish(reg, spans)
 	// Trace file first: if stdout is a pipe truncated early (e.g. | head),
@@ -316,7 +316,7 @@ func emitRealTelemetry(rec *telemetry.Recorder, reg *telemetry.Registry, tracePa
 		ct.AddProcessName(1, fmt.Sprintf("%s (real)", alg))
 		ct.AddSpans(1, spans)
 		if err := ct.WriteFile(tracePath); err != nil {
-			fail(err)
+			return err
 		}
 	}
 	fmt.Println()
@@ -328,8 +328,7 @@ func emitRealTelemetry(rec *telemetry.Recorder, reg *telemetry.Registry, tracePa
 	}
 	if metrics {
 		fmt.Println()
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			fail(err)
-		}
+		return reg.WritePrometheus(os.Stdout)
 	}
+	return nil
 }

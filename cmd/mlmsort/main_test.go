@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,8 +69,7 @@ func (c cancelOnRead) FailRead(int) bool  { c.cancel(); return false }
 
 // TestSpillSortLeavesNoStore: -spill's store is gone when spillSort
 // returns, after a verified sort, a run refused by the disk budget, and a
-// merge cancelled mid-stream alike, since a failed command exits without
-// running deferred calls.
+// merge cancelled mid-stream alike.
 func TestSpillSortLeavesNoStore(t *testing.T) {
 	const n, megachunk = 40_000, 10_000
 	for _, tc := range []struct {
@@ -111,5 +111,23 @@ func TestSpillSortLeavesNoStore(t *testing.T) {
 				t.Errorf("%s left %s under the spill directory", tc.name, e.Name())
 			}
 		})
+	}
+}
+
+// TestFailedRunWritesProfiles: a run that fails (its runs overflow the
+// disk budget) still stops its profiles, so both files hold a profile.
+func TestFailedRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := run([]string{"-spill", "-n", "400000", "-threads", "2", "-spill-budget-mb", "1",
+		"-spill-dir", dir, "-cpuprofile", cpu, "-memprofile", mem})
+	var be *spill.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("run = %v, want the disk budget's error", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s after a failed run: %v, want a non-empty profile", filepath.Base(path), err)
+		}
 	}
 }

@@ -278,6 +278,36 @@ func TestClusterResultConsumeOnce(t *testing.T) {
 	}
 }
 
+// TestClusterFailedResult409: a job that failed (its only backend
+// refuses every connection) answers its result GET with 409 job-failed,
+// as a node answers a failed job's — and the refusal consumes nothing,
+// so a repeat GET answers the same.
+func TestClusterFailedResult409(t *testing.T) {
+	inj := fault.MustNewInjector(5, fault.Spec{
+		Stage:  exec.StageCopyIn,
+		Kind:   fault.ConnKill,
+		Rate:   1,
+		Chunks: []int{0},
+	})
+	tc := newTestCluster(t, 1, func(c *Config) { c.ConnFaults = inj })
+	st := submitWaitJSON(t, tc, testKeys(2000, 17))
+	if st.State != "failed" {
+		t.Fatalf("job ended %s with its only backend dead, want failed", st.State)
+	}
+	for i := range 2 {
+		resp, err := http.Get(tc.http.URL + "/v1/jobs/" + st.ID + "/result")
+		if err != nil {
+			t.Fatalf("GET result: %v", err)
+		}
+		var eb edge.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusConflict || eb.Code != "job-failed" {
+			t.Fatalf("result GET %d: HTTP %d %q (%v), want 409 job-failed", i+1, resp.StatusCode, eb.Code, err)
+		}
+	}
+}
+
 func TestClusterDialFailover(t *testing.T) {
 	// Backend 0 refuses every connection: partitions assigned to it must
 	// fail over to backend 1 and the job must still complete correctly.

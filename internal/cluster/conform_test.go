@@ -63,6 +63,17 @@ func request(t *testing.T, method, url, contentType string, body []byte) *http.R
 // download's answer.
 func sortVia(t *testing.T, base string, keys []int64, binary bool, accept string) answer {
 	t.Helper()
+	req := request(t, http.MethodGet, base+submitVia(t, base, keys, binary), "", nil)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	return do(t, req)
+}
+
+// submitVia submits keys (binary or JSON, wait=true) to the tier at
+// base and returns the done job's result URL path.
+func submitVia(t *testing.T, base string, keys []int64, binary bool) string {
+	t.Helper()
 	var sub answer
 	if binary {
 		sub = do(t, request(t, http.MethodPost, base+"/v1/sort?wait=1", wire.ContentType, wire.Encode(nil, keys, 0)))
@@ -74,11 +85,7 @@ func sortVia(t *testing.T, base string, keys []int64, binary bool, accept string
 	if err := json.Unmarshal(sub.body, &st); err != nil || sub.status != http.StatusOK || st.State != edge.StateDone {
 		t.Fatalf("submit to %s: HTTP %d %s", base, sub.status, sub.body)
 	}
-	req := request(t, http.MethodGet, base+st.ResultURL, "", nil)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	return do(t, req)
+	return st.ResultURL
 }
 
 // TestTiersConform runs one table of requests against a node and
@@ -199,6 +206,25 @@ func TestTiersConform(t *testing.T) {
 					t.Fatalf("decode wire result: %v", err)
 				}
 				checkResult(t, got, want)
+			}
+		})
+	}
+
+	// Every result is delivered once, on either tier, in either encoding.
+	for _, accept := range []string{"application/json", wire.ContentType} {
+		t.Run("repeat download, Accept "+accept, func(t *testing.T) {
+			for _, tier := range []struct{ name, url string }{{"node", node.URL}, {"coordinator", tc.http.URL}} {
+				path := submitVia(t, tier.url, testKeys(2000, 7), false)
+				for i, want := range []struct {
+					status int
+					code   string
+				}{{200, ""}, {410, "result-consumed"}} {
+					req := request(t, http.MethodGet, tier.url+path, "", nil)
+					req.Header.Set("Accept", accept)
+					if a := do(t, req); a.status != want.status || a.code != want.code {
+						t.Errorf("%s: download %d: HTTP %d %q, want %d %q", tier.name, i+1, a.status, a.code, want.status, want.code)
+					}
+				}
 			}
 		})
 	}

@@ -32,7 +32,7 @@ import (
 // re-sorting the same multiset is deterministic, so the retried stream
 // is byte-identical to the lost one.
 
-// ErrResultConsumed mirrors the single node's consume-once contract: the
+// ErrResultConsumed mirrors a node's consume-once contract: the
 // gathered stream releases each partition's retained keys as it
 // completes, so it can only be taken once.
 var ErrResultConsumed = errors.New("cluster: result already consumed")

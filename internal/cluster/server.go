@@ -153,11 +153,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleResult streams the gathered result — chunked JSON array by
 // default, the wire frame stream under Accept: application/x-mlm-keys.
 // The gather runs inside this handler (backends -> socket); a
-// client disconnect cancels the downloads. Consume-once, like the
-// single node's spill results: a repeat GET answers 410 Gone.
+// client disconnect cancels the downloads. Consume-once, like a single
+// node's results: a repeat GET answers 410 Gone, and a failed job's
+// result 409, as a node answers one.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
+		return
+	}
+	if err := j.Err(); err != nil {
+		edge.WriteJSON(w, http.StatusConflict, edge.ErrorBody{Error: err.Error(), Code: "job-" + j.State()})
 		return
 	}
 	enc := &edge.ResultWriter{W: w, Wire: edge.AcceptsWire(r), Kind: wire.KindInt64, N: j.N()}

@@ -80,7 +80,7 @@ type JobStatus struct {
 	// for plain int64 jobs.
 	KeyType string `json:"key_type,omitempty"`
 	// Spilled marks a spill-class job: its result is produced by a
-	// consume-once streaming merge at ResultURL.
+	// streaming merge of disk run files at ResultURL.
 	Spilled        bool  `json:"spilled,omitempty"`
 	DiskLeaseBytes int64 `json:"disk_lease_bytes,omitempty"`
 	// Shed marks a job the scheduler itself evicted under overload

@@ -25,7 +25,8 @@ type ResultWriter struct {
 	// N is the result's cell count, sent as X-Sort-Elements and as the
 	// frame stream's declared total.
 	N int
-	// Spilled adds X-Sort-Spilled: the body is a consume-once merge.
+	// Spilled adds X-Sort-Spilled: the body is a streaming merge of disk
+	// run files.
 	Spilled bool
 	// chunkElems is the JSON elements per write and flush (zero selects
 	// DefaultResultChunkElems), so a multi-gigabyte result never

@@ -20,14 +20,11 @@ var (
 	ErrTooLarge = errors.New("sched: job exceeds MCDRAM budget")
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("sched: scheduler closed")
-	// ErrSpilled is returned by Job.Result for spill-class jobs: the sorted
-	// output exists only as disk run files and must be consumed through
-	// Job.StreamResult.
-	ErrSpilled = errors.New("sched: spilled result must be streamed")
-	// ErrResultConsumed is returned by Job.StreamResult when the spilled
-	// result was already streamed (or released by eviction/shutdown): the
-	// merge is stream-once, its run files deleted on first consumption.
-	ErrResultConsumed = errors.New("sched: spilled result already consumed")
+	// ErrResultConsumed is returned by Job.StreamResult when the result
+	// was already delivered (or reclaimed by eviction, or a spilled one by
+	// shutdown): a result is stream-once, its key buffer or run files
+	// released on first consumption.
+	ErrResultConsumed = errors.New("sched: result already consumed")
 	// ErrNotDone is returned by Job.StreamResult before the job reaches a
 	// terminal state.
 	ErrNotDone = errors.New("sched: job not finished")

@@ -129,12 +129,7 @@ func TestPlanShapes(t *testing.T) {
 				if fp, st := s.pool.FootprintBytes(), s.PoolStats(); fp != sh.lease || st.Refusals != 0 {
 					t.Errorf("the job drew %d bytes from the pool with %d refusals, want its lease %d and none", fp, st.Refusals, sh.lease)
 				}
-				var out []int64
-				if sh.spill {
-					out = drainStreamF64(t, j) // no int64 order asserted: f64 keys leave as IEEE bits
-				} else if out, err = j.Result(); err != nil {
-					t.Fatalf("result: %v", err)
-				}
+				out := drainStream(t, j) // no int64 order asserted: f64 keys leave as IEEE bits
 				k.check(t, out, input)
 
 				if meter.megachunks != sh.megachunks {

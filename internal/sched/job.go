@@ -141,14 +141,9 @@ type Job struct {
 	diskLease *Lease
 	streamed  bool
 
-	// dataRefs counts in-flight StreamResult deliveries of spec.Data;
-	// dataGone marks the buffer reclaimed (retention eviction recycled it
-	// into the scheduler's KeyPool, or will as soon as the refs drain; a
-	// spill job lets go of it when phase 1 has written its runs). Both
-	// guarded by mu. Zero-valued (no refcounting cost) for an in-memory
-	// job when the scheduler has no KeyPool.
-	dataRefs int
-	dataGone bool
+	// taken marks spec.Data moved out of the job by takeKeys; guarded
+	// by mu.
+	taken bool
 
 	canceled atomic.Bool
 	runCtx   context.Context
@@ -189,33 +184,8 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Result returns the sorted cells after a successful completion; before
-// a terminal state, or after failure/cancellation, it returns nil and
-// the job's error. Spill-class jobs return ErrSpilled: their output
-// exists only as disk run files and must be consumed through
-// StreamResult. Cells follow the job's KeyType: IEEE-754 bits in
-// float64 total order for KeyFloat64, interleaved key/payload pairs for
-// KeyRecord.
-//
-// With Config.KeyPool set, the returned slice may be recycled into the
-// pool once the job is evicted from retention — callers on such
-// schedulers must consume results through StreamResult, whose delivery
-// window pins the buffer.
-func (j *Job) Result() ([]int64, error) {
-	if !j.State().Terminal() {
-		return nil, nil
-	}
-	if err := j.Err(); err != nil {
-		return nil, err
-	}
-	if j.spill {
-		return nil, ErrSpilled
-	}
-	return j.spec.Data, nil
-}
-
-// Spilled reports whether the job was admitted into the spill class
-// (result must be consumed through StreamResult).
+// Spilled reports whether the job was admitted into the spill class:
+// its result is produced by a deferred merge of disk run files.
 func (j *Job) Spilled() bool { return j.spill }
 
 // DiskLeaseBytes reports the disk-tier lease the job held for its run
@@ -228,14 +198,18 @@ func (j *Job) DiskLeaseBytes() int64 {
 
 // StreamResult delivers the sorted output through sink as a stream of
 // nondecreasing batches (each batch only valid during its call) and
-// returns the element count delivered. An in-memory job's result arrives
-// as one batch. A spill-class job's result is produced here, by the
-// deferred k-way merge over its run files — exactly once: the run files
-// and the disk lease are released on every exit (success, sink error,
-// ctx cancellation), and a second call returns ErrResultConsumed, as
-// does a call after retention eviction or scheduler Close already
-// reclaimed the runs. Before a terminal state it returns ErrNotDone;
-// after failure or cancellation, the job's terminal error.
+// returns the element count delivered. Cells follow the job's KeyType:
+// IEEE-754 bits in float64 total order for KeyFloat64, interleaved
+// key/payload pairs for KeyRecord. A result is delivered exactly once.
+// An in-memory job's result is its key buffer, taken out of the job and
+// handed over as one batch, then returned to Config.KeyPool (or left to
+// the GC) on every exit. A spill-class job's result is produced here, by
+// the deferred k-way merge over its run files, which are deleted and
+// whose disk lease is released on every exit (success, sink error, ctx
+// cancellation). A second call returns ErrResultConsumed, as does a call
+// after retention eviction (or, for a spill job, scheduler Close)
+// already reclaimed the result. Before a terminal state it returns
+// ErrNotDone; after failure or cancellation, the job's terminal error.
 func (j *Job) StreamResult(ctx context.Context, sink func([]int64) error) (int64, error) {
 	if !j.State().Terminal() {
 		return 0, ErrNotDone
@@ -244,15 +218,13 @@ func (j *Job) StreamResult(ctx context.Context, sink func([]int64) error) (int64
 		return 0, err
 	}
 	if !j.spill {
-		if !j.acquireData() {
-			// Retention eviction recycled the key buffer between the
-			// caller's Lookup and this call; the result is gone.
+		data, ok := j.takeKeys()
+		if !ok {
 			return 0, ErrResultConsumed
 		}
+		defer j.recycleInto(data)
 		start := time.Now()
-		err := sink(j.spec.Data)
-		j.releaseData()
-		if err != nil {
+		if err := sink(data); err != nil {
 			return 0, err
 		}
 		j.observeStream(0, time.Since(start))
@@ -313,55 +285,21 @@ func (j *Job) observeStream(merge, stream time.Duration) {
 	j.sched.phases.ObservePhase(telemetry.PhaseStream, stream)
 }
 
-// acquireData pins spec.Data for an in-memory StreamResult delivery,
-// reporting false when eviction already reclaimed it. Pinning is what
-// makes eviction-time recycling safe: the buffer can only enter the
-// KeyPool freelist once no download goroutine can still be writing it
-// to a socket.
-func (j *Job) acquireData() bool {
+// takeKeys moves the key buffer out of the job, exactly once: at a
+// spill job's phase-1 end (its runs are the result now), at the first
+// download of an in-memory result, or at retention eviction of a result
+// nobody downloaded. It reports false, with a nil buffer, once the
+// buffer has already left. The caller owns what it takes: it hands it
+// to recycleInto when it is done with it.
+func (j *Job) takeKeys() ([]int64, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dataGone {
-		return false
+	if j.taken {
+		return nil, false
 	}
-	j.dataRefs++
-	return true
-}
-
-// releaseData unpins spec.Data, completing a deferred recycle if
-// eviction fired while the delivery was in flight.
-func (j *Job) releaseData() {
-	j.mu.Lock()
-	j.dataRefs--
-	var data []int64
-	if j.dataRefs == 0 && j.dataGone {
-		data = j.spec.Data
-		j.spec.Data = nil
-	}
-	j.mu.Unlock()
-	j.recycleInto(data)
-}
-
-// recycleData reclaims the job's key buffer into the scheduler's
-// KeyPool, exactly once, deferring under in-flight deliveries. A no-op
-// without a configured KeyPool. Called at retention eviction — after
-// which the job is unreachable through Lookup, so only a download that
-// raced the eviction can still hold a reference.
-func (j *Job) recycleData() {
-	if j.sched.cfg.KeyPool == nil {
-		return
-	}
-	j.mu.Lock()
-	var data []int64
-	if !j.dataGone {
-		j.dataGone = true
-		if j.dataRefs == 0 {
-			data = j.spec.Data
-			j.spec.Data = nil
-		}
-	}
-	j.mu.Unlock()
-	j.recycleInto(data)
+	data := j.spec.Data
+	j.spec.Data, j.taken = nil, true
+	return data, true
 }
 
 // recycleInto puts a reclaimed buffer back into the KeyPool (nil-safe).

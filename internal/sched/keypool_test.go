@@ -10,10 +10,49 @@ import (
 	"knlmlm/internal/workload"
 )
 
-// TestKeyPoolRecyclesOnEviction: with a KeyPool configured, a terminal
-// job's key buffer re-enters the pool when retention evicts the job —
-// and not before, so a completed-but-retained job still streams its
-// result.
+// TestKeyPoolRecyclesAtDownload: an in-memory result leaves its job at
+// its download, not at retention eviction. With retention above the job
+// count, each job streamed once has its key buffer back in the KeyPool
+// while the job is still retained, and a second download answers
+// ErrResultConsumed.
+func TestKeyPoolRecyclesAtDownload(t *testing.T) {
+	pool := mem.NewSlicePool()
+	cfg := testConfig()
+	cfg.KeyPool = pool
+	cfg.RetainJobs = 64
+	s := newTestScheduler(t, cfg)
+
+	const jobs, n = 4, 4096
+	for i := range jobs {
+		data := pool.Get(n)
+		copy(data, workload.Generate(workload.Random, n, int64(i+1)))
+		j, err := s.Submit(JobSpec{Data: data})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitDone(t, j)
+		if free := pool.FreeSlices(); free != 0 {
+			t.Fatalf("job %d: %d free slices before its download, want 0", i, free)
+		}
+		got := drainStream(t, j)
+		if len(got) != n || !workload.IsSorted(got) {
+			t.Fatalf("job %d: streamed %d keys (sorted %v), want %d sorted", i, len(got), workload.IsSorted(got), n)
+		}
+		if free := pool.FreeSlices(); free != 1 {
+			t.Fatalf("job %d: %d free slices after its download, want its buffer (1)", i, free)
+		}
+		if _, err := j.StreamResult(context.Background(), func([]int64) error { return nil }); !errors.Is(err, ErrResultConsumed) {
+			t.Fatalf("job %d: second StreamResult: %v, want ErrResultConsumed", i, err)
+		}
+		if _, ok := s.Lookup(j.ID()); !ok {
+			t.Fatalf("job %d evicted; the test needs it retained", i)
+		}
+	}
+}
+
+// TestKeyPoolRecyclesOnEviction: a result nobody downloaded keeps its
+// key buffer while the job is retained, and the buffer re-enters the
+// KeyPool when retention evicts the job.
 func TestKeyPoolRecyclesOnEviction(t *testing.T) {
 	pool := mem.NewSlicePool()
 	cfg := testConfig()
@@ -29,17 +68,7 @@ func TestKeyPoolRecyclesOnEviction(t *testing.T) {
 	}
 	waitDone(t, j1)
 
-	// Retained: the buffer is still the job's result.
-	var got []int64
-	if _, err := j1.StreamResult(context.Background(), func(b []int64) error {
-		got = append(got, b...)
-		return nil
-	}); err != nil {
-		t.Fatalf("StreamResult while retained: %v", err)
-	}
-	if !workload.IsSorted(got) || len(got) != 4096 {
-		t.Fatalf("bad retained result: %d keys", len(got))
-	}
+	// Retained and not downloaded: the buffer is still the job's result.
 	if pool.FreeSlices() != 0 {
 		t.Fatalf("buffer recycled before eviction: %d free slices", pool.FreeSlices())
 	}
@@ -68,18 +97,15 @@ func TestKeyPoolRecyclesOnEviction(t *testing.T) {
 		t.Fatalf("StreamResult after eviction: %v, want ErrResultConsumed", err)
 	}
 	// The recycled class-12 (4096-element) buffer serves the next Get.
-	reused := pool.Get(4096)
-	if reused == nil {
-		t.Fatal("pool refused a Get it should serve from the recycled buffer")
-	}
-	if st := pool.Stats(); st.Hits == 0 {
-		t.Fatalf("no pool hit after recycle: %+v", st)
+	if reused := pool.Get(4096); reused == nil || &reused[0] != &data[0] {
+		t.Fatal("the next Get of the buffer's class did not reuse the evicted job's buffer")
 	}
 }
 
 // TestKeyPoolEvictionWaitsForStream: eviction firing in the middle of a
-// StreamResult delivery must defer the recycle until the delivery
-// returns — the socket writer still reads the buffer.
+// StreamResult delivery must not recycle the buffer being delivered —
+// the socket writer still reads it; it re-enters the pool once the
+// delivery returns.
 func TestKeyPoolEvictionWaitsForStream(t *testing.T) {
 	pool := mem.NewSlicePool()
 	cfg := testConfig()
@@ -95,11 +121,13 @@ func TestKeyPoolEvictionWaitsForStream(t *testing.T) {
 
 	inSink := make(chan struct{})
 	release := make(chan struct{})
+	var held *int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		_, serr := j1.StreamResult(context.Background(), func(b []int64) error {
+			held = &b[0]
 			close(inSink)
 			<-release
 			if !workload.IsSorted(b) {
@@ -125,17 +153,21 @@ func TestKeyPoolEvictionWaitsForStream(t *testing.T) {
 		t.Fatal("j1 still retained; test needs it evicted mid-stream")
 	}
 	// The 4096-class buffer must NOT be in the pool while the sink holds it.
-	if got := pool.Get(4096); got != nil && &got[0] == &j1.spec.Data[0] {
+	if got := pool.Get(4096); got != nil && &got[0] == held {
 		t.Fatal("in-flight buffer recycled under an active stream")
 	}
 	close(release)
 	wg.Wait()
-	// Now the deferred recycle has landed: the job's buffer is detached.
+	// Now the delivery has returned the buffer: it is detached from the
+	// job and serves the next Get of its class.
 	j1.mu.Lock()
-	gone := j1.spec.Data == nil && j1.dataGone
+	gone := j1.spec.Data == nil && j1.taken
 	j1.mu.Unlock()
 	if !gone {
 		t.Fatal("buffer not reclaimed after the stream drained")
+	}
+	if got := pool.Get(4096); got == nil || &got[0] != held {
+		t.Fatal("delivered buffer not recycled after the stream drained")
 	}
 }
 

@@ -98,10 +98,7 @@ func TestFloat64JobClasses(t *testing.T) {
 			t.Fatal("small job classified as spill")
 		}
 		waitDone(t, j)
-		out, err := j.Result()
-		if err != nil {
-			t.Fatalf("result: %v", err)
-		}
+		out := drainStream(t, j)
 		checkF64Sorted(t, out, input)
 	})
 
@@ -117,10 +114,7 @@ func TestFloat64JobClasses(t *testing.T) {
 			t.Fatalf("submit: %v", err)
 		}
 		waitDone(t, j)
-		out, err := j.Result()
-		if err != nil {
-			t.Fatalf("result: %v", err)
-		}
+		out := drainStream(t, j)
 		checkF64Sorted(t, out, input)
 	})
 
@@ -135,27 +129,9 @@ func TestFloat64JobClasses(t *testing.T) {
 			t.Fatal("job not classified as spill")
 		}
 		waitDone(t, j)
-		got := drainStreamF64(t, j)
+		got := drainStream(t, j)
 		checkF64Sorted(t, got, input)
 	})
-}
-
-// drainStreamF64 collects a float64 StreamResult without the int64
-// nondecreasing assertion (raw float bits are not int64-ordered).
-func drainStreamF64(t *testing.T, j *Job) []int64 {
-	t.Helper()
-	var out []int64
-	n, err := j.StreamResult(context.Background(), func(batch []int64) error {
-		out = append(out, batch...)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("StreamResult: %v", err)
-	}
-	if int(n) != len(out) {
-		t.Fatalf("StreamResult count %d, sink received %d", n, len(out))
-	}
-	return out
 }
 
 // recordCells builds n records (2n cells) with dup-heavy keys and
@@ -207,10 +183,7 @@ func TestRecordJobClasses(t *testing.T) {
 			t.Fatal("staged record job classified as spill")
 		}
 		waitDone(t, j)
-		out, err := j.Result()
-		if err != nil {
-			t.Fatalf("result: %v", err)
-		}
+		out := drainStream(t, j)
 		checkRecordsStable(t, out, input)
 	})
 
@@ -235,10 +208,7 @@ func TestRecordJobClasses(t *testing.T) {
 				t.Fatalf("submit: %v", err)
 			}
 			waitDone(t, j)
-			out, err := j.Result()
-			if err != nil {
-				t.Fatalf("result: %v", err)
-			}
+			out := drainStream(t, j)
 			checkRecordsStable(t, out, input)
 			if got := eventDetails(j, "plan"); len(got) != 1 || got[0] != tc.plan {
 				t.Errorf("plan events %q, want %q", got, tc.plan)

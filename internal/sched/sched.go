@@ -91,16 +91,13 @@ type Config struct {
 	// spill-class jobs (chaos testing; fault.Injector satisfies it).
 	IOFaults spill.IOFaults
 
-	// KeyPool, when non-nil, receives terminal jobs' key buffers back at
-	// retention eviction, closing the loop with a front end (internal/
+	// KeyPool, when non-nil, receives every job's key buffer back when it
+	// leaves the job — after the download of an in-memory result, at a
+	// spill job's phase-1 end, or at retention eviction of a result
+	// nobody downloaded — closing the loop with a front end (internal/
 	// serve) that decodes binary uploads straight into pooled buffers:
 	// submit → sort in place → stream → recycle, with no per-job key
-	// allocation in steady state. Recycling waits for any in-flight
-	// StreamResult delivery of the buffer (downloads hold a reference),
-	// so an evicted job can never hand live memory to a new upload. Nil
-	// disables recycling; buffers are left to the GC. Callers that use
-	// Job.Result after eviction must leave KeyPool nil — the slice it
-	// returns may otherwise be recycled under them.
+	// allocation in steady state. Nil leaves the buffers to the GC.
 	KeyPool *mem.SlicePool
 
 	// Registry, when non-nil, receives the sched_* metric families.
@@ -909,26 +906,27 @@ func (s *Scheduler) finishLocked(j *Job, st State, err error) {
 }
 
 // retireLocked keeps terminal jobs addressable by Lookup up to the
-// retention bound, evicting oldest-first. Eviction is a spilled job's
-// last addressable moment, so an unclaimed spilled result is reclaimed
-// here — otherwise its run files and disk lease would pin the disk
-// budget forever.
+// retention bound, evicting oldest-first. Eviction is a job's last
+// addressable moment, so a result nobody downloaded is reclaimed here —
+// otherwise a spilled one's run files and disk lease would pin the disk
+// budget forever, and an in-memory one's key buffer the heap.
 func (s *Scheduler) retireLocked(j *Job) {
 	s.retired = append(s.retired, j.id)
 	for len(s.retired) > s.cfg.RetainJobs {
 		old := s.jobs[s.retired[0]]
 		delete(s.jobs, s.retired[0])
 		s.retired = s.retired[1:]
-		if old != nil && old.spill {
+		if old == nil {
+			continue
+		}
+		if old.spill {
 			old.releaseSpill()
 		}
-		if old != nil {
-			// Eviction is also the job's key buffer's last moment of use:
-			// recycle it into the KeyPool (when configured) so the next
-			// binary upload decodes into it instead of allocating. Deferred
-			// under an in-flight StreamResult download of the same buffer.
-			old.recycleData()
-		}
+		// A result nobody downloaded still holds its key buffer (a
+		// download or a spill job's phase 1 took it otherwise): back to
+		// the KeyPool, so the next binary upload decodes into it.
+		data, _ := old.takeKeys()
+		old.recycleInto(data)
 	}
 }
 
@@ -1101,9 +1099,8 @@ func (s *Scheduler) run(j *Job, lease *Lease) {
 		s.observeDrift(driftSpill, time.Since(runStart), j.predRaw)
 		j.mu.Lock()
 		j.runIDs = runs
-		input := j.spec.Data
-		j.spec.Data, j.dataGone = nil, true
 		j.mu.Unlock()
+		input, _ := j.takeKeys()
 		j.recycleInto(input)
 		s.metrics.spillJobs.Add(1)
 	case err == nil:

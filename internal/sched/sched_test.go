@@ -48,9 +48,22 @@ func waitDone(t *testing.T, j *Job) {
 	}
 }
 
+// streamAll collects a job's whole StreamResult, consuming it.
+func streamAll(j *Job) ([]int64, error) {
+	var out []int64
+	n, err := j.StreamResult(context.Background(), func(batch []int64) error {
+		out = append(out, batch...)
+		return nil
+	})
+	if err == nil && int(n) != len(out) {
+		err = fmt.Errorf("StreamResult count %d, sink received %d", n, len(out))
+	}
+	return out, err
+}
+
 func mustSorted(t *testing.T, j *Job) {
 	t.Helper()
-	out, err := j.Result()
+	out, err := streamAll(j)
 	if err != nil {
 		t.Fatalf("job %s failed: %v", j.ID(), err)
 	}
@@ -358,8 +371,8 @@ func TestCancelRunningReleasesLease(t *testing.T) {
 	if j.State() != Canceled {
 		t.Fatalf("state %v, want Canceled", j.State())
 	}
-	if _, err := j.Result(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Result err = %v, want ErrCanceled", err)
+	if _, err := streamAll(j); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("StreamResult err = %v, want ErrCanceled", err)
 	}
 	eventually(t, "lease released", func() bool { return s.Budget().Leased() == 0 })
 }

@@ -272,7 +272,7 @@ func TestSchedulerSoak(t *testing.T) {
 				}
 				break
 			}
-			out, err := rec.j.Result()
+			out, err := streamAll(rec.j)
 			if err != nil {
 				t.Fatalf("done job %s: %v", rec.j.ID(), err)
 			}

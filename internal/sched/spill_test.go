@@ -69,20 +69,13 @@ func spillTestConfig(t *testing.T) Config {
 	return cfg
 }
 
-// drainStream collects a StreamResult into one slice, asserting batch
-// boundaries keep the stream nondecreasing.
+// drainStream collects a job's whole StreamResult, failing the test on
+// an error. It asserts no order: float64 keys leave as IEEE bits.
 func drainStream(t *testing.T, j *Job) []int64 {
 	t.Helper()
-	var out []int64
-	n, err := j.StreamResult(context.Background(), func(batch []int64) error {
-		out = append(out, batch...)
-		return nil
-	})
+	out, err := streamAll(j)
 	if err != nil {
 		t.Fatalf("StreamResult: %v", err)
-	}
-	if int(n) != len(out) {
-		t.Fatalf("StreamResult count %d, sink received %d", n, len(out))
 	}
 	return out
 }
@@ -120,9 +113,6 @@ func TestSpillJobStreamsIdentical(t *testing.T) {
 	waitDone(t, j)
 	if j.State() != Done {
 		t.Fatalf("state = %v (%v), want Done", j.State(), j.Err())
-	}
-	if _, err := j.Result(); !errors.Is(err, ErrSpilled) {
-		t.Fatalf("Result on spilled job = %v, want ErrSpilled", err)
 	}
 	// Phase 1 records the job's one pipeline outcome.
 	if c, o := res.Completions(), res.Aborts()+res.Cancellations(); c != 1 || o != 0 {

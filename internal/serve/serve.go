@@ -10,13 +10,13 @@
 // node does behind it: the decode gate, the key pool, the job trace,
 // typed keys, /debug/* and the scheduler's error mapping.
 //
-// Spill-class results are special: their sorted output exists only as
-// disk run files, and GET /v1/jobs/{id}/result runs the deferred k-way
-// merge directly into the chunked response — the result never
-// materializes in DDR. The merge is bound to the request context, so a
-// mid-download disconnect cancels it and releases the run files and
-// disk lease; the download is consume-once, and a repeat GET answers
-// 410 Gone.
+// Every result is delivered once, and a repeat GET answers 410 Gone: an
+// in-memory job's key buffer returns to the key pool after its download.
+// Spill-class results exist only as disk run files, and GET
+// /v1/jobs/{id}/result runs the deferred k-way merge directly into the
+// chunked response — the result never materializes in DDR. The merge is
+// bound to the request context, so a mid-download disconnect cancels it
+// and releases the run files and disk lease.
 //
 // Besides JSON the service negotiates a binary wire format
 // (internal/wire, Content-Type application/x-mlm-keys). A binary
@@ -60,8 +60,8 @@ type Config struct {
 	// KeyPool supplies the destination buffers for binary submit bodies.
 	// Defaults to the scheduler's pool (Scheduler.KeyPool), closing the
 	// recycle loop: upload decodes into a pooled buffer, the sort runs in
-	// place, and retention eviction returns the buffer for the next
-	// upload. When the scheduler has no pool either, a private pool keeps
+	// place, and the download (or retention eviction of a result nobody
+	// downloaded) returns the buffer for the next upload. When the scheduler has no pool either, a private pool keeps
 	// the decode path uniform (its buffers are simply never recycled).
 	KeyPool *mem.SlicePool
 	// DecodeConcurrency bounds how many submit bodies decode at once.
@@ -449,11 +449,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // default, as the binary frame stream when the client sends Accept:
 // application/x-mlm-keys. Both encodings ride Job.StreamResult: an
 // in-memory job delivers its (possibly pooled) result buffer in one
-// batch, a spill-class job runs its deferred k-way merge straight into
-// the response (disk -> merge -> socket, never materialized in DDR).
-// The merge is bound to the request context, so a client disconnect
-// cancels it and releases the run files and disk lease; the spilled
-// stream is consume-once, and a repeat GET answers 410 Gone.
+// batch and hands it back to the key pool, a spill-class job runs its
+// deferred k-way merge straight into the response (disk -> merge ->
+// socket, never materialized in DDR). The merge is bound to the request
+// context, so a client disconnect cancels it and releases the run files
+// and disk lease. Every result is consume-once: a repeat GET answers 410
+// Gone. A GET refused before streaming (not ready, failed or canceled,
+// a typed result asked as JSON) consumes nothing.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
@@ -463,11 +465,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		edge.WriteJSON(w, http.StatusConflict, edge.ErrorBody{Error: "job still " + j.State().String(), Code: "not-ready"})
 		return
 	}
-	if !j.Spilled() {
-		if err := j.Err(); err != nil {
-			edge.WriteJSON(w, http.StatusConflict, edge.ErrorBody{Error: err.Error(), Code: "job-" + j.State().String()})
-			return
-		}
+	if err := j.Err(); err != nil {
+		edge.WriteJSON(w, http.StatusConflict, edge.ErrorBody{Error: err.Error(), Code: "job-" + j.State().String()})
+		return
 	}
 	kt := j.KeyType()
 	enc := &edge.ResultWriter{

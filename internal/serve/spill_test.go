@@ -120,6 +120,51 @@ func TestSpilledResultDownload(t *testing.T) {
 	}
 }
 
+// TestCanceledSpillResult409: a canceled spill-class job's result is
+// refused with the terminal-state conflict, as an in-memory job's is,
+// not reported as a failed merge.
+func TestCanceledSpillResult409(t *testing.T) {
+	g := newGate()
+	dir := t.TempDir()
+	ts := newTestServer(t, func(c *sched.Config) {
+		spillMutate(dir)(c)
+		c.Workers = 1
+		c.Wrap = g.wrap
+	})
+	defer g.open()
+
+	// Block the worker, then cancel a queued spill-class job.
+	resp, raw := ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 3000, 8)})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker: HTTP %d: %s", resp.StatusCode, raw)
+	}
+	waitState(t, ts, decodeStatus(t, raw).ID, "running")
+	resp, raw = ts.post(t, edge.SortRequest{Keys: workload.Generate(workload.Random, 60000, 9)})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("victim: HTTP %d: %s", resp.StatusCode, raw)
+	}
+	victim := decodeStatus(t, raw)
+	if !victim.Spilled {
+		t.Fatalf("victim not spill class: %+v", victim)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.http.URL+"/v1/jobs/"+victim.ID, nil)
+	if err != nil {
+		t.Fatalf("NewRequest: %v", err)
+	}
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	dresp.Body.Close()
+	waitState(t, ts, victim.ID, "canceled")
+
+	resp, raw = ts.get(t, "/v1/jobs/"+victim.ID+"/result")
+	var eb edge.ErrorBody
+	if err := json.Unmarshal(raw, &eb); err != nil || resp.StatusCode != http.StatusConflict || eb.Code != "job-canceled" {
+		t.Fatalf("canceled spill result: HTTP %d %s, want 409 job-canceled", resp.StatusCode, raw)
+	}
+}
+
 // TestSpilledDownloadDisconnect is the mid-stream disconnect satellite: a
 // client drops the connection partway through a chunked spill download,
 // and the server must cancel the merge, release the disk lease, delete
