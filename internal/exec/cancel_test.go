@@ -10,10 +10,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"knlmlm/internal/exec"
+	"knlmlm/internal/mem"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/workload"
 )
@@ -162,5 +164,73 @@ func TestCancelDuringBackoff(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation waited out the backoff: %v", elapsed)
+	}
+}
+
+// TestCancelWaitsForRunningStage: cancellation never abandons a stage
+// function mid-run. A cancelled RunContext returns only after the attempt
+// it interrupted has returned, and only then are the staging buffers back
+// in the pool, so no stage can still be writing one a later Get hands out.
+// Both run shapes are held to it: staged (three stage goroutines) and
+// compute-only (the caller's goroutine).
+func TestCancelWaitsForRunningStage(t *testing.T) {
+	for _, staged := range []bool{true, false} {
+		name := "compute-only"
+		if staged {
+			name = "staged"
+		}
+		t.Run(name, func(t *testing.T) {
+			defer cancelLeakCheck(t)()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pool := mem.NewSlicePool()
+			src := workload.Generate(workload.Random, 1_000, 47)
+			dst := make([]int64, len(src))
+			s := stagedIncrement(src, dst, 250, 1)
+			if !staged {
+				s.CopyIn, s.CopyOut = nil, nil
+			}
+			s.Pool = pool
+			s.Retry = exec.RetryPolicy{MaxAttempts: 3}
+			entered, release := make(chan struct{}), make(chan struct{})
+			var running atomic.Bool
+			comp := s.Compute
+			s.Compute = func(i int, buf []int64) error {
+				if i == 1 {
+					running.Store(true)
+					defer running.Store(false)
+					close(entered)
+					<-release
+				}
+				return comp(i, buf)
+			}
+
+			done := make(chan error, 1)
+			go func() { done <- exec.RunContext(ctx, s, 3) }()
+			<-entered
+			cancel()
+			select {
+			case err := <-done:
+				close(release)
+				t.Fatalf("RunContext returned %v while chunk 1's compute was still running", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelled pipeline did not return once its stage did")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
+			}
+			if running.Load() {
+				t.Fatal("RunContext returned before the compute attempt did")
+			}
+			if fp, free := pool.FootprintBytes(), pool.FreeBytes(); fp != free {
+				t.Fatalf("pool footprint %d after the run, freelists hold %d", fp, free)
+			}
+		})
 	}
 }

@@ -27,8 +27,7 @@ func (c *Counters) CopyOutBytes() int64 { return c.copyOut.Load() }
 // an Observer attached to the instrumented stages sees byte totals that
 // match the Counters byte for byte. Under retries both accountings are
 // per attempt, so the correspondence holds for fault-free and retried
-// runs alike (deadline-abandoned attempts excepted: their counter side
-// settles only when the abandoned stage function returns).
+// runs alike.
 func Instrument(s Stages, touchedPerElem int64) (Stages, *Counters) {
 	c := &Counters{}
 	out := s

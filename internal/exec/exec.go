@@ -6,13 +6,14 @@
 // paper's *timing*.
 //
 // The pipeline has first-class failure semantics: stage functions return
-// errors, panics are recovered into chunk failures, each stage attempt can
-// be bounded by a per-chunk deadline, failed attempts are retried under a
-// capped exponential backoff (RetryPolicy), and the whole run accepts a
-// context.Context for cancellation. When a chunk's retry budget runs out
-// the pipeline aborts cleanly: every stage goroutine is joined, channels
-// are closed exactly once, and the returned ChunkError names the stage,
-// chunk, and underlying cause.
+// errors, panics are recovered into chunk failures, failed attempts are
+// retried under a capped exponential backoff (RetryPolicy), and the whole
+// run accepts a context.Context for cancellation. Every attempt runs on the
+// goroutine that drives its stage and is never interrupted: a stage owns
+// its buffer until the attempt returns. When a chunk's retry budget runs out the
+// pipeline aborts cleanly: every stage goroutine is joined, channels are
+// closed exactly once, and the returned ChunkError names the stage, chunk,
+// and underlying cause.
 //
 // Host wall-time through this package is meaningless for the paper's
 // claims (this is not a KNL); only the data transformations matter.
@@ -128,18 +129,15 @@ type Stages struct {
 	// stage's telemetry events, matching Instrument's accounting. Zero
 	// selects the read+write sweep default (2*8 bytes).
 	TouchedPerElem int64
-	// Policy is the run's failure policy: retries, the per-attempt
-	// deadline, the failed-attempt hook and the stage-set rewrite. It is
-	// embedded, so s.Retry, s.ChunkTimeout, s.OnRetry and s.Wrap read and
-	// assign as before; a composite literal names it (Policy: ...).
+	// Policy is the run's failure policy: retries, the failed-attempt hook
+	// and the stage-set rewrite. It is embedded, so s.Retry, s.OnRetry and
+	// s.Wrap read and assign as before; a composite literal names it
+	// (Policy: ...).
 	Policy
 	// Pool, when non-nil, supplies the staging buffers' backing arrays and
 	// receives them back when the run finishes, so repeated runs (the
 	// megachunk loop) reach a steady state with no per-run buffer
-	// allocations. Buffers abandoned to a timed-out stage attempt are
-	// never returned — the rogue goroutine may still be writing them —
-	// but they are written off via Pool.Forget so a budgeted pool's
-	// footprint does not ratchet up as abandonments accumulate.
+	// allocations.
 	Pool *mem.SlicePool
 }
 
@@ -163,13 +161,7 @@ func (s *Stages) Validate() error {
 	if s.Compute == nil {
 		return fmt.Errorf("exec: Compute stage is required")
 	}
-	if err := s.Retry.validate(); err != nil {
-		return err
-	}
-	if s.ChunkTimeout < 0 {
-		return fmt.Errorf("exec: negative chunk timeout %v", s.ChunkTimeout)
-	}
-	return nil
+	return s.Retry.validate()
 }
 
 // Run executes the pipeline with the given number of staging buffers
@@ -216,8 +208,7 @@ func (r *runner) newBuffer(n int) *Buffer {
 }
 
 // reclaim returns a buffer's backing array to the pool. Callers must only
-// reclaim buffers no stage goroutine can still touch; buffers abandoned to
-// timed-out attempts are replaced in runStage and never reach here.
+// reclaim buffers no stage goroutine can still touch.
 func (r *runner) reclaim(b *Buffer) {
 	if r.pool == nil || b == nil || b.full == nil {
 		return
@@ -243,12 +234,12 @@ func (r *runner) firstErr() error {
 	return r.err
 }
 
-// RunContext is Run with cancellation: the pipeline stops promptly when
-// ctx is cancelled (or its deadline passes) and returns ctx's error. All
-// stage goroutines are joined before RunContext returns, in every path —
-// success, stage failure, and cancellation — so a finished call never
-// leaks goroutines (stage attempts abandoned by ChunkTimeout excepted:
-// those drain as soon as the stage function returns).
+// RunContext is Run with cancellation: when ctx is cancelled (or its
+// deadline passes) the pipeline stops at the next chunk, attempt or
+// backoff and returns ctx's error. A running stage function is never
+// abandoned: all stage goroutines are joined before RunContext returns, in
+// every path — success, stage failure, and cancellation — so a finished
+// call has no stage function still running and leaks no goroutine.
 func RunContext(ctx context.Context, s Stages, buffers int) error {
 	if wrap := s.Wrap; wrap != nil {
 		// Once per run, here, so no caller has to remember to: retries and
@@ -286,16 +277,13 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 
 	if s.CopyIn == nil && s.CopyOut == nil {
 		// Compute alone, chunk by chunk over caller storage. The stage is
-		// handed an empty buffer; a replacement after an abandoned attempt
-		// is as empty.
+		// handed an empty buffer.
 		b := r.newBuffer(0)
 		for i := 0; i < s.NumChunks; i++ {
 			if err := runCtx.Err(); err != nil {
 				return err
 			}
-			var err error
-			b, err = r.runStage(runCtx, StageCompute, i, 1, b, nil, s.Compute)
-			if err != nil {
+			if err := r.runStage(runCtx, StageCompute, i, 1, b, nil, s.Compute); err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
@@ -341,11 +329,10 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 			}
 			if s.CopyIn != nil {
 				b.Data = b.full[:s.ChunkLen(i)]
-				var err error
-				if b, err = r.runStage(runCtx, StageCopyIn, i, 0, b, nil, s.CopyIn); err != nil {
-					// runStage returned a buffer no attempt can still touch
-					// (abandoned attempts got replacements); recycle it rather
-					// than ratcheting the pool's footprint on every abort.
+				if err := r.runStage(runCtx, StageCopyIn, i, 0, b, nil, s.CopyIn); err != nil {
+					// The attempt has returned, so no stage touches b:
+					// recycle it rather than ratcheting the pool's footprint
+					// on every abort.
 					r.reclaim(b)
 					r.fail(err)
 					return
@@ -380,13 +367,12 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 			// attempt may have left the buffer partially transformed, and
 			// re-running a sort (or any non-idempotent kernel) over
 			// corrupted data would silently produce wrong output.
-			b, err := r.runStage(runCtx, StageCompute, it.idx, 1, it.buf, s.CopyIn, s.Compute)
-			if err != nil {
-				r.reclaim(b)
+			if err := r.runStage(runCtx, StageCompute, it.idx, 1, it.buf, s.CopyIn, s.Compute); err != nil {
+				r.reclaim(it.buf)
 				r.fail(err)
 				return
 			}
-			toCopyOut <- item{it.idx, b}
+			toCopyOut <- it
 		}
 	}()
 
@@ -410,17 +396,14 @@ func RunContext(ctx context.Context, s Stages, buffers int) error {
 			if r.obs != nil {
 				r.obs.StageEvent(StageEvent{Stage: StageCopyOutWait, Chunk: it.idx, Worker: 2, Start: t0, End: time.Now()})
 			}
-			b := it.buf
 			if s.CopyOut != nil {
-				var err error
-				b, err = r.runStage(runCtx, StageCopyOut, it.idx, 2, b, nil, s.CopyOut)
-				if err != nil {
-					r.reclaim(b)
+				if err := r.runStage(runCtx, StageCopyOut, it.idx, 2, it.buf, nil, s.CopyOut); err != nil {
+					r.reclaim(it.buf)
 					r.fail(err)
 					return
 				}
 			}
-			free <- b
+			free <- it.buf
 		}
 	}()
 
@@ -465,13 +448,12 @@ func (r *runner) stageBytes(stage Stage, n int) int64 {
 	return int64(n) * 8
 }
 
-// runStage drives one stage's attempt loop for chunk i: panic recovery,
-// optional deadline, retries with capped backoff, and buffer replacement
-// after an abandoned (timed-out) attempt. prepare, when non-nil, re-primes
-// the buffer before each retry attempt (compute retries re-stage via
-// CopyIn). It returns the buffer to hand downstream — a fresh one if the
-// original was abandoned to a still-running attempt.
-func (r *runner) runStage(ctx context.Context, stage Stage, i, worker int, b *Buffer, prepare, fn func(int, []int64) error) (*Buffer, error) {
+// runStage drives one stage's attempt loop for chunk i: panic recovery and
+// retries with capped backoff. Every attempt runs to its end on the
+// calling stage goroutine, so when runStage returns no attempt holds b.
+// prepare, when non-nil, re-primes the buffer before each retry attempt
+// (compute retries re-stage via CopyIn).
+func (r *runner) runStage(ctx context.Context, stage Stage, i, worker int, b *Buffer, prepare, fn func(int, []int64) error) error {
 	attempts := r.s.Retry.attempts()
 	for attempt := 1; ; attempt++ {
 		run := fn
@@ -488,7 +470,7 @@ func (r *runner) runStage(ctx context.Context, stage Stage, i, worker int, b *Bu
 		if r.obs != nil {
 			t0 = time.Now()
 		}
-		err, abandoned := r.attempt(ctx, i, b.Data, run)
+		err := safeStage(run, i, b.Data)
 		if r.obs != nil {
 			r.obs.StageEvent(StageEvent{
 				Stage: stage, Chunk: i, Worker: worker,
@@ -496,24 +478,12 @@ func (r *runner) runStage(ctx context.Context, stage Stage, i, worker int, b *Bu
 			})
 		}
 		if err == nil {
-			return b, nil
-		}
-		if abandoned {
-			// The timed-out attempt may still be writing the old backing
-			// array; withdraw it and continue with a fresh one. The old
-			// buffer is deliberately leaked, never pooled — only written
-			// off the pool's footprint, so a budgeted pool does not ratchet
-			// toward permanent Get refusal as abandonments accumulate.
-			r.pool.Forget(b.full)
-			nb := r.newBuffer(len(b.full))
-			nb.Data = nb.full[:len(b.Data)]
-			b = nb
+			return nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return b, cerr
+			return cerr
 		}
-		retryable := attempt < attempts &&
-			!(errors.Is(err, ErrDeadline) && stage != StageCopyIn)
+		retryable := attempt < attempts
 		var backoff time.Duration
 		if retryable {
 			backoff = r.s.Retry.Backoff(attempt)
@@ -525,34 +495,10 @@ func (r *runner) runStage(ctx context.Context, stage Stage, i, worker int, b *Bu
 			})
 		}
 		if !retryable {
-			return b, &ChunkError{Stage: stage, Chunk: i, Attempts: attempt, Err: err}
+			return &ChunkError{Stage: stage, Chunk: i, Attempts: attempt, Err: err}
 		}
 		if serr := sleepCtx(ctx, backoff); serr != nil {
-			return b, serr
+			return serr
 		}
-	}
-}
-
-// attempt executes fn once over data with panic recovery. With no
-// ChunkTimeout the call is direct (no goroutine, no allocation); with one,
-// fn runs on its own goroutine and a timer fire abandons it — abandoned
-// reports that fn may still be running and data must not be reused.
-func (r *runner) attempt(ctx context.Context, i int, data []int64, fn func(int, []int64) error) (err error, abandoned bool) {
-	if r.s.ChunkTimeout <= 0 {
-		return safeStage(fn, i, data), false
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- safeStage(fn, i, data)
-	}()
-	timer := time.NewTimer(r.s.ChunkTimeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err, false
-	case <-timer.C:
-		return ErrDeadline, true
-	case <-ctx.Done():
-		return ctx.Err(), true
 	}
 }

@@ -2,27 +2,17 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
-
-	"knlmlm/internal/mem"
 )
 
 // This file holds the pipeline's failure semantics: typed errors, the
 // retry policy, and the retry-event hook. The paper's flat-mode pipeline
 // assumes copy-in / compute / copy-out never fail; a production execution
 // layer cannot. Failures here are per chunk and per stage: a stage attempt
-// that returns an error (or panics, or overruns its deadline) is retried
-// with capped exponential backoff, and only when the retry budget is
-// exhausted does the whole pipeline abort — cleanly, with every stage
-// goroutine joined.
-
-// ErrDeadline marks a stage attempt that overran Policy.ChunkTimeout. The
-// attempt's goroutine may still be running when the error is reported (the
-// pipeline cannot interrupt a stage function), so the buffer it was handed
-// is withdrawn from circulation and replaced with a fresh one.
-var ErrDeadline = errors.New("exec: chunk stage deadline exceeded")
+// that returns an error (or panics) is retried with capped exponential
+// backoff, and only when the retry budget is exhausted does the whole
+// pipeline abort — cleanly, with every stage goroutine joined.
 
 // PanicError wraps a value recovered from a panicking stage function,
 // converting the panic into an ordinary (retryable) chunk failure.
@@ -130,19 +120,12 @@ type RetryEvent struct {
 
 // Policy is how a pipeline run treats failure. It is declared once, here:
 // Stages embeds it, and every option struct above exec (mlmsort, mergebench,
-// sched) embeds the same type and hands it down whole, so a run's retries,
-// deadline and wrap cannot differ by the entry point that started it.
+// sched) embeds the same type and hands it down whole, so a run's retries
+// and wrap cannot differ by the entry point that started it.
 type Policy struct {
 	// Retry bounds per-chunk stage attempts. The zero value runs each
 	// stage once: any failure aborts the pipeline immediately.
 	Retry RetryPolicy
-	// ChunkTimeout bounds each stage attempt on one chunk; zero means
-	// unbounded. A timed-out attempt cannot be interrupted — it is
-	// abandoned (its buffer is withdrawn and replaced) and reported as
-	// ErrDeadline. Deadline overruns are retried only for copy-in, whose
-	// re-execution is always safe; an abandoned compute or copy-out may
-	// still be mutating shared state, so its deadline is terminal.
-	ChunkTimeout time.Duration
 	// OnRetry, when non-nil, receives one event per failed stage attempt
 	// (Final marks the failure that aborts the pipeline). Called
 	// concurrently from the stage goroutines.
@@ -151,25 +134,6 @@ type Policy struct {
 	// the fault injector's Wrap plugs into. RunContext applies it, exactly
 	// once per run.
 	Wrap func(Stages) Stages
-}
-
-// Settle disposes of a buffer the caller drew from pool for a run under
-// p that returned runErr: compute scratch, or any buffer a stage writes
-// that the stage set does not own. Only a clean run proves no stage
-// attempt still holds it: under a chunk deadline an aborted run may have
-// abandoned a compute attempt whose goroutine is still writing it, and
-// recycling it would hand live memory to the pool's next consumer. So the
-// buffer goes back to the pool after a clean run — or after any run
-// without a deadline, which never abandons an attempt — and is otherwise
-// written off the pool's footprint, exactly as RunContext writes off an
-// abandoned staging buffer, so a budgeted pool does not ratchet toward
-// refusing every Get as aborted runs accumulate.
-func (p Policy) Settle(pool *mem.SlicePool, buf []int64, runErr error) {
-	if runErr == nil || p.ChunkTimeout <= 0 {
-		pool.Put(buf)
-	} else {
-		pool.Forget(buf)
-	}
 }
 
 // sleepCtx sleeps d unless ctx is cancelled first.

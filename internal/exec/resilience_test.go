@@ -245,67 +245,6 @@ func TestComputeRetryRestages(t *testing.T) {
 	}
 }
 
-// TestChunkDeadlineCopyInRetries: a copy-in overrunning its deadline is
-// abandoned and retried on a fresh buffer; the abandoned attempt's late
-// writes must not corrupt the output.
-func TestChunkDeadlineCopyInRetries(t *testing.T) {
-	defer leakCheck(t)()
-	src := workload.Generate(workload.Random, 2_000, 23)
-	dst := make([]int64, len(src))
-	s := chunkedDouble(src, dst, 400)
-	in := s.CopyIn
-	var slow atomic.Bool
-	s.CopyIn = func(i int, buf []int64) error {
-		if i == 2 && slow.CompareAndSwap(false, true) {
-			time.Sleep(80 * time.Millisecond) // blow the deadline once
-		}
-		return in(i, buf)
-	}
-	s.ChunkTimeout = 20 * time.Millisecond
-	s.Retry = RetryPolicy{MaxAttempts: 2}
-	if err := Run(s, 3); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		if dst[i] != 2*src[i] {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], 2*src[i])
-		}
-	}
-	// Let the abandoned attempt finish before the leak check runs.
-	time.Sleep(100 * time.Millisecond)
-}
-
-// TestChunkDeadlineComputeIsTerminal: deadline overruns on compute are
-// not retried (the abandoned attempt may still be mutating state), even
-// with retry budget left.
-func TestChunkDeadlineComputeIsTerminal(t *testing.T) {
-	defer leakCheck(t)()
-	src := workload.Generate(workload.Random, 1_000, 29)
-	dst := make([]int64, len(src))
-	s := chunkedDouble(src, dst, 250)
-	comp := s.Compute
-	s.Compute = func(i int, buf []int64) error {
-		if i == 1 {
-			time.Sleep(60 * time.Millisecond)
-		}
-		return comp(i, buf)
-	}
-	s.ChunkTimeout = 15 * time.Millisecond
-	s.Retry = RetryPolicy{MaxAttempts: 5}
-	err := Run(s, 3)
-	var ce *ChunkError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %v, want ChunkError", err)
-	}
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("got %v, want ErrDeadline cause", err)
-	}
-	if ce.Attempts != 1 {
-		t.Errorf("compute deadline was retried %d times; must be terminal", ce.Attempts-1)
-	}
-	time.Sleep(80 * time.Millisecond) // drain the abandoned attempt
-}
-
 // TestBackoffSchedule pins the policy arithmetic: doubling from BaseDelay,
 // capped at MaxDelay, zero when no base is set.
 func TestBackoffSchedule(t *testing.T) {
@@ -329,7 +268,7 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestValidateResilienceKnobs: malformed retry/deadline configuration is
+// TestValidateResilienceKnobs: malformed retry configuration is
 // rejected up front with a descriptive error, not discovered mid-run.
 func TestValidateResilienceKnobs(t *testing.T) {
 	base := func() Stages {
@@ -346,7 +285,6 @@ func TestValidateResilienceKnobs(t *testing.T) {
 		{"negative max attempts", func(s *Stages) { s.Retry.MaxAttempts = -1 }},
 		{"negative base delay", func(s *Stages) { s.Retry.BaseDelay = -time.Second }},
 		{"negative max delay", func(s *Stages) { s.Retry.MaxDelay = -time.Second }},
-		{"negative chunk timeout", func(s *Stages) { s.ChunkTimeout = -time.Second }},
 	}
 	for _, tc := range cases {
 		s := base()

@@ -15,15 +15,13 @@ import (
 // make it survivable. Plans built by NewPlan are survivable *by
 // construction*: every failure spec's per-chunk budget is bounded so the
 // summed worst-case failures at any (stage, chunk) stay below the retry
-// budget, injected latency stays well under the chunk deadline, and
-// allocation failures only ever trigger the DDR degradation path, never
-// an abort. A chaos run that does not end in correctly sorted output is
-// therefore a real bug, not an unlucky roll.
+// budget, and allocation failures only ever trigger the DDR degradation
+// path, never an abort. A chaos run that does not end in correctly sorted
+// output is therefore a real bug, not an unlucky roll.
 type Plan struct {
-	Seed         int64
-	Specs        []Spec
-	Retry        exec.RetryPolicy
-	ChunkTimeout time.Duration
+	Seed  int64
+	Specs []Spec
+	Retry exec.RetryPolicy
 	// HBWCapacity is the simulated MCDRAM capacity for the run's staging
 	// heap. Plans pick it to sometimes be smaller than a megachunk, so
 	// genuine (not just injected) exhaustion exercises the degradation
@@ -73,11 +71,10 @@ func NewPlan(seed int64, dataBytes units.Bytes) Plan {
 	// draws force genuine HBW_POLICY_BIND failures.
 	capScale := 0.5 + 1.5*rng.Float64()
 	return Plan{
-		Seed:         seed,
-		Specs:        specs,
-		Retry:        retry,
-		ChunkTimeout: 2 * time.Second, // active, but far above injected latency
-		HBWCapacity:  units.Bytes(capScale * float64(dataBytes)),
+		Seed:        seed,
+		Specs:       specs,
+		Retry:       retry,
+		HBWCapacity: units.Bytes(capScale * float64(dataBytes)),
 	}
 }
 
@@ -89,8 +86,8 @@ type Rig struct {
 	// Injector makes every fault decision of the run. It is also the
 	// spill tier's IO fault source (spill.IOFaults) and prints the tally.
 	Injector *Injector
-	// Policy is the plan's retry budget and chunk deadline with the
-	// injector's Wrap: hand it to a RealOptions or sched.Config whole.
+	// Policy is the plan's retry budget with the injector's Wrap: hand it
+	// to a RealOptions or sched.Config whole.
 	exec.Policy
 	// Staging is a fresh heap with the plan's MCDRAM capacity (DDR
 	// effectively unbounded: only MCDRAM pressure is under test) under the
@@ -106,13 +103,13 @@ func (p Plan) Rig(res *telemetry.Resilience) Rig {
 	inj.Metrics = res
 	return Rig{
 		Injector: inj,
-		Policy:   exec.Policy{Retry: p.Retry, ChunkTimeout: p.ChunkTimeout, Wrap: inj.Wrap},
+		Policy:   exec.Policy{Retry: p.Retry, Wrap: inj.Wrap},
 		Staging:  memkind.Staging{Heap: memkind.NewHeap(p.HBWCapacity, 1<<42), Faults: inj},
 	}
 }
 
 // String summarizes the plan.
 func (p Plan) String() string {
-	return fmt.Sprintf("chaos plan seed=%d specs=%d retry=%d hbw=%v timeout=%v",
-		p.Seed, len(p.Specs), p.Retry.MaxAttempts, p.HBWCapacity, p.ChunkTimeout)
+	return fmt.Sprintf("chaos plan seed=%d specs=%d retry=%d hbw=%v",
+		p.Seed, len(p.Specs), p.Retry.MaxAttempts, p.HBWCapacity)
 }

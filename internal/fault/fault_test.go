@@ -234,8 +234,7 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestPlanSurvivableByConstruction: plans across many seeds keep every
-// failure spec's per-chunk budget within the retry budget, and keep
-// latency far below the deadline.
+// failure spec's per-chunk budget within the retry budget.
 func TestPlanSurvivableByConstruction(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		p := NewPlan(seed, 1<<20)
@@ -246,9 +245,6 @@ func TestPlanSurvivableByConstruction(t *testing.T) {
 					t.Fatalf("seed %d: uncapped failure spec %+v", seed, s)
 				}
 				budget[s.Stage] += s.PerChunkHits
-			}
-			if s.Kind == Latency && s.Latency*4 > p.ChunkTimeout {
-				t.Fatalf("seed %d: latency %v too close to deadline %v", seed, s.Latency, p.ChunkTimeout)
 			}
 		}
 		for stage, b := range budget {

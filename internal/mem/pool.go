@@ -24,7 +24,8 @@ type SlicePool struct {
 	mu      sync.Mutex
 	classes [maxClass + 1][][]int64
 	stats   PoolStats
-	// budget, when positive, caps the pool's footprint (see SetBudget).
+	// budget, when positive, caps the pool's footprint (see
+	// NewSlicePoolBudget).
 	budget int64
 	// footprint is the bytes of every pool-shaped slice this pool has
 	// allocated and not yet dropped: freelist contents plus slices
@@ -39,7 +40,7 @@ const maxClass = 36
 // classDepth bounds how many free slices each class retains; extras are
 // dropped for the GC. Ten covers the deepest simultaneous demand of the
 // real paths (3 pipeline buffers + sort scratch + final-merge buffer)
-// with headroom for chaos-retry buffer replacement.
+// with headroom.
 const classDepth = 10
 
 // PoolStats counts pool traffic, for tests and capacity reasoning.
@@ -50,12 +51,8 @@ type PoolStats struct {
 	// class was full or the slice was not pool-shaped.
 	Puts, Drops int64
 	// Refusals counts Gets denied because allocating would have pushed
-	// the footprint past the budget (see SetBudget).
+	// the footprint past the budget (see NewSlicePoolBudget).
 	Refusals int64
-	// Forgets counts slices written off via Forget: handed out by Get but
-	// abandoned by their consumer (never Put) and removed from the
-	// footprint.
-	Forgets int64
 }
 
 // Misses reports Gets that had to allocate.
@@ -64,35 +61,17 @@ func (s PoolStats) Misses() int64 { return s.Gets - s.Hits }
 // NewSlicePool returns an empty pool with no byte budget.
 func NewSlicePool() *SlicePool { return &SlicePool{} }
 
-// NewSlicePoolBudget returns an empty pool capped at budget bytes.
-func NewSlicePoolBudget(budget int64) *SlicePool {
-	p := &SlicePool{}
-	p.SetBudget(budget)
-	return p
-}
-
-// SetBudget caps the pool's footprint — freelist bytes plus the bytes of
-// slices handed out and not yet returned — at budget bytes (0 removes the
-// cap). Past the cap, Get returns nil instead of allocating, so a caller
-// doing its own MCDRAM lease accounting (internal/sched) cannot have that
-// accounting silently exceeded by pool growth: demand beyond the budget
-// is refused loudly rather than absorbed.
+// NewSlicePoolBudget returns an empty pool whose footprint — freelist
+// bytes plus the bytes of slices handed out and not yet returned — is
+// capped at budget bytes (0 means no cap). Past the cap, Get returns nil
+// instead of allocating, so a caller doing its own MCDRAM lease accounting
+// (internal/sched) cannot have that accounting silently exceeded by pool
+// growth: demand beyond the budget is refused loudly rather than absorbed.
 //
 // Requests too large for any size class (beyond maxClass) bypass the pool
 // and its budget; at sane budgets (well under 512 GiB) every request the
 // budget could matter for is poolable.
-func (p *SlicePool) SetBudget(budget int64) {
-	p.mu.Lock()
-	p.budget = budget
-	p.mu.Unlock()
-}
-
-// BudgetBytes reports the configured footprint cap (0 = uncapped).
-func (p *SlicePool) BudgetBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.budget
-}
+func NewSlicePoolBudget(budget int64) *SlicePool { return &SlicePool{budget: budget} }
 
 // FootprintBytes reports the bytes currently pinned by the pool: freelist
 // contents plus outstanding Get slices.
@@ -122,8 +101,8 @@ func classFor(n int) (int, bool) {
 // Get returns a slice of length n. When a free slice of n's size class is
 // available it is reused (contents unspecified); otherwise a fresh slice
 // with the class capacity is allocated. Get(0) returns nil. On a budgeted
-// pool (SetBudget), a Get that would grow the footprint past the budget
-// returns nil instead — callers owning a budget must check.
+// pool (NewSlicePoolBudget), a Get that would grow the footprint past the
+// budget returns nil instead — callers owning a budget must check.
 func (p *SlicePool) Get(n int) []int64 {
 	c, ok := classFor(n)
 	if !ok {
@@ -205,34 +184,6 @@ func (p *SlicePool) Put(s []int64) {
 	p.mu.Unlock()
 }
 
-// Forget writes off a slice obtained from Get that will never be Put —
-// typically because it was abandoned to a timed-out stage attempt whose
-// goroutine may still be writing it, so returning it to a freelist would
-// hand live memory to another consumer. Forget removes the slice's bytes
-// from the footprint (so a budgeted pool does not ratchet toward
-// permanent refusal as abandonments accumulate) without ever touching the
-// slice itself. Slices that are not pool-shaped (did not come from Get)
-// are ignored; Forget(nil) is a no-op, as is any Forget on a nil pool.
-func (p *SlicePool) Forget(s []int64) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	c := bits.Len(uint(cap(s) - 1))
-	if cap(s) != 1<<c || c > maxClass {
-		return
-	}
-	p.mu.Lock()
-	p.stats.Forgets++
-	// Clamped like Put's drop path: a pool-shaped slice this pool never
-	// allocated must not drive the footprint negative.
-	if b := classBytes(c); p.footprint >= b {
-		p.footprint -= b
-	} else {
-		p.footprint = 0
-	}
-	p.mu.Unlock()
-}
-
 // Stats reports a snapshot of the pool's traffic counters.
 func (p *SlicePool) Stats() PoolStats {
 	p.mu.Lock()
@@ -252,8 +203,7 @@ func (p *SlicePool) FreeSlices() int {
 }
 
 // FreeBytes reports the bytes held on the freelists. At quiescence it
-// equals FootprintBytes: every slice handed out was either Put or written
-// off with Forget.
+// equals FootprintBytes: every slice handed out was Put.
 func (p *SlicePool) FreeBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -222,46 +222,3 @@ func TestSlicePoolConcurrent(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
-
-func TestSlicePoolForgetReconcilesFootprint(t *testing.T) {
-	p := NewSlicePoolBudget(3 * 8 * 1024) // room for three class-2^10 slices
-	a, b := p.Get(1000), p.Get(1000)
-	if a == nil || b == nil {
-		t.Fatal("budgeted Gets within budget refused")
-	}
-	// Abandon a (a timed-out attempt may still hold it): without Forget
-	// the footprint would count it forever and the pool would eventually
-	// refuse everything.
-	p.Forget(a)
-	if got := p.FootprintBytes(); got != 8*1024 {
-		t.Fatalf("footprint after Forget = %d, want %d", got, 8*1024)
-	}
-	p.Put(b)
-	// Two more Gets must fit: b recycled plus one fresh slice in the
-	// budget headroom Forget reclaimed.
-	if c, d := p.Get(1000), p.Get(1000); c == nil || d == nil {
-		t.Fatal("footprint ratcheted: budget headroom not restored by Forget")
-	}
-	st := p.Stats()
-	if st.Forgets != 1 {
-		t.Errorf("Forgets = %d, want 1", st.Forgets)
-	}
-	if st.Refusals != 0 {
-		t.Errorf("Refusals = %d, want 0", st.Refusals)
-	}
-}
-
-func TestSlicePoolForgetIgnoresForeignSlices(t *testing.T) {
-	p := NewSlicePoolBudget(1 << 20)
-	a := p.Get(1000)
-	before := p.FootprintBytes()
-	p.Forget(make([]int64, 0, 1000)) // not pool-shaped: must be ignored
-	p.Forget(nil)
-	if got := p.FootprintBytes(); got != before {
-		t.Fatalf("foreign Forget moved footprint %d -> %d", before, got)
-	}
-	if st := p.Stats(); st.Forgets != 0 {
-		t.Errorf("Forgets = %d, want 0", st.Forgets)
-	}
-	p.Put(a)
-}

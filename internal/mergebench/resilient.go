@@ -29,8 +29,8 @@ type RealOptions struct {
 	// Resilience, when non-nil, receives retry, degradation, and run
 	// outcome counters.
 	Resilience *telemetry.Resilience
-	// Policy bounds per-chunk stage attempts (retries, deadline) and
-	// carries the stage-set rewrite the fault injector plugs into.
+	// Policy bounds per-chunk stage attempts (retries) and carries the
+	// stage-set rewrite the fault injector plugs into.
 	exec.Policy
 }
 
@@ -174,7 +174,7 @@ func runRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffe
 	}
 	stages = telemetry.FinishStages(stages, opts.Policy, opts.Resilience, opts.Observer, mem.Pool)
 	err = exec.RunContext(ctx, stages, stats.Buffers)
-	stages.Settle(stages.Pool, scratch, err)
+	stages.Pool.Put(scratch)
 	if err != nil {
 		return nil, stats, err
 	}

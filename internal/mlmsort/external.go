@@ -16,9 +16,8 @@ import (
 // ExternalOptions configures the three-level (MCDRAM -> DDR -> disk)
 // out-of-core sort: SpillSorted, then MergeSpilled. It embeds
 // RealOptions: everything the resilient in-memory path understands —
-// staged heap placement, fault wrapping, retries, chunk deadlines,
-// autotuning, pooling — applies unchanged to the spill pipeline's
-// phase 1.
+// staged heap placement, fault wrapping, retries, autotuning, pooling —
+// applies unchanged to the spill pipeline's phase 1.
 type ExternalOptions struct {
 	RealOptions
 

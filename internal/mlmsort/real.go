@@ -175,8 +175,8 @@ func finalMerge(ctx context.Context, n int, obs exec.Observer, merge func()) err
 // ping-ponging its rounds through t, so no key is copied back. t aliases
 // no home, so staged and degraded megachunks alike land in it. It is
 // merge space, DDR-side, so it comes from the shared pool and not from
-// opts.Pool, and it settles like the pipeline's scratch. One megachunk
-// draws no t.
+// opts.Pool, and goes back to it when the run returns, like the
+// pipeline's scratch. One megachunk draws no t.
 func runRealMLM(ctx context.Context, a Algorithm, xs []int64, threads, megachunkLen int, opts RealOptions) (RealStats, error) {
 	if megachunkLen <= 0 && a == MLMImplicit {
 		megachunkLen = len(xs) // the paper: megachunk size equal to problem size
@@ -188,11 +188,11 @@ func runRealMLM(ctx context.Context, a Algorithm, xs []int64, threads, megachunk
 		return stats, cmp.Or(err, ctx.Err())
 	}
 	t := mem.Pool.Get(len(xs))
+	// Phase 1 and the final merge both join their workers before they
+	// return, so t is idle when this Put runs, whatever the outcome.
+	defer mem.Pool.Put(t)
 	runs := megachunks(t, mcLen)
 	stats, err := SortHomes(ctx, a, homes, threads, opts, runs, nil)
-	// t settles on phase 1's outcome (the deferred call's argument): the
-	// final merge joins its workers before it returns.
-	defer opts.Settle(mem.Pool, t, err)
 	if err != nil {
 		return stats, err
 	}
@@ -220,14 +220,14 @@ func megachunkCells(xs []int64, megachunkLen int, elem ElemKind) int {
 func (a Algorithm) staged() bool { return a == MLMSort || a == MLMHybrid }
 
 // SortHomes is phase 1 of every megachunked sort, in memory or spilled: it
-// sorts each home on the exec pipeline, so megachunks inherit
-// its full failure semantics (retries, panic recovery, deadlines,
-// cancellation). MLM-sort (and its hybrid twin) stages each megachunk
-// through a buffer (the flat-mode MCDRAM analog); when the staging
-// allocation fails — simulated heap exhaustion or an injected fault —
-// that megachunk degrades to the in-place DDR-direct flow. The other
-// variants sort in place throughout. threads must be positive and every
-// home hold whole elements of opts.Elem.
+// sorts each home on the exec pipeline, so megachunks inherit its full
+// failure semantics (retries, panic recovery, cancellation). MLM-sort (and
+// its hybrid twin) stages each megachunk through a buffer (the flat-mode
+// MCDRAM analog); when the staging allocation fails — simulated heap
+// exhaustion or an injected fault — that megachunk degrades to the
+// in-place DDR-direct flow. The other variants sort in place throughout.
+// threads must be positive and every home hold whole elements of
+// opts.Elem.
 //
 // Where a sorted megachunk goes is the only thing the callers vary. With
 // into non-nil, megachunk i's sort writes into[i] (as long as homes[i],
@@ -337,7 +337,7 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		stats.Degraded, stats.AllocFailures = table.drain()
 		stats.Staged = stats.Megachunks - stats.Degraded
 	}
-	fs.Settle(pool, scratch, err)
+	pool.Put(scratch)
 	return stats, err
 }
 

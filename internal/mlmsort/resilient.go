@@ -28,8 +28,8 @@ type RealOptions struct {
 	// Resilience, when non-nil, receives retry, degradation, and run
 	// outcome counters.
 	Resilience *telemetry.Resilience
-	// Policy bounds per-megachunk stage attempts (retries, deadline) and
-	// carries the stage-set rewrite the fault injector plugs into.
+	// Policy bounds per-megachunk stage attempts (retries) and carries the
+	// stage-set rewrite the fault injector plugs into.
 	exec.Policy
 	// Buffers is the staging-buffer count for the megachunk pipeline.
 	// Zero selects 1, which serializes the stages exactly like the
@@ -130,10 +130,9 @@ func RunRealResilient(ctx context.Context, a Algorithm, xs []int64, threads, meg
 
 // stagingTable tracks the live scratchpad allocation and the
 // staged-vs-degraded decision behind each megachunk. The copy-in
-// goroutine, compute-retry re-staging, and (with a chunk deadline)
-// abandoned attempts can all touch a slot, and the underlying Scratchpad
-// is not itself thread-safe, so every heap call happens under the
-// table's lock. The table keeps at most one live allocation per
+// goroutine, compute-retry re-staging and the copy-out's release can all
+// touch a slot, and the underlying Scratchpad is not itself thread-safe,
+// so every heap call happens under the table's lock. The table keeps at most one live allocation per
 // megachunk and frees stragglers on drain.
 type stagingTable struct {
 	staging memkind.Staging

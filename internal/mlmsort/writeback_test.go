@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/mem"
@@ -53,9 +52,8 @@ func poolDelta(run func()) mem.PoolStats {
 	run()
 	after := mem.Pool.Stats()
 	return mem.PoolStats{
-		Gets:    after.Gets - before.Gets,
-		Puts:    after.Puts - before.Puts,
-		Forgets: after.Forgets - before.Forgets,
+		Gets: after.Gets - before.Gets,
+		Puts: after.Puts - before.Puts,
 	}
 }
 
@@ -104,9 +102,9 @@ func TestMegachunkWritebackDifferential(t *testing.T) {
 				if count > 1 {
 					drawn = 1
 				}
-				if got.Gets != drawn || got.Puts != drawn || got.Forgets != 0 {
-					t.Errorf("%s: run buffer drawn %d, returned %d, written off %d times; want %d, %d, 0",
-						name, got.Gets, got.Puts, got.Forgets, drawn, drawn)
+				if got.Gets != drawn || got.Puts != drawn {
+					t.Errorf("%s: run buffer drawn %d, returned %d times; want %d, %d",
+						name, got.Gets, got.Puts, drawn, drawn)
 				}
 			}
 		}
@@ -128,48 +126,51 @@ func slowChunk(hook func()) func(exec.Stages) exec.Stages {
 	}
 }
 
-// TestRunBufferLifetime: a run cancelled mid-phase 1 returns the run
-// buffer (no attempt was abandoned) and leaves xs a permutation of the
-// input; a run aborted by a compute deadline writes it off and never
-// returns it, because the abandoned attempt may still be merging into it.
+// TestRunBufferLifetime: a run cancelled or failed mid-phase 1 returns
+// the run buffer once, after every stage has returned, and leaves xs a
+// permutation of the input.
 func TestRunBufferLifetime(t *testing.T) {
+	boom := errors.New("boom")
 	for _, a := range []Algorithm{MLMSort, MLMDDr} {
-		t.Run(a.String()+"/cancel", func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			xs := writebackJob(rng, 4, ElemInt64)
-			in := workload.Fingerprint(xs)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			opts := RealOptions{Pool: mem.NewSlicePool()}
-			opts.Wrap = slowChunk(cancel)
-			var err error
-			got := poolDelta(func() { _, err = RunRealResilient(ctx, a, xs, 2, writebackMC, opts) })
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if got.Gets != 1 || got.Puts != 1 || got.Forgets != 0 {
-				t.Errorf("run buffer drawn %d, returned %d, written off %d times; want 1, 1, 0", got.Gets, got.Puts, got.Forgets)
-			}
-			if workload.Fingerprint(xs) != in {
-				t.Error("a cancelled run lost or duplicated keys")
-			}
-		})
-		t.Run(a.String()+"/deadline", func(t *testing.T) {
-			rng := rand.New(rand.NewSource(32))
-			xs := writebackJob(rng, 4, ElemInt64)
-			release := make(chan struct{})
-			opts := RealOptions{Pool: mem.NewSlicePool()}
-			opts.ChunkTimeout = 20 * time.Millisecond
-			opts.Wrap = slowChunk(func() { <-release })
-			var err error
-			got := poolDelta(func() { _, err = RunRealResilient(context.Background(), a, xs, 2, writebackMC, opts) })
-			close(release) // the abandoned attempt now merges into the written-off buffer
-			if !errors.Is(err, exec.ErrDeadline) {
-				t.Fatalf("err = %v, want exec.ErrDeadline", err)
-			}
-			if got.Gets != 1 || got.Puts != 0 || got.Forgets != 1 {
-				t.Errorf("run buffer drawn %d, returned %d, written off %d times; want 1, 0, 1", got.Gets, got.Puts, got.Forgets)
-			}
-		})
+		for _, tc := range []struct {
+			name string
+			wrap func(cancel func()) func(exec.Stages) exec.Stages
+			want error
+		}{
+			{"cancel", slowChunk, context.Canceled},
+			{"failed", func(func()) func(exec.Stages) exec.Stages {
+				return func(s exec.Stages) exec.Stages {
+					inner := s.Compute
+					s.Compute = func(i int, buf []int64) error {
+						if i == 1 {
+							return boom
+						}
+						return inner(i, buf)
+					}
+					return s
+				}
+			}, boom},
+		} {
+			t.Run(a.String()+"/"+tc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(31))
+				xs := writebackJob(rng, 4, ElemInt64)
+				in := workload.Fingerprint(xs)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				opts := RealOptions{Pool: mem.NewSlicePool()}
+				opts.Wrap = tc.wrap(cancel)
+				var err error
+				got := poolDelta(func() { _, err = RunRealResilient(ctx, a, xs, 2, writebackMC, opts) })
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				if got.Gets != 1 || got.Puts != 1 {
+					t.Errorf("run buffer drawn %d, returned %d times; want 1, 1", got.Gets, got.Puts)
+				}
+				if workload.Fingerprint(xs) != in {
+					t.Errorf("a %s run lost or duplicated keys", tc.name)
+				}
+			})
+		}
 	}
 }

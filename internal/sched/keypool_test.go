@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"knlmlm/internal/exec"
+	"knlmlm/internal/fault"
 	"knlmlm/internal/mem"
 	"knlmlm/internal/workload"
 )
@@ -204,5 +208,83 @@ func TestKeyPoolTakesSpillInputAtDone(t *testing.T) {
 	}
 	if reused := pool.Get(n); reused == nil || &reused[0] != &data[0] {
 		t.Fatal("the next Get of the input's class did not reuse the spill job's input")
+	}
+}
+
+// TestCanceledJobKeepsBuffersUntilSortReturns: cancelling a running job
+// never abandons its sort. Under the chaos plan's policy, the one
+// mlmserve -chaos runs, a job cancelled while its compute is held stays
+// non-terminal, and its key buffer stays out of the KeyPool while a
+// neighbour finishes and retention (RetainJobs 1) evicts what is
+// terminal, until the compute returns; only then does the job end
+// Canceled. Had it turned terminal at the cancel, the neighbour would
+// evict it and the next upload would decode into a buffer the sort was
+// still writing.
+func TestCanceledJobKeepsBuffersUntilSortReturns(t *testing.T) {
+	pool := mem.NewSlicePool()
+	cfg := testConfig()
+	cfg.KeyPool = pool
+	cfg.RetainJobs = 1
+	cfg.Policy = fault.NewPlan(1, testBudget).Rig(nil).Policy
+	chaos := cfg.Wrap
+	g := newGate()
+	defer g.open()
+	entered := make(chan struct{})
+	var enter sync.Once
+	var first atomic.Bool
+	cfg.Wrap = func(st exec.Stages) exec.Stages {
+		st = chaos(st)
+		if !first.CompareAndSwap(false, true) {
+			return st
+		}
+		inner := st.Compute
+		st.Compute = func(i int, buf []int64) error {
+			enter.Do(func() { close(entered) })
+			<-g.ch
+			return inner(i, buf)
+		}
+		return st
+	}
+	s := newTestScheduler(t, cfg)
+
+	data := pool.Get(65536)
+	copy(data, workload.Generate(workload.Random, len(data), 1))
+	j, err := s.Submit(JobSpec{Data: data})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job's compute never started")
+	}
+	j.Cancel()
+	// 40000 keys are not a size class: the neighbour's own buffer never
+	// enters the pool.
+	j2, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 40000, 2)})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitDone(t, j2)
+	if st := j.State(); st.Terminal() {
+		t.Fatalf("job turned %v while its sort was still running", st)
+	}
+	if free := pool.FreeSlices(); free != 0 {
+		t.Fatalf("%d free slices while the cancelled job's sort still runs, want 0", free)
+	}
+
+	g.open()
+	waitDone(t, j)
+	if st := j.State(); st != Canceled {
+		t.Fatalf("state %v, want %v once the held compute returned", st, Canceled)
+	}
+	// Its sort over, the buffer goes back when retention evicts the job.
+	j3, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 40000, 3)})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitDone(t, j3)
+	if reused := pool.Get(65536); reused == nil || &reused[0] != &data[0] {
+		t.Fatal("the evicted cancelled job's key buffer did not return to the pool")
 	}
 }

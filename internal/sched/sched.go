@@ -106,7 +106,7 @@ type Config struct {
 	// counters from job pipelines.
 	Resilience *telemetry.Resilience
 	// Policy is the fault plug of every job pipeline, handed to mlmsort
-	// whole: the retry budget, chunk deadline and stage-set wrap.
+	// whole: the retry budget and stage-set wrap.
 	exec.Policy
 	// FlightRecorderCap bounds the always-on ring of recent job traces
 	// (admission order, oldest evicted first). Zero selects

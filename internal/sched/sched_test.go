@@ -705,46 +705,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBatchScratchNotPooledAfterAbandonedCompute guards the multi-tenant
-// memory-safety invariant for a small job: when a chunk timeout abandons
-// its compute attempt, the goroutine may still be writing the sort scratch,
-// so the scratch must be written off (leaked), never returned to the
-// budgeted pool where another tenant's pipeline would receive it live.
-func TestBatchScratchNotPooledAfterAbandonedCompute(t *testing.T) {
-	g := newGate()
-	cfg := testConfig()
-	cfg.Wrap = g.wrap()
-	cfg.ChunkTimeout = 20 * time.Millisecond
-	s := newTestScheduler(t, cfg)
-
-	j, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 500, 1)})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	waitDone(t, j)
-	if j.State() != Failed {
-		t.Fatalf("state %v, want Failed (compute deadline is terminal)", j.State())
-	}
-	// Sorted in place, the job drew the scratch and nothing else.
-	if st := s.PoolStats(); st.Forgets < 1 {
-		t.Errorf("pool Forgets = %d, want >= 1 (the scratch)", st.Forgets)
-	}
-	g.open()
-	time.Sleep(50 * time.Millisecond) // let the abandoned attempt drain
-	// The pool must still serve later tenants: the write-off freed budget
-	// headroom, what the pool charges is what it holds, and a fresh job
-	// sorts correctly.
-	if fp, free := s.pool.FootprintBytes(), s.pool.FreeBytes(); fp != free {
-		t.Fatalf("pool footprint %d after the write-off, freelists hold %d", fp, free)
-	}
-	j2, err := s.Submit(JobSpec{Data: workload.Generate(workload.Random, 500, 2)})
-	if err != nil {
-		t.Fatalf("submit after abandonment: %v", err)
-	}
-	waitDone(t, j2)
-	mustSorted(t, j2)
-}
-
 // TestPriorityClampedAtAdmission guards the EDF queue against client-
 // supplied priorities large enough to overflow the virtual-deadline slack
 // arithmetic: a huge negative priority must age normally (deadline after

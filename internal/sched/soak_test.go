@@ -314,8 +314,8 @@ func TestSchedulerSoak(t *testing.T) {
 		t.Fatalf("disk leased %v after all results streamed, want 0", got)
 	}
 	// The staging pool's ledger closes too: every buffer a pipeline drew
-	// (cancelled, failed and abandoned ones included) was returned or
-	// written off, so what the pool still charges is what it holds.
+	// (cancelled and failed ones included) was returned, so what the pool
+	// still charges is what it holds.
 	if fp, free := s.pool.FootprintBytes(), s.pool.FreeBytes(); fp != free {
 		t.Fatalf("pool footprint %d at quiescence, freelists hold %d: %d bytes leaked", fp, free, fp-free)
 	}

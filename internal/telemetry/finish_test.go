@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/mem"
@@ -51,7 +50,7 @@ func TestFinishStages(t *testing.T) {
 			}
 			var wraps, copyIns, fails atomic.Int64
 			p := exec.Policy{
-				Retry: retry, ChunkTimeout: time.Minute, OnRetry: c.onRetry,
+				Retry: retry, OnRetry: c.onRetry,
 				Wrap: func(s exec.Stages) exec.Stages {
 					wraps.Add(1)
 					inner := s.CopyIn
@@ -78,8 +77,8 @@ func TestFinishStages(t *testing.T) {
 				CopyOut: func(i int, src []int64) error { out[i] = src[0]; return nil },
 			}, p, res, obs, pool)
 
-			if s.Retry != retry || s.ChunkTimeout != time.Minute || s.Pool != pool || s.Observer != obs {
-				t.Fatalf("finished stages carry retry %+v timeout %v pool %p observer %v", s.Retry, s.ChunkTimeout, s.Pool, s.Observer)
+			if s.Retry != retry || s.Pool != pool || s.Observer != obs {
+				t.Fatalf("finished stages carry retry %+v pool %p observer %v", s.Retry, s.Pool, s.Observer)
 			}
 			if (s.OnRetry != nil) != (c.sink || c.onRetry != nil) {
 				t.Fatalf("OnRetry set = %v with sink %v and caller hook %v", s.OnRetry != nil, c.sink, c.onRetry != nil)
