@@ -1,7 +1,7 @@
 // Command chaos soaks the real execution stack under randomized injected
 // faults. Each run derives a survivable-by-construction fault plan from
-// its seed (stage errors, stage panics, added latency, MCDRAM allocation
-// failures, and an undersized staging heap), executes a full MLM sort
+// its seed (stage errors, stage panics, added latency, and an MCDRAM
+// staging pool whose budget may refuse buffers), executes a full MLM sort
 // and/or the streaming merge benchmark under that plan, and verifies the
 // output bit-for-bit. Because plans are survivable by construction and
 // injection schedules are deterministic in the seed, any verification
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"knlmlm/internal/fault"
+	"knlmlm/internal/mem"
 	"knlmlm/internal/mergebench"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
@@ -54,28 +55,28 @@ func main() {
 
 	start := time.Now()
 	failures := 0
-	var totalFaults, totalRetries, totalDegradations int64
+	var totalFaults, totalRetries, totalRefusals int64
 	var lastReg *telemetry.Registry
 	for r := 0; r < *runs; r++ {
 		runSeed := *seed + int64(r)
 		plan := fault.NewPlan(runSeed, units.BytesForElements(int64(*n)))
 		if *kind == "sort" || *kind == "both" {
 			if err := chaosSort(plan, *n, *threads, mc, *buffers, *verbose, &lastReg,
-				&totalFaults, &totalRetries, &totalDegradations); err != nil {
+				&totalFaults, &totalRetries, &totalRefusals); err != nil {
 				fmt.Fprintf(os.Stderr, "chaos: FAIL sort seed=%d: %v\n", runSeed, err)
 				failures++
 			}
 		}
 		if *kind == "merge" || *kind == "both" {
 			if err := chaosMerge(plan, *n, *chunkLen, *repeats, *buffers, *verbose, &lastReg,
-				&totalFaults, &totalRetries, &totalDegradations); err != nil {
+				&totalFaults, &totalRetries, &totalRefusals); err != nil {
 				fmt.Fprintf(os.Stderr, "chaos: FAIL merge seed=%d: %v\n", runSeed, err)
 				failures++
 			}
 		}
 	}
-	fmt.Printf("chaos: %d run(s), %d fault(s) injected, %d retr%s, %d degradation(s) in %v\n",
-		*runs, totalFaults, totalRetries, plural(totalRetries, "y", "ies"), totalDegradations,
+	fmt.Printf("chaos: %d run(s), %d fault(s) injected, %d retr%s, %d MCDRAM refusal(s) in %v\n",
+		*runs, totalFaults, totalRetries, plural(totalRetries, "y", "ies"), totalRefusals,
 		time.Since(start).Round(time.Millisecond))
 	if *metrics && lastReg != nil {
 		fmt.Println()
@@ -111,24 +112,23 @@ func newRig(plan fault.Plan) *rig {
 }
 
 // account folds the run's tallies into the totals and reports them.
-func (g *rig) account(label string, faults, retries, degradations *int64, verbose bool) {
+func (g *rig) account(label string, faults, retries, refusals *int64, verbose bool) {
 	*faults += g.Injector.Total()
 	*retries += g.res.Retries()
-	*degradations += g.res.Degradations()
+	*refusals += g.Pool.Stats().Refusals
 	if verbose {
-		fmt.Printf("  %s %v: %v retries=%d degradations=%d\n",
-			label, g.plan, g.Injector, g.res.Retries(), g.res.Degradations())
+		fmt.Printf("  %s %v: %v retries=%d\n", label, g.plan, g.Injector, g.res.Retries())
 	}
 }
 
 func chaosSort(plan fault.Plan, n, threads, megachunk, buffers int, verbose bool,
-	lastReg **telemetry.Registry, faults, retries, degradations *int64) error {
+	lastReg **telemetry.Registry, faults, retries, refusals *int64) error {
 	g := newRig(plan)
 	xs := workload.Generate(workload.Random, n, plan.Seed)
 	fp := workload.Fingerprint(xs)
 	stats, err := mlmsort.RunRealResilient(context.Background(), mlmsort.MLMSort, xs, threads, megachunk,
-		mlmsort.RealOptions{Staging: g.Staging, Resilience: g.res, Policy: g.Policy, Buffers: buffers})
-	g.account(fmt.Sprintf("sort  seed=%d stats=%+v", plan.Seed, stats), faults, retries, degradations, verbose)
+		mlmsort.RealOptions{Pool: g.Pool, Resilience: g.res, Policy: g.Policy, Buffers: buffers})
+	g.account(fmt.Sprintf("sort  seed=%d stats=%+v refusals=%d", plan.Seed, stats, g.Pool.Stats().Refusals), faults, retries, refusals, verbose)
 	*lastReg = g.res.Registry()
 	if err != nil {
 		return fmt.Errorf("survivable plan aborted: %w (%v)", err, g.Injector)
@@ -139,19 +139,19 @@ func chaosSort(plan fault.Plan, n, threads, megachunk, buffers int, verbose bool
 	if workload.Fingerprint(xs) != fp {
 		return fmt.Errorf("output is not a permutation of the input (%v)", g.Injector)
 	}
-	if g.Heap.HBWInUse() != 0 {
-		return fmt.Errorf("staging heap leaked %v", g.Heap.HBWInUse())
+	if held, free := g.Pool.FootprintBytes(), g.Pool.FreeBytes(); held != free {
+		return fmt.Errorf("MCDRAM pool has %d of %d bytes outstanding", held-free, held)
 	}
 	return nil
 }
 
 func chaosMerge(plan fault.Plan, n, chunkLen, repeats, buffers int, verbose bool,
-	lastReg **telemetry.Registry, faults, retries, degradations *int64) error {
+	lastReg **telemetry.Registry, faults, retries, refusals *int64) error {
 	g := newRig(plan)
 	src := workload.Generate(workload.Random, n, plan.Seed+1)
-	out, stats, err := mergebench.RunRealResilient(context.Background(), src, chunkLen, repeats, buffers,
-		mergebench.RealOptions{Staging: g.Staging, Resilience: g.res, Policy: g.Policy})
-	g.account(fmt.Sprintf("merge seed=%d stats=%+v", plan.Seed, stats), faults, retries, degradations, verbose)
+	out, err := mergebench.RunRealResilient(context.Background(), src, chunkLen, repeats, buffers,
+		mergebench.RealOptions{Resilience: g.res, Policy: g.Policy})
+	g.account(fmt.Sprintf("merge seed=%d", plan.Seed), faults, retries, refusals, verbose)
 	*lastReg = g.res.Registry()
 	if err != nil {
 		return fmt.Errorf("survivable plan aborted: %w (%v)", err, g.Injector)
@@ -169,8 +169,9 @@ func chaosMerge(plan fault.Plan, n, chunkLen, repeats, buffers int, verbose bool
 			return fmt.Errorf("chunk at %d is not a permutation of its input (%v)", lo, g.Injector)
 		}
 	}
-	if g.Heap.HBWInUse() != 0 || g.Heap.DDRInUse() != 0 {
-		return fmt.Errorf("buffer placements leaked: hbw=%v ddr=%v", g.Heap.HBWInUse(), g.Heap.DDRInUse())
+	// The benchmark draws from the shared pool, quiescent between runs.
+	if held, free := mem.Pool.FootprintBytes(), mem.Pool.FreeBytes(); held != free {
+		return fmt.Errorf("shared pool has %d of %d bytes outstanding", held-free, held)
 	}
 	return nil
 }

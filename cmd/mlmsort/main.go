@@ -23,9 +23,9 @@
 // and -metrics (spill_* families).
 //
 // With -chaos, the real run executes under a randomized, seeded fault
-// plan (stage errors/panics/latency, MCDRAM allocation failures, an
-// undersized staging heap) and prints the injection/retry/degradation
-// tally; see cmd/chaos for the multi-seed soak harness.
+// plan (stage errors/panics/latency, and a staging pool whose MCDRAM
+// budget may be too small) and prints the injection, retry and MCDRAM
+// refusal tally; see cmd/chaos for the multi-seed soak harness.
 //
 // With -autotune, a staged real run measures per-thread copy and compute
 // rates over its first megachunks, re-solves the Eq. 1–5 copy/compute
@@ -201,8 +201,8 @@ func run(args []string) (err error) {
 			}
 		}
 		if *chaos {
-			fmt.Printf("chaos: %v; retries=%d degradations=%d (%d/%d megachunks staged)\n",
-				inj, res.Retries(), res.Degradations(), stats.Staged, stats.Megachunks)
+			fmt.Printf("chaos: %v; retries=%d MCDRAM refusals=%d (%d megachunks)\n",
+				inj, res.Retries(), opts.Pool.Stats().Refusals, stats.Megachunks)
 		}
 		if telemetryOn {
 			return emitRealTelemetry(rec, reg, *tracePath, *metrics, *n, *threads, alg.String())
@@ -295,7 +295,7 @@ func wireReal(opts *mlmsort.RealOptions, reg *telemetry.Registry,
 		plan = fault.NewPlan(chaosSeed, units.BytesForElements(n))
 		res = telemetry.NewResilience(reg)
 		rig := plan.Rig(res)
-		inj, opts.Staging, opts.Policy = rig.Injector, rig.Staging, rig.Policy
+		inj, opts.Pool, opts.Policy = rig.Injector, rig.Pool, rig.Policy
 		opts.Resilience = res
 		opts.Buffers = 3
 	}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/memkind"
+	"knlmlm/internal/mem"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 )
@@ -15,17 +15,17 @@ import (
 // make it survivable. Plans built by NewPlan are survivable *by
 // construction*: every failure spec's per-chunk budget is bounded so the
 // summed worst-case failures at any (stage, chunk) stay below the retry
-// budget, and allocation failures only ever trigger the DDR degradation
-// path, never an abort. A chaos run that does not end in correctly sorted
+// budget, and an MCDRAM refusal only sends a buffer to an unpooled DDR
+// allocation, never aborts. A chaos run that does not end in correctly sorted
 // output is therefore a real bug, not an unlucky roll.
 type Plan struct {
 	Seed  int64
 	Specs []Spec
 	Retry exec.RetryPolicy
-	// HBWCapacity is the simulated MCDRAM capacity for the run's staging
-	// heap. Plans pick it to sometimes be smaller than a megachunk, so
-	// genuine (not just injected) exhaustion exercises the degradation
-	// path.
+	// HBWCapacity is the MCDRAM budget of the run's staging pool
+	// (Rig.Pool). Plans pick it to sometimes be smaller than the run's
+	// staging buffers and sort scratch, so refusals send some of them to
+	// DDR.
 	HBWCapacity units.Bytes
 }
 
@@ -54,9 +54,6 @@ func NewPlan(seed int64, dataBytes units.Bytes) Plan {
 				Latency: time.Duration(100+rng.Intn(400)) * time.Microsecond, PerChunkHits: 2},
 		)
 	}
-	// Allocation exhaustion: injected on top of whatever genuine
-	// exhaustion the undersized heap produces.
-	specs = append(specs, Spec{Kind: AllocFail, Rate: 0.15 + 0.35*rng.Float64(), PerChunkHits: 1})
 	// Spill-tier IO faults: one write failure per run stays under the
 	// copy-out retry budget (a retried copy-out re-creates the run file),
 	// and two read failures per run stay under the merge fill workers'
@@ -67,8 +64,8 @@ func NewPlan(seed int64, dataBytes units.Bytes) Plan {
 		Spec{Stage: exec.StageCopyIn, Kind: IOFail, Rate: 0.10 + 0.25*rng.Float64(), PerChunkHits: 2},
 	)
 
-	// Heap capacity between half a megachunk and 2x the dataset: small
-	// draws force genuine HBW_POLICY_BIND failures.
+	// Pool budget between half and twice the dataset: small draws make
+	// the pool refuse.
 	capScale := 0.5 + 1.5*rng.Float64()
 	return Plan{
 		Seed:        seed,
@@ -89,22 +86,23 @@ type Rig struct {
 	// Policy is the plan's retry budget with the injector's Wrap: hand it
 	// to a RealOptions or sched.Config whole.
 	exec.Policy
-	// Staging is a fresh heap with the plan's MCDRAM capacity (DDR
-	// effectively unbounded: only MCDRAM pressure is under test) under the
-	// injector's allocation faults.
-	memkind.Staging
+	// Pool is a fresh staging pool capped at the plan's MCDRAM capacity:
+	// hand it to mlmsort.RealOptions.Pool. A Get past the cap is refused
+	// (Stats().Refusals) and the buffer is allocated unpooled, in DDR, as
+	// under the scheduler's budget pool.
+	Pool *mem.SlicePool
 }
 
 // Rig builds the plan's rig. Injections are counted into res
 // (faults_injected_total), which the caller also gives its run as the
-// Resilience sink so retries and degradations land beside them.
+// Resilience sink so retries land beside them.
 func (p Plan) Rig(res *telemetry.Resilience) Rig {
 	inj := MustNewInjector(p.Seed, p.Specs...)
 	inj.Metrics = res
 	return Rig{
 		Injector: inj,
 		Policy:   exec.Policy{Retry: p.Retry, Wrap: inj.Wrap},
-		Staging:  memkind.Staging{Heap: memkind.NewHeap(p.HBWCapacity, 1<<42), Faults: inj},
+		Pool:     mem.NewSlicePoolBudget(int64(p.HBWCapacity)),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"knlmlm/internal/mem"
 	"knlmlm/internal/mergebench"
 	"knlmlm/internal/mlmsort"
 	"knlmlm/internal/telemetry"
@@ -12,31 +13,42 @@ import (
 )
 
 // TestChaosSortSoak: full MLM sorts under randomized survivable plans
-// must end correctly sorted with the staging heap drained — the in-test
-// twin of cmd/chaos. Seeds are fixed, so a failure names a reproducible
-// schedule.
+// must end correctly sorted with every staging buffer back in the rig's
+// MCDRAM pool — the in-test twin of cmd/chaos. Seeds are fixed, so a
+// failure names a reproducible schedule. The last case shrinks MCDRAM
+// below one staging buffer, so the pool refuses under injected faults.
 func TestChaosSortSoak(t *testing.T) {
 	const n, mc = 40_000, 5_000
-	for seed := int64(1); seed <= 3; seed++ {
+	for _, tc := range []struct {
+		seed int64
+		hbw  units.Bytes // 0 keeps the plan's draw; else below one staging buffer
+	}{{seed: 1}, {seed: 2}, {seed: 3}, {seed: 4, hbw: units.BytesForElements(mc) - 1}} {
+		seed := tc.seed
 		plan := NewPlan(seed, units.BytesForElements(n))
+		if tc.hbw > 0 {
+			plan.HBWCapacity = tc.hbw
+		}
 		res := telemetry.NewResilience(telemetry.NewRegistry())
 		rig := plan.Rig(res)
-		inj, heap := rig.Injector, rig.Heap
+		inj := rig.Injector
 		xs := workload.Generate(workload.Random, n, seed)
 		fp := workload.Fingerprint(xs)
 		stats, err := mlmsort.RunRealResilient(context.Background(), mlmsort.MLMSort, xs, 4, mc,
-			mlmsort.RealOptions{Staging: rig.Staging, Resilience: res, Policy: rig.Policy, Buffers: 3})
+			mlmsort.RealOptions{Pool: rig.Pool, Resilience: res, Policy: rig.Policy, Buffers: 3})
 		if err != nil {
 			t.Fatalf("seed %d: survivable plan aborted: %v (%v)", seed, err, inj)
 		}
 		if !workload.IsSorted(xs) || workload.Fingerprint(xs) != fp {
 			t.Fatalf("seed %d: output corrupted under %v (stats %+v)", seed, inj, stats)
 		}
-		if heap.HBWInUse() != 0 {
-			t.Errorf("seed %d: staging heap leaked %v", seed, heap.HBWInUse())
+		if held, free := rig.Pool.FootprintBytes(), rig.Pool.FreeBytes(); held != free {
+			t.Errorf("seed %d: MCDRAM pool holds %d bytes, %d free: a buffer is outstanding", seed, held, free)
 		}
-		if stats.Staged+stats.Degraded != stats.Megachunks {
-			t.Errorf("seed %d: inconsistent stats %+v", seed, stats)
+		if tc.hbw > 0 && rig.Pool.Stats().Refusals == 0 {
+			t.Errorf("seed %d: %v of MCDRAM refused no staging buffer (%+v)", seed, plan.HBWCapacity, rig.Pool.Stats())
+		}
+		if inj.Total() == 0 {
+			t.Errorf("seed %d: plan injected no fault", seed)
 		}
 	}
 }
@@ -49,15 +61,12 @@ func TestChaosMergeSoak(t *testing.T) {
 		plan := NewPlan(seed, units.BytesForElements(n))
 		res := telemetry.NewResilience(telemetry.NewRegistry())
 		rig := plan.Rig(res)
-		inj, heap := rig.Injector, rig.Heap
+		inj := rig.Injector
 		src := workload.Generate(workload.Random, n, seed+100)
-		out, stats, err := mergebench.RunRealResilient(context.Background(), src, chunkLen, 2, 3,
-			mergebench.RealOptions{Staging: rig.Staging, Resilience: res, Policy: rig.Policy})
+		out, err := mergebench.RunRealResilient(context.Background(), src, chunkLen, 2, 3,
+			mergebench.RealOptions{Resilience: res, Policy: rig.Policy})
 		if err != nil {
 			t.Fatalf("seed %d: survivable plan aborted: %v (%v)", seed, err, inj)
-		}
-		if stats.Buffers < 1 {
-			t.Fatalf("seed %d: ran with no buffers? stats %+v", seed, stats)
 		}
 		for lo := 0; lo < n; lo += chunkLen {
 			hi := lo + chunkLen
@@ -69,8 +78,10 @@ func TestChaosMergeSoak(t *testing.T) {
 				t.Fatalf("seed %d: chunk at %d corrupted under %v", seed, lo, inj)
 			}
 		}
-		if heap.HBWInUse() != 0 || heap.DDRInUse() != 0 {
-			t.Errorf("seed %d: placements leaked hbw=%v ddr=%v", seed, heap.HBWInUse(), heap.DDRInUse())
+		// The benchmark's buffers come from the shared pool, and no other
+		// test of this package runs beside this one.
+		if held, free := mem.Pool.FootprintBytes(), mem.Pool.FreeBytes(); held != free {
+			t.Errorf("seed %d: shared pool has %d of %d bytes outstanding", seed, held-free, held)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestConnKillDeterministicSchedule(t *testing.T) {
 }
 
 // TestConnKillDoesNotLeakIntoStages: a ConnKill spec must never fire
-// through stage wrapping, FailAlloc, or spill IO decisions.
+// through stage wrapping or spill IO decisions.
 func TestConnKillDoesNotLeakIntoStages(t *testing.T) {
 	in := MustNewInjector(1, Spec{Stage: exec.StageCopyIn, Kind: ConnKill, Rate: 1})
 	st := in.Wrap(exec.Stages{
@@ -98,9 +98,6 @@ func TestConnKillDoesNotLeakIntoStages(t *testing.T) {
 		if err := st.Compute(chunk, buf); err != nil {
 			t.Fatalf("Compute: %v", err)
 		}
-	}
-	if in.FailAlloc(0) {
-		t.Fatal("ConnKill leaked into FailAlloc")
 	}
 	if in.FailRead(0) || in.FailWrite(0) {
 		t.Fatal("ConnKill leaked into spill IO decisions")

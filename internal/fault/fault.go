@@ -1,9 +1,10 @@
 // Package fault is a deterministic, seedable fault injector for the real
 // execution stack. It plugs into exec.Stages the same way the telemetry
-// Observer does — by wrapping the stage functions — and injects four fault
-// kinds: stage errors, stage panics, added latency, and scratchpad/MCDRAM
-// allocation failures (the memkind HBW_POLICY_BIND exhaustion the paper's
-// flat-mode algorithms must survive).
+// Observer does — by wrapping the stage functions — and injects stage
+// errors, stage panics and added latency; the spill tier and the cluster
+// transport consult it for run-file IO failures and severed connections.
+// MCDRAM exhaustion is not injected: a chaos rig's budget-capped staging
+// pool (Rig.Pool) refuses for real.
 //
 // Injection decisions are pure functions of (seed, spec, stage, chunk,
 // attempt): the injector hashes those coordinates instead of consuming a
@@ -31,9 +32,6 @@ const (
 	Panic
 	// Latency sleeps before the stage runs (the stage then succeeds).
 	Latency
-	// AllocFail fails a scratchpad/MCDRAM allocation (consulted by the
-	// degradation paths via FailAlloc, not by stage wrapping).
-	AllocFail
 	// IOFail fails a spill run-file IO operation (consulted by the spill
 	// tier via FailWrite/FailRead, not by stage wrapping). The spec's
 	// Stage discriminates direction: StageCopyOut targets writes,
@@ -51,7 +49,7 @@ const (
 	NumKinds
 )
 
-var kindNames = [NumKinds]string{"error", "panic", "latency", "alloc-fail", "io-fail", "conn-kill"}
+var kindNames = [NumKinds]string{"error", "panic", "latency", "io-fail", "conn-kill"}
 
 // String names the kind.
 func (k Kind) String() string {
@@ -66,8 +64,7 @@ func (k Kind) String() string {
 // injection caps. A Spec with Rate 1 and a Chunks list is a precise
 // scalpel; a Spec with a fractional Rate and caps is background noise.
 type Spec struct {
-	// Stage is the work stage targeted (ignored by AllocFail, which is
-	// consulted per allocation, not per stage).
+	// Stage is the work stage targeted.
 	Stage exec.Stage
 	// Kind is the fault to inject.
 	Kind Kind
@@ -138,7 +135,6 @@ type Injector struct {
 
 	mu       sync.Mutex
 	attempts map[siteKey]int // invocation count per (stage, chunk)
-	allocs   map[int]int     // allocation-attempt count per chunk
 	ios      map[siteKey]int // spill IO attempt count per (direction, run)
 	conns    map[siteKey]int // connection-attempt count per (mode, backend)
 	perChunk map[specSiteKey]int
@@ -168,7 +164,6 @@ func NewInjector(seed int64, specs ...Spec) (*Injector, error) {
 		seed:     seed,
 		specs:    append([]Spec(nil), specs...),
 		attempts: map[siteKey]int{},
-		allocs:   map[int]int{},
 		ios:      map[siteKey]int{},
 		conns:    map[siteKey]int{},
 		perChunk: map[specSiteKey]int{},
@@ -247,7 +242,7 @@ func (in *Injector) decide(stage exec.Stage, chunk int) (sleep time.Duration, fa
 	attempt := in.attempts[site]
 	failure = NumKinds
 	for idx, s := range in.specs {
-		if s.Kind == AllocFail || s.Kind == IOFail || s.Kind == ConnKill || s.Stage != stage {
+		if s.Kind == IOFail || s.Kind == ConnKill || s.Stage != stage {
 			continue
 		}
 		if s.Kind == Latency {
@@ -289,32 +284,6 @@ func (in *Injector) observe(k Kind, stage exec.Stage) {
 	if in.Metrics != nil {
 		in.Metrics.RecordFault(k.String(), stage.String())
 	}
-}
-
-// FailAlloc reports whether the chunk's (or megachunk's) scratchpad
-// allocation should fail, consuming one AllocFail decision. The chunk
-// index keys the decision, so retried or repeated allocations for the
-// same chunk re-roll deterministically.
-func (in *Injector) FailAlloc(chunk int) bool {
-	in.mu.Lock()
-	in.allocs[chunk]++
-	attempt := in.allocs[chunk]
-	fired := false
-	for idx, s := range in.specs {
-		if s.Kind != AllocFail {
-			continue
-		}
-		if in.fires(idx, s, s.Stage, chunk, attempt) {
-			in.record(idx, s, s.Stage, chunk)
-			fired = true
-			break
-		}
-	}
-	in.mu.Unlock()
-	if fired {
-		in.observe(AllocFail, exec.StageCopyIn)
-	}
-	return fired
 }
 
 // failIO is the shared decision behind FailWrite/FailRead: one IOFail
@@ -457,6 +426,6 @@ func (in *Injector) Total() int64 {
 // String summarizes the injection tally.
 func (in *Injector) String() string {
 	c := in.Counts()
-	return fmt.Sprintf("faults{error:%d panic:%d latency:%d alloc-fail:%d io-fail:%d conn-kill:%d}",
-		c[Error], c[Panic], c[Latency], c[AllocFail], c[IOFail], c[ConnKill])
+	return fmt.Sprintf("faults{error:%d panic:%d latency:%d io-fail:%d conn-kill:%d}",
+		c[Error], c[Panic], c[Latency], c[IOFail], c[ConnKill])
 }

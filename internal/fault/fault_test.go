@@ -53,23 +53,17 @@ func TestDeterministicDecisions(t *testing.T) {
 	specs := []Spec{
 		{Stage: exec.StageCopyIn, Kind: Error, Rate: 0.3},
 		{Stage: exec.StageCompute, Kind: Error, Rate: 0.5},
-		{Kind: AllocFail, Rate: 0.4},
 	}
-	type rec struct {
-		fail  bool
-		alloc bool
-	}
-	run := func() []rec {
+	run := func() []bool {
 		in := MustNewInjector(99, specs...)
-		var out []rec
+		var out []bool
 		for chunk := 0; chunk < 50; chunk++ {
 			for attempt := 0; attempt < 3; attempt++ {
 				_, _, fail := in.decide(exec.StageCopyIn, chunk)
-				out = append(out, rec{fail: fail})
+				out = append(out, fail)
 				_, _, fail = in.decide(exec.StageCompute, chunk)
-				out = append(out, rec{fail: fail})
+				out = append(out, fail)
 			}
-			out = append(out, rec{alloc: in.FailAlloc(chunk)})
 		}
 		return out
 	}

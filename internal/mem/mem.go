@@ -40,19 +40,6 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode resolves a mode name from CLI flags.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "flat":
-		return Flat, nil
-	case "cache":
-		return Cache, nil
-	case "hybrid":
-		return Hybrid, nil
-	}
-	return 0, fmt.Errorf("mem: unknown MCDRAM mode %q", s)
-}
-
 // Spec describes the physical memory of a node.
 type Spec struct {
 	DDRCapacity     units.Bytes

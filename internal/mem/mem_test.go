@@ -7,14 +7,10 @@ import (
 )
 
 func TestModeStringParse(t *testing.T) {
-	for _, m := range []Mode{Flat, Cache, Hybrid} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+	for m, want := range map[Mode]string{Flat: "flat", Cache: "cache", Hybrid: "hybrid"} {
+		if got := m.String(); got != want {
+			t.Errorf("Mode(%d).String() = %q, want %q", int(m), got, want)
 		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus) should fail")
 	}
 	if s := Mode(42).String(); s != "Mode(42)" {
 		t.Errorf("unknown mode String = %q", s)

@@ -35,9 +35,6 @@ type Block struct {
 	len int64
 }
 
-// Offset reports the block's simulated base address.
-func (b Block) Offset() int64 { return b.off }
-
 // Size reports the block's length in bytes.
 func (b Block) Size() units.Bytes { return units.Bytes(b.len) }
 
@@ -58,9 +55,6 @@ func (s *Scratchpad) Capacity() units.Bytes { return s.capacity }
 
 // InUse reports the currently allocated bytes.
 func (s *Scratchpad) InUse() units.Bytes { return s.inUse }
-
-// Peak reports the high-water mark of allocated bytes.
-func (s *Scratchpad) Peak() units.Bytes { return s.peak }
 
 // Available reports the free bytes (possibly fragmented).
 func (s *Scratchpad) Available() units.Bytes { return s.capacity - s.inUse }
@@ -145,9 +139,6 @@ func (s *Scratchpad) Free(b Block) {
 	copy(s.free[idx+1:], s.free[idx:])
 	s.free[idx] = ns
 }
-
-// LiveBlocks reports the number of outstanding allocations.
-func (s *Scratchpad) LiveBlocks() int { return len(s.allocs) }
 
 // Reset releases every allocation, returning the scratchpad to its initial
 // state but preserving the peak statistic.

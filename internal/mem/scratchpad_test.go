@@ -15,15 +15,15 @@ func TestScratchpadBasicAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if b.Size() != 400 || b.Offset() != 0 {
-		t.Errorf("block = off %d size %v", b.Offset(), b.Size())
+	if b.Size() != 400 || b.off != 0 {
+		t.Errorf("block = off %d size %v", b.off, b.Size())
 	}
 	if sp.InUse() != 400 || sp.Available() != 600 {
 		t.Errorf("in use %v, available %v", sp.InUse(), sp.Available())
 	}
 	sp.Free(b)
-	if sp.InUse() != 0 || sp.LiveBlocks() != 0 {
-		t.Errorf("after free: in use %v, live %d", sp.InUse(), sp.LiveBlocks())
+	if sp.InUse() != 0 || len(sp.allocs) != 0 {
+		t.Errorf("after free: in use %v, live %d", sp.InUse(), len(sp.allocs))
 	}
 }
 
@@ -90,8 +90,8 @@ func TestScratchpadCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coalescing failed: %v", err)
 	}
-	if big.Offset() != 0 {
-		t.Errorf("full-size block at offset %d", big.Offset())
+	if big.off != 0 {
+		t.Errorf("full-size block at offset %d", big.off)
 	}
 }
 
@@ -124,12 +124,12 @@ func TestScratchpadPeakTracking(t *testing.T) {
 	a, _ := sp.Alloc(40)
 	b, _ := sp.Alloc(30)
 	sp.Free(a)
-	if sp.Peak() != 70 {
-		t.Errorf("peak = %v, want 70", sp.Peak())
+	if sp.peak != 70 {
+		t.Errorf("peak = %v, want 70", sp.peak)
 	}
 	sp.Free(b)
-	if sp.Peak() != 70 {
-		t.Errorf("peak after frees = %v, want 70", sp.Peak())
+	if sp.peak != 70 {
+		t.Errorf("peak after frees = %v, want 70", sp.peak)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestScratchpadReset(t *testing.T) {
 	sp := NewScratchpad(100)
 	_, _ = sp.Alloc(40)
 	sp.Reset()
-	if sp.InUse() != 0 || sp.LiveBlocks() != 0 {
+	if sp.InUse() != 0 || len(sp.allocs) != 0 {
 		t.Error("Reset did not clear allocations")
 	}
 	if _, err := sp.Alloc(100); err != nil {
@@ -193,8 +193,8 @@ func TestScratchpadRandomizedInvariants(t *testing.T) {
 			for i := range blocks {
 				for j := i + 1; j < len(blocks); j++ {
 					a, b := blocks[i].b, blocks[j].b
-					if a.Offset() < b.Offset()+int64(b.Size()) &&
-						b.Offset() < a.Offset()+int64(a.Size()) {
+					if a.off < b.off+int64(b.Size()) &&
+						b.off < a.off+int64(a.Size()) {
 						return false
 					}
 				}

@@ -7,9 +7,10 @@
 // data in DDR memory once the MCDRAM is full").
 //
 // A Heap tracks simulated allocations across the two levels under a
-// policy; PlacementReport tells the timing layer what fraction of a data
-// structure landed in MCDRAM, from which blended bandwidth-demand
-// coefficients follow.
+// policy, and an Allocation's HBWFraction tells the timing layer
+// (internal/mlmsim) what fraction of a data structure landed in MCDRAM.
+// The real pipelines do not place anything here: their MCDRAM is a
+// budget-capped mem.SlicePool, whose refusal sends a buffer to DDR.
 package memkind
 
 import (
@@ -53,16 +54,6 @@ func (p Policy) String() string {
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
-}
-
-// ParsePolicy resolves a policy name.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{PolicyDDR, PolicyHBWBind, PolicyHBWPreferred, PolicyInterleave} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("memkind: unknown policy %q", s)
 }
 
 // Heap is a two-level simulated heap. Alloc and Free are safe for
@@ -212,67 +203,31 @@ func (h *Heap) freeLocked(a *Allocation) {
 	a.ddrBytes = 0
 }
 
-// HBWInUse and DDRInUse report current usage per level.
-func (h *Heap) HBWInUse() units.Bytes {
+// hbwInUse and ddrInUse report current usage per level.
+func (h *Heap) hbwInUse() units.Bytes {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.hbw.InUse()
 }
 
-func (h *Heap) DDRInUse() units.Bytes {
+func (h *Heap) ddrInUse() units.Bytes {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.ddr.InUse()
 }
 
-// HBWAvailable reports remaining MCDRAM.
-func (h *Heap) HBWAvailable() units.Bytes {
+// hbwAvailable reports remaining MCDRAM.
+func (h *Heap) hbwAvailable() units.Bytes {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.hbw.Available()
 }
 
-// AllocFaults injects MCDRAM allocation failures on top of genuine heap
-// exhaustion; fault.Injector satisfies it.
-type AllocFaults interface {
-	FailAlloc(slot int) bool
-}
-
-// Staging is where a real pipeline's staging memory is placed: the
-// simulated two-level heap and the injected allocation faults, together
-// because every placement consults both. The zero value places nothing
-// and never fails, which is a host run with no MCDRAM model.
-type Staging struct {
-	// Heap, when non-nil, is the simulated two-level heap staged
-	// megachunks and staging buffers are placed on.
-	Heap *Heap
-	// Faults, when non-nil, fails placements the heap would have served.
-	Faults AllocFaults
-}
-
-// Place is the paper's per-allocation flat-mode decision for slot i (a
-// megachunk or buffer index, which keys the injected faults): try an
-// HBW_POLICY_BIND allocation of size bytes and report whether the slot is
-// in MCDRAM. Not ok — an injected fault fired or MCDRAM is exhausted —
-// means the caller degrades that slot to DDR. With no heap the placement
-// is notional (a nil allocation, ok unless a fault fired). The caller
-// frees a non-nil allocation through s.Heap.
-func (s Staging) Place(i int, size units.Bytes) (a *Allocation, ok bool) {
-	if s.Faults != nil && s.Faults.FailAlloc(i) {
-		return nil, false
-	}
-	if s.Heap == nil {
-		return nil, true
-	}
-	a, err := s.Heap.Alloc(PolicyHBWBind, size, 0)
-	return a, err == nil
-}
-
-// BlendedDemand derives bandwidth-demand coefficients for a streaming
+// blendedDemand derives bandwidth-demand coefficients for a streaming
 // kernel over an allocation: the MCDRAM-resident fraction streams from
 // MCDRAM, the rest from DDR. This is how the timing layer prices a Li-et-
 // al-style "preferred" run whose array straddles the levels.
-func (a *Allocation) BlendedDemand() (ddr, mcdram float64) {
+func (a *Allocation) blendedDemand() (ddr, mcdram float64) {
 	f := a.HBWFraction()
 	return 1 - f, f
 }

@@ -12,7 +12,8 @@
 //     meaning measured on the simulated machine rather than predicted by
 //     the closed-form model;
 //   - RunRealResilient executes the same pipeline with goroutines on real
-//     data, proving the benchmark's data flow correct.
+//     data, proving the benchmark's data flow correct. Its buffers come
+//     from the shared mem.Pool: the host has no MCDRAM to place them in.
 package mergebench
 
 import (

@@ -174,7 +174,7 @@ func TestSimulateInvalidPanics(t *testing.T) {
 
 // runReal is the plain benchmark: the one real run, with no options.
 func runReal(src []int64, chunkLen, repeats, buffers int) ([]int64, error) {
-	out, _, err := RunRealResilient(context.Background(), src, chunkLen, repeats, buffers, RealOptions{})
+	out, err := RunRealResilient(context.Background(), src, chunkLen, repeats, buffers, RealOptions{})
 	return out, err
 }
 
@@ -230,7 +230,7 @@ func TestRunRealObservedTelemetry(t *testing.T) {
 	const n, chunkLen, repeats = 40_000, 4_096, 2
 	src := workload.Generate(workload.Random, n, 11)
 	rec := telemetry.NewRecorder()
-	out, _, err := RunRealResilient(context.Background(), src, chunkLen, repeats, 3, RealOptions{Observer: rec})
+	out, err := RunRealResilient(context.Background(), src, chunkLen, repeats, 3, RealOptions{Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

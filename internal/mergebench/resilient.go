@@ -6,14 +6,12 @@ import (
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/mem"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/psort"
 	"knlmlm/internal/telemetry"
-	"knlmlm/internal/units"
 )
 
 // RealOptions configures RunRealResilient. The zero value is the plain
-// benchmark: no telemetry, no simulated heap, no faults, no retries.
+// benchmark: no telemetry, no faults, no retries.
 type RealOptions struct {
 	// Observer, when non-nil, receives per-chunk stage spans — including
 	// buffer-wait starvation — from the pipeline (typically a
@@ -22,105 +20,37 @@ type RealOptions struct {
 	// simulated pipeline's WorkPerChunkByte, so telemetry totals line up
 	// across all three layers.
 	Observer exec.Observer
-	// Staging places the staging buffers: each tries HBW_POLICY_BIND on
-	// its simulated heap first (injected faults, keyed by buffer index,
-	// can fail that too) and degrades to DDR when MCDRAM is exhausted.
-	memkind.Staging
-	// Resilience, when non-nil, receives retry, degradation, and run
-	// outcome counters.
+	// Resilience, when non-nil, receives retry and run outcome counters.
 	Resilience *telemetry.Resilience
 	// Policy bounds per-chunk stage attempts (retries) and carries the
 	// stage-set rewrite the fault injector plugs into.
 	exec.Policy
 }
 
-// RealStats summarizes one resilient run's buffer placement.
-type RealStats struct {
-	// Buffers is the staging-buffer count the pipeline actually ran with.
-	Buffers int
-	// HBWBuffers counts buffers placed in MCDRAM.
-	HBWBuffers int
-	// DegradedBuffers counts buffers that fell back to DDR.
-	DegradedBuffers int
-	// DroppedBuffers counts buffers that fit on neither level; the
-	// pipeline runs narrower instead of failing, as long as one buffer
-	// remains.
-	DroppedBuffers int
-	// AllocFailures counts failed HBW placements (injected or genuine).
-	AllocFailures int
-}
-
 // RunRealResilient executes the benchmark's data flow for real: the source
 // array is staged chunk-by-chunk through buffers by exec.RunContext; the
 // compute stage splits each chunk in half and merges the sorted halves
 // `repeats` times. It returns the processed output array for verification.
-// The run is cancellable through ctx, per-chunk stage failures are retried
-// under opts.Retry, and staging buffers that cannot be placed in simulated
-// MCDRAM degrade to DDR (or are dropped, narrowing the pipeline) instead
-// of failing the benchmark.
-func RunRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffers int, opts RealOptions) ([]int64, RealStats, error) {
-	out, stats, err := runRealResilient(ctx, src, chunkLen, repeats, buffers, opts)
+// The run is cancellable through ctx, and per-chunk stage failures are
+// retried under opts.Retry. The staging buffers and the compute scratch
+// come from the shared mem.Pool.
+func RunRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffers int, opts RealOptions) ([]int64, error) {
+	out, err := runRealResilient(ctx, src, chunkLen, repeats, buffers, opts)
 	if opts.Resilience != nil {
 		opts.Resilience.RecordOutcome(err)
 	}
-	return out, stats, err
+	return out, err
 }
 
-// placeBuffers places the staging buffers on the simulated heap,
-// degrading per buffer from MCDRAM to DDR. It returns the placement tally
-// and the live allocations the caller must free after the run.
-func placeBuffers(buffers int, chunkBytes units.Bytes, o RealOptions) (RealStats, []*memkind.Allocation, error) {
-	var stats RealStats
-	var allocs []*memkind.Allocation
-	for bi := 0; bi < buffers; bi++ {
-		a, ok := o.Place(bi, chunkBytes)
-		if ok {
-			stats.HBWBuffers++
-		} else {
-			stats.AllocFailures++
-			if o.Heap != nil {
-				// Without a simulated heap the DDR placement is notional and
-				// an injected failure exercises only the bookkeeping.
-				var err error
-				if a, err = o.Heap.Alloc(memkind.PolicyDDR, chunkBytes, 0); err != nil {
-					stats.DroppedBuffers++
-					continue
-				}
-			}
-			stats.DegradedBuffers++
-			if o.Resilience != nil {
-				o.Resilience.RecordDegradation("mergebench-buffer")
-			}
-		}
-		stats.Buffers++
-		if a != nil {
-			allocs = append(allocs, a)
-		}
-	}
-	if stats.Buffers == 0 {
-		return stats, allocs, fmt.Errorf("mergebench: no staging buffer placeable on either memory level")
-	}
-	return stats, allocs, nil
-}
-
-func runRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffers int, opts RealOptions) ([]int64, RealStats, error) {
+func runRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffers int, opts RealOptions) ([]int64, error) {
 	if chunkLen < 2 {
-		return nil, RealStats{}, fmt.Errorf("mergebench: chunk length %d must be at least 2", chunkLen)
+		return nil, fmt.Errorf("mergebench: chunk length %d must be at least 2", chunkLen)
 	}
 	if repeats < 1 {
-		return nil, RealStats{}, fmt.Errorf("mergebench: repeats %d must be at least 1", repeats)
+		return nil, fmt.Errorf("mergebench: repeats %d must be at least 1", repeats)
 	}
 	if buffers < 1 {
-		return nil, RealStats{}, fmt.Errorf("mergebench: need at least one buffer, got %d", buffers)
-	}
-	stats, allocs, err := placeBuffers(buffers, units.BytesForElements(int64(chunkLen)), opts)
-	defer func() {
-		for _, a := range allocs {
-			opts.Heap.Free(a)
-		}
-	}()
-	if err != nil {
-		return nil, stats, err
+		return nil, fmt.Errorf("mergebench: need at least one buffer, got %d", buffers)
 	}
 
 	n := len(src)
@@ -173,10 +103,10 @@ func runRealResilient(ctx context.Context, src []int64, chunkLen, repeats, buffe
 		TouchedPerElem: int64(2 * repeats * 8),
 	}
 	stages = telemetry.FinishStages(stages, opts.Policy, opts.Resilience, opts.Observer, mem.Pool)
-	err = exec.RunContext(ctx, stages, stats.Buffers)
+	err := exec.RunContext(ctx, stages, buffers)
 	stages.Pool.Put(scratch)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	return out, stats, nil
+	return out, nil
 }

@@ -90,8 +90,8 @@ func TestAutotuneExplicitBudget(t *testing.T) {
 }
 
 // TestAutotuneUnderChaos: re-provisioning mid-run while the chaos
-// injector throws errors, panics, latency, allocation failures, and a
-// possibly-undersized heap at the pipeline must never cost correctness.
+// injector throws errors, panics and latency, under a possibly
+// undersized staging pool, must never cost correctness.
 func TestAutotuneUnderChaos(t *testing.T) {
 	const n, mc = 60_000, 6_000
 	for seed := int64(1); seed <= 8; seed++ {
@@ -102,7 +102,7 @@ func TestAutotuneUnderChaos(t *testing.T) {
 		res := telemetry.NewResilience(reg)
 		rig := plan.Rig(res)
 		stats, err := RunRealResilient(context.Background(), MLMSort, xs, 2, mc, RealOptions{
-			Staging: rig.Staging, Resilience: res, Policy: rig.Policy, Buffers: 3,
+			Pool: rig.Pool, Resilience: res, Policy: rig.Policy, Buffers: 3,
 			Autotune: &AutotuneOptions{Registry: reg},
 		})
 		if err != nil {

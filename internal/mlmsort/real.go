@@ -173,7 +173,7 @@ func finalMerge(ctx context.Context, n int, obs exec.Observer, merge func()) err
 // megachunk's sort writes its sorted run into t, as the paper's writes
 // the megachunk back to DDR, and the final merge reads t and writes xs,
 // ping-ponging its rounds through t, so no key is copied back. t aliases
-// no home, so staged and degraded megachunks alike land in it. It is
+// no home, so staged and in-place megachunks alike land in it. It is
 // merge space, DDR-side, so it comes from the shared pool and not from
 // opts.Pool, and goes back to it when the run returns, like the
 // pipeline's scratch. One megachunk draws no t.
@@ -222,17 +222,17 @@ func (a Algorithm) staged() bool { return a == MLMSort || a == MLMHybrid }
 // SortHomes is phase 1 of every megachunked sort, in memory or spilled: it
 // sorts each home on the exec pipeline, so megachunks inherit its full
 // failure semantics (retries, panic recovery, cancellation). MLM-sort (and
-// its hybrid twin) stages each megachunk through a buffer (the flat-mode
-// MCDRAM analog); when the staging allocation fails — simulated heap
-// exhaustion or an injected fault — that megachunk degrades to the
-// in-place DDR-direct flow. The other variants sort in place throughout.
+// its hybrid twin) stages each megachunk through a buffer from opts.Pool
+// (the flat-mode MCDRAM analog; a budget pool's refusal allocates that
+// buffer unpooled, in DDR, and the megachunk is still staged). The other
+// variants sort in place throughout.
 // threads must be positive and every home hold whole elements of
 // opts.Elem.
 //
 // Where a sorted megachunk goes is the only thing the callers vary. With
 // into non-nil, megachunk i's sort writes into[i] (as long as homes[i],
 // aliasing no home) wherever the megachunk was sorted, and a staged
-// flow's copy-out stage is left only the staging release. A non-nil
+// flow's copy-out stage is left only handing its buffer back. A non-nil
 // writeRun is the copy-out instead: it receives megachunk i sorted,
 // wherever it was sorted. Either way the homes are left unspecified.
 // With neither, staged megachunks are written back to their homes.
@@ -256,20 +256,15 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		ChunkLen:  func(i int) int { return len(homes[i]) },
 	}
 	staged := a.staged()
-	var table *stagingTable
-	inPlace := func(i int) bool { return table == nil || table.isDegraded(i) }
 	if staged {
-		table = newStagingTable(opts.Staging, len(homes))
 		s.CopyIn = func(i int, dst []int64) error {
-			if table.stage(i, units.BytesForElements(int64(len(homes[i]))), opts.Resilience) {
-				// copy-in: DDR -> "MCDRAM", at the tunable copy-pool width
-				exec.CopyParallel(dst, homes[i], int(copyW.Load()))
-			}
-			return nil // a failed staging leaves the megachunk in DDR
+			// copy-in: DDR -> "MCDRAM", at the tunable copy-pool width
+			exec.CopyParallel(dst, homes[i], int(copyW.Load()))
+			return nil
 		}
 	}
 	s.Compute = func(i int, buf []int64) error {
-		if inPlace(i) {
+		if !staged {
 			buf = homes[i]
 		}
 		var dst []int64
@@ -283,21 +278,15 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 		// Unstaged, the megachunk was sorted where it lives and the
 		// copy-out streams it from there: exec hands it no buffer.
 		s.CopyOut = func(i int, src []int64) error {
-			moved := !inPlace(i)
 			switch {
 			case writeRun != nil:
-				if !moved {
+				if !staged {
 					src = homes[i]
 				}
-				if err := writeRun(i, src); err != nil {
-					return err
-				}
-			case moved && into == nil:
+				return writeRun(i, src)
+			case into == nil:
 				// megachunk write-back to DDR
 				exec.CopyParallel(homes[i], src, int(copyW.Load()))
-			}
-			if staged {
-				table.release(i)
 			}
 			return nil
 		}
@@ -332,10 +321,6 @@ func SortHomes(ctx context.Context, a Algorithm, homes [][]int64, threads int, o
 			stats.Retunes = 1
 			stats.TunedPools = dec.Pools
 		}
-	}
-	if table != nil {
-		stats.Degraded, stats.AllocFailures = table.drain()
-		stats.Staged = stats.Megachunks - stats.Degraded
 	}
 	pool.Put(scratch)
 	return stats, err

@@ -6,63 +6,65 @@ import (
 	"testing"
 
 	"knlmlm/internal/exec"
-	"knlmlm/internal/memkind"
+	"knlmlm/internal/mem"
 	"knlmlm/internal/telemetry"
 	"knlmlm/internal/units"
 	"knlmlm/internal/workload"
 )
-
-// failChunks is a deterministic AllocFaults stub.
-type failChunks map[int]bool
-
-func (f failChunks) FailAlloc(i int) bool { return f[i] }
 
 func resilienceSink() (*telemetry.Registry, *telemetry.Resilience) {
 	reg := telemetry.NewRegistry()
 	return reg, telemetry.NewResilience(reg)
 }
 
-// TestResilientGenuineExhaustion: a heap smaller than one megachunk fails
-// every HBW_POLICY_BIND staging allocation, so every megachunk must
-// degrade to the DDR-direct flow — and the sort must still be correct.
+// poolSettled fails t unless every slice pool handed out is back on its
+// freelists: the MCDRAM ledger at zero.
+func poolSettled(t *testing.T, pool *mem.SlicePool) {
+	t.Helper()
+	if fp, free := pool.FootprintBytes(), pool.FreeBytes(); fp != free {
+		t.Errorf("pool holds %d bytes, %d of them free: a buffer is outstanding", fp, free)
+	}
+}
+
+// TestResilientGenuineExhaustion: a pool budget smaller than one
+// megachunk refuses the sort scratch and every staging buffer, so each is
+// allocated unpooled (in DDR) — and the sort must still be correct.
 func TestResilientGenuineExhaustion(t *testing.T) {
 	const n, mc = 40_000, 10_000
 	xs := workload.Generate(workload.Random, n, 3)
 	want := workload.Fingerprint(xs)
-	// Capacity below one megachunk's 80 KB footprint: every bind fails.
-	heap := memkind.NewHeap(units.BytesForElements(mc)-1, units.GiB)
+	// Budget below one megachunk's 80 KB footprint: every Get is refused.
+	pool := mem.NewSlicePoolBudget(int64(units.BytesForElements(mc)) - 1)
 	_, res := resilienceSink()
 	stats, err := RunRealResilient(context.Background(), MLMSort, xs, 4, mc, RealOptions{
-		Staging: memkind.Staging{Heap: heap}, Resilience: res,
+		Pool: pool, Resilience: res, Buffers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !workload.IsSorted(xs) || workload.Fingerprint(xs) != want {
-		t.Fatal("degraded run corrupted the data")
+		t.Fatal("run on refused buffers corrupted the data")
 	}
-	if stats.Megachunks != 4 || stats.Degraded != 4 || stats.Staged != 0 {
-		t.Errorf("stats = %+v, want 4 megachunks all degraded", stats)
+	if stats.Megachunks != 4 {
+		t.Errorf("stats = %+v, want 4 megachunks", stats)
 	}
-	if stats.AllocFailures < 4 {
-		t.Errorf("alloc failures = %d, want >= 4", stats.AllocFailures)
+	if st := pool.Stats(); st.Refusals < 4 || st.Refusals != st.Gets {
+		t.Errorf("pool stats = %+v, want every Get (scratch and 3 buffers) refused", st)
 	}
-	if got := res.Degradations(); got != 4 {
-		t.Errorf("telemetry degradations = %d, want 4", got)
-	}
-	if heap.HBWInUse() != 0 {
-		t.Errorf("heap leak: %v still in use", heap.HBWInUse())
+	if pool.FootprintBytes() != 0 {
+		t.Errorf("refusing pool holds %d bytes", pool.FootprintBytes())
 	}
 }
 
-// TestResilientAmpleHeap: with room for every staged buffer, nothing
-// degrades and the heap is fully released afterwards.
+// TestResilientAmpleHeap: with budget for the scratch and every staging
+// buffer, nothing is refused and every buffer is back in the pool
+// afterwards.
 func TestResilientAmpleHeap(t *testing.T) {
 	const n, mc = 40_000, 10_000
 	xs := workload.Generate(workload.Reverse, n, 1)
-	heap := memkind.NewHeap(units.GiB, units.GiB)
+	pool := mem.NewSlicePoolBudget(int64(units.GiB))
 	stats, err := RunRealResilient(context.Background(), MLMHybrid, xs, 4, mc, RealOptions{
-		Staging: memkind.Staging{Heap: heap}, Buffers: 3,
+		Pool: pool, Buffers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,40 +72,10 @@ func TestResilientAmpleHeap(t *testing.T) {
 	if !workload.IsSorted(xs) {
 		t.Fatal("not sorted")
 	}
-	if stats.Degraded != 0 || stats.Staged != 4 || stats.AllocFailures != 0 {
-		t.Errorf("stats = %+v, want all 4 staged", stats)
+	if stats.Megachunks != 4 || pool.Stats().Refusals != 0 {
+		t.Errorf("stats = %+v, pool %+v; want 4 megachunks, no refusal", stats, pool.Stats())
 	}
-	if heap.HBWInUse() != 0 {
-		t.Errorf("heap leak: %v still in use", heap.HBWInUse())
-	}
-}
-
-// TestResilientInjectedAllocFaults: injected allocation failures degrade
-// exactly the targeted megachunks.
-func TestResilientInjectedAllocFaults(t *testing.T) {
-	const n, mc = 40_000, 10_000
-	xs := workload.Generate(workload.Random, n, 7)
-	want := workload.Fingerprint(xs)
-	heap := memkind.NewHeap(units.GiB, units.GiB)
-	_, res := resilienceSink()
-	stats, err := RunRealResilient(context.Background(), MLMSort, xs, 4, mc, RealOptions{
-		Staging: memkind.Staging{Heap: heap, Faults: failChunks{1: true, 3: true}}, Resilience: res,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !workload.IsSorted(xs) || workload.Fingerprint(xs) != want {
-		t.Fatal("run with injected alloc faults corrupted the data")
-	}
-	if stats.Degraded != 2 || stats.Staged != 2 {
-		t.Errorf("stats = %+v, want 2 degraded / 2 staged", stats)
-	}
-	if got := res.Degradations(); got != 2 {
-		t.Errorf("telemetry degradations = %d, want 2", got)
-	}
-	if got := res.Completions(); got != 1 {
-		t.Errorf("completions = %d, want 1", got)
-	}
+	poolSettled(t, pool)
 }
 
 // TestResilientRetry: a transient compute fault is retried away; the
@@ -133,8 +105,8 @@ func TestResilientRetry(t *testing.T) {
 	if !workload.IsSorted(xs) {
 		t.Fatal("not sorted")
 	}
-	if stats.Staged != 4 {
-		t.Errorf("stats = %+v, want 4 staged", stats)
+	if stats.Megachunks != 4 {
+		t.Errorf("stats = %+v, want 4 megachunks", stats)
 	}
 	if res.Retries() != 1 || res.Failures() != 0 {
 		t.Errorf("retries/failures = %d/%d, want 1/0", res.Retries(), res.Failures())
@@ -145,16 +117,16 @@ func TestResilientRetry(t *testing.T) {
 }
 
 // TestResilientCancellation: cancelling mid-run returns context.Canceled,
-// releases every staging allocation, and books a cancellation outcome.
+// puts every staging buffer back, and books a cancellation outcome.
 func TestResilientCancellation(t *testing.T) {
 	const n, mc = 40_000, 5_000
 	xs := workload.Generate(workload.Random, n, 13)
-	heap := memkind.NewHeap(units.GiB, units.GiB)
+	pool := mem.NewSlicePoolBudget(int64(units.GiB))
 	_, res := resilienceSink()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, err := RunRealResilient(ctx, MLMSort, xs, 4, mc, RealOptions{
-		Staging: memkind.Staging{Heap: heap}, Resilience: res, Buffers: 3,
+		Pool: pool, Resilience: res, Buffers: 3,
 		Policy: exec.Policy{Wrap: func(s exec.Stages) exec.Stages {
 			inner := s.Compute
 			s.Compute = func(i int, buf []int64) error {
@@ -169,9 +141,7 @@ func TestResilientCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if heap.HBWInUse() != 0 {
-		t.Errorf("cancelled run leaked %v of staging heap", heap.HBWInUse())
-	}
+	poolSettled(t, pool)
 	if res.Cancellations() != 1 {
 		t.Errorf("cancellations = %d, want 1", res.Cancellations())
 	}

@@ -10,7 +10,6 @@ import (
 
 	"knlmlm/internal/exec"
 	"knlmlm/internal/mem"
-	"knlmlm/internal/memkind"
 	"knlmlm/internal/tune"
 	"knlmlm/internal/workload"
 )
@@ -63,8 +62,9 @@ func poolDelta(run func()) mem.PoolStats {
 // four runs), on int64 keys and on records, against the stable sort. The
 // sorter width turns through 1 to 4 across the cases, so every variant
 // and key type meets every width and every count meets each width twice.
-// The staged variants fail every third staging allocation, so staged and
-// degraded megachunks merge into the same run buffer. The run buffer is
+// Every other case draws from a pool with no room, so the sort scratch and
+// staging buffers are refused and allocated unpooled (MCDRAM exhausted),
+// and the pool's ledger stays empty. The run buffer is
 // drawn once and returned once when there are megachunks to merge, and
 // not at all otherwise.
 func TestMegachunkWritebackDifferential(t *testing.T) {
@@ -76,11 +76,11 @@ func TestMegachunkWritebackDifferential(t *testing.T) {
 				name := fmt.Sprintf("%v/%v/%d-megachunks/width-%d", a, elem, count, threads)
 				xs := writebackJob(rng, count, elem)
 				want := sortedRef(xs, elem)
-				failing := failChunks{}
-				for i := 1; i < count; i += 3 {
-					failing[i] = true
+				pool := mem.NewSlicePool()
+				if ci%2 == 1 {
+					pool = mem.NewSlicePoolBudget(1)
 				}
-				opts := RealOptions{Elem: elem, Pool: mem.NewSlicePool(), Staging: memkind.Staging{Faults: failing}}
+				opts := RealOptions{Elem: elem, Pool: pool}
 				var stats RealStats
 				var err error
 				got := poolDelta(func() {
@@ -95,8 +95,8 @@ func TestMegachunkWritebackDifferential(t *testing.T) {
 				if stats.Megachunks != count {
 					t.Errorf("%s: %d megachunks, want %d", name, stats.Megachunks, count)
 				}
-				if a.staged() && stats.Degraded != len(failing) {
-					t.Errorf("%s: %d megachunks degraded, want %d", name, stats.Degraded, len(failing))
+				if ci%2 == 1 && (pool.Stats().Refusals == 0 || pool.FootprintBytes() != 0) {
+					t.Errorf("%s: a pool with no room refused %d, holds %d bytes", name, pool.Stats().Refusals, pool.FootprintBytes())
 				}
 				drawn := int64(0)
 				if count > 1 {

@@ -102,8 +102,8 @@ type Config struct {
 
 	// Registry, when non-nil, receives the sched_* metric families.
 	Registry *telemetry.Registry
-	// Resilience, when non-nil, receives retry/degradation/outcome
-	// counters from job pipelines.
+	// Resilience, when non-nil, receives retry and outcome counters from
+	// job pipelines.
 	Resilience *telemetry.Resilience
 	// Policy is the fault plug of every job pipeline, handed to mlmsort
 	// whole: the retry budget and stage-set wrap.

@@ -10,8 +10,7 @@ import (
 
 // Resilience bundles the failure-path metrics of the real execution
 // stack: retries and chunk failures per stage, injected faults per kind,
-// MCDRAM->DDR degradations per component, and run outcomes (aborts and
-// cancellations). All handles are resolved once at construction, so the
+// and run outcomes (aborts and cancellations). All handles are resolved once at construction, so the
 // observation methods are lock-free and safe to call from concurrent
 // stage goroutines.
 //
@@ -76,16 +75,6 @@ func FinishStages(s exec.Stages, p exec.Policy, r *Resilience, obs exec.Observer
 	return s
 }
 
-// RecordDegradation counts one MCDRAM->DDR fallback for the named
-// component ("mlmsort-megachunk", "mergebench-buffer", ...). The series
-// is created on first use; a run with no degradations exports none,
-// matching Prometheus counter idiom for labeled families.
-func (r *Resilience) RecordDegradation(component string) {
-	r.reg.Counter("pipeline_degradations_total",
-		"Megachunks or buffers that fell back from MCDRAM to DDR.",
-		Labels{"component": component}).Add(1)
-}
-
 // RecordFault counts one injected fault by kind and stage (used by the
 // fault injector so chaos runs expose what they endured).
 func (r *Resilience) RecordFault(kind, stage string) {
@@ -140,12 +129,6 @@ func (r *Resilience) Cancellations() int64 { return r.cancellations.Value() }
 
 // Completions reports clean runs.
 func (r *Resilience) Completions() int64 { return r.completions.Value() }
-
-// Degradations reports the summed MCDRAM->DDR fallbacks across
-// components.
-func (r *Resilience) Degradations() int64 {
-	return r.sumFamily("pipeline_degradations_total")
-}
 
 // FaultsInjected reports the summed injected faults across kinds.
 func (r *Resilience) FaultsInjected() int64 {
